@@ -30,7 +30,6 @@ from .modes import (
     ModeTrajectory,
     SwitchingProfile,
     bogoliubov,
-    chi_value,
     ergodic_averages,
     ergodic_limits,
     solve_modes,
@@ -90,7 +89,6 @@ __all__ = [
     "bogoliubov",
     "bose_coefficient",
     "bose_derivative",
-    "chi_value",
     "connected_from_moments",
     "descent_count",
     "dispersion",

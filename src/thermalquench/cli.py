@@ -24,7 +24,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -85,15 +84,6 @@ def _write_meta(args, out_dir):
     _emit_json(meta, out_dir, "meta.json")
 
 
-def _map_ordered(fn, items, threads: int):
-    """Apply fn to independent work items, optionally on a thread pool;
-    results always come back in input order."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_eulerian(args) -> int:
     if args.n_max < 1 or args.n_max > ENUMERATION_CAP:
         sys.stderr.write(
@@ -125,28 +115,20 @@ def cmd_eulerian(args) -> int:
 def cmd_limits(args) -> int:
     config = _load(args)
     rows = []
-    failures = 0
-    items = [(k, mu) for k in config.k_values for mu in config.mu_ladder]
-
-    def work(item):
-        k, mu = item
+    for k in config.k_values:
         target = switch_integral_limit(k, config.params)
-        try:
-            prof = SwitchingProfile(mu)
-            i_sq, i_abs = switch_integrals(k, prof, config.params)
-            return [
-                _fmt(k), _fmt(mu),
-                _fmt(i_sq.real), _fmt(i_sq.imag), _fmt(i_abs),
-                _fmt(target), _fmt(abs(i_abs - target)), _fmt(abs(i_sq)),
-                "ok",
-            ]
-        except IntegratorError as exc:
-            return [_fmt(k), _fmt(mu), "", "", "", _fmt(target), "", "", f"error: {exc}"]
-
-    for row in _map_ordered(work, items, args.threads):
-        if row[-1] != "ok":
-            failures += 1
-        rows.append(row)
+        for mu in config.mu_ladder:
+            try:
+                i_sq, i_abs = switch_integrals(k, SwitchingProfile(mu), config.params)
+                rows.append([
+                    _fmt(k), _fmt(mu),
+                    _fmt(i_sq.real), _fmt(i_sq.imag), _fmt(i_abs),
+                    _fmt(target), _fmt(abs(i_abs - target)), _fmt(abs(i_sq)),
+                    "ok",
+                ])
+            except IntegratorError as exc:
+                rows.append([_fmt(k), _fmt(mu), "", "", "", _fmt(target), "", "", f"error: {exc}"])
+    failures = sum(1 for r in rows if r[-1] != "ok")
     out_dir = Path(args.out) if args.out else None
     _emit_csv(
         ["k", "mu", "re_I_sq", "im_I_sq", "I_abs", "target", "gap_abs", "gap_sq", "status"],
@@ -221,7 +203,7 @@ def cmd_ness(args) -> int:
         except IntegratorError as exc:
             return [_fmt(k)] + [""] * 9 + [f"error: {exc}"]
 
-    rows = _map_ordered(work, list(k_nodes), args.threads)
+    rows = [work(k) for k in k_nodes]
     failures = sum(1 for r in rows if r[-1] != "ok")
     out_dir = Path(args.out) if args.out else None
     _emit_csv(
@@ -261,8 +243,6 @@ def _add_common(sub):
     sub.add_argument("--out", type=Path, default=None, help="output directory (stdout if omitted)")
     sub.add_argument("--refine", action="store_true",
                      help="double quadrature node counts and densify ladders")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="thread pool size for independent work items")
 
 
 def build_parser() -> argparse.ArgumentParser:

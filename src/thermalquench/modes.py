@@ -14,11 +14,20 @@ This module solves the ramp with an adaptive Runge-Kutta integrator, keeps
 the conserved Wronskian as a built-in health monitor, provides the WKB
 comparison mode, the switching-weighted integrals whose large-mu limits are
 known in closed form, and finite-horizon ergodic averages of mode products.
+
+One routine does every ramp solve: it stacks n radial momenta into a single
+2n-component state, integrates only over [-mu - pad, 0], and gates each
+column on its Wronskian.  For t >= 0 the mode is taken in closed form from
+its data at the solve's endpoint t = 0.  scipy measures the step error as an
+RMS over all 2n components, which dilutes one column's error by sqrt(2n);
+the routine divides rtol and atol by sqrt(n), so a batch of one keeps the
+tolerances it is given.  :func:`solve_modes` is that batch of one.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,6 +38,11 @@ from .thermal import ThermalParams, dispersion
 
 _GL_ORDER = 10
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+
+# ramp solves start this long before the switch turns on, and fail when a
+# mode's Wronskian drifts from i by more than the gate
+_PAD = 1.0
+_WRONSKIAN_TOL = 1e-8
 
 
 class IntegratorError(RuntimeError):
@@ -52,6 +66,19 @@ def chi_unit(s):
     b = _bump(-s)
     out = a / (a + b)
     return float(out) if out.ndim == 0 else out
+
+
+def chi_unit_scalar(s: float) -> float:
+    """:func:`chi_unit` at one float with the ``math`` module: the ODE
+    right-hand side calls it once per evaluation, where numpy's per-call
+    overhead would dominate."""
+    if s <= -1.0:
+        return 0.0
+    if s >= 0.0:
+        return 1.0
+    a = math.exp(-1.0 / (s + 1.0))
+    b = math.exp(1.0 / s)
+    return a / (a + b)
 
 
 def chi_unit_rate(s):
@@ -90,24 +117,118 @@ class SwitchingProfile:
         return chi_unit_rate(np.asarray(t, dtype=float) / self.mu) / self.mu
 
 
-def chi_value(t, prof: SwitchingProfile):
-    """Value of the scaled switching function at time t."""
-    return prof.value(t)
-
-
 def time_frequency(k_mag, t, prof: SwitchingProfile, params: ThermalParams):
     """Instantaneous frequency interpolating eps -> eps_lambda along the ramp."""
     disp = dispersion(k_mag, params)
     return np.sqrt(disp.eps**2 + params.mass_shift * prof.value(t))
 
 
+def _incoming(eps, t):
+    """The plane wave exp(-i*eps*t)/sqrt(2*eps) and its time derivative."""
+    T = np.exp(-1j * eps * t) / np.sqrt(2.0 * eps)
+    return T, -1j * eps * T
+
+
+def _after_switch(T0, Td0, eps_lambda, t):
+    """(T, Tdot) at t >= 0 from the data (T0, Td0) at t = 0.
+
+    The frequency is eps_lambda there, so the mode is
+    (a_plus*exp(-i*eps_lambda*t) + a_minus*exp(+i*eps_lambda*t))/sqrt(2*eps_lambda)
+    with the Bogoliubov pair read at t = 0, which is the same function as
+    T0*cos(eps_lambda*t) + Td0*sin(eps_lambda*t)/eps_lambda.
+    """
+    c, s = np.cos(eps_lambda * t), np.sin(eps_lambda * t)
+    return T0 * c + Td0 * s / eps_lambda, Td0 * c - eps_lambda * T0 * s
+
+
+def _piecewise(t, t_start, eps, eps_lambda, y_end, inside):
+    """(T, Tdot), each of shape (n, len(t)), for n stacked modes: the incoming
+    wave before t_start, ``inside(t)`` (rows T_1..T_n, Tdot_1..Tdot_n) on
+    [t_start, 0), and the closed form from the endpoint data ``y_end`` on t >= 0."""
+    n = eps.size
+    T = np.empty((n, t.size), dtype=complex)
+    Td = np.empty_like(T)
+    before = t < t_start
+    after = t >= 0.0
+    ramp = ~(before | after)
+    if np.any(before):
+        T[:, before], Td[:, before] = _incoming(eps[:, None], t[before])
+    if np.any(ramp):
+        y = inside(t[ramp])
+        T[:, ramp], Td[:, ramp] = y[:n], y[n:]
+    if np.any(after):
+        T[:, after], Td[:, after] = _after_switch(
+            y_end[:n, None], y_end[n:, None], eps_lambda[:, None], t[after]
+        )
+    return T, Td
+
+
+def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, t_start: float,
+                rtol: float, atol: float, method: str, wronskian_tol: float | None,
+                t_eval=None):
+    """One adaptive solve of the mode equation for every momentum in ``k_mags``.
+
+    The state stacks (T_1..T_n, Tdot_1..Tdot_n), starts from plane-wave data
+    at ``t_start`` (before the switch) and ends at t = 0, where the frequency
+    stops changing.  Tolerances are divided by sqrt(n) to undo the RMS
+    dilution of one column's error across the state.  Without ``t_eval`` the
+    solution carries a dense interpolant; with it, only those times (which
+    must lie in [t_start, 0] and should end at 0) are kept.  Every column's
+    Wronskian is gated at every returned time.
+
+    Returns (solution, eps, eps_lambda) with 1-d frequency arrays.
+    """
+    ks = np.atleast_1d(np.asarray(k_mags, dtype=float))
+    disp = dispersion(ks, params)
+    eps, eps_lam = disp.eps, disp.eps_lambda
+    n = eps.size
+    neg_eps_sq = -eps * eps
+    shift = params.mass_shift
+    mu = prof.mu
+
+    def rhs(t, y):
+        return np.concatenate((y[n:], (neg_eps_sq - shift * chi_unit_scalar(t / mu)) * y[:n]))
+
+    scale = math.sqrt(n)
+    sol = solve_ivp(
+        rhs,
+        (t_start, 0.0),
+        np.concatenate(_incoming(eps, t_start)),
+        method=method,
+        t_eval=t_eval,
+        dense_output=t_eval is None,
+        rtol=rtol / scale,
+        atol=atol / scale,
+    )
+    if not sol.success:
+        raise IntegratorError(
+            f"mode solve failed for k in [{ks.min()}, {ks.max()}], mu={mu}: {sol.message}"
+        )
+    if wronskian_tol is not None:
+        drift = _wronskian_residual(sol.y[:n], sol.y[n:]).max(axis=1)
+        worst = int(np.argmax(drift))
+        if not drift[worst] <= wronskian_tol:  # a NaN drift fails too
+            raise IntegratorError(
+                f"Wronskian drift {drift[worst]:.3e} exceeds {wronskian_tol:.1e} "
+                f"for k={ks[worst]}, mu={mu} "
+                f"({sol.nfev} RHS evaluations, rtol={rtol}); tighten the solver tolerances"
+            )
+    return sol, eps, eps_lam
+
+
+def _wronskian_residual(T, Td):
+    """|W - i| with W = conj(Tdot)*T - conj(T)*Tdot, exactly i for a mode."""
+    return np.abs(np.conj(Td) * T - np.conj(T) * Td - 1j)
+
+
 @dataclass
 class ModeTrajectory:
     """Solved mode for one (k, mu): sampled values plus a dense interpolant.
 
-    ``t`` holds the solver's accepted steps over [t_start, t_end];
-    :meth:`evaluate` extends exactly to all t <= t_start with the incoming
-    plane wave and rejects t > t_end.
+    ``t`` holds the solver's accepted steps over [t_start, 0], the only
+    stretch that is integrated.  :meth:`evaluate` extends exactly to all
+    t <= t_start with the incoming plane wave, answers on (0, t_end] in
+    closed form from the data at t = 0, and rejects t > t_end.
     """
 
     k_mag: float
@@ -122,11 +243,6 @@ class ModeTrajectory:
     t_end: float
     _dense: Callable = field(repr=False)
 
-    def _plane_wave(self, t):
-        t = np.asarray(t, dtype=float)
-        T = np.exp(-1j * self.eps * t) / np.sqrt(2.0 * self.eps)
-        return T, -1j * self.eps * T
-
     def evaluate(self, t):
         """(T, Tdot) at arbitrary times t <= t_end."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -134,16 +250,11 @@ class ModeTrajectory:
             raise ValueError(
                 f"trajectory solved up to t={self.t_end}, requested t={t.max()}"
             )
-        T = np.empty(t.shape, dtype=complex)
-        Td = np.empty(t.shape, dtype=complex)
-        before = t < self.t_start
-        if np.any(before):
-            T[before], Td[before] = self._plane_wave(t[before])
-        inside = ~before
-        if np.any(inside):
-            y = self._dense(np.clip(t[inside], self.t_start, self.t_end))
-            T[inside], Td[inside] = y[0], y[1]
-        return T, Td
+        T, Td = _piecewise(
+            t, self.t_start, np.array([self.eps]), np.array([self.eps_lambda]),
+            np.array([self.T[-1], self.Tdot[-1]]), self._dense,
+        )
+        return T[0], Td[0]
 
     def wronskian_residual(self, t=None):
         """|W(t) - i| with W = conj(Tdot)*T - conj(T)*Tdot; the exact value
@@ -152,8 +263,7 @@ class ModeTrajectory:
             T, Td = self.T, self.Tdot
         else:
             T, Td = self.evaluate(t)
-        w = np.conj(Td) * T - np.conj(T) * Td
-        return np.abs(w - 1j)
+        return _wronskian_residual(T, Td)
 
     @property
     def max_wronskian_residual(self) -> float:
@@ -186,51 +296,29 @@ def solve_modes(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     method: str = "RK45",
-    pad: float = 1.0,
-    wronskian_tol: float | None = 1e-8,
+    pad: float = _PAD,
+    wronskian_tol: float | None = _WRONSKIAN_TOL,
 ) -> ModeTrajectory:
     """Integrate the mode equation from plane-wave data before the switch.
 
-    The solve starts at t0 = -mu - pad, strictly outside the ramp, where the
-    data T = exp(-i*eps*t0)/sqrt(2*eps), Tdot = -i*eps*T make the Wronskian
-    exactly i.  Tolerances feed straight into the adaptive stepper; the
-    Wronskian drift of the result doubles as an error estimate and is
-    enforced at every accepted step (set ``wronskian_tol=None`` to disable).
+    The ramp solve of one momentum (a batch of one, so the tolerances reach
+    the adaptive stepper unscaled).  It starts at t0 = -mu - pad, strictly
+    outside the ramp, where T = exp(-i*eps*t0)/sqrt(2*eps), Tdot = -i*eps*T
+    make the Wronskian exactly i, and stops at t = 0; the trajectory answers
+    up to ``t_max`` in closed form beyond that.  The Wronskian drift doubles
+    as an error estimate and is enforced at every accepted step (set
+    ``wronskian_tol=None`` to disable).
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    disp = dispersion(k_mag, params)
-    eps, eps_lam = disp.eps, disp.eps_lambda
-    shift = params.mass_shift
-    mu = prof.mu
-    t0 = -mu - pad
-
-    T0 = np.exp(-1j * eps * t0) / np.sqrt(2.0 * eps)
-    y0 = np.array([T0, -1j * eps * T0], dtype=complex)
-
-    def rhs(t, y):
-        w_sq = eps * eps + shift * chi_unit(t / mu)
-        return [y[1], -w_sq * y[0]]
-
-    sol = solve_ivp(
-        rhs,
-        (t0, t_max),
-        y0,
-        method=method,
-        dense_output=True,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise IntegratorError(
-            f"mode solve failed for k={k_mag}, mu={mu}: {sol.message}"
-        )
-    traj = ModeTrajectory(
+    t0 = -prof.mu - pad
+    sol, eps, eps_lam = _ramp_solve(k_mag, prof, params, t0, rtol, atol, method, wronskian_tol)
+    return ModeTrajectory(
         k_mag=float(k_mag),
-        mu=mu,
+        mu=prof.mu,
         params=params,
-        eps=eps,
-        eps_lambda=eps_lam,
+        eps=float(eps[0]),
+        eps_lambda=float(eps_lam[0]),
         t=sol.t,
         T=sol.y[0],
         Tdot=sol.y[1],
@@ -238,15 +326,35 @@ def solve_modes(
         t_end=t_max,
         _dense=sol.sol,
     )
-    if wronskian_tol is not None:
-        drift = traj.max_wronskian_residual
-        if drift > wronskian_tol:
-            raise IntegratorError(
-                f"Wronskian drift {drift:.3e} exceeds {wronskian_tol:.1e} "
-                f"for k={k_mag}, mu={mu} ({len(sol.t)} steps, rtol={rtol}); "
-                "tighten the solver tolerances"
-            )
-    return traj
+
+
+def sample_modes(
+    k_mags,
+    prof: SwitchingProfile,
+    params: ThermalParams,
+    times,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+    method: str = "RK45",
+) -> np.ndarray:
+    """Mode values T(k, t) for every momentum in ``k_mags`` and every time in
+    ``times``, shape (len(k_mags), len(times)), from one batched ramp solve.
+
+    The solve keeps only the requested times inside the ramp and the endpoint
+    t = 0, where every column's Wronskian is gated; later times are closed
+    form from the endpoint data and earlier ones the incoming wave.
+    """
+    times = np.asarray(times, dtype=float)
+    t0 = -prof.mu - _PAD
+    t_eval = np.append(np.unique(times[(times >= t0) & (times < 0.0)]), 0.0)
+    sol, eps, eps_lam = _ramp_solve(
+        k_mags, prof, params, t0, rtol, atol, method, _WRONSKIAN_TOL, t_eval=t_eval
+    )
+    T, _ = _piecewise(
+        times, t0, eps, eps_lam, sol.y[:, -1],
+        lambda ts: sol.y[:, np.searchsorted(sol.t, ts)],
+    )
+    return T
 
 
 def wkb_mode(k_mag, t, prof: SwitchingProfile, params: ThermalParams, t0: float):

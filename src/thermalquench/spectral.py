@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .modes import BogoliubovPair, SwitchingProfile, solve_modes
+from .modes import BogoliubovPair, SwitchingProfile, sample_modes
 from .thermal import ThermalParams, bose_coefficient, dispersion
 
 
@@ -318,31 +318,25 @@ def pair_finite_mu(
 ) -> complex:
     """Time-domain pairing against the ramped free thermal state.
 
-    For each radial node the mode is solved across the ramp and projected
-    onto both packets' temporal profiles; the thermal coefficients stay at
-    the free frequency.  The packets' temporal supports must be coverable
-    by the solve, which extends from before the switch to past the latest
-    support edge.  One mode solve per radial node dominates the cost, so
-    the batch default integrator is the high-order member of the adaptive
-    family; results match the order-4/5 default of ``solve_modes`` to well
-    below the stated tolerances.
+    One batched ramp solve per switching scale covers every radial node:
+    :func:`~thermalquench.modes.sample_modes` integrates all of them as one
+    state over [-mu - 1, 0] (tolerances divided by sqrt(n_radial) inside),
+    keeping only the packets' time nodes inside the ramp and t = 0, and every
+    column's Wronskian is gated there.  Past t = 0 the modes are closed form,
+    so the packets' temporal supports may extend arbitrarily far.  Each mode
+    is projected onto both packets' temporal profiles; the thermal
+    coefficients stay at the free frequency.  The default integrator is the
+    high-order member of the adaptive family; results match the order-4/5
+    default of ``solve_modes`` to well below the stated tolerances.
     """
     tf, wf = quad.time_rule(f)
     tg, wg = quad.time_rule(g)
-    t_hi = max(tf.max(), tg.max())
-
-    k_nodes, k_weights = quad.radial_rule(f, g)
-    beta = params.beta
-    total = 0.0 + 0.0j
-    for k, wk in zip(k_nodes, k_weights):
-        eps = dispersion(k, params).eps
-        traj = solve_modes(k, prof, params, t_max=t_hi, rtol=rtol, atol=atol, method=method)
-        T_f, _ = traj.evaluate(tf)
-        T_g, _ = traj.evaluate(tg)
-        u_f = np.sum(wf * f.temporal(tf) * T_f)
-        u_g = np.sum(wg * g.temporal(tg) * T_g)
-        bp = bose_coefficient(+1, beta, eps)
-        bm = bose_coefficient(-1, beta, eps)
-        kernel = bp * u_f * np.conj(u_g) + bm * np.conj(u_f) * u_g
-        total += wk * 4.0 * np.pi * k * k * f.spatial(k) * g.spatial(k) * kernel
-    return complex(total)
+    k, wk = quad.radial_rule(f, g)
+    T = sample_modes(k, prof, params, np.concatenate((tf, tg)), rtol=rtol, atol=atol, method=method)
+    u_f = T[:, : tf.size] @ (wf * f.temporal(tf))
+    u_g = T[:, tf.size :] @ (wg * g.temporal(tg))
+    eps = dispersion(k, params).eps
+    bp = bose_coefficient(+1, params.beta, eps)
+    bm = bose_coefficient(-1, params.beta, eps)
+    kernel = bp * u_f * np.conj(u_g) + bm * np.conj(u_f) * u_g
+    return complex(np.sum(wk * 4.0 * np.pi * k * k * f.spatial(k) * g.spatial(k) * kernel))

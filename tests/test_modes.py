@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from thermalquench.modes import (
     BogoliubovPair,
@@ -11,7 +11,7 @@ from thermalquench.modes import (
     bogoliubov,
     chi_unit,
     chi_unit_rate,
-    chi_value,
+    chi_unit_scalar,
     ergodic_averages,
     ergodic_limits,
     solve_modes,
@@ -29,10 +29,10 @@ FREE = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=0.0)
 class TestSwitchingProfile:
     def test_exact_plateaus(self):
         prof = SwitchingProfile(mu=3.0)
-        assert chi_value(1.0, prof) == 1.0
-        assert chi_value(0.0, prof) == 1.0
-        assert chi_value(-3.0, prof) == 0.0
-        assert chi_value(-6.0, prof) == 0.0
+        assert prof.value(1.0) == 1.0
+        assert prof.value(0.0) == 1.0
+        assert prof.value(-3.0) == 0.0
+        assert prof.value(-6.0) == 0.0
 
     def test_interior_range_and_monotonicity(self):
         prof = SwitchingProfile(mu=2.0)
@@ -40,7 +40,7 @@ class TestSwitchingProfile:
         vals = prof.value(ts)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
         assert np.all(np.diff(vals) >= 0.0)
-        mid = chi_value(-1.0, prof)
+        mid = prof.value(-1.0)
         assert 0.0 < mid < 1.0
 
     def test_rate_nonnegative_and_supported(self):
@@ -62,6 +62,16 @@ class TestSwitchingProfile:
         for s in (-0.9, -0.7, -0.5, -0.3):
             fd = (chi_unit(s + h) - chi_unit(s - h)) / (2.0 * h)
             assert chi_unit_rate(s) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    def test_scalar_form_matches_array_form(self):
+        # the ODE right-hand side uses the math-module form; both ends of the
+        # ramp, the plateaus and points crowding each end are covered
+        near = np.logspace(-16, -1, 31)
+        grid = np.concatenate(
+            ([-2.0, -1.0, 0.0, 1.0], np.linspace(-1.0, 0.0, 1001), -1.0 + near, -near)
+        )
+        for s in grid:
+            assert abs(chi_unit_scalar(float(s)) - chi_unit(s)) <= 1e-15
 
     def test_invalid_mu(self):
         with pytest.raises(ValueError):
@@ -121,6 +131,28 @@ class TestSolveModes:
         coeffs, *_ = np.linalg.lstsq(basis, T, rcond=None)
         residual = np.abs(basis @ coeffs - T).max()
         assert residual < 1e-9
+
+    def test_closed_form_after_switch_matches_direct_integration(self):
+        # the solve stops at t = 0 and evaluate answers on (0, t_max] in
+        # closed form; the reference integrates straight through to t = 3
+        k, prof = 0.7, SwitchingProfile(2.0)
+        traj = solve_modes(k, prof, PARAMS, t_max=3.0)
+        eps = traj.eps
+        shift = PARAMS.mass_shift
+
+        def rhs(t, y):
+            return [y[1], -(eps * eps + shift * chi_unit(t / prof.mu)) * y[0]]
+
+        T0 = np.exp(-1j * eps * traj.t_start) / math.sqrt(2.0 * eps)
+        ref = solve_ivp(
+            rhs, (traj.t_start, 3.0), [T0, -1j * eps * T0],
+            method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True,
+        )
+        ts = np.linspace(0.0, 3.0, 61)[1:]
+        T, Td = traj.evaluate(ts)
+        T_ref, Td_ref = ref.sol(ts)
+        assert np.abs(T - T_ref).max() <= 1e-9
+        assert np.abs(Td - Td_ref).max() <= 1e-9
 
     def test_evaluate_beyond_solve_rejected(self):
         traj = solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=1.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from thermalquench.modes import BogoliubovPair, SwitchingProfile
+from thermalquench.modes import BogoliubovPair, IntegratorError, SwitchingProfile, solve_modes
 from thermalquench.spectral import TestPacket as Packet
 from thermalquench.spectral import (
     QuadratureError,
@@ -197,11 +197,37 @@ class TestPairFiniteMu:
         assert gaps[1] < gaps[0]
         assert gaps[1] < 1e-2
 
+    @pytest.mark.parametrize("mu", [5.0, 40.0])
+    def test_batched_solve_matches_per_node_reference(self, mu):
+        # the reference is one solve_modes per radial node, read by evaluate
+        quad = QuadratureSpec(n_radial=10, n_time=40)
+        prof = SwitchingProfile(mu)
+        tf, wf = quad.time_rule(F)
+        tg, wg = quad.time_rule(G)
+        t_hi = max(tf.max(), tg.max())
+        k_nodes, k_weights = quad.radial_rule(F, G)
+        reference = 0.0 + 0.0j
+        for k, wk in zip(k_nodes, k_weights):
+            eps = dispersion(k, PARAMS).eps
+            traj = solve_modes(k, prof, PARAMS, t_max=t_hi, method="DOP853")
+            u_f = np.sum(wf * F.temporal(tf) * traj.evaluate(tf)[0])
+            u_g = np.sum(wg * G.temporal(tg) * traj.evaluate(tg)[0])
+            kernel = (
+                bose_coefficient(+1, PARAMS.beta, eps) * u_f * np.conj(u_g)
+                + bose_coefficient(-1, PARAMS.beta, eps) * np.conj(u_f) * u_g
+            )
+            reference += wk * 4.0 * np.pi * k * k * F.spatial(k) * G.spatial(k) * kernel
+        batched = pair_finite_mu(prof, PARAMS, F, G, quad)
+        assert abs(batched - reference) <= 1e-9 * abs(reference)
+
+    def test_sloppy_tolerances_fail_the_wronskian_gate(self):
+        quad = QuadratureSpec(n_radial=8, n_time=40)
+        with pytest.raises(IntegratorError, match="Wronskian drift"):
+            pair_finite_mu(SwitchingProfile(40.0), PARAMS, F, G, quad, rtol=1e-4, atol=1e-6)
+
     def test_packet_beyond_solve_rejected(self):
         # the temporal window is derived from the packets, so force a failure
         # by asking the trajectory for a time it cannot reach
-        from thermalquench.modes import solve_modes
-
         traj = solve_modes(1.0, SwitchingProfile(1.0), PARAMS, t_max=1.0)
         with pytest.raises(ValueError):
             traj.evaluate(F.time_support()[1])
