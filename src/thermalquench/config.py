@@ -76,6 +76,7 @@ class RunConfig:
             ("mu", self.mu_ladder),
             ("orders", self.order_ladder),
             ("horizons", self.horizon_ladder),
+            ("k", self.k_values),
         ):
             if not ladder:
                 raise ConfigError(f"ladder {name!r} must not be empty")

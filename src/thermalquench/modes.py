@@ -15,13 +15,16 @@ the conserved Wronskian as a built-in health monitor, provides the WKB
 comparison mode, the switching-weighted integrals whose large-mu limits are
 known in closed form, and finite-horizon ergodic averages of mode products.
 
-One routine does every ramp solve: it stacks n radial momenta into a single
-2n-component state, integrates only over [-mu - pad, 0], and gates each
-column on its Wronskian.  For t >= 0 the mode is taken in closed form from
-its data at the solve's endpoint t = 0.  scipy measures the step error as an
-RMS over all 2n components, which dilutes one column's error by sqrt(2n);
-the routine divides rtol and atol by sqrt(n), so a batch of one keeps the
-tolerances it is given.  :func:`solve_modes` is that batch of one.
+One routine does every ramp solve, with the order-8 adaptive integrator: it
+stacks n radial momenta into a single 2n-component state, integrates only
+over [-mu - 1, 0], and gates each column on its Wronskian at every point it
+returns.  For t >= 0 the mode is taken in closed form from its data at the
+solve's endpoint t = 0.  scipy measures the step error as an RMS over all 2n
+components, which dilutes one column's error by sqrt(2n); the routine
+divides rtol and atol by sqrt(n), so a batch of one keeps the tolerances it
+is given.  :func:`solve_modes`, :func:`switch_integrals` and
+:func:`bogoliubov` take a momentum array as well as a scalar: an array is
+one batched solve, and a scalar is the batch of one.
 """
 
 from __future__ import annotations
@@ -164,8 +167,7 @@ def _piecewise(t, t_start, eps, eps_lambda, y_end, inside):
 
 
 def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, t_start: float,
-                rtol: float, atol: float, method: str, wronskian_tol: float | None,
-                t_eval=None):
+                rtol: float, atol: float, t_eval=None, method: str = "DOP853"):
     """One adaptive solve of the mode equation for every momentum in ``k_mags``.
 
     The state stacks (T_1..T_n, Tdot_1..Tdot_n), starts from plane-wave data
@@ -174,7 +176,8 @@ def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, t_start: 
     dilution of one column's error across the state.  Without ``t_eval`` the
     solution carries a dense interpolant; with it, only those times (which
     must lie in [t_start, 0] and should end at 0) are kept.  Every column's
-    Wronskian is gated at every returned time.
+    Wronskian is gated at every returned time, which without ``t_eval`` is
+    every accepted step.
 
     Returns (solution, eps, eps_lambda) with 1-d frequency arrays.
     """
@@ -204,15 +207,14 @@ def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, t_start: 
         raise IntegratorError(
             f"mode solve failed for k in [{ks.min()}, {ks.max()}], mu={mu}: {sol.message}"
         )
-    if wronskian_tol is not None:
-        drift = _wronskian_residual(sol.y[:n], sol.y[n:]).max(axis=1)
-        worst = int(np.argmax(drift))
-        if not drift[worst] <= wronskian_tol:  # a NaN drift fails too
-            raise IntegratorError(
-                f"Wronskian drift {drift[worst]:.3e} exceeds {wronskian_tol:.1e} "
-                f"for k={ks[worst]}, mu={mu} "
-                f"({sol.nfev} RHS evaluations, rtol={rtol}); tighten the solver tolerances"
-            )
+    drift = _wronskian_residual(sol.y[:n], sol.y[n:]).max(axis=1)
+    worst = int(np.argmax(drift))
+    if not drift[worst] <= _WRONSKIAN_TOL:  # a NaN drift fails too
+        raise IntegratorError(
+            f"Wronskian drift {drift[worst]:.3e} exceeds {_WRONSKIAN_TOL:.1e} "
+            f"for k={ks[worst]}, mu={mu} "
+            f"({sol.nfev} RHS evaluations, rtol={rtol}); tighten the solver tolerances"
+        )
     return sol, eps, eps_lam
 
 
@@ -223,19 +225,23 @@ def _wronskian_residual(T, Td):
 
 @dataclass
 class ModeTrajectory:
-    """Solved mode for one (k, mu): sampled values plus a dense interpolant.
+    """Solved modes for one mu: sampled values plus a dense interpolant.
 
     ``t`` holds the solver's accepted steps over [t_start, 0], the only
     stretch that is integrated.  :meth:`evaluate` extends exactly to all
     t <= t_start with the incoming plane wave, answers on (0, t_end] in
     closed form from the data at t = 0, and rejects t > t_end.
+
+    For a scalar momentum ``k_mag``, ``eps`` and ``eps_lambda`` are floats
+    and ``T``, ``Tdot`` have shape (len(t),); for a momentum array they are
+    arrays, with one row of ``T`` and ``Tdot`` per momentum.
     """
 
-    k_mag: float
+    k_mag: float | np.ndarray
     mu: float
     params: ThermalParams
-    eps: float
-    eps_lambda: float
+    eps: float | np.ndarray
+    eps_lambda: float | np.ndarray
     t: np.ndarray
     T: np.ndarray
     Tdot: np.ndarray
@@ -244,17 +250,20 @@ class ModeTrajectory:
     _dense: Callable = field(repr=False)
 
     def evaluate(self, t):
-        """(T, Tdot) at arbitrary times t <= t_end."""
+        """(T, Tdot) at arbitrary times t <= t_end, each of shape (len(t),)
+        for a scalar momentum and (len(k_mag), len(t)) for an array."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t > self.t_end + 1e-12):
             raise ValueError(
                 f"trajectory solved up to t={self.t_end}, requested t={t.max()}"
             )
         T, Td = _piecewise(
-            t, self.t_start, np.array([self.eps]), np.array([self.eps_lambda]),
-            np.array([self.T[-1], self.Tdot[-1]]), self._dense,
+            t, self.t_start, np.atleast_1d(self.eps), np.atleast_1d(self.eps_lambda),
+            np.append(self.T[..., -1], self.Tdot[..., -1]), self._dense,
         )
-        return T[0], Td[0]
+        if np.ndim(self.eps) == 0:
+            return T[0], Td[0]
+        return T, Td
 
     def wronskian_residual(self, t=None):
         """|W(t) - i| with W = conj(Tdot)*T - conj(T)*Tdot; the exact value
@@ -295,33 +304,35 @@ def solve_modes(
     t_max: float = 1.0,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    method: str = "RK45",
-    pad: float = _PAD,
-    wronskian_tol: float | None = _WRONSKIAN_TOL,
+    method: str = "DOP853",
 ) -> ModeTrajectory:
     """Integrate the mode equation from plane-wave data before the switch.
 
-    The ramp solve of one momentum (a batch of one, so the tolerances reach
-    the adaptive stepper unscaled).  It starts at t0 = -mu - pad, strictly
-    outside the ramp, where T = exp(-i*eps*t0)/sqrt(2*eps), Tdot = -i*eps*T
-    make the Wronskian exactly i, and stops at t = 0; the trajectory answers
-    up to ``t_max`` in closed form beyond that.  The Wronskian drift doubles
-    as an error estimate and is enforced at every accepted step (set
-    ``wronskian_tol=None`` to disable).
+    One ramp solve for every momentum in ``k_mag`` (a scalar is the batch of
+    one, so its tolerances reach the adaptive stepper unscaled).  It starts
+    at t0 = -mu - 1, strictly outside the ramp, where
+    T = exp(-i*eps*t0)/sqrt(2*eps), Tdot = -i*eps*T make the Wronskian
+    exactly i, and stops at t = 0; the trajectory answers up to ``t_max`` in
+    closed form beyond that.  The Wronskian drift doubles as an error
+    estimate and is enforced for every momentum at every accepted step.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    t0 = -prof.mu - pad
-    sol, eps, eps_lam = _ramp_solve(k_mag, prof, params, t0, rtol, atol, method, wronskian_tol)
+    t0 = -prof.mu - _PAD
+    sol, eps, eps_lam = _ramp_solve(k_mag, prof, params, t0, rtol, atol, method=method)
+    n = eps.size
+    T, Td = sol.y[:n], sol.y[n:]
+    if np.ndim(k_mag) == 0:
+        k_mag, eps, eps_lam, T, Td = float(k_mag), float(eps[0]), float(eps_lam[0]), T[0], Td[0]
     return ModeTrajectory(
-        k_mag=float(k_mag),
+        k_mag=k_mag,
         mu=prof.mu,
         params=params,
-        eps=float(eps[0]),
-        eps_lambda=float(eps_lam[0]),
+        eps=eps,
+        eps_lambda=eps_lam,
         t=sol.t,
-        T=sol.y[0],
-        Tdot=sol.y[1],
+        T=T,
+        Tdot=Td,
         t_start=t0,
         t_end=t_max,
         _dense=sol.sol,
@@ -335,7 +346,6 @@ def sample_modes(
     times,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    method: str = "RK45",
 ) -> np.ndarray:
     """Mode values T(k, t) for every momentum in ``k_mags`` and every time in
     ``times``, shape (len(k_mags), len(times)), from one batched ramp solve.
@@ -347,9 +357,7 @@ def sample_modes(
     times = np.asarray(times, dtype=float)
     t0 = -prof.mu - _PAD
     t_eval = np.append(np.unique(times[(times >= t0) & (times < 0.0)]), 0.0)
-    sol, eps, eps_lam = _ramp_solve(
-        k_mags, prof, params, t0, rtol, atol, method, _WRONSKIAN_TOL, t_eval=t_eval
-    )
+    sol, eps, eps_lam = _ramp_solve(k_mags, prof, params, t0, rtol, atol, t_eval=t_eval)
     T, _ = _piecewise(
         times, t0, eps, eps_lam, sol.y[:, -1],
         lambda ts: sol.y[:, np.searchsorted(sol.t, ts)],
@@ -401,9 +409,9 @@ def _panel_nodes(a: float, b: float, max_freq: float, min_panels: int = 4):
     return nodes, weights
 
 
-def switch_integral_limit(k_mag, params: ThermalParams) -> float:
+def switch_integral_limit(k_mag, params: ThermalParams):
     """Slow-switch limit of the absolute-square switching integral,
-    1/(eps + eps_lambda); the plain-square integral tends to 0."""
+    1/(eps + eps_lambda), per momentum; the plain-square integral tends to 0."""
     disp = dispersion(k_mag, params)
     return 1.0 / (disp.eps + disp.eps_lambda)
 
@@ -412,7 +420,6 @@ def switch_integrals(
     k_mag,
     prof: SwitchingProfile,
     params: ThermalParams,
-    traj: ModeTrajectory | None = None,
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ):
@@ -423,37 +430,36 @@ def switch_integrals(
         I_sq  = integral of T(t)^2   * d/dt chi(t/mu)  over the ramp,
         I_abs = integral of |T(t)|^2 * d/dt chi(t/mu),
 
-    computed by composite Gauss-Legendre against the dense solution.  As mu
-    grows, I_abs tends to 1/(eps_lambda + eps) and I_sq tends to 0.
+    computed by composite Gauss-Legendre against the dense solution of one
+    :func:`solve_modes` call.  A scalar ``k_mag`` gives (complex, float); a
+    momentum array is one batched solve and gives one value per momentum,
+    on panels sized by the largest eps_lambda in the batch.  As mu grows,
+    I_abs tends to 1/(eps_lambda + eps) and I_sq tends to 0.
     """
-    if traj is None:
-        traj = solve_modes(k_mag, prof, params, t_max=0.0, rtol=rtol, atol=atol)
-    if traj.mu != prof.mu or traj.k_mag != k_mag:
-        raise ValueError(
-            f"trajectory was solved for (k={traj.k_mag}, mu={traj.mu}), "
-            f"requested (k={k_mag}, mu={prof.mu})"
-        )
-    if traj.t_end < 0.0 or traj.t_start > -prof.mu:
-        raise ValueError("trajectory grid does not cover the ramp [-mu, 0]")
+    traj = solve_modes(k_mag, prof, params, t_max=0.0, rtol=rtol, atol=atol)
     # panels sized for both the mode oscillation and the bump-shaped rate
-    nodes, weights = _panel_nodes(-prof.mu, 0.0, 2.0 * traj.eps_lambda, min_panels=16)
+    nodes, weights = _panel_nodes(-prof.mu, 0.0, 2.0 * np.max(traj.eps_lambda), min_panels=16)
     T, _ = traj.evaluate(nodes)
-    rate = prof.rate(nodes)
-    i_sq = complex(np.sum(weights * rate * T * T))
-    i_abs = float(np.sum(weights * rate * (T.real**2 + T.imag**2)))
+    w = weights * prof.rate(nodes)
+    i_sq = (T * T) @ w
+    i_abs = (T.real**2 + T.imag**2) @ w
+    if np.ndim(k_mag) == 0:
+        return complex(i_sq), float(i_abs)
     return i_sq, i_abs
 
 
 @dataclass(frozen=True)
 class BogoliubovPair:
     """Amplitudes of exp(-i*eps_lambda*t) and exp(+i*eps_lambda*t) in the
-    post-switch mode; the Wronskian forces |a_plus|^2 - |a_minus|^2 = 1."""
+    post-switch mode; the Wronskian forces |a_plus|^2 - |a_minus|^2 = 1.
+    The fields are complex numbers for one momentum, or arrays with one
+    entry per momentum."""
 
-    a_plus: complex
-    a_minus: complex
+    a_plus: complex | np.ndarray
+    a_minus: complex | np.ndarray
 
     @property
-    def normalization_residual(self) -> float:
+    def normalization_residual(self):
         return abs(abs(self.a_plus) ** 2 - abs(self.a_minus) ** 2 - 1.0)
 
 
@@ -463,25 +469,28 @@ def bogoliubov(traj: ModeTrajectory, params: ThermalParams, t_star: float = 0.0)
     On t >= 0 the frequency is constant, so the 2x2 match is exact and the
     result is t_star-independent up to integration error.  The basis matrix
     has determinant of modulus 2*eps_lambda, so the system is uniformly
-    well-conditioned for any positive shifted frequency.
+    well-conditioned for any positive shifted frequency.  A trajectory of a
+    momentum array gives a pair of arrays, one entry per momentum.
     """
     if t_star < 0:
         raise ValueError(f"t_star must be >= 0, got {t_star}")
     el = traj.eps_lambda
     T, Td = traj.evaluate(t_star)
-    T, Td = complex(T[0]), complex(Td[0])
+    T, Td = T[..., 0], Td[..., 0]
     root = np.sqrt(2.0 * el) / 2.0
     a_plus = root * (T + 1j * Td / el) * np.exp(1j * el * t_star)
     a_minus = root * (T - 1j * Td / el) * np.exp(-1j * el * t_star)
-    return BogoliubovPair(complex(a_plus), complex(a_minus))
+    if np.ndim(el) == 0:
+        return BogoliubovPair(complex(a_plus), complex(a_minus))
+    return BogoliubovPair(a_plus, a_minus)
 
 
 def sudden_quench_pair(k_mag, params: ThermalParams) -> BogoliubovPair:
     """Closed-form pair for an instantaneous frequency jump at t = 0.
 
     Matching the incoming plane wave and its derivative across the jump
-    gives a_pm = (sqrt(eps_lambda/eps) +- sqrt(eps/eps_lambda)) / 2; the
-    smooth-ramp extraction approaches this as mu -> 0.
+    gives a_pm = (sqrt(eps_lambda/eps) +- sqrt(eps/eps_lambda)) / 2, per
+    momentum; the smooth-ramp extraction approaches this as mu -> 0.
     """
     disp = dispersion(k_mag, params)
     r = np.sqrt(disp.eps_lambda / disp.eps)

@@ -32,11 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinatorics import eulerian_row_recursive
+from .combinatorics import DEFAULT_ORDER_CAP, eulerian_row_recursive
 from .spectral import QuadratureSpec, TestPacket, adiabatic, adiabatic_classical, pair
 from .thermal import ThermalParams, bose_coefficient, bose_derivative, dispersion
-
-DEFAULT_ORDER_CAP = 16
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,12 @@ class QuadratureSpec:
     tail_sigmas: float = 9.0
     time_sigmas: float = 8.0
 
+    def __post_init__(self):
+        if self.n_radial < 1 or self.n_time < 1:
+            raise ValueError(
+                f"node counts must be >= 1, got n_radial={self.n_radial}, n_time={self.n_time}"
+            )
+
     def refined(self) -> "QuadratureSpec":
         return QuadratureSpec(
             n_radial=2 * self.n_radial,
@@ -147,8 +153,7 @@ class SpectralState:
             raise ValueError(f"unknown branch {self.branch!r}")
 
     def branch_frequency(self, k):
-        disp = dispersion(k, self.params)
-        return disp.eps if self.branch == "free" else disp.eps_lambda
+        return _frequency(k, self.params, self.branch)
 
     def ccr_residual(self, k):
         """c_plus(k) - c_minus(k) - 1, identically 0 for a physical state."""
@@ -167,91 +172,70 @@ class SpectralState:
                 )
 
 
+def _frequency(k, params: ThermalParams, branch: str):
+    """eps on the "free" branch, eps_lambda on the "shifted" one."""
+    disp = dispersion(k, params)
+    return disp.eps if branch == "free" else disp.eps_lambda
+
+
+def _thermal(params: ThermalParams, branch: str, coeff_branch: str, label: str) -> SpectralState:
+    """Thermal coefficients at the ``coeff_branch`` frequency, on ``branch``."""
+
+    def coefficient(sign):
+        return lambda k: bose_coefficient(sign, params.beta, _frequency(k, params, coeff_branch))
+
+    return SpectralState(branch, coefficient(+1), coefficient(-1), label, params)
+
+
 def free_kms(params: ThermalParams) -> SpectralState:
     """The unique thermal state of the unshifted theory: thermal coefficients
     at the free frequency, on the free branch."""
-
-    def cp(k):
-        return bose_coefficient(+1, params.beta, dispersion(k, params).eps)
-
-    def cm(k):
-        return bose_coefficient(-1, params.beta, dispersion(k, params).eps)
-
-    return SpectralState("free", cp, cm, "free-thermal", params)
+    return _thermal(params, "free", "free", "free-thermal")
 
 
 def adiabatic_classical(params: ThermalParams) -> SpectralState:
     """Slow-switch limit of the ramped free thermal state: the branch shifts
     but the thermal coefficients stay evaluated at the old frequency, so this
     is not the thermal state of the shifted theory."""
-
-    def cp(k):
-        return bose_coefficient(+1, params.beta, dispersion(k, params).eps)
-
-    def cm(k):
-        return bose_coefficient(-1, params.beta, dispersion(k, params).eps)
-
-    return SpectralState("shifted", cp, cm, "adiabatic-classical", params)
+    return _thermal(params, "shifted", "free", "adiabatic-classical")
 
 
 def adiabatic(params: ThermalParams) -> SpectralState:
     """Thermal state of the shifted theory: coefficients and branch both at
     the shifted frequency.  This is the closed form the perturbative series
     in :mod:`thermalquench.series` resums to."""
-
-    def cp(k):
-        return bose_coefficient(+1, params.beta, dispersion(k, params).eps_lambda)
-
-    def cm(k):
-        return bose_coefficient(-1, params.beta, dispersion(k, params).eps_lambda)
-
-    return SpectralState("shifted", cp, cm, "shifted-thermal", params)
+    return _thermal(params, "shifted", "shifted", "shifted-thermal")
 
 
 def ness_classical(
     params: ThermalParams,
-    bog: Callable[[float], BogoliubovPair],
-    norm_tol: float = 1e-6,
+    bog: Callable[[np.ndarray], BogoliubovPair],
 ) -> SpectralState:
     """Ergodic (late-time averaged) state of the ramped free thermal state.
 
-    ``bog`` maps radial momentum to its Bogoliubov pair; the pair must be
-    normalized to ``norm_tol`` or the evaluation is rejected.  Mixing the
-    thermal coefficients through |a_plus|^2 and |a_minus|^2 preserves the
-    commutator normalization exactly.
+    ``bog`` maps a momentum array to its Bogoliubov pairs in one call (a
+    map that ignores its argument and returns one scalar pair broadcasts).
+    Every pair must be normalized to 1e-6, or the evaluation is rejected.
+    Mixing the thermal coefficients through |a_plus|^2 and |a_minus|^2
+    preserves the commutator normalization exactly.
     """
 
     def coefficients(k):
-        k = np.atleast_1d(np.asarray(k, dtype=float))
+        k = np.asarray(k, dtype=float)
         eps = dispersion(k, params).eps
         bp = bose_coefficient(+1, params.beta, eps)
         bm = bose_coefficient(-1, params.beta, eps)
-        bp = np.atleast_1d(bp)
-        bm = np.atleast_1d(bm)
-        cp = np.empty_like(np.asarray(bp, dtype=float))
-        cm = np.empty_like(cp)
-        for i, ki in enumerate(k):
-            pair = bog(float(ki))
-            if pair.normalization_residual > norm_tol:
-                raise ValueError(
-                    f"Bogoliubov pair at k={ki} violates normalization by "
-                    f"{pair.normalization_residual:.3e} (tol {norm_tol:.1e})"
-                )
-            w_plus = abs(pair.a_plus) ** 2
-            w_minus = abs(pair.a_minus) ** 2
-            cp[i] = bp[i] * w_plus + bm[i] * w_minus
-            cm[i] = bp[i] * w_minus + bm[i] * w_plus
-        return cp, cm
+        pair = bog(k)
+        residual = np.max(pair.normalization_residual)
+        if not residual <= 1e-6:  # a NaN residual fails too
+            raise ValueError(f"Bogoliubov pairs violate normalization by {residual:.3e} (tol 1e-6)")
+        w_plus = np.abs(pair.a_plus) ** 2
+        w_minus = np.abs(pair.a_minus) ** 2
+        return bp * w_plus + bm * w_minus, bp * w_minus + bm * w_plus
 
-    def c_plus(k):
-        cp, _ = coefficients(k)
-        return cp if np.ndim(k) else float(cp[0])
-
-    def c_minus(k):
-        _, cm = coefficients(k)
-        return cm if np.ndim(k) else float(cm[0])
-
-    return SpectralState("shifted", c_plus, c_minus, "ness-classical", params)
+    return SpectralState(
+        "shifted", lambda k: coefficients(k)[0], lambda k: coefficients(k)[1], "ness-classical", params
+    )
 
 
 def pair(
@@ -314,7 +298,6 @@ def pair_finite_mu(
     quad: QuadratureSpec = QuadratureSpec(),
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    method: str = "DOP853",
 ) -> complex:
     """Time-domain pairing against the ramped free thermal state.
 
@@ -325,14 +308,12 @@ def pair_finite_mu(
     column's Wronskian is gated there.  Past t = 0 the modes are closed form,
     so the packets' temporal supports may extend arbitrarily far.  Each mode
     is projected onto both packets' temporal profiles; the thermal
-    coefficients stay at the free frequency.  The default integrator is the
-    high-order member of the adaptive family; results match the order-4/5
-    default of ``solve_modes`` to well below the stated tolerances.
+    coefficients stay at the free frequency.
     """
     tf, wf = quad.time_rule(f)
     tg, wg = quad.time_rule(g)
     k, wk = quad.radial_rule(f, g)
-    T = sample_modes(k, prof, params, np.concatenate((tf, tg)), rtol=rtol, atol=atol, method=method)
+    T = sample_modes(k, prof, params, np.concatenate((tf, tg)), rtol=rtol, atol=atol)
     u_f = T[:, : tf.size] @ (wf * f.temporal(tf))
     u_g = T[:, tf.size :] @ (wg * g.temporal(tg))
     eps = dispersion(k, params).eps

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_ORDER_CAP = 16
+from .combinatorics import DEFAULT_ORDER_CAP
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from thermalquench import modes
 from thermalquench.cli import main
 from thermalquench.thermal import bose_coefficient
 
@@ -84,10 +85,24 @@ class TestLimits:
         for gaps in by_k.values():
             assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
-    def test_malformed_config(self, tmp_path):
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"ladders": {"mu": [10.0, 5.0]}}',
+            '{"ladders": {"k": [1.0, 0.0, 1.0]}}',
+            '{"ladders": {"k": []}}',
+            '{"quadrature": {"n_radial": 0}}',
+            '{"quadrature": {"n_time": -3}}',
+        ],
+        ids=["mu-descending", "k-unsorted-duplicate", "k-empty", "n-radial-zero", "n-time-negative"],
+    )
+    def test_malformed_config(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"ladders": {"mu": [10.0, 5.0]}}')
-        assert run(["limits", "--config", str(bad)]) == 2
+        bad.write_text(doc)
+        for command in ("limits", "ness", "series"):
+            assert run([command, "--config", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "Traceback" not in err
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -108,6 +123,34 @@ class TestLimits:
         mus = sorted({float(r[header.index("mu")]) for r in rows})
         assert len(mus) == 5  # geometric midpoints inserted into [5, 10, 20]
         assert mus[0] == 5.0 and mus[-1] == 20.0
+
+
+class TestBatchedRampSolves:
+    """limits and ness reach the ODE solver through one batched ramp solve
+    per switching scale, and a failed Wronskian gate exits 3 cleanly."""
+
+    def test_limits_one_solve_per_mu(self, tmp_path, capsys, ramp_solves):
+        cfg = fast_config(tmp_path)
+        assert run(["limits", "--config", str(cfg)]) == 0
+        assert len(ramp_solves) == 3  # the mu ladder of fast_config
+        assert all(len(k) == 2 for k in ramp_solves)  # both k values in each
+
+    def test_ness_one_solve(self, tmp_path, capsys, ramp_solves):
+        cfg = fast_config(tmp_path)
+        assert run(["ness", "--config", str(cfg)]) == 0
+        assert len(ramp_solves) == 1
+        assert len(ramp_solves[0]) == 24  # every radial node of fast_config
+
+    @pytest.mark.parametrize("command", ["limits", "ness"])
+    def test_failed_gate_exits_numerical(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(modes, "_WRONSKIAN_TOL", 1e-30)
+        cfg = fast_config(tmp_path)
+        assert run([command, "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure" in captured.err
+        assert "Wronskian drift" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestSeries:

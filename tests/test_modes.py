@@ -168,12 +168,6 @@ class TestSolveModes:
 
         with pytest.raises(IntegratorError, match="Wronskian drift"):
             solve_modes(1.0, SwitchingProfile(40.0), PARAMS, t_max=1.0, rtol=1e-4, atol=1e-6)
-        # the gate is advisory machinery around the solver, so it can be lifted
-        traj = solve_modes(
-            1.0, SwitchingProfile(40.0), PARAMS, t_max=1.0,
-            rtol=1e-4, atol=1e-6, wronskian_tol=None,
-        )
-        assert traj.max_wronskian_residual > 1e-8
 
     def test_csv_dump(self, tmp_path):
         traj = solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=0.5)
@@ -247,23 +241,20 @@ class TestSwitchIntegrals:
         large = abs(switch_integrals(0.0, SwitchingProfile(20.0), PARAMS)[0])
         assert large < small
 
-    def test_mismatched_trajectory_rejected(self):
-        prof = SwitchingProfile(2.0)
-        traj = solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=0.0)
-        with pytest.raises(ValueError):
-            switch_integrals(0.0, prof, PARAMS, traj=traj)
-        traj = solve_modes(1.0, prof, PARAMS, t_max=0.0)
-        with pytest.raises(ValueError):
-            switch_integrals(0.0, prof, PARAMS, traj=traj)
-
-    def test_trajectory_must_cover_ramp(self):
-        import dataclasses
-
-        prof = SwitchingProfile(2.0)
-        traj = solve_modes(0.0, prof, PARAMS, t_max=0.0)
-        broken = dataclasses.replace(traj, t_start=-1.0)  # claims to start inside the ramp
-        with pytest.raises(ValueError):
-            switch_integrals(0.0, prof, PARAMS, traj=broken)
+    def test_batch_matches_scalar_calls(self):
+        # one batched solve per mu at the default tolerances against one
+        # scalar call per momentum; agreement to 1e-9 absolute on both
+        # integrals.  The scalar reference is solved 100x tighter: at the
+        # default rtol a scalar call is itself ~1e-9 off at mu = 2, k = 1
+        ks = np.array([0.0, 0.4, 1.0, 2.5])
+        for mu in (2.0, 20.0):
+            prof = SwitchingProfile(mu)
+            i_sq, i_abs = switch_integrals(ks, prof, PARAMS)
+            assert i_sq.shape == i_abs.shape == ks.shape
+            for k, b_sq, b_abs in zip(ks, i_sq, i_abs):
+                s_sq, s_abs = switch_integrals(float(k), prof, PARAMS, rtol=1e-12, atol=1e-14)
+                assert abs(b_sq - s_sq) <= 1e-9
+                assert abs(b_abs - s_abs) <= 1e-9
 
 
 class TestBogoliubov:
