@@ -9,9 +9,10 @@ ness        Bogoliubov and steady-state spectral data per momentum (CSV)
 verify-all  run the full acceptance suite and summarize
 
 All numbers in the emitted CSV/JSON come from library operations; this layer
-only formats.  Identical configs produce byte-identical data files: no
-wall-clock enters any payload (a separate meta.json carries the timestamp
-when writing to a directory).
+only formats.  JSON is strict: a NaN or infinite value is a numerical
+failure (exit 3) and nothing of that payload is written.  Identical configs
+produce byte-identical data files: no wall-clock enters any payload (a
+separate meta.json carries the timestamp when writing to a directory).
 
 Exit codes: 0 success, 1 criterion failure, 2 config/schema error,
 3 numerical-infrastructure failure.
@@ -66,9 +67,16 @@ def _emit_csv(header, rows, out_dir, filename):
     _emit_text(buf.getvalue(), out_dir, filename)
 
 
+class NonFiniteOutput(ArithmeticError):
+    """A payload holds a NaN or an infinity, which strict JSON cannot carry."""
+
+
 def _emit_json(payload, out_dir, filename):
-    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    _emit_text(text, out_dir, filename)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(f"{filename}: {exc}") from exc
+    _emit_text(text + "\n", out_dir, filename)
 
 
 def _emit_text(text, out_dir, filename):
@@ -270,7 +278,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except (IntegratorError, QuadratureError) as exc:
+    except (IntegratorError, QuadratureError, NonFiniteOutput) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICS
 

@@ -13,7 +13,8 @@ The schema is deliberately flat:
       "tolerances": {...}
     }
 
-Every tolerance must be positive and every ladder strictly increasing;
+Every number must be finite, every tolerance positive and every ladder
+strictly increasing;
 violations raise :class:`ConfigError`, which the CLI maps to its
 config-error exit code.
 """
@@ -82,6 +83,10 @@ class RunConfig:
                 raise ConfigError(f"ladder {name!r} must not be empty")
             if any(b <= a for a, b in zip(ladder, ladder[1:])):
                 raise ConfigError(f"ladder {name!r} must be strictly increasing: {ladder}")
+        if not all(map(math.isfinite, (*self.mu_ladder, *self.horizon_ladder, *self.k_values))):
+            raise ConfigError("mu, horizon and k ladders must be finite")
+        if not math.isfinite(self.profile.mu):
+            raise ConfigError(f"profile mu must be finite, got {self.profile.mu}")
         if any(m <= 0 for m in self.mu_ladder) or any(h <= 0 for h in self.horizon_ladder):
             raise ConfigError("mu and horizon ladders must be positive")
         if any(n < 1 for n in self.order_ladder):
@@ -227,7 +232,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 

@@ -15,6 +15,11 @@ shift = lam * m0_sq.  Two independent evaluation paths are kept:
   carrying the overall (-1)**n that the expansion order contributes and
   that the (-eps)**n of the derivative tower absorbs.
 
+A resummation report builds its quadrature grid once (one cached
+Gauss-Legendre rule, one set of dispersions and packet pieces) and
+evaluates every order on it by both paths; ``nth_order_term`` and
+``partial_sum`` go through the same per-order evaluation.
+
 The combined sign convention is frozen here once; the first-order term must
 come out as  -beta * shift/(eps_lambda+eps) * b_plus*b_minus  per branch.
 
@@ -58,27 +63,18 @@ def _grid_pieces(params: ThermalParams, f: TestPacket, g: TestPacket, quad: Quad
     return k, eps, eps_l, weight, p_plus, p_minus
 
 
-def nth_order_term(
-    n: int,
-    params: ThermalParams,
-    f: TestPacket,
-    g: TestPacket,
-    quad: QuadratureSpec = QuadratureSpec(),
-    path: str = "beta-derivative",
-    symmetrized: bool = True,
-    cap: int = DEFAULT_ORDER_CAP,
-) -> SeriesTerm:
-    """n-th series term by the chosen evaluation path.
-
-    ``symmetrized`` only affects the descent-sum path: it collapses the two
-    frequency branches through the palindromic symmetry of the Eulerian row,
-    which must not change the value.
-    """
+def _check_order(n: int, path: str, cap: int) -> None:
     if not 1 <= n <= cap:
         raise ValueError(f"order must satisfy 1 <= n <= {cap}, got {n}")
     if path not in ("beta-derivative", "descent-sum"):
         raise ValueError(f"unknown path {path!r}")
-    _, eps, eps_l, weight, p_plus, p_minus = _grid_pieces(params, f, g, quad)
+
+
+def _term(
+    n: int, params: ThermalParams, pieces, path: str, symmetrized: bool, cap: int
+) -> SeriesTerm:
+    """n-th series term on a grid already built by :func:`_grid_pieces`."""
+    _, eps, eps_l, weight, p_plus, p_minus = pieces
     beta, shift = params.beta, params.mass_shift
 
     if path == "beta-derivative":
@@ -104,6 +100,26 @@ def nth_order_term(
     return SeriesTerm(order=n, path=path, value=complex(np.sum(per_k)), per_k=per_k)
 
 
+def nth_order_term(
+    n: int,
+    params: ThermalParams,
+    f: TestPacket,
+    g: TestPacket,
+    quad: QuadratureSpec = QuadratureSpec(),
+    path: str = "beta-derivative",
+    symmetrized: bool = True,
+    cap: int = DEFAULT_ORDER_CAP,
+) -> SeriesTerm:
+    """n-th series term by the chosen evaluation path.
+
+    ``symmetrized`` only affects the descent-sum path: it collapses the two
+    frequency branches through the palindromic symmetry of the Eulerian row,
+    which must not change the value.
+    """
+    _check_order(n, path, cap)
+    return _term(n, params, _grid_pieces(params, f, g, quad), path, symmetrized, cap)
+
+
 def partial_sum(
     N: int,
     params: ThermalParams,
@@ -113,12 +129,16 @@ def partial_sum(
     path: str = "beta-derivative",
     cap: int = DEFAULT_ORDER_CAP,
 ) -> complex:
-    """Zeroth term (the slow-switch classical state) plus orders 1..N."""
+    """Zeroth term (the slow-switch classical state) plus orders 1..N, every
+    order evaluated on one grid."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
+    if N > 0:
+        _check_order(N, path, cap)
     total = pair(adiabatic_classical(params), f, g, quad)
+    pieces = _grid_pieces(params, f, g, quad)
     for n in range(1, N + 1):
-        total += nth_order_term(n, params, f, g, quad, path=path, cap=cap).value
+        total += _term(n, params, pieces, path, True, cap).value
     return total
 
 
@@ -232,6 +252,9 @@ def verify_resummation(
 ) -> ResummationReport:
     """Run the series to order N and compare with the shifted thermal state.
 
+    The quadrature grid and its packet pieces are built once for the whole
+    report; every order is evaluated on it by both paths (beta-derivative
+    and descent-sum), and their relative deviation is the dual-path check.
     If the temperature shift leaves the conservative convergence region the
     verdict is "radius-violated" rather than a failure: the sum is not
     expected to reproduce the closed form there.
@@ -242,13 +265,16 @@ def verify_resummation(
     denom = abs(closed)
     if denom == 0.0:
         raise ValueError("closed-form pairing vanished; relative gaps undefined")
+    if N > 0:
+        _check_order(N, "beta-derivative", cap)
+    pieces = _grid_pieces(params, f, g, quad)
 
     rows = []
     cumulative = zeroth
     max_dev = 0.0
     for n in range(1, N + 1):
-        t_beta = nth_order_term(n, params, f, g, quad, path="beta-derivative", cap=cap)
-        t_desc = nth_order_term(n, params, f, g, quad, path="descent-sum", cap=cap)
+        t_beta = _term(n, params, pieces, "beta-derivative", True, cap)
+        t_desc = _term(n, params, pieces, "descent-sum", True, cap)
         scale = max(abs(t_beta.value), abs(t_desc.value))
         dev = abs(t_beta.value - t_desc.value) / scale if scale > 0 else 0.0
         max_dev = max(max_dev, dev)

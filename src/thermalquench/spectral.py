@@ -25,6 +25,7 @@ that keeps the free thermal coefficients.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -55,7 +56,9 @@ class TestPacket:
     t_width: float = 0.5
 
     def __post_init__(self):
-        if self.k_center < 0 or self.k_width <= 0 or self.t_width <= 0:
+        if not all(map(math.isfinite, (self.k_center, self.k_width, self.t_center, self.t_width))):
+            raise ValueError(f"packet fields must be finite, got {self}")
+        if not (self.k_center >= 0) or not (self.k_width > 0) or not (self.t_width > 0):
             raise ValueError("packet requires k_center >= 0 and positive widths")
 
     def spatial(self, k):
@@ -88,6 +91,16 @@ class TestPacket:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """numpy's n-point Gauss-Legendre rule on [-1, 1], computed once per node
+    count (``leggauss`` is a dense O(n^3) eigen-solve) and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Node counts and truncation rules for the pairing integrals."""
@@ -115,20 +128,23 @@ class QuadratureSpec:
 
     def radial_rule(self, *packets: TestPacket):
         """Gauss-Legendre nodes/weights on [0, k_max]; the cutoff keeps every
-        packet tail below ~1e-16 of its peak."""
+        packet tail below ~1e-16 of its peak.
+
+        The rule on [-1, 1] is cached per node count and read-only; the
+        returned nodes and weights are fresh arrays scaled from it."""
         k_max = self.k_max
         if k_max is None:
             if not packets:
                 raise ValueError("k_max is unset and no packets were given")
             k_max = max(p.k_center + self.tail_sigmas * p.k_width for p in packets)
-        x, w = np.polynomial.legendre.leggauss(self.n_radial)
+        x, w = _gauss_legendre(self.n_radial)
         nodes = 0.5 * k_max * (x + 1.0)
         weights = 0.5 * k_max * w
         return nodes, weights
 
     def time_rule(self, packet: TestPacket):
         lo, hi = packet.time_support(self.time_sigmas)
-        x, w = np.polynomial.legendre.leggauss(self.n_time)
+        x, w = _gauss_legendre(self.n_time)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         return mid + half * x, half * w
 

@@ -23,6 +23,7 @@ series in :mod:`thermalquench.series` be summed in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,6 +46,9 @@ class ThermalParams:
     lam: float = 0.0
 
     def __post_init__(self):
+        for name in ("beta", "m_sq", "m0_sq", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not self.m_sq > 0:

@@ -51,7 +51,7 @@ RUNTIME_BUDGETS_S = {
     4: 5.0,
     5: 5.0,
     6: 10.0,
-    7: 60.0,
+    7: 5.0,
     8: 5.0,
     9: 5.0,
     10: 5.0,

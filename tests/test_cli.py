@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from thermalquench import modes
+from thermalquench import cli, modes
 from thermalquench.cli import main
 from thermalquench.thermal import bose_coefficient
 
@@ -93,8 +93,16 @@ class TestLimits:
             '{"ladders": {"k": []}}',
             '{"quadrature": {"n_radial": 0}}',
             '{"quadrature": {"n_time": -3}}',
+            '{"packets": [{"k_center": NaN, "k_width": 0.5, "t_center": 2.0, "t_width": 0.3},'
+            ' {"k_center": 1.0, "k_width": 0.5, "t_center": 2.5, "t_width": 0.3}]}',
+            '{"params": {"beta": Infinity}}',
+            '{"profile": {"mu": Infinity}}',
+            '{"ladders": {"mu": [5.0, Infinity]}}',
+            '{"ladders": {"orders": [1, Infinity]}}',
         ],
-        ids=["mu-descending", "k-unsorted-duplicate", "k-empty", "n-radial-zero", "n-time-negative"],
+        ids=["mu-descending", "k-unsorted-duplicate", "k-empty", "n-radial-zero", "n-time-negative",
+             "k-center-nan", "beta-infinity", "mu-infinity", "mu-ladder-infinity",
+             "orders-infinity"],
     )
     def test_malformed_config(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
@@ -180,6 +188,28 @@ class TestSeries:
         header, rows = read_csv(out / "series.csv")
         assert header[0] == "order"
         assert len(rows) == 8
+
+    def test_non_finite_payload_exits_numerical(self, capsys, monkeypatch):
+        original = cli.pair_report
+
+        def poisoned(*args, **kwargs):
+            return {**original(*args, **kwargs), "refinement_delta": math.nan}
+
+        monkeypatch.setattr(cli, "pair_report", poisoned)
+        assert run(["series"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_one_rule_per_node_count(self, tmp_path, capsys, leggauss_calls):
+        cfg = fast_config(tmp_path)  # n_radial = 24
+        assert run(["series", "--config", str(cfg)]) == 0
+        first = capsys.readouterr().out
+        assert sorted(leggauss_calls) == [24, 48]  # the grid and pair_report's refinement
+        assert run(["series", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == first
+        assert sorted(leggauss_calls) == [24, 48]  # the second call computes none
 
 
 class TestNess:

@@ -112,6 +112,11 @@ class TestPartialSum:
         with pytest.raises(ValueError):
             partial_sum(-1, BENCH, F, G, QUAD)
 
+    def test_one_grid_equals_per_order_terms(self):
+        zeroth = pair(adiabatic_classical(BENCH), F, G, QUAD)
+        terms = [nth_order_term(n, BENCH, F, G, QUAD).value for n in range(1, 9)]
+        assert partial_sum(8, BENCH, F, G, QUAD) == sum(terms, zeroth)
+
 
 class TestConvergenceGuard:
     def test_bench_inside(self):
@@ -144,6 +149,19 @@ class TestVerifyResummation:
         report = verify_resummation(strong, F, G, N=4, tol=1e-8, quad=QUAD)
         assert report.verdict == "radius-violated"
         assert not report.passed
+
+    def test_rows_equal_per_order_terms(self):
+        quad = QuadratureSpec(n_radial=512)
+        report = verify_resummation(BENCH, F, G, N=16, tol=1e-8, quad=quad)
+        cumulative = report.zeroth
+        for n, row in enumerate(report.rows, start=1):
+            t_beta = nth_order_term(n, BENCH, F, G, quad, path="beta-derivative").value
+            t_desc = nth_order_term(n, BENCH, F, G, quad, path="descent-sum").value
+            cumulative += t_beta
+            assert row.term == t_beta
+            assert row.dual_path_rel_dev == abs(t_beta - t_desc) / max(abs(t_beta), abs(t_desc))
+            assert row.cumulative == cumulative
+        assert len(report.rows) == 16
 
     def test_report_dict_round_trips_through_json(self):
         import json

@@ -11,6 +11,7 @@ from thermalquench.spectral import (
     QuadratureError,
     QuadratureSpec,
     SpectralState,
+    _gauss_legendre,
     adiabatic,
     adiabatic_classical,
     free_kms,
@@ -47,6 +48,42 @@ class TestPacketData:
             Packet(k_center=-1.0, k_width=0.5)
         with pytest.raises(ValueError):
             Packet(k_width=0.0)
+
+    @pytest.mark.parametrize("field", ["k_center", "k_width", "t_center", "t_width"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            Packet(**{field: value})
+
+
+class TestQuadratureRules:
+    """The cached Gauss-Legendre rule against numpy's, computed afresh."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 512])
+    def test_rules_equal_uncached_leggauss(self, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        quad = QuadratureSpec(n_radial=n, n_time=n)
+        k_max = max(p.k_center + quad.tail_sigmas * p.k_width for p in (F, G))
+        nodes, weights = quad.radial_rule(F, G)
+        np.testing.assert_array_equal(nodes, 0.5 * k_max * (x + 1.0))
+        np.testing.assert_array_equal(weights, 0.5 * k_max * w)
+        lo, hi = F.time_support(quad.time_sigmas)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        t, wt = quad.time_rule(F)
+        np.testing.assert_array_equal(t, mid + half * x)
+        np.testing.assert_array_equal(wt, half * w)
+
+    def test_cached_rule_is_read_only(self):
+        x, w = _gauss_legendre(7)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_returned_rule_is_a_fresh_array(self):
+        nodes, weights = QuadratureSpec(n_radial=7).radial_rule(F, G)
+        nodes[0] = weights[0] = -1.0  # writable, and the cache is untouched
+        assert QuadratureSpec(n_radial=7).radial_rule(F, G)[0][0] > 0.0
 
 
 class TestStateConstructors:

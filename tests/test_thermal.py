@@ -30,6 +30,10 @@ class TestParams:
             dict(beta=-1.0, m_sq=1.0),
             dict(beta=1.0, m_sq=0.0),
             dict(beta=1.0, m_sq=1.0, m0_sq=2.0, lam=-0.6),  # tachyonic shift
+            dict(beta=math.inf, m_sq=1.0),
+            dict(beta=1.0, m_sq=math.inf),
+            dict(beta=1.0, m_sq=1.0, m0_sq=math.inf, lam=0.1),
+            dict(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=math.nan),
         ],
     )
     def test_invalid(self, kwargs):
