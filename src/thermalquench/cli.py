@@ -9,13 +9,15 @@ ness        Bogoliubov and steady-state spectral data per momentum (CSV)
 verify-all  run the full acceptance suite and summarize
 
 All numbers in the emitted CSV/JSON come from library operations; this layer
-only formats.  JSON is strict: a NaN or infinite value is a numerical
-failure (exit 3) and nothing of that payload is written.  Identical configs
-produce byte-identical data files: no wall-clock enters any payload (a
-separate meta.json carries the timestamp when writing to a directory).
+only formats.  Output is strict: a NaN or infinite value in a JSON payload
+or a CSV table is a numerical failure (exit 3) and nothing of that payload
+is written.  Identical configs produce byte-identical data files: no
+wall-clock enters any payload (a separate meta.json carries the timestamp
+when writing to a directory).
 
 Exit codes: 0 success, 1 criterion failure, 2 config/schema error,
-3 numerical-infrastructure failure.
+3 numerical-infrastructure failure (a failed solver gate, a quadrature that
+does not converge, or a floating-point breakdown).
 """
 
 from __future__ import annotations
@@ -54,8 +56,17 @@ def _fmt(x: float) -> str:
     return f"{x:.17e}"
 
 
-def _ok_rows(columns):
-    """CSV rows from equal-length numeric columns, each ending in status "ok"."""
+class NonFiniteOutput(ArithmeticError):
+    """A payload holds a NaN or an infinity, which strict JSON and the CSV
+    tables do not carry."""
+
+
+def _ok_rows(header, columns):
+    """CSV rows from equal-length numeric columns, named by ``header``, each
+    ending in status "ok"; a NaN or infinite value raises ``NonFiniteOutput``."""
+    for name, col in zip(header, columns):
+        if not np.all(np.isfinite(col)):
+            raise NonFiniteOutput(f"non-finite value in CSV column {name!r}")
     return [[_fmt(x) for x in row] + ["ok"] for row in zip(*columns)]
 
 
@@ -65,10 +76,6 @@ def _emit_csv(header, rows, out_dir, filename):
     writer.writerow(header)
     writer.writerows(rows)
     _emit_text(buf.getvalue(), out_dir, filename)
-
-
-class NonFiniteOutput(ArithmeticError):
-    """A payload holds a NaN or an infinity, which strict JSON cannot carry."""
 
 
 def _emit_json(payload, out_dir, filename):
@@ -139,11 +146,10 @@ def cmd_limits(args) -> int:
     target = np.repeat(switch_integral_limit(ks, config.params), mus.size)
     columns = [np.repeat(ks, mus.size), np.tile(mus, ks.size), i_sq.real, i_sq.imag, i_abs,
                target, np.abs(i_abs - target), np.abs(i_sq)]
+    header = ["k", "mu", "re_I_sq", "im_I_sq", "I_abs", "target", "gap_abs", "gap_sq", "status"]
+    rows = _ok_rows(header, columns)
     out_dir = Path(args.out) if args.out else None
-    _emit_csv(
-        ["k", "mu", "re_I_sq", "im_I_sq", "I_abs", "target", "gap_abs", "gap_sq", "status"],
-        _ok_rows(columns), out_dir, "limits.csv",
-    )
+    _emit_csv(header, rows, out_dir, "limits.csv")
     _write_meta(args, out_dir)
     return EXIT_OK
 
@@ -186,7 +192,10 @@ def cmd_series(args) -> int:
 def cmd_ness(args) -> int:
     """Bogoliubov pairs and steady-state coefficients at the radial nodes:
     one map call, so one batched ramp solve, for the whole node set.  A
-    failed Wronskian gate raises ``IntegratorError``: exit 3, no CSV."""
+    failed Wronskian gate raises ``IntegratorError``, and a row whose
+    normalization or commutator residual exceeds the config's
+    ``bogoliubov_norm_abs`` or ``ness_ccr_abs`` is a numerical failure too:
+    exit 3, no CSV."""
     config = _load(args)
     f, g = config.packet_pair
     k, _ = config.quadrature.radial_rule(f, g)
@@ -195,17 +204,26 @@ def cmd_ness(args) -> int:
     b = bog_map(k)
     state = ness_classical(params, bog_map)
     oracle = sudden_quench_pair(k, params)
+    norm, ccr = b.normalization_residual, state.ccr_residual(k)
+    norm_tol, ccr_tol = config.tolerances["bogoliubov_norm_abs"], config.tolerances["ness_ccr_abs"]
+    broken = ~((norm <= norm_tol) & (np.abs(ccr) <= ccr_tol))  # a NaN residual breaks too
+    if np.any(broken):
+        i = int(np.argmax(broken))
+        sys.stderr.write(
+            f"numerical failure: ness row k={k[i]} breaks its identities: norm_residual "
+            f"{norm[i]:.3e} (bound {norm_tol:.1e}), ccr_residual {ccr[i]:.3e} (bound {ccr_tol:.1e})\n"
+        )
+        return EXIT_NUMERICS
     columns = [
-        k, b.a_plus.real, b.a_plus.imag, b.a_minus.real, b.a_minus.imag, b.normalization_residual,
-        state.c_plus(k), state.c_minus(k), state.ccr_residual(k),
+        k, b.a_plus.real, b.a_plus.imag, b.a_minus.real, b.a_minus.imag, norm,
+        state.c_plus(k), state.c_minus(k), ccr,
         np.maximum(np.abs(b.a_plus - oracle.a_plus), np.abs(b.a_minus - oracle.a_minus)),
     ]
+    header = ["k", "re_A_plus", "im_A_plus", "re_A_minus", "im_A_minus",
+              "norm_residual", "c_plus", "c_minus", "ccr_residual", "sudden_gap", "status"]
+    rows = _ok_rows(header, columns)
     out_dir = Path(args.out) if args.out else None
-    _emit_csv(
-        ["k", "re_A_plus", "im_A_plus", "re_A_minus", "im_A_minus",
-         "norm_residual", "c_plus", "c_minus", "ccr_residual", "sudden_gap", "status"],
-        _ok_rows(columns), out_dir, "ness.csv",
-    )
+    _emit_csv(header, rows, out_dir, "ness.csv")
     _write_meta(args, out_dir)
     return EXIT_OK
 
@@ -278,7 +296,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except (IntegratorError, QuadratureError, NonFiniteOutput) as exc:
+    except (IntegratorError, QuadratureError, ArithmeticError) as exc:
+        # ArithmeticError: an overflow, a vanished denominator or a
+        # non-finite payload (NonFiniteOutput)
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICS
 

@@ -13,8 +13,8 @@ The schema is deliberately flat:
       "tolerances": {...}
     }
 
-Every number must be finite, every tolerance positive and every ladder
-strictly increasing;
+Every number must be finite, every tolerance positive, every ladder
+strictly increasing and every order within the series order cap;
 violations raise :class:`ConfigError`, which the CLI maps to its
 config-error exit code.
 """
@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .combinatorics import DEFAULT_ORDER_CAP
 from .modes import SwitchingProfile
 from .spectral import QuadratureSpec, TestPacket
 from .thermal import ThermalParams
@@ -89,8 +90,8 @@ class RunConfig:
             raise ConfigError(f"profile mu must be finite, got {self.profile.mu}")
         if any(m <= 0 for m in self.mu_ladder) or any(h <= 0 for h in self.horizon_ladder):
             raise ConfigError("mu and horizon ladders must be positive")
-        if any(n < 1 for n in self.order_ladder):
-            raise ConfigError("orders must be >= 1")
+        if any(n < 1 or n > DEFAULT_ORDER_CAP for n in self.order_ladder):
+            raise ConfigError(f"orders must lie in [1, {DEFAULT_ORDER_CAP}]")
         if any(k < 0 for k in self.k_values):
             raise ConfigError("k values must be >= 0")
         missing = set(DEFAULT_TOLERANCES) - set(self.tolerances)

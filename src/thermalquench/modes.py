@@ -10,42 +10,120 @@ to 1 on [0, inf), so for t >= 0 the solution is a fixed two-frequency
 combination at +-eps_lambda whose amplitudes (the Bogoliubov pair) encode
 everything about the ramp.
 
-This module solves the ramp with an adaptive Runge-Kutta integrator, keeps
-the conserved Wronskian as a built-in health monitor, provides the WKB
+This module solves the ramp with an order-8 Runge-Kutta scheme, keeps the
+conserved Wronskian as a built-in health monitor, provides the WKB
 comparison mode, the switching-weighted integrals whose large-mu limits are
 known in closed form, and finite-horizon ergodic averages of mode products.
 
-One routine does every ramp solve, with the order-8 adaptive integrator: it
-stacks n radial momenta into a single 2n-component state, integrates only
-over [-mu - 1, 0], and gates each column on its Wronskian at every point it
-returns.  For t >= 0 the mode is taken in closed form from its data at the
-solve's endpoint t = 0.  scipy measures the step error as an RMS over all 2n
-components, which dilutes one column's error by sqrt(2n); the routine
-divides rtol and atol by sqrt(n), so a batch of one keeps the tolerances it
-is given.  :func:`solve_modes`, :func:`switch_integrals` and
-:func:`bogoliubov` take a momentum array as well as a scalar: an array is
-one batched solve, and a scalar is the batch of one.
+One routine does every ramp solve.  The mode equation is linear, so one
+DOP853 step of (T, Tdot) is a real 2x2 matrix that does not depend on the
+state: the routine builds the maps of every step of a uniform grid on
+[-mu, 0], for every momentum at once, and carries the plane-wave data at
+-mu through them.  The grid size comes from DOP853's embedded error
+estimate, taken per step and per momentum as scipy's step control takes it
+for a single mode; each momentum's Wronskian is gated at every grid node
+and at every ramp time a caller reads.  Values between nodes are one
+partial step of the same scheme from the node before.  Before -mu the mode
+is the plane wave, and for t >= 0 it is closed form from its data at t = 0.
+:func:`solve_modes`, :func:`switch_integrals` and :func:`bogoliubov` take a
+momentum array as well as a scalar: an array is one batched solve, and a
+scalar is the batch of one.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .thermal import ThermalParams, dispersion
 
 _GL_ORDER = 10
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
-# ramp solves start this long before the switch turns on, and fail when a
-# mode's Wronskian drifts from i by more than the gate
-_PAD = 1.0
+# a mode fails when its Wronskian drifts from i by more than the gate
 _WRONSKIAN_TOL = 1e-8
+# a ramp solve lays at most _MAX_PASSES grids of _MIN_STEPS to _MAX_GRID / n
+# steps for n momenta, and builds the step maps _BLOCK (step, momentum)
+# pairs at a time
+_MAX_PASSES = 6
+_MIN_STEPS = 8
+_MAX_GRID = 2**20
+_BLOCK = 2**14
+
+# The DOP853 tableau of Hairer, Norsett and Wanner: the nodes and rows of the
+# twelve stages, the order-8 solution weights (the last row of _A) and the
+# embedded order-5 and order-3 error rows, copied from
+# scipy/integrate/_ivp/dop853_coefficients.py.  The stage scipy adds at
+# t + h feeds only its next step and its dense output, so it is left out.
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD-3-Clause.
+_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+])
+_A_ROWS = [
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+]
+_E5_ROW = {
+    0: 0.1312004499419488073250102996e-1,
+    5: -0.1225156446376204440720569753e+1,
+    6: -0.4957589496572501915214079952,
+    7: 0.1664377182454986536961530415e+1,
+    8: -0.3503288487499736816886487290,
+    9: 0.3341791187130174790297318841,
+    10: 0.8192320648511571246570742613e-1,
+    11: -0.2235530786388629525884427845e-1,
+}
+_E3_ROW = dict(_A_ROWS[12])
+_E3_ROW[0] -= 0.244094488188976377952755905512
+_E3_ROW[8] -= 0.733846688281611857341361741547
+_E3_ROW[11] -= 0.220588235294117647058823529412e-1
+_A, _E = (np.array([[row.get(j, 0.0) for j in range(_C.size)] for row in rows])
+          for rows in (_A_ROWS, (_E5_ROW, _E3_ROW)))  # (13, 12) and (2, 12)
 
 
 class IntegratorError(RuntimeError):
@@ -69,19 +147,6 @@ def chi_unit(s):
     b = _bump(-s)
     out = a / (a + b)
     return float(out) if out.ndim == 0 else out
-
-
-def chi_unit_scalar(s: float) -> float:
-    """:func:`chi_unit` at one float with the ``math`` module: the ODE
-    right-hand side calls it once per evaluation, where numpy's per-call
-    overhead would dominate."""
-    if s <= -1.0:
-        return 0.0
-    if s >= 0.0:
-        return 1.0
-    a = math.exp(-1.0 / (s + 1.0))
-    b = math.exp(1.0 / s)
-    return a / (a + b)
 
 
 def chi_unit_rate(s):
@@ -144,78 +209,122 @@ def _after_switch(T0, Td0, eps_lambda, t):
     return T0 * c + Td0 * s / eps_lambda, Td0 * c - eps_lambda * T0 * s
 
 
-def _piecewise(t, t_start, eps, eps_lambda, y_end, inside):
-    """(T, Tdot), each of shape (n, len(t)), for n stacked modes: the incoming
-    wave before t_start, ``inside(t)`` (rows T_1..T_n, Tdot_1..Tdot_n) on
-    [t_start, 0), and the closed form from the endpoint data ``y_end`` on t >= 0."""
-    n = eps.size
-    T = np.empty((n, t.size), dtype=complex)
-    Td = np.empty_like(T)
-    before = t < t_start
-    after = t >= 0.0
-    ramp = ~(before | after)
-    if np.any(before):
-        T[:, before], Td[:, before] = _incoming(eps[:, None], t[before])
-    if np.any(ramp):
-        y = inside(t[ramp])
-        T[:, ramp], Td[:, ramp] = y[:n], y[n:]
-    if np.any(after):
-        T[:, after], Td[:, after] = _after_switch(
-            y_end[:n, None], y_end[n:, None], eps_lambda[:, None], t[after]
-        )
-    return T, Td
+def _step_maps(t, h, eps, shift: float, mu: float):
+    """DOP853 steps of the mode equation from the start times ``t`` (m,) by
+    the step sizes ``h`` (a scalar or one per start), for every frequency in
+    ``eps`` (n,).
+
+    The equation is linear, so a step is a real 2x2 map of (T, Tdot) that
+    does not depend on the state: the stages run on the identity, for all
+    (start, momentum) pairs at once, each stage one weighted sum of the
+    stages before it, and the step map one more such sum.  Returns
+    (step, err5, err3), each of shape (m, n, 2, 2): the order-8 step map and
+    the two embedded error maps that DOP853's step control combines (before
+    its factor h).
+    """
+    t = np.asarray(t, dtype=float)
+    h = np.asarray(h, dtype=float)
+    h_col = h[:, None] if h.ndim else h
+    # -w(t)^2 at every stage time, shape (12, m, n)
+    chi = chi_unit((t + _C[:, None] * h) / mu)
+    neg_w_sq = -(eps * eps + shift * chi[..., None])
+    # stage s is the 2x2 map d/dt (T, Tdot) at its stage time, entries first
+    stages = np.empty((_C.size, 2, 2, t.size, eps.size))
+    flat = stages.reshape(_C.size, -1)
+    for s, row in enumerate(_A):
+        # einsum rather than a BLAS product: a threaded BLAS gemv runs ~10x
+        # slower on a busy two-core machine
+        y = h_col * np.einsum("s,sm->m", row[:s], flat[:s]).reshape(stages.shape[1:])
+        y[0, 0] += 1.0
+        y[1, 1] += 1.0
+        if s == _C.size:  # the last row gives the order-8 solution
+            break
+        stages[s, 0] = y[1]
+        np.multiply(neg_w_sq[s], y[0], out=stages[s, 1])
+    err5, err3 = np.einsum("es,sm->em", _E, flat).reshape((2,) + stages.shape[1:])
+    return tuple(np.ascontiguousarray(np.moveaxis(a, (0, 1), (2, 3))) for a in (y, err5, err3))
 
 
-def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, t_start: float,
-                rtol: float, atol: float, t_eval=None, method: str = "DOP853"):
-    """One adaptive solve of the mode equation for every momentum in ``k_mags``.
+def _error_norm(err5, err3, y, h: float, rtol: float, atol: float):
+    """scipy's DOP853 error norm of every step and momentum, shape (N, n).
 
-    The state stacks (T_1..T_n, Tdot_1..Tdot_n), starts from plane-wave data
-    at ``t_start`` (before the switch) and ends at t = 0, where the frequency
-    stops changing.  Tolerances are divided by sqrt(n) to undo the RMS
-    dilution of one column's error across the state.  Without ``t_eval`` the
-    solution carries a dense interpolant; with it, only those times (which
-    must lie in [t_start, 0] and should end at 0) are kept.  Every column's
-    Wronskian is gated at every returned time, which without ``t_eval`` is
-    every accepted step.
+    ``y`` holds the (T, Tdot) of each momentum at every node, shape
+    (N + 1, n, 2, 2) with real and imaginary parts last.  Each error map is
+    applied to its step's start data, scaled componentwise by
+    atol + rtol * max(|y|) over the step's two ends, and combined over the
+    two components of one momentum as scipy combines a two-component state.
+    """
+    size = np.hypot(y[..., 0], y[..., 1])
+    scale = atol + rtol * np.maximum(size[:-1], size[1:])
+    e5 = np.sum(np.square(err5 @ y[:-1]).sum(axis=-1) / scale**2, axis=-1)
+    e3 = np.sum(np.square(err3 @ y[:-1]).sum(axis=-1) / scale**2, axis=-1)
+    denom = e5 + 0.01 * e3
+    return np.divide(h * e5, np.sqrt(2.0 * denom), out=np.zeros_like(e5), where=denom > 0)
 
-    Returns (solution, eps, eps_lambda) with 1-d frequency arrays.
+
+def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: float, atol: float):
+    """One ramp solve of the mode equation for every momentum in ``k_mags``.
+
+    A uniform grid on [-mu, 0] carries the plane-wave data at -mu through
+    the DOP853 step maps of every momentum, one 2x2 product per step; the
+    maps are built for a block of steps at a time, so memory stays bounded.
+    The first grid has one step per unit of mu * (largest frequency), and at
+    least ``_MIN_STEPS``.  While the worst step error (scipy's norm, per
+    momentum) is not below 1, the step count N grows as scipy grows a step
+    after a rejection, to ceil(N * err**(1/8) / 0.9), for at most
+    ``_MAX_PASSES`` grids of at most ``_MAX_GRID`` step maps.  Every
+    momentum's Wronskian is then gated at every node.  Returns a
+    :class:`ModeTrajectory` of the momentum array that answers for all t.
     """
     ks = np.atleast_1d(np.asarray(k_mags, dtype=float))
     disp = dispersion(ks, params)
     eps, eps_lam = disp.eps, disp.eps_lambda
-    n = eps.size
-    neg_eps_sq = -eps * eps
-    shift = params.mass_shift
-    mu = prof.mu
-
-    def rhs(t, y):
-        return np.concatenate((y[n:], (neg_eps_sq - shift * chi_unit_scalar(t / mu)) * y[:n]))
-
-    scale = math.sqrt(n)
-    sol = solve_ivp(
-        rhs,
-        (t_start, 0.0),
-        np.concatenate(_incoming(eps, t_start)),
-        method=method,
-        t_eval=t_eval,
-        dense_output=t_eval is None,
-        rtol=rtol / scale,
-        atol=atol / scale,
+    mu, shift, n = prof.mu, params.mass_shift, ks.size
+    where = f"ramp solve for k in [{ks.min()}, {ks.max()}], mu={mu}"
+    block = max(1, _BLOCK // n)
+    size = max(_MIN_STEPS, mu * max(eps.max(), eps_lam.max()))
+    for passes in range(1, _MAX_PASSES + 1):
+        if not size * n <= _MAX_GRID:  # also catches an infinite or NaN size
+            raise IntegratorError(
+                f"{where} needs {size:.3g} steps for {n} momenta, beyond {_MAX_GRID} step maps"
+            )
+        n_steps = math.ceil(size)
+        h = mu / n_steps
+        t = np.linspace(-mu, 0.0, n_steps + 1)
+        y = np.empty((n_steps + 1, n, 2, 2))
+        y[0, :, 0], y[0, :, 1] = (np.stack((v.real, v.imag), -1) for v in _incoming(eps, -mu))
+        worst = []
+        for lo in range(0, n_steps, block):
+            hi = min(lo + block, n_steps)
+            step, err5, err3 = _step_maps(t[lo:hi], h, eps, shift, mu)
+            for i in range(lo, hi):
+                np.matmul(step[i - lo], y[i], out=y[i + 1])
+            worst.append(np.max(_error_norm(err5, err3, y[lo : hi + 1], h, rtol, atol)))
+        err = float(np.max(worst))
+        if err < 1.0:
+            break
+        if not math.isfinite(err) or passes == _MAX_PASSES:
+            raise IntegratorError(
+                f"{where} did not meet rtol={rtol}, atol={atol}: worst step error "
+                f"{err:.3e} on a grid of {n_steps} steps after {passes} passes"
+            )
+        size = n_steps * err**0.125 / 0.9
+    T = (y[..., 0, 0] + 1j * y[..., 0, 1]).T
+    Td = (y[..., 1, 0] + 1j * y[..., 1, 1]).T
+    drift = _wronskian_residual(T, Td)
+    col, node = np.unravel_index(np.argmax(drift), drift.shape)
+    traj = ModeTrajectory(
+        k_mag=ks, mu=mu, params=params, eps=eps, eps_lambda=eps_lam, t=t, T=T, Tdot=Td,
+        t_start=-mu, t_end=math.inf, passes=passes,
+        worst_drift=float(drift[col, node]), worst_drift_t=float(t[node]),
     )
-    if not sol.success:
+    if not traj.worst_drift <= _WRONSKIAN_TOL:  # a NaN drift fails too
         raise IntegratorError(
-            f"mode solve failed for k in [{ks.min()}, {ks.max()}], mu={mu}: {sol.message}"
+            f"Wronskian drift {traj.worst_drift:.3e} exceeds {_WRONSKIAN_TOL:.1e} "
+            f"for k={ks[col]}, mu={mu} at t={traj.worst_drift_t:.6g} (grid of {n_steps} "
+            f"steps after {passes} passes, rtol={rtol}); tighten the solver tolerances"
         )
-    drift = _wronskian_residual(sol.y[:n], sol.y[n:]).max(axis=1)
-    worst = int(np.argmax(drift))
-    if not drift[worst] <= _WRONSKIAN_TOL:  # a NaN drift fails too
-        raise IntegratorError(
-            f"Wronskian drift {drift[worst]:.3e} exceeds {_WRONSKIAN_TOL:.1e} "
-            f"for k={ks[worst]}, mu={mu} "
-            f"({sol.nfev} RHS evaluations, rtol={rtol}); tighten the solver tolerances"
-        )
-    return sol, eps, eps_lam
+    return traj
 
 
 def _wronskian_residual(T, Td):
@@ -225,12 +334,17 @@ def _wronskian_residual(T, Td):
 
 @dataclass
 class ModeTrajectory:
-    """Solved modes for one mu: sampled values plus a dense interpolant.
+    """Solved modes for one mu: the grid solution and how it was obtained.
 
-    ``t`` holds the solver's accepted steps over [t_start, 0], the only
-    stretch that is integrated.  :meth:`evaluate` extends exactly to all
-    t <= t_start with the incoming plane wave, answers on (0, t_end] in
+    ``t`` holds the nodes of the uniform grid on [t_start, 0] = [-mu, 0],
+    the only stretch that is integrated.  :meth:`evaluate` extends exactly
+    to all t < t_start with the incoming plane wave, answers between nodes
+    with one partial step from the node before, answers on (0, t_end] in
     closed form from the data at t = 0, and rejects t > t_end.
+
+    ``passes`` is the number of grids the step-count search laid, and
+    ``worst_drift`` the largest Wronskian drift over every node and
+    momentum, reached at ``worst_drift_t``.
 
     For a scalar momentum ``k_mag``, ``eps`` and ``eps_lambda`` are floats
     and ``T``, ``Tdot`` have shape (len(t),); for a momentum array they are
@@ -247,22 +361,68 @@ class ModeTrajectory:
     Tdot: np.ndarray
     t_start: float
     t_end: float
-    _dense: Callable = field(repr=False)
+    passes: int
+    worst_drift: float
+    worst_drift_t: float
+
+    @property
+    def n_steps(self) -> int:
+        """Steps of the grid."""
+        return self.t.size - 1
 
     def evaluate(self, t):
         """(T, Tdot) at arbitrary times t <= t_end, each of shape (len(t),)
-        for a scalar momentum and (len(k_mag), len(t)) for an array."""
+        for a scalar momentum and (len(k_mag), len(t)) for an array.  Every
+        momentum's Wronskian is gated at the times inside the ramp."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t > self.t_end + 1e-12):
             raise ValueError(
                 f"trajectory solved up to t={self.t_end}, requested t={t.max()}"
             )
-        T, Td = _piecewise(
-            t, self.t_start, np.atleast_1d(self.eps), np.atleast_1d(self.eps_lambda),
-            np.append(self.T[..., -1], self.Tdot[..., -1]), self._dense,
-        )
+        eps, eps_lam = np.atleast_1d(self.eps), np.atleast_1d(self.eps_lambda)
+        T_grid, Td_grid = np.atleast_2d(self.T), np.atleast_2d(self.Tdot)
+        T = np.empty((eps.size, t.size), dtype=complex)
+        Td = np.empty_like(T)
+        before = t < self.t_start
+        after = t >= 0.0
+        ramp = ~(before | after)
+        if np.any(before):
+            T[:, before], Td[:, before] = _incoming(eps[:, None], t[before])
+        if np.any(ramp):
+            T[:, ramp], Td[:, ramp] = self._between_nodes(t[ramp])
+        if np.any(after):
+            T[:, after], Td[:, after] = _after_switch(
+                T_grid[:, -1:], Td_grid[:, -1:], eps_lam[:, None], t[after]
+            )
         if np.ndim(self.eps) == 0:
             return T[0], Td[0]
+        return T, Td
+
+    def _between_nodes(self, ts):
+        """(T, Tdot) at ramp times ``ts`` by one partial step from the node
+        before each, a block of times at a time, with the Wronskian gated."""
+        eps = np.atleast_1d(self.eps)
+        T_grid, Td_grid = np.atleast_2d(self.T), np.atleast_2d(self.Tdot)
+        T = np.empty((eps.size, ts.size), dtype=complex)
+        Td = np.empty_like(T)
+        block = max(1, _BLOCK // eps.size)
+        for lo in range(0, ts.size, block):
+            part = slice(lo, lo + block)
+            node = np.searchsorted(self.t, ts[part], side="right") - 1
+            step, _, _ = _step_maps(
+                self.t[node], ts[part] - self.t[node], eps, self.params.mass_shift, self.mu
+            )
+            T0, Td0 = T_grid[:, node].T, Td_grid[:, node].T
+            T[:, part] = (step[..., 0, 0] * T0 + step[..., 0, 1] * Td0).T
+            Td[:, part] = (step[..., 1, 0] * T0 + step[..., 1, 1] * Td0).T
+        drift = _wronskian_residual(T, Td)
+        col, i = np.unravel_index(np.argmax(drift), drift.shape)
+        if not drift[col, i] <= _WRONSKIAN_TOL:
+            raise IntegratorError(
+                f"Wronskian drift {drift[col, i]:.3e} exceeds {_WRONSKIAN_TOL:.1e} "
+                f"for k={np.atleast_1d(self.k_mag)[col]}, mu={self.mu} at t={ts[i]:.6g} "
+                f"(grid of {self.n_steps} steps after {self.passes} passes)"
+            )
         return T, Td
 
     def wronskian_residual(self, t=None):
@@ -276,7 +436,7 @@ class ModeTrajectory:
 
     @property
     def max_wronskian_residual(self) -> float:
-        return float(np.max(self.wronskian_residual()))
+        return self.worst_drift
 
     def to_csv(self, path):
         """Sample dump: t, Re T, Im T, Re Tdot, Im Tdot, |W - i|."""
@@ -309,34 +469,25 @@ def solve_modes(
     """Integrate the mode equation from plane-wave data before the switch.
 
     One ramp solve for every momentum in ``k_mag`` (a scalar is the batch of
-    one, so its tolerances reach the adaptive stepper unscaled).  It starts
-    at t0 = -mu - 1, strictly outside the ramp, where
+    one).  It starts at t0 = -mu, where the switch turns on and
     T = exp(-i*eps*t0)/sqrt(2*eps), Tdot = -i*eps*T make the Wronskian
     exactly i, and stops at t = 0; the trajectory answers up to ``t_max`` in
-    closed form beyond that.  The Wronskian drift doubles as an error
-    estimate and is enforced for every momentum at every accepted step.
+    closed form beyond that.  Each momentum's step error meets ``rtol`` and
+    ``atol`` as DOP853's step control measures it, and the Wronskian drift,
+    a second error estimate, is enforced for every momentum at every grid
+    node.  ``method`` names the scheme and must be "DOP853".
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    t0 = -prof.mu - _PAD
-    sol, eps, eps_lam = _ramp_solve(k_mag, prof, params, t0, rtol, atol, method=method)
-    n = eps.size
-    T, Td = sol.y[:n], sol.y[n:]
+    if method != "DOP853":
+        raise ValueError(f"ramp solves use method='DOP853', got {method!r}")
+    traj = _ramp_solve(k_mag, prof, params, rtol, atol)
     if np.ndim(k_mag) == 0:
-        k_mag, eps, eps_lam, T, Td = float(k_mag), float(eps[0]), float(eps_lam[0]), T[0], Td[0]
-    return ModeTrajectory(
-        k_mag=k_mag,
-        mu=prof.mu,
-        params=params,
-        eps=eps,
-        eps_lambda=eps_lam,
-        t=sol.t,
-        T=T,
-        Tdot=Td,
-        t_start=t0,
-        t_end=t_max,
-        _dense=sol.sol,
-    )
+        traj = replace(
+            traj, k_mag=float(k_mag), eps=float(traj.eps[0]), eps_lambda=float(traj.eps_lambda[0]),
+            T=traj.T[0], Tdot=traj.Tdot[0],
+        )
+    return replace(traj, t_end=t_max)
 
 
 def sample_modes(
@@ -348,20 +499,11 @@ def sample_modes(
     atol: float = 1e-12,
 ) -> np.ndarray:
     """Mode values T(k, t) for every momentum in ``k_mags`` and every time in
-    ``times``, shape (len(k_mags), len(times)), from one batched ramp solve.
-
-    The solve keeps only the requested times inside the ramp and the endpoint
-    t = 0, where every column's Wronskian is gated; later times are closed
-    form from the endpoint data and earlier ones the incoming wave.
-    """
-    times = np.asarray(times, dtype=float)
-    t0 = -prof.mu - _PAD
-    t_eval = np.append(np.unique(times[(times >= t0) & (times < 0.0)]), 0.0)
-    sol, eps, eps_lam = _ramp_solve(k_mags, prof, params, t0, rtol, atol, t_eval=t_eval)
-    T, _ = _piecewise(
-        times, t0, eps, eps_lam, sol.y[:, -1],
-        lambda ts: sol.y[:, np.searchsorted(sol.t, ts)],
-    )
+    ``times``, shape (len(k_mags), len(times)), from one batched ramp solve:
+    a partial step from the grid inside the ramp, where every column's
+    Wronskian is gated, the closed form after it and the incoming wave
+    before it."""
+    T, _ = _ramp_solve(k_mags, prof, params, rtol, atol).evaluate(times)
     return T
 
 
@@ -373,6 +515,8 @@ def wkb_mode(k_mag, t, prof: SwitchingProfile, params: ThermalParams, t0: float)
     """
     if t0 > -prof.mu:
         raise ValueError(f"t0 must satisfy t0 <= -mu, got t0={t0}, mu={prof.mu}")
+    from scipy.integrate import quad  # the CLI never needs scipy
+
     disp = dispersion(k_mag, params)
     eps, eps_lam = disp.eps, disp.eps_lambda
     shift = params.mass_shift
@@ -430,8 +574,8 @@ def switch_integrals(
         I_sq  = integral of T(t)^2   * d/dt chi(t/mu)  over the ramp,
         I_abs = integral of |T(t)|^2 * d/dt chi(t/mu),
 
-    computed by composite Gauss-Legendre against the dense solution of one
-    :func:`solve_modes` call.  A scalar ``k_mag`` gives (complex, float); a
+    computed by composite Gauss-Legendre on the solution of one
+    :func:`solve_modes` call, read between its grid nodes by partial steps.  A scalar ``k_mag`` gives (complex, float); a
     momentum array is one batched solve and gives one value per momentum,
     on panels sized by the largest eps_lambda in the batch.  As mu grows,
     I_abs tends to 1/(eps_lambda + eps) and I_sq tends to 0.

@@ -264,7 +264,7 @@ def verify_resummation(
     zeroth = pair(adiabatic_classical(params), f, g, quad)
     denom = abs(closed)
     if denom == 0.0:
-        raise ValueError("closed-form pairing vanished; relative gaps undefined")
+        raise ZeroDivisionError("closed-form pairing vanished; relative gaps undefined")
     if N > 0:
         _check_order(N, "beta-derivative", cap)
     pieces = _grid_pieces(params, f, g, quad)

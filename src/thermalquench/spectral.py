@@ -318,13 +318,12 @@ def pair_finite_mu(
     """Time-domain pairing against the ramped free thermal state.
 
     One batched ramp solve per switching scale covers every radial node:
-    :func:`~thermalquench.modes.sample_modes` integrates all of them as one
-    state over [-mu - 1, 0] (tolerances divided by sqrt(n_radial) inside),
-    keeping only the packets' time nodes inside the ramp and t = 0, and every
-    column's Wronskian is gated there.  Past t = 0 the modes are closed form,
-    so the packets' temporal supports may extend arbitrarily far.  Each mode
-    is projected onto both packets' temporal profiles; the thermal
-    coefficients stay at the free frequency.
+    :func:`~thermalquench.modes.sample_modes` carries all of them through the
+    step maps of one grid on [-mu, 0] and reads the packets' time nodes inside
+    the ramp by partial steps, where every node's Wronskian is gated.  Past
+    t = 0 the modes are closed form, so the packets' temporal supports may
+    extend arbitrarily far.  Each mode is projected onto both packets'
+    temporal profiles; the thermal coefficients stay at the free frequency.
     """
     tf, wf = quad.time_rule(f)
     tg, wg = quad.time_rule(g)

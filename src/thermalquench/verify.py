@@ -48,12 +48,12 @@ RUNTIME_BUDGETS_S = {
     1: 5.0,
     2: 1.0,
     3: 1.0,
-    4: 5.0,
-    5: 5.0,
-    6: 10.0,
+    4: 0.1,
+    5: 0.1,
+    6: 1.0,
     7: 5.0,
-    8: 5.0,
-    9: 5.0,
+    8: 0.1,
+    9: 0.1,
     10: 5.0,
 }
 

@@ -24,5 +24,5 @@ def test_criterion(index, config):
     assert result.status == "pass", result.summary_line()
     assert result.runtime_s <= verify.RUNTIME_BUDGETS_S[index], (
         f"criterion {index} exceeded its runtime budget: "
-        f"{result.runtime_s:.1f}s > {verify.RUNTIME_BUDGETS_S[index]:.0f}s"
+        f"{result.runtime_s:.3f}s > {verify.RUNTIME_BUDGETS_S[index]:g}s"
     )

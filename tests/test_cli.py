@@ -1,12 +1,21 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thermalquench import cli, modes
 from thermalquench.cli import main
+from thermalquench.modes import BogoliubovPair
 from thermalquench.thermal import bose_coefficient
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(args):
@@ -99,10 +108,11 @@ class TestLimits:
             '{"profile": {"mu": Infinity}}',
             '{"ladders": {"mu": [5.0, Infinity]}}',
             '{"ladders": {"orders": [1, Infinity]}}',
+            '{"ladders": {"orders": [1, 17]}}',
         ],
         ids=["mu-descending", "k-unsorted-duplicate", "k-empty", "n-radial-zero", "n-time-negative",
              "k-center-nan", "beta-infinity", "mu-infinity", "mu-ladder-infinity",
-             "orders-infinity"],
+             "orders-infinity", "orders-beyond-cap"],
     )
     def test_malformed_config(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
@@ -149,16 +159,67 @@ class TestBatchedRampSolves:
         assert len(ramp_solves) == 1
         assert len(ramp_solves[0]) == 24  # every radial node of fast_config
 
-    @pytest.mark.parametrize("command", ["limits", "ness"])
-    def test_failed_gate_exits_numerical(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setattr(modes, "_WRONSKIAN_TOL", 1e-30)
-        cfg = fast_config(tmp_path)
+    @pytest.mark.parametrize(
+        "command, params, gate, message",
+        [
+            pytest.param("limits", None, 1e-30, "Wronskian drift", id="limits"),
+            pytest.param("ness", None, 1e-30, "Wronskian drift", id="ness"),
+            # c_plus ~ 1e299 at beta = 1e-300, so c_plus - c_minus cancels and
+            # the commutator residual reads -1 although every pair is fine
+            pytest.param(
+                "ness", {"beta": 1e-300, "m_sq": 1.0, "m0_sq": 1.0, "lam": 0.1},
+                modes._WRONSKIAN_TOL, "ccr_residual", id="ness-beta-1e-300",
+            ),
+        ],
+    )
+    def test_failed_gate_exits_numerical(self, tmp_path, capsys, monkeypatch, command, params,
+                                         gate, message):
+        monkeypatch.setattr(modes, "_WRONSKIAN_TOL", gate)
+        cfg = fast_config(tmp_path, **({"params": params} if params else {}))
         assert run([command, "--config", str(cfg)]) == 3
         captured = capsys.readouterr()
         assert "numerical failure" in captured.err
-        assert "Wronskian drift" in captured.err
+        assert message in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, name, poisoned",
+        [
+            ("limits", "switch_integral_limit", lambda ks, params: np.full(np.shape(ks), np.nan)),
+            ("ness", "sudden_quench_pair",
+             lambda k, params: BogoliubovPair(np.full(np.shape(k), np.nan), np.zeros(np.shape(k)))),
+        ],
+    )
+    def test_non_finite_column_exits_numerical(self, tmp_path, capsys, monkeypatch, command, name,
+                                               poisoned):
+        # one column (limits: target, ness: sudden_gap) turns NaN
+        monkeypatch.setattr(cli, name, poisoned)
+        out = tmp_path / "out"
+        assert run([command, "--config", str(fast_config(tmp_path)), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: non-finite value in CSV column")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+
+class TestImportGraph:
+    def test_cli_never_imports_scipy_integrate(self):
+        # scipy.integrate costs ~0.4 s and ~50 MB per process; only wkb_mode
+        # and the tests need it
+        code = (
+            "import sys\n"
+            "from thermalquench import cli\n"
+            "for command in ('limits', 'ness', 'series'):\n"
+            "    assert cli.main([command]) == 0, command\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSeries:

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from thermalquench import modes
 from thermalquench.modes import (
     BogoliubovPair,
+    IntegratorError,
     SwitchingProfile,
     bogoliubov,
     chi_unit,
     chi_unit_rate,
-    chi_unit_scalar,
     ergodic_averages,
     ergodic_limits,
     solve_modes,
@@ -62,16 +63,6 @@ class TestSwitchingProfile:
         for s in (-0.9, -0.7, -0.5, -0.3):
             fd = (chi_unit(s + h) - chi_unit(s - h)) / (2.0 * h)
             assert chi_unit_rate(s) == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-    def test_scalar_form_matches_array_form(self):
-        # the ODE right-hand side uses the math-module form; both ends of the
-        # ramp, the plateaus and points crowding each end are covered
-        near = np.logspace(-16, -1, 31)
-        grid = np.concatenate(
-            ([-2.0, -1.0, 0.0, 1.0], np.linspace(-1.0, 0.0, 1001), -1.0 + near, -near)
-        )
-        for s in grid:
-            assert abs(chi_unit_scalar(float(s)) - chi_unit(s)) <= 1e-15
 
     def test_invalid_mu(self):
         with pytest.raises(ValueError):
@@ -164,10 +155,27 @@ class TestSolveModes:
             solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=-1.0)
 
     def test_sloppy_tolerances_fail_the_wronskian_gate(self):
-        from thermalquench.modes import IntegratorError
-
         with pytest.raises(IntegratorError, match="Wronskian drift"):
             solve_modes(1.0, SwitchingProfile(40.0), PARAMS, t_max=1.0, rtol=1e-4, atol=1e-6)
+
+    def test_records_how_it_was_solved(self, monkeypatch):
+        traj = solve_modes(1.0, SwitchingProfile(5.0), PARAMS)
+        assert traj.n_steps == len(traj.t) - 1 >= 8
+        assert traj.passes >= 1
+        assert math.isfinite(traj.worst_drift) and 0.0 <= traj.worst_drift <= 1e-8
+        assert traj.worst_drift == traj.max_wronskian_residual
+        assert traj.t_start <= traj.worst_drift_t <= 0.0
+        monkeypatch.setattr(modes, "_WRONSKIAN_TOL", 0.0)
+        with pytest.raises(IntegratorError, match=r"at t=\S+ \(grid of \d+ steps after \d+ passes"):
+            solve_modes(1.0, SwitchingProfile(5.0), PARAMS)
+
+    def test_only_dop853(self):
+        with pytest.raises(ValueError, match="DOP853"):
+            solve_modes(1.0, SwitchingProfile(1.0), PARAMS, method="RK45")
+
+    def test_oversized_grid_is_a_numerical_failure(self):
+        with pytest.raises(IntegratorError, match="step maps"):
+            solve_modes(1.0, SwitchingProfile(1e300), PARAMS)
 
     def test_csv_dump(self, tmp_path):
         traj = solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=0.5)
@@ -178,6 +186,50 @@ class TestSolveModes:
         assert rows[0] == ["t", "re_T", "im_T", "re_Tdot", "im_Tdot", "wronskian_residual"]
         assert len(rows) == 1 + len(traj.t)
         assert float(rows[1][0]) == traj.t[0]
+
+
+class TestGridAgainstAdaptiveReference:
+    """The step-map grid against scipy's adaptive DOP853, 1000x tighter."""
+
+    @staticmethod
+    def reference(k, prof, params, ts):
+        eps = dispersion(k, params).eps
+        shift = params.mass_shift
+
+        def rhs(t, y):
+            return [y[1], -(eps * eps + shift * chi_unit(t / prof.mu)) * y[0]]
+
+        T0 = np.exp(1j * eps * prof.mu) / math.sqrt(2.0 * eps)
+        sol = solve_ivp(rhs, (-prof.mu, 0.0), [T0, -1j * eps * T0], method="DOP853",
+                        rtol=1e-13, atol=1e-15, dense_output=True)
+        return sol.sol(ts)
+
+    def test_tableau_transcription(self):
+        # each stage row sums to its node, the order-8 weights to 1 and each
+        # error row, a difference of two solutions' weights, to 0
+        assert np.abs(modes._A[:-1].sum(axis=1) - modes._C).max() <= 4e-15
+        assert abs(modes._A[-1].sum() - 1.0) <= 4e-15
+        assert np.abs(modes._E.sum(axis=1)).max() <= 4e-15
+
+    @pytest.mark.parametrize("lam", [-0.3, 1e-4, 0.5])
+    @pytest.mark.parametrize("mu", [1e-3, 1.0, 5.0, 40.0])
+    def test_switching_integral_nodes_and_endpoint(self, mu, lam):
+        # default tolerances: 1e-9 absolute on (T, Tdot) at every node the
+        # switching integrals read and at t = 0; the tight path keeps every
+        # Bogoliubov normalization below 1e-11
+        params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=lam)
+        prof = SwitchingProfile(mu)
+        ks = np.array([0.0, 1.0, 3.0])
+        traj = solve_modes(ks, prof, params, t_max=0.0)
+        nodes, _ = modes._panel_nodes(-mu, 0.0, 2.0 * np.max(traj.eps_lambda), min_panels=16)
+        ts = np.append(nodes, 0.0)
+        T, Td = traj.evaluate(ts)
+        for i, k in enumerate(ks):
+            T_ref, Td_ref = self.reference(k, prof, params, ts)
+            assert np.abs(T[i] - T_ref).max() <= 1e-9
+            assert np.abs(Td[i] - Td_ref).max() <= 1e-9
+        tight = solve_modes(ks, prof, params, t_max=0.0, rtol=1e-12, atol=1e-14)
+        assert np.max(bogoliubov(tight, params).normalization_residual) <= 1e-11
 
 
 class TestWkbMode:
