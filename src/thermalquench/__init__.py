@@ -47,7 +47,6 @@ from .series import (
     verify_resummation,
 )
 from .spectral import (
-    QuadratureError,
     QuadratureSpec,
     SpectralState,
     TestPacket,
@@ -76,7 +75,6 @@ __all__ = [
     "EulerianRow",
     "IntegratorError",
     "ModeTrajectory",
-    "QuadratureError",
     "QuadratureSpec",
     "ResummationReport",
     "SeriesTerm",

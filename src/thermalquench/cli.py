@@ -16,8 +16,8 @@ wall-clock enters any payload (a separate meta.json carries the timestamp
 when writing to a directory).
 
 Exit codes: 0 success, 1 criterion failure, 2 config/schema error,
-3 numerical-infrastructure failure (a failed solver gate, a quadrature that
-does not converge, or a floating-point breakdown).
+3 numerical-infrastructure failure (a failed solver gate or a floating-point
+breakdown).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .modes import (
     switch_integrals,
 )
 from .series import verify_resummation
-from .spectral import QuadratureError, adiabatic, ness_classical, pair_report
+from .spectral import adiabatic, ness_classical, pair_report
 from .verify import ness_bogoliubov_map
 
 EXIT_OK = 0
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except (IntegratorError, QuadratureError, ArithmeticError) as exc:
+    except (IntegratorError, ArithmeticError) as exc:
         # ArithmeticError: an overflow, a vanished denominator or a
         # non-finite payload (NonFiniteOutput)
         sys.stderr.write(f"numerical failure: {exc}\n")

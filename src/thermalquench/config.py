@@ -14,7 +14,8 @@ The schema is deliberately flat:
     }
 
 Every number must be finite, every tolerance positive, every ladder
-strictly increasing and every order within the series order cap;
+strictly increasing, every order within the series order cap and every
+quadrature node count within ``NODE_CAP``;
 violations raise :class:`ConfigError`, which the CLI maps to its
 config-error exit code.
 """
@@ -31,6 +32,10 @@ from .spectral import QuadratureSpec, TestPacket
 from .thermal import ThermalParams
 
 SCHEMA_VERSION = 1
+
+# the largest quadrature node count: numpy's leggauss builds an n x n matrix,
+# and pair_report doubles the count once more
+NODE_CAP = 1024
 
 DEFAULT_TOLERANCES = {
     "derivative_tower_rel": 1e-6,
@@ -94,6 +99,11 @@ class RunConfig:
             raise ConfigError(f"orders must lie in [1, {DEFAULT_ORDER_CAP}]")
         if any(k < 0 for k in self.k_values):
             raise ConfigError("k values must be >= 0")
+        if max(self.quadrature.n_radial, self.quadrature.n_time) > NODE_CAP:
+            raise ConfigError(
+                f"quadrature node counts must be <= {NODE_CAP}, got n_radial="
+                f"{self.quadrature.n_radial}, n_time={self.quadrature.n_time}"
+            )
         missing = set(DEFAULT_TOLERANCES) - set(self.tolerances)
         if missing:
             raise ConfigError(f"tolerances missing keys: {sorted(missing)}")

@@ -14,6 +14,8 @@ This module solves the ramp with an order-8 Runge-Kutta scheme, keeps the
 conserved Wronskian as a built-in health monitor, provides the WKB
 comparison mode, the switching-weighted integrals whose large-mu limits are
 known in closed form, and finite-horizon ergodic averages of mode products.
+Every quadrature over time here is one composite Gauss-Legendre rule, with
+panels of ``_GL_ORDER`` nodes, and the module needs numpy alone.
 
 One routine does every ramp solve.  The mode equation is linear, so one
 DOP853 step of (T, Tdot) is a real 2x2 matrix that does not depend on the
@@ -32,7 +34,6 @@ scalar is the batch of one.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -42,6 +43,9 @@ from .thermal import ThermalParams, dispersion
 
 _GL_ORDER = 10
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+# wkb_mode's phase runs over this many panels of the ramp: chi(t/mu) is
+# equally smooth in t/mu at every mu, so the count is fixed in units of mu
+_WKB_PANELS = 64
 
 # a mode fails when its Wronskian drifts from i by more than the gate
 _WRONSKIAN_TOL = 1e-8
@@ -438,24 +442,6 @@ class ModeTrajectory:
     def max_wronskian_residual(self) -> float:
         return self.worst_drift
 
-    def to_csv(self, path):
-        """Sample dump: t, Re T, Im T, Re Tdot, Im Tdot, |W - i|."""
-        res = self.wronskian_residual()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "re_T", "im_T", "re_Tdot", "im_Tdot", "wronskian_residual"])
-            for i, ti in enumerate(self.t):
-                writer.writerow(
-                    [
-                        f"{ti:.17e}",
-                        f"{self.T[i].real:.17e}",
-                        f"{self.T[i].imag:.17e}",
-                        f"{self.Tdot[i].real:.17e}",
-                        f"{self.Tdot[i].imag:.17e}",
-                        f"{res[i]:.17e}",
-                    ]
-                )
-
 
 def solve_modes(
     k_mag,
@@ -510,34 +496,35 @@ def sample_modes(
 def wkb_mode(k_mag, t, prof: SwitchingProfile, params: ThermalParams, t0: float):
     """Adiabatic comparison mode (2*w(t))**-0.5 * exp(-i * phase(t0 -> t)).
 
-    The phase integral is exact outside the ramp and adaptive quadrature
-    across it.  Accepts scalar or array t; t0 must precede the switch.
+    The phase integral is exact outside the ramp.  Across it, the frequency
+    is integrated by one Gauss-Legendre rule on each of ``_WKB_PANELS``
+    equal panels of [-mu, 0], summed panel by panel, plus one more rule from
+    the panel edge before each t to t.  Accepts scalar or array t; t0 must
+    precede the switch.
     """
-    if t0 > -prof.mu:
-        raise ValueError(f"t0 must satisfy t0 <= -mu, got t0={t0}, mu={prof.mu}")
-    from scipy.integrate import quad  # the CLI never needs scipy
-
+    mu = prof.mu
+    if t0 > -mu:
+        raise ValueError(f"t0 must satisfy t0 <= -mu, got t0={t0}, mu={mu}")
     disp = dispersion(k_mag, params)
-    eps, eps_lam = disp.eps, disp.eps_lambda
-    shift = params.mass_shift
-
-    def w_of(t):
-        return np.sqrt(eps * eps + shift * chi_unit(np.asarray(t) / prof.mu))
-
-    @np.vectorize
-    def phase(t):
-        # exact plane-wave segment, quadrature only across the ramp
-        p = eps * (min(t, -prof.mu) - t0)
-        if t > -prof.mu:
-            hi = min(t, 0.0)
-            val, _ = quad(w_of, -prof.mu, hi, limit=200, epsabs=1e-13, epsrel=1e-12)
-            p += val
-        if t > 0.0:
-            p += eps_lam * t
-        return p
-
     t_arr = np.asarray(t, dtype=float)
-    out = np.exp(-1j * phase(t_arr)) / np.sqrt(2.0 * w_of(t_arr))
+    ts = t_arr.ravel()
+
+    def integral(a, b):
+        # one rule on each [a, b], entry by entry
+        half, mid = 0.5 * (b - a), 0.5 * (b + a)
+        w = time_frequency(k_mag, mid[:, None] + half[:, None] * _GL_NODES, prof, params)
+        return half * (w @ _GL_WEIGHTS)
+
+    edges = np.linspace(-mu, 0.0, _WKB_PANELS + 1)
+    done = np.concatenate(([0.0], np.cumsum(integral(edges[:-1], edges[1:]))))
+    inside = np.clip(ts, -mu, 0.0)
+    panel = np.searchsorted(edges, inside, side="right") - 1
+    phase = (
+        disp.eps * (np.minimum(ts, -mu) - t0)
+        + done[panel] + integral(edges[panel], inside)
+        + disp.eps_lambda * np.maximum(ts, 0.0)
+    ).reshape(t_arr.shape)
+    out = np.exp(-1j * phase) / np.sqrt(2.0 * time_frequency(k_mag, t_arr, prof, params))
     return complex(out) if out.ndim == 0 else out
 
 

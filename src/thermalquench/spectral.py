@@ -24,7 +24,6 @@ that keeps the free thermal coefficients.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -36,8 +35,11 @@ from .modes import BogoliubovPair, SwitchingProfile, sample_modes
 from .thermal import ThermalParams, bose_coefficient, dispersion
 
 
-class QuadratureError(RuntimeError):
-    """Raised when two refinement levels of a pairing disagree beyond tolerance."""
+# the radial rule runs to TAIL_SIGMAS momentum widths past the farther
+# packet centre, and the time rule over TIME_SIGMAS widths each side of a
+# packet's centre
+TAIL_SIGMAS = 9.0
+TIME_SIGMAS = 8.0
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class TestPacket:
         """fhat(omega, k): the packet evaluated on a frequency branch."""
         return self.spatial(k) * self.temporal_hat(omega)
 
-    def time_support(self, n_sigma: float = 8.0) -> tuple[float, float]:
+    def time_support(self, n_sigma: float = TIME_SIGMAS) -> tuple[float, float]:
         """Interval outside which the temporal profile is negligible."""
         return (
             self.t_center - n_sigma * self.t_width,
@@ -103,13 +105,10 @@ def _gauss_legendre(n: int):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and truncation rules for the pairing integrals."""
+    """Node counts of the pairing integrals."""
 
     n_radial: int = 64
     n_time: int = 80
-    k_max: float | None = None
-    tail_sigmas: float = 9.0
-    time_sigmas: float = 8.0
 
     def __post_init__(self):
         if self.n_radial < 1 or self.n_time < 1:
@@ -118,13 +117,7 @@ class QuadratureSpec:
             )
 
     def refined(self) -> "QuadratureSpec":
-        return QuadratureSpec(
-            n_radial=2 * self.n_radial,
-            n_time=2 * self.n_time,
-            k_max=self.k_max,
-            tail_sigmas=self.tail_sigmas,
-            time_sigmas=self.time_sigmas,
-        )
+        return QuadratureSpec(n_radial=2 * self.n_radial, n_time=2 * self.n_time)
 
     def radial_rule(self, *packets: TestPacket):
         """Gauss-Legendre nodes/weights on [0, k_max]; the cutoff keeps every
@@ -132,18 +125,14 @@ class QuadratureSpec:
 
         The rule on [-1, 1] is cached per node count and read-only; the
         returned nodes and weights are fresh arrays scaled from it."""
-        k_max = self.k_max
-        if k_max is None:
-            if not packets:
-                raise ValueError("k_max is unset and no packets were given")
-            k_max = max(p.k_center + self.tail_sigmas * p.k_width for p in packets)
+        k_max = max(p.k_center + TAIL_SIGMAS * p.k_width for p in packets)
         x, w = _gauss_legendre(self.n_radial)
         nodes = 0.5 * k_max * (x + 1.0)
         weights = 0.5 * k_max * w
         return nodes, weights
 
     def time_rule(self, packet: TestPacket):
-        lo, hi = packet.time_support(self.time_sigmas)
+        lo, hi = packet.time_support()
         x, w = _gauss_legendre(self.n_time)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         return mid + half * x, half * w
@@ -174,18 +163,6 @@ class SpectralState:
     def ccr_residual(self, k):
         """c_plus(k) - c_minus(k) - 1, identically 0 for a physical state."""
         return self.c_plus(k) - self.c_minus(k) - 1.0
-
-    def to_csv(self, path, k_nodes):
-        """Export (k, c_plus, c_minus, branch frequency) at the given nodes."""
-        k = np.asarray(k_nodes, dtype=float)
-        cp, cm, om = self.c_plus(k), self.c_minus(k), self.branch_frequency(k)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "c_plus", "c_minus", "branch_frequency"])
-            for i in range(k.size):
-                writer.writerow(
-                    [f"{k[i]:.17e}", f"{cp[i]:.17e}", f"{cm[i]:.17e}", f"{om[i]:.17e}"]
-                )
 
 
 def _frequency(k, params: ThermalParams, branch: str):
@@ -255,29 +232,9 @@ def ness_classical(
 
 
 def pair(
-    state: SpectralState,
-    f: TestPacket,
-    g: TestPacket,
-    quad: QuadratureSpec = QuadratureSpec(),
-    check_tol: float | None = None,
+    state: SpectralState, f: TestPacket, g: TestPacket, quad: QuadratureSpec = QuadratureSpec()
 ) -> complex:
-    """Pair two packets against a state by radial quadrature.
-
-    With ``check_tol`` set, the integral is re-evaluated at doubled node
-    count and a :class:`QuadratureError` is raised if the two levels
-    disagree by more than the tolerance.
-    """
-    value = _pair_once(state, f, g, quad)
-    if check_tol is not None:
-        refined = _pair_once(state, f, g, quad.refined())
-        if abs(refined - value) > check_tol:
-            raise QuadratureError(
-                f"pairing did not converge: levels differ by {abs(refined - value):.3e}"
-            )
-    return value
-
-
-def _pair_once(state, f, g, quad):
+    """Pair two packets against a state by radial quadrature."""
     k, w = quad.radial_rule(f, g)
     omega = state.branch_frequency(k)
     cp = state.c_plus(k)
@@ -295,8 +252,8 @@ def pair_report(
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> dict:
     """Pairing plus its self-convergence diagnostics, JSON-ready."""
-    coarse = _pair_once(state, f, g, quad)
-    fine = _pair_once(state, f, g, quad.refined())
+    coarse = pair(state, f, g, quad)
+    fine = pair(state, f, g, quad.refined())
     return {
         "label": state.label,
         "value_re": fine.real,

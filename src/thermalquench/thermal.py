@@ -37,7 +37,7 @@ class ThermalParams:
     """Physical inputs: inverse temperature, squared masses, coupling.
 
     The perturbation shifts the squared mass by ``lam * m0_sq``; the shifted
-    mass must stay positive (no tachyonic regime).
+    mass must stay finite and positive (no tachyonic regime).
     """
 
     beta: float
@@ -53,11 +53,11 @@ class ThermalParams:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not self.m_sq > 0:
             raise ValueError(f"m_sq must be positive, got {self.m_sq}")
-        if not self.m_sq + self.lam * self.m0_sq > 0:
-            raise ValueError(
-                "shifted squared mass m_sq + lam*m0_sq must be positive, got "
-                f"{self.m_sq + self.lam * self.m0_sq}"
-            )
+        shifted = self.m_sq + self.mass_shift
+        if not math.isfinite(shifted):  # an overflowing lam*m0_sq lands here
+            raise ValueError(f"shifted squared mass m_sq + lam*m0_sq must be finite, got {shifted}")
+        if not shifted > 0:
+            raise ValueError(f"shifted squared mass m_sq + lam*m0_sq must be positive, got {shifted}")
 
     @property
     def mass_shift(self) -> float:

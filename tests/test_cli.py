@@ -11,6 +11,7 @@ import pytest
 
 from thermalquench import cli, modes
 from thermalquench.cli import main
+from thermalquench.config import NODE_CAP
 from thermalquench.modes import BogoliubovPair
 from thermalquench.thermal import bose_coefficient
 
@@ -109,10 +110,12 @@ class TestLimits:
             '{"ladders": {"mu": [5.0, Infinity]}}',
             '{"ladders": {"orders": [1, Infinity]}}',
             '{"ladders": {"orders": [1, 17]}}',
+            '{"params": {"lam": 1e300, "m0_sq": 1e300}}',
+            '{"quadrature": {"n_radial": 20000}}',
         ],
         ids=["mu-descending", "k-unsorted-duplicate", "k-empty", "n-radial-zero", "n-time-negative",
              "k-center-nan", "beta-infinity", "mu-infinity", "mu-ladder-infinity",
-             "orders-infinity", "orders-beyond-cap"],
+             "orders-infinity", "orders-beyond-cap", "mass-shift-overflow", "n-radial-20000"],
     )
     def test_malformed_config(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
@@ -121,6 +124,14 @@ class TestLimits:
             assert run([command, "--config", str(bad)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_refine_past_node_cap_is_config_error(self, tmp_path, capsys):
+        cfg = fast_config(tmp_path, quadrature={"n_radial": NODE_CAP, "n_time": 48})
+        assert run(["limits", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert run(["limits", "--config", str(cfg), "--refine"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: quadrature node counts must be <= {NODE_CAP}")
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -204,15 +215,17 @@ class TestBatchedRampSolves:
 
 
 class TestImportGraph:
-    def test_cli_never_imports_scipy_integrate(self):
-        # scipy.integrate costs ~0.4 s and ~50 MB per process; only wkb_mode
-        # and the tests need it
+    def test_runtime_never_imports_scipy(self):
+        # numpy is the only runtime dependency; scipy is for the tests alone
         code = (
             "import sys\n"
-            "from thermalquench import cli\n"
-            "for command in ('limits', 'ness', 'series'):\n"
+            "from thermalquench import SwitchingProfile, ThermalParams, cli, wkb_mode\n"
+            "for command in ('eulerian', 'limits', 'series', 'ness', 'verify-all'):\n"
             "    assert cli.main([command]) == 0, command\n"
-            "assert 'scipy.integrate' not in sys.modules\n"
+            "params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=0.1)\n"
+            "wkb_mode(1.0, [-2.0, -0.5, 1.0], SwitchingProfile(1.0), params, t0=-1.0)\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, sorted(loaded)[:5]\n"
         )
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from thermalquench.cli import main
 
 BAD_VALUES = [math.nan, math.inf, -math.inf, -1.5, 0.0, 1e300, -1e300, 1e-300]
-# node counts only take values that fail validation: a huge count is a
-# Gauss-Legendre rule too large to build, not a malformed document
-BAD_COUNTS = [math.nan, math.inf, -math.inf, -3, 0]
+# node counts only take values that fail validation, 20000 among them: a
+# count beyond the node cap is refused before any rule is built
+BAD_COUNTS = [math.nan, math.inf, -math.inf, -3, 0, 20000]
 COUNT_FIELDS = {"n_radial", "n_time", "orders"}
 
 

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -177,16 +176,6 @@ class TestSolveModes:
         with pytest.raises(IntegratorError, match="step maps"):
             solve_modes(1.0, SwitchingProfile(1e300), PARAMS)
 
-    def test_csv_dump(self, tmp_path):
-        traj = solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=0.5)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "re_T", "im_T", "re_Tdot", "im_Tdot", "wronskian_residual"]
-        assert len(rows) == 1 + len(traj.t)
-        assert float(rows[1][0]) == traj.t[0]
-
 
 class TestGridAgainstAdaptiveReference:
     """The step-map grid against scipy's adaptive DOP853, 1000x tighter."""
@@ -233,6 +222,43 @@ class TestGridAgainstAdaptiveReference:
 
 
 class TestWkbMode:
+    @staticmethod
+    def reference(k, prof, params, t0, ts):
+        """The comparison mode with its ramp phase by scipy's adaptive quad,
+        as tight as quad goes, one call per stretch between consecutive ramp
+        times of the sorted ``ts`` (which start at or before -mu)."""
+        d = dispersion(k, params)
+        knots = np.clip(ts, -prof.mu, 0.0)
+        stretches = [
+            quad(lambda s: float(time_frequency(k, s, prof, params)), a, b,
+                 epsabs=0.0, epsrel=1.2e-14, limit=200)[0] if b > a else 0.0
+            for a, b in zip(knots[:-1], knots[1:])
+        ]
+        phase = (
+            d.eps * (np.minimum(ts, -prof.mu) - t0)
+            + np.concatenate(([0.0], np.cumsum(stretches)))
+            + d.eps_lambda * np.maximum(ts, 0.0)
+        )
+        return np.exp(-1j * phase) / np.sqrt(2.0 * time_frequency(k, ts, prof, params))
+
+    @pytest.mark.parametrize("mu", [1e-3, 1.0, 5.0, 40.0])
+    @pytest.mark.parametrize("k", [0.0, 1.0, 3.0])
+    def test_panels_match_adaptive_reference(self, k, mu):
+        # from t0 through 32 stretches of the ramp to t = 5
+        prof = SwitchingProfile(mu)
+        t0 = -mu - 1.0
+        ts = np.concatenate((np.linspace(t0, -mu, 3)[:-1], np.linspace(-mu, 0.0, 33),
+                             np.linspace(0.0, 5.0, 6)[1:]))
+        Ta = wkb_mode(k, ts, prof, PARAMS, t0=t0)
+        assert np.abs(Ta - self.reference(k, prof, PARAMS, t0, ts)).max() <= 1e-12
+
+    def test_scalar_time(self):
+        prof = SwitchingProfile(5.0)
+        Ta = wkb_mode(1.0, -1.7, prof, PARAMS, t0=-6.0)
+        assert isinstance(Ta, complex)
+        ref = self.reference(1.0, prof, PARAMS, -6.0, np.array([-6.0, -1.7]))[-1]
+        assert abs(Ta - ref) <= 1e-12
+
     def test_modulus_law(self):
         prof = SwitchingProfile(4.0)
         ts = np.linspace(-6.0, 1.0, 80)

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -8,7 +7,8 @@ from scipy.integrate import quad
 from thermalquench.modes import BogoliubovPair, IntegratorError, SwitchingProfile, solve_modes
 from thermalquench.spectral import TestPacket as Packet
 from thermalquench.spectral import (
-    QuadratureError,
+    TAIL_SIGMAS,
+    TIME_SIGMAS,
     QuadratureSpec,
     SpectralState,
     _gauss_legendre,
@@ -63,11 +63,11 @@ class TestQuadratureRules:
     def test_rules_equal_uncached_leggauss(self, n):
         x, w = np.polynomial.legendre.leggauss(n)
         quad = QuadratureSpec(n_radial=n, n_time=n)
-        k_max = max(p.k_center + quad.tail_sigmas * p.k_width for p in (F, G))
+        k_max = max(p.k_center + TAIL_SIGMAS * p.k_width for p in (F, G))
         nodes, weights = quad.radial_rule(F, G)
         np.testing.assert_array_equal(nodes, 0.5 * k_max * (x + 1.0))
         np.testing.assert_array_equal(weights, 0.5 * k_max * w)
-        lo, hi = F.time_support(quad.time_sigmas)
+        lo, hi = F.time_support(TIME_SIGMAS)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         t, wt = quad.time_rule(F)
         np.testing.assert_array_equal(t, mid + half * x)
@@ -204,10 +204,6 @@ class TestPair:
         fine = pair(adiabatic(PARAMS), F, G, QUAD.refined())
         assert abs(fine - coarse) <= 1e-9
 
-    def test_check_tol_raises(self):
-        with pytest.raises(QuadratureError):
-            pair(adiabatic(PARAMS), F, G, QUAD, check_tol=1e-30)
-
     def test_report_keys(self):
         rep = pair_report(adiabatic(PARAMS), F, G, QUAD)
         assert set(rep) == {"label", "value_re", "value_im", "refinement_delta", "node_count"}
@@ -268,15 +264,3 @@ class TestPairFiniteMu:
         traj = solve_modes(1.0, SwitchingProfile(1.0), PARAMS, t_max=1.0)
         with pytest.raises(ValueError):
             traj.evaluate(F.time_support()[1])
-
-
-class TestStateExport:
-    def test_csv_columns(self, tmp_path):
-        path = tmp_path / "state.csv"
-        adiabatic(PARAMS).to_csv(path, np.array([0.5, 1.0]))
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["k", "c_plus", "c_minus", "branch_frequency"]
-        assert len(rows) == 3
-        d = dispersion(0.5, PARAMS)
-        assert float(rows[1][3]) == pytest.approx(d.eps_lambda, rel=1e-15)
