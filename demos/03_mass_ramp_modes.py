@@ -30,7 +30,7 @@ def main():
     print("\n== one trajectory in detail (mu = 10) ==")
     prof = SwitchingProfile(10.0)
     traj = solve_modes(k, prof, PARAMS, t_max=2.0)
-    print(f"solver steps: {len(traj.t)}, span [{traj.t_start:.1f}, {traj.t_end:.1f}]")
+    print(f"solver steps: {len(traj.t)}, span [{-traj.mu:.1f}, {traj.t_end:.1f}]")
     print(f"max |W - i| along the trajectory: {traj.max_wronskian_residual:.2e}")
     for t in (-12.0, -5.0, 0.0, 2.0):
         T, _ = traj.evaluate(t)

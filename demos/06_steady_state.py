@@ -14,6 +14,7 @@ from thermalquench import (
     SwitchingProfile,
     ThermalParams,
     bogoliubov,
+    dispersion,
     ergodic_averages,
     ergodic_limits,
     ness_classical,
@@ -31,7 +32,7 @@ def main():
     print("== Bogoliubov pairs across momentum (unit ramp) ==")
     for k in (0.0, 0.5, 1.0, 2.0):
         traj = solve_modes(k, prof, PARAMS, t_max=1.0, rtol=1e-12, atol=1e-14, method="DOP853")
-        b = bogoliubov(traj, PARAMS)
+        b = bogoliubov(traj)
         print(
             f"  k={k:3.1f}: |A+|={abs(b.a_plus):.6f} |A-|={abs(b.a_minus):.6f}"
             f"  normalization residual {b.normalization_residual:.1e}"
@@ -40,7 +41,7 @@ def main():
     print("\n== the sharp-ramp limit against the matched-jump closed form ==")
     sharp = SwitchingProfile(1e-3)
     traj = solve_modes(0.0, sharp, PARAMS, t_max=0.1, rtol=1e-12, atol=1e-14, method="DOP853")
-    got = bogoliubov(traj, PARAMS)
+    got = bogoliubov(traj)
     want = sudden_quench_pair(0.0, PARAMS)
     print(f"  extracted: A+ = {got.a_plus:.6f}, A- = {got.a_minus:.6f}")
     print(f"  closed    : A+ = {want.a_plus:.6f}, A- = {want.a_minus:.6f}")
@@ -48,8 +49,8 @@ def main():
     print("\n== ergodic averages approach their limits at rate 1/horizon ==")
     t1, t2 = 0.5, -0.25
     traj = solve_modes(0.0, prof, PARAMS, t_max=2.0)
-    bog = bogoliubov(traj, PARAMS)
-    lim_tt, lim_ttbar = ergodic_limits(bog, traj.eps_lambda, t1, t2)
+    bog = bogoliubov(traj)
+    lim_tt, lim_ttbar = ergodic_limits(bog, dispersion(0.0, PARAMS).eps_lambda, t1, t2)
     print(f"  limit of <T T>     = {lim_tt:+.8f}")
     print(f"  limit of <T conjT> = {lim_ttbar:+.8f}")
     for horizon in (100.0, 1000.0, 10000.0):

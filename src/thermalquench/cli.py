@@ -17,7 +17,9 @@ when writing to a directory).
 
 Exit codes: 0 success, 1 criterion failure, 2 config/schema error,
 3 numerical-infrastructure failure (a failed solver gate or a floating-point
-breakdown).
+breakdown).  Every command runs with numpy's overflow, divide-by-zero and
+invalid-operation errors raised, so a breakdown exits 3 instead of leaving a
+warning on stderr.
 """
 
 from __future__ import annotations
@@ -292,13 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # FloatingPointError is an ArithmeticError: exit 3 below
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.fn(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except (IntegratorError, ArithmeticError) as exc:
-        # ArithmeticError: an overflow, a vanished denominator or a
-        # non-finite payload (NonFiniteOutput)
+        # ArithmeticError: a floating-point breakdown, a vanished
+        # denominator, a non-finite temperature shift or a non-finite
+        # payload (NonFiniteOutput)
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICS
 

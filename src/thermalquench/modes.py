@@ -26,16 +26,22 @@ estimate, taken per step and per momentum as scipy's step control takes it
 for a single mode; each momentum's Wronskian is gated at every grid node
 and at every ramp time a caller reads.  Values between nodes are one
 partial step of the same scheme from the node before.  Before -mu the mode
-is the plane wave, and for t >= 0 it is closed form from its data at t = 0.
-:func:`solve_modes`, :func:`switch_integrals` and :func:`bogoliubov` take a
-momentum array as well as a scalar: an array is one batched solve, and a
-scalar is the batch of one.
+is the plane wave, and for t >= 0 it is closed form from its data at t = 0,
+the grid's last node, where the Bogoliubov pair is read.
+
+A :class:`ModeTrajectory` always holds the batch, one row per momentum.
+:func:`solve_modes` and :func:`switch_integrals` take a momentum array as
+well as a scalar: an array is one batched solve, and a scalar is the batch
+of one, whose callers get its single row or number back from
+``evaluate``, :func:`bogoliubov` and :func:`switch_integrals`.  Only
+:func:`solve_modes` takes tolerances; the consumers here solve at its
+defaults.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -266,7 +272,9 @@ def _error_norm(err5, err3, y, h: float, rtol: float, atol: float):
     return np.divide(h * e5, np.sqrt(2.0 * denom), out=np.zeros_like(e5), where=denom > 0)
 
 
-def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: float, atol: float):
+def _ramp_solve(
+    k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: float, atol: float, t_end: float
+):
     """One ramp solve of the mode equation for every momentum in ``k_mags``.
 
     A uniform grid on [-mu, 0] carries the plane-wave data at -mu through
@@ -278,9 +286,11 @@ def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: flo
     after a rejection, to ceil(N * err**(1/8) / 0.9), for at most
     ``_MAX_PASSES`` grids of at most ``_MAX_GRID`` step maps.  Every
     momentum's Wronskian is then gated at every node.  Returns a
-    :class:`ModeTrajectory` of the momentum array that answers for all t.
+    :class:`ModeTrajectory` of the momentum batch that answers up to
+    ``t_end``.
     """
-    ks = np.atleast_1d(np.asarray(k_mags, dtype=float))
+    k_mag = np.asarray(k_mags, dtype=float)
+    ks = np.atleast_1d(k_mag)
     disp = dispersion(ks, params)
     eps, eps_lam = disp.eps, disp.eps_lambda
     mu, shift, n = prof.mu, params.mass_shift, ks.size
@@ -315,20 +325,14 @@ def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: flo
         size = n_steps * err**0.125 / 0.9
     T = (y[..., 0, 0] + 1j * y[..., 0, 1]).T
     Td = (y[..., 1, 0] + 1j * y[..., 1, 1]).T
-    drift = _wronskian_residual(T, Td)
-    col, node = np.unravel_index(np.argmax(drift), drift.shape)
-    traj = ModeTrajectory(
-        k_mag=ks, mu=mu, params=params, eps=eps, eps_lambda=eps_lam, t=t, T=T, Tdot=Td,
-        t_start=-mu, t_end=math.inf, passes=passes,
-        worst_drift=float(drift[col, node]), worst_drift_t=float(t[node]),
+    worst_drift, worst_drift_t = _gate(
+        T, Td, ks, mu, t,
+        f"grid of {n_steps} steps after {passes} passes, rtol={rtol}, atol={atol}",
     )
-    if not traj.worst_drift <= _WRONSKIAN_TOL:  # a NaN drift fails too
-        raise IntegratorError(
-            f"Wronskian drift {traj.worst_drift:.3e} exceeds {_WRONSKIAN_TOL:.1e} "
-            f"for k={ks[col]}, mu={mu} at t={traj.worst_drift_t:.6g} (grid of {n_steps} "
-            f"steps after {passes} passes, rtol={rtol}); tighten the solver tolerances"
-        )
-    return traj
+    return ModeTrajectory(
+        k_mag=k_mag, mu=mu, params=params, eps=eps, eps_lambda=eps_lam, t=t, T=T, Tdot=Td,
+        t_end=t_end, passes=passes, worst_drift=worst_drift, worst_drift_t=worst_drift_t,
+    )
 
 
 def _wronskian_residual(T, Td):
@@ -336,34 +340,58 @@ def _wronskian_residual(T, Td):
     return np.abs(np.conj(Td) * T - np.conj(T) * Td - 1j)
 
 
+def _gate(T, Td, ks, mu: float, t, detail: str) -> tuple[float, float]:
+    """The Wronskian gate over (T, Tdot) with one row per momentum ``ks`` and
+    one column per time ``t``: returns the worst drift and its time, or
+    raises ``IntegratorError`` naming both when the drift exceeds
+    ``_WRONSKIAN_TOL``, with ``detail`` in parentheses at the end."""
+    drift = _wronskian_residual(T, Td)
+    col, i = np.unravel_index(np.argmax(drift), drift.shape)
+    worst = float(drift[col, i])
+    if not worst <= _WRONSKIAN_TOL:  # a NaN drift fails too
+        raise IntegratorError(
+            f"Wronskian drift {worst:.3e} exceeds {_WRONSKIAN_TOL:.1e} "
+            f"for k={ks[col]}, mu={mu} at t={t[i]:.6g} ({detail})"
+        )
+    return worst, float(t[i])
+
+
+def _for_caller(k_mag, *batch):
+    """Per-momentum arrays, momentum axis first, as the caller of ``k_mag``
+    gets them: unchanged for a momentum array; for a scalar momentum, the
+    one row of each, or the one Python number of a 1-D array."""
+    if np.ndim(k_mag):
+        return batch
+    return tuple(b[0] if b.ndim > 1 else b[0].item() for b in batch)
+
+
 @dataclass
 class ModeTrajectory:
     """Solved modes for one mu: the grid solution and how it was obtained.
 
-    ``t`` holds the nodes of the uniform grid on [t_start, 0] = [-mu, 0],
-    the only stretch that is integrated.  :meth:`evaluate` extends exactly
-    to all t < t_start with the incoming plane wave, answers between nodes
-    with one partial step from the node before, answers on (0, t_end] in
-    closed form from the data at t = 0, and rejects t > t_end.
+    The trajectory always holds the batch: ``eps``, ``eps_lambda`` have one
+    entry and ``T``, ``Tdot`` one row per momentum.  ``k_mag`` is the
+    momentum array the solve was asked for, 0-d for a scalar momentum.
+    ``t`` holds the nodes of the uniform grid on [-mu, 0], the only stretch
+    that is integrated; its last node is t = 0, where :func:`bogoliubov`
+    reads the pairs.  :meth:`evaluate` extends exactly to all t < -mu with
+    the incoming plane wave, answers between nodes with one partial step
+    from the node before, answers on (0, t_end] in closed form from the
+    data at t = 0, and rejects t > t_end.
 
     ``passes`` is the number of grids the step-count search laid, and
     ``worst_drift`` the largest Wronskian drift over every node and
     momentum, reached at ``worst_drift_t``.
-
-    For a scalar momentum ``k_mag``, ``eps`` and ``eps_lambda`` are floats
-    and ``T``, ``Tdot`` have shape (len(t),); for a momentum array they are
-    arrays, with one row of ``T`` and ``Tdot`` per momentum.
     """
 
-    k_mag: float | np.ndarray
+    k_mag: np.ndarray
     mu: float
     params: ThermalParams
-    eps: float | np.ndarray
-    eps_lambda: float | np.ndarray
+    eps: np.ndarray
+    eps_lambda: np.ndarray
     t: np.ndarray
     T: np.ndarray
     Tdot: np.ndarray
-    t_start: float
     t_end: float
     passes: int
     worst_drift: float
@@ -375,68 +403,52 @@ class ModeTrajectory:
         return self.t.size - 1
 
     def evaluate(self, t):
-        """(T, Tdot) at arbitrary times t <= t_end, each of shape (len(t),)
-        for a scalar momentum and (len(k_mag), len(t)) for an array.  Every
-        momentum's Wronskian is gated at the times inside the ramp."""
+        """(T, Tdot) at arbitrary times t <= t_end, each of shape
+        (len(k_mag), len(t)) for a momentum array and (len(t),) for a
+        scalar momentum.  Every momentum's Wronskian is gated at the times
+        inside the ramp."""
+        return _for_caller(self.k_mag, *self._evaluate(t))
+
+    def _evaluate(self, t):
+        """:meth:`evaluate` for the whole batch, one row per momentum."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t > self.t_end + 1e-12):
             raise ValueError(
                 f"trajectory solved up to t={self.t_end}, requested t={t.max()}"
             )
-        eps, eps_lam = np.atleast_1d(self.eps), np.atleast_1d(self.eps_lambda)
-        T_grid, Td_grid = np.atleast_2d(self.T), np.atleast_2d(self.Tdot)
-        T = np.empty((eps.size, t.size), dtype=complex)
+        T = np.empty((self.eps.size, t.size), dtype=complex)
         Td = np.empty_like(T)
-        before = t < self.t_start
+        before = t < -self.mu
         after = t >= 0.0
         ramp = ~(before | after)
         if np.any(before):
-            T[:, before], Td[:, before] = _incoming(eps[:, None], t[before])
+            T[:, before], Td[:, before] = _incoming(self.eps[:, None], t[before])
         if np.any(ramp):
             T[:, ramp], Td[:, ramp] = self._between_nodes(t[ramp])
         if np.any(after):
             T[:, after], Td[:, after] = _after_switch(
-                T_grid[:, -1:], Td_grid[:, -1:], eps_lam[:, None], t[after]
+                self.T[:, -1:], self.Tdot[:, -1:], self.eps_lambda[:, None], t[after]
             )
-        if np.ndim(self.eps) == 0:
-            return T[0], Td[0]
         return T, Td
 
     def _between_nodes(self, ts):
         """(T, Tdot) at ramp times ``ts`` by one partial step from the node
         before each, a block of times at a time, with the Wronskian gated."""
-        eps = np.atleast_1d(self.eps)
-        T_grid, Td_grid = np.atleast_2d(self.T), np.atleast_2d(self.Tdot)
-        T = np.empty((eps.size, ts.size), dtype=complex)
+        T = np.empty((self.eps.size, ts.size), dtype=complex)
         Td = np.empty_like(T)
-        block = max(1, _BLOCK // eps.size)
+        block = max(1, _BLOCK // self.eps.size)
         for lo in range(0, ts.size, block):
             part = slice(lo, lo + block)
             node = np.searchsorted(self.t, ts[part], side="right") - 1
             step, _, _ = _step_maps(
-                self.t[node], ts[part] - self.t[node], eps, self.params.mass_shift, self.mu
+                self.t[node], ts[part] - self.t[node], self.eps, self.params.mass_shift, self.mu
             )
-            T0, Td0 = T_grid[:, node].T, Td_grid[:, node].T
+            T0, Td0 = self.T[:, node].T, self.Tdot[:, node].T
             T[:, part] = (step[..., 0, 0] * T0 + step[..., 0, 1] * Td0).T
             Td[:, part] = (step[..., 1, 0] * T0 + step[..., 1, 1] * Td0).T
-        drift = _wronskian_residual(T, Td)
-        col, i = np.unravel_index(np.argmax(drift), drift.shape)
-        if not drift[col, i] <= _WRONSKIAN_TOL:
-            raise IntegratorError(
-                f"Wronskian drift {drift[col, i]:.3e} exceeds {_WRONSKIAN_TOL:.1e} "
-                f"for k={np.atleast_1d(self.k_mag)[col]}, mu={self.mu} at t={ts[i]:.6g} "
-                f"(grid of {self.n_steps} steps after {self.passes} passes)"
-            )
+        _gate(T, Td, np.ravel(self.k_mag), self.mu, ts,
+              f"grid of {self.n_steps} steps after {self.passes} passes")
         return T, Td
-
-    def wronskian_residual(self, t=None):
-        """|W(t) - i| with W = conj(Tdot)*T - conj(T)*Tdot; the exact value
-        is i, so this is the integrator's error monitor."""
-        if t is None:
-            T, Td = self.T, self.Tdot
-        else:
-            T, Td = self.evaluate(t)
-        return _wronskian_residual(T, Td)
 
     @property
     def max_wronskian_residual(self) -> float:
@@ -467,30 +479,7 @@ def solve_modes(
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     if method != "DOP853":
         raise ValueError(f"ramp solves use method='DOP853', got {method!r}")
-    traj = _ramp_solve(k_mag, prof, params, rtol, atol)
-    if np.ndim(k_mag) == 0:
-        traj = replace(
-            traj, k_mag=float(k_mag), eps=float(traj.eps[0]), eps_lambda=float(traj.eps_lambda[0]),
-            T=traj.T[0], Tdot=traj.Tdot[0],
-        )
-    return replace(traj, t_end=t_max)
-
-
-def sample_modes(
-    k_mags,
-    prof: SwitchingProfile,
-    params: ThermalParams,
-    times,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> np.ndarray:
-    """Mode values T(k, t) for every momentum in ``k_mags`` and every time in
-    ``times``, shape (len(k_mags), len(times)), from one batched ramp solve:
-    a partial step from the grid inside the ramp, where every column's
-    Wronskian is gated, the closed form after it and the incoming wave
-    before it."""
-    T, _ = _ramp_solve(k_mags, prof, params, rtol, atol).evaluate(times)
-    return T
+    return _ramp_solve(k_mag, prof, params, rtol, atol, t_max)
 
 
 def wkb_mode(k_mag, t, prof: SwitchingProfile, params: ThermalParams, t0: float):
@@ -547,13 +536,7 @@ def switch_integral_limit(k_mag, params: ThermalParams):
     return 1.0 / (disp.eps + disp.eps_lambda)
 
 
-def switch_integrals(
-    k_mag,
-    prof: SwitchingProfile,
-    params: ThermalParams,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-):
+def switch_integrals(k_mag, prof: SwitchingProfile, params: ThermalParams):
     """Switching-weighted integrals of the solved mode over the ramp.
 
     Returns (I_sq, I_abs) with
@@ -562,21 +545,18 @@ def switch_integrals(
         I_abs = integral of |T(t)|^2 * d/dt chi(t/mu),
 
     computed by composite Gauss-Legendre on the solution of one
-    :func:`solve_modes` call, read between its grid nodes by partial steps.  A scalar ``k_mag`` gives (complex, float); a
-    momentum array is one batched solve and gives one value per momentum,
+    :func:`solve_modes` call at its default tolerances, read between its
+    grid nodes by partial steps.  A scalar ``k_mag`` gives (complex, float);
+    a momentum array is one batched solve and gives one value per momentum,
     on panels sized by the largest eps_lambda in the batch.  As mu grows,
     I_abs tends to 1/(eps_lambda + eps) and I_sq tends to 0.
     """
-    traj = solve_modes(k_mag, prof, params, t_max=0.0, rtol=rtol, atol=atol)
+    traj = solve_modes(k_mag, prof, params, t_max=0.0)
     # panels sized for both the mode oscillation and the bump-shaped rate
     nodes, weights = _panel_nodes(-prof.mu, 0.0, 2.0 * np.max(traj.eps_lambda), min_panels=16)
-    T, _ = traj.evaluate(nodes)
+    T, _ = traj._evaluate(nodes)
     w = weights * prof.rate(nodes)
-    i_sq = (T * T) @ w
-    i_abs = (T.real**2 + T.imag**2) @ w
-    if np.ndim(k_mag) == 0:
-        return complex(i_sq), float(i_abs)
-    return i_sq, i_abs
+    return _for_caller(k_mag, (T * T) @ w, (T.real**2 + T.imag**2) @ w)
 
 
 @dataclass(frozen=True)
@@ -594,26 +574,22 @@ class BogoliubovPair:
         return abs(abs(self.a_plus) ** 2 - abs(self.a_minus) ** 2 - 1.0)
 
 
-def bogoliubov(traj: ModeTrajectory, params: ThermalParams, t_star: float = 0.0) -> BogoliubovPair:
-    """Extract the Bogoliubov pair by matching (T, Tdot) at one t_star >= 0.
+def bogoliubov(traj: ModeTrajectory) -> BogoliubovPair:
+    """The Bogoliubov pair of every momentum, read from (T, Tdot) at the
+    trajectory's last grid node, t = 0.
 
-    On t >= 0 the frequency is constant, so the 2x2 match is exact and the
-    result is t_star-independent up to integration error.  The basis matrix
-    has determinant of modulus 2*eps_lambda, so the system is uniformly
-    well-conditioned for any positive shifted frequency.  A trajectory of a
-    momentum array gives a pair of arrays, one entry per momentum.
+    From t = 0 on the frequency is eps_lambda, so matching the two-frequency
+    form to the data there is exact.  The basis matrix has determinant of
+    modulus 2*eps_lambda, so the match is uniformly well-conditioned for any
+    positive shifted frequency.  A trajectory of a momentum array gives a
+    pair of arrays, one entry per momentum, and one of a scalar momentum a
+    pair of complex numbers.
     """
-    if t_star < 0:
-        raise ValueError(f"t_star must be >= 0, got {t_star}")
-    el = traj.eps_lambda
-    T, Td = traj.evaluate(t_star)
-    T, Td = T[..., 0], Td[..., 0]
+    T, Td, el = traj.T[:, -1], traj.Tdot[:, -1], traj.eps_lambda
     root = np.sqrt(2.0 * el) / 2.0
-    a_plus = root * (T + 1j * Td / el) * np.exp(1j * el * t_star)
-    a_minus = root * (T - 1j * Td / el) * np.exp(-1j * el * t_star)
-    if np.ndim(el) == 0:
-        return BogoliubovPair(complex(a_plus), complex(a_minus))
-    return BogoliubovPair(a_plus, a_minus)
+    return BogoliubovPair(
+        *_for_caller(traj.k_mag, root * (T + 1j * Td / el), root * (T - 1j * Td / el))
+    )
 
 
 def sudden_quench_pair(k_mag, params: ThermalParams) -> BogoliubovPair:
@@ -657,33 +633,33 @@ def ergodic_averages(
     t2: float,
     horizon: float,
     traj: ModeTrajectory | None = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ):
     """Finite-horizon averages of T(t1+tau)*T(t2+tau) and T(t1+tau)*conj(T(t2+tau)).
 
-    The average runs over tau in [0, horizon].  Once both shifted arguments
-    are >= 0 the integrand is an explicit trigonometric polynomial in the
-    Bogoliubov pair and is integrated analytically; the initial stretch
-    (when either argument still probes the ramp) is done by quadrature on
-    the solved trajectory.  Both averages approach their infinite-horizon
-    limits at rate O(1/horizon).
+    The average runs over tau in [0, horizon] for one momentum: that of
+    ``traj`` when it is given, else ``k_mag`` solved at the default
+    tolerances.  Once both shifted arguments are >= 0 the integrand is an
+    explicit trigonometric polynomial in the Bogoliubov pair and is
+    integrated analytically; the initial stretch (when either argument
+    still probes the ramp) is done by quadrature on the solved trajectory.
+    Both averages approach their infinite-horizon limits at rate
+    O(1/horizon).
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     tau_min = max(0.0, -t1, -t2)
     if traj is None:
         t_need = max(1.0, max(t1, t2) + min(tau_min, horizon))
-        traj = solve_modes(k_mag, prof, params, t_max=t_need, rtol=rtol, atol=atol)
-    el = traj.eps_lambda
-    bog = bogoliubov(traj, params)
+        traj = solve_modes(k_mag, prof, params, t_max=t_need)
+    eps, el = _for_caller(traj.k_mag, traj.eps, traj.eps_lambda)
+    bog = bogoliubov(traj)
 
     int_tt = 0.0 + 0.0j
     int_ttbar = 0.0 + 0.0j
 
     cut = min(tau_min, horizon)
     if cut > 0.0:
-        nodes, weights = _panel_nodes(0.0, cut, 2.0 * max(traj.eps, el))
+        nodes, weights = _panel_nodes(0.0, cut, 2.0 * max(eps, el))
         Ta, _ = traj.evaluate(t1 + nodes)
         Tb, _ = traj.evaluate(t2 + nodes)
         int_tt += np.sum(weights * Ta * Tb)

@@ -166,7 +166,9 @@ def convergence_guard(
     The Taylor disk of the thermal coefficient around beta has radius
     min(beta, sqrt(beta^2 + (2 pi / eps)^2)) = beta (pole at the origin);
     the imaginary poles additionally motivate the conservative cap
-    pi / eps_min.  Both are enforced at the worst node.
+    pi / eps_min.  Both are enforced at the worst node.  A shift or limit
+    that is not finite (``beta * shift`` overflows as a Python float without
+    a warning) is a numerical failure: ``ArithmeticError``.
     """
     k, _ = quad.radial_rule(f, g)
     disp = dispersion(k, params)
@@ -174,6 +176,11 @@ def convergence_guard(
     max_shift = float(np.max(delta_beta))
     eps_min = float(np.min(disp.eps))
     limit = min(params.beta, math.pi / eps_min)
+    if not (math.isfinite(max_shift) and math.isfinite(limit)):
+        raise ArithmeticError(
+            f"convergence guard: temperature shift {max_shift:.3g} or its limit {limit:.3g} "
+            "is not finite"
+        )
     return max_shift < limit, max_shift, limit
 
 

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .modes import BogoliubovPair, SwitchingProfile, sample_modes
+from .modes import BogoliubovPair, SwitchingProfile, solve_modes
 from .thermal import ThermalParams, bose_coefficient, dispersion
 
 
@@ -60,8 +60,10 @@ class TestPacket:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.k_center, self.k_width, self.t_center, self.t_width))):
             raise ValueError(f"packet fields must be finite, got {self}")
-        if not (self.k_center >= 0) or not (self.k_width > 0) or not (self.t_width > 0):
-            raise ValueError("packet requires k_center >= 0 and positive widths")
+        # the profiles divide by the squared widths, so a square must not underflow to 0
+        widths = (self.k_width, self.t_width)
+        if not (self.k_center >= 0) or not all(w > 0 and w**2 > 0 for w in widths):
+            raise ValueError("packet requires k_center >= 0 and widths with positive squares")
 
     def spatial(self, k):
         k = np.asarray(k, dtype=float)
@@ -269,23 +271,24 @@ def pair_finite_mu(
     f: TestPacket,
     g: TestPacket,
     quad: QuadratureSpec = QuadratureSpec(),
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> complex:
     """Time-domain pairing against the ramped free thermal state.
 
     One batched ramp solve per switching scale covers every radial node:
-    :func:`~thermalquench.modes.sample_modes` carries all of them through the
-    step maps of one grid on [-mu, 0] and reads the packets' time nodes inside
-    the ramp by partial steps, where every node's Wronskian is gated.  Past
-    t = 0 the modes are closed form, so the packets' temporal supports may
-    extend arbitrarily far.  Each mode is projected onto both packets'
-    temporal profiles; the thermal coefficients stay at the free frequency.
+    :func:`~thermalquench.modes.solve_modes`, at its default tolerances,
+    carries all of them through the step maps of one grid on [-mu, 0], and
+    the trajectory reads the packets' time nodes inside the ramp by partial
+    steps, where every node's Wronskian is gated.  Past t = 0 the modes are
+    closed form, so the solve answers up to the last time node however far
+    the packets' temporal supports extend.  Each mode is projected onto both
+    packets' temporal profiles; the thermal coefficients stay at the free
+    frequency.
     """
     tf, wf = quad.time_rule(f)
     tg, wg = quad.time_rule(g)
     k, wk = quad.radial_rule(f, g)
-    T = sample_modes(k, prof, params, np.concatenate((tf, tg)), rtol=rtol, atol=atol)
+    times = np.concatenate((tf, tg))
+    T, _ = solve_modes(k, prof, params, t_max=max(0.0, times.max())).evaluate(times)
     u_f = T[:, : tf.size] @ (wf * f.temporal(tf))
     u_g = T[:, tf.size :] @ (wg * g.temporal(tg))
     eps = dispersion(k, params).eps

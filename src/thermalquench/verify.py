@@ -256,7 +256,7 @@ def criterion_8(config: RunConfig) -> CriterionResult:
     t0 = time.perf_counter()
     norm_tol = config.tolerances["bogoliubov_norm_abs"]
     sudden_tol = config.tolerances["sudden_quench_abs"]
-    pairs = [bogoliubov(traj, MODE_PARAMS) for traj in _suite_trajectories(config)]
+    pairs = [bogoliubov(traj) for traj in _suite_trajectories(config)]
     worst_norm = float(max(np.max(p.normalization_residual) for p in pairs))
     sharp = pairs[-1]
     oracle = sudden_quench_pair(np.array(config.k_values), MODE_PARAMS)
@@ -282,7 +282,7 @@ def ness_bogoliubov_map(params: ThermalParams, mu: float = 1.0):
         key = (k.shape, k.tobytes())
         if key not in solved:
             traj = solve_modes(k, SwitchingProfile(mu), params, t_max=0.0, rtol=1e-12, atol=1e-14)
-            solved[key] = bogoliubov(traj, params)
+            solved[key] = bogoliubov(traj)
         return solved[key]
 
     return bog

@@ -112,10 +112,15 @@ class TestLimits:
             '{"ladders": {"orders": [1, 17]}}',
             '{"params": {"lam": 1e300, "m0_sq": 1e300}}',
             '{"quadrature": {"n_radial": 20000}}',
+            '{"packets": [{"k_center": 1.0, "k_width": 1e-300, "t_center": 2.0, "t_width": 0.3},'
+            ' {"k_center": 1.0, "k_width": 0.5, "t_center": 2.5, "t_width": 0.3}]}',
+            '{"packets": [{"k_center": 1.0, "k_width": 0.5, "t_center": 2.0, "t_width": 0.3},'
+            ' {"k_center": 1.0, "k_width": 0.5, "t_center": 2.5, "t_width": 1e-300}]}',
         ],
         ids=["mu-descending", "k-unsorted-duplicate", "k-empty", "n-radial-zero", "n-time-negative",
              "k-center-nan", "beta-infinity", "mu-infinity", "mu-ladder-infinity",
-             "orders-infinity", "orders-beyond-cap", "mass-shift-overflow", "n-radial-20000"],
+             "orders-infinity", "orders-beyond-cap", "mass-shift-overflow", "n-radial-20000",
+             "k-width-underflow", "t-width-underflow"],
     )
     def test_malformed_config(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
@@ -212,6 +217,39 @@ class TestBatchedRampSolves:
         assert captured.err.startswith("numerical failure: non-finite value in CSV column")
         assert "Traceback" not in captured.err
         assert not out.exists()
+
+
+class TestFloatingPointBreakdown:
+    """An overflow, a division by zero or an invalid operation in numpy, or a
+    non-finite temperature shift, is a numerical failure: exit 3, one line on
+    stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            # b_plus ~ 1e300 at beta = 1e-300, and the derivative tower squares it
+            pytest.param("series", {"params": {"beta": 1e-300, "m_sq": 1.0, "m0_sq": 1.0,
+                                               "lam": 0.1}}, "overflow", id="series-beta-1e-300"),
+            pytest.param("limits", {"ladders": {"k": [0.0, 1e300]}}, "overflow",
+                          id="limits-k-1e300"),
+            pytest.param(
+                "series",
+                {"params": {"beta": 1e200, "m_sq": 1e-300, "m0_sq": 1.0, "lam": 1e300},
+                 "packets": 2 * [{"k_center": 0.0, "k_width": 1e-10, "t_center": 0.0,
+                                  "t_width": 0.5}]},
+                "convergence guard: temperature shift inf", id="series-guard-overflow",
+            ),
+        ],
+    )
+    def test_exits_numerical(self, tmp_path, capsys, command, doc, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert run([command, "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestImportGraph:

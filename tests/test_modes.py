@@ -100,23 +100,24 @@ class TestSolveModes:
         traj = solve_modes(0.5, SwitchingProfile(4.0), PARAMS, t_max=1.0)
         ts = np.linspace(-5.0, -4.0, 30)
         T, _ = traj.evaluate(ts)
-        exact = np.exp(-1j * traj.eps * ts) / math.sqrt(2.0 * traj.eps)
+        eps = dispersion(0.5, PARAMS).eps
+        exact = np.exp(-1j * eps * ts) / math.sqrt(2.0 * eps)
         assert np.abs(T - exact).max() < 1e-10
 
     def test_amplitude_bound(self):
         # sup |T| <= incoming amplitude (equality only in the sharp limit)
         for k, mu in ((0.0, 1.0), (1.0, 5.0), (0.0, 40.0)):
             traj = solve_modes(k, SwitchingProfile(mu), PARAMS, t_max=2.0)
-            ts = np.linspace(traj.t_start, 2.0, 1500)
+            ts = np.linspace(-mu, 2.0, 1500)
             T, _ = traj.evaluate(ts)
-            assert np.abs(T).max() <= (1.0 + 1e-6) / math.sqrt(2.0 * traj.eps)
+            assert np.abs(T).max() <= (1.0 + 1e-6) / math.sqrt(2.0 * dispersion(k, PARAMS).eps)
 
     def test_flat_region_two_frequency_fit(self):
         # independent least-squares fit, not the matched extraction
         traj = solve_modes(0.0, SwitchingProfile(10.0), PARAMS, t_max=3.0)
         ts = np.linspace(0.0, 3.0, 120)
         T, _ = traj.evaluate(ts)
-        el = traj.eps_lambda
+        el = dispersion(0.0, PARAMS).eps_lambda
         basis = np.stack([np.exp(-1j * el * ts), np.exp(1j * el * ts)], axis=1)
         coeffs, *_ = np.linalg.lstsq(basis, T, rcond=None)
         residual = np.abs(basis @ coeffs - T).max()
@@ -127,15 +128,15 @@ class TestSolveModes:
         # closed form; the reference integrates straight through to t = 3
         k, prof = 0.7, SwitchingProfile(2.0)
         traj = solve_modes(k, prof, PARAMS, t_max=3.0)
-        eps = traj.eps
+        eps = dispersion(k, PARAMS).eps
         shift = PARAMS.mass_shift
 
         def rhs(t, y):
             return [y[1], -(eps * eps + shift * chi_unit(t / prof.mu)) * y[0]]
 
-        T0 = np.exp(-1j * eps * traj.t_start) / math.sqrt(2.0 * eps)
+        T0 = np.exp(1j * eps * prof.mu) / math.sqrt(2.0 * eps)
         ref = solve_ivp(
-            rhs, (traj.t_start, 3.0), [T0, -1j * eps * T0],
+            rhs, (-prof.mu, 3.0), [T0, -1j * eps * T0],
             method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True,
         )
         ts = np.linspace(0.0, 3.0, 61)[1:]
@@ -163,7 +164,7 @@ class TestSolveModes:
         assert traj.passes >= 1
         assert math.isfinite(traj.worst_drift) and 0.0 <= traj.worst_drift <= 1e-8
         assert traj.worst_drift == traj.max_wronskian_residual
-        assert traj.t_start <= traj.worst_drift_t <= 0.0
+        assert -traj.mu <= traj.worst_drift_t <= 0.0
         monkeypatch.setattr(modes, "_WRONSKIAN_TOL", 0.0)
         with pytest.raises(IntegratorError, match=r"at t=\S+ \(grid of \d+ steps after \d+ passes"):
             solve_modes(1.0, SwitchingProfile(5.0), PARAMS)
@@ -218,7 +219,7 @@ class TestGridAgainstAdaptiveReference:
             assert np.abs(T[i] - T_ref).max() <= 1e-9
             assert np.abs(Td[i] - Td_ref).max() <= 1e-9
         tight = solve_modes(ks, prof, params, t_max=0.0, rtol=1e-12, atol=1e-14)
-        assert np.max(bogoliubov(tight, params).normalization_residual) <= 1e-11
+        assert np.max(bogoliubov(tight).normalization_residual) <= 1e-11
 
 
 class TestWkbMode:
@@ -319,18 +320,33 @@ class TestSwitchIntegrals:
         large = abs(switch_integrals(0.0, SwitchingProfile(20.0), PARAMS)[0])
         assert large < small
 
+    @staticmethod
+    def tight_scalar_reference(k, prof):
+        """The integrals of one momentum on a solve at rtol 1e-12, on the
+        panels a scalar call lays for its own eps_lambda."""
+        traj = solve_modes(k, prof, PARAMS, t_max=0.0, rtol=1e-12, atol=1e-14)
+        el = dispersion(k, PARAMS).eps_lambda
+        nodes, weights = modes._panel_nodes(-prof.mu, 0.0, 2.0 * el, min_panels=16)
+        T, _ = traj.evaluate(nodes)
+        w = weights * prof.rate(nodes)
+        return complex((T * T) @ w), float(np.abs(T) ** 2 @ w)
+
+    def test_scalar_call_gives_numbers(self):
+        i_sq, i_abs = switch_integrals(1.0, SwitchingProfile(2.0), PARAMS)
+        assert type(i_sq) is complex and type(i_abs) is float
+
     def test_batch_matches_scalar_calls(self):
         # one batched solve per mu at the default tolerances against one
-        # scalar call per momentum; agreement to 1e-9 absolute on both
-        # integrals.  The scalar reference is solved 100x tighter: at the
-        # default rtol a scalar call is itself ~1e-9 off at mu = 2, k = 1
+        # scalar reference per momentum; agreement to 1e-9 absolute on both
+        # integrals.  The reference is solved 100x tighter: at the default
+        # rtol a scalar call is itself ~1e-9 off at mu = 2, k = 1
         ks = np.array([0.0, 0.4, 1.0, 2.5])
         for mu in (2.0, 20.0):
             prof = SwitchingProfile(mu)
             i_sq, i_abs = switch_integrals(ks, prof, PARAMS)
             assert i_sq.shape == i_abs.shape == ks.shape
             for k, b_sq, b_abs in zip(ks, i_sq, i_abs):
-                s_sq, s_abs = switch_integrals(float(k), prof, PARAMS, rtol=1e-12, atol=1e-14)
+                s_sq, s_abs = self.tight_scalar_reference(float(k), prof)
                 assert abs(b_sq - s_sq) <= 1e-9
                 assert abs(b_abs - s_abs) <= 1e-9
 
@@ -338,26 +354,30 @@ class TestSwitchIntegrals:
 class TestBogoliubov:
     def test_free_case(self):
         traj = solve_modes(0.0, SwitchingProfile(1.0), FREE, t_max=1.5)
-        b = bogoliubov(traj, FREE)
+        b = bogoliubov(traj)
         assert abs(b.a_plus - 1.0) < 1e-9
         assert abs(b.a_minus) < 1e-9
 
     @pytest.mark.parametrize("k", [0.0, 0.7, 2.0])
     def test_normalization(self, k):
         traj = solve_modes(k, SwitchingProfile(1.0), PARAMS, t_max=1.5)
-        assert bogoliubov(traj, PARAMS).normalization_residual <= 1e-8
+        assert bogoliubov(traj).normalization_residual <= 1e-8
 
-    def test_extraction_time_independent(self):
-        traj = solve_modes(0.5, SwitchingProfile(1.0), PARAMS, t_max=1.5)
-        b0 = bogoliubov(traj, PARAMS, t_star=0.0)
-        b1 = bogoliubov(traj, PARAMS, t_star=1.0)
-        assert abs(b0.a_plus - b1.a_plus) <= 1e-9
-        assert abs(b0.a_minus - b1.a_minus) <= 1e-9
-
-    def test_negative_t_star_rejected(self):
-        traj = solve_modes(0.5, SwitchingProfile(1.0), PARAMS, t_max=1.0)
-        with pytest.raises(ValueError):
-            bogoliubov(traj, PARAMS, t_star=-0.5)
+    def test_pair_reproduces_the_mode_after_the_switch(self):
+        # the pair read at the t = 0 node, continued as
+        # (a_plus e^{-i el t} + a_minus e^{+i el t}) / sqrt(2 el), against
+        # the trajectory's own evaluation at later times
+        ks = np.array([0.0, 0.5, 1.0, 2.5])
+        traj = solve_modes(ks, SwitchingProfile(1.0), PARAMS, t_max=3.0)
+        b = bogoliubov(traj)
+        assert b.a_plus.shape == b.a_minus.shape == ks.shape
+        ts = np.array([0.5, 1.0, 3.0])
+        el = dispersion(ks, PARAMS).eps_lambda[:, None]
+        continued = (
+            b.a_plus[:, None] * np.exp(-1j * el * ts) + b.a_minus[:, None] * np.exp(1j * el * ts)
+        ) / np.sqrt(2.0 * el)
+        T, _ = traj.evaluate(ts)
+        assert np.abs(continued - T).max() <= 1e-12
 
     def test_sudden_oracle(self):
         # matching the plane wave across an instantaneous jump by hand
@@ -373,7 +393,7 @@ class TestBogoliubov:
             0.0, SwitchingProfile(1e-3), PARAMS, t_max=0.1,
             rtol=1e-12, atol=1e-14, method="DOP853",
         )
-        b = bogoliubov(traj, PARAMS)
+        b = bogoliubov(traj)
         assert abs(b.a_plus - expected_plus) <= 1e-3
         assert abs(b.a_minus - expected_minus) <= 1e-3
 
@@ -386,8 +406,8 @@ class TestErgodicAverages:
 
     def test_limits_match_closed_forms(self):
         traj = solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=2.0)
-        bog = bogoliubov(traj, PARAMS)
-        el = traj.eps_lambda
+        bog = bogoliubov(traj)
+        el = dispersion(0.0, PARAMS).eps_lambda
         t1, t2 = 0.5, -0.25
         lim_tt, lim_ttbar = ergodic_limits(bog, el, t1, t2)
 
@@ -402,8 +422,8 @@ class TestErgodicAverages:
 
     def test_one_over_horizon_envelope(self):
         traj = solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=2.0)
-        bog = bogoliubov(traj, PARAMS)
-        lim_tt, lim_ttbar = ergodic_limits(bog, traj.eps_lambda, 0.5, -0.25)
+        bog = bogoliubov(traj)
+        lim_tt, lim_ttbar = ergodic_limits(bog, dispersion(0.0, PARAMS).eps_lambda, 0.5, -0.25)
         for horizon in (100.0, 1000.0, 10000.0):
             att, attb = ergodic_averages(
                 0.0, SwitchingProfile(1.0), PARAMS, 0.5, -0.25, horizon=horizon, traj=traj

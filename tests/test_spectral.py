@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from thermalquench import modes
 from thermalquench.modes import BogoliubovPair, IntegratorError, SwitchingProfile, solve_modes
 from thermalquench.spectral import TestPacket as Packet
 from thermalquench.spectral import (
@@ -48,6 +49,10 @@ class TestPacketData:
             Packet(k_center=-1.0, k_width=0.5)
         with pytest.raises(ValueError):
             Packet(k_width=0.0)
+        # the profiles divide by the squared widths
+        for field in ("k_width", "t_width"):
+            with pytest.raises(ValueError, match="positive squares"):
+                Packet(**{field: 1e-300})
 
     @pytest.mark.parametrize("field", ["k_center", "k_width", "t_center", "t_width"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -253,10 +258,13 @@ class TestPairFiniteMu:
         batched = pair_finite_mu(prof, PARAMS, F, G, quad)
         assert abs(batched - reference) <= 1e-9 * abs(reference)
 
-    def test_sloppy_tolerances_fail_the_wronskian_gate(self):
+    def test_sloppy_tolerances_fail_the_wronskian_gate(self, monkeypatch):
+        # a gate tighter than the default solve meets plays the part of a
+        # solve too sloppy for the default gate
+        monkeypatch.setattr(modes, "_WRONSKIAN_TOL", 1e-30)
         quad = QuadratureSpec(n_radial=8, n_time=40)
         with pytest.raises(IntegratorError, match="Wronskian drift"):
-            pair_finite_mu(SwitchingProfile(40.0), PARAMS, F, G, quad, rtol=1e-4, atol=1e-6)
+            pair_finite_mu(SwitchingProfile(40.0), PARAMS, F, G, quad)
 
     def test_packet_beyond_solve_rejected(self):
         # the temporal window is derived from the packets, so force a failure

@@ -40,7 +40,7 @@ class TestNessBogoliubovMap:
         assert np.max(batched.normalization_residual) <= 1e-11
         for i, k in enumerate(k_nodes):
             traj = solve_modes(float(k), SwitchingProfile(mu), params, t_max=0.0, rtol=1e-12, atol=1e-14)
-            ref = bogoliubov(traj, params)
+            ref = bogoliubov(traj)
             assert abs(batched.a_plus[i] - ref.a_plus) <= 1e-9
             assert abs(batched.a_minus[i] - ref.a_minus) <= 1e-9
 
