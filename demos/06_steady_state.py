@@ -54,7 +54,7 @@ def main():
     print(f"  limit of <T T>     = {lim_tt:+.8f}")
     print(f"  limit of <T conjT> = {lim_ttbar:+.8f}")
     for horizon in (100.0, 1000.0, 10000.0):
-        att, attb = ergodic_averages(0.0, prof, PARAMS, t1, t2, horizon=horizon, traj=traj)
+        att, attb = ergodic_averages(0.0, prof, PARAMS, t1, t2, horizon=horizon)
         err = abs(att - lim_tt) + abs(attb - lim_ttbar)
         print(f"  horizon={horizon:8.0f}: total error {err:.2e}  (envelope {1.0 / horizon:.1e})")
 

@@ -64,10 +64,10 @@ def _eulerian_coefficients(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def eulerian_row_recursive(n: int, cap: int = DEFAULT_ORDER_CAP) -> EulerianRow:
+def eulerian_row_recursive(n: int) -> EulerianRow:
     """Eulerian row by the two-term recursion, exact integers."""
-    if not 1 <= n <= cap:
-        raise ValueError(f"order must satisfy 1 <= n <= {cap}, got {n}")
+    if not 1 <= n <= DEFAULT_ORDER_CAP:
+        raise ValueError(f"order must satisfy 1 <= n <= {DEFAULT_ORDER_CAP}, got {n}")
     return EulerianRow(n, _eulerian_coefficients(n))
 
 

@@ -13,9 +13,17 @@ The schema is deliberately flat:
       "tolerances": {...}
     }
 
-Every number must be finite, every tolerance positive, every ladder
-strictly increasing, every order within the series order cap and every
-quadrature node count within ``NODE_CAP``;
+The schema is written down once: each section is read under the field
+names of the type it builds (``ThermalParams``, ``SwitchingProfile``,
+``TestPacket``, ``QuadratureSpec``), the tolerances under the keys of
+``DEFAULT_TOLERANCES`` and the ladders under the names in ``LADDERS``.
+Every key is optional except the four fields of a packet; an omitted key
+takes its value from :func:`default_config`.  An unknown key at any level
+is an error.  Every value is a JSON number, never a string or a boolean,
+and the four counts (``n_radial``, ``n_time``, ``orders`` and
+``schema_version``) are integers.  Every number must be finite, every
+tolerance positive, every ladder strictly increasing, every order within
+the series order cap and every quadrature node count within ``NODE_CAP``;
 violations raise :class:`ConfigError`, which the CLI maps to its
 config-error exit code.
 """
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .combinatorics import DEFAULT_ORDER_CAP
 from .modes import SwitchingProfile
@@ -50,6 +58,18 @@ DEFAULT_TOLERANCES = {
     "ness_ccr_abs": 1e-10,
     "ness_limit_abs": 1e-12,
     "cumulant_vanish_abs": 1e-12,
+}
+
+# JSON ladder name -> RunConfig field
+LADDERS = {"mu": "mu_ladder", "orders": "order_ladder", "horizons": "horizon_ladder", "k": "k_values"}
+# the integer-valued fields; every other number is read as a float
+COUNTS = {"n_radial", "n_time", "orders", "schema_version"}
+# JSON section -> the type it builds; each section's name is its RunConfig field
+SECTIONS = {
+    "params": ThermalParams,
+    "profile": SwitchingProfile,
+    "quadrature": QuadratureSpec,
+    "tolerances": dict,
 }
 
 
@@ -79,20 +99,14 @@ class RunConfig:
             )
         if len(self.packets) < 2:
             raise ConfigError("at least two packets are required (a pairing needs f and g)")
-        for name, ladder in (
-            ("mu", self.mu_ladder),
-            ("orders", self.order_ladder),
-            ("horizons", self.horizon_ladder),
-            ("k", self.k_values),
-        ):
+        for name, attr in LADDERS.items():
+            ladder = getattr(self, attr)
             if not ladder:
                 raise ConfigError(f"ladder {name!r} must not be empty")
             if any(b <= a for a, b in zip(ladder, ladder[1:])):
                 raise ConfigError(f"ladder {name!r} must be strictly increasing: {ladder}")
         if not all(map(math.isfinite, (*self.mu_ladder, *self.horizon_ladder, *self.k_values))):
             raise ConfigError("mu, horizon and k ladders must be finite")
-        if not math.isfinite(self.profile.mu):
-            raise ConfigError(f"profile mu must be finite, got {self.profile.mu}")
         if any(m <= 0 for m in self.mu_ladder) or any(h <= 0 for h in self.horizon_ladder):
             raise ConfigError("mu and horizon ladders must be positive")
         if any(n < 1 or n > DEFAULT_ORDER_CAP for n in self.order_ladder):
@@ -118,48 +132,21 @@ class RunConfig:
     def refined(self) -> "RunConfig":
         """Double quadrature node counts and densify the mu/horizon ladders
         with geometric midpoints (orders are already consecutive integers)."""
-        return RunConfig(
-            params=self.params,
-            profile=self.profile,
-            packets=self.packets,
+        return replace(
+            self,
             mu_ladder=_densify(self.mu_ladder),
-            order_ladder=self.order_ladder,
             horizon_ladder=_densify(self.horizon_ladder),
-            k_values=self.k_values,
             quadrature=self.quadrature.refined(),
-            tolerances=dict(self.tolerances),
-            schema_version=self.schema_version,
         )
 
     def to_dict(self) -> dict:
         return {
             "schema_version": self.schema_version,
-            "params": {
-                "beta": self.params.beta,
-                "m_sq": self.params.m_sq,
-                "m0_sq": self.params.m0_sq,
-                "lam": self.params.lam,
-            },
-            "profile": {"mu": self.profile.mu},
-            "packets": [
-                {
-                    "k_center": p.k_center,
-                    "k_width": p.k_width,
-                    "t_center": p.t_center,
-                    "t_width": p.t_width,
-                }
-                for p in self.packets
-            ],
-            "ladders": {
-                "mu": list(self.mu_ladder),
-                "orders": list(self.order_ladder),
-                "horizons": list(self.horizon_ladder),
-                "k": list(self.k_values),
-            },
-            "quadrature": {
-                "n_radial": self.quadrature.n_radial,
-                "n_time": self.quadrature.n_time,
-            },
+            "params": asdict(self.params),
+            "profile": asdict(self.profile),
+            "packets": [asdict(p) for p in self.packets],
+            "ladders": {name: list(getattr(self, attr)) for name, attr in LADDERS.items()},
+            "quadrature": asdict(self.quadrature),
             "tolerances": dict(sorted(self.tolerances.items())),
         }
 
@@ -185,65 +172,76 @@ def default_config() -> RunConfig:
     )
 
 
-def _require(d: dict, key: str, ctx: str):
-    if key not in d:
-        raise ConfigError(f"missing {ctx}.{key}" if ctx else f"missing {key}")
-    return d[key]
+def _number(value, where: str, count: bool):
+    """A JSON number as a float, or as an int for a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a JSON number, got {value!r}")
+    if not count:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _object(doc, ctx: str, names) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{ctx} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown keys in {ctx}: {unknown}")
+    return doc
+
+
+def _array(doc, ctx: str) -> list:
+    if not isinstance(doc, list):
+        raise ConfigError(f"{ctx} must be a JSON array, got {doc!r}")
+    return doc
+
+
+def _record(cls, doc, ctx: str, base=None):
+    """``cls`` built from the JSON object ``doc``, one number per key.
+
+    The keys are the field names of ``cls``, or those of ``base`` when
+    ``cls`` is ``dict``.  An omitted key keeps its value in ``base``; with no
+    base every key is required."""
+    names = base.keys() if cls is dict else [f.name for f in fields(cls)]
+    values = {
+        key: _number(value, f"{ctx}.{key}", key in COUNTS)
+        for key, value in _object(doc, ctx, names).items()
+    }
+    if base is None:
+        missing = sorted(set(names) - set(values))
+        if missing:
+            raise ConfigError(f"missing keys in {ctx}: {missing}")
+        return cls(**values)
+    return {**base, **values} if cls is dict else replace(base, **values)
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    known = {"schema_version", "params", "profile", "packets", "ladders", "quadrature", "tolerances"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
     base = default_config()
     try:
-        params_d = doc.get("params", {})
-        params = ThermalParams(
-            beta=float(params_d.get("beta", base.params.beta)),
-            m_sq=float(params_d.get("m_sq", base.params.m_sq)),
-            m0_sq=float(params_d.get("m0_sq", base.params.m0_sq)),
-            lam=float(params_d.get("lam", base.params.lam)),
-        )
-        profile = SwitchingProfile(mu=float(doc.get("profile", {}).get("mu", base.profile.mu)))
+        _object(doc, "config", {"schema_version", "packets", "ladders", *SECTIONS})
+        changes = {
+            name: _record(cls, doc[name], name, getattr(base, name))
+            for name, cls in SECTIONS.items()
+            if name in doc
+        }
         if "packets" in doc:
-            packets = tuple(
-                TestPacket(
-                    k_center=float(_require(p, "k_center", "packets[]")),
-                    k_width=float(_require(p, "k_width", "packets[]")),
-                    t_center=float(_require(p, "t_center", "packets[]")),
-                    t_width=float(_require(p, "t_width", "packets[]")),
-                )
-                for p in doc["packets"]
+            changes["packets"] = tuple(
+                _record(TestPacket, p, f"packets[{i}]")
+                for i, p in enumerate(_array(doc["packets"], "packets"))
             )
-        else:
-            packets = base.packets
-        ladders = doc.get("ladders", {})
-        quad_d = doc.get("quadrature", {})
-        quad = QuadratureSpec(
-            n_radial=int(quad_d.get("n_radial", base.quadrature.n_radial)),
-            n_time=int(quad_d.get("n_time", base.quadrature.n_time)),
-        )
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(doc.get("tolerances", {}))
-        return RunConfig(
-            params=params,
-            profile=profile,
-            packets=packets,
-            mu_ladder=tuple(float(x) for x in ladders.get("mu", base.mu_ladder)),
-            order_ladder=tuple(int(x) for x in ladders.get("orders", base.order_ladder)),
-            horizon_ladder=tuple(float(x) for x in ladders.get("horizons", base.horizon_ladder)),
-            k_values=tuple(float(x) for x in ladders.get("k", base.k_values)),
-            quadrature=quad,
-            tolerances=tol,
-            schema_version=int(doc.get("schema_version", SCHEMA_VERSION)),
-        )
+        for name, ladder in _object(doc.get("ladders", {}), "ladders", LADDERS).items():
+            changes[LADDERS[name]] = tuple(
+                _number(x, f"ladders.{name}[{i}]", name in COUNTS)
+                for i, x in enumerate(_array(ladder, f"ladders.{name}"))
+            )
+        if "schema_version" in doc:
+            changes["schema_version"] = _number(doc["schema_version"], "schema_version", True)
+        return replace(base, **changes)
     except ConfigError:
         raise
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 

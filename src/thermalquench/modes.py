@@ -183,8 +183,8 @@ class SwitchingProfile:
     mu: float = 1.0
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
     def value(self, t):
         """chi(t/mu): exactly 0 for t <= -mu, exactly 1 for t >= 0."""
@@ -632,25 +632,23 @@ def ergodic_averages(
     t1: float,
     t2: float,
     horizon: float,
-    traj: ModeTrajectory | None = None,
 ):
     """Finite-horizon averages of T(t1+tau)*T(t2+tau) and T(t1+tau)*conj(T(t2+tau)).
 
-    The average runs over tau in [0, horizon] for one momentum: that of
-    ``traj`` when it is given, else ``k_mag`` solved at the default
-    tolerances.  Once both shifted arguments are >= 0 the integrand is an
-    explicit trigonometric polynomial in the Bogoliubov pair and is
-    integrated analytically; the initial stretch (when either argument
-    still probes the ramp) is done by quadrature on the solved trajectory.
+    The average runs over tau in [0, horizon] for the momentum ``k_mag``,
+    solved at the default tolerances.  Once both shifted arguments are >= 0
+    the integrand is an explicit trigonometric polynomial in the Bogoliubov
+    pair and is integrated analytically; the initial stretch (when either
+    argument still probes the ramp) is done by quadrature on the solved
+    trajectory.
     Both averages approach their infinite-horizon limits at rate
     O(1/horizon).
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     tau_min = max(0.0, -t1, -t2)
-    if traj is None:
-        t_need = max(1.0, max(t1, t2) + min(tau_min, horizon))
-        traj = solve_modes(k_mag, prof, params, t_max=t_need)
+    t_need = max(1.0, max(t1, t2) + min(tau_min, horizon))
+    traj = solve_modes(k_mag, prof, params, t_max=t_need)
     eps, el = _for_caller(traj.k_mag, traj.eps, traj.eps_lambda)
     bog = bogoliubov(traj)
 

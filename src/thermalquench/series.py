@@ -63,26 +63,24 @@ def _grid_pieces(params: ThermalParams, f: TestPacket, g: TestPacket, quad: Quad
     return k, eps, eps_l, weight, p_plus, p_minus
 
 
-def _check_order(n: int, path: str, cap: int) -> None:
-    if not 1 <= n <= cap:
-        raise ValueError(f"order must satisfy 1 <= n <= {cap}, got {n}")
+def _check_order(n: int, path: str) -> None:
+    if not 1 <= n <= DEFAULT_ORDER_CAP:
+        raise ValueError(f"order must satisfy 1 <= n <= {DEFAULT_ORDER_CAP}, got {n}")
     if path not in ("beta-derivative", "descent-sum"):
         raise ValueError(f"unknown path {path!r}")
 
 
-def _term(
-    n: int, params: ThermalParams, pieces, path: str, symmetrized: bool, cap: int
-) -> SeriesTerm:
+def _term(n: int, params: ThermalParams, pieces, path: str, symmetrized: bool) -> SeriesTerm:
     """n-th series term on a grid already built by :func:`_grid_pieces`."""
     _, eps, eps_l, weight, p_plus, p_minus = pieces
     beta, shift = params.beta, params.mass_shift
 
     if path == "beta-derivative":
         factor = (beta * shift / ((eps_l + eps) * eps)) ** n / math.factorial(n)
-        deriv = bose_derivative(n, +1, beta, eps, cap=cap)
+        deriv = bose_derivative(n, +1, beta, eps)
         per_k = weight * factor * deriv * (p_plus + p_minus)
     else:
-        row = eulerian_row_recursive(n, cap=cap).coefficients
+        row = eulerian_row_recursive(n).coefficients
         bp = bose_coefficient(+1, beta, eps)
         bm = bose_coefficient(-1, beta, eps)
         base = (-1.0) ** n * beta**n / math.factorial(n) * (shift / (eps_l + eps)) ** n
@@ -108,7 +106,6 @@ def nth_order_term(
     quad: QuadratureSpec = QuadratureSpec(),
     path: str = "beta-derivative",
     symmetrized: bool = True,
-    cap: int = DEFAULT_ORDER_CAP,
 ) -> SeriesTerm:
     """n-th series term by the chosen evaluation path.
 
@@ -116,8 +113,8 @@ def nth_order_term(
     frequency branches through the palindromic symmetry of the Eulerian row,
     which must not change the value.
     """
-    _check_order(n, path, cap)
-    return _term(n, params, _grid_pieces(params, f, g, quad), path, symmetrized, cap)
+    _check_order(n, path)
+    return _term(n, params, _grid_pieces(params, f, g, quad), path, symmetrized)
 
 
 def partial_sum(
@@ -127,18 +124,17 @@ def partial_sum(
     g: TestPacket,
     quad: QuadratureSpec = QuadratureSpec(),
     path: str = "beta-derivative",
-    cap: int = DEFAULT_ORDER_CAP,
 ) -> complex:
     """Zeroth term (the slow-switch classical state) plus orders 1..N, every
     order evaluated on one grid."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     if N > 0:
-        _check_order(N, path, cap)
+        _check_order(N, path)
     total = pair(adiabatic_classical(params), f, g, quad)
     pieces = _grid_pieces(params, f, g, quad)
     for n in range(1, N + 1):
-        total += _term(n, params, pieces, path, True, cap).value
+        total += _term(n, params, pieces, path, True).value
     return total
 
 
@@ -255,7 +251,6 @@ def verify_resummation(
     tol: float = 1e-8,
     quad: QuadratureSpec = QuadratureSpec(),
     dual_path_tol: float = 1e-10,
-    cap: int = DEFAULT_ORDER_CAP,
 ) -> ResummationReport:
     """Run the series to order N and compare with the shifted thermal state.
 
@@ -273,15 +268,15 @@ def verify_resummation(
     if denom == 0.0:
         raise ZeroDivisionError("closed-form pairing vanished; relative gaps undefined")
     if N > 0:
-        _check_order(N, "beta-derivative", cap)
+        _check_order(N, "beta-derivative")
     pieces = _grid_pieces(params, f, g, quad)
 
     rows = []
     cumulative = zeroth
     max_dev = 0.0
     for n in range(1, N + 1):
-        t_beta = _term(n, params, pieces, "beta-derivative", True, cap)
-        t_desc = _term(n, params, pieces, "descent-sum", True, cap)
+        t_beta = _term(n, params, pieces, "beta-derivative", True)
+        t_desc = _term(n, params, pieces, "descent-sum", True)
         scale = max(abs(t_beta.value), abs(t_desc.value))
         dev = abs(t_beta.value - t_desc.value) / scale if scale > 0 else 0.0
         max_dev = max(max_dev, dev)

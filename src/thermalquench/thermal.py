@@ -130,17 +130,17 @@ def _derivative_monomials(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted((c, p, q) for (p, q), c in coeffs.items()))
 
 
-def bose_derivative(n: int, sign: int, beta, eps, cap: int = DEFAULT_ORDER_CAP):
+def bose_derivative(n: int, sign: int, beta, eps):
     """n-th beta derivative of the thermal coefficient.
 
     For n >= 1 the result is sign-independent (the two coefficients differ
-    by a constant).  Orders beyond ``cap`` are rejected: the integer
+    by a constant).  Orders beyond ``DEFAULT_ORDER_CAP`` are rejected: the integer
     coefficients grow factorially and nothing downstream needs them.
     """
     if n < 0:
         raise ValueError(f"derivative order must be >= 0, got {n}")
-    if n > cap:
-        raise ValueError(f"derivative order {n} exceeds cap {cap}")
+    if n > DEFAULT_ORDER_CAP:
+        raise ValueError(f"derivative order {n} exceeds cap {DEFAULT_ORDER_CAP}")
     if n == 0:
         return bose_coefficient(sign, beta, eps)
     b_plus = bose_coefficient(+1, beta, eps)

@@ -116,19 +116,37 @@ class TestLimits:
             ' {"k_center": 1.0, "k_width": 0.5, "t_center": 2.5, "t_width": 0.3}]}',
             '{"packets": [{"k_center": 1.0, "k_width": 0.5, "t_center": 2.0, "t_width": 0.3},'
             ' {"k_center": 1.0, "k_width": 0.5, "t_center": 2.5, "t_width": 1e-300}]}',
+            '{"params": {"betta": 7}}',
+            '{"profile": {"muu": 3}}',
+            '{"ladders": {"mus": [1]}}',
+            '{"quadrature": {"n_radiall": 4}}',
+            '{"packets": [{"k_center": 1.0, "k_width": 0.5, "t_center": 2.0, "t_width": 0.3,'
+            ' "k_centre": 1.0},'
+            ' {"k_center": 1.0, "k_width": 0.5, "t_center": 2.5, "t_width": 0.3}]}',
+            '{"tolerances": {"wronskian_abss": 1e-3}}',
+            '{"tolerances": {"wronskian_abs": true}}',
+            '{"params": {"beta": "2"}}',
+            '{"params": {"beta": true}}',
+            '{"quadrature": {"n_radial": 3.7}}',
+            '{"ladders": {"orders": [1, 2.9]}}',
+            '{"schema_version": 1.9}',
         ],
         ids=["mu-descending", "k-unsorted-duplicate", "k-empty", "n-radial-zero", "n-time-negative",
              "k-center-nan", "beta-infinity", "mu-infinity", "mu-ladder-infinity",
              "orders-infinity", "orders-beyond-cap", "mass-shift-overflow", "n-radial-20000",
-             "k-width-underflow", "t-width-underflow"],
+             "k-width-underflow", "t-width-underflow", "params-unknown-key",
+             "profile-unknown-key", "ladders-unknown-key", "quadrature-unknown-key",
+             "packet-fifth-key", "tolerances-unknown-key", "tolerance-bool", "beta-string",
+             "beta-bool", "n-radial-fractional", "orders-fractional", "schema-version-fractional"],
     )
     def test_malformed_config(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(doc)
         for command in ("limits", "ness", "series"):
             assert run([command, "--config", str(bad)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("config error:") and "Traceback" not in err
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error:") and "Traceback" not in captured.err
+            assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_refine_past_node_cap_is_config_error(self, tmp_path, capsys):
         cfg = fast_config(tmp_path, quadrature={"n_radial": NODE_CAP, "n_time": 48})

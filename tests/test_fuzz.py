@@ -2,10 +2,11 @@
 
 Each document starts from a small valid config on a tiny quadrature and
 takes up to two malformations: a field set to NaN, an infinity, a negative,
-zero, huge or tiny value, a field deleted, or a ladder reversed.  Whatever
-the document, every command exits with one of the four documented codes,
-raises nothing past ``main``, writes nothing on exit 2 or 3, and otherwise
-prints strict JSON or a CSV table of finite numbers.
+zero, huge or tiny value, a field deleted, a ladder reversed, or a key at
+any depth renamed by appending ``_``.  Whatever the document, every command
+exits with one of the four documented codes, raises nothing past ``main``,
+writes nothing on exit 2 or 3, and otherwise prints strict JSON or a CSV
+table of finite numbers.  A document with a renamed key exits 2.
 """
 
 import contextlib
@@ -40,14 +41,24 @@ def _ladder(draw, lo, hi):
     return sorted(values)
 
 
-def _leaves(doc, path=()):
-    """Paths of every number in the document."""
+def _paths(doc, path=()):
+    """Paths of every entry in the document, containers included."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)
     for key, value in items:
+        yield path + (key,)
         if isinstance(value, (dict, list)):
-            yield from _leaves(value, path + (key,))
-        else:
-            yield path + (key,)
+            yield from _paths(value, path + (key,))
+
+
+def _leaves(doc):
+    """Paths of every number in the document."""
+    return [p for p in _paths(doc) if not isinstance(_node(doc, p), (dict, list))]
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 @st.composite
@@ -69,12 +80,15 @@ def config_docs(draw):
         "quadrature": {"n_radial": draw(st.integers(1, 6)), "n_time": draw(st.integers(1, 8))},
     }
     for _ in range(draw(st.integers(0, 2))):
-        path = draw(st.sampled_from(sorted(_leaves(doc), key=repr)))
-        *parents, key = path
-        node = doc
-        for p in parents:
-            node = node[p]
-        action = draw(st.sampled_from(["value", "delete", "reverse"]))
+        action = draw(st.sampled_from(["value", "delete", "reverse", "rename"]))
+        if action == "rename":
+            keys = [p for p in _paths(doc) if isinstance(p[-1], str)]
+            *parents, key = draw(st.sampled_from(sorted(keys, key=repr)))
+            node = _node(doc, parents)
+            node[key + "_"] = node.pop(key)
+            continue
+        *parents, key = path = draw(st.sampled_from(sorted(_leaves(doc), key=repr)))
+        node = _node(doc, parents)
         if action == "delete":
             del node[key]
         elif action == "reverse" and isinstance(node, list):
@@ -103,6 +117,8 @@ def _check_stdout(command, out):
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(doc=config_docs())
 def test_fuzzed_configs_exit_cleanly(tmp_path_factory, doc):
+    # a later deletion may take a renamed key out again, so look at the result
+    renamed = any(str(p[-1]).endswith("_") for p in _paths(doc))
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(doc))
     for command in ("series", "limits", "ness"):
@@ -110,6 +126,7 @@ def test_fuzzed_configs_exit_cleanly(tmp_path_factory, doc):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, "--config", str(path)])
         assert code in (0, 1, 2, 3), (command, code)
+        assert code == 2 or not renamed, (command, code)
         assert "Traceback" not in err.getvalue()
         if code in (2, 3):
             assert out.getvalue() == "", (command, code)

@@ -34,6 +34,11 @@ class TestSwitchingProfile:
         assert prof.value(-3.0) == 0.0
         assert prof.value(-6.0) == 0.0
 
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.inf, math.nan])
+    def test_refuses_mu_outside_positive_finite(self, mu):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SwitchingProfile(mu)
+
     def test_interior_range_and_monotonicity(self):
         prof = SwitchingProfile(mu=2.0)
         ts = np.linspace(-2.0, 0.0, 200)
@@ -426,7 +431,7 @@ class TestErgodicAverages:
         lim_tt, lim_ttbar = ergodic_limits(bog, dispersion(0.0, PARAMS).eps_lambda, 0.5, -0.25)
         for horizon in (100.0, 1000.0, 10000.0):
             att, attb = ergodic_averages(
-                0.0, SwitchingProfile(1.0), PARAMS, 0.5, -0.25, horizon=horizon, traj=traj
+                0.0, SwitchingProfile(1.0), PARAMS, 0.5, -0.25, horizon=horizon
             )
             err = abs(att - lim_tt) + abs(attb - lim_ttbar)
             assert err <= 1.0 / horizon

@@ -162,7 +162,6 @@ class TestBoseDerivative:
             bose_derivative(17, +1, 1.0, 1.0)
         with pytest.raises(ValueError):
             bose_derivative(-1, +1, 1.0, 1.0)
-        assert bose_derivative(17, +1, 1.0, 1.0, cap=20) != 0.0
 
 
 class TestShiftedBeta:
