@@ -1,7 +1,8 @@
 """Experiment driver: reproducible runs of every verification surface.
 
-Subcommands
------------
+One parser takes a command and the flags ``--config``, ``--out`` and
+``--refine`` (``--n-max`` too, for ``eulerian`` alone), in any order:
+
 eulerian    cross-check the Eulerian rows (recursion vs enumeration)
 limits      switching-integral ladder per momentum (CSV)
 series      resummation report for the perturbative series (JSON, CSV table)
@@ -15,11 +16,15 @@ is written.  Identical configs produce byte-identical data files: no
 wall-clock enters any payload (a separate meta.json carries the timestamp
 when writing to a directory).
 
-Exit codes: 0 success, 1 criterion failure, 2 config/schema error,
-3 numerical-infrastructure failure (a failed solver gate or a floating-point
-breakdown).  Every command runs with numpy's overflow, divide-by-zero and
-invalid-operation errors raised, so a breakdown exits 3 instead of leaving a
-warning on stderr.
+Exit codes: 0 success, 1 criterion failure, 2 config/schema error (a bad
+flag, a config that cannot be read or is refused, or an ``--out`` that
+cannot take the files), 3 numerical-infrastructure failure (a failed solver
+gate or a floating-point breakdown).  A command returns 0 or 1 and raises
+for the rest; :func:`main` alone loads the config, writes ``meta.json``
+(under ``--out``, on exit 0 or 1 only) and turns an exception into one
+error line on stderr and exit 2 or 3.  Every command runs with numpy's
+overflow, divide-by-zero and invalid-operation errors raised, so a
+breakdown exits 3 instead of leaving a warning on stderr.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ from .modes import (
 from .series import verify_resummation
 from .spectral import adiabatic, ness_classical, pair_report
 from .verify import ness_bogoliubov_map
+
+COMMANDS = ("eulerian", "limits", "series", "ness", "verify-all")
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
@@ -96,27 +103,25 @@ def _emit_text(text, out_dir, filename):
         (out_dir / filename).write_text(text, encoding="utf-8")
 
 
-def _write_meta(args, out_dir):
-    if out_dir is None:
-        return
+def _write_meta(args):
     meta = {
         "command": args.command,
         "config": str(args.config) if args.config else "defaults",
         "refine": bool(args.refine),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _emit_json(meta, out_dir, "meta.json")
+    _emit_json(meta, args.out, "meta.json")
 
 
-def cmd_eulerian(args) -> int:
-    if args.n_max < 1 or args.n_max > ENUMERATION_CAP:
-        sys.stderr.write(
-            f"error: cap exceeded: enumeration cross-check requires 1 <= n_max <= {ENUMERATION_CAP}\n"
+def cmd_eulerian(args, config: RunConfig) -> int:
+    n_max = 8 if args.n_max is None else args.n_max
+    if n_max < 1 or n_max > ENUMERATION_CAP:
+        raise ConfigError(
+            f"cap exceeded: enumeration cross-check requires 1 <= n_max <= {ENUMERATION_CAP}"
         )
-        return EXIT_CONFIG
     rows = []
     all_match = True
-    for n in range(1, args.n_max + 1):
+    for n in range(1, n_max + 1):
         rec = eulerian_row_recursive(n)
         enum = eulerian_row_by_enumeration(n)
         match = rec.coefficients == enum.coefficients
@@ -130,17 +135,14 @@ def cmd_eulerian(args) -> int:
                 "MATCH" if match else "MISMATCH",
             ]
         )
-    out_dir = Path(args.out) if args.out else None
-    _emit_csv(["n", "recursive", "enumeration", "row_sum", "status"], rows, out_dir, "eulerian.csv")
-    _write_meta(args, out_dir)
+    _emit_csv(["n", "recursive", "enumeration", "row_sum", "status"], rows, args.out, "eulerian.csv")
     return EXIT_OK if all_match else EXIT_CRITERION
 
 
-def cmd_limits(args) -> int:
+def cmd_limits(args, config: RunConfig) -> int:
     """Switching-integral ladder, one row per (k, mu), k-major: one batched
     :func:`switch_integrals` call over every k per mu.  A failed Wronskian
     gate raises ``IntegratorError``: exit 3, no CSV."""
-    config = _load(args)
     ks, mus = np.array(config.k_values), np.array(config.mu_ladder)
     ladder = [switch_integrals(ks, SwitchingProfile(mu), config.params) for mu in mus]
     # (mu, k) arrays, read k-major
@@ -150,14 +152,11 @@ def cmd_limits(args) -> int:
                target, np.abs(i_abs - target), np.abs(i_sq)]
     header = ["k", "mu", "re_I_sq", "im_I_sq", "I_abs", "target", "gap_abs", "gap_sq", "status"]
     rows = _ok_rows(header, columns)
-    out_dir = Path(args.out) if args.out else None
-    _emit_csv(header, rows, out_dir, "limits.csv")
-    _write_meta(args, out_dir)
+    _emit_csv(header, rows, args.out, "limits.csv")
     return EXIT_OK
 
 
-def cmd_series(args) -> int:
-    config = _load(args)
+def cmd_series(args, config: RunConfig) -> int:
     f, g = config.packet_pair
     report = verify_resummation(
         config.params, f, g,
@@ -168,9 +167,8 @@ def cmd_series(args) -> int:
     )
     payload = report.to_dict()
     payload["pairing_check"] = pair_report(adiabatic(config.params), f, g, config.quadrature)
-    out_dir = Path(args.out) if args.out else None
-    _emit_json(payload, out_dir, "series.json")
-    if out_dir is not None:
+    _emit_json(payload, args.out, "series.json")
+    if args.out is not None:
         rows = [
             [
                 str(r["order"]),
@@ -183,22 +181,20 @@ def cmd_series(args) -> int:
         _emit_csv(
             ["order", "term_re", "term_im", "cumulative_re", "cumulative_im",
              "gap_to_closed_form", "dual_path_rel_dev"],
-            rows, out_dir, "series.csv",
+            rows, args.out, "series.csv",
         )
-    _write_meta(args, out_dir)
     if report.verdict == "fail":
         return EXIT_CRITERION
     return EXIT_OK  # "pass" and "radius-violated" both succeed; verdict is in the payload
 
 
-def cmd_ness(args) -> int:
+def cmd_ness(args, config: RunConfig) -> int:
     """Bogoliubov pairs and steady-state coefficients at the radial nodes:
     one map call, so one batched ramp solve, for the whole node set.  A
     failed Wronskian gate raises ``IntegratorError``, and a row whose
     normalization or commutator residual exceeds the config's
     ``bogoliubov_norm_abs`` or ``ness_ccr_abs`` is a numerical failure too:
     exit 3, no CSV."""
-    config = _load(args)
     f, g = config.packet_pair
     k, _ = config.quadrature.radial_rule(f, g)
     params = config.params
@@ -211,11 +207,10 @@ def cmd_ness(args) -> int:
     broken = ~((norm <= norm_tol) & (np.abs(ccr) <= ccr_tol))  # a NaN residual breaks too
     if np.any(broken):
         i = int(np.argmax(broken))
-        sys.stderr.write(
-            f"numerical failure: ness row k={k[i]} breaks its identities: norm_residual "
-            f"{norm[i]:.3e} (bound {norm_tol:.1e}), ccr_residual {ccr[i]:.3e} (bound {ccr_tol:.1e})\n"
+        raise ArithmeticError(
+            f"ness row k={k[i]} breaks its identities: norm_residual "
+            f"{norm[i]:.3e} (bound {norm_tol:.1e}), ccr_residual {ccr[i]:.3e} (bound {ccr_tol:.1e})"
         )
-        return EXIT_NUMERICS
     columns = [
         k, b.a_plus.real, b.a_plus.imag, b.a_minus.real, b.a_minus.imag, norm,
         state.c_plus(k), state.c_minus(k), ccr,
@@ -224,14 +219,11 @@ def cmd_ness(args) -> int:
     header = ["k", "re_A_plus", "im_A_plus", "re_A_minus", "im_A_minus",
               "norm_residual", "c_plus", "c_minus", "ccr_residual", "sudden_gap", "status"]
     rows = _ok_rows(header, columns)
-    out_dir = Path(args.out) if args.out else None
-    _emit_csv(header, rows, out_dir, "ness.csv")
-    _write_meta(args, out_dir)
+    _emit_csv(header, rows, args.out, "ness.csv")
     return EXIT_OK
 
 
-def cmd_verify_all(args) -> int:
-    config = _load(args)
+def cmd_verify_all(args, config: RunConfig) -> int:
     results = verify.run_all(config)
     for r in results:
         print(r.summary_line())
@@ -239,25 +231,9 @@ def cmd_verify_all(args) -> int:
         "criteria": [r.to_dict() for r in results],
         "all_passed": all(r.status != "fail" for r in results),
     }
-    out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
-        _emit_json(payload, out_dir, "verify_all.json")
-    _write_meta(args, out_dir)
+    if args.out is not None:
+        _emit_json(payload, args.out, "verify_all.json")
     return EXIT_OK if payload["all_passed"] else EXIT_CRITERION
-
-
-def _load(args) -> RunConfig:
-    config = load_config(args.config) if args.config else default_config()
-    if args.refine:
-        config = config.refined()
-    return config
-
-
-def _add_common(sub):
-    sub.add_argument("--config", type=Path, default=None, help="JSON run configuration")
-    sub.add_argument("--out", type=Path, default=None, help="output directory (stdout if omitted)")
-    sub.add_argument("--refine", action="store_true",
-                     help="double quadrature node counts and densify ladders")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,45 +241,44 @@ def build_parser() -> argparse.ArgumentParser:
         prog="thermalquench",
         description="Verification runs for thermal states under a switched mass shift.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("eulerian", help="cross-check Eulerian rows")
-    p.add_argument("--n-max", type=int, default=8, help=f"largest order (<= {ENUMERATION_CAP})")
-    _add_common(p)
-    p.set_defaults(fn=cmd_eulerian)
-
-    p = subs.add_parser("limits", help="switching-integral ladder (CSV)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_limits)
-
-    p = subs.add_parser("series", help="series resummation report (JSON)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_series)
-
-    p = subs.add_parser("ness", help="Bogoliubov and steady-state data (CSV)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_ness)
-
-    p = subs.add_parser("verify-all", help="run the acceptance suite")
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify_all)
-
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", type=Path, default=None, help="JSON run configuration")
+    parser.add_argument("--out", type=Path, default=None, help="output directory (stdout if omitted)")
+    parser.add_argument("--refine", action="store_true",
+                        help="double quadrature node counts and densify ladders")
+    parser.add_argument("--n-max", type=int, default=None,
+                        help=f"eulerian only: largest order (<= {ENUMERATION_CAP}, default 8)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.n_max is not None and args.command != "eulerian":
+        parser.error("--n-max applies to the eulerian command only")
+    # looked up on each call, so a wrapper installed on the module attribute is seen
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
         # FloatingPointError is an ArithmeticError: exit 3 below
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.fn(args)
+            config = load_config(args.config) if args.config else default_config()
+            if args.refine:
+                config = config.refined()
+            code = command(args, config)
+            if args.out is not None:
+                _write_meta(args)
+            return code
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
+    except OSError as exc:
+        # the config is read inside load_config, so this is the output side
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return EXIT_CONFIG
     except (IntegratorError, ArithmeticError) as exc:
         # ArithmeticError: a floating-point breakdown, a vanished
-        # denominator, a non-finite temperature shift or a non-finite
-        # payload (NonFiniteOutput)
+        # denominator, a non-finite temperature shift, a non-finite
+        # payload (NonFiniteOutput) or a ness row off its identities
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICS
 

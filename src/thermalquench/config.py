@@ -251,6 +251,8 @@ def load_config(path) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a JSONDecodeError or bytes that are not UTF-8;
+        # RecursionError: nesting deeper than the json module descends
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(doc)

@@ -1,7 +1,10 @@
+import argparse
 import csv
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +133,8 @@ class TestLimits:
             '{"quadrature": {"n_radial": 3.7}}',
             '{"ladders": {"orders": [1, 2.9]}}',
             '{"schema_version": 1.9}',
+            b'\xff',
+            "[" * 100000 + "]" * 100000,
         ],
         ids=["mu-descending", "k-unsorted-duplicate", "k-empty", "n-radial-zero", "n-time-negative",
              "k-center-nan", "beta-infinity", "mu-infinity", "mu-ladder-infinity",
@@ -137,12 +142,13 @@ class TestLimits:
              "k-width-underflow", "t-width-underflow", "params-unknown-key",
              "profile-unknown-key", "ladders-unknown-key", "quadrature-unknown-key",
              "packet-fifth-key", "tolerances-unknown-key", "tolerance-bool", "beta-string",
-             "beta-bool", "n-radial-fractional", "orders-fractional", "schema-version-fractional"],
+             "beta-bool", "n-radial-fractional", "orders-fractional", "schema-version-fractional",
+             "not-utf8", "nested-too-deep"],
     )
     def test_malformed_config(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
-        bad.write_text(doc)
-        for command in ("limits", "ness", "series"):
+        bad.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
+        for command in ("eulerian", "limits", "ness", "series", "verify-all"):
             assert run([command, "--config", str(bad)]) == 2
             captured = capsys.readouterr()
             assert captured.err.startswith("config error:") and "Traceback" not in captured.err
@@ -175,6 +181,65 @@ class TestLimits:
         mus = sorted({float(r[header.index("mu")]) for r in rows})
         assert len(mus) == 5  # geometric midpoints inserted into [5, 10, 20]
         assert mus[0] == 5.0 and mus[-1] == 20.0
+
+
+class TestParser:
+    """One flat parser: a command and one flag set, in any order."""
+
+    def test_one_parser_per_call(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(["eulerian", "--n-max", "1"]) == 0
+        assert len(built) == 1
+
+    def test_n_max_outside_eulerian_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["limits", "--n-max", "3"])
+        assert exc.value.code == 2
+        assert "--n-max applies to the eulerian command only" in capsys.readouterr().err
+
+    def test_flags_before_command(self, capsys):
+        assert run(["--n-max", "2", "eulerian"]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "2,1 1,1 1,2,MATCH"
+
+    def test_command_help_is_the_parser_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["limits", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == cli.build_parser().format_help()
+
+    def test_readme_cli_block_parses(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^## CLI\n\n```sh\n(.*?)```", readme, flags=re.DOTALL | re.MULTILINE)
+        lines = [shlex.split(line, comments=True) for line in block.group(1).splitlines()]
+        lines = [line for line in lines if line]
+        assert lines and all(line[0] == "thermalquench" for line in lines)
+        parser = cli.build_parser()
+        assert {parser.parse_args(line[1:]).command for line in lines} == set(cli.COMMANDS)
+
+
+class TestUnwritableOut:
+    """An ``--out`` that cannot take the files exits 2 with one line."""
+
+    @pytest.mark.parametrize("command", ["eulerian", "limits", "series"])
+    @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["file", "below-file"])
+    def test_exits_config(self, tmp_path, capsys, command, out):
+        (tmp_path / "file").write_text("taken")
+        argv = [command, "--out", str(tmp_path / out)]
+        if command != "eulerian":
+            argv += ["--config", str(fast_config(tmp_path))]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output:")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert (tmp_path / "file").read_text() == "taken"
 
 
 class TestBatchedRampSolves:
