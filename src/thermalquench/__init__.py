@@ -43,7 +43,6 @@ from .series import (
     ResummationReport,
     SeriesTerm,
     nth_order_term,
-    partial_sum,
     verify_resummation,
 )
 from .spectral import (
@@ -101,7 +100,6 @@ __all__ = [
     "pair",
     "pair_finite_mu",
     "pair_report",
-    "partial_sum",
     "set_partitions",
     "shifted_beta",
     "solve_modes",

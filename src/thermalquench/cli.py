@@ -20,11 +20,12 @@ Exit codes: 0 success, 1 criterion failure, 2 config/schema error (a bad
 flag, a config that cannot be read or is refused, or an ``--out`` that
 cannot take the files), 3 numerical-infrastructure failure (a failed solver
 gate or a floating-point breakdown).  A command returns 0 or 1 and raises
-for the rest; :func:`main` alone loads the config, writes ``meta.json``
-(under ``--out``, on exit 0 or 1 only) and turns an exception into one
-error line on stderr and exit 2 or 3.  Every command runs with numpy's
-overflow, divide-by-zero and invalid-operation errors raised, so a
-breakdown exits 3 instead of leaving a warning on stderr.
+for the rest; :func:`main` alone refuses an ``--out`` that names or lies
+below a non-directory (before the command runs), loads the config, writes
+``meta.json`` (under ``--out``, on exit 0 or 1 only) and turns an
+exception into one error line on stderr and exit 2 or 3.  Every command
+runs with numpy's overflow, divide-by-zero and invalid-operation errors
+raised, so a breakdown exits 3 instead of leaving a warning on stderr.
 """
 
 from __future__ import annotations
@@ -101,6 +102,16 @@ def _emit_text(text, out_dir, filename):
     else:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / filename).write_text(text, encoding="utf-8")
+
+
+def _check_out(out_dir):
+    """Raise ``NotADirectoryError`` if ``out_dir`` is, or lies below, an
+    existing non-directory; create nothing."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(f"{path} is not a directory")
+            return
 
 
 def _write_meta(args):
@@ -261,6 +272,8 @@ def main(argv=None) -> int:
     try:
         # FloatingPointError is an ArithmeticError: exit 3 below
         with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.out is not None:
+                _check_out(args.out)
             config = load_config(args.config) if args.config else default_config()
             if args.refine:
                 config = config.refined()

@@ -15,10 +15,12 @@ shift = lam * m0_sq.  Two independent evaluation paths are kept:
   carrying the overall (-1)**n that the expansion order contributes and
   that the (-eps)**n of the derivative tower absorbs.
 
-A resummation report builds its quadrature grid once (one cached
-Gauss-Legendre rule, one set of dispersions and packet pieces) and
-evaluates every order on it by both paths; ``nth_order_term`` and
-``partial_sum`` go through the same per-order evaluation.
+A resummation report builds one grid (one radial rule, its dispersions,
+the pairing integrand of :mod:`thermalquench.spectral` on the shifted
+branch and the free-frequency thermal coefficients) and reads the guard,
+the closed form, the zeroth term and every order by both paths from it;
+``nth_order_term`` and ``convergence_guard`` each build their own grid
+through the same code.
 
 The combined sign convention is frozen here once; the first-order term must
 come out as  -beta * shift/(eps_lambda+eps) * b_plus*b_minus  per branch.
@@ -33,19 +35,18 @@ the Taylor disk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .combinatorics import DEFAULT_ORDER_CAP, eulerian_row_recursive
-from .spectral import QuadratureSpec, TestPacket, adiabatic, adiabatic_classical, pair
+from .spectral import QuadratureSpec, TestPacket, pairing_integrand
 from .thermal import ThermalParams, bose_coefficient, bose_derivative, dispersion
 
 
 @dataclass(frozen=True)
 class SeriesTerm:
-    """One series order: its value and the per-node weighted contributions
-    (kept so ratio/envelope diagnostics need no re-integration)."""
+    """One series order: its value and the per-node weighted contributions."""
 
     order: int
     path: str
@@ -53,14 +54,15 @@ class SeriesTerm:
     per_k: np.ndarray = field(repr=False)
 
 
-def _grid_pieces(params: ThermalParams, f: TestPacket, g: TestPacket, quad: QuadratureSpec):
+def _grid(params: ThermalParams, f: TestPacket, g: TestPacket, quad: QuadratureSpec):
+    """(eps, eps_lambda, weight, p_plus, p_minus, b_plus, b_minus) on one radial
+    rule: the pairing integrand on the shifted branch and the thermal
+    coefficients at the free frequency."""
     k, w = quad.radial_rule(f, g)
     disp = dispersion(k, params)
     eps, eps_l = disp.eps, disp.eps_lambda
-    weight = w * (4.0 * np.pi * k * k) / (2.0 * eps_l)
-    p_plus = f.freq_component(eps_l, k) * g.freq_component(-eps_l, k)
-    p_minus = f.freq_component(-eps_l, k) * g.freq_component(eps_l, k)
-    return k, eps, eps_l, weight, p_plus, p_minus
+    bp, bm = bose_coefficient(+1, params.beta, eps), bose_coefficient(-1, params.beta, eps)
+    return (eps, eps_l, *pairing_integrand(k, w, eps_l, f, g), bp, bm)
 
 
 def _check_order(n: int, path: str) -> None:
@@ -70,9 +72,9 @@ def _check_order(n: int, path: str) -> None:
         raise ValueError(f"unknown path {path!r}")
 
 
-def _term(n: int, params: ThermalParams, pieces, path: str, symmetrized: bool) -> SeriesTerm:
-    """n-th series term on a grid already built by :func:`_grid_pieces`."""
-    _, eps, eps_l, weight, p_plus, p_minus = pieces
+def _term(n: int, params: ThermalParams, grid, path: str, symmetrized: bool) -> SeriesTerm:
+    """n-th series term on a grid already built by :func:`_grid`."""
+    eps, eps_l, weight, p_plus, p_minus, bp, bm = grid
     beta, shift = params.beta, params.mass_shift
 
     if path == "beta-derivative":
@@ -81,8 +83,6 @@ def _term(n: int, params: ThermalParams, pieces, path: str, symmetrized: bool) -
         per_k = weight * factor * deriv * (p_plus + p_minus)
     else:
         row = eulerian_row_recursive(n).coefficients
-        bp = bose_coefficient(+1, beta, eps)
-        bm = bose_coefficient(-1, beta, eps)
         base = (-1.0) ** n * beta**n / math.factorial(n) * (shift / (eps_l + eps)) ** n
         s_plus = np.zeros_like(eps)
         for j, c in enumerate(row, start=1):
@@ -114,43 +114,21 @@ def nth_order_term(
     which must not change the value.
     """
     _check_order(n, path)
-    return _term(n, params, _grid_pieces(params, f, g, quad), path, symmetrized)
+    return _term(n, params, _grid(params, f, g, quad), path, symmetrized)
 
 
-def partial_sum(
-    N: int,
-    params: ThermalParams,
-    f: TestPacket,
-    g: TestPacket,
-    quad: QuadratureSpec = QuadratureSpec(),
-    path: str = "beta-derivative",
-) -> complex:
-    """Zeroth term (the slow-switch classical state) plus orders 1..N, every
-    order evaluated on one grid."""
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    if N > 0:
-        _check_order(N, path)
-    total = pair(adiabatic_classical(params), f, g, quad)
-    pieces = _grid_pieces(params, f, g, quad)
-    for n in range(1, N + 1):
-        total += _term(n, params, pieces, path, True).value
-    return total
-
-
-def shift_ratio_envelope(
-    params: ThermalParams, f: TestPacket, g: TestPacket, quad: QuadratureSpec = QuadratureSpec()
-) -> float:
-    """max over quadrature nodes of (temperature shift)/beta.
-
-    The thermal coefficient has its nearest singularity (in the inverse
-    temperature) at 0, so this is the asymptotic geometric ratio of the
-    Taylor terms at the worst node.
-    """
-    k, _ = quad.radial_rule(f, g)
-    disp = dispersion(k, params)
-    shift = params.mass_shift / ((disp.eps_lambda + disp.eps) * disp.eps)
-    return float(np.max(shift))
+def _guard(params: ThermalParams, grid) -> tuple[bool, float, float]:
+    """:func:`convergence_guard` on a grid already built by :func:`_grid`."""
+    eps, eps_l = grid[:2]
+    delta_beta = params.beta * params.mass_shift / ((eps_l + eps) * eps)
+    max_shift = float(np.max(delta_beta))
+    limit = min(params.beta, math.pi / float(np.min(eps)))
+    if not (math.isfinite(max_shift) and math.isfinite(limit)):
+        raise ArithmeticError(
+            f"convergence guard: temperature shift {max_shift:.3g} or its limit {limit:.3g} "
+            "is not finite"
+        )
+    return max_shift < limit, max_shift, limit
 
 
 def convergence_guard(
@@ -162,22 +140,13 @@ def convergence_guard(
     The Taylor disk of the thermal coefficient around beta has radius
     min(beta, sqrt(beta^2 + (2 pi / eps)^2)) = beta (pole at the origin);
     the imaginary poles additionally motivate the conservative cap
-    pi / eps_min.  Both are enforced at the worst node.  A shift or limit
-    that is not finite (``beta * shift`` overflows as a Python float without
-    a warning) is a numerical failure: ``ArithmeticError``.
+    pi / eps_min.  Both are enforced at the worst node.  ``max_shift / beta``
+    is the asymptotic geometric ratio of the Taylor terms at the worst node.
+    A shift or limit that is not finite (``beta * shift`` overflows as a
+    Python float without a warning) is a numerical failure:
+    ``ArithmeticError``.
     """
-    k, _ = quad.radial_rule(f, g)
-    disp = dispersion(k, params)
-    delta_beta = params.beta * params.mass_shift / ((disp.eps_lambda + disp.eps) * disp.eps)
-    max_shift = float(np.max(delta_beta))
-    eps_min = float(np.min(disp.eps))
-    limit = min(params.beta, math.pi / eps_min)
-    if not (math.isfinite(max_shift) and math.isfinite(limit)):
-        raise ArithmeticError(
-            f"convergence guard: temperature shift {max_shift:.3g} or its limit {limit:.3g} "
-            "is not finite"
-        )
-    return max_shift < limit, max_shift, limit
+    return _guard(params, _grid(params, f, g, quad))
 
 
 @dataclass(frozen=True)
@@ -254,29 +223,32 @@ def verify_resummation(
 ) -> ResummationReport:
     """Run the series to order N and compare with the shifted thermal state.
 
-    The quadrature grid and its packet pieces are built once for the whole
-    report; every order is evaluated on it by both paths (beta-derivative
-    and descent-sum), and their relative deviation is the dual-path check.
-    If the temperature shift leaves the conservative convergence region the
-    verdict is "radius-violated" rather than a failure: the sum is not
-    expected to reproduce the closed form there.
+    One grid serves the convergence guard, the closed form, the zeroth term
+    and every order by both paths (beta-derivative and descent-sum), whose
+    relative deviation is the dual-path check.  If the temperature shift
+    leaves the conservative convergence region the verdict is
+    "radius-violated" rather than a failure: the sum is not expected to
+    reproduce the closed form there.
     """
-    ok, max_shift, limit = convergence_guard(params, f, g, quad)
-    closed = pair(adiabatic(params), f, g, quad)
-    zeroth = pair(adiabatic_classical(params), f, g, quad)
+    grid = _grid(params, f, g, quad)
+    _, eps_l, weight, p_plus, p_minus, bp, bm = grid
+    ok, max_shift, limit = _guard(params, grid)
+    # spectral.pair's sum, with the coefficients of adiabatic and adiabatic_classical
+    cp, cm = bose_coefficient(+1, params.beta, eps_l), bose_coefficient(-1, params.beta, eps_l)
+    closed = complex(np.sum(weight * (cp * p_plus + cm * p_minus)))
+    zeroth = complex(np.sum(weight * (bp * p_plus + bm * p_minus)))
     denom = abs(closed)
     if denom == 0.0:
         raise ZeroDivisionError("closed-form pairing vanished; relative gaps undefined")
     if N > 0:
         _check_order(N, "beta-derivative")
-    pieces = _grid_pieces(params, f, g, quad)
 
     rows = []
     cumulative = zeroth
     max_dev = 0.0
     for n in range(1, N + 1):
-        t_beta = _term(n, params, pieces, "beta-derivative", True)
-        t_desc = _term(n, params, pieces, "descent-sum", True)
+        t_beta = _term(n, params, grid, "beta-derivative", True)
+        t_desc = _term(n, params, grid, "descent-sum", True)
         scale = max(abs(t_beta.value), abs(t_desc.value))
         dev = abs(t_beta.value - t_desc.value) / scale if scale > 0 else 0.0
         max_dev = max(max_dev, dev)
@@ -291,13 +263,8 @@ def verify_resummation(
             )
         )
 
-    if not ok:
-        verdict = "radius-violated"
-    else:
-        final_gap = rows[-1].rel_gap_to_closed_form if rows else abs(zeroth - closed) / denom
-        verdict = "pass" if final_gap <= tol and max_dev <= dual_path_tol else "fail"
-    return ResummationReport(
-        verdict=verdict,
+    report = ResummationReport(
+        verdict="radius-violated",
         tol=tol,
         n_orders=N,
         zeroth=zeroth,
@@ -307,3 +274,7 @@ def verify_resummation(
         shift_limit=limit,
         max_dual_path_dev=max_dev,
     )
+    if not ok:
+        return report
+    passed = report.final_rel_gap <= tol and max_dev <= dual_path_tol
+    return replace(report, verdict="pass" if passed else "fail")

@@ -233,18 +233,25 @@ def ness_classical(
     )
 
 
+def pairing_integrand(k, w, omega, f: TestPacket, g: TestPacket):
+    """(weight, plus, minus) of the radial pairing integral on the branch
+    ``omega``: the quadrature weight times the measure 4 pi k^2 / (2 omega),
+    and the packet products on the +omega and -omega slots.  A state with
+    coefficients (c_plus, c_minus) on that branch pairs to
+    sum(weight * (c_plus * plus + c_minus * minus))."""
+    weight = w * (4.0 * np.pi * k * k) / (2.0 * omega)
+    plus = f.freq_component(omega, k) * g.freq_component(-omega, k)
+    minus = f.freq_component(-omega, k) * g.freq_component(omega, k)
+    return weight, plus, minus
+
+
 def pair(
     state: SpectralState, f: TestPacket, g: TestPacket, quad: QuadratureSpec = QuadratureSpec()
 ) -> complex:
     """Pair two packets against a state by radial quadrature."""
     k, w = quad.radial_rule(f, g)
-    omega = state.branch_frequency(k)
-    cp = state.c_plus(k)
-    cm = state.c_minus(k)
-    plus = f.freq_component(omega, k) * g.freq_component(-omega, k)
-    minus = f.freq_component(-omega, k) * g.freq_component(omega, k)
-    integrand = (4.0 * np.pi * k * k) / (2.0 * omega) * (cp * plus + cm * minus)
-    return complex(np.sum(w * integrand))
+    weight, plus, minus = pairing_integrand(k, w, state.branch_frequency(k), f, g)
+    return complex(np.sum(weight * (state.c_plus(k) * plus + state.c_minus(k) * minus)))
 
 
 def pair_report(

@@ -241,6 +241,19 @@ class TestUnwritableOut:
         assert captured.out == ""
         assert (tmp_path / "file").read_text() == "taken"
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["file", "below-file"])
+    def test_refused_before_computing(self, tmp_path, capsys, monkeypatch, out):
+        def never(config):
+            raise AssertionError("verify-all ran despite an unusable --out")
+
+        monkeypatch.setattr(cli.verify, "run_all", never)
+        (tmp_path / "file").write_text("taken")
+        assert run(["verify-all", "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestBatchedRampSolves:
     """limits and ness reach the ODE solver through one batched ramp solve

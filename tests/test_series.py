@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from thermalquench.series import (
-    convergence_guard,
-    nth_order_term,
-    partial_sum,
-    shift_ratio_envelope,
-    verify_resummation,
-)
+from thermalquench import cli, spectral
+from thermalquench.series import convergence_guard, nth_order_term, verify_resummation
 from thermalquench.spectral import TestPacket as Packet
 from thermalquench.spectral import QuadratureSpec, adiabatic, adiabatic_classical, pair
 from thermalquench.thermal import ThermalParams, bose_coefficient, bose_derivative, dispersion
@@ -79,43 +74,37 @@ class TestNthOrderTerm:
             nth_order_term(2, BENCH, F, G, QUAD, path="sideways")
 
     def test_successive_ratios_below_envelope(self):
-        env = shift_ratio_envelope(BENCH, F, G, QUAD)
+        # the geometric envelope of the term ratios: the worst node's shift over beta
+        _, max_shift, _ = convergence_guard(BENCH, F, G, QUAD)
+        env = max_shift / BENCH.beta
         values = [nth_order_term(n, BENCH, F, G, QUAD).value for n in range(1, 9)]
         for a, b in zip(values, values[1:]):
             assert abs(b / a) <= 1.5 * env
 
 
-class TestPartialSum:
-    def test_zeroth_term(self):
-        assert partial_sum(0, BENCH, F, G, QUAD) == pair(adiabatic_classical(BENCH), F, G, QUAD)
+def partial_sums(N):
+    """Partial sums of orders 0..N, read from one resummation report."""
+    report = verify_resummation(BENCH, F, G, N=N, quad=QUAD)
+    return [report.zeroth] + [row.cumulative for row in report.rows]
 
+
+class TestPartialSum:
     def test_converges_to_shifted_thermal_state(self):
         closed = pair(adiabatic(BENCH), F, G, QUAD)
-        total = partial_sum(8, BENCH, F, G, QUAD)
+        total = partial_sums(8)[-1]
         assert abs(total - closed) / abs(closed) <= 1e-8
 
     def test_gap_monotone_in_order(self):
         closed = pair(adiabatic(BENCH), F, G, QUAD)
-        gaps = [
-            abs(partial_sum(n, BENCH, F, G, QUAD) - closed) / abs(closed) for n in range(0, 7)
-        ]
+        gaps = [abs(s - closed) / abs(closed) for s in partial_sums(6)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_remainder_bounded_by_first_omitted_term(self):
         closed = pair(adiabatic(BENCH), F, G, QUAD)
-        for n in range(0, 7):
-            remainder = abs(partial_sum(n, BENCH, F, G, QUAD) - closed)
+        for n, total in enumerate(partial_sums(6)):
+            remainder = abs(total - closed)
             omitted = abs(nth_order_term(n + 1, BENCH, F, G, QUAD).value)
             assert remainder <= 2.0 * omitted
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            partial_sum(-1, BENCH, F, G, QUAD)
-
-    def test_one_grid_equals_per_order_terms(self):
-        zeroth = pair(adiabatic_classical(BENCH), F, G, QUAD)
-        terms = [nth_order_term(n, BENCH, F, G, QUAD).value for n in range(1, 9)]
-        assert partial_sum(8, BENCH, F, G, QUAD) == sum(terms, zeroth)
 
 
 class TestConvergenceGuard:
@@ -162,6 +151,30 @@ class TestVerifyResummation:
             assert row.dual_path_rel_dev == abs(t_beta - t_desc) / max(abs(t_beta), abs(t_desc))
             assert row.cumulative == cumulative
         assert len(report.rows) == 16
+
+    @pytest.mark.parametrize("n_radial", [64, 128])
+    def test_zeroth_and_closed_form_are_the_pairings(self, n_radial):
+        quad = QuadratureSpec(n_radial=n_radial)
+        for params in (BENCH, FREE):
+            report = verify_resummation(params, F, G, N=4, quad=quad)
+            assert report.zeroth == pair(adiabatic_classical(params), F, G, quad)
+            assert report.closed_form == pair(adiabatic(params), F, G, quad)
+
+    def test_one_radial_grid_per_report(self, monkeypatch, capsys):
+        calls = []
+        original = spectral.QuadratureSpec.radial_rule
+
+        def counting(quad, *packets):
+            calls.append(quad.n_radial)
+            return original(quad, *packets)
+
+        monkeypatch.setattr(spectral.QuadratureSpec, "radial_rule", counting)
+        verify_resummation(BENCH, F, G, N=8, quad=QUAD)
+        assert calls == [QUAD.n_radial]
+        calls.clear()
+        assert cli.main(["series"]) == 0
+        # the report's grid, then pairing_check's coarse and refined pairings
+        assert calls == [64, 64, 128]
 
     def test_report_dict_round_trips_through_json(self):
         import json

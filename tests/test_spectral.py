@@ -5,7 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from thermalquench import modes
-from thermalquench.modes import BogoliubovPair, IntegratorError, SwitchingProfile, solve_modes
+from thermalquench.modes import (
+    BogoliubovPair,
+    IntegratorError,
+    SwitchingProfile,
+    solve_modes,
+    sudden_quench_pair,
+)
 from thermalquench.spectral import TestPacket as Packet
 from thermalquench.spectral import (
     TAIL_SIGMAS,
@@ -198,6 +204,30 @@ class TestPair:
         anti = [pair(s, F, G, QUAD) - pair(s, G, F, QUAD) for s in shifted]
         for a in anti[1:]:
             assert a == pytest.approx(anti[0], abs=1e-12)
+
+    @pytest.mark.parametrize("n_radial", [64, 128])
+    def test_shared_integrand_matches_the_written_out_sum(self, n_radial):
+        def written_out(state, quad):
+            # the radial integral spelled out, the weight applied last
+            k, w = quad.radial_rule(F, G)
+            omega = state.branch_frequency(k)
+            plus = F.freq_component(omega, k) * G.freq_component(-omega, k)
+            minus = F.freq_component(-omega, k) * G.freq_component(omega, k)
+            integrand = (4.0 * np.pi * k * k) / (2.0 * omega) * (
+                state.c_plus(k) * plus + state.c_minus(k) * minus
+            )
+            return complex(np.sum(w * integrand))
+
+        quad = QuadratureSpec(n_radial=n_radial)
+        states = [
+            free_kms(PARAMS),
+            adiabatic_classical(PARAMS),
+            adiabatic(PARAMS),
+            ness_classical(PARAMS, lambda k: sudden_quench_pair(k, PARAMS)),
+        ]
+        for state in states:
+            expected = written_out(state, quad)
+            assert abs(pair(state, F, G, quad) - expected) <= 1e-14 * abs(expected)
 
     def test_swap_conjugates(self):
         val_fg = pair(adiabatic(PARAMS), F, G, QUAD)
