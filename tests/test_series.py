@@ -106,6 +106,11 @@ class TestPartialSum:
             omitted = abs(nth_order_term(n + 1, BENCH, F, G, QUAD).value)
             assert remainder <= 2.0 * omitted
 
+    def test_one_grid_equals_per_order_terms(self):
+        zeroth = pair(adiabatic_classical(BENCH), F, G, QUAD)
+        terms = [nth_order_term(n, BENCH, F, G, QUAD).value for n in range(1, 9)]
+        assert partial_sums(8)[-1] == sum(terms, zeroth)
+
 
 class TestConvergenceGuard:
     def test_bench_inside(self):
