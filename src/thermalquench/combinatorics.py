@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+import numpy as np
+
 DEFAULT_ORDER_CAP = 16
 ENUMERATION_CAP = 9
 PARTITION_CAP = 10
@@ -81,11 +83,12 @@ def eulerian_row_by_enumeration(n: int) -> EulerianRow:
         raise ValueError(
             f"enumeration is capped at n <= {ENUMERATION_CAP}, got {n}"
         )
-    counts = [0] * n
-    for perm in itertools.permutations(range(1, n + 1)):
-        d = sum(perm[i] > perm[i + 1] for i in range(n - 1))
-        counts[d] += 1
-    return EulerianRow(n, tuple(counts))
+    # one row per permutation of 0..n-1, in int8
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))), np.int8
+    ).reshape(-1, n)
+    descents = (perms[:, :-1] > perms[:, 1:]).sum(axis=1)
+    return EulerianRow(n, tuple(np.bincount(descents, minlength=n).tolist()))
 
 
 def _partitions_of(items: tuple) -> list[list[list]]:

@@ -21,9 +21,12 @@ One routine does every ramp solve.  The mode equation is linear, so one
 DOP853 step of (T, Tdot) is a real 2x2 matrix that does not depend on the
 state: the routine builds the maps of every step of a uniform grid on
 [-mu, 0], for every momentum at once, and carries the plane-wave data at
--mu through them.  The grid size comes from DOP853's embedded error
-estimate, taken per step and per momentum as scipy's step control takes it
-for a single mode; each momentum's Wronskian is gated at every grid node
+-mu through them.  The first grid is seeded from the tolerance by the h**8
+error law, rtol**(-1/8) * max(0.19 * mu * (largest frequency), 1.5) steps,
+with both constants fitted once on measured solves.  DOP853's embedded
+error estimate, taken per step and per momentum as scipy's step control
+takes it for a single mode, checks the grid, and a grid that fails the
+check is regrown.  Each momentum's Wronskian is gated at every grid node
 and at every ramp time a caller reads.  Values between nodes are one
 partial step of the same scheme from the node before.  Before -mu the mode
 is the plane wave, and for t >= 0 it is closed form from its data at t = 0,
@@ -55,13 +58,22 @@ _WKB_PANELS = 64
 
 # a mode fails when its Wronskian drifts from i by more than the gate
 _WRONSKIAN_TOL = 1e-8
-# a ramp solve lays at most _MAX_PASSES grids of _MIN_STEPS to _MAX_GRID / n
-# steps for n momenta, and builds the step maps _BLOCK (step, momentum)
-# pairs at a time
+# a ramp solve lays at most _MAX_PASSES grids of at most _MAX_GRID / n steps
+# for n momenta, and builds the step maps _BLOCK (step, momentum) pairs at a
+# time
 _MAX_PASSES = 6
-_MIN_STEPS = 8
 _MAX_GRID = 2**20
 _BLOCK = 2**14
+# The first grid has rtol**(-1/8) * max(_SEED_WAVE * mu * w_max, _SEED_SWITCH)
+# steps for the largest frequency w_max, since DOP853's error norm scales as
+# h**8.  Fitted on measured solves: where mu * w_max > 8, the smallest grid
+# that meets the tolerance has N * rtol**(1/8) / (mu * w_max) in
+# [0.160, 0.171], and _SEED_WAVE stays above the 0.189 that regrown grids
+# reached, which the 1e-9 accuracy of the default tolerances rests on.  The
+# smaller solves, whose grid the switch itself sets, need N * rtol**(1/8) of
+# at most 1.36 for lam in [-0.3, 0.6]; a stronger shift may need a regrow.
+_SEED_WAVE = 0.19
+_SEED_SWITCH = 1.5
 
 # The DOP853 tableau of Hairer, Norsett and Wanner: the nodes and rows of the
 # twelve stages, the order-8 solution weights (the last row of _A) and the
@@ -280,14 +292,17 @@ def _ramp_solve(
     A uniform grid on [-mu, 0] carries the plane-wave data at -mu through
     the DOP853 step maps of every momentum, one 2x2 product per step; the
     maps are built for a block of steps at a time, so memory stays bounded.
-    The first grid has one step per unit of mu * (largest frequency), and at
-    least ``_MIN_STEPS``.  While the worst step error (scipy's norm, per
-    momentum) is not below 1, the step count N grows as scipy grows a step
-    after a rejection, to ceil(N * err**(1/8) / 0.9), for at most
-    ``_MAX_PASSES`` grids of at most ``_MAX_GRID`` step maps.  Every
-    momentum's Wronskian is then gated at every node.  Returns a
-    :class:`ModeTrajectory` of the momentum batch that answers up to
-    ``t_end``.
+    The first grid is seeded at its final size from the h**8 error law,
+    rtol**(-1/8) * max(_SEED_WAVE * mu * (largest frequency), _SEED_SWITCH)
+    steps: the oscillation term was fitted on solves with
+    mu * (largest frequency) > 8 and the switch term on the smaller ones,
+    and on the measured solves this grid meets the tolerance in one pass.
+    As a fallback, while the worst step error (scipy's norm, per momentum)
+    is not below 1, the step count N grows as scipy grows a step after a
+    rejection, to ceil(N * err**(1/8) / 0.9), for at most ``_MAX_PASSES``
+    grids of at most ``_MAX_GRID`` step maps.  Every momentum's Wronskian is
+    then gated at every node.  Returns a :class:`ModeTrajectory` of the
+    momentum batch that answers up to ``t_end``.
     """
     k_mag = np.asarray(k_mags, dtype=float)
     ks = np.atleast_1d(k_mag)
@@ -296,7 +311,7 @@ def _ramp_solve(
     mu, shift, n = prof.mu, params.mass_shift, ks.size
     where = f"ramp solve for k in [{ks.min()}, {ks.max()}], mu={mu}"
     block = max(1, _BLOCK // n)
-    size = max(_MIN_STEPS, mu * max(eps.max(), eps_lam.max()))
+    size = rtol**-0.125 * max(_SEED_WAVE * mu * max(eps.max(), eps_lam.max()), _SEED_SWITCH)
     for passes in range(1, _MAX_PASSES + 1):
         if not size * n <= _MAX_GRID:  # also catches an infinite or NaN size
             raise IntegratorError(
@@ -473,10 +488,15 @@ def solve_modes(
     closed form beyond that.  Each momentum's step error meets ``rtol`` and
     ``atol`` as DOP853's step control measures it, and the Wronskian drift,
     a second error estimate, is enforced for every momentum at every grid
-    node.  ``method`` names the scheme and must be "DOP853".
+    node.  ``rtol`` must be positive and ``atol`` non-negative, both finite.
+    ``method`` names the scheme and must be "DOP853".
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if not 0 < rtol < math.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
+    if not 0 <= atol < math.inf:
+        raise ValueError(f"atol must be non-negative and finite, got {atol}")
     if method != "DOP853":
         raise ValueError(f"ramp solves use method='DOP853', got {method!r}")
     return _ramp_solve(k_mag, prof, params, rtol, atol, t_max)

@@ -45,7 +45,7 @@ MODE_PARAMS = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=0.5)
 SUDDEN_MU = 1e-3
 
 RUNTIME_BUDGETS_S = {
-    1: 5.0,
+    1: 0.2,
     2: 1.0,
     3: 1.0,
     4: 0.1,

@@ -6,16 +6,16 @@ from thermalquench import modes, spectral
 
 @pytest.fixture
 def ramp_solves(monkeypatch):
-    """Records the momenta of every call of the one ramp-solve routine."""
-    calls = []
+    """Records the trajectory of every call of the one ramp-solve routine."""
+    trajs = []
     original = modes._ramp_solve
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def recording(*args, **kwargs):
+        trajs.append(original(*args, **kwargs))
+        return trajs[-1]
 
-    monkeypatch.setattr(modes, "_ramp_solve", counting)
-    return calls
+    monkeypatch.setattr(modes, "_ramp_solve", recording)
+    return trajs
 
 
 @pytest.fixture

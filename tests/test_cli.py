@@ -263,13 +263,13 @@ class TestBatchedRampSolves:
         cfg = fast_config(tmp_path)
         assert run(["limits", "--config", str(cfg)]) == 0
         assert len(ramp_solves) == 3  # the mu ladder of fast_config
-        assert all(len(k) == 2 for k in ramp_solves)  # both k values in each
+        assert all(traj.eps.size == 2 for traj in ramp_solves)  # both k values in each
 
     def test_ness_one_solve(self, tmp_path, capsys, ramp_solves):
         cfg = fast_config(tmp_path)
         assert run(["ness", "--config", str(cfg)]) == 0
         assert len(ramp_solves) == 1
-        assert len(ramp_solves[0]) == 24  # every radial node of fast_config
+        assert ramp_solves[0].eps.size == 24  # every radial node of fast_config
 
     @pytest.mark.parametrize(
         "command, params, gate, message",

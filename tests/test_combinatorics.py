@@ -70,6 +70,16 @@ class TestEulerianRows:
             counts[d] += 1
         assert tuple(counts) == eulerian_row_recursive(5).coefficients
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_enumeration_matches_pure_python_count(self, n):
+        # the numpy descent count against a plain loop over the same permutations
+        counts = [0] * n
+        for perm in itertools.permutations(range(n)):
+            counts[sum(a > b for a, b in zip(perm, perm[1:]))] += 1
+        row = eulerian_row_by_enumeration(n).coefficients
+        assert row == tuple(counts)
+        assert all(type(c) is int for c in row)
+
 
 class TestSetPartitions:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])

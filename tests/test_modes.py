@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from thermalquench import modes
+from thermalquench import modes, verify
+from thermalquench.config import default_config
 from thermalquench.modes import (
     BogoliubovPair,
     IntegratorError,
@@ -182,6 +183,61 @@ class TestSolveModes:
         with pytest.raises(IntegratorError, match="step maps"):
             solve_modes(1.0, SwitchingProfile(1e300), PARAMS)
 
+    @pytest.mark.parametrize("rtol", [0.0, -1e-10, math.nan, math.inf])
+    def test_refuses_rtol_outside_positive_finite(self, rtol):
+        with pytest.raises(ValueError, match="rtol"):
+            solve_modes(1.0, SwitchingProfile(1.0), PARAMS, rtol=rtol)
+
+    @pytest.mark.parametrize("atol", [-1e-12, math.nan, math.inf])
+    def test_refuses_atol_outside_non_negative_finite(self, atol):
+        with pytest.raises(ValueError, match="atol"):
+            solve_modes(1.0, SwitchingProfile(1.0), PARAMS, atol=atol)
+
+    def test_zero_atol_is_a_tolerance(self):
+        traj = solve_modes(1.0, SwitchingProfile(1.0), PARAMS, atol=0.0)
+        assert traj.worst_drift <= 1e-8
+
+
+class TestOneGridPass:
+    """The first grid, seeded from the h**8 error law, meets the tolerance:
+    the regrow loop is a fallback that the solves of the CLI commands and
+    the acceptance suite do not reach."""
+
+    def test_drawn_solves_take_one_pass(self, ramp_solves):
+        rng = np.random.default_rng(20171)
+        for _ in range(24):  # limits-sized: one or two momenta, default tolerances
+            params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=rng.uniform(-0.3, 0.6))
+            ks = np.sort(rng.uniform(1.0, 1.6, rng.integers(1, 3)))
+            solve_modes(ks, SwitchingProfile(rng.uniform(3.0, 12.0)), params, t_max=0.0)
+        for _ in range(8):  # ness-sized: radial nodes of a packet, tight tolerances
+            params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=rng.uniform(-0.3, 0.6))
+            ks = np.sort(rng.uniform(0.0, rng.uniform(2.0, 5.5), rng.integers(8, 33)))
+            solve_modes(ks, SwitchingProfile(rng.uniform(0.5, 1.5)), params, t_max=0.0,
+                        rtol=1e-12, atol=1e-14)
+        drawn = len(ramp_solves)
+        config = default_config()
+        assert verify.criterion_6(config).status == "pass"
+        assert len(ramp_solves) == drawn + len(config.mu_ladder)
+        solve_modes(np.array(config.k_values), SwitchingProfile(verify.SUDDEN_MU),
+                    verify.MODE_PARAMS, t_max=0.0, rtol=1e-12, atol=1e-14)
+        passes = [traj.passes for traj in ramp_solves]
+        assert np.mean(passes) <= 1.2, passes
+        assert passes[drawn:] == [1] * (len(ramp_solves) - drawn)
+
+    def test_regrown_grid_matches_seeded_grid(self, monkeypatch):
+        # a seed four times too small fails the error check; the regrow loop
+        # then reaches a grid that agrees with the one-pass solve
+        prof, ks = SwitchingProfile(10.0), np.array([0.0, 1.0, 3.0])
+        ts = np.linspace(-10.0, 0.0, 41)
+        seeded = solve_modes(ks, prof, PARAMS, t_max=0.0)
+        monkeypatch.setattr(modes, "_SEED_WAVE", modes._SEED_WAVE / 4)
+        monkeypatch.setattr(modes, "_SEED_SWITCH", modes._SEED_SWITCH / 4)
+        regrown = solve_modes(ks, prof, PARAMS, t_max=0.0)
+        assert seeded.passes == 1 and regrown.passes >= 2
+        assert regrown.n_steps != seeded.n_steps
+        for a, b in zip(seeded.evaluate(ts), regrown.evaluate(ts)):
+            assert np.abs(a - b).max() <= 1e-9
+
 
 class TestGridAgainstAdaptiveReference:
     """The step-map grid against scipy's adaptive DOP853, 1000x tighter."""
@@ -207,7 +263,7 @@ class TestGridAgainstAdaptiveReference:
         assert np.abs(modes._E.sum(axis=1)).max() <= 4e-15
 
     @pytest.mark.parametrize("lam", [-0.3, 1e-4, 0.5])
-    @pytest.mark.parametrize("mu", [1e-3, 1.0, 5.0, 40.0])
+    @pytest.mark.parametrize("mu", [1e-3, 0.5, 1.0, 1.5, 5.0, 40.0])
     def test_switching_integral_nodes_and_endpoint(self, mu, lam):
         # default tolerances: 1e-9 absolute on (T, Tdot) at every node the
         # switching integrals read and at t = 0; the tight path keeps every
