@@ -198,22 +198,27 @@ class TestSolveModes:
         assert traj.worst_drift <= 1e-8
 
 
+def _drawn_solves():
+    """Ramp solves drawn at the sizes the CLI commands make them."""
+    rng = np.random.default_rng(20171)
+    for _ in range(24):  # limits-sized: one or two momenta, default tolerances
+        params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=rng.uniform(-0.3, 0.6))
+        ks = np.sort(rng.uniform(1.0, 1.6, rng.integers(1, 3)))
+        solve_modes(ks, SwitchingProfile(rng.uniform(3.0, 12.0)), params, t_max=0.0)
+    for _ in range(8):  # ness-sized: radial nodes of a packet, tight tolerances
+        params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=rng.uniform(-0.3, 0.6))
+        ks = np.sort(rng.uniform(0.0, rng.uniform(2.0, 5.5), rng.integers(8, 33)))
+        solve_modes(ks, SwitchingProfile(rng.uniform(0.5, 1.5)), params, t_max=0.0,
+                    rtol=1e-12, atol=1e-14)
+
+
 class TestOneGridPass:
     """The first grid, seeded from the h**8 error law, meets the tolerance:
     the regrow loop is a fallback that the solves of the CLI commands and
     the acceptance suite do not reach."""
 
     def test_drawn_solves_take_one_pass(self, ramp_solves):
-        rng = np.random.default_rng(20171)
-        for _ in range(24):  # limits-sized: one or two momenta, default tolerances
-            params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=rng.uniform(-0.3, 0.6))
-            ks = np.sort(rng.uniform(1.0, 1.6, rng.integers(1, 3)))
-            solve_modes(ks, SwitchingProfile(rng.uniform(3.0, 12.0)), params, t_max=0.0)
-        for _ in range(8):  # ness-sized: radial nodes of a packet, tight tolerances
-            params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=rng.uniform(-0.3, 0.6))
-            ks = np.sort(rng.uniform(0.0, rng.uniform(2.0, 5.5), rng.integers(8, 33)))
-            solve_modes(ks, SwitchingProfile(rng.uniform(0.5, 1.5)), params, t_max=0.0,
-                        rtol=1e-12, atol=1e-14)
+        _drawn_solves()
         drawn = len(ramp_solves)
         config = default_config()
         assert verify.criterion_6(config).status == "pass"
@@ -237,6 +242,116 @@ class TestOneGridPass:
         assert regrown.n_steps != seeded.n_steps
         for a, b in zip(seeded.evaluate(ts), regrown.evaluate(ts)):
             assert np.abs(a - b).max() <= 1e-9
+
+
+class TestMomentumFreeStepMaps:
+    """A batch of more than ``_DIRECT_MAX`` distinct momenta runs the DOP853
+    stages on seven Chebyshev samples of x = eps**2 and interpolates; the
+    direct path, which runs them on every distinct x, is the reference."""
+
+    # measured worst, k up to 5.5: 8.0e-15 on the step maps and 3.1e-7 on
+    # the error maps relative to their largest entry on criterion 6's mu = 40
+    # grid; 2.8e-14 on the step maps at the long step h = 0.2, where h * w
+    # reaches 1.1 and six samples (a dropped x**6 term) would miss by 1.2e-10
+    STEP_ABS = 1e-13
+    ERROR_REL = 1e-5
+
+    @pytest.mark.parametrize("step", ["grid", "per-start", "long"])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_interpolated_maps_match_one_momentum_at_a_time(self, n, step):
+        assert n > modes._DIRECT_MAX
+        rng = np.random.default_rng(n)
+        ks = np.append(rng.uniform(0.0, 5.5, n - 1), 5.5)
+        eps = dispersion(ks, verify.MODE_PARAMS).eps
+        mu, shift = 40.0, verify.MODE_PARAMS.mass_shift
+        t = np.linspace(-mu, 0.0, 763)[200:456]  # a block of criterion 6's largest grid
+        if step == "per-start":  # as between grid nodes
+            h = rng.uniform(0.0, mu / 762, t.size)
+        else:
+            h = mu / 762 if step == "grid" else 0.2
+        fast = modes._step_maps(t, h, eps, shift, mu)
+        slow = [np.concatenate(maps, axis=1) for maps in
+                zip(*(modes._step_maps(t, h, eps[i : i + 1], shift, mu) for i in range(n)))]
+        for a, b in zip(fast, slow):
+            assert a.shape == b.shape == (t.size, n, 2, 2)
+        assert np.abs(fast[0] - slow[0]).max() <= self.STEP_ABS
+        for a, b in zip(fast[1:], slow[1:]):
+            assert np.abs(a - b).max() <= self.ERROR_REL * np.abs(b).max()
+
+    def test_same_grids_as_the_direct_path(self, ramp_solves, monkeypatch):
+        # criterion 6's four solves, the default ness solve and the drawn
+        # solves lay the same grids when every batch takes the direct path
+        config = default_config()
+        k_ness, _ = config.quadrature.radial_rule(*config.packet_pair)
+
+        def grids():
+            del ramp_solves[:]
+            assert verify.criterion_6(config).status == "pass"
+            verify.ness_bogoliubov_map(config.params, mu=config.profile.mu)(k_ness)
+            _drawn_solves()
+            return [(traj.eps.size, traj.n_steps, traj.passes) for traj in ramp_solves]
+
+        default = grids()
+        assert [g[1] for g in default[:4]] == [96, 191, 381, 762]
+        monkeypatch.setattr(modes, "_DIRECT_MAX", 10**9)
+        assert grids() == default
+
+    def test_degenerate_batches(self):
+        # more momenta than the cut-over but only three distinct values, and
+        # 64 copies of one momentum: no interpolation interval is formed, and
+        # each row is the solve of its own momentum
+        prof = SwitchingProfile(5.0)
+        distinct = np.array([0.5, 1.0, 3.0])
+        ks = np.random.default_rng(3).permutation(np.repeat(distinct, [7, 7, 6]))
+        assert ks.size > modes._DIRECT_MAX
+        with np.errstate(all="raise"):
+            batch = solve_modes(ks, prof, PARAMS, t_max=0.0)
+            rows = solve_modes(distinct, prof, PARAMS, t_max=0.0)
+            scalars = [solve_modes(k, prof, PARAMS, t_max=0.0) for k in distinct]
+            copies = solve_modes(np.full(64, 1.0), prof, PARAMS, t_max=0.0)
+        pick = np.searchsorted(distinct, ks)
+        assert batch.n_steps == rows.n_steps
+        assert np.array_equal(batch.T, rows.T[pick]) and np.array_equal(batch.Tdot, rows.Tdot[pick])
+        for i, scalar in enumerate(scalars):
+            # the largest momentum sets the batch's grid; the others lay their own
+            tol = 0.0 if i == distinct.size - 1 else 1e-9
+            for a, b in ((batch.T, scalar.T), (batch.Tdot, scalar.Tdot)):
+                assert np.abs(a[pick == i, -1] - b[0, -1]).max() <= tol
+        assert np.array_equal(copies.T, np.repeat(scalars[1].T, 64, axis=0))
+        assert np.array_equal(copies.Tdot, np.repeat(scalars[1].Tdot, 64, axis=0))
+
+
+class TestTanhOracle:
+    """The switch (1 + tanh(40 (s + 1/2))) / 2 on (-1, 0), rate rho = 40/mu,
+    has a closed-form Bogoliubov pair: |a_minus|**2 =
+    sinh(pi (w_out - w_in) / (2 rho))**2 / (sinh(pi w_in / rho) sinh(pi w_out / rho))
+    (Bernard and Duncan 1977; Birrell and Davies 1982, section 3.4).  Its ends
+    differ from 0 and 1 by about 4e-18."""
+
+    # measured worst: 2.4e-15 absolute over both batches and every mu
+    A_MINUS_SQ_ABS = 1e-13
+
+    @staticmethod
+    def tanh_unit(s):
+        s = np.asarray(s, dtype=float)
+        inside = 0.5 + 0.5 * np.tanh(40.0 * (s + 0.5))
+        out = np.where(s <= -1.0, 0.0, np.where(s >= 0.0, 1.0, inside))
+        return float(out) if out.ndim == 0 else out
+
+    @pytest.mark.parametrize("ks", [np.linspace(0.0, 3.0, 40), np.array([0.5, 2.0])],
+                             ids=["interpolated", "direct"])
+    def test_a_minus_matches_the_closed_form(self, ks, monkeypatch):
+        monkeypatch.setattr(modes, "chi_unit", self.tanh_unit)
+        d = dispersion(ks, verify.MODE_PARAMS)
+        w_in, w_out = d.eps, d.eps_lambda
+        for mu in (0.5, 2.0, 5.0, 10.0, 20.0, 40.0):
+            rho = 40.0 / mu
+            traj = solve_modes(ks, SwitchingProfile(mu), verify.MODE_PARAMS, t_max=0.0)
+            exact = np.sinh(np.pi * (w_out - w_in) / (2.0 * rho)) ** 2 / (
+                np.sinh(np.pi * w_in / rho) * np.sinh(np.pi * w_out / rho)
+            )
+            gap = np.abs(np.abs(bogoliubov(traj).a_minus) ** 2 - exact).max()
+            assert gap <= self.A_MINUS_SQ_ABS, (mu, gap)
 
 
 class TestGridAgainstAdaptiveReference:
