@@ -21,17 +21,14 @@ One routine does every ramp solve.  The mode equation is linear, so one
 DOP853 step of (T, Tdot) is a real 2x2 matrix that does not depend on the
 state: the routine builds the maps of every step of a uniform grid on
 [-mu, 0], for every momentum at once, and carries the plane-wave data at
--mu through them.  The momentum enters a map only through x = eps**2, and
-every map is a polynomial in x of degree at most 6: a batch of more than
-``_DIRECT_MAX`` distinct momenta runs the twelve DOP853 stages on seven
-Chebyshev points of its x range and interpolates every momentum's maps,
-so the stage work of a step no longer grows with the batch.  The first
-grid is seeded from the tolerance by the h**8 error law,
-rtol**(-1/8) * max(0.19 * mu * (largest frequency), 1.5) steps, with both
-constants fitted once on measured solves.  DOP853's embedded
-error estimate, taken per step and per momentum as scipy's step control
-takes it for a single mode, checks the grid, and a grid that fails the
-check is regrown.  Each momentum's Wronskian is gated at every grid node
+-mu through them.  Every map is a polynomial of degree at most 6 in
+x = eps**2, so a large batch interpolates its maps from seven frequencies
+(see ``_step_maps``).  The first grid is seeded from the tolerance by the
+h**8 error law, rtol**(-1/8) * max(0.19 * mu * (largest frequency), 1.5)
+steps, with both constants fitted once on measured solves.  DOP853's
+embedded error estimate, taken per step and per momentum as scipy's step
+control takes it for a single mode, checks the grid, and a grid that fails
+the check is regrown.  Each momentum's Wronskian is gated at every grid node
 and at every ramp time a caller reads.  Values between nodes are one
 partial step of the same scheme from the node before.  Before -mu the mode
 is the plane wave, and for t >= 0 it is closed form from its data at t = 0,
@@ -69,12 +66,10 @@ _WRONSKIAN_TOL = 1e-8
 _MAX_PASSES = 6
 _MAX_GRID = 2**20
 _BLOCK = 2**14
-# Every step map is a 2x2 polynomial of degree at most _DEGREE in x = eps**2
-# (see _step_maps).  A batch with more than _DIRECT_MAX distinct x runs the
-# stages on _DEGREE + 1 Chebyshev points of its x range and interpolates.
-# The cut-over is measured: on ramp solves of 8, 12, 16, 24 and 32 radial
-# nodes at tight tolerances, interpolating cost 13% and 5% more at 8 and 12
-# momenta and saved 3%, 9% and 16% at 16, 24 and 32.
+# _step_maps interpolates the maps of a batch with more than _DIRECT_MAX
+# distinct x.  The cut-over is measured: on ramp solves of 8, 12, 16, 24 and
+# 32 radial nodes at tight tolerances, interpolating cost 13% and 5% more at
+# 8 and 12 momenta and saved 3%, 9% and 16% at 16, 24 and 32.
 _DEGREE = 6
 _DIRECT_MAX = 14
 # The first grid has rtol**(-1/8) * max(_SEED_WAVE * mu * w_max, _SEED_SWITCH)
@@ -261,11 +256,9 @@ def _step_maps(t, h, eps, shift: float, mu: float):
     nilpotent [[0, 0], [-1, 0]].  Every map is a sum of products of at most
     twelve derivative maps in which x cannot enter two factors in a row, so
     each entry is a polynomial in x of degree at most ``_DEGREE`` = 6.  A
-    batch of at most ``_DIRECT_MAX`` momenta runs the stages on its own x.
-    A larger batch with at most ``_DIRECT_MAX`` distinct x runs them on
-    each distinct x once, and one with more runs them on the seven
-    Chebyshev points of [min x, max x]; one contraction over the samples,
-    a pick or a Lagrange interpolation, then gives every momentum's maps.
+    batch of more than ``_DIRECT_MAX`` distinct x therefore runs the stages
+    on the seven Chebyshev points of [min x, max x] and interpolates every
+    momentum's maps; any other batch runs them on its own x.
     Returns (step, err5, err3), each of shape (m, n, 2, 2): the order-8 step
     map and the two embedded error maps that DOP853's step control combines
     (before its factor h).
@@ -275,15 +268,11 @@ def _step_maps(t, h, eps, shift: float, mu: float):
     h_col = h[:, None] if h.ndim else h
     x = eps * eps
     xs, mix = x, None
-    if x.size > _DIRECT_MAX:
-        xs, inverse = np.unique(x, return_inverse=True)
-        if xs.size > _DIRECT_MAX:
-            lo, hi = xs[0], xs[-1]
-            u = np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1))
-            xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * u
-            mix = _lagrange(u, (2.0 * x - lo - hi) / (hi - lo))
-        else:  # a few distinct momenta, repeated: each x once, then picked
-            mix = np.eye(xs.size)[inverse]
+    if x.size > _DIRECT_MAX and np.unique(x).size > _DIRECT_MAX:
+        lo, hi = x.min(), x.max()
+        u = np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1))
+        xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * u
+        mix = _lagrange(u, (2.0 * x - lo - hi) / (hi - lo))
     # -w(t)^2 at every stage time, shape (12, m, samples)
     chi = chi_unit((t + _C[:, None] * h) / mu)
     neg_w_sq = -(xs + shift * chi[..., None])

@@ -247,7 +247,7 @@ class TestOneGridPass:
 class TestMomentumFreeStepMaps:
     """A batch of more than ``_DIRECT_MAX`` distinct momenta runs the DOP853
     stages on seven Chebyshev samples of x = eps**2 and interpolates; the
-    direct path, which runs them on every distinct x, is the reference."""
+    direct path, which runs them on the batch's own x, is the reference."""
 
     # measured worst, k up to 5.5: 8.0e-15 on the step maps and 3.1e-7 on
     # the error maps relative to their largest entry on criterion 6's mu = 40
