@@ -1,9 +1,9 @@
 """Experiment driver: reproducible runs of every verification surface.
 
 One parser takes a command and the flags ``--config``, ``--out`` and
-``--refine`` (``--n-max`` too, for ``eulerian`` alone), in any order:
+``--refine``, in any order; every command accepts all three:
 
-eulerian    cross-check the Eulerian rows (recursion vs enumeration)
+eulerian    cross-check the Eulerian rows for n = 1..8 (recursion vs enumeration)
 limits      switching-integral ladder per momentum (CSV)
 series      resummation report for the perturbative series (JSON, CSV table)
 ness        Bogoliubov and steady-state spectral data per momentum (CSV)
@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .combinatorics import ENUMERATION_CAP, eulerian_row_by_enumeration, eulerian_row_recursive
+from .combinatorics import eulerian_row_by_enumeration, eulerian_row_recursive
 from .config import ConfigError, RunConfig, default_config, load_config
 from .modes import (
     IntegratorError,
@@ -125,14 +125,9 @@ def _write_meta(args):
 
 
 def cmd_eulerian(args, config: RunConfig) -> int:
-    n_max = 8 if args.n_max is None else args.n_max
-    if n_max < 1 or n_max > ENUMERATION_CAP:
-        raise ConfigError(
-            f"cap exceeded: enumeration cross-check requires 1 <= n_max <= {ENUMERATION_CAP}"
-        )
     rows = []
     all_match = True
-    for n in range(1, n_max + 1):
+    for n in range(1, 9):
         rec = eulerian_row_recursive(n)
         enum = eulerian_row_by_enumeration(n)
         match = rec.coefficients == enum.coefficients
@@ -256,17 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None, help="JSON run configuration")
     parser.add_argument("--out", type=Path, default=None, help="output directory (stdout if omitted)")
     parser.add_argument("--refine", action="store_true",
-                        help="double quadrature node counts and densify ladders")
-    parser.add_argument("--n-max", type=int, default=None,
-                        help=f"eulerian only: largest order (<= {ENUMERATION_CAP}, default 8)")
+                        help="double quadrature node counts and densify the mu ladder")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.n_max is not None and args.command != "eulerian":
-        parser.error("--n-max applies to the eulerian command only")
     # looked up on each call, so a wrapper installed on the module attribute is seen
     command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:

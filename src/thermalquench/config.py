@@ -7,8 +7,8 @@ The schema is deliberately flat:
       "params":     {"beta": 1.0, "m_sq": 1.0, "m0_sq": 1.0, "lam": 0.1},
       "profile":    {"mu": 1.0},
       "packets":    [{"k_center": 1.0, "k_width": 0.5,
-                      "t_center": 2.0, "t_width": 0.3}, ...],
-      "ladders":    {"mu": [...], "orders": [...], "horizons": [...], "k": [...]},
+                      "t_center": 2.0, "t_width": 0.3}, {...}],
+      "ladders":    {"mu": [...], "orders": [...], "k": [...]},
       "quadrature": {"n_radial": 64, "n_time": 80},
       "tolerances": {...}
     }
@@ -18,7 +18,8 @@ names of the type it builds (``ThermalParams``, ``SwitchingProfile``,
 ``TestPacket``, ``QuadratureSpec``), the tolerances under the keys of
 ``DEFAULT_TOLERANCES`` and the ladders under the names in ``LADDERS``.
 Every key is optional except the four fields of a packet; an omitted key
-takes its value from :func:`default_config`.  An unknown key at any level
+takes its value from :func:`default_config`.  ``packets`` holds exactly two
+packets, the f and g of every pairing.  An unknown key at any level
 is an error.  Every value is a JSON number, never a string or a boolean,
 and the four counts (``n_radial``, ``n_time``, ``orders`` and
 ``schema_version``) are integers.  Every number must be finite, every
@@ -61,7 +62,7 @@ DEFAULT_TOLERANCES = {
 }
 
 # JSON ladder name -> RunConfig field
-LADDERS = {"mu": "mu_ladder", "orders": "order_ladder", "horizons": "horizon_ladder", "k": "k_values"}
+LADDERS = {"mu": "mu_ladder", "orders": "order_ladder", "k": "k_values"}
 # the integer-valued fields; every other number is read as a float
 COUNTS = {"n_radial", "n_time", "orders", "schema_version"}
 # JSON section -> the type it builds; each section's name is its RunConfig field
@@ -86,7 +87,6 @@ class RunConfig:
     packets: tuple[TestPacket, ...]
     mu_ladder: tuple[float, ...] = (5.0, 10.0, 20.0, 40.0)
     order_ladder: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
-    horizon_ladder: tuple[float, ...] = (50.0, 100.0, 200.0, 400.0)
     k_values: tuple[float, ...] = (0.0, 1.0)
     quadrature: QuadratureSpec = QuadratureSpec()
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
@@ -97,18 +97,18 @@ class RunConfig:
             raise ConfigError(
                 f"unsupported schema_version {self.schema_version}; expected {SCHEMA_VERSION}"
             )
-        if len(self.packets) < 2:
-            raise ConfigError("at least two packets are required (a pairing needs f and g)")
+        if len(self.packets) != 2:
+            raise ConfigError(f"exactly two packets (f and g) are required, got {len(self.packets)}")
         for name, attr in LADDERS.items():
             ladder = getattr(self, attr)
             if not ladder:
                 raise ConfigError(f"ladder {name!r} must not be empty")
             if any(b <= a for a, b in zip(ladder, ladder[1:])):
                 raise ConfigError(f"ladder {name!r} must be strictly increasing: {ladder}")
-        if not all(map(math.isfinite, (*self.mu_ladder, *self.horizon_ladder, *self.k_values))):
-            raise ConfigError("mu, horizon and k ladders must be finite")
-        if any(m <= 0 for m in self.mu_ladder) or any(h <= 0 for h in self.horizon_ladder):
-            raise ConfigError("mu and horizon ladders must be positive")
+        if not all(map(math.isfinite, (*self.mu_ladder, *self.k_values))):
+            raise ConfigError("mu and k ladders must be finite")
+        if any(m <= 0 for m in self.mu_ladder):
+            raise ConfigError("the mu ladder must be positive")
         if any(n < 1 or n > DEFAULT_ORDER_CAP for n in self.order_ladder):
             raise ConfigError(f"orders must lie in [1, {DEFAULT_ORDER_CAP}]")
         if any(k < 0 for k in self.k_values):
@@ -130,14 +130,9 @@ class RunConfig:
         return self.packets[0], self.packets[1]
 
     def refined(self) -> "RunConfig":
-        """Double quadrature node counts and densify the mu/horizon ladders
-        with geometric midpoints (orders are already consecutive integers)."""
-        return replace(
-            self,
-            mu_ladder=_densify(self.mu_ladder),
-            horizon_ladder=_densify(self.horizon_ladder),
-            quadrature=self.quadrature.refined(),
-        )
+        """Double quadrature node counts and densify the mu ladder with
+        geometric midpoints (orders and momenta are kept as given)."""
+        return replace(self, mu_ladder=_densify(self.mu_ladder), quadrature=self.quadrature.refined())
 
     def to_dict(self) -> dict:
         return {

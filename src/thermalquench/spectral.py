@@ -87,11 +87,12 @@ class TestPacket:
         """fhat(omega, k): the packet evaluated on a frequency branch."""
         return self.spatial(k) * self.temporal_hat(omega)
 
-    def time_support(self, n_sigma: float = TIME_SIGMAS) -> tuple[float, float]:
-        """Interval outside which the temporal profile is negligible."""
+    def time_support(self) -> tuple[float, float]:
+        """Interval, TIME_SIGMAS widths each side of the centre, outside
+        which the temporal profile is negligible."""
         return (
-            self.t_center - n_sigma * self.t_width,
-            self.t_center + n_sigma * self.t_width,
+            self.t_center - TIME_SIGMAS * self.t_width,
+            self.t_center + TIME_SIGMAS * self.t_width,
         )
 
 

@@ -26,7 +26,7 @@ from .combinatorics import (
     eulerian_row_recursive,
     moments_from_connected,
 )
-from .config import RunConfig, default_config
+from .config import RunConfig
 from .modes import (
     BogoliubovPair,
     SwitchingProfile,
@@ -67,10 +67,6 @@ class CriterionResult:
     reason: str = ""
     runtime_s: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return self.status in ("pass", "skip")
-
     def summary_line(self) -> str:
         head = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[self.status]
         nums = "  ".join(f"{k}={v:.3e}" for k, v in self.measured.items())
@@ -88,13 +84,12 @@ class CriterionResult:
         }
 
 
-def _finish(index, name, ok, measured, t0, reason=""):
+def _finish(index, name, ok, measured, t0):
     return CriterionResult(
         index=index,
         name=name,
         status="pass" if ok else "fail",
         measured=measured,
-        reason=reason,
         runtime_s=time.perf_counter() - t0,
     )
 
@@ -112,8 +107,9 @@ def criterion_1(config: RunConfig) -> CriterionResult:
     return _finish(1, "eulerian-cross-oracle", ok, {"max_n": 8.0}, t0)
 
 
-def _richardson_derivative(f, x: float, n: int, h0: float, levels: int = 5) -> float:
-    """n-th derivative by central differences plus Richardson extrapolation.
+def _richardson_derivative(f, x: float, n: int, h0: float) -> float:
+    """n-th derivative by central differences plus five levels of Richardson
+    extrapolation.
 
     The central n-th difference has an even error series in h, so each
     extrapolation level cancels one power of h^2.
@@ -124,12 +120,12 @@ def _richardson_derivative(f, x: float, n: int, h0: float, levels: int = 5) -> f
             total += (-1) ** i * math.comb(n, i) * f(x + (n / 2.0 - i) * h)
         return total / h**n
 
-    table = [[central(h0 / 2**j)] for j in range(levels)]
-    for m in range(1, levels):
-        for j in range(m, levels):
+    table = [[central(h0 / 2**j)] for j in range(5)]
+    for m in range(1, 5):
+        for j in range(m, 5):
             num = 4.0**m * table[j][m - 1] - table[j - 1][m - 1]
             table[j].append(num / (4.0**m - 1.0))
-    return table[levels - 1][levels - 1]
+    return table[-1][-1]
 
 
 def criterion_2(config: RunConfig) -> CriterionResult:
@@ -384,8 +380,6 @@ CRITERIA = {
 }
 
 
-def run_all(config: RunConfig | None = None, indices=None) -> list[CriterionResult]:
+def run_all(config: RunConfig) -> list[CriterionResult]:
     """Run the acceptance criteria in order and return their results."""
-    config = config or default_config()
-    indices = sorted(indices) if indices else sorted(CRITERIA)
-    return [CRITERIA[i](config) for i in indices]
+    return [CRITERIA[i](config) for i in sorted(CRITERIA)]

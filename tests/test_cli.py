@@ -37,7 +37,6 @@ def fast_config(tmp_path, **overrides):
         "ladders": {
             "mu": [5.0, 10.0, 20.0],
             "orders": [1, 2, 3, 4, 5, 6, 7, 8],
-            "horizons": [50.0],
             "k": [0.0, 1.0],
         },
         "quadrature": {"n_radial": 24, "n_time": 48},
@@ -56,24 +55,23 @@ def read_csv(path):
 
 class TestEulerian:
     def test_table(self, capsys):
-        assert run(["eulerian", "--n-max", "4"]) == 0
+        # always n = 1..8, the rows criterion 1 checks
+        assert run(["eulerian"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "n,recursive,enumeration,row_sum,status"
-        assert len(lines) == 5
+        assert len(lines) == 9
         assert all(line.endswith("MATCH") for line in lines[1:])
         assert lines[4].split(",")[1] == "1 11 11 1"
+        assert lines[8].split(",")[3] == "40320"
 
     def test_single_row(self, capsys):
-        assert run(["eulerian", "--n-max", "1"]) == 0
+        # the first row, n = 1, of the default table
+        assert run(["eulerian"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1] == "1,1,1,1,MATCH"
 
-    def test_cap_exceeded(self, capsys):
-        assert run(["eulerian", "--n-max", "10"]) == 2
-        assert "cap exceeded" in capsys.readouterr().err
-
     def test_out_dir(self, tmp_path):
-        assert run(["eulerian", "--n-max", "3", "--out", str(tmp_path)]) == 0
+        assert run(["eulerian", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "eulerian.csv").exists()
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["command"] == "eulerian"
@@ -135,6 +133,10 @@ class TestLimits:
             '{"schema_version": 1.9}',
             b'\xff',
             "[" * 100000 + "]" * 100000,
+            '{"ladders": {"horizons": [50]}}',
+            '{"packets": [{"k_center": 1.0, "k_width": 0.5, "t_center": 2.0, "t_width": 0.3},'
+            ' {"k_center": 1.0, "k_width": 0.5, "t_center": 2.5, "t_width": 0.3},'
+            ' {"k_center": 1.0, "k_width": 0.5, "t_center": 3.0, "t_width": 0.3}]}',
         ],
         ids=["mu-descending", "k-unsorted-duplicate", "k-empty", "n-radial-zero", "n-time-negative",
              "k-center-nan", "beta-infinity", "mu-infinity", "mu-ladder-infinity",
@@ -143,7 +145,7 @@ class TestLimits:
              "profile-unknown-key", "ladders-unknown-key", "quadrature-unknown-key",
              "packet-fifth-key", "tolerances-unknown-key", "tolerance-bool", "beta-string",
              "beta-bool", "n-radial-fractional", "orders-fractional", "schema-version-fractional",
-             "not-utf8", "nested-too-deep"],
+             "not-utf8", "nested-too-deep", "ladders-horizons", "packets-three"],
     )
     def test_malformed_config(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
@@ -195,18 +197,23 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        assert run(["eulerian", "--n-max", "1"]) == 0
+        assert run(["eulerian"]) == 0
         assert len(built) == 1
 
-    def test_n_max_outside_eulerian_refused(self, capsys):
+    @pytest.mark.parametrize("argv", [["eulerian", "--n-max", "3"], ["limits", "--n-max", "3"]],
+                             ids=["eulerian-n-max", "limits-n-max"])
+    def test_unknown_flag_refused(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            run(["limits", "--n-max", "3"])
+            run(argv)
         assert exc.value.code == 2
-        assert "--n-max applies to the eulerian command only" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err and captured.out == ""
 
-    def test_flags_before_command(self, capsys):
-        assert run(["--n-max", "2", "eulerian"]) == 0
-        assert capsys.readouterr().out.strip().splitlines()[-1] == "2,1 1,1 1,2,MATCH"
+    def test_flags_before_command(self, tmp_path, capsys):
+        assert run(["--out", str(tmp_path), "eulerian"]) == 0
+        assert capsys.readouterr().out == ""
+        last = (tmp_path / "eulerian.csv").read_text().splitlines()[-1]
+        assert last.startswith("8,") and last.endswith(",40320,MATCH")
 
     def test_command_help_is_the_parser_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -55,6 +55,14 @@ class TestSwitchingProfile:
         rate = prof.rate(ts)
         assert np.all(rate >= 0.0)
         assert np.all(rate[(ts <= -2.0) | (ts >= 0.0)] == 0.0)
+        # a fine grid of (-1, 0), plus u = s + 1 and u = -s across the
+        # 1/708 cut of the bump: no underflow is signalled
+        cut = 1.0 / np.linspace(700.0, 716.0, 1601)
+        s = np.concatenate([np.linspace(-1.0, 0.0, 100001)[1:-1], cut - 1.0, -cut])
+        with np.errstate(all="raise"):
+            rate = chi_unit_rate(s)
+        # the largest rate, chi_unit_rate(-1/2), is 2
+        assert np.all(rate >= 0.0) and rate.max() <= 2.0 + 1e-12
 
     def test_rate_integrates_to_one(self):
         prof = SwitchingProfile(mu=1.5)
@@ -330,6 +338,9 @@ class TestTanhOracle:
 
     # measured worst: 2.4e-15 absolute over both batches and every mu
     A_MINUS_SQ_ABS = 1e-13
+    # |a_plus|**2 - |a_minus|**2 - 1 per momentum; measured worst: 9.2e-11
+    # absolute (mu = 40, interpolated batch), at the default tolerances
+    NORM_ABS = 1e-8
 
     @staticmethod
     def tanh_unit(s):
@@ -350,8 +361,11 @@ class TestTanhOracle:
             exact = np.sinh(np.pi * (w_out - w_in) / (2.0 * rho)) ** 2 / (
                 np.sinh(np.pi * w_in / rho) * np.sinh(np.pi * w_out / rho)
             )
-            gap = np.abs(np.abs(bogoliubov(traj).a_minus) ** 2 - exact).max()
+            pair = bogoliubov(traj)
+            gap = np.abs(np.abs(pair.a_minus) ** 2 - exact).max()
             assert gap <= self.A_MINUS_SQ_ABS, (mu, gap)
+            norm = np.abs(np.abs(pair.a_plus) ** 2 - np.abs(pair.a_minus) ** 2 - 1.0).max()
+            assert norm <= self.NORM_ABS, (mu, norm)
 
 
 class TestGridAgainstAdaptiveReference:
@@ -510,6 +524,10 @@ class TestSwitchIntegrals:
     def test_scalar_call_gives_numbers(self):
         i_sq, i_abs = switch_integrals(1.0, SwitchingProfile(2.0), PARAMS)
         assert type(i_sq) is complex and type(i_abs) is float
+        # the rate at panel nodes next to the ramp's ends signals no underflow
+        with np.errstate(all="raise"):
+            i_sq, i_abs = switch_integrals(np.array([0.5, 1.0]), SwitchingProfile(5.0), PARAMS)
+        assert np.all(np.isfinite(i_sq)) and np.all(np.isfinite(i_abs))
 
     def test_batch_matches_scalar_calls(self):
         # one batched solve per mu at the default tolerances against one

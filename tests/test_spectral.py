@@ -15,7 +15,6 @@ from thermalquench.modes import (
 from thermalquench.spectral import TestPacket as Packet
 from thermalquench.spectral import (
     TAIL_SIGMAS,
-    TIME_SIGMAS,
     QuadratureSpec,
     SpectralState,
     _gauss_legendre,
@@ -78,7 +77,7 @@ class TestQuadratureRules:
         nodes, weights = quad.radial_rule(F, G)
         np.testing.assert_array_equal(nodes, 0.5 * k_max * (x + 1.0))
         np.testing.assert_array_equal(weights, 0.5 * k_max * w)
-        lo, hi = F.time_support(TIME_SIGMAS)
+        lo, hi = F.time_support()
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         t, wt = quad.time_rule(F)
         np.testing.assert_array_equal(t, mid + half * x)
