@@ -23,16 +23,20 @@ state: the routine builds the maps of every step of a uniform grid on
 [-mu, 0], for every momentum at once, and carries the plane-wave data at
 -mu through them.  Every map is a polynomial of degree at most 6 in
 x = eps**2, so a large batch interpolates its maps from seven frequencies
-(see ``_step_maps``).  The first grid is seeded from the tolerance by the
-h**8 error law, rtol**(-1/8) * max(0.19 * mu * (largest frequency), 1.5)
-steps, with both constants fitted once on measured solves.  DOP853's
-embedded error estimate, taken per step and per momentum as scipy's step
-control takes it for a single mode, checks the grid, and a grid that fails
-the check is regrown.  Each momentum's Wronskian is gated at every grid node
-and at every ramp time a caller reads.  Values between nodes are one
-partial step of the same scheme from the node before.  Before -mu the mode
-is the plane wave, and for t >= 0 it is closed form from its data at t = 0,
-the grid's last node, where the Bogoliubov pair is read.
+(see ``_step_maps``).  Maps and grid nodes are laid out entries first,
+(row, column, step, momentum) and (component, real or imaginary part,
+node, momentum), so that the step-error norm is elementwise arithmetic on
+contiguous (step, momentum) planes.  The first grid is seeded from the
+tolerance by the h**8 error law, rtol**(-1/8) * max(0.19 * mu * (largest
+frequency), 1.5) steps, with both constants fitted once on measured
+solves.  DOP853's embedded error estimate, taken per step and per momentum
+as scipy's step control takes it for a single mode, checks the grid, and a
+grid that fails the check is regrown.  Each momentum's Wronskian is gated
+at every grid node and at every ramp time a caller reads.  Values between
+nodes are one partial step of the same scheme from the node before.
+Before -mu the mode is the plane wave, and for t >= 0 it is closed form
+from its data at t = 0, the grid's last node, where the Bogoliubov pair is
+read.
 
 A :class:`ModeTrajectory` always holds the batch, one row per momentum.
 :func:`solve_modes` and :func:`switch_integrals` take a momentum array as
@@ -62,10 +66,11 @@ _WKB_PANELS = 64
 _WRONSKIAN_TOL = 1e-8
 # a ramp solve lays at most _MAX_PASSES grids of at most _MAX_GRID / n steps
 # for n momenta, and builds the step maps _BLOCK (step, momentum) pairs at a
-# time
+# time: at 2**13, verify-all's peak memory is no higher than at 2**14, and
+# no slower
 _MAX_PASSES = 6
 _MAX_GRID = 2**20
-_BLOCK = 2**14
+_BLOCK = 2**13
 # _step_maps interpolates the maps of a batch with more than _DIRECT_MAX
 # distinct x.  The cut-over is measured: on ramp solves of 8, 12, 16, 24 and
 # 32 radial nodes at tight tolerances, interpolating cost 13% and 5% more at
@@ -266,10 +271,11 @@ def _step_maps(t, h, eps, shift: float, mu: float):
     each entry is a polynomial in x of degree at most ``_DEGREE`` = 6.  A
     batch of more than ``_DIRECT_MAX`` distinct x therefore runs the stages
     on the seven Chebyshev points of [min x, max x] and interpolates every
-    momentum's maps; any other batch runs them on its own x.
-    Returns (step, err5, err3), each of shape (m, n, 2, 2): the order-8 step
-    map and the two embedded error maps that DOP853's step control combines
-    (before its factor h).
+    momentum's maps, all twelve entry planes of the three maps in one
+    stacked product with the Lagrange weights; any other batch runs them on
+    its own x.  Returns (step, err5, err3), each entries first, of shape
+    (2, 2, m, n): the order-8 step map and the two embedded error maps that
+    DOP853's step control combines (before its factor h).
     """
     t = np.asarray(t, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -299,12 +305,13 @@ def _step_maps(t, h, eps, shift: float, mu: float):
         np.multiply(neg_w_sq[s], y[0], out=stages[s, 1])
     err5, err3 = np.einsum("es,sm->em", _E, flat).reshape((2,) + stages.shape[1:])
     if mix is None:
-        return tuple(np.ascontiguousarray(np.moveaxis(a, (0, 1), (2, 3))) for a in (y, err5, err3))
-    # (map, start, sample, entry): one small product per (map, start) lays
-    # every momentum's maps out as (map, start, momentum, entry); small, so
-    # that BLAS runs each on one thread
-    samples = np.stack((y, err5, err3)).transpose(0, 3, 4, 1, 2).reshape(3, t.size, xs.size, 4)
-    return tuple(np.matmul(mix, samples).reshape(3, t.size, -1, 2, 2))
+        return y, err5, err3
+    # the twelve entry planes of the three maps, (start, sample) each, times
+    # the Lagrange weights: twelve products of 7 * _BLOCK multiply-adds for a
+    # full block, small enough that OpenBLAS runs each on one thread (with
+    # BLAS unpinned, its helper thread took no CPU time on 8 to 8192 momenta)
+    samples = np.stack((y, err5, err3)).reshape(12, t.size, xs.size)
+    return tuple(np.matmul(samples, mix.T).reshape(3, 2, 2, t.size, -1))
 
 
 def _lagrange(nodes, u):
@@ -319,18 +326,31 @@ def _lagrange(nodes, u):
 def _error_norm(err5, err3, y, h: float, rtol: float, atol: float):
     """scipy's DOP853 error norm of every step and momentum, shape (N, n).
 
-    ``y`` holds the (T, Tdot) of each momentum at every node, shape
-    (N + 1, n, 2, 2) with real and imaginary parts last.  Each error map is
+    ``err5`` and ``err3`` are the error maps of N steps, (2, 2, N, n), and
+    ``y`` the (T, Tdot) of each momentum at the N + 1 nodes, entries first:
+    (component, real or imaginary part, node, momentum).  Each error map is
     applied to its step's start data, scaled componentwise by
     atol + rtol * max(|y|) over the step's two ends, and combined over the
-    two components of one momentum as scipy combines a two-component state.
+    two components of one momentum as scipy combines a two-component state,
+    all as elementwise arithmetic on (N, n) planes.  A NaN error or node
+    gives a NaN norm for its step and momentum; only an exact zero error
+    reads 0.
     """
-    size = np.hypot(y[..., 0], y[..., 1])
-    scale = atol + rtol * np.maximum(size[:-1], size[1:])
-    e5 = np.sum(np.square(err5 @ y[:-1]).sum(axis=-1) / scale**2, axis=-1)
-    e3 = np.sum(np.square(err3 @ y[:-1]).sum(axis=-1) / scale**2, axis=-1)
+    sq = y[:, 0] ** 2 + y[:, 1] ** 2
+    scale_sq = np.square(atol + rtol * np.sqrt(np.maximum(sq[:, :-1], sq[:, 1:])))
+    start = y[:, :, :-1]
+
+    def scaled_sq(err):
+        total = 0.0
+        for c in range(2):
+            # the real and imaginary parts of component c of err @ start
+            part = err[c, 0] * start[0] + err[c, 1] * start[1]
+            total = total + (part[0] ** 2 + part[1] ** 2) / scale_sq[c]
+        return total
+
+    e5, e3 = scaled_sq(err5), scaled_sq(err3)
     denom = e5 + 0.01 * e3
-    return np.divide(h * e5, np.sqrt(2.0 * denom), out=np.zeros_like(e5), where=denom > 0)
+    return np.divide(h * e5, np.sqrt(2.0 * denom), out=np.zeros_like(e5), where=denom != 0)
 
 
 def _ramp_solve(
@@ -369,15 +389,20 @@ def _ramp_solve(
         n_steps = math.ceil(size)
         h = mu / n_steps
         t = np.linspace(-mu, 0.0, n_steps + 1)
-        y = np.empty((n_steps + 1, n, 2, 2))
-        y[0, :, 0], y[0, :, 1] = (np.stack((v.real, v.imag), -1) for v in _incoming(eps, -mu))
+        # (component, real or imaginary part, node, momentum); the carry
+        # reads the nodes and the maps as stacks of 2x2 matrices
+        y = np.empty((2, 2, n_steps + 1, n))
+        for c, v in enumerate(_incoming(eps, -mu)):
+            y[c, :, 0] = v.real, v.imag
+        nodes = y.transpose(2, 3, 0, 1)
         worst = []
         for lo in range(0, n_steps, block):
             hi = min(lo + block, n_steps)
             step, err5, err3 = _step_maps(t[lo:hi], h, eps, shift, mu)
+            maps = step.transpose(2, 3, 0, 1)
             for i in range(lo, hi):
-                np.matmul(step[i - lo], y[i], out=y[i + 1])
-            worst.append(np.max(_error_norm(err5, err3, y[lo : hi + 1], h, rtol, atol)))
+                np.matmul(maps[i - lo], nodes[i], out=nodes[i + 1])
+            worst.append(np.max(_error_norm(err5, err3, y[:, :, lo : hi + 1], h, rtol, atol)))
         err = float(np.max(worst))
         if err < 1.0:
             break
@@ -387,8 +412,8 @@ def _ramp_solve(
                 f"{err:.3e} on a grid of {n_steps} steps after {passes} passes"
             )
         size = n_steps * err**0.125 / 0.9
-    T = (y[..., 0, 0] + 1j * y[..., 0, 1]).T
-    Td = (y[..., 1, 0] + 1j * y[..., 1, 1]).T
+    T = (y[0, 0] + 1j * y[0, 1]).T
+    Td = (y[1, 0] + 1j * y[1, 1]).T
     worst_drift, worst_drift_t = _gate(
         T, Td, ks, mu, t,
         f"grid of {n_steps} steps after {passes} passes, rtol={rtol}, atol={atol}",
@@ -508,8 +533,8 @@ class ModeTrajectory:
                 self.t[node], ts[part] - self.t[node], self.eps, self.params.mass_shift, self.mu
             )
             T0, Td0 = self.T[:, node].T, self.Tdot[:, node].T
-            T[:, part] = (step[..., 0, 0] * T0 + step[..., 0, 1] * Td0).T
-            Td[:, part] = (step[..., 1, 0] * T0 + step[..., 1, 1] * Td0).T
+            T[:, part] = (step[0, 0] * T0 + step[0, 1] * Td0).T
+            Td[:, part] = (step[1, 0] * T0 + step[1, 1] * Td0).T
         _gate(T, Td, np.ravel(self.k_mag), self.mu, ts,
               f"grid of {self.n_steps} steps after {self.passes} passes")
         return T, Td

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from thermalquench import modes, verify
+from thermalquench import cli, modes, verify
 from thermalquench.config import default_config
 from thermalquench.modes import (
     BogoliubovPair,
@@ -237,6 +237,15 @@ class TestOneGridPass:
         assert np.mean(passes) <= 1.2, passes
         assert passes[drawn:] == [1] * (len(ramp_solves) - drawn)
 
+    def test_accepted_grids_are_pinned(self, ramp_solves, capsys):
+        # criterion 6's mu ladder, then default ness and limits: a norm that
+        # misreads the step error shows as a moved grid
+        assert verify.criterion_6(default_config()).status == "pass"
+        assert cli.main(["ness"]) == 0
+        assert cli.main(["limits"]) == 0
+        steps = [96, 191, 381, 762] + [48] + [27, 49, 98, 196]
+        assert [(traj.n_steps, traj.passes) for traj in ramp_solves] == [(n, 1) for n in steps]
+
     def test_regrown_grid_matches_seeded_grid(self, monkeypatch):
         # a seed four times too small fails the error check; the regrow loop
         # then reaches a grid that agrees with the one-pass solve
@@ -278,10 +287,10 @@ class TestMomentumFreeStepMaps:
         else:
             h = mu / 762 if step == "grid" else 0.2
         fast = modes._step_maps(t, h, eps, shift, mu)
-        slow = [np.concatenate(maps, axis=1) for maps in
+        slow = [np.concatenate(maps, axis=-1) for maps in
                 zip(*(modes._step_maps(t, h, eps[i : i + 1], shift, mu) for i in range(n)))]
         for a, b in zip(fast, slow):
-            assert a.shape == b.shape == (t.size, n, 2, 2)
+            assert a.shape == b.shape == (2, 2, t.size, n)
         assert np.abs(fast[0] - slow[0]).max() <= self.STEP_ABS
         for a, b in zip(fast[1:], slow[1:]):
             assert np.abs(a - b).max() <= self.ERROR_REL * np.abs(b).max()
@@ -327,6 +336,99 @@ class TestMomentumFreeStepMaps:
                 assert np.abs(a[pick == i, -1] - b[0, -1]).max() <= tol
         assert np.array_equal(copies.T, np.repeat(scalars[1].T, 64, axis=0))
         assert np.array_equal(copies.Tdot, np.repeat(scalars[1].Tdot, 64, axis=0))
+
+
+def _nodes(traj):
+    """A trajectory's (T, Tdot) at its grid nodes, entries first: (component,
+    real or imaginary part, node, momentum)."""
+    return np.array([[v.real.T, v.imag.T] for v in (traj.T, traj.Tdot)])
+
+
+def _batched_error_norm(err5, err3, y, h, rtol, atol):
+    """The error norm on maps laid out (N, n, 2, 2) and nodes (N + 1, n, 2, 2),
+    by hypot, batched 2x2 products and sums over the length-2 axes."""
+    size = np.hypot(y[..., 0], y[..., 1])
+    scale = atol + rtol * np.maximum(size[:-1], size[1:])
+    e5 = np.sum(np.square(err5 @ y[:-1]).sum(axis=-1) / scale**2, axis=-1)
+    e3 = np.sum(np.square(err3 @ y[:-1]).sum(axis=-1) / scale**2, axis=-1)
+    denom = e5 + 0.01 * e3
+    return np.divide(h * e5, np.sqrt(2.0 * denom), out=np.zeros_like(e5), where=denom > 0)
+
+
+class TestErrorNorm:
+    """The error norm as elementwise arithmetic on entries-first planes is
+    scipy's DOP853 norm as the batched 2x2 products compute it, and it lets
+    no NaN read as a good step."""
+
+    # measured worst: 6.8e-16 (criterion-6 block) and 3.2e-16 (limits block)
+    # of the largest entry
+    REL = 1e-13
+
+    @pytest.mark.parametrize("block", ["criterion-6", "limits"])
+    def test_matches_batched_products(self, block, ramp_solves):
+        config = default_config()
+        if block == "criterion-6":  # 256 steps of the mu = 40 grid, interpolated maps
+            assert verify.criterion_6(config).status == "pass"
+            traj, part = ramp_solves[-1], slice(200, 456)
+            assert traj.eps.size == 64 > modes._DIRECT_MAX and traj.n_steps == 762
+        else:  # the first limits solve, two momenta on their own x
+            switch_integrals(np.array(config.k_values), SwitchingProfile(config.mu_ladder[0]),
+                             config.params)
+            traj = ramp_solves[-1]
+            part = slice(0, traj.n_steps)
+            assert traj.eps.size == 2
+        h = traj.mu / traj.n_steps
+        t = traj.t[part]
+        maps = modes._step_maps(t, h, traj.eps, traj.params.mass_shift, traj.mu)
+        y = _nodes(traj)[:, :, part.start : part.stop + 1]
+        fast = modes._error_norm(maps[1], maps[2], y, h, 1e-10, 1e-12)
+        slow = _batched_error_norm(
+            *(np.moveaxis(a, (0, 1), (2, 3)) for a in (maps[1], maps[2], y)), h, 1e-10, 1e-12
+        )
+        assert fast.shape == slow.shape == (t.size, traj.eps.size)
+        assert 0 < slow.max() < 1
+        assert np.abs(fast - slow).max() <= self.REL * slow.max()
+
+    def test_nan_error_is_not_a_good_step(self, monkeypatch):
+        config = default_config()
+        ks, prof = np.array(config.k_values), SwitchingProfile(config.mu_ladder[0])
+        traj = solve_modes(ks, prof, config.params, t_max=0.0)
+        h = prof.mu / traj.n_steps
+        original = modes._step_maps
+
+        def poisoned(*args):
+            step, err5, err3 = original(*args)
+            err5 = err5.copy()
+            err5[0, 1, 3, 0] = np.nan
+            return step, err5, err3
+
+        _, err5, err3 = poisoned(traj.t[:-1], h, traj.eps, config.params.mass_shift, prof.mu)
+        with np.errstate(all="raise"):
+            norm = modes._error_norm(err5, err3, _nodes(traj), h, 1e-10, 1e-12)
+        assert np.isnan(norm[3, 0]) and np.isnan(norm).sum() == 1
+        monkeypatch.setattr(modes, "_step_maps", poisoned)
+        with np.errstate(all="raise"), pytest.raises(
+            IntegratorError, match="worst step error nan on a grid of 27 steps after 1 passes"
+        ):
+            solve_modes(ks, prof, config.params, t_max=0.0)
+
+    def test_exact_zero_error_reads_zero(self, monkeypatch):
+        config = default_config()
+        ks, prof = np.array(config.k_values), SwitchingProfile(config.mu_ladder[0])
+        original = modes._step_maps
+
+        def exact(*args):
+            step, err5, err3 = original(*args)
+            return step, np.zeros_like(err5), np.zeros_like(err3)
+
+        monkeypatch.setattr(modes, "_step_maps", exact)
+        with np.errstate(all="raise"):
+            traj = solve_modes(ks, prof, config.params, t_max=0.0)
+            h = prof.mu / traj.n_steps
+            _, err5, err3 = exact(traj.t[:-1], h, traj.eps, config.params.mass_shift, prof.mu)
+            zero = modes._error_norm(err5, err3, _nodes(traj), h, 1e-10, 1e-12)
+        assert (traj.n_steps, traj.passes) == (27, 1)
+        assert np.array_equal(zero, np.zeros((27, 2)))
 
 
 class TestTanhOracle:
