@@ -21,9 +21,12 @@ One routine does every ramp solve.  The mode equation is linear, so one
 DOP853 step of (T, Tdot) is a real 2x2 matrix that does not depend on the
 state: the routine builds the maps of every step of a uniform grid on
 [-mu, 0], for every momentum at once, and carries the plane-wave data at
--mu through them.  Every map is a polynomial of degree at most 6 in
-x = eps**2, so a large batch interpolates its maps from seven frequencies
-(see ``_step_maps``).  Maps and grid nodes are laid out entries first,
+-mu through them in two levels: the products of the maps within each group
+of ``_GROUP`` steps are formed for all groups at once, only the group
+start nodes are carried one group after another, and each group's nodes
+are then its products times its start node (see ``_carry``).  Every map
+is a polynomial of degree at most 6 in x = eps**2, so a large batch
+interpolates its maps from seven frequencies (see ``_step_maps``).  Maps and grid nodes are laid out entries first,
 (row, column, step, momentum) and (component, real or imaginary part,
 node, momentum), so that the step-error norm is elementwise arithmetic on
 contiguous (step, momentum) planes.  The first grid is seeded from the
@@ -71,6 +74,11 @@ _WRONSKIAN_TOL = 1e-8
 _MAX_PASSES = 6
 _MAX_GRID = 2**20
 _BLOCK = 2**13
+# _carry multiplies out the step maps _GROUP steps at a time.  Measured on a
+# 128-step block of criterion 6's mu = 40 grid, 8 was the fastest of 4, 8, 12,
+# 16, 24, 32 and 64 at 64 and at 2 momenta, and about twice as fast as one
+# 2x2 product per step; a 27-step block of one momentum takes ~10 us longer
+_GROUP = 8
 # _step_maps interpolates the maps of a batch with more than _DIRECT_MAX
 # distinct x.  The cut-over is measured: on ramp solves of 8, 12, 16, 24 and
 # 32 radial nodes at tight tolerances, interpolating cost 13% and 5% more at
@@ -353,14 +361,52 @@ def _error_norm(err5, err3, y, h: float, rtol: float, atol: float):
     return np.divide(h * e5, np.sqrt(2.0 * denom), out=np.zeros_like(e5), where=denom != 0)
 
 
+def _product(a, b):
+    """The 2x2 products a @ b of two entries-first stacks, (2, 2, ...) each,
+    as elementwise arithmetic on their planes."""
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
+
+
+def _carry(step, y):
+    """Fill the nodes ``y[:, :, 1:]`` from ``y[:, :, 0]`` through the step
+    maps ``step`` of m steps, (2, 2, m, n), with ``y`` entries first,
+    (component, real or imaginary part, m + 1 nodes, momentum).
+
+    The steps are cut into groups of ``_GROUP``, the last one padded with
+    identity maps.  The products of the maps from each group's start up to
+    each of its steps are formed for every group and momentum at once, one
+    elementwise product per position in the group; then the group start
+    nodes are carried one group after another, one product per group; and
+    then every group's nodes are its products times its start node, in one
+    more product.  Only the first m products are written, so nothing past
+    node m changes, and a NaN or an infinity in a map reaches the nodes
+    after its step (or raises under ``np.errstate``).
+    """
+    m, n = step.shape[2:]
+    groups = -(-m // _GROUP)
+    prefix = np.zeros((2, 2, groups * _GROUP, n))
+    prefix[:, :, :m] = step
+    prefix[0, 0, m:] = prefix[1, 1, m:] = 1.0
+    prefix = prefix.reshape(2, 2, groups, _GROUP, n)
+    for j in range(1, _GROUP):
+        prefix[:, :, :, j] = _product(prefix[:, :, :, j], prefix[:, :, :, j - 1])
+    starts = np.empty((2, 2, groups, n))
+    starts[:, :, 0] = y[:, :, 0]
+    for g in range(1, groups):
+        starts[:, :, g] = _product(prefix[:, :, g - 1, -1], starts[:, :, g - 1])
+    y[:, :, 1:] = _product(prefix, starts[:, :, :, None]).reshape(2, 2, -1, n)[:, :, :m]
+
+
 def _ramp_solve(
     k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: float, atol: float, t_end: float
 ):
     """One ramp solve of the mode equation for every momentum in ``k_mags``.
 
     A uniform grid on [-mu, 0] carries the plane-wave data at -mu through
-    the DOP853 step maps of every momentum, one 2x2 product per step; the
-    maps are built for a block of steps at a time, so memory stays bounded.
+    the DOP853 step maps of every momentum, by products of ``_GROUP`` steps
+    at a time (see ``_carry``); the maps are built for a block of steps at
+    a time, a multiple of ``_GROUP``, so memory stays bounded and only a
+    solve's last block is padded.
     The first grid is seeded at its final size from the h**8 error law,
     rtol**(-1/8) * max(_SEED_WAVE * mu * (largest frequency), _SEED_SWITCH)
     steps: the oscillation term was fitted on solves with
@@ -379,7 +425,7 @@ def _ramp_solve(
     eps, eps_lam = disp.eps, disp.eps_lambda
     mu, shift, n = prof.mu, params.mass_shift, ks.size
     where = f"ramp solve for k in [{ks.min()}, {ks.max()}], mu={mu}"
-    block = max(1, _BLOCK // n)
+    block = max(1, _BLOCK // n // _GROUP) * _GROUP
     size = rtol**-0.125 * max(_SEED_WAVE * mu * max(eps.max(), eps_lam.max()), _SEED_SWITCH)
     for passes in range(1, _MAX_PASSES + 1):
         if not size * n <= _MAX_GRID:  # also catches an infinite or NaN size
@@ -389,19 +435,15 @@ def _ramp_solve(
         n_steps = math.ceil(size)
         h = mu / n_steps
         t = np.linspace(-mu, 0.0, n_steps + 1)
-        # (component, real or imaginary part, node, momentum); the carry
-        # reads the nodes and the maps as stacks of 2x2 matrices
+        # (component, real or imaginary part, node, momentum)
         y = np.empty((2, 2, n_steps + 1, n))
         for c, v in enumerate(_incoming(eps, -mu)):
             y[c, :, 0] = v.real, v.imag
-        nodes = y.transpose(2, 3, 0, 1)
         worst = []
         for lo in range(0, n_steps, block):
             hi = min(lo + block, n_steps)
             step, err5, err3 = _step_maps(t[lo:hi], h, eps, shift, mu)
-            maps = step.transpose(2, 3, 0, 1)
-            for i in range(lo, hi):
-                np.matmul(maps[i - lo], nodes[i], out=nodes[i + 1])
+            _carry(step, y[:, :, lo : hi + 1])
             worst.append(np.max(_error_norm(err5, err3, y[:, :, lo : hi + 1], h, rtol, atol)))
         err = float(np.max(worst))
         if err < 1.0:

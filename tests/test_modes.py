@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -429,6 +430,142 @@ class TestErrorNorm:
             zero = modes._error_norm(err5, err3, _nodes(traj), h, 1e-10, 1e-12)
         assert (traj.n_steps, traj.passes) == (27, 1)
         assert np.array_equal(zero, np.zeros((27, 2)))
+
+
+def _per_step_carry(step, y):
+    """The carry as one batched 2x2 product per step, on (step, momentum,
+    2, 2) views of the maps and the nodes: the reference for the grouped
+    products of ``modes._carry``."""
+    nodes = y.transpose(2, 3, 0, 1)
+    maps = step.transpose(2, 3, 0, 1)
+    for i in range(step.shape[2]):
+        np.matmul(maps[i], nodes[i], out=nodes[i + 1])
+
+
+def _csv_fields(path):
+    """The header and rows of a CSV file, numbers as floats and text as text."""
+
+    def field(v):
+        try:
+            return float(v)
+        except ValueError:
+            return v
+
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    return rows[0], [[field(v) for v in row] for row in rows[1:]]
+
+
+@pytest.fixture(scope="class")
+def mu40_solve():
+    """Criterion 6's mu = 40 ramp solve: 64 momenta on 762 steps."""
+    trajs = []
+    original = modes._ramp_solve
+
+    def recording(*args, **kwargs):
+        trajs.append(original(*args, **kwargs))
+        return trajs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modes, "_ramp_solve", recording)
+        assert verify.criterion_6(default_config()).status == "pass"
+    traj = trajs[-1]
+    assert traj.eps.size == 64 > modes._DIRECT_MAX and traj.n_steps == 762
+    return traj
+
+
+class TestGroupedCarry:
+    """The two-level carry, prefix products of ``_GROUP`` steps for every
+    group at once and one product per group between them, against one 2x2
+    product per step."""
+
+    # measured worst: 2.5e-15 of the largest node entry on criterion 6's first
+    # block, and at most that on the others
+    REL = 1e-13
+    # every CSV field and measured value of the CLI commands, absolute
+    ABS = 1e-13
+
+    def assert_matches_per_step(self, step, start):
+        """Carries ``start`` through ``step`` both ways, the grouped carry into
+        the front of a longer buffer of NaN, and compares the nodes."""
+        m, n = step.shape[2:]
+        given = step.copy()
+        fast = np.full((2, 2, m + 1 + modes._GROUP, n), np.nan)
+        slow = np.empty((2, 2, m + 1, n))
+        fast[:, :, 0] = slow[:, :, 0] = start
+        with np.errstate(all="raise"):
+            modes._carry(step, fast[:, :, : m + 1])
+        _per_step_carry(step, slow)
+        # the padded tail of the last group writes nothing past node m
+        assert np.isnan(fast[:, :, m + 1 :]).all() and np.isfinite(fast[:, :, : m + 1]).all()
+        assert np.array_equal(step, given)
+        assert np.abs(fast[:, :, : m + 1] - slow).max() <= self.REL * np.abs(slow).max()
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 128])
+    def test_criterion_6_block(self, m, mu40_solve):
+        # the first m steps of the mu = 40 grid's first block, interpolated maps
+        traj = mu40_solve
+        assert modes._BLOCK // traj.eps.size == 128
+        h = traj.mu / traj.n_steps
+        step, _, _ = modes._step_maps(traj.t[:m], h, traj.eps, traj.params.mass_shift, traj.mu)
+        self.assert_matches_per_step(step, _nodes(traj)[:, :, 0])
+
+    def test_ragged_limits_block(self, ramp_solves):
+        # the first limits solve, 27 steps, for its first momentum alone
+        config = default_config()
+        switch_integrals(np.array(config.k_values), SwitchingProfile(config.mu_ladder[0]),
+                         config.params)
+        traj = ramp_solves[-1]
+        assert traj.n_steps == 27 and traj.n_steps % modes._GROUP
+        h = traj.mu / traj.n_steps
+        step, _, _ = modes._step_maps(traj.t[:-1], h, traj.eps[:1], traj.params.mass_shift, traj.mu)
+        self.assert_matches_per_step(step, _nodes(traj)[:, :, 0, :1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_map_in_the_padded_group_fails(self, bad, monkeypatch, capsys):
+        # the last step of every block, which for the 27-step limits solve
+        # sits in a group padded with five identity maps
+        config = default_config()
+        ks, prof = np.array(config.k_values), SwitchingProfile(config.mu_ladder[0])
+        original = modes._step_maps
+
+        def poisoned(*args):
+            step, err5, err3 = original(*args)
+            step = step.copy()
+            step[0, 1, -1, 0] = bad
+            return step, err5, err3
+
+        monkeypatch.setattr(modes, "_step_maps", poisoned)
+        with np.errstate(all="raise"), pytest.raises((IntegratorError, FloatingPointError)):
+            solve_modes(ks, prof, config.params, t_max=0.0)
+        assert cli.main(["limits"]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure")
+
+    def test_cli_outputs_match_the_per_step_carry(self, tmp_path, ramp_solves, monkeypatch, capsys):
+        commands = ("limits", "ness", "verify-all")
+
+        def run(side):
+            for command in commands:
+                assert cli.main([command, "--out", str(tmp_path / side / command)]) == 0
+            capsys.readouterr()
+            return [(traj.n_steps, traj.passes) for traj in ramp_solves]
+
+        grids = run("grouped")
+        monkeypatch.setattr(modes, "_carry", _per_step_carry)
+        assert run("per-step") == grids + grids
+        for name in ("limits/limits.csv", "ness/ness.csv"):
+            head, rows = _csv_fields(tmp_path / "grouped" / name)
+            ref_head, ref_rows = _csv_fields(tmp_path / "per-step" / name)
+            assert head == ref_head and len(rows) == len(ref_rows) > 0
+            for row, ref in zip(rows, ref_rows):
+                for a, b in zip(row, ref):
+                    assert a == b if isinstance(b, str) else abs(a - b) <= self.ABS, (name, head)
+        docs = [json.loads((tmp_path / side / "verify-all" / "verify_all.json").read_text())
+                for side in ("grouped", "per-step")]
+        for got, ref in zip(*(doc["criteria"] for doc in docs)):
+            assert (got["index"], got["status"]) == (ref["index"], ref["status"])
+            assert got["measured"].keys() == ref["measured"].keys()
+            for key, value in ref["measured"].items():
+                assert abs(got["measured"][key] - value) <= self.ABS, (got["index"], key)
 
 
 class TestTanhOracle:
