@@ -73,20 +73,43 @@ def eulerian_row_recursive(n: int) -> EulerianRow:
     return EulerianRow(n, _eulerian_coefficients(n))
 
 
+def _permutations(n: int) -> np.ndarray:
+    """All n! permutations of 0..n-1 as an (n!, n) int8 table, built by
+    insertion.
+
+    Starting from the one empty permutation, v = 0..n-1 is written into each
+    of the v + 1 slots of every permutation of 0..v-1.  The table is stored
+    column-major (the transpose of an (n, n!) array), so each column, and so
+    each adjacent-column comparison, is one contiguous run.
+    """
+    cols = np.zeros((0, 1), np.int8)  # (position, permutation)
+    for v in range(n):
+        out = np.empty((v + 1, v + 1, cols.shape[1]), np.int8)  # (position, slot, permutation)
+        for slot in range(v + 1):
+            out[:slot, slot] = cols[:slot]
+            out[slot, slot] = v
+            out[slot + 1 :, slot] = cols[slot:]
+        cols = out.reshape(v + 1, -1)
+    return cols.T
+
+
 def eulerian_row_by_enumeration(n: int) -> EulerianRow:
     """Eulerian row by counting descents over all n! permutations.
 
-    Independent of the recursion; capped at n <= 9 since the enumeration is
-    factorial.
+    The permutations come from the insertion table of :func:`_permutations`;
+    the descents are counted afterwards on that explicit table, by comparing
+    adjacent columns.  Counting them while inserting would be the
+    recursion's own proof (a new maximum keeps the descent count when it
+    lands inside a descent or at the end, and adds one anywhere else), so
+    the count stays independent of the recursion.  Row order does not
+    matter, since the tally is order-free.  Capped at n <= 9 since the
+    enumeration is factorial.
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(
             f"enumeration is capped at n <= {ENUMERATION_CAP}, got {n}"
         )
-    # one row per permutation of 0..n-1, in int8
-    perms = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n))), np.int8
-    ).reshape(-1, n)
+    perms = _permutations(n)
     descents = (perms[:, :-1] > perms[:, 1:]).sum(axis=1)
     return EulerianRow(n, tuple(np.bincount(descents, minlength=n).tolist()))
 
@@ -118,17 +141,6 @@ def set_partitions(n: int) -> list[list[list[int]]]:
     canon = [sorted((sorted(b) for b in p), key=lambda b: b[0]) for p in parts]
     canon.sort()
     return canon
-
-
-def bell_number(n: int) -> int:
-    """Bell number via the triangle recurrence (used as a count oracle)."""
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[-1] if n >= 1 else 1
 
 
 def connected_from_moments(

@@ -45,16 +45,16 @@ MODE_PARAMS = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=0.5)
 SUDDEN_MU = 1e-3
 
 RUNTIME_BUDGETS_S = {
-    1: 0.2,
-    2: 1.0,
-    3: 1.0,
+    1: 0.03,
+    2: 0.094,
+    3: 0.037,
     4: 0.1,
     5: 0.1,
     6: 1.0,
-    7: 5.0,
+    7: 0.031,
     8: 0.1,
     9: 0.1,
-    10: 5.0,
+    10: 0.56,
 }
 
 
@@ -115,9 +115,12 @@ def _richardson_derivative(f, x: float, n: int, h0: float) -> float:
     extrapolation level cancels one power of h^2.
     """
     def central(h):
+        # one call of f on the whole stencil; the terms are added one by one
+        # in stencil order, which np.sum's reduction would not keep
+        values = f(x + (n / 2.0 - np.arange(n + 1)) * h).tolist()
         total = 0.0
-        for i in range(n + 1):
-            total += (-1) ** i * math.comb(n, i) * f(x + (n / 2.0 - i) * h)
+        for i, value in enumerate(values):
+            total += (-1) ** i * math.comb(n, i) * value
         return total / h**n
 
     table = [[central(h0 / 2**j)] for j in range(5)]
@@ -148,16 +151,16 @@ def criterion_3(config: RunConfig) -> CriterionResult:
     """Temperature-shift identity on a 100-point (k, lam) grid."""
     t0 = time.perf_counter()
     tol = config.tolerances["temperature_shift_abs"]
+    ks = np.linspace(0.0, 3.0, 10)
     worst = 0.0
-    for k in np.linspace(0.0, 3.0, 10):
-        for lam in np.linspace(0.0, 0.9, 10):
-            p = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=float(lam))
-            d = dispersion(float(k), p)
-            bp = shifted_beta(p, d)
-            for sign in (+1, -1):
-                lhs = bose_coefficient(sign, bp, d.eps)
-                rhs = bose_coefficient(sign, p.beta, d.eps_lambda)
-                worst = max(worst, abs(lhs - rhs))
+    for lam in np.linspace(0.0, 0.9, 10):
+        p = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=float(lam))
+        d = dispersion(ks, p)
+        bp = shifted_beta(p, d)
+        for sign in (+1, -1):
+            lhs = bose_coefficient(sign, bp, d.eps)
+            rhs = bose_coefficient(sign, p.beta, d.eps_lambda)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return _finish(3, "temperature-shift-identity", worst <= tol, {"worst_abs": worst, "tol": tol}, t0)
 
 

@@ -1,12 +1,13 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermalquench.combinatorics import (
-    bell_number,
+    _permutations,
     connected_from_moments,
     descent_count,
     eulerian_row_by_enumeration,
@@ -70,7 +71,7 @@ class TestEulerianRows:
             counts[d] += 1
         assert tuple(counts) == eulerian_row_recursive(5).coefficients
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_enumeration_matches_pure_python_count(self, n):
         # the numpy descent count against a plain loop over the same permutations
         counts = [0] * n
@@ -81,11 +82,29 @@ class TestEulerianRows:
         assert all(type(c) is int for c in row)
 
 
+class TestPermutationTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_are_all_permutations(self, n):
+        # the insertion table against itertools, row for row as a set
+        table = _permutations(n)
+        assert table.shape == (math.factorial(n), n)
+        assert table.dtype == np.int8
+        rows = [tuple(r) for r in table.tolist()]
+        assert len(set(rows)) == len(rows)
+        assert set(rows) == set(itertools.permutations(range(n)))
+
+    def test_largest_table(self):
+        table = _permutations(9)
+        assert table.shape == (362880, 9)
+        assert table.dtype == np.int8
+        assert len(np.unique(table, axis=0)) == 362880
+        assert np.array_equal(np.sort(table, axis=1), np.broadcast_to(np.arange(9), table.shape))
+
+
 class TestSetPartitions:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
     def test_counts(self, n, count):
         assert len(set_partitions(n)) == count
-        assert bell_number(n) == count
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_blocks_partition_ground_set(self, n):

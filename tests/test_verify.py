@@ -1,5 +1,8 @@
-"""The batched ramp consumers of :mod:`thermalquench.verify` against the
-per-node path they replace, and their ramp-solve counts."""
+"""The array paths of :mod:`thermalquench.verify` against the per-point and
+per-node loops they replace, and the ramp-solve counts of the ramp
+consumers."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +12,13 @@ from thermalquench.config import default_config
 from thermalquench.modes import SwitchingProfile, bogoliubov, solve_modes
 from thermalquench.spectral import QuadratureSpec
 from thermalquench.spectral import TestPacket as Packet
-from thermalquench.thermal import ThermalParams
+from thermalquench.thermal import (
+    ThermalParams,
+    bose_coefficient,
+    bose_derivative,
+    dispersion,
+    shifted_beta,
+)
 
 
 # the ramp_sweep ness-56 item (12 nodes) and the default steady-state bench
@@ -26,6 +35,58 @@ NESS_CASES = {
     ),
     "default-n64": (verify.MODE_PARAMS, 1.0, default_config().packet_pair, 64),
 }
+
+
+def scalar_richardson_derivative(f, x, n, h0):
+    """The per-point stencil sum: one scalar call of f per stencil point."""
+
+    def central(h):
+        total = 0.0
+        for i in range(n + 1):
+            total += (-1) ** i * math.comb(n, i) * f(x + (n / 2.0 - i) * h)
+        return total / h**n
+
+    table = [[central(h0 / 2**j)] for j in range(5)]
+    for m in range(1, 5):
+        for j in range(m, 5):
+            num = 4.0**m * table[j][m - 1] - table[j - 1][m - 1]
+            table[j].append(num / (4.0**m - 1.0))
+    return table[-1][-1]
+
+
+class TestArrayCriteriaMatchScalarLoops:
+    # the array evaluations do the same float operations on every point and
+    # sum the stencil in the same order, so the measured values are equal,
+    # not merely close
+
+    def test_criterion_2(self):
+        worst = 0.0
+        for beta, eps in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.7)):
+            h0 = min(beta / 4.0, 0.4 / eps)
+            for n in range(1, 5):
+                exact = bose_derivative(n, +1, beta, eps)
+                approx = scalar_richardson_derivative(
+                    lambda b: bose_coefficient(+1, b, eps), beta, n, h0
+                )
+                worst = max(worst, abs(approx - exact) / abs(exact))
+        measured = verify.criterion_2(default_config()).measured["worst_rel"]
+        assert type(measured) is float
+        assert measured == worst
+
+    def test_criterion_3(self):
+        worst = 0.0
+        for k in np.linspace(0.0, 3.0, 10):
+            for lam in np.linspace(0.0, 0.9, 10):
+                p = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=float(lam))
+                d = dispersion(float(k), p)
+                bp = shifted_beta(p, d)
+                for sign in (+1, -1):
+                    lhs = bose_coefficient(sign, bp, d.eps)
+                    rhs = bose_coefficient(sign, p.beta, d.eps_lambda)
+                    worst = max(worst, abs(lhs - rhs))
+        measured = verify.criterion_3(default_config()).measured["worst_abs"]
+        assert type(measured) is float
+        assert measured == worst
 
 
 class TestNessBogoliubovMap:
