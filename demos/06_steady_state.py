@@ -31,7 +31,7 @@ def main():
 
     print("== Bogoliubov pairs across momentum (unit ramp) ==")
     for k in (0.0, 0.5, 1.0, 2.0):
-        traj = solve_modes(k, prof, PARAMS, t_max=1.0, rtol=1e-12, atol=1e-14, method="DOP853")
+        traj = solve_modes(k, prof, PARAMS, t_max=1.0, rtol=1e-12, atol=1e-14)
         b = bogoliubov(traj)
         print(
             f"  k={k:3.1f}: |A+|={abs(b.a_plus):.6f} |A-|={abs(b.a_minus):.6f}"
@@ -40,7 +40,7 @@ def main():
 
     print("\n== the sharp-ramp limit against the matched-jump closed form ==")
     sharp = SwitchingProfile(1e-3)
-    traj = solve_modes(0.0, sharp, PARAMS, t_max=0.1, rtol=1e-12, atol=1e-14, method="DOP853")
+    traj = solve_modes(0.0, sharp, PARAMS, t_max=0.1, rtol=1e-12, atol=1e-14)
     got = bogoliubov(traj)
     want = sudden_quench_pair(0.0, PARAMS)
     print(f"  extracted: A+ = {got.a_plus:.6f}, A- = {got.a_minus:.6f}")

@@ -6,8 +6,8 @@ The package is organized by what each layer computes:
   tower, dispersions, and the shifted inverse temperature;
 * :mod:`thermalquench.combinatorics` - descents, Eulerian rows, set
   partitions, and cumulant inversion;
-* :mod:`thermalquench.modes` - the switched-frequency mode equation, WKB
-  comparison, switching integrals, Bogoliubov data, ergodic averages;
+* :mod:`thermalquench.modes` - the switched-frequency mode equation,
+  switching integrals, Bogoliubov data, ergodic averages;
 * :mod:`thermalquench.spectral` - quasi-free states as spectral data and
   packet pairings, including the finite-switching-scale time-domain pairing;
 * :mod:`thermalquench.series` - the order-by-order series and its
@@ -36,8 +36,6 @@ from .modes import (
     sudden_quench_pair,
     switch_integral_limit,
     switch_integrals,
-    time_frequency,
-    wkb_mode,
 )
 from .series import (
     ResummationReport,
@@ -106,7 +104,5 @@ __all__ = [
     "sudden_quench_pair",
     "switch_integral_limit",
     "switch_integrals",
-    "time_frequency",
     "verify_resummation",
-    "wkb_mode",
 ]

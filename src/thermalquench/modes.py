@@ -11,9 +11,9 @@ combination at +-eps_lambda whose amplitudes (the Bogoliubov pair) encode
 everything about the ramp.
 
 This module solves the ramp with an order-8 Runge-Kutta scheme, keeps the
-conserved Wronskian as a built-in health monitor, provides the WKB
-comparison mode, the switching-weighted integrals whose large-mu limits are
-known in closed form, and finite-horizon ergodic averages of mode products.
+conserved Wronskian as a built-in health monitor, and provides the
+switching-weighted integrals whose large-mu limits are known in closed form
+and the finite-horizon ergodic averages of mode products with their limits.
 Every quadrature over time here is one composite Gauss-Legendre rule, with
 panels of ``_GL_ORDER`` nodes, and the module needs numpy alone.
 
@@ -42,12 +42,12 @@ from its data at t = 0, the grid's last node, where the Bogoliubov pair is
 read.
 
 A :class:`ModeTrajectory` always holds the batch, one row per momentum.
-:func:`solve_modes` and :func:`switch_integrals` take a momentum array as
-well as a scalar: an array is one batched solve, and a scalar is the batch
-of one, whose callers get its single row or number back from
-``evaluate``, :func:`bogoliubov` and :func:`switch_integrals`.  Only
-:func:`solve_modes` takes tolerances; the consumers here solve at its
-defaults.
+:func:`solve_modes`, :func:`switch_integrals` and :func:`ergodic_averages`
+take a momentum array as well as a scalar: an array is one batched solve,
+and a scalar is the batch of one, whose callers get its single row or
+number back from ``evaluate``, :func:`bogoliubov`, :func:`switch_integrals`
+and :func:`ergodic_averages`.  Only :func:`solve_modes` takes tolerances;
+the consumers here solve at its defaults.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ from .thermal import ThermalParams, dispersion
 
 _GL_ORDER = 10
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-# wkb_mode's phase runs over this many panels of the ramp: chi(t/mu) is
-# equally smooth in t/mu at every mu, so the count is fixed in units of mu
-_WKB_PANELS = 64
 
 # a mode fails when its Wronskian drifts from i by more than the gate
 _WRONSKIAN_TOL = 1e-8
@@ -237,12 +234,6 @@ class SwitchingProfile:
     def rate(self, t):
         """d/dt of :meth:`value`; integrates to 1 over the ramp."""
         return chi_unit_rate(np.asarray(t, dtype=float) / self.mu) / self.mu
-
-
-def time_frequency(k_mag, t, prof: SwitchingProfile, params: ThermalParams):
-    """Instantaneous frequency interpolating eps -> eps_lambda along the ramp."""
-    disp = dispersion(k_mag, params)
-    return np.sqrt(disp.eps**2 + params.mass_shift * prof.value(t))
 
 
 def _incoming(eps, t):
@@ -581,6 +572,7 @@ class ModeTrajectory:
               f"grid of {self.n_steps} steps after {self.passes} passes")
         return T, Td
 
+    # an alias of worst_drift; benchmarks/worker.py is its last reader
     @property
     def max_wronskian_residual(self) -> float:
         return self.worst_drift
@@ -593,7 +585,7 @@ def solve_modes(
     t_max: float = 1.0,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    method: str = "DOP853",
+    method: str = "DOP853",  # benchmarks/worker.py is its last reader
 ) -> ModeTrajectory:
     """Integrate the mode equation from plane-wave data before the switch.
 
@@ -616,41 +608,6 @@ def solve_modes(
     if method != "DOP853":
         raise ValueError(f"ramp solves use method='DOP853', got {method!r}")
     return _ramp_solve(k_mag, prof, params, rtol, atol, t_max)
-
-
-def wkb_mode(k_mag, t, prof: SwitchingProfile, params: ThermalParams, t0: float):
-    """Adiabatic comparison mode (2*w(t))**-0.5 * exp(-i * phase(t0 -> t)).
-
-    The phase integral is exact outside the ramp.  Across it, the frequency
-    is integrated by one Gauss-Legendre rule on each of ``_WKB_PANELS``
-    equal panels of [-mu, 0], summed panel by panel, plus one more rule from
-    the panel edge before each t to t.  Accepts scalar or array t; t0 must
-    precede the switch.
-    """
-    mu = prof.mu
-    if t0 > -mu:
-        raise ValueError(f"t0 must satisfy t0 <= -mu, got t0={t0}, mu={mu}")
-    disp = dispersion(k_mag, params)
-    t_arr = np.asarray(t, dtype=float)
-    ts = t_arr.ravel()
-
-    def integral(a, b):
-        # one rule on each [a, b], entry by entry
-        half, mid = 0.5 * (b - a), 0.5 * (b + a)
-        w = time_frequency(k_mag, mid[:, None] + half[:, None] * _GL_NODES, prof, params)
-        return half * (w @ _GL_WEIGHTS)
-
-    edges = np.linspace(-mu, 0.0, _WKB_PANELS + 1)
-    done = np.concatenate(([0.0], np.cumsum(integral(edges[:-1], edges[1:]))))
-    inside = np.clip(ts, -mu, 0.0)
-    panel = np.searchsorted(edges, inside, side="right") - 1
-    phase = (
-        disp.eps * (np.minimum(ts, -mu) - t0)
-        + done[panel] + integral(edges[panel], inside)
-        + disp.eps_lambda * np.maximum(ts, 0.0)
-    ).reshape(t_arr.shape)
-    out = np.exp(-1j * phase) / np.sqrt(2.0 * time_frequency(k_mag, t_arr, prof, params))
-    return complex(out) if out.ndim == 0 else out
 
 
 def _panel_nodes(a: float, b: float, max_freq: float, min_panels: int = 4):
@@ -740,25 +697,46 @@ def sudden_quench_pair(k_mag, params: ThermalParams) -> BogoliubovPair:
     return BogoliubovPair((r + 1.0 / r) / 2.0, (r - 1.0 / r) / 2.0)
 
 
-def ergodic_limits(bog: BogoliubovPair, eps_lambda: float, t1: float, t2: float):
-    """Infinite-horizon limits of the two mode-product averages.
+def _product_terms(bog: BogoliubovPair, eps_lambda, t1: float, t2: float):
+    """The post-switch products T(t1+tau)*T(t2+tau) and
+    T(t1+tau)*conj(T(t2+tau)) as four terms each.
 
-    Returns (limit_TT, limit_TTbar): averaging washes out every term whose
-    phase grows with the shift variable, leaving
-
-        limit_TT    = a_plus*a_minus/(2*eps_lambda) * 2*cos(eps_lambda*(t1-t2))
-        limit_TTbar = (|a_plus|^2 e^{-i eps_lambda (t1-t2)}
-                       + |a_minus|^2 e^{+i eps_lambda (t1-t2)}) / (2*eps_lambda)
+    Past t = 0, T(t) = sum over s = +-1 of c_s*exp(-i*s*eps_lambda*t)/sqrt(2*eps_lambda),
+    with c_{+1} = a_plus and c_{-1} = a_minus, so the term (s, r) of each
+    product is coefficient * exp(i*frequency*tau).  Returns (tt, ttbar), two
+    lists of (coefficient, frequency in tau), per momentum.
     """
-    dt = t1 - t2
+    c = {1: bog.a_plus, -1: bog.a_minus}
     el = eps_lambda
-    phase_m = np.exp(-1j * el * dt)
-    phase_p = np.exp(1j * el * dt)
-    lim_tt = bog.a_plus * bog.a_minus * (phase_m + phase_p) / (2.0 * el)
-    lim_ttbar = (
-        abs(bog.a_plus) ** 2 * phase_m + abs(bog.a_minus) ** 2 * phase_p
-    ) / (2.0 * el)
-    return complex(lim_tt), complex(lim_ttbar)
+    tt, ttbar = [], []
+    for s in (1, -1):
+        for r in (1, -1):
+            tt.append((c[s] * c[r] * np.exp(-1j * el * (s * t1 + r * t2)) / (2.0 * el),
+                       -(s + r) * el))
+            ttbar.append((
+                c[s] * np.conj(c[r]) * np.exp(-1j * el * (s * t1 - r * t2)) / (2.0 * el),
+                (r - s) * el,
+            ))
+    return tt, ttbar
+
+
+def _tau_integral(freq, a: float, b: float):
+    """Integral of exp(i*freq*tau) over [a, b], elementwise: b - a at freq 0."""
+    f = np.where(freq == 0.0, 1.0, freq)
+    return np.where(freq == 0.0, b - a, (np.exp(1j * f * b) - np.exp(1j * f * a)) / (1j * f))
+
+
+def ergodic_limits(bog: BogoliubovPair, eps_lambda, t1: float, t2: float):
+    """Infinite-horizon limits (limit_TT, limit_TTbar) of the two mode-product
+    averages: averaging washes out every term of :func:`_product_terms`
+    whose phase grows with the shift variable, leaving the zero-frequency
+    terms.  A pair of complex numbers and a scalar ``eps_lambda`` give
+    complex numbers; arrays, one entry per momentum, give arrays.
+    """
+    terms = _product_terms(bog, np.atleast_1d(eps_lambda), t1, t2)
+    return _for_caller(
+        eps_lambda, *(sum(np.where(f == 0.0, c, 0.0) for c, f in product) for product in terms)
+    )
 
 
 def ergodic_averages(
@@ -771,55 +749,28 @@ def ergodic_averages(
 ):
     """Finite-horizon averages of T(t1+tau)*T(t2+tau) and T(t1+tau)*conj(T(t2+tau)).
 
-    The average runs over tau in [0, horizon] for the momentum ``k_mag``,
-    solved at the default tolerances.  Once both shifted arguments are >= 0
-    the integrand is an explicit trigonometric polynomial in the Bogoliubov
-    pair and is integrated analytically; the initial stretch (when either
-    argument still probes the ramp) is done by quadrature on the solved
-    trajectory.
-    Both averages approach their infinite-horizon limits at rate
-    O(1/horizon).
+    The average runs over tau in [0, horizon] for every momentum in
+    ``k_mag``, from one solve at the default tolerances.  Once both shifted
+    arguments are >= 0 each term of :func:`_product_terms` is integrated in
+    closed form; the initial stretch, while either argument still probes the
+    ramp, is done by quadrature on the solved trajectory, on panels sized
+    by the largest frequency in the batch.  A scalar ``k_mag`` gives two
+    complex numbers and a momentum array one value per momentum.  Both
+    averages approach their infinite-horizon limits at rate O(1/horizon).
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     tau_min = max(0.0, -t1, -t2)
-    t_need = max(1.0, max(t1, t2) + min(tau_min, horizon))
-    traj = solve_modes(k_mag, prof, params, t_max=t_need)
-    eps, el = _for_caller(traj.k_mag, traj.eps, traj.eps_lambda)
-    bog = bogoliubov(traj)
-
-    int_tt = 0.0 + 0.0j
-    int_ttbar = 0.0 + 0.0j
-
     cut = min(tau_min, horizon)
+    traj = solve_modes(k_mag, prof, params, t_max=max(0.0, max(t1, t2) + cut))
+    int_tt = int_ttbar = 0.0
     if cut > 0.0:
-        nodes, weights = _panel_nodes(0.0, cut, 2.0 * max(eps, el))
-        Ta, _ = traj.evaluate(t1 + nodes)
-        Tb, _ = traj.evaluate(t2 + nodes)
-        int_tt += np.sum(weights * Ta * Tb)
-        int_ttbar += np.sum(weights * Ta * np.conj(Tb))
-
+        nodes, weights = _panel_nodes(0.0, cut, 2.0 * max(traj.eps.max(), traj.eps_lambda.max()))
+        Ta, _ = traj._evaluate(t1 + nodes)
+        Tb, _ = traj._evaluate(t2 + nodes)
+        int_tt, int_ttbar = (Ta * Tb) @ weights, (Ta * np.conj(Tb)) @ weights
     if horizon > tau_min:
-        a, b = tau_min, horizon
-        ap, am = bog.a_plus, bog.a_minus
-        dt = t1 - t2
-        st = t1 + t2
-
-        def osc(freq):
-            # integral of exp(i*freq*tau) over [a, b]
-            return (np.exp(1j * freq * b) - np.exp(1j * freq * a)) / (1j * freq)
-
-        span = b - a
-        int_tt += (
-            ap * ap * np.exp(-1j * el * st) * osc(-2.0 * el)
-            + am * am * np.exp(1j * el * st) * osc(2.0 * el)
-            + ap * am * (np.exp(-1j * el * dt) + np.exp(1j * el * dt)) * span
-        ) / (2.0 * el)
-        int_ttbar += (
-            abs(ap) ** 2 * np.exp(-1j * el * dt) * span
-            + abs(am) ** 2 * np.exp(1j * el * dt) * span
-            + ap * np.conj(am) * np.exp(-1j * el * st) * osc(-2.0 * el)
-            + np.conj(ap) * am * np.exp(1j * el * st) * osc(2.0 * el)
-        ) / (2.0 * el)
-
-    return complex(int_tt / horizon), complex(int_ttbar / horizon)
+        tt, ttbar = _product_terms(bogoliubov(traj), traj.eps_lambda, t1, t2)
+        int_tt = int_tt + sum(c * _tau_integral(f, tau_min, horizon) for c, f in tt)
+        int_ttbar = int_ttbar + sum(c * _tau_integral(f, tau_min, horizon) for c, f in ttbar)
+    return _for_caller(k_mag, int_tt / horizon, int_ttbar / horizon)

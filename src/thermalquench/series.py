@@ -72,7 +72,7 @@ def _check_order(n: int, path: str) -> None:
         raise ValueError(f"unknown path {path!r}")
 
 
-def _term(n: int, params: ThermalParams, grid, path: str, symmetrized: bool) -> SeriesTerm:
+def _term(n: int, params: ThermalParams, grid, path: str) -> SeriesTerm:
     """n-th series term on a grid already built by :func:`_grid`."""
     eps, eps_l, weight, p_plus, p_minus, bp, bm = grid
     beta, shift = params.beta, params.mass_shift
@@ -84,16 +84,12 @@ def _term(n: int, params: ThermalParams, grid, path: str, symmetrized: bool) -> 
     else:
         row = eulerian_row_recursive(n).coefficients
         base = (-1.0) ** n * beta**n / math.factorial(n) * (shift / (eps_l + eps)) ** n
+        # the minus branch's sum, with bp and bm exchanged, is the same
+        # polynomial because the Eulerian row is a palindrome
         s_plus = np.zeros_like(eps)
         for j, c in enumerate(row, start=1):
             s_plus = s_plus + c * bp ** (n + 1 - j) * bm**j
-        if symmetrized:
-            per_k = weight * base * s_plus * (p_plus + p_minus)
-        else:
-            s_minus = np.zeros_like(eps)
-            for j, c in enumerate(row, start=1):
-                s_minus = s_minus + c * bm ** (n + 1 - j) * bp**j
-            per_k = weight * base * (p_plus * s_plus + p_minus * s_minus)
+        per_k = weight * base * s_plus * (p_plus + p_minus)
 
     return SeriesTerm(order=n, path=path, value=complex(np.sum(per_k)), per_k=per_k)
 
@@ -105,16 +101,10 @@ def nth_order_term(
     g: TestPacket,
     quad: QuadratureSpec = QuadratureSpec(),
     path: str = "beta-derivative",
-    symmetrized: bool = True,
 ) -> SeriesTerm:
-    """n-th series term by the chosen evaluation path.
-
-    ``symmetrized`` only affects the descent-sum path: it collapses the two
-    frequency branches through the palindromic symmetry of the Eulerian row,
-    which must not change the value.
-    """
+    """n-th series term by the chosen evaluation path."""
     _check_order(n, path)
-    return _term(n, params, _grid(params, f, g, quad), path, symmetrized)
+    return _term(n, params, _grid(params, f, g, quad), path)
 
 
 def _guard(params: ThermalParams, grid) -> tuple[bool, float, float]:
@@ -247,8 +237,8 @@ def verify_resummation(
     cumulative = zeroth
     max_dev = 0.0
     for n in range(1, N + 1):
-        t_beta = _term(n, params, grid, "beta-derivative", True)
-        t_desc = _term(n, params, grid, "descent-sum", True)
+        t_beta = _term(n, params, grid, "beta-derivative")
+        t_desc = _term(n, params, grid, "descent-sum")
         scale = max(abs(t_beta.value), abs(t_desc.value))
         dev = abs(t_beta.value - t_desc.value) / scale if scale > 0 else 0.0
         max_dev = max(max_dev, dev)

@@ -48,12 +48,12 @@ RUNTIME_BUDGETS_S = {
     1: 0.03,
     2: 0.094,
     3: 0.037,
-    4: 0.1,
+    4: 0.081,
     5: 0.1,
     6: 1.0,
     7: 0.031,
     8: 0.1,
-    9: 0.1,
+    9: 0.033,
     10: 0.56,
 }
 
@@ -183,7 +183,7 @@ def criterion_4(config: RunConfig) -> CriterionResult:
     """Wronskian drift across every trajectory in the suite."""
     t0 = time.perf_counter()
     tol = config.tolerances["wronskian_abs"]
-    worst = max(traj.max_wronskian_residual for traj in _suite_trajectories(config))
+    worst = max(traj.worst_drift for traj in _suite_trajectories(config))
     return _finish(4, "wronskian-health", worst <= tol, {"worst_abs": worst, "tol": tol}, t0)
 
 

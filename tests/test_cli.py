@@ -360,11 +360,11 @@ class TestImportGraph:
         # numpy is the only runtime dependency; scipy is for the tests alone
         code = (
             "import sys\n"
-            "from thermalquench import SwitchingProfile, ThermalParams, cli, wkb_mode\n"
+            "from thermalquench import SwitchingProfile, ThermalParams, cli, ergodic_averages\n"
             "for command in ('eulerian', 'limits', 'series', 'ness', 'verify-all'):\n"
             "    assert cli.main([command]) == 0, command\n"
             "params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=0.1)\n"
-            "wkb_mode(1.0, [-2.0, -0.5, 1.0], SwitchingProfile(1.0), params, t0=-1.0)\n"
+            "ergodic_averages([0.0, 1.0], SwitchingProfile(1.0), params, -0.5, 0.2, 10.0)\n"
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "assert not loaded, sorted(loaded)[:5]\n"
         )

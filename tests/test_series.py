@@ -44,13 +44,6 @@ class TestNthOrderTerm:
         b = nth_order_term(n, BENCH, F, G, QUAD, path="descent-sum").value
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
 
-    @pytest.mark.parametrize("n", [2, 4, 7])
-    def test_symmetrization_is_identity(self, n):
-        sym = nth_order_term(n, BENCH, F, G, QUAD, path="descent-sum", symmetrized=True)
-        raw = nth_order_term(n, BENCH, F, G, QUAD, path="descent-sum", symmetrized=False)
-        assert sym.value == pytest.approx(raw.value, rel=1e-14)
-        assert np.allclose(sym.per_k, raw.per_k)
-
     def test_simplex_normalization_scales_with_beta(self):
         # isolate the beta^n/n! factor: doubling beta must contribute 2^n
         # on top of the derivative tower's own beta dependence, per node

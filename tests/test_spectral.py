@@ -276,7 +276,7 @@ class TestPairFiniteMu:
         reference = 0.0 + 0.0j
         for k, wk in zip(k_nodes, k_weights):
             eps = dispersion(k, PARAMS).eps
-            traj = solve_modes(k, prof, PARAMS, t_max=t_hi, method="DOP853")
+            traj = solve_modes(k, prof, PARAMS, t_max=t_hi)
             u_f = np.sum(wf * F.temporal(tf) * traj.evaluate(tf)[0])
             u_g = np.sum(wg * G.temporal(tg) * traj.evaluate(tg)[0])
             kernel = (
