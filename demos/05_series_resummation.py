@@ -13,7 +13,6 @@ failed.
 """
 
 from thermalquench import TestPacket, ThermalParams, verify_resummation
-from thermalquench.series import convergence_guard
 
 BENCH = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=0.1)
 F = TestPacket(k_center=1.0, k_width=0.5, t_center=2.0, t_width=0.3)
@@ -24,8 +23,7 @@ def main():
     report = verify_resummation(BENCH, F, G, N=8, tol=1e-8)
     print(f"verdict: {report.verdict}")
     print(f"temperature shift at worst node: {report.max_shift:.4f} (limit {report.shift_limit:.2f})")
-    _, max_shift, _ = convergence_guard(BENCH, F, G)
-    print(f"geometric envelope of term ratios: {max_shift / BENCH.beta:.4f}")
+    print(f"geometric envelope of term ratios: {report.max_shift / BENCH.beta:.4f}")
     print(f"zeroth term      : {report.zeroth:.10f}")
     print(f"closed form      : {report.closed_form:.10f}")
     print()

@@ -41,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .combinatorics import eulerian_row_by_enumeration, eulerian_row_recursive
 from .config import ConfigError, RunConfig, default_config, load_config
 from .modes import (
     IntegratorError,
@@ -50,7 +49,6 @@ from .modes import (
     switch_integral_limit,
     switch_integrals,
 )
-from .series import verify_resummation
 from .spectral import adiabatic, ness_classical, pair_report
 from .verify import ness_bogoliubov_map
 
@@ -125,24 +123,13 @@ def _write_meta(args):
 
 
 def cmd_eulerian(args, config: RunConfig) -> int:
-    rows = []
-    all_match = True
-    for n in range(1, 9):
-        rec = eulerian_row_recursive(n)
-        enum = eulerian_row_by_enumeration(n)
-        match = rec.coefficients == enum.coefficients
-        all_match = all_match and match
-        rows.append(
-            [
-                str(n),
-                " ".join(map(str, rec.coefficients)),
-                " ".join(map(str, enum.coefficients)),
-                str(rec.row_sum),
-                "MATCH" if match else "MISMATCH",
-            ]
-        )
+    rows = [
+        [str(rec.n), " ".join(map(str, rec.coefficients)), " ".join(map(str, enum.coefficients)),
+         str(rec.row_sum), "MATCH" if rec.coefficients == enum.coefficients else "MISMATCH"]
+        for rec, enum in verify.eulerian_rows()
+    ]
     _emit_csv(["n", "recursive", "enumeration", "row_sum", "status"], rows, args.out, "eulerian.csv")
-    return EXIT_OK if all_match else EXIT_CRITERION
+    return EXIT_OK if all(row[-1] == "MATCH" for row in rows) else EXIT_CRITERION
 
 
 def cmd_limits(args, config: RunConfig) -> int:
@@ -164,31 +151,16 @@ def cmd_limits(args, config: RunConfig) -> int:
 
 def cmd_series(args, config: RunConfig) -> int:
     f, g = config.packet_pair
-    report = verify_resummation(
-        config.params, f, g,
-        N=max(config.order_ladder),
-        tol=config.tolerances["series_final_rel"],
-        quad=config.quadrature,
-        dual_path_tol=config.tolerances["series_dual_path_rel"],
-    )
+    report = verify.series_report(config)
     payload = report.to_dict()
     payload["pairing_check"] = pair_report(adiabatic(config.params), f, g, config.quadrature)
     _emit_json(payload, args.out, "series.json")
     if args.out is not None:
-        rows = [
-            [
-                str(r["order"]),
-                _fmt(r["term_re"]), _fmt(r["term_im"]),
-                _fmt(r["cumulative_re"]), _fmt(r["cumulative_im"]),
-                _fmt(r["gap_to_closed_form"]), _fmt(r["dual_path_rel_dev"]),
-            ]
-            for r in payload["orders"]
-        ]
-        _emit_csv(
-            ["order", "term_re", "term_im", "cumulative_re", "cumulative_im",
-             "gap_to_closed_form", "dual_path_rel_dev"],
-            rows, args.out, "series.csv",
-        )
+        # the CSV columns are the per-order keys of the JSON payload
+        header = ["order", "term_re", "term_im", "cumulative_re", "cumulative_im",
+                  "gap_to_closed_form", "dual_path_rel_dev"]
+        rows = [[str(r["order"])] + [_fmt(r[key]) for key in header[1:]] for r in payload["orders"]]
+        _emit_csv(header, rows, args.out, "series.csv")
     if report.verdict == "fail":
         return EXIT_CRITERION
     return EXIT_OK  # "pass" and "radius-violated" both succeed; verdict is in the payload

@@ -143,6 +143,36 @@ def set_partitions(n: int) -> list[list[list[int]]]:
     return canon
 
 
+def _subsets(table: Mapping[frozenset, complex]) -> tuple[list[tuple], dict]:
+    """The non-empty subsets of a table's ground set (the union of its keys),
+    as sorted tuples by size, and the table keyed by frozensets.  An empty
+    table, the empty subset as a key or a missing subset raises ValueError."""
+    keys = {frozenset(k) for k in table}
+    if not keys or frozenset() in keys:
+        raise ValueError("table must be keyed by non-empty subsets")
+    ground = sorted(set().union(*keys))
+    combos = [c for r in range(1, len(ground) + 1) for c in itertools.combinations(ground, r)]
+    missing = [c for c in combos if frozenset(c) not in keys]
+    if missing:
+        raise ValueError(f"table incomplete; missing subsets {missing}")
+    return combos, {frozenset(k): v for k, v in table.items()}
+
+
+def _block_sum(combo: tuple, table: Mapping[frozenset, complex], whole: bool = True):
+    """Sum over the partitions of ``combo`` (in :func:`_partitions_of`'s order)
+    of the product of ``table`` over the blocks, less the one-block partition
+    unless ``whole``."""
+    total = 0
+    for partition in _partitions_of(combo):
+        if not whole and len(partition) == 1:
+            continue
+        prod = 1
+        for block in partition:
+            prod *= table[frozenset(block)]
+        total += prod
+    return total
+
+
 def connected_from_moments(
     moments: Mapping[frozenset, complex],
 ) -> dict[frozenset, complex]:
@@ -156,50 +186,18 @@ def connected_from_moments(
         moments[S] = sum over partitions P of S of
                      prod over blocks B in P of connected[B]
     """
-    keys = {frozenset(k) for k in moments}
-    if not keys or frozenset() in keys:
-        raise ValueError("moment table must be keyed by non-empty subsets")
-    ground = sorted(set().union(*keys))
-    expected = {
-        frozenset(c)
-        for r in range(1, len(ground) + 1)
-        for c in itertools.combinations(ground, r)
-    }
-    if keys != expected:
-        missing = sorted(tuple(sorted(s)) for s in expected - keys)
-        raise ValueError(f"moment table incomplete; missing subsets {missing}")
-
-    moments = {frozenset(k): v for k, v in moments.items()}
+    combos, moments = _subsets(moments)
     connected: dict[frozenset, complex] = {}
-    for size in range(1, len(ground) + 1):
-        for combo in itertools.combinations(ground, size):
-            subset = frozenset(combo)
-            total = 0
-            for partition in _partitions_of(combo):
-                if len(partition) == 1:
-                    continue  # the singleton partition is the unknown
-                prod = 1
-                for block in partition:
-                    prod *= connected[frozenset(block)]
-                total += prod
-            connected[subset] = moments[subset] - total
+    for combo in combos:  # the one-block partition holds the unknown
+        subset = frozenset(combo)
+        connected[subset] = moments[subset] - _block_sum(combo, connected, whole=False)
     return connected
 
 
 def moments_from_connected(
     connected: Mapping[frozenset, complex],
 ) -> dict[frozenset, complex]:
-    """Inverse of :func:`connected_from_moments`: re-assemble the moments by
-    summing block products over all partitions of each subset."""
-    keys = {frozenset(k) for k in connected}
-    connected = {frozenset(k): v for k, v in connected.items()}
-    out: dict[frozenset, complex] = {}
-    for subset in keys:
-        total = 0
-        for partition in _partitions_of(tuple(sorted(subset))):
-            prod = 1
-            for block in partition:
-                prod *= connected[frozenset(block)]
-            total += prod
-        out[subset] = total
-    return out
+    """Inverse of :func:`connected_from_moments`, on a table as complete:
+    re-assemble the moments by summing block products over all partitions."""
+    combos, connected = _subsets(connected)
+    return {frozenset(combo): _block_sum(combo, connected) for combo in combos}

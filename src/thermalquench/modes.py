@@ -15,7 +15,10 @@ conserved Wronskian as a built-in health monitor, and provides the
 switching-weighted integrals whose large-mu limits are known in closed form
 and the finite-horizon ergodic averages of mode products with their limits.
 Every quadrature over time here is one composite Gauss-Legendre rule, with
-panels of ``_GL_ORDER`` nodes, and the module needs numpy alone.
+panels of ``_GL_ORDER`` nodes.  ``_gauss_legendre`` is the package's one
+cache of rules (the pairings of :mod:`thermalquench.spectral` read it too),
+and it computes a rule on first use, never at import.  The module needs
+numpy alone.
 
 One routine does every ramp solve.  The mode equation is linear, so one
 DOP853 step of (T, Tdot) is a real 2x2 matrix that does not depend on the
@@ -52,6 +55,7 @@ the consumers here solve at its defaults.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,7 +64,6 @@ import numpy as np
 from .thermal import ThermalParams, dispersion
 
 _GL_ORDER = 10
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 # a mode fails when its Wronskian drifts from i by more than the gate
 _WRONSKIAN_TOL = 1e-8
@@ -338,16 +341,11 @@ def _error_norm(err5, err3, y, h: float, rtol: float, atol: float):
     sq = y[:, 0] ** 2 + y[:, 1] ** 2
     scale_sq = np.square(atol + rtol * np.sqrt(np.maximum(sq[:, :-1], sq[:, 1:])))
     start = y[:, :, :-1]
-
-    def scaled_sq(err):
-        total = 0.0
-        for c in range(2):
-            # the real and imaginary parts of component c of err @ start
-            part = err[c, 0] * start[0] + err[c, 1] * start[1]
-            total = total + (part[0] ** 2 + part[1] ** 2) / scale_sq[c]
-        return total
-
-    e5, e3 = scaled_sq(err5), scaled_sq(err3)
+    # err @ start is (component, real or imaginary part, step, momentum)
+    e5, e3 = (
+        sum((part[c, 0] ** 2 + part[c, 1] ** 2) / scale_sq[c] for c in range(2))
+        for part in (_product(err5, start), _product(err3, start))
+    )
     denom = e5 + 0.01 * e3
     return np.divide(h * e5, np.sqrt(2.0 * denom), out=np.zeros_like(e5), where=denom != 0)
 
@@ -610,6 +608,16 @@ def solve_modes(
     return _ramp_solve(k_mag, prof, params, rtol, atol, t_max)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """numpy's n-point Gauss-Legendre rule on [-1, 1], computed once per node
+    count (``leggauss`` is a dense O(n^3) eigen-solve) and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _panel_nodes(a: float, b: float, max_freq: float, min_panels: int = 4):
     """Composite Gauss-Legendre nodes resolving oscillations up to max_freq."""
     periods = (b - a) * max_freq / (2.0 * np.pi)
@@ -617,8 +625,9 @@ def _panel_nodes(a: float, b: float, max_freq: float, min_panels: int = 4):
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    x, w = _gauss_legendre(_GL_ORDER)
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
 
 
@@ -731,12 +740,13 @@ def ergodic_limits(bog: BogoliubovPair, eps_lambda, t1: float, t2: float):
     averages: averaging washes out every term of :func:`_product_terms`
     whose phase grows with the shift variable, leaving the zero-frequency
     terms.  A pair of complex numbers and a scalar ``eps_lambda`` give
-    complex numbers; arrays, one entry per momentum, give arrays.
+    complex numbers; arrays, one entry per momentum, in the pair or in
+    ``eps_lambda`` give arrays.
     """
     terms = _product_terms(bog, np.atleast_1d(eps_lambda), t1, t2)
-    return _for_caller(
-        eps_lambda, *(sum(np.where(f == 0.0, c, 0.0) for c, f in product) for product in terms)
-    )
+    limits = (sum(np.where(f == 0.0, c, 0.0) for c, f in product) for product in terms)
+    # a momentum array in either input keeps every momentum
+    return _for_caller(eps_lambda if np.ndim(eps_lambda) else bog.a_plus, *limits)
 
 
 def ergodic_averages(
@@ -757,9 +767,10 @@ def ergodic_averages(
     by the largest frequency in the batch.  A scalar ``k_mag`` gives two
     complex numbers and a momentum array one value per momentum.  Both
     averages approach their infinite-horizon limits at rate O(1/horizon).
+    A horizon that is not positive and finite, or a non-finite time, raises.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (0 < horizon < math.inf and math.isfinite(t1) and math.isfinite(t2)):
+        raise ValueError(f"need a finite horizon > 0 and finite t1, t2, got {horizon}, {t1}, {t2}")
     tau_min = max(0.0, -t1, -t2)
     cut = min(tau_min, horizon)
     traj = solve_modes(k_mag, prof, params, t_max=max(0.0, max(t1, t2) + cut))

@@ -17,10 +17,11 @@ shift = lam * m0_sq.  Two independent evaluation paths are kept:
 
 A resummation report builds one grid (one radial rule, its dispersions,
 the pairing integrand of :mod:`thermalquench.spectral` on the shifted
-branch and the free-frequency thermal coefficients) and reads the guard,
-the closed form, the zeroth term and every order by both paths from it;
-``nth_order_term`` and ``convergence_guard`` each build their own grid
-through the same code.
+branch and the free-frequency thermal coefficients) and reads the
+convergence guard, the closed form, the zeroth term and every order by
+both paths from it; ``nth_order_term`` builds its own grid through the
+same code.  The guard is read from the report (``verdict``, ``max_shift``
+and ``shift_limit``); a report of order 0 computes the guard and no term.
 
 The combined sign convention is frozen here once; the first-order term must
 come out as  -beta * shift/(eps_lambda+eps) * b_plus*b_minus  per branch.
@@ -108,24 +109,9 @@ def nth_order_term(
 
 
 def _guard(params: ThermalParams, grid) -> tuple[bool, float, float]:
-    """:func:`convergence_guard` on a grid already built by :func:`_grid`."""
-    eps, eps_l = grid[:2]
-    delta_beta = params.beta * params.mass_shift / ((eps_l + eps) * eps)
-    max_shift = float(np.max(delta_beta))
-    limit = min(params.beta, math.pi / float(np.min(eps)))
-    if not (math.isfinite(max_shift) and math.isfinite(limit)):
-        raise ArithmeticError(
-            f"convergence guard: temperature shift {max_shift:.3g} or its limit {limit:.3g} "
-            "is not finite"
-        )
-    return max_shift < limit, max_shift, limit
-
-
-def convergence_guard(
-    params: ThermalParams, f: TestPacket, g: TestPacket, quad: QuadratureSpec = QuadratureSpec()
-) -> tuple[bool, float, float]:
-    """(ok, max_shift, limit): whether the temperature shift stays inside a
-    conservative convergence region on the whole quadrature grid.
+    """(ok, max_shift, limit) on a grid built by :func:`_grid`: whether the
+    temperature shift stays inside a conservative convergence region at
+    every node.
 
     The Taylor disk of the thermal coefficient around beta has radius
     min(beta, sqrt(beta^2 + (2 pi / eps)^2)) = beta (pole at the origin);
@@ -136,7 +122,16 @@ def convergence_guard(
     Python float without a warning) is a numerical failure:
     ``ArithmeticError``.
     """
-    return _guard(params, _grid(params, f, g, quad))
+    eps, eps_l = grid[:2]
+    delta_beta = params.beta * params.mass_shift / ((eps_l + eps) * eps)
+    max_shift = float(np.max(delta_beta))
+    limit = min(params.beta, math.pi / float(np.min(eps)))
+    if not (math.isfinite(max_shift) and math.isfinite(limit)):
+        raise ArithmeticError(
+            f"convergence guard: temperature shift {max_shift:.3g} or its limit {limit:.3g} "
+            "is not finite"
+        )
+    return max_shift < limit, max_shift, limit
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ radial integral
     integral dk 4 pi k^2 / (2 w(k)) * [ c_plus(k)  fhat(+w, k) ghat(-w, k)
                                       + c_minus(k) fhat(-w, k) ghat(+w, k) ],
 
-evaluated by Gauss-Legendre on a Gaussian-damped integrand.
+evaluated by Gauss-Legendre on a Gaussian-damped integrand, with the rule
+from the read-only cache of :mod:`thermalquench.modes`.
 
 Momentum-space convention: fhat(w, k) = integral dt exp(-i*w*t) fmt(t, k),
 where fmt is the packet's mixed time/momentum representation.  With this
@@ -24,14 +25,13 @@ that keeps the free thermal coefficients.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .modes import BogoliubovPair, SwitchingProfile, solve_modes
+from .modes import BogoliubovPair, SwitchingProfile, _gauss_legendre, solve_modes
 from .thermal import ThermalParams, bose_coefficient, dispersion
 
 
@@ -94,16 +94,6 @@ class TestPacket:
             self.t_center - TIME_SIGMAS * self.t_width,
             self.t_center + TIME_SIGMAS * self.t_width,
         )
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n: int):
-    """numpy's n-point Gauss-Legendre rule on [-1, 1], computed once per node
-    count (``leggauss`` is a dense O(n^3) eigen-solve) and read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
 
 
 @dataclass(frozen=True)

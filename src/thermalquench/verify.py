@@ -36,7 +36,7 @@ from .modes import (
     switch_integral_limit,
     switch_integrals,
 )
-from .series import verify_resummation
+from .series import ResummationReport, verify_resummation
 from .spectral import adiabatic_classical, ness_classical, pair, pair_finite_mu
 from .thermal import ThermalParams, bose_coefficient, bose_derivative, dispersion, shifted_beta
 
@@ -94,15 +94,19 @@ def _finish(index, name, ok, measured, t0):
     )
 
 
+def eulerian_rows():
+    """(recursive, enumerated) Eulerian rows for n = 1..8: what ``eulerian``
+    tabulates and criterion 1 checks."""
+    return [(eulerian_row_recursive(n), eulerian_row_by_enumeration(n)) for n in range(1, 9)]
+
+
 def criterion_1(config: RunConfig) -> CriterionResult:
     """Eulerian rows: recursion equals enumeration exactly for n <= 8."""
     t0 = time.perf_counter()
     ok = True
-    for n in range(1, 9):
-        rec = eulerian_row_recursive(n)
-        enum = eulerian_row_by_enumeration(n)
+    for rec, enum in eulerian_rows():
         ok = ok and rec.coefficients == enum.coefficients
-        ok = ok and rec.row_sum == math.factorial(n)
+        ok = ok and rec.row_sum == math.factorial(rec.n)
         ok = ok and rec.coefficients == rec.coefficients[::-1]
     return _finish(1, "eulerian-cross-oracle", ok, {"max_n": 8.0}, t0)
 
@@ -222,21 +226,27 @@ def criterion_6(config: RunConfig) -> CriterionResult:
     )
 
 
+def series_report(config: RunConfig) -> ResummationReport:
+    """The config's resummation report, to the largest order of its ladder:
+    what ``series`` writes and criterion 7 judges."""
+    f, g = config.packet_pair
+    return verify_resummation(
+        config.params, f, g,
+        N=max(config.order_ladder),
+        tol=config.tolerances["series_final_rel"],
+        quad=config.quadrature,
+        dual_path_tol=config.tolerances["series_dual_path_rel"],
+    )
+
+
 def criterion_7(config: RunConfig) -> CriterionResult:
     """Series resummation against the shifted thermal state."""
     t0 = time.perf_counter()
-    tol = config.tolerances["series_final_rel"]
-    dual_tol = config.tolerances["series_dual_path_rel"]
-    f, g = config.packet_pair
-    report = verify_resummation(
-        config.params, f, g,
-        N=max(config.order_ladder), tol=tol,
-        quad=config.quadrature, dual_path_tol=dual_tol,
-    )
+    report = series_report(config)
     measured = {
         "final_rel_gap": report.final_rel_gap,
         "max_dual_path_dev": report.max_dual_path_dev,
-        "tol": tol,
+        "tol": report.tol,
     }
     if report.verdict == "radius-violated":
         return CriterionResult(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thermalquench import modes, spectral
+from thermalquench import modes
 
 
 @pytest.fixture
@@ -30,6 +30,6 @@ def leggauss_calls(monkeypatch):
         return original(n)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    spectral._gauss_legendre.cache_clear()
+    modes._gauss_legendre.cache_clear()
     yield calls
-    spectral._gauss_legendre.cache_clear()
+    modes._gauss_legendre.cache_clear()

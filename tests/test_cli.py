@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermalquench import cli, modes
+from thermalquench import cli, modes, verify
 from thermalquench.cli import main
-from thermalquench.config import NODE_CAP
+from thermalquench.config import NODE_CAP, default_config
 from thermalquench.modes import BogoliubovPair
 from thermalquench.thermal import bose_coefficient
 
@@ -374,6 +374,36 @@ class TestImportGraph:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_computes_no_quadrature_rule(self):
+        # every Gauss-Legendre rule is computed on first use, none at import
+        code = (
+            "import numpy as np\n"
+            "calls = []\n"
+            "original = np.polynomial.legendre.leggauss\n"
+            "np.polynomial.legendre.leggauss = lambda n: calls.append(n) or original(n)\n"
+            "import thermalquench.cli\n"
+            "assert calls == [], calls\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "helper, command, criterion",
+    [("series_report", "series", 7), ("eulerian_rows", "eulerian", 1)],
+)
+def test_command_and_criterion_share_one_call(monkeypatch, capsys, helper, command, criterion):
+    calls = []
+    original = getattr(verify, helper)
+    monkeypatch.setattr(verify, helper, lambda *args: calls.append(args) or original(*args))
+    assert run([command]) == 0
+    assert verify.CRITERIA[criterion](default_config()).status == "pass"
+    assert len(calls) == 2
 
 
 class TestSeries:

@@ -172,6 +172,20 @@ class TestConnectedFunctions:
         with pytest.raises(ValueError):
             connected_from_moments({})
 
+    @pytest.mark.parametrize("direction", [connected_from_moments, moments_from_connected])
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({}, "non-empty subsets"),
+            ({frozenset(): 1}, "non-empty subsets"),
+            ({frozenset({2}): 1.0, frozenset({1, 2}): 3.0}, r"missing subsets \[\(1,\)\]"),
+        ],
+        ids=["empty", "empty-subset", "incomplete"],
+    )
+    def test_both_directions_refuse_the_same_tables(self, direction, table, message):
+        with pytest.raises(ValueError, match=message):
+            direction(table)
+
     @given(st.integers(min_value=1, max_value=5), st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_exact(self, n, rnd):

@@ -824,9 +824,39 @@ class TestErgodicAverages:
         assert abs(att - brute_tt) < 1e-7
         assert abs(attb - brute_ttbar) < 1e-7
 
-    def test_invalid_horizon(self):
-        with pytest.raises(ValueError):
-            ergodic_averages(0.0, SwitchingProfile(1.0), PARAMS, 0.0, 0.0, horizon=0.0)
+    @pytest.mark.parametrize(
+        "t1, t2, horizon",
+        [(0.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 0.0, math.nan), (0.0, 0.0, math.inf),
+         (0.0, 0.0, -math.inf), (math.inf, 0.0, 10.0), (-math.inf, 0.0, 10.0),
+         (math.nan, 0.0, 10.0), (0.0, math.nan, 10.0), (0.0, -math.inf, 10.0)],
+        ids=["horizon-zero", "horizon-negative", "horizon-nan", "horizon-inf", "horizon-minus-inf",
+             "t1-inf", "t1-minus-inf", "t1-nan", "t2-nan", "t2-minus-inf"],
+    )
+    def test_invalid_horizon(self, t1, t2, horizon):
+        # refused up front, before any solve and without a RuntimeWarning
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="finite"):
+            ergodic_averages(0.0, SwitchingProfile(1.0), PARAMS, t1, t2, horizon=horizon)
+
+    def test_limits_keep_every_momentum_of_mixed_inputs(self):
+        # three k = 0 pairs (one eps_lambda) from three switching scales
+        el = float(dispersion(0.0, PARAMS).eps_lambda)
+        pairs = [bogoliubov(solve_modes(0.0, SwitchingProfile(mu), PARAMS, t_max=0.0))
+                 for mu in (1.0, 2.0, 5.0)]
+        batch = BogoliubovPair(np.array([p.a_plus for p in pairs]),
+                               np.array([p.a_minus for p in pairs]))
+        lim_tt, lim_ttbar = ergodic_limits(batch, el, 0.5, -0.25)
+        assert lim_tt.shape == lim_ttbar.shape == (3,)
+        # scalar calls multiply Python complex numbers: equal to rounding
+        for i, one in enumerate(pairs):
+            s_tt, s_ttbar = ergodic_limits(one, el, 0.5, -0.25)
+            assert abs(lim_tt[i] - s_tt) <= 1e-15 and abs(lim_ttbar[i] - s_ttbar) <= 1e-15
+        # and a scalar pair against a momentum array of eps_lambda
+        els = np.array([el, 2.0 * el])
+        lim_tt, lim_ttbar = ergodic_limits(pairs[0], els, 0.5, -0.25)
+        assert lim_tt.shape == lim_ttbar.shape == (2,)
+        for i, e in enumerate(els):
+            s_tt, s_ttbar = ergodic_limits(pairs[0], float(e), 0.5, -0.25)
+            assert abs(lim_tt[i] - s_tt) <= 1e-15 and abs(lim_ttbar[i] - s_ttbar) <= 1e-15
 
     @staticmethod
     def hand_expanded(k, prof, params, t1, t2, horizon):

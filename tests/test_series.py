@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thermalquench import cli, spectral
-from thermalquench.series import convergence_guard, nth_order_term, verify_resummation
+from thermalquench.series import nth_order_term, verify_resummation
 from thermalquench.spectral import TestPacket as Packet
 from thermalquench.spectral import QuadratureSpec, adiabatic, adiabatic_classical, pair
 from thermalquench.thermal import ThermalParams, bose_coefficient, bose_derivative, dispersion
@@ -68,8 +68,7 @@ class TestNthOrderTerm:
 
     def test_successive_ratios_below_envelope(self):
         # the geometric envelope of the term ratios: the worst node's shift over beta
-        _, max_shift, _ = convergence_guard(BENCH, F, G, QUAD)
-        env = max_shift / BENCH.beta
+        env = verify_resummation(BENCH, F, G, N=0, quad=QUAD).max_shift / BENCH.beta
         values = [nth_order_term(n, BENCH, F, G, QUAD).value for n in range(1, 9)]
         for a, b in zip(values, values[1:]):
             assert abs(b / a) <= 1.5 * env
@@ -106,15 +105,17 @@ class TestPartialSum:
 
 
 class TestConvergenceGuard:
+    """The guard as the report carries it; a report of order 0 computes no term."""
+
     def test_bench_inside(self):
-        ok, max_shift, limit = convergence_guard(BENCH, F, G, QUAD)
-        assert ok and max_shift < limit
-        assert limit == pytest.approx(1.0)  # beta is the binding constraint here
+        report = verify_resummation(BENCH, F, G, N=0, quad=QUAD)
+        assert report.verdict != "radius-violated" and report.max_shift < report.shift_limit
+        assert report.shift_limit == pytest.approx(1.0)  # beta is the binding constraint here
 
     def test_strong_coupling_outside(self):
         strong = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=8.0)
-        ok, max_shift, limit = convergence_guard(strong, F, G, QUAD)
-        assert not ok and max_shift >= limit
+        report = verify_resummation(strong, F, G, N=0, quad=QUAD)
+        assert report.verdict == "radius-violated" and report.max_shift >= report.shift_limit
 
 
 class TestVerifyResummation:

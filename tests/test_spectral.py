@@ -17,7 +17,6 @@ from thermalquench.spectral import (
     TAIL_SIGMAS,
     QuadratureSpec,
     SpectralState,
-    _gauss_legendre,
     adiabatic,
     adiabatic_classical,
     free_kms,
@@ -84,7 +83,7 @@ class TestQuadratureRules:
         np.testing.assert_array_equal(wt, half * w)
 
     def test_cached_rule_is_read_only(self):
-        x, w = _gauss_legendre(7)
+        x, w = modes._gauss_legendre(7)
         with pytest.raises(ValueError):
             x[0] = 0.0
         with pytest.raises(ValueError):
