@@ -114,22 +114,24 @@ def eulerian_row_by_enumeration(n: int) -> EulerianRow:
     return EulerianRow(n, tuple(np.bincount(descents, minlength=n).tolist()))
 
 
-def _partitions_of(items: tuple) -> list[list[list]]:
-    """All partitions of ``items`` into non-empty blocks.
+@lru_cache(maxsize=None)
+def _partitions_of(items: tuple) -> tuple[tuple[frozenset, ...], ...]:
+    """All partitions of ``items`` into non-empty blocks, as tuples of
+    frozensets, built once per tuple from the cached ones of ``items[1:]``.
 
     Deterministic order: the first item always opens the first block, and
     each later item is either appended to an existing block (in order) or
     opens a new one.
     """
     if not items:
-        return [[]]
-    head, rest = items[0], items[1:]
-    out: list[list[list]] = []
-    for partial in _partitions_of(rest):
+        return ((),)
+    head = frozenset(items[:1])
+    out = []
+    for partial in _partitions_of(items[1:]):
         for i in range(len(partial)):
-            out.append(partial[:i] + [[head] + partial[i]] + partial[i + 1 :])
-        out.append([[head]] + partial)
-    return out
+            out.append(partial[:i] + (head | partial[i],) + partial[i + 1 :])
+        out.append((head,) + partial)
+    return tuple(out)
 
 
 def set_partitions(n: int) -> list[list[list[int]]]:
@@ -168,7 +170,7 @@ def _block_sum(combo: tuple, table: Mapping[frozenset, complex], whole: bool = T
             continue
         prod = 1
         for block in partition:
-            prod *= table[frozenset(block)]
+            prod *= table[block]
         total += prod
     return total
 

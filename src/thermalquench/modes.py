@@ -29,20 +29,22 @@ of ``_GROUP`` steps are formed for all groups at once, only the group
 start nodes are carried one group after another, and each group's nodes
 are then its products times its start node (see ``_carry``).  Every map
 is a polynomial of degree at most 6 in x = eps**2, so a large batch
-interpolates its maps from seven frequencies (see ``_step_maps``).  Maps and grid nodes are laid out entries first,
-(row, column, step, momentum) and (component, real or imaginary part,
-node, momentum), so that the step-error norm is elementwise arithmetic on
+interpolates its maps from seven frequencies, set up once per solve (see
+``_samples``).  Maps and grid nodes are laid out entries first, (row,
+column, step, momentum) and (component, real or imaginary part, node,
+momentum), so that the step-error norm is elementwise arithmetic on
 contiguous (step, momentum) planes.  The first grid is seeded from the
 tolerance by the h**8 error law, rtol**(-1/8) * max(0.19 * mu * (largest
 frequency), 1.5) steps, with both constants fitted once on measured
 solves.  DOP853's embedded error estimate, taken per step and per momentum
 as scipy's step control takes it for a single mode, checks the grid, and a
-grid that fails the check is regrown.  Each momentum's Wronskian is gated
-at every grid node and at every ramp time a caller reads.  Values between
-nodes are one partial step of the same scheme from the node before.
-Before -mu the mode is the plane wave, and for t >= 0 it is closed form
-from its data at t = 0, the grid's last node, where the Bogoliubov pair is
-read.
+grid that fails the check is regrown.  The node planes are a solve's one
+store, made complex only where a reader asks, and each momentum's
+Wronskian is gated on them in real arithmetic, |2*(Tdot_re*T_im -
+Tdot_im*T_re) - 1|, at every node and every ramp time a caller reads.
+Between nodes a value is one partial step from the node before.  Before
+-mu the mode is the plane wave, and for t >= 0 it is closed form from its
+data at t = 0, the last node, where the Bogoliubov pair is read.
 
 A :class:`ModeTrajectory` always holds the batch, one row per momentum.
 :func:`solve_modes`, :func:`switch_integrals` and :func:`ergodic_averages`
@@ -257,10 +259,28 @@ def _after_switch(T0, Td0, eps_lambda, t):
     return T0 * c + Td0 * s / eps_lambda, Td0 * c - eps_lambda * T0 * s
 
 
-def _step_maps(t, h, eps, shift: float, mu: float):
+def _samples(eps):
+    """The x that :func:`_step_maps` runs the batch ``eps`` (n,) on, once
+    per solve, and the Lagrange weights (n, 7) that interpolate its maps, or
+    None: more than ``_DIRECT_MAX`` distinct x = eps**2 are sampled at the
+    seven Chebyshev points of [min x, max x], any other batch at its own."""
+    x = eps * eps
+    if x.size <= _DIRECT_MAX or np.unique(x).size <= _DIRECT_MAX:
+        return x, None
+    lo, hi = x.min(), x.max()
+    nodes = np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1))
+    u = (2.0 * x - lo - hi) / (hi - lo)
+    # row i of the Lagrange basis of ``nodes`` holds the weights at u[i]
+    own = np.eye(nodes.size, dtype=bool)
+    num = np.where(own, 1.0, u[:, None, None] - nodes).prod(axis=-1)
+    den = np.where(own, 1.0, nodes[:, None] - nodes).prod(axis=-1)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes, num / den
+
+
+def _step_maps(t, h, samples, shift: float, mu: float):
     """DOP853 steps of the mode equation from the start times ``t`` (m,) by
-    the step sizes ``h`` (a scalar or one per start), for every frequency in
-    ``eps`` (n,).
+    the step sizes ``h`` (a scalar or one per start), for every frequency of
+    a batch, given as its :func:`_samples`.
 
     The equation is linear, so a step is a real 2x2 map of (T, Tdot) that
     does not depend on the state: the stages run on the identity, for all
@@ -270,25 +290,17 @@ def _step_maps(t, h, eps, shift: float, mu: float):
     [[0, 1], [-w**2, 0]] with -w**2 = -(x + shift * chi) as x times the
     nilpotent [[0, 0], [-1, 0]].  Every map is a sum of products of at most
     twelve derivative maps in which x cannot enter two factors in a row, so
-    each entry is a polynomial in x of degree at most ``_DEGREE`` = 6.  A
-    batch of more than ``_DIRECT_MAX`` distinct x therefore runs the stages
-    on the seven Chebyshev points of [min x, max x] and interpolates every
-    momentum's maps, all twelve entry planes of the three maps in one
-    stacked product with the Lagrange weights; any other batch runs them on
-    its own x.  Returns (step, err5, err3), each entries first, of shape
+    each entry is a polynomial in x of degree at most ``_DEGREE`` = 6, and
+    seven samples of x determine every momentum's maps: with weights, all
+    twelve entry planes of the three maps are interpolated in one stacked
+    product.  Returns (step, err5, err3), each entries first, of shape
     (2, 2, m, n): the order-8 step map and the two embedded error maps that
     DOP853's step control combines (before its factor h).
     """
     t = np.asarray(t, dtype=float)
     h = np.asarray(h, dtype=float)
     h_col = h[:, None] if h.ndim else h
-    x = eps * eps
-    xs, mix = x, None
-    if x.size > _DIRECT_MAX and np.unique(x).size > _DIRECT_MAX:
-        lo, hi = x.min(), x.max()
-        u = np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1))
-        xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * u
-        mix = _lagrange(u, (2.0 * x - lo - hi) / (hi - lo))
+    xs, mix = samples
     # -w(t)^2 at every stage time, shape (12, m, samples)
     chi = chi_unit((t + _C[:, None] * h) / mu)
     neg_w_sq = -(xs + shift * chi[..., None])
@@ -312,17 +324,8 @@ def _step_maps(t, h, eps, shift: float, mu: float):
     # the Lagrange weights: twelve products of 7 * _BLOCK multiply-adds for a
     # full block, small enough that OpenBLAS runs each on one thread (with
     # BLAS unpinned, its helper thread took no CPU time on 8 to 8192 momenta)
-    samples = np.stack((y, err5, err3)).reshape(12, t.size, xs.size)
-    return tuple(np.matmul(samples, mix.T).reshape(3, 2, 2, t.size, -1))
-
-
-def _lagrange(nodes, u):
-    """The Lagrange basis of ``nodes`` (p,) at the points ``u`` (n,), shape
-    (n, p): row i holds the weights that interpolate p samples at u[i]."""
-    own = np.eye(nodes.size, dtype=bool)
-    num = np.where(own, 1.0, u[:, None, None] - nodes).prod(axis=-1)
-    den = np.where(own, 1.0, nodes[:, None] - nodes).prod(axis=-1)
-    return num / den
+    planes = np.stack((y, err5, err3)).reshape(12, t.size, xs.size)
+    return tuple(np.matmul(planes, mix.T).reshape(3, 2, 2, t.size, -1))
 
 
 def _error_norm(err5, err3, y, h: float, rtol: float, atol: float):
@@ -415,6 +418,7 @@ def _ramp_solve(
     mu, shift, n = prof.mu, params.mass_shift, ks.size
     where = f"ramp solve for k in [{ks.min()}, {ks.max()}], mu={mu}"
     block = max(1, _BLOCK // n // _GROUP) * _GROUP
+    samples = _samples(eps)
     size = rtol**-0.125 * max(_SEED_WAVE * mu * max(eps.max(), eps_lam.max()), _SEED_SWITCH)
     for passes in range(1, _MAX_PASSES + 1):
         if not size * n <= _MAX_GRID:  # also catches an infinite or NaN size
@@ -431,7 +435,7 @@ def _ramp_solve(
         worst = []
         for lo in range(0, n_steps, block):
             hi = min(lo + block, n_steps)
-            step, err5, err3 = _step_maps(t[lo:hi], h, eps, shift, mu)
+            step, err5, err3 = _step_maps(t[lo:hi], h, samples, shift, mu)
             _carry(step, y[:, :, lo : hi + 1])
             worst.append(np.max(_error_norm(err5, err3, y[:, :, lo : hi + 1], h, rtol, atol)))
         err = float(np.max(worst))
@@ -443,31 +447,35 @@ def _ramp_solve(
                 f"{err:.3e} on a grid of {n_steps} steps after {passes} passes"
             )
         size = n_steps * err**0.125 / 0.9
-    T = (y[0, 0] + 1j * y[0, 1]).T
-    Td = (y[1, 0] + 1j * y[1, 1]).T
     worst_drift, worst_drift_t = _gate(
-        T, Td, ks, mu, t,
-        f"grid of {n_steps} steps after {passes} passes, rtol={rtol}, atol={atol}",
+        y, ks, mu, t, f"grid of {n_steps} steps after {passes} passes, rtol={rtol}, atol={atol}"
     )
     return ModeTrajectory(
-        k_mag=k_mag, mu=mu, params=params, eps=eps, eps_lambda=eps_lam, t=t, T=T, Tdot=Td,
-        t_end=t_end, passes=passes, worst_drift=worst_drift, worst_drift_t=worst_drift_t,
+        k_mag=k_mag, mu=mu, params=params, eps=eps, eps_lambda=eps_lam, t=t, y=y, t_end=t_end,
+        passes=passes, worst_drift=worst_drift, worst_drift_t=worst_drift_t,
     )
 
 
-def _wronskian_residual(T, Td):
-    """|W - i| with W = conj(Tdot)*T - conj(T)*Tdot, exactly i for a mode."""
-    return np.abs(np.conj(Td) * T - np.conj(T) * Td - 1j)
+def _complex(part):
+    """The complex array of one component's planes, momentum axis first."""
+    return (part[0] + 1j * part[1]).T
 
 
-def _gate(T, Td, ks, mu: float, t, detail: str) -> tuple[float, float]:
-    """The Wronskian gate over (T, Tdot) with one row per momentum ``ks`` and
-    one column per time ``t``: returns the worst drift and its time, or
-    raises ``IntegratorError`` naming both when the drift exceeds
+def _drift(y):
+    """|W - i|, shape (time, momentum), of (T, Tdot) laid out (component, real
+    or imaginary part, time, momentum): W = conj(Tdot)*T - conj(T)*Tdot,
+    exactly i for a mode, is 2i*(Tdot_re*T_im - Tdot_im*T_re)."""
+    return np.abs(2.0 * (y[1, 0] * y[0, 1] - y[1, 1] * y[0, 0]) - 1.0)
+
+
+def _gate(y, ks, mu: float, t, detail: str) -> tuple[float, float]:
+    """The Wronskian gate over the planes ``y`` of the momenta ``ks`` at the
+    times ``t`` (see :func:`_drift`): returns the worst drift and its time,
+    or raises ``IntegratorError`` naming both when the drift exceeds
     ``_WRONSKIAN_TOL``, with ``detail`` in parentheses at the end."""
-    drift = _wronskian_residual(T, Td)
-    col, i = np.unravel_index(np.argmax(drift), drift.shape)
-    worst = float(drift[col, i])
+    drift = _drift(y)
+    i, col = np.unravel_index(np.argmax(drift), drift.shape)
+    worst = float(drift[i, col])
     if not worst <= _WRONSKIAN_TOL:  # a NaN drift fails too
         raise IntegratorError(
             f"Wronskian drift {worst:.3e} exceeds {_WRONSKIAN_TOL:.1e} "
@@ -490,14 +498,16 @@ class ModeTrajectory:
     """Solved modes for one mu: the grid solution and how it was obtained.
 
     The trajectory always holds the batch: ``eps``, ``eps_lambda`` have one
-    entry and ``T``, ``Tdot`` one row per momentum.  ``k_mag`` is the
-    momentum array the solve was asked for, 0-d for a scalar momentum.
-    ``t`` holds the nodes of the uniform grid on [-mu, 0], the only stretch
-    that is integrated; its last node is t = 0, where :func:`bogoliubov`
-    reads the pairs.  :meth:`evaluate` extends exactly to all t < -mu with
-    the incoming plane wave, answers between nodes with one partial step
-    from the node before, answers on (0, t_end] in closed form from the
-    data at t = 0, and rejects t > t_end.
+    entry per momentum.  ``k_mag`` is the momentum array the solve was asked
+    for, 0-d for a scalar momentum.  ``t`` holds the nodes of the uniform
+    grid on [-mu, 0], the only stretch that is integrated; its last node is
+    t = 0, where :func:`bogoliubov` reads the pairs.  ``y`` is the one store
+    of (T, Tdot) at the nodes, real planes laid out (component, real or
+    imaginary part, node, momentum); ``T`` and ``Tdot`` build complex arrays
+    from it when read, one row per momentum.  :meth:`evaluate` extends
+    exactly to all t < -mu with the incoming plane wave, answers between
+    nodes by one partial step from the node before and on (0, t_end] in
+    closed form from the data at t = 0, and rejects any other t.
 
     ``passes`` is the number of grids the step-count search laid, and
     ``worst_drift`` the largest Wronskian drift over every node and
@@ -510,8 +520,7 @@ class ModeTrajectory:
     eps: np.ndarray
     eps_lambda: np.ndarray
     t: np.ndarray
-    T: np.ndarray
-    Tdot: np.ndarray
+    y: np.ndarray
     t_end: float
     passes: int
     worst_drift: float
@@ -521,6 +530,16 @@ class ModeTrajectory:
     def n_steps(self) -> int:
         """Steps of the grid."""
         return self.t.size - 1
+
+    @property
+    def T(self) -> np.ndarray:
+        """T at every node, one row per momentum."""
+        return _complex(self.y[0])
+
+    @property
+    def Tdot(self) -> np.ndarray:
+        """Tdot at every node, one row per momentum."""
+        return _complex(self.y[1])
 
     def evaluate(self, t):
         """(T, Tdot) at arbitrary times t <= t_end, each of shape
@@ -532,6 +551,8 @@ class ModeTrajectory:
     def _evaluate(self, t):
         """:meth:`evaluate` for the whole batch, one row per momentum."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.isfinite(t).all():
+            raise ValueError(f"times must be finite, got {t[~np.isfinite(t)]}")
         if np.any(t > self.t_end + 1e-12):
             raise ValueError(
                 f"trajectory solved up to t={self.t_end}, requested t={t.max()}"
@@ -546,29 +567,27 @@ class ModeTrajectory:
         if np.any(ramp):
             T[:, ramp], Td[:, ramp] = self._between_nodes(t[ramp])
         if np.any(after):
-            T[:, after], Td[:, after] = _after_switch(
-                self.T[:, -1:], self.Tdot[:, -1:], self.eps_lambda[:, None], t[after]
-            )
+            T0, Td0 = (_complex(part) for part in self.y[:, :, -1:])
+            T[:, after], Td[:, after] = _after_switch(T0, Td0, self.eps_lambda[:, None], t[after])
         return T, Td
 
     def _between_nodes(self, ts):
         """(T, Tdot) at ramp times ``ts`` by one partial step from the node
         before each, a block of times at a time, with the Wronskian gated."""
-        T = np.empty((self.eps.size, ts.size), dtype=complex)
-        Td = np.empty_like(T)
+        y = np.empty((2, 2, ts.size, self.eps.size))
+        samples = _samples(self.eps)
         block = max(1, _BLOCK // self.eps.size)
         for lo in range(0, ts.size, block):
             part = slice(lo, lo + block)
             node = np.searchsorted(self.t, ts[part], side="right") - 1
             step, _, _ = _step_maps(
-                self.t[node], ts[part] - self.t[node], self.eps, self.params.mass_shift, self.mu
+                self.t[node], ts[part] - self.t[node], samples, self.params.mass_shift, self.mu
             )
-            T0, Td0 = self.T[:, node].T, self.Tdot[:, node].T
-            T[:, part] = (step[0, 0] * T0 + step[0, 1] * Td0).T
-            Td[:, part] = (step[1, 0] * T0 + step[1, 1] * Td0).T
-        _gate(T, Td, np.ravel(self.k_mag), self.mu, ts,
+            # take, unlike y[:, :, node], returns contiguous planes for _product
+            y[:, :, part] = _product(step, self.y.take(node, axis=2))
+        _gate(y, np.ravel(self.k_mag), self.mu, ts,
               f"grid of {self.n_steps} steps after {self.passes} passes")
-        return T, Td
+        return _complex(y[0]), _complex(y[1])
 
     # an alias of worst_drift; benchmarks/worker.py is its last reader
     @property
@@ -594,11 +613,14 @@ def solve_modes(
     closed form beyond that.  Each momentum's step error meets ``rtol`` and
     ``atol`` as DOP853's step control measures it, and the Wronskian drift,
     a second error estimate, is enforced for every momentum at every grid
-    node.  ``rtol`` must be positive and ``atol`` non-negative, both finite.
+    node.  The momenta must be finite, ``t_max`` >= 0, ``rtol`` positive and
+    ``atol`` non-negative, both finite.
     ``method`` names the scheme and must be "DOP853".
     """
-    if t_max < 0:
+    if not t_max >= 0:  # a NaN t_max fails too
         raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if not np.isfinite(k_mag).all():
+        raise ValueError(f"momenta must be finite, got {k_mag}")
     if not 0 < rtol < math.inf:
         raise ValueError(f"rtol must be positive and finite, got {rtol}")
     if not 0 <= atol < math.inf:
@@ -687,7 +709,7 @@ def bogoliubov(traj: ModeTrajectory) -> BogoliubovPair:
     pair of arrays, one entry per momentum, and one of a scalar momentum a
     pair of complex numbers.
     """
-    T, Td, el = traj.T[:, -1], traj.Tdot[:, -1], traj.eps_lambda
+    (T, Td), el = (_complex(part) for part in traj.y[:, :, -1]), traj.eps_lambda
     root = np.sqrt(2.0 * el) / 2.0
     return BogoliubovPair(
         *_for_caller(traj.k_mag, root * (T + 1j * Td / el), root * (T - 1j * Td / el))

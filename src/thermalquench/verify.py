@@ -46,15 +46,15 @@ SUDDEN_MU = 1e-3
 
 RUNTIME_BUDGETS_S = {
     1: 0.03,
-    2: 0.094,
+    2: 0.017,
     3: 0.037,
     4: 0.081,
     5: 0.1,
-    6: 1.0,
+    6: 0.86,
     7: 0.031,
     8: 0.1,
     9: 0.033,
-    10: 0.56,
+    10: 0.25,
 }
 
 
@@ -118,16 +118,16 @@ def _richardson_derivative(f, x: float, n: int, h0: float) -> float:
     The central n-th difference has an even error series in h, so each
     extrapolation level cancels one power of h^2.
     """
-    def central(h):
-        # one call of f on the whole stencil; the terms are added one by one
-        # in stencil order, which np.sum's reduction would not keep
-        values = f(x + (n / 2.0 - np.arange(n + 1)) * h).tolist()
+    # one call of f on all five stencils, one row per step h; each row's
+    # terms are added one by one in stencil order, which np.sum would not keep
+    hs = [h0 / 2**j for j in range(5)]
+    rows = f(x + (n / 2.0 - np.arange(n + 1)) * np.array(hs)[:, None]).tolist()
+    table = []
+    for h, row in zip(hs, rows):
         total = 0.0
-        for i, value in enumerate(values):
+        for i, value in enumerate(row):
             total += (-1) ** i * math.comb(n, i) * value
-        return total / h**n
-
-    table = [[central(h0 / 2**j)] for j in range(5)]
+        table.append([total / h**n])
     for m in range(1, 5):
         for j in range(m, 5):
             num = 4.0**m * table[j][m - 1] - table[j - 1][m - 1]

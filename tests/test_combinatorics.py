@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermalquench.combinatorics import (
+    _partitions_of,
     _permutations,
     connected_from_moments,
     descent_count,
@@ -122,6 +123,43 @@ class TestSetPartitions:
             set_partitions(11)
         with pytest.raises(ValueError):
             set_partitions(0)
+
+
+def list_partitions(items):
+    """The uncached enumeration of lists of list blocks, in the cached one's
+    order: the first item opens the first block, and each later item joins
+    an existing block (in order) or opens a new one."""
+    if not items:
+        return [[]]
+    out = []
+    for partial in list_partitions(items[1:]):
+        for i in range(len(partial)):
+            out.append(partial[:i] + [[items[0]] + partial[i]] + partial[i + 1 :])
+        out.append([[items[0]]] + partial)
+    return out
+
+
+class TestCachedPartitions:
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_same_order_as_list_enumeration(self, n):
+        for items in (tuple(range(1, n + 1)), tuple(range(n, 0, -1)), tuple("abcdef"[:n])):
+            ref = [tuple(frozenset(b) for b in p) for p in list_partitions(items)]
+            assert list(_partitions_of(items)) == ref
+            assert _partitions_of(items) is _partitions_of(items)
+
+    def test_cached_values_cannot_be_mutated(self):
+        parts = _partitions_of((1, 2, 3))
+        assert type(parts) is tuple
+        assert all(type(p) is tuple and all(type(b) is frozenset for b in p) for p in parts)
+        with pytest.raises(TypeError):
+            parts[0] = ()
+        with pytest.raises(TypeError):
+            parts[0][0] = frozenset()
+        with pytest.raises(AttributeError):
+            parts[0][0].add(4)
+        assert _partitions_of((1, 2, 3)) == tuple(
+            tuple(frozenset(b) for b in p) for p in list_partitions((1, 2, 3))
+        )
 
 
 def full_moment_table(n, value):

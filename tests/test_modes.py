@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +157,27 @@ class TestSolveModes:
         with pytest.raises(ValueError):
             solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=-1.0)
 
+    def test_nan_t_max_rejected(self):
+        # a NaN t_end would switch off evaluate's t > t_end check for good
+        with pytest.raises(ValueError, match="t_max"):
+            solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=math.nan)
+
+    @pytest.mark.parametrize("t", [math.nan, -math.inf, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        traj = solve_modes(np.array([0.0, 1.0]), SwitchingProfile(1.0), PARAMS, t_max=1.0)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                traj.evaluate([-0.5, t])
+
+    @pytest.mark.parametrize(
+        "k", [math.nan, math.inf, np.array([1.0, math.nan]), np.array([-math.inf, 1.0])]
+    )
+    def test_non_finite_momentum_is_bad_input(self, k):
+        # not an IntegratorError ("needs nan steps"), which reads as a breakdown
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="momenta must be finite"):
+            solve_modes(k, SwitchingProfile(5.0), PARAMS)
+
     def test_sloppy_tolerances_fail_the_wronskian_gate(self):
         with pytest.raises(IntegratorError, match="Wronskian drift"):
             solve_modes(1.0, SwitchingProfile(40.0), PARAMS, t_max=1.0, rtol=1e-4, atol=1e-6)
@@ -272,9 +296,10 @@ class TestMomentumFreeStepMaps:
             h = rng.uniform(0.0, mu / 762, t.size)
         else:
             h = mu / 762 if step == "grid" else 0.2
-        fast = modes._step_maps(t, h, eps, shift, mu)
+        fast = modes._step_maps(t, h, modes._samples(eps), shift, mu)
         slow = [np.concatenate(maps, axis=-1) for maps in
-                zip(*(modes._step_maps(t, h, eps[i : i + 1], shift, mu) for i in range(n)))]
+                zip(*(modes._step_maps(t, h, modes._samples(eps[i : i + 1]), shift, mu)
+                     for i in range(n)))]
         for a, b in zip(fast, slow):
             assert a.shape == b.shape == (2, 2, t.size, n)
         assert np.abs(fast[0] - slow[0]).max() <= self.STEP_ABS
@@ -324,12 +349,6 @@ class TestMomentumFreeStepMaps:
         assert np.array_equal(copies.Tdot, np.repeat(scalars[1].Tdot, 64, axis=0))
 
 
-def _nodes(traj):
-    """A trajectory's (T, Tdot) at its grid nodes, entries first: (component,
-    real or imaginary part, node, momentum)."""
-    return np.array([[v.real.T, v.imag.T] for v in (traj.T, traj.Tdot)])
-
-
 def _batched_error_norm(err5, err3, y, h, rtol, atol):
     """The error norm on maps laid out (N, n, 2, 2) and nodes (N + 1, n, 2, 2),
     by hypot, batched 2x2 products and sums over the length-2 axes."""
@@ -365,8 +384,8 @@ class TestErrorNorm:
             assert traj.eps.size == 2
         h = traj.mu / traj.n_steps
         t = traj.t[part]
-        maps = modes._step_maps(t, h, traj.eps, traj.params.mass_shift, traj.mu)
-        y = _nodes(traj)[:, :, part.start : part.stop + 1]
+        maps = modes._step_maps(t, h, modes._samples(traj.eps), traj.params.mass_shift, traj.mu)
+        y = traj.y[:, :, part.start : part.stop + 1]
         fast = modes._error_norm(maps[1], maps[2], y, h, 1e-10, 1e-12)
         slow = _batched_error_norm(
             *(np.moveaxis(a, (0, 1), (2, 3)) for a in (maps[1], maps[2], y)), h, 1e-10, 1e-12
@@ -388,9 +407,10 @@ class TestErrorNorm:
             err5[0, 1, 3, 0] = np.nan
             return step, err5, err3
 
-        _, err5, err3 = poisoned(traj.t[:-1], h, traj.eps, config.params.mass_shift, prof.mu)
+        _, err5, err3 = poisoned(traj.t[:-1], h, modes._samples(traj.eps), config.params.mass_shift,
+                                 prof.mu)
         with np.errstate(all="raise"):
-            norm = modes._error_norm(err5, err3, _nodes(traj), h, 1e-10, 1e-12)
+            norm = modes._error_norm(err5, err3, traj.y, h, 1e-10, 1e-12)
         assert np.isnan(norm[3, 0]) and np.isnan(norm).sum() == 1
         monkeypatch.setattr(modes, "_step_maps", poisoned)
         with np.errstate(all="raise"), pytest.raises(
@@ -411,8 +431,9 @@ class TestErrorNorm:
         with np.errstate(all="raise"):
             traj = solve_modes(ks, prof, config.params, t_max=0.0)
             h = prof.mu / traj.n_steps
-            _, err5, err3 = exact(traj.t[:-1], h, traj.eps, config.params.mass_shift, prof.mu)
-            zero = modes._error_norm(err5, err3, _nodes(traj), h, 1e-10, 1e-12)
+            _, err5, err3 = exact(traj.t[:-1], h, modes._samples(traj.eps), config.params.mass_shift,
+                                  prof.mu)
+            zero = modes._error_norm(err5, err3, traj.y, h, 1e-10, 1e-12)
         assert (traj.n_steps, traj.passes) == (27, 1)
         assert np.array_equal(zero, np.zeros((27, 2)))
 
@@ -491,8 +512,9 @@ class TestGroupedCarry:
         traj = mu40_solve
         assert modes._BLOCK // traj.eps.size == 128
         h = traj.mu / traj.n_steps
-        step, _, _ = modes._step_maps(traj.t[:m], h, traj.eps, traj.params.mass_shift, traj.mu)
-        self.assert_matches_per_step(step, _nodes(traj)[:, :, 0])
+        samples = modes._samples(traj.eps)
+        step, _, _ = modes._step_maps(traj.t[:m], h, samples, traj.params.mass_shift, traj.mu)
+        self.assert_matches_per_step(step, traj.y[:, :, 0])
 
     def test_ragged_limits_block(self, ramp_solves):
         # the first limits solve, 27 steps, for its first momentum alone
@@ -502,8 +524,9 @@ class TestGroupedCarry:
         traj = ramp_solves[-1]
         assert traj.n_steps == 27 and traj.n_steps % modes._GROUP
         h = traj.mu / traj.n_steps
-        step, _, _ = modes._step_maps(traj.t[:-1], h, traj.eps[:1], traj.params.mass_shift, traj.mu)
-        self.assert_matches_per_step(step, _nodes(traj)[:, :, 0, :1])
+        samples = modes._samples(traj.eps[:1])
+        step, _, _ = modes._step_maps(traj.t[:-1], h, samples, traj.params.mass_shift, traj.mu)
+        self.assert_matches_per_step(step, traj.y[:, :, 0, :1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_map_in_the_padded_group_fails(self, bad, monkeypatch, capsys):
@@ -551,6 +574,114 @@ class TestGroupedCarry:
             assert got["measured"].keys() == ref["measured"].keys()
             for key, value in ref["measured"].items():
                 assert abs(got["measured"][key] - value) <= self.ABS, (got["index"], key)
+
+
+def _wronskian_residual(T, Td):
+    """|W - i| with W = conj(Tdot)*T - conj(T)*Tdot, exactly i for a mode: the
+    complex form of the gate, the reference for ``modes._drift``."""
+    return np.abs(np.conj(Td) * T - np.conj(T) * Td - 1j)
+
+
+def _complex_from_planes(planes):
+    """A component's planes (real or imaginary part, node, momentum) as a
+    complex (momentum, node) array, written part by part."""
+    out = np.empty(planes.shape[:0:-1], dtype=complex)
+    out.real, out.imag = planes[0].T, planes[1].T
+    return out
+
+
+class TestNodePlanes:
+    """The trajectory keeps (T, Tdot) as real node planes only: the gate reads
+    them in real arithmetic, and complex values are built on demand."""
+
+    # measured worst: 2.2e-16 on every solve below
+    DRIFT_ABS = 1e-15
+
+    @pytest.fixture(params=["criterion-6-mu40", "ness", "sudden"])
+    def traj(self, request, mu40_solve, ramp_solves):
+        config = default_config()
+        if request.param == "criterion-6-mu40":
+            return mu40_solve
+        if request.param == "ness":
+            k_ness, _ = config.quadrature.radial_rule(*config.packet_pair)
+            verify.ness_bogoliubov_map(config.params, mu=config.profile.mu)(k_ness)
+            return ramp_solves[-1]
+        return solve_modes(np.array(config.k_values), SwitchingProfile(verify.SUDDEN_MU),
+                           verify.MODE_PARAMS, t_max=0.0, rtol=1e-12, atol=1e-14)
+
+    def test_drift_matches_complex_residual(self, traj):
+        ref = _wronskian_residual(traj.T, traj.Tdot)
+        drift = modes._drift(traj.y)
+        assert drift.shape == ref.T.shape == (traj.t.size, traj.eps.size)
+        assert np.abs(drift - ref.T).max() <= self.DRIFT_ABS
+        col, i = np.unravel_index(np.argmax(ref), ref.shape)
+        assert abs(traj.worst_drift - ref[col, i]) <= self.DRIFT_ABS
+        assert traj.worst_drift_t == traj.t[i]
+
+    def test_complex_values_are_built_from_the_planes(self, traj):
+        assert set(vars(traj)) >= {"y"} and not {"T", "Tdot"} & set(vars(traj))
+        assert traj.y.shape == (2, 2, traj.t.size, traj.eps.size) and traj.y.dtype == float
+        for value, planes in ((traj.T, traj.y[0]), (traj.Tdot, traj.y[1])):
+            assert value.dtype == complex
+            assert np.array_equal(value, _complex_from_planes(planes))
+        with pytest.raises(AttributeError):
+            traj.T = traj.T
+
+    @pytest.mark.parametrize("plane", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_nan_in_one_plane_fails_the_gate(self, plane, mu40_solve):
+        traj = mu40_solve
+        y = traj.y.copy()
+        y[plane + (300, 5)] = np.nan
+        with np.errstate(all="raise"), pytest.raises(
+            IntegratorError, match=re.escape(f"Wronskian drift nan exceeds 1.0e-08 for k={traj.k_mag[5]}")
+        ):
+            modes._gate(y, traj.k_mag, traj.mu, traj.t, "planted")
+        # a ramp time just after the poisoned node reads it through a partial step
+        poisoned = dataclasses.replace(traj, y=y)
+        with np.errstate(all="raise"), pytest.raises(IntegratorError, match="Wronskian drift nan"):
+            poisoned.evaluate(traj.t[300] + 0.5 * (traj.t[301] - traj.t[300]))
+        assert np.isfinite(traj.y).all()
+
+    def test_samples_set_up_once_match_per_block(self, mu40_solve):
+        # every block of the mu = 40 grid, built with the one shared set-up,
+        # equals the same block built with its own; the shared set-up is
+        # never written to
+        traj = mu40_solve
+        h, shift = traj.mu / traj.n_steps, traj.params.mass_shift
+        shared = modes._samples(traj.eps)
+        assert shared[1] is not None and shared[1].shape == (traj.eps.size, modes._DEGREE + 1)
+        given = [a.copy() for a in shared]
+        block = modes._BLOCK // traj.eps.size
+        for lo in range(0, traj.n_steps, block):
+            t = traj.t[lo : min(lo + block, traj.n_steps)]
+            once = modes._step_maps(t, h, shared, shift, traj.mu)
+            fresh = modes._step_maps(t, h, modes._samples(traj.eps), shift, traj.mu)
+            assert all(np.array_equal(a, b) for a, b in zip(once, fresh))
+        assert all(np.array_equal(a, b) for a, b in zip(shared, given))
+
+    def test_one_set_up_per_solve_and_per_read(self, ramp_solves, monkeypatch):
+        calls, reads = [], []
+        samples, between = modes._samples, modes.ModeTrajectory._between_nodes
+
+        def counting(eps):
+            calls.append(eps.size)
+            return samples(eps)
+
+        def reading(traj, ts):
+            reads.append(ts.size)
+            return between(traj, ts)
+
+        monkeypatch.setattr(modes, "_samples", counting)
+        monkeypatch.setattr(modes.ModeTrajectory, "_between_nodes", reading)
+        assert verify.criterion_6(default_config()).status == "pass"
+        # criterion 6's four solves of 64 momenta span 12 blocks, and each
+        # solve is read between its nodes once
+        assert [traj.n_steps for traj in ramp_solves] == [96, 191, 381, 762]
+        assert calls == [64] * 8 and len(reads) == 4
+        del calls[:]
+        traj = ramp_solves[-1]
+        traj.evaluate(np.linspace(-traj.mu, 0.0, 3 * modes._BLOCK // 64 + 1)[1:-1])
+        assert calls == [64] and reads[-1] > 2 * modes._BLOCK // 64
 
 
 class TestTanhOracle:
