@@ -50,7 +50,7 @@ from .modes import (
     switch_integrals,
 )
 from .spectral import adiabatic, ness_classical, pair_report
-from .verify import ness_bogoliubov_map
+from .verify import TOLERANCES, ness_bogoliubov_map
 
 COMMANDS = ("eulerian", "limits", "series", "ness", "verify-all")
 
@@ -170,9 +170,9 @@ def cmd_ness(args, config: RunConfig) -> int:
     """Bogoliubov pairs and steady-state coefficients at the radial nodes:
     one map call, so one batched ramp solve, for the whole node set.  A
     failed Wronskian gate raises ``IntegratorError``, and a row whose
-    normalization or commutator residual exceeds the config's
-    ``bogoliubov_norm_abs`` or ``ness_ccr_abs`` is a numerical failure too:
-    exit 3, no CSV."""
+    normalization or commutator residual exceeds the pinned
+    ``bogoliubov_norm_abs`` or ``ness_ccr_abs`` of ``verify.TOLERANCES`` is
+    a numerical failure too: exit 3, no CSV."""
     f, g = config.packet_pair
     k, _ = config.quadrature.radial_rule(f, g)
     params = config.params
@@ -181,7 +181,7 @@ def cmd_ness(args, config: RunConfig) -> int:
     state = ness_classical(params, bog_map)
     oracle = sudden_quench_pair(k, params)
     norm, ccr = b.normalization_residual, state.ccr_residual(k)
-    norm_tol, ccr_tol = config.tolerances["bogoliubov_norm_abs"], config.tolerances["ness_ccr_abs"]
+    norm_tol, ccr_tol = TOLERANCES["bogoliubov_norm_abs"], TOLERANCES["ness_ccr_abs"]
     broken = ~((norm <= norm_tol) & (np.abs(ccr) <= ccr_tol))  # a NaN residual breaks too
     if np.any(broken):
         i = int(np.argmax(broken))

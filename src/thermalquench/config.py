@@ -9,31 +9,30 @@ The schema is deliberately flat:
       "packets":    [{"k_center": 1.0, "k_width": 0.5,
                       "t_center": 2.0, "t_width": 0.3}, {...}],
       "ladders":    {"mu": [...], "orders": [...], "k": [...]},
-      "quadrature": {"n_radial": 64, "n_time": 80},
-      "tolerances": {...}
+      "quadrature": {"n_radial": 64, "n_time": 80}
     }
 
 The schema is written down once: each section is read under the field
 names of the type it builds (``ThermalParams``, ``SwitchingProfile``,
-``TestPacket``, ``QuadratureSpec``), the tolerances under the keys of
-``DEFAULT_TOLERANCES`` and the ladders under the names in ``LADDERS``.
+``TestPacket``, ``QuadratureSpec``) and the ladders under the names in
+``LADDERS``.  The acceptance tolerances are not part of it: they are pinned
+in ``verify.TOLERANCES``, so a ``tolerances`` key is an unknown key.
 Every key is optional except the four fields of a packet; an omitted key
 takes its value from :func:`default_config`.  ``packets`` holds exactly two
 packets, the f and g of every pairing.  An unknown key at any level
 is an error.  Every value is a JSON number, never a string or a boolean,
 and the four counts (``n_radial``, ``n_time``, ``orders`` and
 ``schema_version``) are integers.  Every number must be finite, every
-tolerance positive, every ladder strictly increasing, every order within
-the series order cap and every quadrature node count within ``NODE_CAP``;
-violations raise :class:`ConfigError`, which the CLI maps to its
-config-error exit code.
+ladder strictly increasing, every order within the series order cap and
+every quadrature node count within ``NODE_CAP``; violations raise
+:class:`ConfigError`, which the CLI maps to its config-error exit code.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .combinatorics import DEFAULT_ORDER_CAP
 from .modes import SwitchingProfile
@@ -46,21 +45,6 @@ SCHEMA_VERSION = 1
 # and pair_report doubles the count once more
 NODE_CAP = 1024
 
-DEFAULT_TOLERANCES = {
-    "derivative_tower_rel": 1e-6,
-    "temperature_shift_abs": 1e-12,
-    "wronskian_abs": 1e-8,
-    "switch_final_abs": 1e-2,
-    "pairing_final_rel": 1e-2,
-    "series_final_rel": 1e-8,
-    "series_dual_path_rel": 1e-10,
-    "bogoliubov_norm_abs": 1e-8,
-    "sudden_quench_abs": 1e-3,
-    "ness_ccr_abs": 1e-10,
-    "ness_limit_abs": 1e-12,
-    "cumulant_vanish_abs": 1e-12,
-}
-
 # JSON ladder name -> RunConfig field
 LADDERS = {"mu": "mu_ladder", "orders": "order_ladder", "k": "k_values"}
 # the integer-valued fields; every other number is read as a float
@@ -70,7 +54,6 @@ SECTIONS = {
     "params": ThermalParams,
     "profile": SwitchingProfile,
     "quadrature": QuadratureSpec,
-    "tolerances": dict,
 }
 
 
@@ -89,7 +72,6 @@ class RunConfig:
     order_ladder: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
     k_values: tuple[float, ...] = (0.0, 1.0)
     quadrature: QuadratureSpec = QuadratureSpec()
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
@@ -118,12 +100,6 @@ class RunConfig:
                 f"quadrature node counts must be <= {NODE_CAP}, got n_radial="
                 f"{self.quadrature.n_radial}, n_time={self.quadrature.n_time}"
             )
-        missing = set(DEFAULT_TOLERANCES) - set(self.tolerances)
-        if missing:
-            raise ConfigError(f"tolerances missing keys: {sorted(missing)}")
-        for key, val in self.tolerances.items():
-            if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
-                raise ConfigError(f"tolerance {key!r} must be a positive number, got {val!r}")
 
     @property
     def packet_pair(self) -> tuple[TestPacket, TestPacket]:
@@ -142,7 +118,6 @@ class RunConfig:
             "packets": [asdict(p) for p in self.packets],
             "ladders": {name: list(getattr(self, attr)) for name, attr in LADDERS.items()},
             "quadrature": asdict(self.quadrature),
-            "tolerances": dict(sorted(self.tolerances.items())),
         }
 
 
@@ -196,10 +171,9 @@ def _array(doc, ctx: str) -> list:
 def _record(cls, doc, ctx: str, base=None):
     """``cls`` built from the JSON object ``doc``, one number per key.
 
-    The keys are the field names of ``cls``, or those of ``base`` when
-    ``cls`` is ``dict``.  An omitted key keeps its value in ``base``; with no
-    base every key is required."""
-    names = base.keys() if cls is dict else [f.name for f in fields(cls)]
+    The keys are the field names of ``cls``.  An omitted key keeps its value
+    in ``base``; with no base every key is required."""
+    names = [f.name for f in fields(cls)]
     values = {
         key: _number(value, f"{ctx}.{key}", key in COUNTS)
         for key, value in _object(doc, ctx, names).items()
@@ -209,7 +183,7 @@ def _record(cls, doc, ctx: str, base=None):
         if missing:
             raise ConfigError(f"missing keys in {ctx}: {missing}")
         return cls(**values)
-    return {**base, **values} if cls is dict else replace(base, **values)
+    return replace(base, **values)
 
 
 def config_from_dict(doc: dict) -> RunConfig:

@@ -763,8 +763,10 @@ def ergodic_limits(bog: BogoliubovPair, eps_lambda, t1: float, t2: float):
     whose phase grows with the shift variable, leaving the zero-frequency
     terms.  A pair of complex numbers and a scalar ``eps_lambda`` give
     complex numbers; arrays, one entry per momentum, in the pair or in
-    ``eps_lambda`` give arrays.
+    ``eps_lambda`` give arrays.  A non-finite time raises.
     """
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise ValueError(f"need finite t1, t2, got {t1}, {t2}")
     terms = _product_terms(bog, np.atleast_1d(eps_lambda), t1, t2)
     limits = (sum(np.where(f == 0.0, c, 0.0) for c, f in product) for product in terms)
     # a momentum array in either input keeps every momentum

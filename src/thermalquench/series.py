@@ -213,7 +213,8 @@ def verify_resummation(
     relative deviation is the dual-path check.  If the temperature shift
     leaves the conservative convergence region the verdict is
     "radius-violated" rather than a failure: the sum is not expected to
-    reproduce the closed form there.
+    reproduce the closed form there.  ``N=0`` computes the guard and no
+    order; an N outside [0, DEFAULT_ORDER_CAP] raises ``ValueError``.
     """
     grid = _grid(params, f, g, quad)
     _, eps_l, weight, p_plus, p_minus, bp, bm = grid
@@ -225,7 +226,7 @@ def verify_resummation(
     denom = abs(closed)
     if denom == 0.0:
         raise ZeroDivisionError("closed-form pairing vanished; relative gaps undefined")
-    if N > 0:
+    if N != 0:
         _check_order(N, "beta-derivative")
 
     rows = []

@@ -124,8 +124,7 @@ class TestLimits:
             '{"packets": [{"k_center": 1.0, "k_width": 0.5, "t_center": 2.0, "t_width": 0.3,'
             ' "k_centre": 1.0},'
             ' {"k_center": 1.0, "k_width": 0.5, "t_center": 2.5, "t_width": 0.3}]}',
-            '{"tolerances": {"wronskian_abss": 1e-3}}',
-            '{"tolerances": {"wronskian_abs": true}}',
+            '{"tolerances": {"wronskian_abs": 1e-8}}',
             '{"params": {"beta": "2"}}',
             '{"params": {"beta": true}}',
             '{"quadrature": {"n_radial": 3.7}}',
@@ -143,7 +142,7 @@ class TestLimits:
              "orders-infinity", "orders-beyond-cap", "mass-shift-overflow", "n-radial-20000",
              "k-width-underflow", "t-width-underflow", "params-unknown-key",
              "profile-unknown-key", "ladders-unknown-key", "quadrature-unknown-key",
-             "packet-fifth-key", "tolerances-unknown-key", "tolerance-bool", "beta-string",
+             "packet-fifth-key", "tolerances-section", "beta-string",
              "beta-bool", "n-radial-fractional", "orders-fractional", "schema-version-fractional",
              "not-utf8", "nested-too-deep", "ladders-horizons", "packets-three"],
     )
@@ -356,9 +355,19 @@ class TestFloatingPointBreakdown:
 
 
 class TestImportGraph:
+    @staticmethod
+    def run_fresh(code):
+        """Run ``code`` in a fresh interpreter on the source tree."""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_runtime_never_imports_scipy(self):
         # numpy is the only runtime dependency; scipy is for the tests alone
-        code = (
+        self.run_fresh(
             "import sys\n"
             "from thermalquench import SwitchingProfile, ThermalParams, cli, ergodic_averages\n"
             "for command in ('eulerian', 'limits', 'series', 'ness', 'verify-all'):\n"
@@ -368,16 +377,22 @@ class TestImportGraph:
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "assert not loaded, sorted(loaded)[:5]\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
-            timeout=300,
+
+    def test_verify_all_loads_neither_numpy_random_nor_scipy(self):
+        # criterion 10 draws from the stdlib generator: numpy.random's lazy
+        # import would be most of its first call
+        self.run_fresh(
+            "import sys\n"
+            "from thermalquench import cli\n"
+            "assert cli.main(['verify-all']) == 0\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "          or m == 'numpy.random' or m.startswith('numpy.random.')]\n"
+            "assert not loaded, sorted(loaded)[:5]\n"
         )
-        assert proc.returncode == 0, proc.stderr
 
     def test_import_computes_no_quadrature_rule(self):
         # every Gauss-Legendre rule is computed on first use, none at import
-        code = (
+        self.run_fresh(
             "import numpy as np\n"
             "calls = []\n"
             "original = np.polynomial.legendre.leggauss\n"
@@ -385,12 +400,6 @@ class TestImportGraph:
             "import thermalquench.cli\n"
             "assert calls == [], calls\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -534,9 +543,34 @@ class TestVerifyAll:
         assert series_lines[0].startswith("SKIP")
         assert "not expected to converge" in series_lines[0]
 
-    def test_negative_tolerance_is_config_error(self, tmp_path):
-        cfg = fast_config(tmp_path, tolerances={"wronskian_abs": -1.0})
+    def test_tolerances_section_is_unknown_key(self, tmp_path, capsys):
+        # the bounds are pinned in verify.TOLERANCES; a config cannot set
+        # them, not even to their own values
+        cfg = fast_config(tmp_path, tolerances={"wronskian_abs": 1e-8})
         assert run(["verify-all", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: unknown keys in config: ['tolerances']\n"
+        assert captured.out == ""
+
+    def test_reported_bounds_are_the_pinned_table(self):
+        tol = verify.TOLERANCES
+        expected = {
+            2: {"tol": tol["derivative_tower_rel"]},
+            3: {"tol": tol["temperature_shift_abs"]},
+            4: {"tol": tol["wronskian_abs"]},
+            5: {"tol": tol["switch_final_abs"]},
+            6: {"tol": tol["pairing_final_rel"]},
+            7: {"tol": tol["series_final_rel"]},
+            8: {"tol_norm": tol["bogoliubov_norm_abs"]},
+            9: {"tol_ccr": tol["ness_ccr_abs"]},
+            10: {"tol": tol["cumulant_vanish_abs"]},
+        }
+        config = default_config()
+        for index, criterion in verify.CRITERIA.items():
+            measured = criterion(config).measured
+            bounds = {key: value for key, value in measured.items() if key.startswith("tol")}
+            assert bounds == expected.get(index, {}), index
+        assert verify.series_report(config).to_dict()["tol"] == tol["series_final_rel"]
 
 
 def _parse_stdout_csv(capsys):

@@ -761,6 +761,39 @@ class TestBornOrder:
             assert gap <= self.ABS, (mu, gap)
 
 
+class TestEnergyBalance:
+    """The switching integrals against the Bogoliubov pair of the same solve.
+
+    With delta = lam * m0_sq, the mode equation gives
+    d/dt (|Tdot|^2 + w^2 |T|^2) = delta * rate * |T|^2 and
+    d/dt (Tdot^2 + w^2 T^2) = delta * rate * T^2.  At -mu the two are eps
+    and 0; at t = 0 they follow from the pair.  So for delta != 0, exactly,
+
+        I_sq  = 2 eps_lambda a_plus a_minus / delta,
+        I_abs = 1 / (eps + eps_lambda) + 2 eps_lambda |a_minus|^2 / delta.
+
+    This ties the quadrature over the ramp's interior to the t = 0 pair; it
+    cannot see a wrong chi, since both sides read it."""
+
+    # measured worst gap 7.3e-12 on this grid, where |I_sq| >= 2.6e-8
+    ABS = 1e-10
+
+    @pytest.mark.parametrize("lam", [0.5, 0.1, -0.3])
+    @pytest.mark.parametrize("mu", [0.5, 5.0, 40.0])
+    def test_integrals_follow_from_the_pair(self, lam, mu):
+        ks = np.array([0.0, 0.5, 1.0, 2.0])
+        params = dataclasses.replace(PARAMS, lam=lam)
+        prof = SwitchingProfile(mu)
+        bog = bogoliubov(solve_modes(ks, prof, params, t_max=0.0))
+        i_sq, i_abs = switch_integrals(ks, prof, params)
+        assert np.abs(i_sq).min() >= 10.0 * self.ABS
+        disp, delta = dispersion(ks, params), params.mass_shift
+        el = disp.eps_lambda
+        assert np.abs(i_sq - 2.0 * el * bog.a_plus * bog.a_minus / delta).max() <= self.ABS
+        balance = 1.0 / (disp.eps + el) + 2.0 * el * np.abs(bog.a_minus) ** 2 / delta
+        assert np.abs(i_abs - balance).max() <= self.ABS
+
+
 class TestGridAgainstAdaptiveReference:
     """The step-map grid against scipy's adaptive DOP853, 1000x tighter."""
 
@@ -967,6 +1000,15 @@ class TestErgodicAverages:
         # refused up front, before any solve and without a RuntimeWarning
         with np.errstate(all="raise"), pytest.raises(ValueError, match="finite"):
             ergodic_averages(0.0, SwitchingProfile(1.0), PARAMS, t1, t2, horizon=horizon)
+
+    @pytest.mark.parametrize("t1, t2", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)],
+                             ids=["t1-nan", "t1-inf", "t2-minus-inf"])
+    def test_limits_refuse_non_finite_times(self, t1, t2):
+        # not a NaN limit or a RuntimeWarning: refused as ergodic_averages refuses
+        bog = sudden_quench_pair(0.0, PARAMS)
+        el = dispersion(0.0, PARAMS).eps_lambda
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="finite"):
+            ergodic_limits(bog, el, t1, t2)
 
     def test_limits_keep_every_momentum_of_mixed_inputs(self):
         # three k = 0 pairs (one eps_lambda) from three switching scales

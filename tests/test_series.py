@@ -132,6 +132,13 @@ class TestVerifyResummation:
         assert report.verdict == "pass"
         assert report.final_rel_gap == 0.0
 
+    @pytest.mark.parametrize("N", [-2, -1, 17])
+    def test_order_outside_the_cap_raises(self, N):
+        # N = 0 is the guard-only report; a negative N used to give a report
+        # with n_orders < 0 and verdict "fail"
+        with pytest.raises(ValueError, match="order must satisfy"):
+            verify_resummation(BENCH, F, G, N=N, quad=QUAD)
+
     def test_radius_violation_is_a_verdict_not_a_failure(self):
         strong = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=8.0)
         report = verify_resummation(strong, F, G, N=4, tol=1e-8, quad=QUAD)
