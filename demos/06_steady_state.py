@@ -30,31 +30,30 @@ def main():
     prof = SwitchingProfile(1.0)
 
     print("== Bogoliubov pairs across momentum (unit ramp) ==")
-    for k in (0.0, 0.5, 1.0, 2.0):
-        traj = solve_modes(k, prof, PARAMS, t_max=1.0, rtol=1e-12, atol=1e-14)
-        b = bogoliubov(traj)
+    ks = np.array([0.0, 0.5, 1.0, 2.0])
+    b = bogoliubov(solve_modes(ks, prof, PARAMS, rtol=1e-12, atol=1e-14))
+    for k, a_plus, a_minus, residual in zip(ks, b.a_plus, b.a_minus, b.normalization_residual):
         print(
-            f"  k={k:3.1f}: |A+|={abs(b.a_plus):.6f} |A-|={abs(b.a_minus):.6f}"
-            f"  normalization residual {b.normalization_residual:.1e}"
+            f"  k={k:3.1f}: |A+|={abs(a_plus):.6f} |A-|={abs(a_minus):.6f}"
+            f"  normalization residual {residual:.1e}"
         )
 
     print("\n== the sharp-ramp limit against the matched-jump closed form ==")
     sharp = SwitchingProfile(1e-3)
-    traj = solve_modes(0.0, sharp, PARAMS, t_max=0.1, rtol=1e-12, atol=1e-14)
-    got = bogoliubov(traj)
+    traj = solve_modes(0.0, sharp, PARAMS, rtol=1e-12, atol=1e-14)
+    got = bogoliubov(traj)  # the batch of one momentum
     want = sudden_quench_pair(0.0, PARAMS)
-    print(f"  extracted: A+ = {got.a_plus:.6f}, A- = {got.a_minus:.6f}")
+    print(f"  extracted: A+ = {got.a_plus[0]:.6f}, A- = {got.a_minus[0]:.6f}")
     print(f"  closed    : A+ = {want.a_plus:.6f}, A- = {want.a_minus:.6f}")
 
     print("\n== ergodic averages approach their limits at rate 1/horizon ==")
     t1, t2 = 0.5, -0.25
-    traj = solve_modes(0.0, prof, PARAMS, t_max=2.0)
-    bog = bogoliubov(traj)
-    lim_tt, lim_ttbar = ergodic_limits(bog, dispersion(0.0, PARAMS).eps_lambda, t1, t2)
+    bog = bogoliubov(solve_modes(0.0, prof, PARAMS))
+    (lim_tt,), (lim_ttbar,) = ergodic_limits(bog, dispersion(0.0, PARAMS).eps_lambda, t1, t2)
     print(f"  limit of <T T>     = {lim_tt:+.8f}")
     print(f"  limit of <T conjT> = {lim_ttbar:+.8f}")
     for horizon in (100.0, 1000.0, 10000.0):
-        att, attb = ergodic_averages(0.0, prof, PARAMS, t1, t2, horizon=horizon)
+        (att,), (attb,) = ergodic_averages(0.0, prof, PARAMS, t1, t2, horizon=horizon)
         err = abs(att - lim_tt) + abs(attb - lim_ttbar)
         print(f"  horizon={horizon:8.0f}: total error {err:.2e}  (envelope {1.0 / horizon:.1e})")
 

@@ -114,15 +114,25 @@ def eulerian_row_by_enumeration(n: int) -> EulerianRow:
     return EulerianRow(n, tuple(np.bincount(descents, minlength=n).tolist()))
 
 
-@lru_cache(maxsize=None)
+# the enumerations of at most _KEPT_ITEMS items, kept for the process's life:
+# criterion 10's largest ground set has six (203 partitions), while ten
+# items would keep ~42 MB after the caller dropped them
+_KEPT_ITEMS = 6
+_PARTITIONS: dict[tuple, tuple] = {}
+
+
 def _partitions_of(items: tuple) -> tuple[tuple[frozenset, ...], ...]:
     """All partitions of ``items`` into non-empty blocks, as tuples of
-    frozensets, built once per tuple from the cached ones of ``items[1:]``.
+    frozensets, built from those of ``items[1:]``; an enumeration of at
+    most ``_KEPT_ITEMS`` items is built once and kept in ``_PARTITIONS``.
 
     Deterministic order: the first item always opens the first block, and
     each later item is either appended to an existing block (in order) or
     opens a new one.
     """
+    kept = _PARTITIONS.get(items)
+    if kept is not None:
+        return kept
     if not items:
         return ((),)
     head = frozenset(items[:1])
@@ -131,7 +141,10 @@ def _partitions_of(items: tuple) -> tuple[tuple[frozenset, ...], ...]:
         for i in range(len(partial)):
             out.append(partial[:i] + (head | partial[i],) + partial[i + 1 :])
         out.append((head,) + partial)
-    return tuple(out)
+    out = tuple(out)
+    if len(items) <= _KEPT_ITEMS:
+        _PARTITIONS[items] = out
+    return out
 
 
 def set_partitions(n: int) -> list[list[list[int]]]:

@@ -46,13 +46,13 @@ Between nodes a value is one partial step from the node before.  Before
 -mu the mode is the plane wave, and for t >= 0 it is closed form from its
 data at t = 0, the last node, where the Bogoliubov pair is read.
 
-A :class:`ModeTrajectory` always holds the batch, one row per momentum.
-:func:`solve_modes`, :func:`switch_integrals` and :func:`ergodic_averages`
-take a momentum array as well as a scalar: an array is one batched solve,
-and a scalar is the batch of one, whose callers get its single row or
-number back from ``evaluate``, :func:`bogoliubov`, :func:`switch_integrals`
-and :func:`ergodic_averages`.  Only :func:`solve_modes` takes tolerances;
-the consumers here solve at its defaults.
+Every reader of a solve returns the momentum batch: ``evaluate`` one row
+per momentum, :func:`bogoliubov`, :func:`switch_integrals`,
+:func:`ergodic_averages` and :func:`ergodic_limits` one entry per momentum.
+A scalar momentum is the batch of one.  A solve stops at t = 0 and answers
+every later time in closed form, so no caller names a horizon.  Only
+:func:`solve_modes` takes tolerances; the consumers here solve at its
+defaults.
 """
 
 from __future__ import annotations
@@ -265,7 +265,8 @@ def _samples(eps):
     None: more than ``_DIRECT_MAX`` distinct x = eps**2 are sampled at the
     seven Chebyshev points of [min x, max x], any other batch at its own."""
     x = eps * eps
-    if x.size <= _DIRECT_MAX or np.unique(x).size <= _DIRECT_MAX:
+    # distinct x counted on the sorted batch: np.unique would import numpy.ma
+    if x.size <= _DIRECT_MAX or np.count_nonzero(np.diff(np.sort(x))) + 1 <= _DIRECT_MAX:
         return x, None
     lo, hi = x.min(), x.max()
     nodes = np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1))
@@ -389,9 +390,7 @@ def _carry(step, y):
     y[:, :, 1:] = _product(prefix, starts[:, :, :, None]).reshape(2, 2, -1, n)[:, :, :m]
 
 
-def _ramp_solve(
-    k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: float, atol: float, t_end: float
-):
+def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: float, atol: float):
     """One ramp solve of the mode equation for every momentum in ``k_mags``.
 
     A uniform grid on [-mu, 0] carries the plane-wave data at -mu through
@@ -408,11 +407,10 @@ def _ramp_solve(
     is not below 1, the step count N grows as scipy grows a step after a
     rejection, to ceil(N * err**(1/8) / 0.9), for at most ``_MAX_PASSES``
     grids of at most ``_MAX_GRID`` step maps.  Every momentum's Wronskian is
-    then gated at every node.  Returns a :class:`ModeTrajectory` of the
-    momentum batch that answers up to ``t_end``.
+    then gated at every node.  Returns the :class:`ModeTrajectory` of the
+    momentum batch.
     """
-    k_mag = np.asarray(k_mags, dtype=float)
-    ks = np.atleast_1d(k_mag)
+    ks = np.atleast_1d(np.asarray(k_mags, dtype=float))
     disp = dispersion(ks, params)
     eps, eps_lam = disp.eps, disp.eps_lambda
     mu, shift, n = prof.mu, params.mass_shift, ks.size
@@ -451,7 +449,7 @@ def _ramp_solve(
         y, ks, mu, t, f"grid of {n_steps} steps after {passes} passes, rtol={rtol}, atol={atol}"
     )
     return ModeTrajectory(
-        k_mag=k_mag, mu=mu, params=params, eps=eps, eps_lambda=eps_lam, t=t, y=y, t_end=t_end,
+        k_mag=ks, mu=mu, params=params, eps=eps, eps_lambda=eps_lam, t=t, y=y,
         passes=passes, worst_drift=worst_drift, worst_drift_t=worst_drift_t,
     )
 
@@ -484,30 +482,21 @@ def _gate(y, ks, mu: float, t, detail: str) -> tuple[float, float]:
     return worst, float(t[i])
 
 
-def _for_caller(k_mag, *batch):
-    """Per-momentum arrays, momentum axis first, as the caller of ``k_mag``
-    gets them: unchanged for a momentum array; for a scalar momentum, the
-    one row of each, or the one Python number of a 1-D array."""
-    if np.ndim(k_mag):
-        return batch
-    return tuple(b[0] if b.ndim > 1 else b[0].item() for b in batch)
-
-
 @dataclass
 class ModeTrajectory:
     """Solved modes for one mu: the grid solution and how it was obtained.
 
-    The trajectory always holds the batch: ``eps``, ``eps_lambda`` have one
-    entry per momentum.  ``k_mag`` is the momentum array the solve was asked
-    for, 0-d for a scalar momentum.  ``t`` holds the nodes of the uniform
-    grid on [-mu, 0], the only stretch that is integrated; its last node is
-    t = 0, where :func:`bogoliubov` reads the pairs.  ``y`` is the one store
+    The trajectory always holds the batch: ``k_mag``, ``eps`` and
+    ``eps_lambda`` have one entry per momentum, and a scalar momentum is the
+    batch of one.  ``t`` holds the nodes of the uniform grid on [-mu, 0],
+    the only stretch that is integrated; its last node is t = 0, where
+    :func:`bogoliubov` reads the pairs.  ``y`` is the one store
     of (T, Tdot) at the nodes, real planes laid out (component, real or
     imaginary part, node, momentum); ``T`` and ``Tdot`` build complex arrays
     from it when read, one row per momentum.  :meth:`evaluate` extends
     exactly to all t < -mu with the incoming plane wave, answers between
-    nodes by one partial step from the node before and on (0, t_end] in
-    closed form from the data at t = 0, and rejects any other t.
+    nodes by one partial step from the node before and at every t > 0 in
+    closed form from the data at t = 0.
 
     ``passes`` is the number of grids the step-count search laid, and
     ``worst_drift`` the largest Wronskian drift over every node and
@@ -521,7 +510,6 @@ class ModeTrajectory:
     eps_lambda: np.ndarray
     t: np.ndarray
     y: np.ndarray
-    t_end: float
     passes: int
     worst_drift: float
     worst_drift_t: float
@@ -542,21 +530,12 @@ class ModeTrajectory:
         return _complex(self.y[1])
 
     def evaluate(self, t):
-        """(T, Tdot) at arbitrary times t <= t_end, each of shape
-        (len(k_mag), len(t)) for a momentum array and (len(t),) for a
-        scalar momentum.  Every momentum's Wronskian is gated at the times
-        inside the ramp."""
-        return _for_caller(self.k_mag, *self._evaluate(t))
-
-    def _evaluate(self, t):
-        """:meth:`evaluate` for the whole batch, one row per momentum."""
+        """(T, Tdot) at any finite times ``t``, a scalar or an array, each of
+        shape (momenta, times).  Every momentum's Wronskian is gated at the
+        times inside the ramp."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.isfinite(t).all():
             raise ValueError(f"times must be finite, got {t[~np.isfinite(t)]}")
-        if np.any(t > self.t_end + 1e-12):
-            raise ValueError(
-                f"trajectory solved up to t={self.t_end}, requested t={t.max()}"
-            )
         T = np.empty((self.eps.size, t.size), dtype=complex)
         Td = np.empty_like(T)
         before = t < -self.mu
@@ -585,8 +564,7 @@ class ModeTrajectory:
             )
             # take, unlike y[:, :, node], returns contiguous planes for _product
             y[:, :, part] = _product(step, self.y.take(node, axis=2))
-        _gate(y, np.ravel(self.k_mag), self.mu, ts,
-              f"grid of {self.n_steps} steps after {self.passes} passes")
+        _gate(y, self.k_mag, self.mu, ts, f"grid of {self.n_steps} steps after {self.passes} passes")
         return _complex(y[0]), _complex(y[1])
 
     # an alias of worst_drift; benchmarks/worker.py is its last reader
@@ -599,7 +577,7 @@ def solve_modes(
     k_mag,
     prof: SwitchingProfile,
     params: ThermalParams,
-    t_max: float = 1.0,
+    t_max: float = 1.0,  # benchmarks/worker.py is its last reader
     rtol: float = 1e-10,
     atol: float = 1e-12,
     method: str = "DOP853",  # benchmarks/worker.py is its last reader
@@ -609,12 +587,12 @@ def solve_modes(
     One ramp solve for every momentum in ``k_mag`` (a scalar is the batch of
     one).  It starts at t0 = -mu, where the switch turns on and
     T = exp(-i*eps*t0)/sqrt(2*eps), Tdot = -i*eps*T make the Wronskian
-    exactly i, and stops at t = 0; the trajectory answers up to ``t_max`` in
-    closed form beyond that.  Each momentum's step error meets ``rtol`` and
-    ``atol`` as DOP853's step control measures it, and the Wronskian drift,
-    a second error estimate, is enforced for every momentum at every grid
-    node.  The momenta must be finite, ``t_max`` >= 0, ``rtol`` positive and
-    ``atol`` non-negative, both finite.
+    exactly i, and stops at t = 0; the trajectory answers every later time
+    in closed form.  Each momentum's step error meets ``rtol`` and ``atol``
+    as DOP853's step control measures it, and the Wronskian drift, a second
+    error estimate, is enforced for every momentum at every grid node.  The
+    momenta must be finite, ``rtol`` positive and ``atol`` non-negative,
+    both finite.  ``t_max`` must be >= 0 and changes nothing computed;
     ``method`` names the scheme and must be "DOP853".
     """
     if not t_max >= 0:  # a NaN t_max fails too
@@ -627,7 +605,7 @@ def solve_modes(
         raise ValueError(f"atol must be non-negative and finite, got {atol}")
     if method != "DOP853":
         raise ValueError(f"ramp solves use method='DOP853', got {method!r}")
-    return _ramp_solve(k_mag, prof, params, rtol, atol, t_max)
+    return _ramp_solve(k_mag, prof, params, rtol, atol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -670,25 +648,24 @@ def switch_integrals(k_mag, prof: SwitchingProfile, params: ThermalParams):
 
     computed by composite Gauss-Legendre on the solution of one
     :func:`solve_modes` call at its default tolerances, read between its
-    grid nodes by partial steps.  A scalar ``k_mag`` gives (complex, float);
-    a momentum array is one batched solve and gives one value per momentum,
-    on panels sized by the largest eps_lambda in the batch.  As mu grows,
-    I_abs tends to 1/(eps_lambda + eps) and I_sq tends to 0.
+    grid nodes by partial steps: one value per momentum, on panels sized by
+    the largest eps_lambda in the batch.  As mu grows, I_abs tends to
+    1/(eps_lambda + eps) and I_sq tends to 0.
     """
-    traj = solve_modes(k_mag, prof, params, t_max=0.0)
+    traj = solve_modes(k_mag, prof, params)
     # panels sized for both the mode oscillation and the bump-shaped rate
     nodes, weights = _panel_nodes(-prof.mu, 0.0, 2.0 * np.max(traj.eps_lambda), min_panels=16)
-    T, _ = traj._evaluate(nodes)
+    T, _ = traj.evaluate(nodes)
     w = weights * prof.rate(nodes)
-    return _for_caller(k_mag, (T * T) @ w, (T.real**2 + T.imag**2) @ w)
+    return (T * T) @ w, (T.real**2 + T.imag**2) @ w
 
 
 @dataclass(frozen=True)
 class BogoliubovPair:
     """Amplitudes of exp(-i*eps_lambda*t) and exp(+i*eps_lambda*t) in the
     post-switch mode; the Wronskian forces |a_plus|^2 - |a_minus|^2 = 1.
-    The fields are complex numbers for one momentum, or arrays with one
-    entry per momentum."""
+    The fields are arrays with one entry per momentum, or numbers where a
+    closed form is evaluated at a scalar momentum."""
 
     a_plus: complex | np.ndarray
     a_minus: complex | np.ndarray
@@ -705,15 +682,12 @@ def bogoliubov(traj: ModeTrajectory) -> BogoliubovPair:
     From t = 0 on the frequency is eps_lambda, so matching the two-frequency
     form to the data there is exact.  The basis matrix has determinant of
     modulus 2*eps_lambda, so the match is uniformly well-conditioned for any
-    positive shifted frequency.  A trajectory of a momentum array gives a
-    pair of arrays, one entry per momentum, and one of a scalar momentum a
-    pair of complex numbers.
+    positive shifted frequency.  The pair holds arrays, one entry per
+    momentum.
     """
     (T, Td), el = (_complex(part) for part in traj.y[:, :, -1]), traj.eps_lambda
     root = np.sqrt(2.0 * el) / 2.0
-    return BogoliubovPair(
-        *_for_caller(traj.k_mag, root * (T + 1j * Td / el), root * (T - 1j * Td / el))
-    )
+    return BogoliubovPair(root * (T + 1j * Td / el), root * (T - 1j * Td / el))
 
 
 def sudden_quench_pair(k_mag, params: ThermalParams) -> BogoliubovPair:
@@ -761,16 +735,14 @@ def ergodic_limits(bog: BogoliubovPair, eps_lambda, t1: float, t2: float):
     """Infinite-horizon limits (limit_TT, limit_TTbar) of the two mode-product
     averages: averaging washes out every term of :func:`_product_terms`
     whose phase grows with the shift variable, leaving the zero-frequency
-    terms.  A pair of complex numbers and a scalar ``eps_lambda`` give
-    complex numbers; arrays, one entry per momentum, in the pair or in
-    ``eps_lambda`` give arrays.  A non-finite time raises.
+    terms.  Returns one value per momentum: the pair and ``eps_lambda``
+    broadcast against each other, and scalars are the batch of one.  A
+    non-finite time raises.
     """
     if not (math.isfinite(t1) and math.isfinite(t2)):
         raise ValueError(f"need finite t1, t2, got {t1}, {t2}")
     terms = _product_terms(bog, np.atleast_1d(eps_lambda), t1, t2)
-    limits = (sum(np.where(f == 0.0, c, 0.0) for c, f in product) for product in terms)
-    # a momentum array in either input keeps every momentum
-    return _for_caller(eps_lambda if np.ndim(eps_lambda) else bog.a_plus, *limits)
+    return tuple(sum(np.where(f == 0.0, c, 0.0) for c, f in product) for product in terms)
 
 
 def ergodic_averages(
@@ -788,24 +760,23 @@ def ergodic_averages(
     arguments are >= 0 each term of :func:`_product_terms` is integrated in
     closed form; the initial stretch, while either argument still probes the
     ramp, is done by quadrature on the solved trajectory, on panels sized
-    by the largest frequency in the batch.  A scalar ``k_mag`` gives two
-    complex numbers and a momentum array one value per momentum.  Both
-    averages approach their infinite-horizon limits at rate O(1/horizon).
+    by the largest frequency in the batch.  Each average has one value per
+    momentum and approaches its infinite-horizon limit at rate O(1/horizon).
     A horizon that is not positive and finite, or a non-finite time, raises.
     """
     if not (0 < horizon < math.inf and math.isfinite(t1) and math.isfinite(t2)):
         raise ValueError(f"need a finite horizon > 0 and finite t1, t2, got {horizon}, {t1}, {t2}")
     tau_min = max(0.0, -t1, -t2)
     cut = min(tau_min, horizon)
-    traj = solve_modes(k_mag, prof, params, t_max=max(0.0, max(t1, t2) + cut))
+    traj = solve_modes(k_mag, prof, params)
     int_tt = int_ttbar = 0.0
     if cut > 0.0:
         nodes, weights = _panel_nodes(0.0, cut, 2.0 * max(traj.eps.max(), traj.eps_lambda.max()))
-        Ta, _ = traj._evaluate(t1 + nodes)
-        Tb, _ = traj._evaluate(t2 + nodes)
+        Ta, _ = traj.evaluate(t1 + nodes)
+        Tb, _ = traj.evaluate(t2 + nodes)
         int_tt, int_ttbar = (Ta * Tb) @ weights, (Ta * np.conj(Tb)) @ weights
     if horizon > tau_min:
         tt, ttbar = _product_terms(bogoliubov(traj), traj.eps_lambda, t1, t2)
         int_tt = int_tt + sum(c * _tau_integral(f, tau_min, horizon) for c, f in tt)
         int_ttbar = int_ttbar + sum(c * _tau_integral(f, tau_min, horizon) for c, f in ttbar)
-    return _for_caller(k_mag, int_tt / horizon, int_ttbar / horizon)
+    return int_tt / horizon, int_ttbar / horizon

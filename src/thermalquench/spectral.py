@@ -277,8 +277,8 @@ def pair_finite_mu(
     carries all of them through the step maps of one grid on [-mu, 0], and
     the trajectory reads the packets' time nodes inside the ramp by partial
     steps, where every node's Wronskian is gated.  Past t = 0 the modes are
-    closed form, so the solve answers up to the last time node however far
-    the packets' temporal supports extend.  Each mode is projected onto both
+    closed form, so the solve answers every time node however far the
+    packets' temporal supports extend.  Each mode is projected onto both
     packets' temporal profiles; the thermal coefficients stay at the free
     frequency.
     """
@@ -286,7 +286,7 @@ def pair_finite_mu(
     tg, wg = quad.time_rule(g)
     k, wk = quad.radial_rule(f, g)
     times = np.concatenate((tf, tg))
-    T, _ = solve_modes(k, prof, params, t_max=max(0.0, times.max())).evaluate(times)
+    T, _ = solve_modes(k, prof, params).evaluate(times)
     u_f = T[:, : tf.size] @ (wf * f.temporal(tf))
     u_g = T[:, tf.size :] @ (wg * g.temporal(tg))
     eps = dispersion(k, params).eps

@@ -95,12 +95,17 @@ def bose_coefficient(sign: int, beta, eps):
 
     ``sign=+1`` gives 1/(1-exp(-x)) and ``sign=-1`` gives the Bose-Einstein
     factor 1/(exp(x)-1), with x = beta*eps.  The minus branch is computed as
-    exp(-x) * b_plus so it underflows cleanly instead of cancelling.
+    exp(-x) * b_plus so it underflows cleanly instead of cancelling.  A
+    beta or eps that is not positive raises ``ValueError``; positive ones
+    whose product underflows to 0 raise ``FloatingPointError``.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    x = np.asarray(beta, dtype=float) * np.asarray(eps, dtype=float)
+    beta, eps = np.asarray(beta, dtype=float), np.asarray(eps, dtype=float)
+    x = beta * eps
     if np.any(x <= 0):
+        if np.all(beta > 0) and np.all(eps > 0):
+            raise FloatingPointError("underflow: beta*eps rounds to 0 for positive beta and eps")
         raise ValueError("beta*eps must be positive")
     b_plus = -1.0 / np.expm1(-x)
     if sign == +1:

@@ -189,13 +189,8 @@ def _suite_trajectories(config: RunConfig):
     batched solve over ``config.k_values`` per profile of the mu ladder, the
     unit-scale switch and, last, the sharp switch."""
     ks = np.array(config.k_values)
-    suite = [
-        solve_modes(ks, SwitchingProfile(mu), MODE_PARAMS, t_max=0.0)
-        for mu in (*config.mu_ladder, 1.0)
-    ]
-    suite.append(
-        solve_modes(ks, SwitchingProfile(SUDDEN_MU), MODE_PARAMS, t_max=0.0, rtol=1e-12, atol=1e-14)
-    )
+    suite = [solve_modes(ks, SwitchingProfile(mu), MODE_PARAMS) for mu in (*config.mu_ladder, 1.0)]
+    suite.append(solve_modes(ks, SwitchingProfile(SUDDEN_MU), MODE_PARAMS, rtol=1e-12, atol=1e-14))
     return suite
 
 
@@ -306,7 +301,7 @@ def ness_bogoliubov_map(params: ThermalParams, mu: float = 1.0):
         k = np.asarray(k, dtype=float)
         key = (k.shape, k.tobytes())
         if key not in solved:
-            traj = solve_modes(k, SwitchingProfile(mu), params, t_max=0.0, rtol=1e-12, atol=1e-14)
+            traj = solve_modes(k, SwitchingProfile(mu), params, rtol=1e-12, atol=1e-14)
             solved[key] = bogoliubov(traj)
         return solved[key]
 

@@ -341,6 +341,11 @@ class TestFloatingPointBreakdown:
                                   "t_width": 0.5}]},
                 "convergence guard: temperature shift inf", id="series-guard-overflow",
             ),
+            # a positive beta and eps whose product rounds to 0
+            *(pytest.param(command, {"params": {"beta": 1e-323, "m_sq": 1e-3, "m0_sq": 1.0,
+                                                "lam": 0.1}},
+                           "underflow: beta*eps", id=f"{command}-beta-eps-underflow")
+              for command in ("ness", "series", "verify-all")),
         ],
     )
     def test_exits_numerical(self, tmp_path, capsys, command, doc, message):
@@ -380,13 +385,14 @@ class TestImportGraph:
 
     def test_verify_all_loads_neither_numpy_random_nor_scipy(self):
         # criterion 10 draws from the stdlib generator: numpy.random's lazy
-        # import would be most of its first call
+        # import would be most of its first call.  numpy.ma is refused too:
+        # np.unique imports it, which would be most of criterion 6's first
         self.run_fresh(
             "import sys\n"
             "from thermalquench import cli\n"
             "assert cli.main(['verify-all']) == 0\n"
             "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-            "          or m == 'numpy.random' or m.startswith('numpy.random.')]\n"
+            "          or m.split('.')[:2] in (['numpy', 'random'], ['numpy', 'ma'])]\n"
             "assert not loaded, sorted(loaded)[:5]\n"
         )
 

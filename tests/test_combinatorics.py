@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermalquench import combinatorics
 from thermalquench.combinatorics import (
     _partitions_of,
     _permutations,
@@ -140,6 +141,16 @@ def list_partitions(items):
 
 
 class TestCachedPartitions:
+    def test_no_large_enumeration_outlives_its_caller(self):
+        # set_partitions(10) builds 115975 partitions, ~42 MB; only the
+        # enumerations of at most six items, criterion 10's, are kept
+        assert len(set_partitions(10)) == 115975
+        caches = [value for name, value in vars(combinatorics).items()
+                  if isinstance(value, dict) and not name.startswith("__")]
+        assert caches == [combinatorics._PARTITIONS]
+        assert max(map(len, combinatorics._PARTITIONS)) <= 6
+        assert not hasattr(_partitions_of, "cache_info")  # no lru_cache beside it
+
     @pytest.mark.parametrize("n", range(0, 7))
     def test_same_order_as_list_enumeration(self, n):
         for items in (tuple(range(1, n + 1)), tuple(range(n, 0, -1)), tuple("abcdef"[:n])):

@@ -86,7 +86,7 @@ class TestSwitchingProfile:
 
 class TestSolveModes:
     def test_free_case_is_plane_wave(self):
-        traj = solve_modes(0.0, SwitchingProfile(2.0), FREE, t_max=1.0)
+        traj = solve_modes(0.0, SwitchingProfile(2.0), FREE)
         ts = np.linspace(-3.0, 1.0, 60)
         T, Td = traj.evaluate(ts)
         exact = np.exp(-1j * ts) / math.sqrt(2.0)
@@ -95,12 +95,12 @@ class TestSolveModes:
 
     def test_wronskian_conserved(self):
         for mu in (1.0, 10.0):
-            traj = solve_modes(1.0, SwitchingProfile(mu), PARAMS, t_max=1.0)
+            traj = solve_modes(1.0, SwitchingProfile(mu), PARAMS)
             assert traj.worst_drift <= 1e-8
 
     def test_plane_wave_before_the_switch(self):
         # the solved stretch [-mu-1, -mu] must still be the incoming wave
-        traj = solve_modes(0.5, SwitchingProfile(4.0), PARAMS, t_max=1.0)
+        traj = solve_modes(0.5, SwitchingProfile(4.0), PARAMS)
         ts = np.linspace(-5.0, -4.0, 30)
         T, _ = traj.evaluate(ts)
         eps = dispersion(0.5, PARAMS).eps
@@ -110,16 +110,16 @@ class TestSolveModes:
     def test_amplitude_bound(self):
         # sup |T| <= incoming amplitude (equality only in the sharp limit)
         for k, mu in ((0.0, 1.0), (1.0, 5.0), (0.0, 40.0)):
-            traj = solve_modes(k, SwitchingProfile(mu), PARAMS, t_max=2.0)
+            traj = solve_modes(k, SwitchingProfile(mu), PARAMS)
             ts = np.linspace(-mu, 2.0, 1500)
             T, _ = traj.evaluate(ts)
             assert np.abs(T).max() <= (1.0 + 1e-6) / math.sqrt(2.0 * dispersion(k, PARAMS).eps)
 
     def test_flat_region_two_frequency_fit(self):
         # independent least-squares fit, not the matched extraction
-        traj = solve_modes(0.0, SwitchingProfile(10.0), PARAMS, t_max=3.0)
+        traj = solve_modes(0.0, SwitchingProfile(10.0), PARAMS)
         ts = np.linspace(0.0, 3.0, 120)
-        T, _ = traj.evaluate(ts)
+        (T,), _ = traj.evaluate(ts)
         el = dispersion(0.0, PARAMS).eps_lambda
         basis = np.stack([np.exp(-1j * el * ts), np.exp(1j * el * ts)], axis=1)
         coeffs, *_ = np.linalg.lstsq(basis, T, rcond=None)
@@ -127,10 +127,10 @@ class TestSolveModes:
         assert residual < 1e-9
 
     def test_closed_form_after_switch_matches_direct_integration(self):
-        # the solve stops at t = 0 and evaluate answers on (0, t_max] in
+        # the solve stops at t = 0 and evaluate answers every later time in
         # closed form; the reference integrates straight through to t = 3
         k, prof = 0.7, SwitchingProfile(2.0)
-        traj = solve_modes(k, prof, PARAMS, t_max=3.0)
+        traj = solve_modes(k, prof, PARAMS)
         eps = dispersion(k, PARAMS).eps
         shift = PARAMS.mass_shift
 
@@ -148,23 +148,30 @@ class TestSolveModes:
         assert np.abs(T - T_ref).max() <= 1e-9
         assert np.abs(Td - Td_ref).max() <= 1e-9
 
-    def test_evaluate_beyond_solve_rejected(self):
-        traj = solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=1.0)
-        with pytest.raises(ValueError):
-            traj.evaluate(2.0)
+    def test_t_max_changes_nothing(self):
+        # the closed form after the switch holds for every t >= 0: a solve
+        # asked for no horizon answers as far as one asked for t = 100
+        ks, prof = np.array([0.0, 1.0, 2.0]), SwitchingProfile(5.0)
+        short = solve_modes(ks, prof, PARAMS, t_max=0.0)
+        long = solve_modes(ks, prof, PARAMS, t_max=100.0)
+        assert np.array_equal(short.T, long.T) and np.array_equal(short.Tdot, long.Tdot)
+        assert (short.worst_drift, short.worst_drift_t) == (long.worst_drift, long.worst_drift_t)
+        ts = np.linspace(-2.0 * prof.mu, 50.0, 241)
+        for a, b in zip(short.evaluate(ts), long.evaluate(ts)):
+            assert a.shape == (ks.size, ts.size) and np.array_equal(a, b)
 
     def test_negative_t_max_rejected(self):
         with pytest.raises(ValueError):
             solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=-1.0)
 
     def test_nan_t_max_rejected(self):
-        # a NaN t_end would switch off evaluate's t > t_end check for good
+        # t_max changes nothing computed, but a NaN is still bad input
         with pytest.raises(ValueError, match="t_max"):
             solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=math.nan)
 
     @pytest.mark.parametrize("t", [math.nan, -math.inf, math.inf])
     def test_non_finite_time_rejected(self, t):
-        traj = solve_modes(np.array([0.0, 1.0]), SwitchingProfile(1.0), PARAMS, t_max=1.0)
+        traj = solve_modes(np.array([0.0, 1.0]), SwitchingProfile(1.0), PARAMS)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
@@ -180,7 +187,7 @@ class TestSolveModes:
 
     def test_sloppy_tolerances_fail_the_wronskian_gate(self):
         with pytest.raises(IntegratorError, match="Wronskian drift"):
-            solve_modes(1.0, SwitchingProfile(40.0), PARAMS, t_max=1.0, rtol=1e-4, atol=1e-6)
+            solve_modes(1.0, SwitchingProfile(40.0), PARAMS, rtol=1e-4, atol=1e-6)
 
     def test_records_how_it_was_solved(self, monkeypatch):
         traj = solve_modes(1.0, SwitchingProfile(5.0), PARAMS)
@@ -222,12 +229,11 @@ def _drawn_solves():
     for _ in range(24):  # limits-sized: one or two momenta, default tolerances
         params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=rng.uniform(-0.3, 0.6))
         ks = np.sort(rng.uniform(1.0, 1.6, rng.integers(1, 3)))
-        solve_modes(ks, SwitchingProfile(rng.uniform(3.0, 12.0)), params, t_max=0.0)
+        solve_modes(ks, SwitchingProfile(rng.uniform(3.0, 12.0)), params)
     for _ in range(8):  # ness-sized: radial nodes of a packet, tight tolerances
         params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=rng.uniform(-0.3, 0.6))
         ks = np.sort(rng.uniform(0.0, rng.uniform(2.0, 5.5), rng.integers(8, 33)))
-        solve_modes(ks, SwitchingProfile(rng.uniform(0.5, 1.5)), params, t_max=0.0,
-                    rtol=1e-12, atol=1e-14)
+        solve_modes(ks, SwitchingProfile(rng.uniform(0.5, 1.5)), params, rtol=1e-12, atol=1e-14)
 
 
 class TestOneGridPass:
@@ -242,7 +248,7 @@ class TestOneGridPass:
         assert verify.criterion_6(config).status == "pass"
         assert len(ramp_solves) == drawn + len(config.mu_ladder)
         solve_modes(np.array(config.k_values), SwitchingProfile(verify.SUDDEN_MU),
-                    verify.MODE_PARAMS, t_max=0.0, rtol=1e-12, atol=1e-14)
+                    verify.MODE_PARAMS, rtol=1e-12, atol=1e-14)
         passes = [traj.passes for traj in ramp_solves]
         assert np.mean(passes) <= 1.2, passes
         assert passes[drawn:] == [1] * (len(ramp_solves) - drawn)
@@ -261,10 +267,10 @@ class TestOneGridPass:
         # then reaches a grid that agrees with the one-pass solve
         prof, ks = SwitchingProfile(10.0), np.array([0.0, 1.0, 3.0])
         ts = np.linspace(-10.0, 0.0, 41)
-        seeded = solve_modes(ks, prof, PARAMS, t_max=0.0)
+        seeded = solve_modes(ks, prof, PARAMS)
         monkeypatch.setattr(modes, "_SEED_WAVE", modes._SEED_WAVE / 4)
         monkeypatch.setattr(modes, "_SEED_SWITCH", modes._SEED_SWITCH / 4)
-        regrown = solve_modes(ks, prof, PARAMS, t_max=0.0)
+        regrown = solve_modes(ks, prof, PARAMS)
         assert seeded.passes == 1 and regrown.passes >= 2
         assert regrown.n_steps != seeded.n_steps
         for a, b in zip(seeded.evaluate(ts), regrown.evaluate(ts)):
@@ -333,10 +339,10 @@ class TestMomentumFreeStepMaps:
         ks = np.random.default_rng(3).permutation(np.repeat(distinct, [7, 7, 6]))
         assert ks.size > modes._DIRECT_MAX
         with np.errstate(all="raise"):
-            batch = solve_modes(ks, prof, PARAMS, t_max=0.0)
-            rows = solve_modes(distinct, prof, PARAMS, t_max=0.0)
-            scalars = [solve_modes(k, prof, PARAMS, t_max=0.0) for k in distinct]
-            copies = solve_modes(np.full(64, 1.0), prof, PARAMS, t_max=0.0)
+            batch = solve_modes(ks, prof, PARAMS)
+            rows = solve_modes(distinct, prof, PARAMS)
+            scalars = [solve_modes(k, prof, PARAMS) for k in distinct]
+            copies = solve_modes(np.full(64, 1.0), prof, PARAMS)
         pick = np.searchsorted(distinct, ks)
         assert batch.n_steps == rows.n_steps
         assert np.array_equal(batch.T, rows.T[pick]) and np.array_equal(batch.Tdot, rows.Tdot[pick])
@@ -397,7 +403,7 @@ class TestErrorNorm:
     def test_nan_error_is_not_a_good_step(self, monkeypatch):
         config = default_config()
         ks, prof = np.array(config.k_values), SwitchingProfile(config.mu_ladder[0])
-        traj = solve_modes(ks, prof, config.params, t_max=0.0)
+        traj = solve_modes(ks, prof, config.params)
         h = prof.mu / traj.n_steps
         original = modes._step_maps
 
@@ -416,7 +422,7 @@ class TestErrorNorm:
         with np.errstate(all="raise"), pytest.raises(
             IntegratorError, match="worst step error nan on a grid of 27 steps after 1 passes"
         ):
-            solve_modes(ks, prof, config.params, t_max=0.0)
+            solve_modes(ks, prof, config.params)
 
     def test_exact_zero_error_reads_zero(self, monkeypatch):
         config = default_config()
@@ -429,7 +435,7 @@ class TestErrorNorm:
 
         monkeypatch.setattr(modes, "_step_maps", exact)
         with np.errstate(all="raise"):
-            traj = solve_modes(ks, prof, config.params, t_max=0.0)
+            traj = solve_modes(ks, prof, config.params)
             h = prof.mu / traj.n_steps
             _, err5, err3 = exact(traj.t[:-1], h, modes._samples(traj.eps), config.params.mass_shift,
                                   prof.mu)
@@ -544,7 +550,7 @@ class TestGroupedCarry:
 
         monkeypatch.setattr(modes, "_step_maps", poisoned)
         with np.errstate(all="raise"), pytest.raises((IntegratorError, FloatingPointError)):
-            solve_modes(ks, prof, config.params, t_max=0.0)
+            solve_modes(ks, prof, config.params)
         assert cli.main(["limits"]) == 3
         assert capsys.readouterr().err.startswith("numerical failure")
 
@@ -607,16 +613,18 @@ class TestNodePlanes:
             verify.ness_bogoliubov_map(config.params, mu=config.profile.mu)(k_ness)
             return ramp_solves[-1]
         return solve_modes(np.array(config.k_values), SwitchingProfile(verify.SUDDEN_MU),
-                           verify.MODE_PARAMS, t_max=0.0, rtol=1e-12, atol=1e-14)
+                           verify.MODE_PARAMS, rtol=1e-12, atol=1e-14)
 
     def test_drift_matches_complex_residual(self, traj):
         ref = _wronskian_residual(traj.T, traj.Tdot)
         drift = modes._drift(traj.y)
         assert drift.shape == ref.T.shape == (traj.t.size, traj.eps.size)
         assert np.abs(drift - ref.T).max() <= self.DRIFT_ABS
-        col, i = np.unravel_index(np.argmax(ref), ref.shape)
-        assert abs(traj.worst_drift - ref[col, i]) <= self.DRIFT_ABS
-        assert traj.worst_drift_t == traj.t[i]
+        assert abs(traj.worst_drift - ref.max()) <= self.DRIFT_ABS
+        # where two nodes tie to rounding either may be reported: the node at
+        # worst_drift_t need only come within DRIFT_ABS of the largest residual
+        (i,) = np.flatnonzero(traj.t == traj.worst_drift_t)
+        assert ref[:, i].max() >= ref.max() - self.DRIFT_ABS
 
     def test_complex_values_are_built_from_the_planes(self, traj):
         assert set(vars(traj)) >= {"y"} and not {"T", "Tdot"} & set(vars(traj))
@@ -712,7 +720,7 @@ class TestTanhOracle:
         w_in, w_out = d.eps, d.eps_lambda
         for mu in (0.5, 2.0, 5.0, 10.0, 20.0, 40.0):
             rho = 40.0 / mu
-            traj = solve_modes(ks, SwitchingProfile(mu), verify.MODE_PARAMS, t_max=0.0)
+            traj = solve_modes(ks, SwitchingProfile(mu), verify.MODE_PARAMS)
             exact = np.sinh(np.pi * (w_out - w_in) / (2.0 * rho)) ** 2 / (
                 np.sinh(np.pi * w_in / rho) * np.sinh(np.pi * w_out / rho)
             )
@@ -746,7 +754,7 @@ class TestBornOrder:
 
         def a_minus(prof, lam):
             params = ThermalParams(beta=m.beta, m_sq=m.m_sq, m0_sq=m.m0_sq, lam=lam)
-            traj = solve_modes(ks, prof, params, t_max=0.0, rtol=1e-13, atol=1e-15)
+            traj = solve_modes(ks, prof, params, rtol=1e-13, atol=1e-15)
             return bogoliubov(traj).a_minus
 
         eps = dispersion(ks, m).eps
@@ -784,7 +792,7 @@ class TestEnergyBalance:
         ks = np.array([0.0, 0.5, 1.0, 2.0])
         params = dataclasses.replace(PARAMS, lam=lam)
         prof = SwitchingProfile(mu)
-        bog = bogoliubov(solve_modes(ks, prof, params, t_max=0.0))
+        bog = bogoliubov(solve_modes(ks, prof, params))
         i_sq, i_abs = switch_integrals(ks, prof, params)
         assert np.abs(i_sq).min() >= 10.0 * self.ABS
         disp, delta = dispersion(ks, params), params.mass_shift
@@ -826,7 +834,7 @@ class TestGridAgainstAdaptiveReference:
         params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=lam)
         prof = SwitchingProfile(mu)
         ks = np.array([0.0, 1.0, 3.0])
-        traj = solve_modes(ks, prof, params, t_max=0.0)
+        traj = solve_modes(ks, prof, params)
         nodes, _ = modes._panel_nodes(-mu, 0.0, 2.0 * np.max(traj.eps_lambda), min_panels=16)
         ts = np.append(nodes, 0.0)
         T, Td = traj.evaluate(ts)
@@ -834,7 +842,7 @@ class TestGridAgainstAdaptiveReference:
             T_ref, Td_ref = self.reference(k, prof, params, ts)
             assert np.abs(T[i] - T_ref).max() <= 1e-9
             assert np.abs(Td[i] - Td_ref).max() <= 1e-9
-        tight = solve_modes(ks, prof, params, t_max=0.0, rtol=1e-12, atol=1e-14)
+        tight = solve_modes(ks, prof, params, rtol=1e-12, atol=1e-14)
         assert np.max(bogoliubov(tight).normalization_residual) <= 1e-11
 
 
@@ -864,17 +872,15 @@ class TestSwitchIntegrals:
     def tight_scalar_reference(k, prof):
         """The integrals of one momentum on a solve at rtol 1e-12, on the
         panels a scalar call lays for its own eps_lambda."""
-        traj = solve_modes(k, prof, PARAMS, t_max=0.0, rtol=1e-12, atol=1e-14)
+        traj = solve_modes(k, prof, PARAMS, rtol=1e-12, atol=1e-14)
         el = dispersion(k, PARAMS).eps_lambda
         nodes, weights = modes._panel_nodes(-prof.mu, 0.0, 2.0 * el, min_panels=16)
-        T, _ = traj.evaluate(nodes)
+        (T,), _ = traj.evaluate(nodes)
         w = weights * prof.rate(nodes)
         return complex((T * T) @ w), float(np.abs(T) ** 2 @ w)
 
-    def test_scalar_call_gives_numbers(self):
-        i_sq, i_abs = switch_integrals(1.0, SwitchingProfile(2.0), PARAMS)
-        assert type(i_sq) is complex and type(i_abs) is float
-        # the rate at panel nodes next to the ramp's ends signals no underflow
+    def test_rate_at_the_ramp_ends_signals_no_underflow(self):
+        # the rate at panel nodes next to the ramp's ends
         with np.errstate(all="raise"):
             i_sq, i_abs = switch_integrals(np.array([0.5, 1.0]), SwitchingProfile(5.0), PARAMS)
         assert np.all(np.isfinite(i_sq)) and np.all(np.isfinite(i_abs))
@@ -897,14 +903,14 @@ class TestSwitchIntegrals:
 
 class TestBogoliubov:
     def test_free_case(self):
-        traj = solve_modes(0.0, SwitchingProfile(1.0), FREE, t_max=1.5)
+        traj = solve_modes(0.0, SwitchingProfile(1.0), FREE)
         b = bogoliubov(traj)
         assert abs(b.a_plus - 1.0) < 1e-9
         assert abs(b.a_minus) < 1e-9
 
     @pytest.mark.parametrize("k", [0.0, 0.7, 2.0])
     def test_normalization(self, k):
-        traj = solve_modes(k, SwitchingProfile(1.0), PARAMS, t_max=1.5)
+        traj = solve_modes(k, SwitchingProfile(1.0), PARAMS)
         assert bogoliubov(traj).normalization_residual <= 1e-8
 
     def test_pair_reproduces_the_mode_after_the_switch(self):
@@ -912,7 +918,7 @@ class TestBogoliubov:
         # (a_plus e^{-i el t} + a_minus e^{+i el t}) / sqrt(2 el), against
         # the trajectory's own evaluation at later times
         ks = np.array([0.0, 0.5, 1.0, 2.5])
-        traj = solve_modes(ks, SwitchingProfile(1.0), PARAMS, t_max=3.0)
+        traj = solve_modes(ks, SwitchingProfile(1.0), PARAMS)
         b = bogoliubov(traj)
         assert b.a_plus.shape == b.a_minus.shape == ks.shape
         ts = np.array([0.5, 1.0, 3.0])
@@ -933,10 +939,7 @@ class TestBogoliubov:
         assert oracle.a_plus == pytest.approx(expected_plus, rel=1e-15)
         assert oracle.a_minus == pytest.approx(expected_minus, rel=1e-15)
 
-        traj = solve_modes(
-            0.0, SwitchingProfile(1e-3), PARAMS, t_max=0.1,
-            rtol=1e-12, atol=1e-14,
-        )
+        traj = solve_modes(0.0, SwitchingProfile(1e-3), PARAMS, rtol=1e-12, atol=1e-14)
         b = bogoliubov(traj)
         assert abs(b.a_plus - expected_plus) <= 1e-3
         assert abs(b.a_minus - expected_minus) <= 1e-3
@@ -949,7 +952,7 @@ class TestErgodicAverages:
         assert abs(avg_tt) < 2e-3  # oscillatory mean, O(1/horizon)
 
     def test_limits_match_closed_forms(self):
-        traj = solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=2.0)
+        traj = solve_modes(0.0, SwitchingProfile(1.0), PARAMS)
         bog = bogoliubov(traj)
         el = dispersion(0.0, PARAMS).eps_lambda
         t1, t2 = 0.5, -0.25
@@ -965,7 +968,7 @@ class TestErgodicAverages:
         assert lim_ttbar == pytest.approx(exp_ttbar, rel=1e-12)
 
     def test_one_over_horizon_envelope(self):
-        traj = solve_modes(0.0, SwitchingProfile(1.0), PARAMS, t_max=2.0)
+        traj = solve_modes(0.0, SwitchingProfile(1.0), PARAMS)
         bog = bogoliubov(traj)
         lim_tt, lim_ttbar = ergodic_limits(bog, dispersion(0.0, PARAMS).eps_lambda, 0.5, -0.25)
         for horizon in (100.0, 1000.0, 10000.0):
@@ -978,7 +981,7 @@ class TestErgodicAverages:
     def test_matches_direct_quadrature(self):
         prof = SwitchingProfile(1.0)
         t1, t2, horizon = 0.3, -0.6, 40.0
-        traj = solve_modes(0.5, prof, PARAMS, t_max=horizon + t1 + 1.0)
+        traj = solve_modes(0.5, prof, PARAMS)
         tau = np.linspace(0.0, horizon, 200001)
         Ta, _ = traj.evaluate(t1 + tau)
         Tb, _ = traj.evaluate(t2 + tau)
@@ -1013,22 +1016,22 @@ class TestErgodicAverages:
     def test_limits_keep_every_momentum_of_mixed_inputs(self):
         # three k = 0 pairs (one eps_lambda) from three switching scales
         el = float(dispersion(0.0, PARAMS).eps_lambda)
-        pairs = [bogoliubov(solve_modes(0.0, SwitchingProfile(mu), PARAMS, t_max=0.0))
+        pairs = [bogoliubov(solve_modes(0.0, SwitchingProfile(mu), PARAMS))
                  for mu in (1.0, 2.0, 5.0)]
-        batch = BogoliubovPair(np.array([p.a_plus for p in pairs]),
-                               np.array([p.a_minus for p in pairs]))
+        batch = BogoliubovPair(np.concatenate([p.a_plus for p in pairs]),
+                               np.concatenate([p.a_minus for p in pairs]))
         lim_tt, lim_ttbar = ergodic_limits(batch, el, 0.5, -0.25)
         assert lim_tt.shape == lim_ttbar.shape == (3,)
-        # scalar calls multiply Python complex numbers: equal to rounding
+        # each against its batch of one: equal to rounding
         for i, one in enumerate(pairs):
-            s_tt, s_ttbar = ergodic_limits(one, el, 0.5, -0.25)
+            (s_tt,), (s_ttbar,) = ergodic_limits(one, el, 0.5, -0.25)
             assert abs(lim_tt[i] - s_tt) <= 1e-15 and abs(lim_ttbar[i] - s_ttbar) <= 1e-15
-        # and a scalar pair against a momentum array of eps_lambda
+        # and a pair of one momentum against a momentum array of eps_lambda
         els = np.array([el, 2.0 * el])
         lim_tt, lim_ttbar = ergodic_limits(pairs[0], els, 0.5, -0.25)
         assert lim_tt.shape == lim_ttbar.shape == (2,)
         for i, e in enumerate(els):
-            s_tt, s_ttbar = ergodic_limits(pairs[0], float(e), 0.5, -0.25)
+            (s_tt,), (s_ttbar,) = ergodic_limits(pairs[0], float(e), 0.5, -0.25)
             assert abs(lim_tt[i] - s_tt) <= 1e-15 and abs(lim_ttbar[i] - s_ttbar) <= 1e-15
 
     @staticmethod
@@ -1038,11 +1041,11 @@ class TestErgodicAverages:
         before the product terms were factored out."""
         tau_min = max(0.0, -t1, -t2)
         cut = min(tau_min, horizon)
-        traj = solve_modes(k, prof, params, t_max=max(1.0, max(t1, t2) + cut))
+        traj = solve_modes(k, prof, params)
         d = dispersion(k, params)
         eps, el = d.eps, d.eps_lambda
         bog = bogoliubov(traj)
-        ap, am = bog.a_plus, bog.a_minus
+        (ap,), (am,) = bog.a_plus, bog.a_minus
         dt, st = t1 - t2, t1 + t2
         phase_m, phase_p = np.exp(-1j * el * dt), np.exp(1j * el * dt)
         lim_tt = ap * am * (phase_m + phase_p) / (2.0 * el)
@@ -1050,8 +1053,8 @@ class TestErgodicAverages:
         int_tt = int_ttbar = 0.0 + 0.0j
         if cut > 0.0:
             nodes, weights = modes._panel_nodes(0.0, cut, 2.0 * max(eps, el))
-            Ta, _ = traj.evaluate(t1 + nodes)
-            Tb, _ = traj.evaluate(t2 + nodes)
+            (Ta,), _ = traj.evaluate(t1 + nodes)
+            (Tb,), _ = traj.evaluate(t2 + nodes)
             int_tt += np.sum(weights * Ta * Tb)
             int_ttbar += np.sum(weights * Ta * np.conj(Tb))
         if horizon > tau_min:
@@ -1086,8 +1089,8 @@ class TestErgodicAverages:
                     got = ergodic_averages(k, prof, PARAMS, t1, t2, horizon=horizon)
                     got_lim = ergodic_limits(bog, el, t1, t2)
                     for new, old in zip(got + got_lim, avg + lim):
-                        assert type(new) is complex
-                        assert abs(new - old) <= 1e-15
+                        assert new.shape == (1,)
+                        assert abs(new[0] - old) <= 1e-15
 
     def test_batch_matches_scalar_calls(self):
         # one batched solve, on quadrature panels sized by the batch's
@@ -1097,15 +1100,16 @@ class TestErgodicAverages:
         for t1, t2, horizon in ((0.5, -0.25, 100.0), (-3.0, 0.2, 50.0), (-3.0, -1.0, 2.0)):
             avg_tt, avg_ttbar = ergodic_averages(ks, prof, PARAMS, t1, t2, horizon=horizon)
             assert avg_tt.shape == avg_ttbar.shape == ks.shape
-            traj = solve_modes(ks, prof, PARAMS, t_max=0.0)
+            traj = solve_modes(ks, prof, PARAMS)
             lim_tt, lim_ttbar = ergodic_limits(bogoliubov(traj), traj.eps_lambda, t1, t2)
             assert lim_tt.shape == lim_ttbar.shape == ks.shape
             for i, k in enumerate(ks):
-                s_tt, s_ttbar = ergodic_averages(float(k), prof, PARAMS, t1, t2, horizon=horizon)
+                (s_tt,), (s_ttbar,) = ergodic_averages(float(k), prof, PARAMS, t1, t2,
+                                                       horizon=horizon)
                 assert abs(avg_tt[i] - s_tt) <= 1e-9
                 assert abs(avg_ttbar[i] - s_ttbar) <= 1e-9
-                one = solve_modes(float(k), prof, PARAMS, t_max=0.0)
-                l_tt, l_ttbar = ergodic_limits(bogoliubov(one), one.eps_lambda[0], t1, t2)
+                one = solve_modes(float(k), prof, PARAMS)
+                (l_tt,), (l_ttbar,) = ergodic_limits(bogoliubov(one), one.eps_lambda, t1, t2)
                 assert abs(lim_tt[i] - l_tt) <= 1e-9
                 assert abs(lim_ttbar[i] - l_ttbar) <= 1e-9
 
@@ -1114,3 +1118,28 @@ class TestBogoliubovPair:
     def test_normalization_residual(self):
         assert BogoliubovPair(1.0 + 0j, 0j).normalization_residual == 0.0
         assert BogoliubovPair(2.0 + 0j, 0j).normalization_residual == pytest.approx(3.0)
+
+
+class TestBatchOfOne:
+    """A scalar momentum is the batch of one: every reader of a solve gives
+    it one row or one entry, as it gives every momentum of an array."""
+
+    def test_every_reader_returns_one_entry(self):
+        k, prof, (t1, t2) = 0.7, SwitchingProfile(2.0), (0.5, -0.25)
+        traj = solve_modes(k, prof, PARAMS)
+        assert traj.k_mag.shape == traj.eps.shape == traj.eps_lambda.shape == (1,)
+        assert traj.T.shape == traj.Tdot.shape == (1, traj.t.size)
+        for t, shape in ((0.5, (1, 1)), ([-3.0, -1.0, 2.0], (1, 3))):
+            T, Td = traj.evaluate(t)
+            assert T.shape == Td.shape == shape
+        bog = bogoliubov(traj)
+        readers = {
+            "bogoliubov": (bog.a_plus, bog.a_minus),
+            "switch_integrals": switch_integrals(k, prof, PARAMS),
+            "ergodic_averages": ergodic_averages(k, prof, PARAMS, t1, t2, horizon=10.0),
+            "ergodic_limits": ergodic_limits(bog, traj.eps_lambda, t1, t2),
+            "ergodic_limits-scalars": ergodic_limits(
+                sudden_quench_pair(k, PARAMS), dispersion(k, PARAMS).eps_lambda, t1, t2),
+        }
+        for name, values in readers.items():
+            assert [np.shape(v) for v in values] == [(1,), (1,)], name

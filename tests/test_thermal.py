@@ -99,6 +99,13 @@ class TestBoseCoefficient:
         with pytest.raises(ValueError):
             bose_coefficient(+1, 1.0, 0.0)
 
+    def test_underflowing_product_is_a_breakdown(self):
+        # positive inputs whose product rounds to 0: not bad input
+        with pytest.raises(FloatingPointError, match="underflow"):
+            bose_coefficient(+1, 1e-323, 0.03)
+        with pytest.raises(ValueError):
+            bose_coefficient(+1, np.array([1e-323, -1.0]), 0.03)
+
 
 def richardson_derivative(f, x, n, h0, levels=5):
     """Independent finite-difference oracle for the derivative tower."""

@@ -100,7 +100,7 @@ class TestNessBogoliubovMap:
         assert batched.a_plus.shape == batched.a_minus.shape == (n,)
         assert np.max(batched.normalization_residual) <= 1e-11
         for i, k in enumerate(k_nodes):
-            traj = solve_modes(float(k), SwitchingProfile(mu), params, t_max=0.0, rtol=1e-12, atol=1e-14)
+            traj = solve_modes(float(k), SwitchingProfile(mu), params, rtol=1e-12, atol=1e-14)
             ref = bogoliubov(traj)
             assert abs(batched.a_plus[i] - ref.a_plus) <= 1e-9
             assert abs(batched.a_minus[i] - ref.a_minus) <= 1e-9
@@ -114,12 +114,12 @@ class TestNessBogoliubovMap:
         bog(ks[:4])
         assert len(ramp_solves) == 2
 
-    def test_scalar_momentum_gives_scalar_pair(self):
+    def test_scalar_momentum_is_a_batch_of_one(self):
         bog = verify.ness_bogoliubov_map(verify.MODE_PARAMS)
         scalar = bog(0.7)
-        batched = bog(np.array([0.7]))
-        assert isinstance(scalar.a_plus, complex)
-        assert abs(scalar.a_plus - batched.a_plus[0]) <= 1e-12
+        batched = bog(np.array([0.7, 1.5]))
+        assert scalar.a_plus.shape == scalar.a_minus.shape == (1,)
+        assert abs(scalar.a_plus[0] - batched.a_plus[0]) <= 1e-12
 
 
 class TestRampSolveCounts:
