@@ -652,7 +652,13 @@ def switch_integrals(k_mag, prof: SwitchingProfile, params: ThermalParams):
     the largest eps_lambda in the batch.  As mu grows, I_abs tends to
     1/(eps_lambda + eps) and I_sq tends to 0.
     """
-    traj = solve_modes(k_mag, prof, params)
+    return _switch_integrals(solve_modes(k_mag, prof, params))
+
+
+def _switch_integrals(traj: ModeTrajectory):
+    """(I_sq, I_abs) of :func:`switch_integrals`, read from a solved
+    trajectory: the one quadrature of the switching integrals."""
+    prof = SwitchingProfile(traj.mu)
     # panels sized for both the mode oscillation and the bump-shaped rate
     nodes, weights = _panel_nodes(-prof.mu, 0.0, 2.0 * np.max(traj.eps_lambda), min_panels=16)
     T, _ = traj.evaluate(nodes)

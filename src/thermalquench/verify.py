@@ -9,6 +9,14 @@ The tolerances (:data:`TOLERANCES`), the runtime budgets and the parameter
 points that the criteria pin are hard-coded here; the ladders, packets and
 quadrature density come from the :class:`~thermalquench.config.RunConfig`,
 whose defaults reproduce the reference desk-scale setup.
+
+Criteria 4, 5 and 8 read one trajectory suite (see ``_suite_trajectories``).
+Under :func:`run_all`, which ``verify-all`` calls, each of its solves is
+made once: the run makes 11 ramp solves on the default config, the six of
+the suite, criterion 6's four and criterion 9's one.  Criterion 4 pays for
+the suite, so the ``runtime_s`` of criteria 5 and 8 covers only their
+reads.  A criterion run alone, as ``pytest tests/test_acceptance.py`` runs
+each, pays for its own solves: 6, 4 and 6 for criteria 4, 5 and 8.
 """
 
 from __future__ import annotations
@@ -31,11 +39,11 @@ from .config import RunConfig
 from .modes import (
     BogoliubovPair,
     SwitchingProfile,
+    _switch_integrals,
     bogoliubov,
     solve_modes,
     sudden_quench_pair,
     switch_integral_limit,
-    switch_integrals,
 )
 from .series import ResummationReport, verify_resummation
 from .spectral import adiabatic_classical, ness_classical, pair, pair_finite_mu
@@ -184,14 +192,37 @@ def criterion_3(config: RunConfig) -> CriterionResult:
     return _finish(3, "temperature-shift-identity", worst <= tol, {"worst_abs": worst, "tol": tol}, t0)
 
 
+# The suite solves of the running run_all call, by (mu, tight tolerances);
+# None outside run_all, where each criterion solves what it reads.  run_all
+# opens it and always clears it, so no solve outlives the run.
+_suite_memo: dict | None = None
+
+
+def _suite_solve(config: RunConfig, mu: float, tight: bool = False):
+    """One batched solve over ``config.k_values`` at switching scale ``mu``,
+    at the default tolerances or, ``tight``, at rtol 1e-12 and atol 1e-14;
+    inside :func:`run_all` the first reader solves and the others read."""
+    memo = {} if _suite_memo is None else _suite_memo
+    if (mu, tight) not in memo:
+        ks = np.array(config.k_values)
+        tols = {"rtol": 1e-12, "atol": 1e-14} if tight else {}
+        memo[mu, tight] = solve_modes(ks, SwitchingProfile(mu), MODE_PARAMS, **tols)
+    return memo[mu, tight]
+
+
 def _suite_trajectories(config: RunConfig):
-    """The trajectories shared by the Wronskian and Bogoliubov criteria: one
-    batched solve over ``config.k_values`` per profile of the mu ladder, the
-    unit-scale switch and, last, the sharp switch."""
-    ks = np.array(config.k_values)
-    suite = [solve_modes(ks, SwitchingProfile(mu), MODE_PARAMS) for mu in (*config.mu_ladder, 1.0)]
-    suite.append(solve_modes(ks, SwitchingProfile(SUDDEN_MU), MODE_PARAMS, rtol=1e-12, atol=1e-14))
-    return suite
+    """The trajectory suite: one batched solve over ``config.k_values`` per
+    profile of the mu ladder, the unit-scale switch and, last, the sharp
+    switch at tight tolerances.  Its readers, in run order: criterion 4
+    (every solve's Wronskian drift), criterion 5 (the switching integrals of
+    the mu ladder's solves) and criterion 8 (every solve's Bogoliubov
+    pairs).  Under :func:`run_all` criterion 4 pays for all six solves and
+    criteria 5 and 8 only read them; a criterion run alone solves what it
+    reads."""
+    return [
+        *(_suite_solve(config, mu) for mu in (*config.mu_ladder, 1.0)),
+        _suite_solve(config, SUDDEN_MU, tight=True),
+    ]
 
 
 def criterion_4(config: RunConfig) -> CriterionResult:
@@ -207,7 +238,7 @@ def criterion_5(config: RunConfig) -> CriterionResult:
     t0 = time.perf_counter()
     tol = TOLERANCES["switch_final_abs"]
     ks = np.array(config.k_values)
-    ladder = [switch_integrals(ks, SwitchingProfile(mu), MODE_PARAMS) for mu in config.mu_ladder]
+    ladder = [_switch_integrals(_suite_solve(config, mu)) for mu in config.mu_ladder]
     i_sq, i_abs = (np.array(x) for x in zip(*ladder))  # rows: mu ladder, columns: k
     gaps_abs = np.abs(i_abs - switch_integral_limit(ks, MODE_PARAMS))
     gaps_sq = np.abs(i_sq)
@@ -403,5 +434,11 @@ CRITERIA = {
 
 
 def run_all(config: RunConfig) -> list[CriterionResult]:
-    """Run the acceptance criteria in order and return their results."""
-    return [CRITERIA[i](config) for i in sorted(CRITERIA)]
+    """Run the acceptance criteria in order and return their results; the
+    suite's solves are made once for the run and dropped when it ends."""
+    global _suite_memo
+    _suite_memo = {}
+    try:
+        return [CRITERIA[i](config) for i in sorted(CRITERIA)]
+    finally:
+        _suite_memo = None

@@ -1,15 +1,16 @@
 """The array paths of :mod:`thermalquench.verify` against the per-point and
-per-node loops they replace, and the ramp-solve counts of the ramp
-consumers."""
+per-node loops they replace, the ramp-solve counts of the ramp consumers,
+and the solves that ``run_all`` shares between criteria 4, 5 and 8."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from thermalquench import verify
+from thermalquench import modes, verify
 from thermalquench.config import default_config
-from thermalquench.modes import SwitchingProfile, bogoliubov, solve_modes
+from thermalquench.modes import SwitchingProfile, bogoliubov, solve_modes, switch_integrals
 from thermalquench.spectral import QuadratureSpec
 from thermalquench.spectral import TestPacket as Packet
 from thermalquench.thermal import (
@@ -135,3 +136,97 @@ class TestRampSolveCounts:
         want = {"ladder": n_mu, "ladder+2": n_mu + 2, "one": 1}[expected]
         assert verify.CRITERIA[index](config).status == "pass"
         assert len(ramp_solves) == want
+
+
+@pytest.fixture
+def solve_keys(monkeypatch, ramp_solves):
+    """(momenta, mu, rtol, atol) of every ramp solve, beside ``ramp_solves``."""
+    keys = []
+    recording = modes._ramp_solve
+
+    def keyed(k_mags, prof, params, rtol, atol):
+        keys.append((np.asarray(k_mags, dtype=float).tobytes(), prof.mu, rtol, atol))
+        return recording(k_mags, prof, params, rtol, atol)
+
+    monkeypatch.setattr(modes, "_ramp_solve", keyed)
+    return keys
+
+
+class TestSolvePlan:
+    # run_all solves each ramp of the trajectory suite once, for criteria 4,
+    # 5 and 8 together, and forgets the solves when it returns
+
+    def test_run_all_solves_each_ramp_once(self, solve_keys, ramp_solves):
+        results = verify.run_all(default_config())
+        assert all(r.status == "pass" for r in results)
+        # the suite's six, criterion 6's four and criterion 9's one
+        assert len(ramp_solves) == len(solve_keys) == 11
+        assert len(set(solve_keys)) == 11
+
+    def test_each_run_solves_afresh(self, ramp_solves):
+        verify.run_all(default_config())
+        first = list(ramp_solves)
+        verify.run_all(default_config())
+        assert len(ramp_solves) == 22
+        assert not any(traj is old for traj in ramp_solves[11:] for old in first)
+
+    def test_criteria_alone_after_a_run(self, ramp_solves):
+        config = default_config()
+        verify.run_all(config)
+        for index, want in ((4, 6), (5, 4), (8, 6)):
+            del ramp_solves[:]
+            verify.CRITERIA[index](config)
+            assert len(ramp_solves) == want
+
+    def test_suite_dies_with_the_run(self, monkeypatch):
+        refs = []
+        original = modes._ramp_solve
+
+        def weakly(*args):
+            traj = original(*args)
+            refs.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(modes, "_ramp_solve", weakly)
+        verify.run_all(default_config())
+        assert len(refs) == 11
+        assert all(ref() is None for ref in refs)
+        assert verify._suite_memo is None
+
+    def test_memo_cleared_when_a_criterion_raises(self, monkeypatch):
+        def broken(config):
+            raise modes.IntegratorError("criterion 9 broke")
+
+        monkeypatch.setitem(verify.CRITERIA, 9, broken)
+        with pytest.raises(modes.IntegratorError):
+            verify.run_all(default_config())
+        assert verify._suite_memo is None
+
+    def test_shared_measured_equals_solo(self):
+        # the shared path computes the same floats as each criterion alone
+        config = default_config()
+        for shared in verify.run_all(config):
+            solo = verify.CRITERIA[shared.index](config)
+            assert solo.status == shared.status
+            assert repr(solo.measured) == repr(shared.measured)
+
+    def test_switch_integrals_read_from_the_suite(self, monkeypatch, ramp_solves):
+        # criterion 5 reads criterion 4's solves, and its ladder is bit-equal
+        # to switch_integrals solving each mu afresh
+        config = default_config()
+        read = []
+        original = verify._switch_integrals
+
+        def recording(traj):
+            read.append((traj, original(traj)))
+            return read[-1][1]
+
+        monkeypatch.setattr(verify, "_switch_integrals", recording)
+        verify.run_all(config)
+        suite = ramp_solves[: len(config.mu_ladder) + 2]
+        assert [traj.mu for traj, _ in read] == list(config.mu_ladder)
+        assert all(traj is suite[i] for i, (traj, _) in enumerate(read))
+        ks = np.array(config.k_values)
+        for traj, (i_sq, i_abs) in read:
+            ref_sq, ref_abs = switch_integrals(ks, SwitchingProfile(traj.mu), verify.MODE_PARAMS)
+            assert np.array_equal(i_sq, ref_sq) and np.array_equal(i_abs, ref_abs)
