@@ -131,7 +131,11 @@ def _densify(ladder: tuple[float, ...]) -> tuple[float, ...]:
 
 def default_config() -> RunConfig:
     """The desk-scale defaults: series bench parameters and two packets
-    whose temporal support sits after the switch-off time."""
+    centred after the switch-off time t = 0, at t = 2 and 2.5 with width
+    0.3.  Their time rules span ``spectral.TIME_SIGMAS`` widths each side of
+    the centre, so the first reaches back to t = -0.4, inside the ramp: 15
+    of the 160 time nodes of a pairing lie there, and the trajectory reads
+    them by partial steps."""
     return RunConfig(
         params=ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=0.1),
         profile=SwitchingProfile(mu=1.0),

@@ -5,6 +5,12 @@ so the CLI summary and the test suite report the same values.  Criteria that
 the suite cannot meaningfully run (the series comparison outside its
 convergence region) are skipped with a reason instead of failing.
 
+A criterion is declared once: one function, registered by
+``@_criterion(index, name)``, returns ``(ok, measured)``, or ``(None,
+measured, reason)`` for a skip.  The runner times it, builds its result and
+enters it in :data:`CRITERIA` as ``criterion_<index>``.  Its bounds go in
+:data:`TOLERANCES` and its budget in :data:`RUNTIME_BUDGETS_S`.
+
 The tolerances (:data:`TOLERANCES`), the runtime budgets and the parameter
 points that the criteria pin are hard-coded here; the ladders, packets and
 quadrature density come from the :class:`~thermalquench.config.RunConfig`,
@@ -21,11 +27,12 @@ each, pays for its own solves: 6, 4 and 6 for criteria 4, 5 and 8.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,6 +59,8 @@ from .thermal import ThermalParams, bose_coefficient, bose_derivative, dispersio
 # Mode-physics bench shared by the ramp criteria: unit masses, strong shift.
 MODE_PARAMS = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=0.5)
 SUDDEN_MU = 1e-3
+# solver tolerances of the sharp-switch suite solve and the steady-state map
+_TIGHT_SOLVE = {"rtol": 1e-12, "atol": 1e-14}
 
 TOLERANCES = {
     "derivative_tower_rel": 1e-6,
@@ -98,24 +107,34 @@ class CriterionResult:
         return f"{head}  {self.index:2d}. {self.name}: {nums}{tail}  ({self.runtime_s:.2f}s)"
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "name": self.name,
-            "status": self.status,
-            "measured": dict(sorted(self.measured.items())),
-            "reason": self.reason,
-            "runtime_s": self.runtime_s,
-        }
+        return asdict(self)
 
 
-def _finish(index, name, ok, measured, t0):
-    return CriterionResult(
-        index=index,
-        name=name,
-        status="pass" if ok else "fail",
-        measured=measured,
-        runtime_s=time.perf_counter() - t0,
-    )
+# index -> registered criterion; run_all runs them in index order
+CRITERIA: dict = {}
+
+
+def _criterion(index: int, name: str):
+    """Register a check as criterion ``index``, named ``name``.
+
+    The check takes the config and returns ``(ok, measured)``, or
+    ``(None, measured, reason)`` for a skip.  The registered function, which
+    the decorator also returns as the module's ``criterion_<index>``, times
+    the check and builds its :class:`CriterionResult`; an exception raised
+    by the check reaches the caller unchanged."""
+
+    def register(check):
+        @functools.wraps(check)
+        def timed(config: RunConfig) -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, measured, *reason = check(config)
+            status = "skip" if ok is None else "pass" if ok else "fail"
+            return CriterionResult(index, name, status, measured, *reason, runtime_s=time.perf_counter() - t0)
+
+        CRITERIA[index] = timed
+        return timed
+
+    return register
 
 
 def eulerian_rows():
@@ -124,15 +143,15 @@ def eulerian_rows():
     return [(eulerian_row_recursive(n), eulerian_row_by_enumeration(n)) for n in range(1, 9)]
 
 
-def criterion_1(config: RunConfig) -> CriterionResult:
+@_criterion(1, "eulerian-cross-oracle")
+def criterion_1(config: RunConfig):
     """Eulerian rows: recursion equals enumeration exactly for n <= 8."""
-    t0 = time.perf_counter()
     ok = True
     for rec, enum in eulerian_rows():
         ok = ok and rec.coefficients == enum.coefficients
         ok = ok and rec.row_sum == math.factorial(rec.n)
         ok = ok and rec.coefficients == rec.coefficients[::-1]
-    return _finish(1, "eulerian-cross-oracle", ok, {"max_n": 8.0}, t0)
+    return ok, {"max_n": 8.0}
 
 
 def _richardson_derivative(f, x: float, n: int, h0: float) -> float:
@@ -159,9 +178,9 @@ def _richardson_derivative(f, x: float, n: int, h0: float) -> float:
     return table[-1][-1]
 
 
-def criterion_2(config: RunConfig) -> CriterionResult:
+@_criterion(2, "derivative-tower")
+def criterion_2(config: RunConfig):
     """Derivative tower vs finite differences of the thermal coefficient."""
-    t0 = time.perf_counter()
     tol = TOLERANCES["derivative_tower_rel"]
     worst = 0.0
     for beta, eps in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.7)):
@@ -172,12 +191,12 @@ def criterion_2(config: RunConfig) -> CriterionResult:
                 lambda b: bose_coefficient(+1, b, eps), beta, n, h0
             )
             worst = max(worst, abs(approx - exact) / abs(exact))
-    return _finish(2, "derivative-tower", worst <= tol, {"worst_rel": worst, "tol": tol}, t0)
+    return worst <= tol, {"worst_rel": worst, "tol": tol}
 
 
-def criterion_3(config: RunConfig) -> CriterionResult:
+@_criterion(3, "temperature-shift-identity")
+def criterion_3(config: RunConfig):
     """Temperature-shift identity on a 100-point (k, lam) grid."""
-    t0 = time.perf_counter()
     tol = TOLERANCES["temperature_shift_abs"]
     ks = np.linspace(0.0, 3.0, 10)
     worst = 0.0
@@ -189,7 +208,7 @@ def criterion_3(config: RunConfig) -> CriterionResult:
             lhs = bose_coefficient(sign, bp, d.eps)
             rhs = bose_coefficient(sign, p.beta, d.eps_lambda)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _finish(3, "temperature-shift-identity", worst <= tol, {"worst_abs": worst, "tol": tol}, t0)
+    return worst <= tol, {"worst_abs": worst, "tol": tol}
 
 
 # The suite solves of the running run_all call, by (mu, tight tolerances);
@@ -200,12 +219,12 @@ _suite_memo: dict | None = None
 
 def _suite_solve(config: RunConfig, mu: float, tight: bool = False):
     """One batched solve over ``config.k_values`` at switching scale ``mu``,
-    at the default tolerances or, ``tight``, at rtol 1e-12 and atol 1e-14;
+    at the default tolerances or, ``tight``, at ``_TIGHT_SOLVE``;
     inside :func:`run_all` the first reader solves and the others read."""
     memo = {} if _suite_memo is None else _suite_memo
     if (mu, tight) not in memo:
         ks = np.array(config.k_values)
-        tols = {"rtol": 1e-12, "atol": 1e-14} if tight else {}
+        tols = _TIGHT_SOLVE if tight else {}
         memo[mu, tight] = solve_modes(ks, SwitchingProfile(mu), MODE_PARAMS, **tols)
     return memo[mu, tight]
 
@@ -225,17 +244,17 @@ def _suite_trajectories(config: RunConfig):
     ]
 
 
-def criterion_4(config: RunConfig) -> CriterionResult:
+@_criterion(4, "wronskian-health")
+def criterion_4(config: RunConfig):
     """Wronskian drift across every trajectory in the suite."""
-    t0 = time.perf_counter()
     tol = TOLERANCES["wronskian_abs"]
     worst = max(traj.worst_drift for traj in _suite_trajectories(config))
-    return _finish(4, "wronskian-health", worst <= tol, {"worst_abs": worst, "tol": tol}, t0)
+    return worst <= tol, {"worst_abs": worst, "tol": tol}
 
 
-def criterion_5(config: RunConfig) -> CriterionResult:
+@_criterion(5, "switch-integral-ladder")
+def criterion_5(config: RunConfig):
     """Switching-integral ladder: gaps strictly decreasing, final below target."""
-    t0 = time.perf_counter()
     tol = TOLERANCES["switch_final_abs"]
     ks = np.array(config.k_values)
     ladder = [_switch_integrals(_suite_solve(config, mu)) for mu in config.mu_ladder]
@@ -243,16 +262,12 @@ def criterion_5(config: RunConfig) -> CriterionResult:
     gaps_abs = np.abs(i_abs - switch_integral_limit(ks, MODE_PARAMS))
     gaps_sq = np.abs(i_sq)
     ok = all(np.all(np.diff(g, axis=0) < 0) and np.all(g[-1] <= tol) for g in (gaps_abs, gaps_sq))
-    return _finish(
-        5, "switch-integral-ladder", ok,
-        {"final_abs_gap": float(gaps_abs[-1].max()), "final_sq": float(gaps_sq[-1].max()), "tol": tol},
-        t0,
-    )
+    return ok, {"final_abs_gap": float(gaps_abs[-1].max()), "final_sq": float(gaps_sq[-1].max()), "tol": tol}
 
 
-def criterion_6(config: RunConfig) -> CriterionResult:
+@_criterion(6, "finite-switch-pairing-ladder")
+def criterion_6(config: RunConfig):
     """Time-domain pairing ladder toward the slow-switch classical state."""
-    t0 = time.perf_counter()
     tol = TOLERANCES["pairing_final_rel"]
     f, g = config.packet_pair
     quad = config.quadrature
@@ -262,10 +277,7 @@ def criterion_6(config: RunConfig) -> CriterionResult:
         val = pair_finite_mu(SwitchingProfile(mu), MODE_PARAMS, f, g, quad)
         gaps.append(abs(val - target) / abs(target))
     ok = all(b < a for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= tol
-    return _finish(
-        6, "finite-switch-pairing-ladder", ok,
-        {"final_rel_gap": gaps[-1], "first_rel_gap": gaps[0], "tol": tol}, t0,
-    )
+    return ok, {"final_rel_gap": gaps[-1], "first_rel_gap": gaps[0], "tol": tol}
 
 
 def series_report(config: RunConfig) -> ResummationReport:
@@ -281,9 +293,9 @@ def series_report(config: RunConfig) -> ResummationReport:
     )
 
 
-def criterion_7(config: RunConfig) -> CriterionResult:
+@_criterion(7, "series-resummation")
+def criterion_7(config: RunConfig):
     """Series resummation against the shifted thermal state."""
-    t0 = time.perf_counter()
     report = series_report(config)
     measured = {
         "final_rel_gap": report.final_rel_gap,
@@ -291,20 +303,16 @@ def criterion_7(config: RunConfig) -> CriterionResult:
         "tol": report.tol,
     }
     if report.verdict == "radius-violated":
-        return CriterionResult(
-            index=7, name="series-resummation", status="skip", measured=measured,
-            reason=(
-                f"temperature shift {report.max_shift:.3g} exceeds convergence "
-                f"limit {report.shift_limit:.3g}; resummation not expected to converge"
-            ),
-            runtime_s=time.perf_counter() - t0,
+        return None, measured, (
+            f"temperature shift {report.max_shift:.3g} exceeds convergence "
+            f"limit {report.shift_limit:.3g}; resummation not expected to converge"
         )
-    return _finish(7, "series-resummation", report.passed, measured, t0)
+    return report.passed, measured
 
 
-def criterion_8(config: RunConfig) -> CriterionResult:
+@_criterion(8, "bogoliubov-normalization")
+def criterion_8(config: RunConfig):
     """Bogoliubov normalization everywhere; sharp ramp matches the jump oracle."""
-    t0 = time.perf_counter()
     norm_tol = TOLERANCES["bogoliubov_norm_abs"]
     sudden_tol = TOLERANCES["sudden_quench_abs"]
     pairs = [bogoliubov(traj) for traj in _suite_trajectories(config)]
@@ -315,10 +323,7 @@ def criterion_8(config: RunConfig) -> CriterionResult:
         max(np.max(np.abs(sharp.a_plus - oracle.a_plus)), np.max(np.abs(sharp.a_minus - oracle.a_minus)))
     )
     ok = worst_norm <= norm_tol and worst_sudden <= sudden_tol
-    return _finish(
-        8, "bogoliubov-normalization", ok,
-        {"worst_norm": worst_norm, "worst_sudden_gap": worst_sudden, "tol_norm": norm_tol}, t0,
-    )
+    return ok, {"worst_norm": worst_norm, "worst_sudden_gap": worst_sudden, "tol_norm": norm_tol}
 
 
 def ness_bogoliubov_map(params: ThermalParams, mu: float = 1.0):
@@ -332,17 +337,17 @@ def ness_bogoliubov_map(params: ThermalParams, mu: float = 1.0):
         k = np.asarray(k, dtype=float)
         key = (k.shape, k.tobytes())
         if key not in solved:
-            traj = solve_modes(k, SwitchingProfile(mu), params, rtol=1e-12, atol=1e-14)
+            traj = solve_modes(k, SwitchingProfile(mu), params, **_TIGHT_SOLVE)
             solved[key] = bogoliubov(traj)
         return solved[key]
 
     return bog
 
 
-def criterion_9(config: RunConfig) -> CriterionResult:
+@_criterion(9, "ness-spectral-data")
+def criterion_9(config: RunConfig):
     """Steady-state spectral data: commutator normalization and the
     no-production limit."""
-    t0 = time.perf_counter()
     ccr_tol = TOLERANCES["ness_ccr_abs"]
     id_tol = TOLERANCES["ness_limit_abs"]
     f, g = config.packet_pair
@@ -360,10 +365,7 @@ def criterion_9(config: RunConfig) -> CriterionResult:
         )
     )
     ok = worst_ccr <= ccr_tol and worst_id <= id_tol
-    return _finish(
-        9, "ness-spectral-data", ok,
-        {"worst_ccr": worst_ccr, "worst_identity": worst_id, "tol_ccr": ccr_tol}, t0,
-    )
+    return ok, {"worst_ccr": worst_ccr, "worst_identity": worst_id, "tol_ccr": ccr_tol}
 
 
 def _wick_moment(subset: tuple, table: dict) -> complex:
@@ -380,10 +382,10 @@ def _wick_moment(subset: tuple, table: dict) -> complex:
     return total
 
 
-def criterion_10(config: RunConfig) -> CriterionResult:
+@_criterion(10, "connected-function-oracle")
+def criterion_10(config: RunConfig):
     """Cumulant inversion: exact round trip; quasi-free tables have no
     connected parts beyond order two."""
-    t0 = time.perf_counter()
     tol = TOLERANCES["cumulant_vanish_abs"]
 
     # integer-valued synthetic moments round-trip with exact float arithmetic
@@ -416,21 +418,7 @@ def criterion_10(config: RunConfig) -> CriterionResult:
             if len(s) > 2:
                 worst = max(worst, abs(v))
     ok = ok and worst <= tol
-    return _finish(10, "connected-function-oracle", ok, {"worst_high_order": worst, "tol": tol}, t0)
-
-
-CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-}
+    return ok, {"worst_high_order": worst, "tol": tol}
 
 
 def run_all(config: RunConfig) -> list[CriterionResult]:

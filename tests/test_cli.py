@@ -542,12 +542,19 @@ class TestVerifyAll:
 
     def test_radius_violating_config_skips_series(self, tmp_path, capsys):
         cfg = fast_config(tmp_path, params={"beta": 1.0, "m_sq": 1.0, "m0_sq": 1.0, "lam": 8.0})
-        assert run(["verify-all", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert run(["verify-all", "--config", str(cfg), "--out", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
         series_lines = [l for l in lines if "series-resummation" in l]
         assert len(series_lines) == 1
         assert series_lines[0].startswith("SKIP")
         assert "not expected to converge" in series_lines[0]
+        doc = json.loads((out / "verify_all.json").read_text())
+        skipped = doc["criteria"][6]
+        assert (skipped["index"], skipped["status"]) == (7, "skip")
+        assert "not expected to converge" in skipped["reason"]
+        assert skipped["runtime_s"] > 0
+        assert doc["all_passed"] is True
 
     def test_tolerances_section_is_unknown_key(self, tmp_path, capsys):
         # the bounds are pinned in verify.TOLERANCES; a config cannot set

@@ -1,6 +1,7 @@
 """The array paths of :mod:`thermalquench.verify` against the per-point and
 per-node loops they replace, the ramp-solve counts of the ramp consumers,
-and the solves that ``run_all`` shares between criteria 4, 5 and 8."""
+and the solves that ``run_all`` shares between criteria 4, 5 and 8, and the
+registry of criteria that ``run_all`` runs."""
 
 import math
 import weakref
@@ -36,6 +37,22 @@ NESS_CASES = {
     ),
     "default-n64": (verify.MODE_PARAMS, 1.0, default_config().packet_pair, 64),
 }
+
+
+# the (index, name) pairs of the acceptance criteria, as verify_all.json
+# lists them
+CRITERION_NAMES = [
+    (1, "eulerian-cross-oracle"),
+    (2, "derivative-tower"),
+    (3, "temperature-shift-identity"),
+    (4, "wronskian-health"),
+    (5, "switch-integral-ladder"),
+    (6, "finite-switch-pairing-ladder"),
+    (7, "series-resummation"),
+    (8, "bogoliubov-normalization"),
+    (9, "ness-spectral-data"),
+    (10, "connected-function-oracle"),
+]
 
 
 def scalar_richardson_derivative(f, x, n, h0):
@@ -152,6 +169,12 @@ def solve_keys(monkeypatch, ramp_solves):
     return keys
 
 
+def test_registry_is_the_module_criteria():
+    assert sorted(verify.CRITERIA) == list(range(1, 11))
+    for index, criterion in verify.CRITERIA.items():
+        assert criterion is getattr(verify, f"criterion_{index}")
+
+
 class TestSolvePlan:
     # run_all solves each ramp of the trajectory suite once, for criteria 4,
     # 5 and 8 together, and forgets the solves when it returns
@@ -194,20 +217,33 @@ class TestSolvePlan:
         assert verify._suite_memo is None
 
     def test_memo_cleared_when_a_criterion_raises(self, monkeypatch):
-        def broken(config):
-            raise modes.IntegratorError("criterion 9 broke")
+        # whether the registered entry or the check inside it raises, the
+        # caller gets that very exception and the memo is cleared
+        error = modes.IntegratorError("criterion 9 broke")
 
-        monkeypatch.setitem(verify.CRITERIA, 9, broken)
-        with pytest.raises(modes.IntegratorError):
-            verify.run_all(default_config())
-        assert verify._suite_memo is None
+        def broken(*args):
+            raise error
+
+        for patch in (
+            lambda m: m.setitem(verify.CRITERIA, 9, broken),
+            lambda m: m.setattr(verify, "ness_classical", broken),
+        ):
+            with monkeypatch.context() as m:
+                patch(m)
+                with pytest.raises(modes.IntegratorError) as raised:
+                    verify.run_all(default_config())
+            assert raised.value is error
+            assert verify._suite_memo is None
 
     def test_shared_measured_equals_solo(self):
-        # the shared path computes the same floats as each criterion alone
+        # the shared path computes the same floats as each criterion alone,
+        # under the pinned (index, name) pairs that verify_all.json carries
         config = default_config()
-        for shared in verify.run_all(config):
+        shared_results = verify.run_all(config)
+        assert [(r.index, r.name) for r in shared_results] == CRITERION_NAMES
+        for shared in shared_results:
             solo = verify.CRITERIA[shared.index](config)
-            assert solo.status == shared.status
+            assert (solo.index, solo.name, solo.status) == (shared.index, shared.name, shared.status)
             assert repr(solo.measured) == repr(shared.measured)
 
     def test_switch_integrals_read_from_the_suite(self, monkeypatch, ramp_solves):
