@@ -30,7 +30,7 @@ def main():
     print(" n   term (re)        cumulative gap   dual-path dev")
     for row in report.rows:
         print(
-            f" {row.order}   {row.term.real:+.6e}   {row.rel_gap_to_closed_form:.3e}"
+            f" {row.order}   {row.term.real:+.6e}   {row.gap_to_closed_form:.3e}"
             f"        {row.dual_path_rel_dev:.1e}"
         )
     print()

@@ -69,13 +69,15 @@ class NonFiniteOutput(ArithmeticError):
     tables do not carry."""
 
 
-def _ok_rows(header, columns):
-    """CSV rows from equal-length numeric columns, named by ``header``, each
-    ending in status "ok"; a NaN or infinite value raises ``NonFiniteOutput``."""
-    for name, col in zip(header, columns):
+def _emit_ok_csv(table, out_dir, filename):
+    """Write ``table``, a ``{name: column}`` dict of equal-length numeric
+    columns, as CSV rows that each end in status "ok"; a NaN or infinite
+    value raises ``NonFiniteOutput`` and writes nothing."""
+    for name, col in table.items():
         if not np.all(np.isfinite(col)):
             raise NonFiniteOutput(f"non-finite value in CSV column {name!r}")
-    return [[_fmt(x) for x in row] + ["ok"] for row in zip(*columns)]
+    rows = [[_fmt(x) for x in row] + ["ok"] for row in zip(*table.values())]
+    _emit_csv([*table, "status"], rows, out_dir, filename)
 
 
 def _emit_csv(header, rows, out_dir, filename):
@@ -141,11 +143,10 @@ def cmd_limits(args, config: RunConfig) -> int:
     # (mu, k) arrays, read k-major
     i_sq, i_abs = (np.array(x).T.ravel() for x in zip(*ladder))
     target = np.repeat(switch_integral_limit(ks, config.params), mus.size)
-    columns = [np.repeat(ks, mus.size), np.tile(mus, ks.size), i_sq.real, i_sq.imag, i_abs,
-               target, np.abs(i_abs - target), np.abs(i_sq)]
-    header = ["k", "mu", "re_I_sq", "im_I_sq", "I_abs", "target", "gap_abs", "gap_sq", "status"]
-    rows = _ok_rows(header, columns)
-    _emit_csv(header, rows, args.out, "limits.csv")
+    table = {"k": np.repeat(ks, mus.size), "mu": np.tile(mus, ks.size), "re_I_sq": i_sq.real,
+             "im_I_sq": i_sq.imag, "I_abs": i_abs, "target": target,
+             "gap_abs": np.abs(i_abs - target), "gap_sq": np.abs(i_sq)}
+    _emit_ok_csv(table, args.out, "limits.csv")
     return EXIT_OK
 
 
@@ -157,10 +158,9 @@ def cmd_series(args, config: RunConfig) -> int:
     _emit_json(payload, args.out, "series.json")
     if args.out is not None:
         # the CSV columns are the per-order keys of the JSON payload
-        header = ["order", "term_re", "term_im", "cumulative_re", "cumulative_im",
-                  "gap_to_closed_form", "dual_path_rel_dev"]
-        rows = [[str(r["order"])] + [_fmt(r[key]) for key in header[1:]] for r in payload["orders"]]
-        _emit_csv(header, rows, args.out, "series.csv")
+        orders = payload["orders"]
+        rows = [[str(x) if isinstance(x, int) else _fmt(x) for x in r.values()] for r in orders]
+        _emit_csv(list(orders[0]), rows, args.out, "series.csv")
     if report.verdict == "fail":
         return EXIT_CRITERION
     return EXIT_OK  # "pass" and "radius-violated" both succeed; verdict is in the payload
@@ -189,15 +189,14 @@ def cmd_ness(args, config: RunConfig) -> int:
             f"ness row k={k[i]} breaks its identities: norm_residual "
             f"{norm[i]:.3e} (bound {norm_tol:.1e}), ccr_residual {ccr[i]:.3e} (bound {ccr_tol:.1e})"
         )
-    columns = [
-        k, b.a_plus.real, b.a_plus.imag, b.a_minus.real, b.a_minus.imag, norm,
-        state.c_plus(k), state.c_minus(k), ccr,
-        np.maximum(np.abs(b.a_plus - oracle.a_plus), np.abs(b.a_minus - oracle.a_minus)),
-    ]
-    header = ["k", "re_A_plus", "im_A_plus", "re_A_minus", "im_A_minus",
-              "norm_residual", "c_plus", "c_minus", "ccr_residual", "sudden_gap", "status"]
-    rows = _ok_rows(header, columns)
-    _emit_csv(header, rows, args.out, "ness.csv")
+    gap_plus, gap_minus = np.abs(b.a_plus - oracle.a_plus), np.abs(b.a_minus - oracle.a_minus)
+    table = {
+        "k": k, "re_A_plus": b.a_plus.real, "im_A_plus": b.a_plus.imag,
+        "re_A_minus": b.a_minus.real, "im_A_minus": b.a_minus.imag, "norm_residual": norm,
+        "c_plus": state.c_plus(k), "c_minus": state.c_minus(k), "ccr_residual": ccr,
+        "sudden_gap": np.maximum(gap_plus, gap_minus),
+    }
+    _emit_ok_csv(table, args.out, "ness.csv")
     return EXIT_OK
 
 

@@ -21,7 +21,14 @@ branch and the free-frequency thermal coefficients) and reads the
 convergence guard, the closed form, the zeroth term and every order by
 both paths from it; ``nth_order_term`` builds its own grid through the
 same code.  The guard is read from the report (``verdict``, ``max_shift``
-and ``shift_limit``); a report of order 0 computes the guard and no term.
+and ``shift_limit``); it measures the largest |delta_beta| over the nodes,
+so a negative shift is held to the same disk as a positive one.  A report
+of order 0 computes the guard and no term.
+
+The report's fields are its output schema: each field is a JSON key of
+``series.json`` (a complex field is two keys, ``<name>_re`` and
+``<name>_im``), and the flattened fields of one :class:`OrderRow` are the
+keys of one entry of "orders" and the columns of ``series.csv``.
 
 The combined sign convention is frozen here once; the first-order term must
 come out as  -beta * shift/(eps_lambda+eps) * b_plus*b_minus  per branch.
@@ -36,7 +43,7 @@ the Taylor disk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -108,46 +115,64 @@ def nth_order_term(
     return _term(n, params, _grid(params, f, g, quad), path)
 
 
-def _guard(params: ThermalParams, grid) -> tuple[bool, float, float]:
-    """(ok, max_shift, limit) on a grid built by :func:`_grid`: whether the
-    temperature shift stays inside a conservative convergence region at
-    every node.
+def _guard(params: ThermalParams, grid) -> tuple[float, float]:
+    """(max_shift, limit) on a grid built by :func:`_grid`: the largest
+    temperature shift |delta_beta| over the nodes and the radius of a
+    conservative convergence region; the series is inside it when
+    ``max_shift < limit``.
 
     The Taylor disk of the thermal coefficient around beta has radius
     min(beta, sqrt(beta^2 + (2 pi / eps)^2)) = beta (pole at the origin);
     the imaginary poles additionally motivate the conservative cap
-    pi / eps_min.  Both are enforced at the worst node.  ``max_shift / beta``
-    is the asymptotic geometric ratio of the Taylor terms at the worst node.
-    A shift or limit that is not finite (``beta * shift`` overflows as a
-    Python float without a warning) is a numerical failure:
-    ``ArithmeticError``.
+    pi / eps_min.  Both are enforced at the worst node, whichever the sign
+    of the shift.  ``max_shift / beta`` is the asymptotic geometric ratio of
+    the Taylor terms at the worst node.  A shift or limit that is not finite
+    (``beta * shift`` overflows as a Python float without a warning) is a
+    numerical failure: ``ArithmeticError``.
     """
     eps, eps_l = grid[:2]
     delta_beta = params.beta * params.mass_shift / ((eps_l + eps) * eps)
-    max_shift = float(np.max(delta_beta))
+    max_shift = float(np.max(np.abs(delta_beta)))
     limit = min(params.beta, math.pi / float(np.min(eps)))
     if not (math.isfinite(max_shift) and math.isfinite(limit)):
         raise ArithmeticError(
             f"convergence guard: temperature shift {max_shift:.3g} or its limit {limit:.3g} "
             "is not finite"
         )
-    return max_shift < limit, max_shift, limit
+    return max_shift, limit
+
+
+def _flat(obj) -> dict:
+    """A dataclass as JSON keys: each field by its name, a complex one as
+    ``<name>_re`` and ``<name>_im``."""
+    doc = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, complex):
+            doc[f"{f.name}_re"], doc[f"{f.name}_im"] = value.real, value.imag
+        else:
+            doc[f.name] = value
+    return doc
 
 
 @dataclass(frozen=True)
 class OrderRow:
-    """Per-order entry of a resummation report."""
+    """Per-order entry of a resummation report; its fields, flattened by
+    :func:`_flat`, are the per-order JSON keys and the ``series.csv``
+    columns in this order."""
 
     order: int
     term: complex
-    dual_path_rel_dev: float
     cumulative: complex
-    rel_gap_to_closed_form: float
+    gap_to_closed_form: float
+    dual_path_rel_dev: float
 
 
 @dataclass(frozen=True)
 class ResummationReport:
-    """Outcome of comparing the partial sums against the closed form."""
+    """Outcome of comparing the partial sums against the closed form; its
+    fields, flattened by :func:`_flat`, are the JSON keys, with ``rows``
+    under "orders"."""
 
     verdict: str  # "pass" | "fail" | "radius-violated"
     tol: float
@@ -158,43 +183,16 @@ class ResummationReport:
     max_shift: float
     shift_limit: float
     max_dual_path_dev: float
+    final_rel_gap: float
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    @property
-    def final_rel_gap(self) -> float:
-        return self.rows[-1].rel_gap_to_closed_form if self.rows else abs(
-            self.zeroth - self.closed_form
-        ) / abs(self.closed_form)
-
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "tol": self.tol,
-            "n_orders": self.n_orders,
-            "zeroth_re": self.zeroth.real,
-            "zeroth_im": self.zeroth.imag,
-            "closed_form_re": self.closed_form.real,
-            "closed_form_im": self.closed_form.imag,
-            "max_shift": self.max_shift,
-            "shift_limit": self.shift_limit,
-            "max_dual_path_dev": self.max_dual_path_dev,
-            "final_rel_gap": self.final_rel_gap,
-            "orders": [
-                {
-                    "order": r.order,
-                    "term_re": r.term.real,
-                    "term_im": r.term.imag,
-                    "dual_path_rel_dev": r.dual_path_rel_dev,
-                    "cumulative_re": r.cumulative.real,
-                    "cumulative_im": r.cumulative.imag,
-                    "gap_to_closed_form": r.rel_gap_to_closed_form,
-                }
-                for r in self.rows
-            ],
-        }
+        doc = _flat(self)
+        doc["orders"] = [_flat(r) for r in doc.pop("rows")]
+        return doc
 
 
 def verify_resummation(
@@ -214,11 +212,12 @@ def verify_resummation(
     leaves the conservative convergence region the verdict is
     "radius-violated" rather than a failure: the sum is not expected to
     reproduce the closed form there.  ``N=0`` computes the guard and no
-    order; an N outside [0, DEFAULT_ORDER_CAP] raises ``ValueError``.
+    order, and its gap is the zeroth term's; an N outside
+    [0, DEFAULT_ORDER_CAP] raises ``ValueError``.
     """
     grid = _grid(params, f, g, quad)
     _, eps_l, weight, p_plus, p_minus, bp, bm = grid
-    ok, max_shift, limit = _guard(params, grid)
+    max_shift, limit = _guard(params, grid)
     # spectral.pair's sum, with the coefficients of adiabatic and adiabatic_classical
     cp, cm = bose_coefficient(+1, params.beta, eps_l), bose_coefficient(-1, params.beta, eps_l)
     closed = complex(np.sum(weight * (cp * p_plus + cm * p_minus)))
@@ -239,18 +238,15 @@ def verify_resummation(
         dev = abs(t_beta.value - t_desc.value) / scale if scale > 0 else 0.0
         max_dev = max(max_dev, dev)
         cumulative += t_beta.value
-        rows.append(
-            OrderRow(
-                order=n,
-                term=t_beta.value,
-                dual_path_rel_dev=dev,
-                cumulative=cumulative,
-                rel_gap_to_closed_form=abs(cumulative - closed) / denom,
-            )
-        )
+        rows.append(OrderRow(n, t_beta.value, cumulative, abs(cumulative - closed) / denom, dev))
 
-    report = ResummationReport(
-        verdict="radius-violated",
+    final_gap = abs(cumulative - closed) / denom
+    if max_shift >= limit:
+        verdict = "radius-violated"
+    else:
+        verdict = "pass" if final_gap <= tol and max_dev <= dual_path_tol else "fail"
+    return ResummationReport(
+        verdict=verdict,
         tol=tol,
         n_orders=N,
         zeroth=zeroth,
@@ -259,8 +255,5 @@ def verify_resummation(
         max_shift=max_shift,
         shift_limit=limit,
         max_dual_path_dev=max_dev,
+        final_rel_gap=final_gap,
     )
-    if not ok:
-        return report
-    passed = report.final_rel_gap <= tol and max_dev <= dual_path_tol
-    return replace(report, verdict="pass" if passed else "fail")

@@ -441,6 +441,15 @@ class TestSeries:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "radius-violated"
 
+    def test_negative_shift_beyond_the_disk_is_a_radius_violation(self, tmp_path, capsys):
+        # lam < 0 makes every temperature shift negative; its largest magnitude
+        # (6.84) lies beyond the limit (about pi), so this is a verdict, not exit 1
+        cfg = fast_config(tmp_path, params={"beta": 10.0, "m_sq": 1.0, "m0_sq": 1.0, "lam": -0.9})
+        assert run(["series", "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "radius-violated"
+        assert doc["max_shift"] >= doc["shift_limit"]
+
     def test_csv_table_written(self, tmp_path):
         cfg = fast_config(tmp_path)
         out = tmp_path / "out"
@@ -584,6 +593,32 @@ class TestVerifyAll:
             bounds = {key: value for key, value in measured.items() if key.startswith("tol")}
             assert bounds == expected.get(index, {}), index
         assert verify.series_report(config).to_dict()["tol"] == tol["series_final_rel"]
+
+
+def test_output_schemas(tmp_path):
+    """The columns of every CSV table and the keys of series.json, in full.
+    The limits and ness headers are the ones the benchmark parses."""
+    cfg = fast_config(tmp_path)
+    out = tmp_path / "out"
+    for command in ("limits", "ness", "series"):
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_csv(out / "limits.csv")[0] == [
+        "k", "mu", "re_I_sq", "im_I_sq", "I_abs", "target", "gap_abs", "gap_sq", "status",
+    ]
+    assert read_csv(out / "ness.csv")[0] == [
+        "k", "re_A_plus", "im_A_plus", "re_A_minus", "im_A_minus",
+        "norm_residual", "c_plus", "c_minus", "ccr_residual", "sudden_gap", "status",
+    ]
+    order_keys = ["order", "term_re", "term_im", "cumulative_re", "cumulative_im",
+                  "gap_to_closed_form", "dual_path_rel_dev"]
+    assert read_csv(out / "series.csv")[0] == order_keys
+    doc = json.loads((out / "series.json").read_text())
+    assert set(doc) == {
+        "verdict", "tol", "n_orders", "zeroth_re", "zeroth_im", "closed_form_re",
+        "closed_form_im", "max_shift", "shift_limit", "max_dual_path_dev", "final_rel_gap",
+        "orders", "pairing_check",
+    }
+    assert all(set(row) == set(order_keys) for row in doc["orders"])
 
 
 def _parse_stdout_csv(capsys):

@@ -117,6 +117,20 @@ class TestConvergenceGuard:
         report = verify_resummation(strong, F, G, N=0, quad=QUAD)
         assert report.verdict == "radius-violated" and report.max_shift >= report.shift_limit
 
+    def test_negative_shift_is_held_to_the_same_disk(self):
+        # every delta_beta is negative for lam < 0; the guard reads the
+        # largest |delta_beta|, which here lies beyond the limit pi / eps_min
+        cold = ThermalParams(beta=10.0, m_sq=1.0, m0_sq=1.0, lam=-0.9)
+        report = verify_resummation(cold, F, G, N=8, quad=QUAD)
+        k, _ = QUAD.radial_rule(F, G)
+        d = dispersion(k, cold)
+        delta_beta = cold.beta * cold.mass_shift / ((d.eps_lambda + d.eps) * d.eps)
+        assert np.all(delta_beta < 0)
+        assert report.max_shift == float(np.max(np.abs(delta_beta)))
+        assert report.shift_limit == pytest.approx(np.pi / np.min(d.eps))
+        assert report.max_shift >= report.shift_limit
+        assert report.verdict == "radius-violated"
+
 
 class TestVerifyResummation:
     def test_bench_report_passes(self):
@@ -124,7 +138,7 @@ class TestVerifyResummation:
         assert report.verdict == "pass"
         assert report.final_rel_gap <= 1e-8
         assert report.max_dual_path_dev <= 1e-10
-        gaps = [r.rel_gap_to_closed_form for r in report.rows]
+        gaps = [r.gap_to_closed_form for r in report.rows]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_free_case_trivial(self):
