@@ -54,7 +54,7 @@ def main():
 
     print("\n== pairings against the packet pair ==")
     for state in states:
-        rep = pair_report(state, F, G, QUAD)
+        rep = pair_report(state, F, G, QUAD, pair(state, F, G, QUAD))
         print(
             f"  {state.label:22s} value = {rep['value_re']:+.8f} {rep['value_im']:+.8f}i"
             f"  (refinement delta {rep['refinement_delta']:.1e})"

@@ -20,7 +20,7 @@ G = TestPacket(k_center=1.0, k_width=0.5, t_center=2.5, t_width=0.3)
 
 
 def main():
-    report = verify_resummation(BENCH, F, G, N=8, tol=1e-8)
+    report = verify_resummation(BENCH, F, G, N=8)
     print(f"verdict: {report.verdict}")
     print(f"temperature shift at worst node: {report.max_shift:.4f} (limit {report.shift_limit:.2f})")
     print(f"geometric envelope of term ratios: {report.max_shift / BENCH.beta:.4f}")
@@ -38,7 +38,7 @@ def main():
 
     print("\n== outside the convergence region the guard speaks up ==")
     strong = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=8.0)
-    report = verify_resummation(strong, F, G, N=4, tol=1e-8)
+    report = verify_resummation(strong, F, G, N=4)
     print(f"lam=8: verdict = {report.verdict} "
           f"(shift {report.max_shift:.2f} vs limit {report.shift_limit:.2f})")
 

@@ -9,12 +9,15 @@ series      resummation report for the perturbative series (JSON, CSV table)
 ness        Bogoliubov and steady-state spectral data per momentum (CSV)
 verify-all  run the full acceptance suite and summarize
 
-All numbers in the emitted CSV/JSON come from library operations; this layer
-only formats.  Output is strict: a NaN or infinite value in a JSON payload
-or a CSV table is a numerical failure (exit 3) and nothing of that payload
-is written.  Identical configs produce byte-identical data files: no
-wall-clock enters any payload (a separate meta.json carries the timestamp
-when writing to a directory).
+All numbers in the emitted CSV/JSON come from library operations.  This
+layer formats them and derives a few: ``limits`` computes each row's target
+and gaps, and ``ness`` computes the sudden-quench gaps and refuses (exit 3)
+a row whose normalization or commutator residual is off its bound.  Output
+is strict: a NaN or infinite value in a JSON payload or a CSV table is a
+numerical failure (exit 3) and nothing of that payload is written.
+Identical configs produce byte-identical data files: no wall-clock enters
+any payload (a separate meta.json carries the timestamp when writing to a
+directory).
 
 Exit codes: 0 success, 1 criterion failure, 2 config/schema error (a bad
 flag, a config that cannot be read or is refused, or an ``--out`` that
@@ -154,7 +157,9 @@ def cmd_series(args, config: RunConfig) -> int:
     f, g = config.packet_pair
     report = verify.series_report(config)
     payload = report.to_dict()
-    payload["pairing_check"] = pair_report(adiabatic(config.params), f, g, config.quadrature)
+    # the report's closed form is the n-node pairing of the shifted thermal state
+    state = adiabatic(config.params)
+    payload["pairing_check"] = pair_report(state, f, g, config.quadrature, report.closed_form)
     _emit_json(payload, args.out, "series.json")
     if args.out is not None:
         # the CSV columns are the per-order keys of the JSON payload

@@ -113,11 +113,9 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {
             "schema_version": self.schema_version,
-            "params": asdict(self.params),
-            "profile": asdict(self.profile),
+            **{name: asdict(getattr(self, name)) for name in SECTIONS},
             "packets": [asdict(p) for p in self.packets],
             "ladders": {name: list(getattr(self, attr)) for name, attr in LADDERS.items()},
-            "quadrature": asdict(self.quadrature),
         }
 
 

@@ -187,15 +187,6 @@ def _bump(u):
     return out
 
 
-def _bump_rate(u):
-    """d/du of :func:`_bump`, exp(-1/u)/u^2, with the same cut: 0 for
-    u <= 1/708, so that no underflow is signalled."""
-    out = np.zeros_like(u)
-    m = u > 1.0 / 708.0
-    out[m] = np.exp(-1.0 / u[m] - 2.0 * np.log(u[m]))
-    return out
-
-
 def chi_unit(s):
     """The unit switching function: 0 for s <= -1, 1 for s >= 0, smooth
     and strictly increasing in between."""
@@ -207,18 +198,20 @@ def chi_unit(s):
 
 
 def chi_unit_rate(s):
-    """Derivative of :func:`chi_unit`; supported on (-1, 0)."""
+    """Derivative of :func:`chi_unit`; supported on (-1, 0).
+
+    With a = bump(s + 1) and b = bump(-s), and d/du exp(-1/u) =
+    exp(-1/u)/u^2, the rate is a b (1/(s+1)^2 + 1/s^2) / (a + b)^2."""
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     m = (s > -1.0) & (s < 0.0)
     if np.any(m):
         sm = s[m]
         a, b = _bump(sm + 1.0), _bump(-sm)
-        da, db = _bump_rate(sm + 1.0), _bump_rate(-sm)
-        # just above a cut (u < 1/707) one product is subnormal, beside a
-        # term at least 1e5 times larger: let it round quietly
+        # just above a cut (u < 1/707) the product a b is subnormal: let it
+        # round quietly
         with np.errstate(under="ignore"):
-            out[m] = (da * b + db * a) / (a + b) ** 2
+            out[m] = a * b * (1.0 / (sm + 1.0) ** 2 + 1.0 / sm**2) / (a + b) ** 2
     return float(out) if out.ndim == 0 else out
 
 

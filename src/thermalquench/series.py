@@ -51,6 +51,11 @@ from .combinatorics import DEFAULT_ORDER_CAP, eulerian_row_recursive
 from .spectral import QuadratureSpec, TestPacket, pairing_integrand
 from .thermal import ThermalParams, bose_coefficient, bose_derivative, dispersion
 
+# the report's bounds: on the final relative gap to the closed form, and on
+# the relative deviation between the two evaluation paths of any order
+FINAL_REL_TOL = 1e-8
+DUAL_PATH_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SeriesTerm:
@@ -200,15 +205,15 @@ def verify_resummation(
     f: TestPacket,
     g: TestPacket,
     N: int = 8,
-    tol: float = 1e-8,
     quad: QuadratureSpec = QuadratureSpec(),
-    dual_path_tol: float = 1e-10,
 ) -> ResummationReport:
     """Run the series to order N and compare with the shifted thermal state.
 
     One grid serves the convergence guard, the closed form, the zeroth term
     and every order by both paths (beta-derivative and descent-sum), whose
-    relative deviation is the dual-path check.  If the temperature shift
+    relative deviation is the dual-path check.  The verdict is "pass" when
+    the final relative gap is within ``FINAL_REL_TOL`` and every order's
+    dual-path deviation within ``DUAL_PATH_TOL``.  If the temperature shift
     leaves the conservative convergence region the verdict is
     "radius-violated" rather than a failure: the sum is not expected to
     reproduce the closed form there.  ``N=0`` computes the guard and no
@@ -244,10 +249,10 @@ def verify_resummation(
     if max_shift >= limit:
         verdict = "radius-violated"
     else:
-        verdict = "pass" if final_gap <= tol and max_dev <= dual_path_tol else "fail"
+        verdict = "pass" if final_gap <= FINAL_REL_TOL and max_dev <= DUAL_PATH_TOL else "fail"
     return ResummationReport(
         verdict=verdict,
-        tol=tol,
+        tol=FINAL_REL_TOL,
         n_orders=N,
         zeroth=zeroth,
         closed_form=closed,

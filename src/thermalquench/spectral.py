@@ -202,15 +202,15 @@ def ness_classical(
     ``bog`` maps a momentum array to its Bogoliubov pairs in one call (a
     map that ignores its argument and returns one scalar pair broadcasts).
     Every pair must be normalized to 1e-6, or the evaluation is rejected.
-    Mixing the thermal coefficients through |a_plus|^2 and |a_minus|^2
-    preserves the commutator normalization exactly.
+    Mixing the thermal coefficients of :func:`free_kms` through |a_plus|^2
+    and |a_minus|^2 preserves the commutator normalization exactly.
     """
+
+    free = free_kms(params)
 
     def coefficients(k):
         k = np.asarray(k, dtype=float)
-        eps = dispersion(k, params).eps
-        bp = bose_coefficient(+1, params.beta, eps)
-        bm = bose_coefficient(-1, params.beta, eps)
+        bp, bm = free.c_plus(k), free.c_minus(k)
         pair = bog(k)
         residual = np.max(pair.normalization_residual)
         if not residual <= 1e-6:  # a NaN residual fails too
@@ -246,13 +246,12 @@ def pair(
 
 
 def pair_report(
-    state: SpectralState,
-    f: TestPacket,
-    g: TestPacket,
-    quad: QuadratureSpec = QuadratureSpec(),
+    state: SpectralState, f: TestPacket, g: TestPacket, quad: QuadratureSpec, coarse: complex
 ) -> dict:
-    """Pairing plus its self-convergence diagnostics, JSON-ready."""
-    coarse = pair(state, f, g, quad)
+    """Pairing plus its self-convergence diagnostics, JSON-ready.
+
+    ``coarse`` is the caller's ``pair(state, f, g, quad)``; the report
+    computes only the pairing on ``quad.refined()``."""
     fine = pair(state, f, g, quad.refined())
     return {
         "label": state.label,
@@ -279,8 +278,8 @@ def pair_finite_mu(
     steps, where every node's Wronskian is gated.  Past t = 0 the modes are
     closed form, so the solve answers every time node however far the
     packets' temporal supports extend.  Each mode is projected onto both
-    packets' temporal profiles; the thermal coefficients stay at the free
-    frequency.
+    packets' temporal profiles; the thermal coefficients are those of
+    :func:`free_kms`, at the free frequency.
     """
     tf, wf = quad.time_rule(f)
     tg, wg = quad.time_rule(g)
@@ -289,8 +288,6 @@ def pair_finite_mu(
     T, _ = solve_modes(k, prof, params).evaluate(times)
     u_f = T[:, : tf.size] @ (wf * f.temporal(tf))
     u_g = T[:, tf.size :] @ (wg * g.temporal(tg))
-    eps = dispersion(k, params).eps
-    bp = bose_coefficient(+1, params.beta, eps)
-    bm = bose_coefficient(-1, params.beta, eps)
-    kernel = bp * u_f * np.conj(u_g) + bm * np.conj(u_f) * u_g
+    free = free_kms(params)
+    kernel = free.c_plus(k) * u_f * np.conj(u_g) + free.c_minus(k) * np.conj(u_f) * u_g
     return complex(np.sum(wk * 4.0 * np.pi * k * k * f.spatial(k) * g.spatial(k) * kernel))

@@ -12,9 +12,11 @@ enters it in :data:`CRITERIA` as ``criterion_<index>``.  Its bounds go in
 :data:`TOLERANCES` and its budget in :data:`RUNTIME_BUDGETS_S`.
 
 The tolerances (:data:`TOLERANCES`), the runtime budgets and the parameter
-points that the criteria pin are hard-coded here; the ladders, packets and
-quadrature density come from the :class:`~thermalquench.config.RunConfig`,
-whose defaults reproduce the reference desk-scale setup.
+points that the criteria pin are hard-coded here, except the two series
+bounds: :mod:`thermalquench.series` declares and applies them, and the table
+lists them by name.  The ladders, packets and quadrature density come from
+the :class:`~thermalquench.config.RunConfig`, whose defaults reproduce the
+reference desk-scale setup.
 
 Criteria 4, 5 and 8 read one trajectory suite (see ``_suite_trajectories``).
 Under :func:`run_all`, which ``verify-all`` calls, each of its solves is
@@ -52,7 +54,7 @@ from .modes import (
     sudden_quench_pair,
     switch_integral_limit,
 )
-from .series import ResummationReport, verify_resummation
+from .series import DUAL_PATH_TOL, FINAL_REL_TOL, ResummationReport, verify_resummation
 from .spectral import adiabatic_classical, ness_classical, pair, pair_finite_mu
 from .thermal import ThermalParams, bose_coefficient, bose_derivative, dispersion, shifted_beta
 
@@ -68,8 +70,8 @@ TOLERANCES = {
     "wronskian_abs": 1e-8,
     "switch_final_abs": 1e-2,
     "pairing_final_rel": 1e-2,
-    "series_final_rel": 1e-8,
-    "series_dual_path_rel": 1e-10,
+    "series_final_rel": FINAL_REL_TOL,
+    "series_dual_path_rel": DUAL_PATH_TOL,
     "bogoliubov_norm_abs": 1e-8,
     "sudden_quench_abs": 1e-3,
     "ness_ccr_abs": 1e-10,
@@ -284,13 +286,7 @@ def series_report(config: RunConfig) -> ResummationReport:
     """The config's resummation report, to the largest order of its ladder:
     what ``series`` writes and criterion 7 judges."""
     f, g = config.packet_pair
-    return verify_resummation(
-        config.params, f, g,
-        N=max(config.order_ladder),
-        tol=TOLERANCES["series_final_rel"],
-        quad=config.quadrature,
-        dual_path_tol=TOLERANCES["series_dual_path_rel"],
-    )
+    return verify_resummation(config.params, f, g, N=max(config.order_ladder), quad=config.quadrature)
 
 
 @_criterion(7, "series-resummation")

@@ -168,13 +168,6 @@ class TestLimits:
         bad.write_text('{"paramz": {}}')
         assert run(["limits", "--config", str(bad)]) == 2
 
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = fast_config(tmp_path)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run(["limits", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert run(["limits", "--config", str(cfg), "--out", str(out2)]) == 0
-        assert (out1 / "limits.csv").read_bytes() == (out2 / "limits.csv").read_bytes()
-
     def test_refine_densifies_ladder(self, tmp_path, capsys):
         cfg = fast_config(tmp_path)
         assert run(["limits", "--config", str(cfg), "--refine"]) == 0
@@ -593,6 +586,28 @@ class TestVerifyAll:
             bounds = {key: value for key, value in measured.items() if key.startswith("tol")}
             assert bounds == expected.get(index, {}), index
         assert verify.series_report(config).to_dict()["tol"] == tol["series_final_rel"]
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        ("eulerian", ["eulerian.csv"]),
+        ("limits", ["limits.csv"]),
+        ("series", ["series.csv", "series.json"]),
+        ("ness", ["ness.csv"]),
+    ],
+    ids=["eulerian", "limits", "series", "ness"],
+)
+def test_byte_identical_reruns(tmp_path, command, files):
+    """Two runs of one config write the same bytes to every data file; the
+    only other file is meta.json."""
+    cfg = fast_config(tmp_path)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out1.iterdir()) == sorted([*files, "meta.json"])
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_output_schemas(tmp_path):

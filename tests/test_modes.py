@@ -79,6 +79,27 @@ class TestSwitchingProfile:
             fd = (chi_unit(s + h) - chi_unit(s - h)) / (2.0 * h)
             assert chi_unit_rate(s) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
+    def test_rate_matches_the_bump_derivatives(self):
+        # reference: the quotient rule with each bump exp(-1/u) and its
+        # derivative exp(-1/u - 2 log u), both cut to 0 at u <= 1/708; that
+        # form rounds an exponent of up to 708 in magnitude, so the two
+        # agree to ~1e-13 relative, not to ulps
+        cut = 1.0 / np.linspace(700.0, 716.0, 1601)
+        s = np.concatenate([np.linspace(-1.0, 0.0, 100001)[1:-1], cut - 1.0, -cut])
+        s = s[(s > -1.0) & (s < 0.0)]
+
+        def bump_and_rate(u):
+            on = u > 1.0 / 708.0
+            bump, rate = np.zeros_like(u), np.zeros_like(u)
+            bump[on] = np.exp(-1.0 / u[on])
+            rate[on] = np.exp(-1.0 / u[on] - 2.0 * np.log(u[on]))
+            return bump, rate
+
+        (a, da), (b, db) = bump_and_rate(s + 1.0), bump_and_rate(-s)
+        with np.errstate(under="ignore"):
+            ref = (da * b + db * a) / (a + b) ** 2
+        np.testing.assert_allclose(chi_unit_rate(s), ref, rtol=2e-13, atol=0.0)
+
     def test_invalid_mu(self):
         with pytest.raises(ValueError):
             SwitchingProfile(mu=0.0)

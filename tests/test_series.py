@@ -134,7 +134,7 @@ class TestConvergenceGuard:
 
 class TestVerifyResummation:
     def test_bench_report_passes(self):
-        report = verify_resummation(BENCH, F, G, N=8, tol=1e-8, quad=QUAD)
+        report = verify_resummation(BENCH, F, G, N=8, quad=QUAD)
         assert report.verdict == "pass"
         assert report.final_rel_gap <= 1e-8
         assert report.max_dual_path_dev <= 1e-10
@@ -142,7 +142,7 @@ class TestVerifyResummation:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_free_case_trivial(self):
-        report = verify_resummation(FREE, F, G, N=0, tol=1e-12, quad=QUAD)
+        report = verify_resummation(FREE, F, G, N=0, quad=QUAD)
         assert report.verdict == "pass"
         assert report.final_rel_gap == 0.0
 
@@ -155,13 +155,13 @@ class TestVerifyResummation:
 
     def test_radius_violation_is_a_verdict_not_a_failure(self):
         strong = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=8.0)
-        report = verify_resummation(strong, F, G, N=4, tol=1e-8, quad=QUAD)
+        report = verify_resummation(strong, F, G, N=4, quad=QUAD)
         assert report.verdict == "radius-violated"
         assert not report.passed
 
     def test_rows_equal_per_order_terms(self):
         quad = QuadratureSpec(n_radial=512)
-        report = verify_resummation(BENCH, F, G, N=16, tol=1e-8, quad=quad)
+        report = verify_resummation(BENCH, F, G, N=16, quad=quad)
         cumulative = report.zeroth
         for n, row in enumerate(report.rows, start=1):
             t_beta = nth_order_term(n, BENCH, F, G, quad, path="beta-derivative").value
@@ -193,14 +193,14 @@ class TestVerifyResummation:
         assert calls == [QUAD.n_radial]
         calls.clear()
         assert cli.main(["series"]) == 0
-        # the report's grid, then pairing_check's coarse and refined pairings
-        assert calls == [64, 64, 128]
+        # the report's grid, then pairing_check's refined pairing
+        assert calls == [64, 128]
 
     def test_report_dict_round_trips_through_json(self):
         import json
 
-        report = verify_resummation(BENCH, F, G, N=3, tol=1e-6, quad=QUAD)
+        report = verify_resummation(BENCH, F, G, N=8, quad=QUAD)
         doc = json.loads(json.dumps(report.to_dict(), sort_keys=True))
         assert doc["verdict"] == "pass"
-        assert len(doc["orders"]) == 3
+        assert len(doc["orders"]) == 8
         assert doc["orders"][0]["order"] == 1

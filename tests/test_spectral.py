@@ -238,7 +238,7 @@ class TestPair:
         assert abs(fine - coarse) <= 1e-9
 
     def test_report_keys(self):
-        rep = pair_report(adiabatic(PARAMS), F, G, QUAD)
+        rep = pair_report(adiabatic(PARAMS), F, G, QUAD, pair(adiabatic(PARAMS), F, G, QUAD))
         assert set(rep) == {"label", "value_re", "value_im", "refinement_delta", "node_count"}
         assert rep["refinement_delta"] <= 1e-9
         assert rep["node_count"] == 2 * QUAD.n_radial

@@ -140,6 +140,28 @@ class TestNessBogoliubovMap:
         assert abs(scalar.a_plus[0] - batched.a_plus[0]) <= 1e-12
 
 
+class TestNormalizationIsTheWronskianDrift:
+    """With T = (a+ e^{-i el t} + a- e^{i el t}) / sqrt(2 el) after the
+    switch, the Wronskian is W = i (|a+|^2 - |a-|^2), so a pair's
+    normalization residual is the Wronskian drift at the t = 0 node, which
+    the solver gate has already held to 1e-8.  Bound: a few ulps of 1."""
+
+    BOUND = 4e-15
+
+    def test_suite_solves(self):
+        for traj in verify._suite_trajectories(default_config()):
+            drift = modes._drift(traj.y[:, :, -1])
+            assert np.max(np.abs(bogoliubov(traj).normalization_residual - drift)) <= self.BOUND
+
+    @pytest.mark.parametrize("case", sorted(NESS_CASES))
+    def test_ness_solves(self, case):
+        params, mu, packets, n = NESS_CASES[case]
+        k_nodes, _ = QuadratureSpec(n_radial=n).radial_rule(*packets)
+        traj = solve_modes(k_nodes, SwitchingProfile(mu), params, **verify._TIGHT_SOLVE)
+        drift = modes._drift(traj.y[:, :, -1])
+        assert np.max(np.abs(bogoliubov(traj).normalization_residual - drift)) <= self.BOUND
+
+
 class TestRampSolveCounts:
     @pytest.mark.parametrize(
         "index, expected",
