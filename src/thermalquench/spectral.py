@@ -20,7 +20,15 @@ without any branch swap.
 The time-domain pairing ``pair_finite_mu`` evaluates the state obtained by
 dragging the free thermal state through the switched mass ramp at finite
 switching scale; as the scale grows it approaches the shifted-branch state
-that keeps the free thermal coefficients.
+that keeps the free thermal coefficients.  It solves only the radial nodes
+that can move the pairing: for the monotone switch, Gronwall's inequality
+bounds every mode by |T(t)|^2 <= max(1/(2 eps), eps/(2 eps_lambda^2)), and
+the nodes whose summed a-priori bound stays within unit roundoff of the
+total are screened out before the one batched solve.  Each solved mode is
+projected in two parts split at the switch-off t = 0: the post-switch form,
+integrated against the packet in closed form from the Bogoliubov pair and
+``TestPacket.temporal_hat``, and the difference from it at the time rule's
+nodes before t = 0.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .modes import BogoliubovPair, SwitchingProfile, _gauss_legendre, solve_modes
+from .modes import BogoliubovPair, SwitchingProfile, _gauss_legendre, bogoliubov, solve_modes
 from .thermal import ThermalParams, bose_coefficient, dispersion
 
 
@@ -262,6 +270,40 @@ def pair_report(
     }
 
 
+def _early_nodes(p: TestPacket, quad: QuadratureSpec):
+    """The nodes of ``p``'s time rule before the switch-off t = 0, and their
+    weights times its temporal profile."""
+    t, w = quad.time_rule(p)
+    before = t < 0.0
+    return t[before], w[before] * p.temporal(t[before])
+
+
+def _projection(p: TestPacket, t, w, T, bog: BogoliubovPair, eps_lambda):
+    """Each solved mode projected onto ``p``'s temporal profile, split at
+    t = 0: the integral of the post-switch form T_after over all t, in
+    closed form, plus sum_j w_j (T - T_after)(t_j) over the early nodes
+    ``t`` and weights ``w`` of :func:`_early_nodes`, with ``T`` the modes
+    there, one row per momentum."""
+    a_plus, a_minus, root = bog.a_plus, bog.a_minus, np.sqrt(2.0 * eps_lambda)
+    phase = eps_lambda[:, None] * t
+    after = (a_plus[:, None] * np.exp(-1j * phase)
+             + a_minus[:, None] * np.exp(1j * phase)) / root[:, None]
+    closed = (a_plus * p.temporal_hat(eps_lambda) + a_minus * p.temporal_hat(-eps_lambda)) / root
+    return closed + (T - after) @ w
+
+
+def _screen(bound):
+    """The radial nodes a pairing solves, as a mask: the nodes of smallest
+    ``bound`` are dropped while their summed bound stays within unit
+    roundoff, 2**-53, of the summed finite bounds.  A node whose bound is
+    not finite is kept."""
+    order = np.argsort(bound)
+    dropped = np.cumsum(bound[order]) <= 2.0**-53 * np.sum(bound[np.isfinite(bound)])
+    keep = np.ones(bound.size, dtype=bool)
+    keep[order[dropped]] = False
+    return keep
+
+
 def pair_finite_mu(
     prof: SwitchingProfile,
     params: ThermalParams,
@@ -271,23 +313,64 @@ def pair_finite_mu(
 ) -> complex:
     """Time-domain pairing against the ramped free thermal state.
 
-    One batched ramp solve per switching scale covers every radial node:
-    :func:`~thermalquench.modes.solve_modes`, at its default tolerances,
-    carries all of them through the step maps of one grid on [-mu, 0], and
-    the trajectory reads the packets' time nodes inside the ramp by partial
-    steps, where every node's Wronskian is gated.  Past t = 0 the modes are
-    closed form, so the solve answers every time node however far the
-    packets' temporal supports extend.  Each mode is projected onto both
-    packets' temporal profiles; the thermal coefficients are those of
-    :func:`free_kms`, at the free frequency.
+    A radial node k contributes r(k) * [c_plus u_f conj(u_g) + c_minus
+    conj(u_f) u_g], with r the radial weight w_k 4 pi k^2 f(k) g(k), the
+    coefficients of :func:`free_kms` (at the free frequency) and u_f the
+    projection of the mode T onto f's temporal profile.
+
+    **The screen.**  Write the mode on its adiabatic amplitudes, T =
+    (alpha e^(-i theta) + beta e^(i theta)) / sqrt(2 w) with theta' = w and
+    w(t)^2 = eps^2 + (eps_lambda^2 - eps^2) chi(t/mu).  They obey alpha' =
+    (w'/2w) e^(2i theta) beta and beta' = (w'/2w) e^(-2i theta) alpha, so
+    (|alpha| + |beta|)' <= |w'|/(2w) (|alpha| + |beta|), and Gronwall's
+    inequality from alpha = 1, beta = 0 at t = -mu gives, for the monotone
+    switch, |alpha| + |beta| <= sqrt(max(w/eps, eps/w)).  As w lies between
+    eps and eps_lambda, |T(t)|^2 <= M = max(1/(2 eps), eps/(2 eps_lambda^2))
+    at every t.  Past t = 0 the amplitudes are the Bogoliubov pair, so the
+    post-switch form continued to t < 0 obeys the same bound:
+    |T_after(t)|^2 <= (|a_plus| + |a_minus|)^2 / (2 eps_lambda) <= M.  With
+    |fhat| <= sqrt(2 pi) sigma_f, the projection below has |u_f| <= sqrt(M)
+    (sqrt(2 pi) sigma_f + 2 sum_{t_j<0} w_j f(t_j)), so a node contributes
+    at most |r| (c_plus + c_minus) M times that factor for f and for g.  The
+    nodes of smallest bound are dropped while their summed bound stays
+    within unit roundoff, 2**-53, of the total (see :func:`_screen`); a node
+    whose bound is not finite is kept, and when no node is kept the pairing
+    is 0, with no solve.  No tolerance is tunable: the threshold is the
+    unit roundoff.
+
+    **The solve.**  One batched ramp solve,
+    :func:`~thermalquench.modes.solve_modes` at its default tolerances,
+    carries the kept nodes over [-mu, 0]; its grid is sized by their
+    largest frequency.
+
+    **The projection**, split at the switch-off t = 0.  Past it the mode is
+    T_after = (a_plus e^(-i eps_lambda t) + a_minus e^(i eps_lambda t))
+    / sqrt(2 eps_lambda), with the pair of
+    :func:`~thermalquench.modes.bogoliubov`, whose integral against f is
+    (a_plus fhat(eps_lambda) + a_minus fhat(-eps_lambda)) / sqrt(2
+    eps_lambda) in closed form (:meth:`TestPacket.temporal_hat`).  The rest,
+    the integral of f (T - T_after) over t < 0, is the time rule's sum over
+    its own nodes before t = 0, read from the solve by one ``evaluate`` call
+    on the early nodes of both packets (partial steps inside the ramp, where
+    every node's Wronskian is gated, and the plane wave before it).
     """
-    tf, wf = quad.time_rule(f)
-    tg, wg = quad.time_rule(g)
     k, wk = quad.radial_rule(f, g)
-    times = np.concatenate((tf, tg))
-    T, _ = solve_modes(k, prof, params).evaluate(times)
-    u_f = T[:, : tf.size] @ (wf * f.temporal(tf))
-    u_g = T[:, tf.size :] @ (wg * g.temporal(tg))
     free = free_kms(params)
-    kernel = free.c_plus(k) * u_f * np.conj(u_g) + free.c_minus(k) * np.conj(u_f) * u_g
-    return complex(np.sum(wk * 4.0 * np.pi * k * k * f.spatial(k) * g.spatial(k) * kernel))
+    c_plus, c_minus = free.c_plus(k), free.c_minus(k)
+    radial = wk * 4.0 * np.pi * k * k * f.spatial(k) * g.spatial(k)
+    (tf, wf), (tg, wg) = (_early_nodes(p, quad) for p in (f, g))
+    disp = dispersion(k, params)
+    amp_sq = np.maximum(0.5 / disp.eps, 0.5 * disp.eps / disp.eps_lambda**2)
+    reach_f, reach_g = (
+        math.sqrt(2.0 * math.pi) * p.t_width + 2.0 * np.sum(w) for p, w in ((f, wf), (g, wg))
+    )
+    keep = _screen(np.abs(radial) * (c_plus + c_minus) * amp_sq * reach_f * reach_g)
+    if not keep.any():
+        return 0j
+    traj = solve_modes(k[keep], prof, params)
+    bog = bogoliubov(traj)
+    T, _ = traj.evaluate(np.concatenate((tf, tg)))
+    u_f = _projection(f, tf, wf, T[:, : tf.size], bog, traj.eps_lambda)
+    u_g = _projection(g, tg, wg, T[:, tf.size :], bog, traj.eps_lambda)
+    kernel = c_plus[keep] * u_f * np.conj(u_g) + c_minus[keep] * np.conj(u_f) * u_g
+    return complex(np.sum(radial[keep] * kernel))

@@ -275,13 +275,15 @@ class TestOneGridPass:
         assert passes[drawn:] == [1] * (len(ramp_solves) - drawn)
 
     def test_accepted_grids_are_pinned(self, ramp_solves, capsys):
-        # criterion 6's mu ladder, then default ness and limits: a norm that
-        # misreads the step error shows as a moved grid
+        # criterion 6's mu ladder on the 42 radial nodes its screen keeps,
+        # then default ness and limits: a norm that misreads the step error
+        # shows as a moved grid
         assert verify.criterion_6(default_config()).status == "pass"
         assert cli.main(["ness"]) == 0
         assert cli.main(["limits"]) == 0
-        steps = [96, 191, 381, 762] + [48] + [27, 49, 98, 196]
+        steps = [71, 141, 282, 563] + [48] + [27, 49, 98, 196]
         assert [(traj.n_steps, traj.passes) for traj in ramp_solves] == [(n, 1) for n in steps]
+        assert [traj.eps.size for traj in ramp_solves[:4]] == [42] * 4
 
     def test_regrown_grid_matches_seeded_grid(self, monkeypatch):
         # a seed four times too small fails the error check; the regrow loop
@@ -304,9 +306,10 @@ class TestMomentumFreeStepMaps:
     direct path, which runs them on the batch's own x, is the reference."""
 
     # measured worst, k up to 5.5: 8.0e-15 on the step maps and 3.1e-7 on
-    # the error maps relative to their largest entry on criterion 6's mu = 40
-    # grid; 2.8e-14 on the step maps at the long step h = 0.2, where h * w
-    # reaches 1.1 and six samples (a dropped x**6 term) would miss by 1.2e-10
+    # the error maps relative to their largest entry on the unscreened mu = 40
+    # grid of the 64 default radial nodes; 2.8e-14 on the step maps at the
+    # long step h = 0.2, where h * w reaches 1.1 and six samples (a dropped
+    # x**6 term) would miss by 1.2e-10
     STEP_ABS = 1e-13
     ERROR_REL = 1e-5
 
@@ -318,7 +321,7 @@ class TestMomentumFreeStepMaps:
         ks = np.append(rng.uniform(0.0, 5.5, n - 1), 5.5)
         eps = dispersion(ks, verify.MODE_PARAMS).eps
         mu, shift = 40.0, verify.MODE_PARAMS.mass_shift
-        t = np.linspace(-mu, 0.0, 763)[200:456]  # a block of criterion 6's largest grid
+        t = np.linspace(-mu, 0.0, 763)[200:456]  # a block of the unscreened mu = 40 grid
         if step == "per-start":  # as between grid nodes
             h = rng.uniform(0.0, mu / 762, t.size)
         else:
@@ -347,7 +350,7 @@ class TestMomentumFreeStepMaps:
             return [(traj.eps.size, traj.n_steps, traj.passes) for traj in ramp_solves]
 
         default = grids()
-        assert [g[1] for g in default[:4]] == [96, 191, 381, 762]
+        assert [g[:2] for g in default[:4]] == [(42, 71), (42, 141), (42, 282), (42, 563)]
         monkeypatch.setattr(modes, "_DIRECT_MAX", 10**9)
         assert grids() == default
 
@@ -400,9 +403,7 @@ class TestErrorNorm:
     def test_matches_batched_products(self, block, ramp_solves):
         config = default_config()
         if block == "criterion-6":  # 256 steps of the mu = 40 grid, interpolated maps
-            assert verify.criterion_6(config).status == "pass"
-            traj, part = ramp_solves[-1], slice(200, 456)
-            assert traj.eps.size == 64 > modes._DIRECT_MAX and traj.n_steps == 762
+            traj, part = _mu40_solve(), slice(200, 456)
         else:  # the first limits solve, two momenta on their own x
             switch_integrals(np.array(config.k_values), SwitchingProfile(config.mu_ladder[0]),
                              config.params)
@@ -488,22 +489,19 @@ def _csv_fields(path):
     return rows[0], [[field(v) for v in row] for row in rows[1:]]
 
 
-@pytest.fixture(scope="class")
-def mu40_solve():
-    """Criterion 6's mu = 40 ramp solve: 64 momenta on 762 steps."""
-    trajs = []
-    original = modes._ramp_solve
-
-    def recording(*args, **kwargs):
-        trajs.append(original(*args, **kwargs))
-        return trajs[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modes, "_ramp_solve", recording)
-        assert verify.criterion_6(default_config()).status == "pass"
-    traj = trajs[-1]
+def _mu40_solve():
+    """The ramp solve of all 64 default radial nodes at mu = 40, criterion
+    6's largest rung, unscreened: 64 momenta on 762 steps."""
+    config = default_config()
+    k, _ = config.quadrature.radial_rule(*config.packet_pair)
+    traj = solve_modes(k, SwitchingProfile(config.mu_ladder[-1]), verify.MODE_PARAMS)
     assert traj.eps.size == 64 > modes._DIRECT_MAX and traj.n_steps == 762
     return traj
+
+
+@pytest.fixture(scope="class")
+def mu40_solve():
+    return _mu40_solve()
 
 
 class TestGroupedCarry:
@@ -511,8 +509,8 @@ class TestGroupedCarry:
     group at once and one product per group between them, against one 2x2
     product per step."""
 
-    # measured worst: 2.5e-15 of the largest node entry on criterion 6's first
-    # block, and at most that on the others
+    # measured worst: 2.5e-15 of the largest node entry on the first block of
+    # the unscreened mu = 40 solve, and at most that on the others
     REL = 1e-13
     # every CSV field and measured value of the CLI commands, absolute
     ABS = 1e-13
@@ -535,7 +533,8 @@ class TestGroupedCarry:
 
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 128])
     def test_criterion_6_block(self, m, mu40_solve):
-        # the first m steps of the mu = 40 grid's first block, interpolated maps
+        # the first m steps of the unscreened mu = 40 grid's first block,
+        # interpolated maps
         traj = mu40_solve
         assert modes._BLOCK // traj.eps.size == 128
         h = traj.mu / traj.n_steps
@@ -703,14 +702,16 @@ class TestNodePlanes:
         monkeypatch.setattr(modes, "_samples", counting)
         monkeypatch.setattr(modes.ModeTrajectory, "_between_nodes", reading)
         assert verify.criterion_6(default_config()).status == "pass"
-        # criterion 6's four solves of 64 momenta span 12 blocks, and each
-        # solve is read between its nodes once
-        assert [traj.n_steps for traj in ramp_solves] == [96, 191, 381, 762]
-        assert calls == [64] * 8 and len(reads) == 4
+        # criterion 6's four solves of the 42 kept momenta span 7 blocks, and
+        # each solve is read between its nodes once
+        assert [(traj.eps.size, traj.n_steps) for traj in ramp_solves] == [
+            (42, 71), (42, 141), (42, 282), (42, 563)
+        ]
+        assert calls == [42] * 8 and len(reads) == 4
         del calls[:]
         traj = ramp_solves[-1]
-        traj.evaluate(np.linspace(-traj.mu, 0.0, 3 * modes._BLOCK // 64 + 1)[1:-1])
-        assert calls == [64] and reads[-1] > 2 * modes._BLOCK // 64
+        traj.evaluate(np.linspace(-traj.mu, 0.0, 3 * modes._BLOCK // 42 + 1)[1:-1])
+        assert calls == [42] and reads[-1] > 2 * modes._BLOCK // 42
 
 
 class TestTanhOracle:

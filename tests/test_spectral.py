@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from thermalquench import modes
+from thermalquench import cli, modes, spectral, verify
+from thermalquench.config import default_config
 from thermalquench.modes import (
     BogoliubovPair,
     IntegratorError,
     SwitchingProfile,
+    bogoliubov,
     solve_modes,
     sudden_quench_pair,
 )
@@ -293,3 +295,149 @@ class TestPairFiniteMu:
         quad = QuadratureSpec(n_radial=8, n_time=40)
         with pytest.raises(IntegratorError, match="Wronskian drift"):
             pair_finite_mu(SwitchingProfile(40.0), PARAMS, F, G, quad)
+
+
+def _pair_all_nodes(prof, params, f, g, quad):
+    """The finite-switch pairing with every radial node solved and every
+    time node read from the trajectory: the reference for the screened,
+    split pairing of ``pair_finite_mu``."""
+    tf, wf = quad.time_rule(f)
+    tg, wg = quad.time_rule(g)
+    k, wk = quad.radial_rule(f, g)
+    T, _ = solve_modes(k, prof, params).evaluate(np.concatenate((tf, tg)))
+    u_f = T[:, : tf.size] @ (wf * f.temporal(tf))
+    u_g = T[:, tf.size :] @ (wg * g.temporal(tg))
+    free = free_kms(params)
+    kernel = free.c_plus(k) * u_f * np.conj(u_g) + free.c_minus(k) * np.conj(u_f) * u_g
+    return complex(np.sum(wk * 4.0 * np.pi * k * k * f.spatial(k) * g.spatial(k) * kernel))
+
+
+def _amplitude_bound(k, params):
+    """M = max(1/(2 eps), eps/(2 eps_lambda^2)), the bound on |T(t)|^2 of a
+    mode through a monotone switch."""
+    disp = dispersion(k, params)
+    return np.maximum(0.5 / disp.eps, 0.5 * disp.eps / disp.eps_lambda**2)
+
+
+class TestAmplitudeBound:
+    """The screen of ``pair_finite_mu`` rests on |T(t)|^2 <= M at every t
+    and on (|a_plus| + |a_minus|)^2 / (2 eps_lambda) <= M past the switch."""
+
+    # measured worst: M * (1 + 3.8e-15); the bound is reached at t = -mu for
+    # lam > 0, where |T|^2 = 1/(2 eps) = M, so only rounding may exceed it
+    REL = 1e-12
+
+    @pytest.mark.parametrize("lam", [-0.95, -0.3, 1e-4, 0.5, 10.0, 50.0])
+    @pytest.mark.parametrize("mu", [1e-3, 1.0, 40.0])
+    def test_bound_holds_on_solved_modes(self, lam, mu):
+        params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=lam)
+        ks = np.linspace(0.0, 6.0, 13)
+        traj = solve_modes(ks, SwitchingProfile(mu), params)
+        bound = _amplitude_bound(ks, params)
+        assert np.all(np.max(np.abs(traj.T) ** 2, axis=1) <= bound * (1.0 + self.REL))
+        bog = bogoliubov(traj)
+        after = (np.abs(bog.a_plus) + np.abs(bog.a_minus)) ** 2 / (2.0 * traj.eps_lambda)
+        assert np.all(after <= bound * (1.0 + self.REL))
+
+
+class TestScreenedPairing:
+    """The screened pairing, which solves only the radial nodes whose bound
+    can reach the sum and projects each mode past t = 0 in closed form,
+    against the all-nodes, all-times reference."""
+
+    # measured worst: 6.6e-14 on the acceptance ladders and 5.9e-13 at
+    # lam = 10.  The screened nodes' bounds sum to under 4e-17 there; the
+    # rest is the solve itself, on the coarser grid the kept nodes lay
+    REL = 1e-12
+
+    def assert_matches_reference(self, prof, params, f, g, quad, ramp_solves):
+        del ramp_solves[:]
+        value = pair_finite_mu(prof, params, f, g, quad)
+        (traj,) = ramp_solves
+        reference = _pair_all_nodes(prof, params, f, g, quad)
+        assert abs(value - reference) <= self.REL * abs(reference)
+        return traj.eps.size
+
+    # the nodes above k = 4.0 carry less than unit roundoff of the summed
+    # bound: 22 of 64 on the default rule, 45 of 128 on the refined one
+    @pytest.mark.parametrize("refine, kept", [(False, 42), (True, 83)])
+    def test_acceptance_ladders(self, refine, kept, ramp_solves):
+        config = default_config().refined() if refine else default_config()
+        f, g = config.packet_pair
+        for mu in config.mu_ladder:
+            assert self.assert_matches_reference(
+                SwitchingProfile(mu), verify.MODE_PARAMS, f, g, config.quadrature, ramp_solves
+            ) == kept
+
+    @pytest.mark.parametrize("lam", [-0.9, 10.0])
+    def test_strong_shifts(self, lam, ramp_solves):
+        params = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=lam)
+        kept = self.assert_matches_reference(SwitchingProfile(10.0), params, F, G, QUAD, ramp_solves)
+        assert kept < QUAD.n_radial
+
+    @pytest.mark.parametrize("t_center", [3.0, 0.0, -13.0], ids=["after", "across", "before"])
+    def test_packet_times(self, t_center, ramp_solves):
+        # wholly after the switch, across its end at t = 0 (half of each time
+        # rule inside the ramp), and wholly before it starts at t = -mu = -10
+        f = Packet(k_center=1.0, k_width=0.5, t_center=t_center, t_width=0.3)
+        g = Packet(k_center=1.2, k_width=0.4, t_center=t_center + 0.5, t_width=0.3)
+        self.assert_matches_reference(SwitchingProfile(10.0), PARAMS, f, g, QUAD, ramp_solves)
+
+    def test_pair_that_screens_no_node(self, ramp_solves):
+        # every radial rule runs 9 widths past the farther packet, so its top
+        # node carries under e^-40 of a packet's peak; only a coarse rule
+        # keeps every node: two nodes, each 5.2 widths off the common centre
+        f = Packet(k_center=9.0, k_width=1.0, t_center=-0.5, t_width=0.5)
+        g = Packet(k_center=9.0, k_width=1.0, t_center=0.5, t_width=0.5)
+        quad = QuadratureSpec(n_radial=2, n_time=80)
+        kept = self.assert_matches_reference(SwitchingProfile(5.0), PARAMS, f, g, quad, ramp_solves)
+        assert kept == 2
+
+    def test_nothing_kept_is_zero_without_a_solve(self, ramp_solves):
+        # the momentum profiles do not overlap: every radial weight is 0
+        f = Packet(k_center=0.0, k_width=0.01)
+        g = Packet(k_center=50.0, k_width=0.01)
+        assert pair_finite_mu(SwitchingProfile(1.0), PARAMS, f, g, QUAD) == 0j
+        assert ramp_solves == []
+        assert _pair_all_nodes(SwitchingProfile(1.0), PARAMS, f, g, QUAD) == 0j
+
+
+def _free_with_nan_at_top(params):
+    """:func:`free_kms` with c_plus NaN at the largest momentum it is given."""
+    free = free_kms(params)
+
+    def c_plus(k):
+        return np.where(k == k.max(), np.nan, free.c_plus(k))
+
+    return SpectralState(free.branch, c_plus, free.c_minus, free.label, params)
+
+
+class TestNonFiniteBound:
+    """A NaN bound keeps its node: the NaN reaches the pairing, and
+    ``verify-all`` refuses it, instead of the node being screened away."""
+
+    def test_nan_coefficient_makes_the_pairing_nan(self, ramp_solves, monkeypatch):
+        config = default_config()
+        f, g = config.packet_pair
+        k, _ = config.quadrature.radial_rule(f, g)
+        prof = SwitchingProfile(40.0)
+        assert math.isfinite(abs(pair_finite_mu(prof, verify.MODE_PARAMS, f, g, config.quadrature)))
+        assert ramp_solves[-1].k_mag.max() < k.max()  # the top node is screened
+        monkeypatch.setattr(spectral, "free_kms", _free_with_nan_at_top)
+        with np.errstate(all="raise"):
+            value = pair_finite_mu(prof, verify.MODE_PARAMS, f, g, config.quadrature)
+        assert math.isnan(value.real) and math.isnan(value.imag)
+        assert ramp_solves[-1].k_mag.max() == k.max()
+
+    def test_verify_all_exits_3(self, tmp_path, monkeypatch, capsys):
+        # only criterion 6's pairings see the NaN coefficient
+        def poisoned(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral, "free_kms", _free_with_nan_at_top)
+                return pair_finite_mu(*args)
+
+        monkeypatch.setattr(verify, "pair_finite_mu", poisoned)
+        assert cli.main(["verify-all", "--out", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("numerical failure")
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 5 + ["FAIL"] + ["PASS"] * 4
