@@ -91,12 +91,18 @@ def _emit_csv(header, rows, out_dir, filename):
     _emit_text(buf.getvalue(), out_dir, filename)
 
 
-def _emit_json(payload, out_dir, filename):
+def _strict_json(payload, filename):
+    """``payload`` as strict JSON text; a NaN or infinite value raises
+    ``NonFiniteOutput`` naming ``filename``."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteOutput(f"{filename}: {exc}") from exc
-    _emit_text(text + "\n", out_dir, filename)
+    return text + "\n"
+
+
+def _emit_json(payload, out_dir, filename):
+    _emit_text(_strict_json(payload, filename), out_dir, filename)
 
 
 def _emit_text(text, out_dir, filename):
@@ -206,6 +212,10 @@ def cmd_ness(args, config: RunConfig) -> int:
 
 
 def cmd_verify_all(args, config: RunConfig) -> int:
+    """Run every criterion and print one summary line each.  The payload is
+    checked as strict JSON with or without ``--out``, after the summary
+    lines (which name the criterion that measured a NaN) and before any
+    file is written, so a non-finite measured value exits 3 either way."""
     results = verify.run_all(config)
     for r in results:
         print(r.summary_line())
@@ -213,8 +223,9 @@ def cmd_verify_all(args, config: RunConfig) -> int:
         "criteria": [r.to_dict() for r in results],
         "all_passed": all(r.status != "fail" for r in results),
     }
+    text = _strict_json(payload, "verify_all.json")
     if args.out is not None:
-        _emit_json(payload, args.out, "verify_all.json")
+        _emit_text(text, args.out, "verify_all.json")
     return EXIT_OK if payload["all_passed"] else EXIT_CRITERION
 
 

@@ -21,30 +21,42 @@ and it computes a rule on first use, never at import.  The module needs
 numpy alone.
 
 One routine does every ramp solve.  The mode equation is linear, so one
-DOP853 step of (T, Tdot) is a real 2x2 matrix that does not depend on the
-state: the routine builds the maps of every step of a uniform grid on
-[-mu, 0], for every momentum at once, and carries the plane-wave data at
--mu through them in two levels: the products of the maps within each group
-of ``_GROUP`` steps are formed for all groups at once, only the group
-start nodes are carried one group after another, and each group's nodes
-are then its products times its start node (see ``_carry``).  Every map
-is a polynomial of degree at most 6 in x = eps**2, so a large batch
+DOP853 step of (T, Tdot) is a real 2x2 matrix that does not depend on
+the state: the routine builds the maps of every step of a uniform grid
+on [-mu, 0], for every momentum at once, and carries the plane-wave data
+at -mu through them in two levels: the products of the maps within each
+group of ``_GROUP`` steps are formed for all groups at once, only the
+group start nodes are carried one group after another, and each group's
+nodes are then its products times its start node (see ``_carry``).  The
+stages run in the Nystrom form of DOP853: the top row of each stage's
+2x2 map is the bottom row of the one before it, so only the bottom rows
+are formed, and one contraction of them gives the step map and both
+error maps (the derivation is in ``_step_maps``).  Every map is a
+polynomial of degree at most 6 in x = eps**2, so a large batch
 interpolates its maps from seven frequencies, set up once per solve (see
-``_samples``).  Maps and grid nodes are laid out entries first, (row,
+``_samples``).  A solve's block work arrays (the stages, the
+interpolated maps, the carry's products and the error norm's
+temporaries) are views into one arena per thread of ``_ARENA_PLANES``
+planes of ``_BLOCK`` doubles, 1.8 MB, made on the thread's first solve
+and reused by every block of every later one, so a warm solve allocates
+no fresh block-sized memory; a block that needs more allocates its own
+arrays.  Only the node planes, which the trajectory keeps, are a fresh
+array per solve.  Maps and grid nodes are laid out entries first, (row,
 column, step, momentum) and (component, real or imaginary part, node,
 momentum), so that the step-error norm is elementwise arithmetic on
 contiguous (step, momentum) planes.  The first grid is seeded from the
 tolerance by the h**8 error law, rtol**(-1/8) * max(0.19 * mu * (largest
 frequency), 1.5) steps, with both constants fitted once on measured
-solves.  DOP853's embedded error estimate, taken per step and per momentum
-as scipy's step control takes it for a single mode, checks the grid, and a
-grid that fails the check is regrown.  The node planes are a solve's one
-store, made complex only where a reader asks, and each momentum's
-Wronskian is gated on them in real arithmetic, |2*(Tdot_re*T_im -
-Tdot_im*T_re) - 1|, at every node and every ramp time a caller reads.
-Between nodes a value is one partial step from the node before.  Before
--mu the mode is the plane wave, and for t >= 0 it is closed form from its
-data at t = 0, the last node, where the Bogoliubov pair is read.
+solves.  DOP853's embedded error estimate, taken per step and per
+momentum as scipy's step control takes it for a single mode, checks the
+grid, and a grid that fails the check is regrown.  The node planes are a
+solve's one store, made complex only where a reader asks, and each
+momentum's Wronskian is gated on them in real arithmetic,
+|2*(Tdot_re*T_im - Tdot_im*T_re) - 1|, at every node and every ramp time
+a caller reads.  Between nodes a value is one partial step from the node
+before.  Before -mu the mode is the plane wave, and for t >= 0 it is
+closed form from its data at t = 0, the last node, where the Bogoliubov
+pair is read.
 
 Every reader of a solve returns the momentum batch: ``evaluate`` one row
 per momentum, :func:`bogoliubov`, :func:`switch_integrals`,
@@ -59,6 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +94,15 @@ _BLOCK = 2**13
 # 16, 24, 32 and 64 at 64 and at 2 momenta, and about twice as fast as one
 # 2x2 product per step; a 27-step block of one momentum takes ~10 us longer
 _GROUP = 8
+# A solve's block work arrays are views into one buffer per thread of
+# _ARENA_PLANES planes of _BLOCK doubles (see _block_arena), reused by every
+# block of every solve.  A full block peaks at 25.5 planes in _carry, and an
+# interpolated batch of n momenta at 12 + 336 / n in _step_maps, which fits
+# from n = 21 on; verify-all, limits and ness peak at 25.1 and never
+# overflow.  Fresh arrays freed after every block cost ~1200 minor page
+# faults per warm verify-all, as glibc trimmed the heap and the next block
+# faulted it back.
+_ARENA_PLANES = 28
 # _step_maps interpolates the maps of a batch with more than _DIRECT_MAX
 # distinct x.  The cut-over is measured: on ramp solves of 8, 12, 16, 24 and
 # 32 radial nodes at tight tolerances, interpolating cost 13% and 5% more at
@@ -169,6 +191,12 @@ _E3_ROW[8] -= 0.733846688281611857341361741547
 _E3_ROW[11] -= 0.220588235294117647058823529412e-1
 _A, _E = (np.array([[row.get(j, 0.0) for j in range(_C.size)] for row in rows])
           for rows in (_A_ROWS, (_E5_ROW, _E3_ROW)))  # (13, 12) and (2, 12)
+# The Nystrom form of the tableau (see _step_maps): (A^2)_sl, zero unless
+# l <= s - 2, and the six rows that give the step and error maps from the
+# stages' bottom rows, each to be scaled by h**_MAP_H_POWERS
+_A2 = _A[:-1] @ _A[:-1]
+_MAP_ROWS = np.stack([_A[-1] @ _A[:-1], _A[-1], _E[0] @ _A[:-1], _E[0], _E[1] @ _A[:-1], _E[1]])
+_MAP_H_POWERS = np.array([2, 1, 1, 0, 1, 0]).reshape(6, 1, 1, 1)
 
 
 class IntegratorError(RuntimeError):
@@ -271,58 +299,112 @@ def _samples(eps):
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes, num / den
 
 
-def _step_maps(t, h, samples, shift: float, mu: float):
+class _Arena:
+    """Work arrays handed out as consecutive views of one buffer of ``size``
+    doubles.  ``used`` counts the doubles handed out: a caller notes it
+    before taking and sets it back when the arrays it took are dead, and a
+    ramp solve sets it to 0 at the start of each block.  A request that does
+    not fit gets a fresh array; an arena of size 0 hands out only fresh
+    arrays."""
+
+    def __init__(self, size: int = 0):
+        self.buf = np.empty(size)
+        self.used = 0
+
+    def take(self, shape):
+        size = math.prod(shape)
+        if self.used + size > self.buf.size:
+            return np.empty(shape)
+        self.used += size
+        return self.buf[self.used - size : self.used].reshape(shape)
+
+
+_THREAD = threading.local()
+
+
+def _block_arena() -> _Arena:
+    """This thread's arena of ``_ARENA_PLANES`` block planes, made on the
+    thread's first ramp solve and kept for the life of the thread."""
+    arena = getattr(_THREAD, "arena", None)
+    if arena is None:
+        arena = _THREAD.arena = _Arena(_ARENA_PLANES * _BLOCK)
+    return arena
+
+
+def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena | None = None):
     """DOP853 steps of the mode equation from the start times ``t`` (m,) by
     the step sizes ``h`` (a scalar or one per start), for every frequency of
     a batch, given as its :func:`_samples`.
 
     The equation is linear, so a step is a real 2x2 map of (T, Tdot) that
     does not depend on the state: the stages run on the identity, for all
-    (start, sample) pairs at once, each stage one weighted sum of the
-    stages before it, and the step map one more such sum.  The momentum
-    enters only through x = eps**2, in each stage's derivative map
-    [[0, 1], [-w**2, 0]] with -w**2 = -(x + shift * chi) as x times the
-    nilpotent [[0, 0], [-1, 0]].  Every map is a sum of products of at most
-    twelve derivative maps in which x cannot enter two factors in a row, so
-    each entry is a polynomial in x of degree at most ``_DEGREE`` = 6, and
-    seven samples of x determine every momentum's maps: with weights, all
-    twelve entry planes of the three maps are interpolated in one stacked
-    product.  Returns (step, err5, err3), each entries first, of shape
-    (2, 2, m, n): the order-8 step map and the two embedded error maps that
-    DOP853's step control combines (before its factor h).
+    (start, sample) pairs at once.  They run in the Nystrom form of the
+    method (Hairer, Norsett and Wanner, Solving ODEs I, section II.14).
+    Stage s's map is d/dt of Y_s = I + h * sum_j a_sj * (stage j), and the
+    derivative map [[0, 1], [-w**2, 0]] makes its top row a copy of the
+    bottom row of Y_s, so only the bottom rows K_s = -w_s**2 * (top row of
+    Y_s) are formed.  The top row of Y_s is e0 + h * sum_j a_sj * (bottom
+    row of Y_j) = e0 + h * c_s * e1 + h**2 * sum_l (A**2)_sl K_l, using
+    sum_j a_sj = c_s.  In the same way the step map has rows e0 + h * e1 +
+    h**2 * sum_l (bA)_l K_l and e1 + h * sum_l b_l K_l, and each error map,
+    sum_s E_s * (stage s), has rows h * sum_l (EA)_l K_l and sum_l E_l K_l:
+    its e1 term, (sum_s E_s) * e1, is zero.  All six rows are one
+    contraction of the stages with ``_MAP_ROWS``.
+
+    The momentum enters only through x = eps**2, in -w**2 = -(x + shift *
+    chi).  Every map is a sum of products of at most twelve derivative maps
+    in which x cannot enter two factors in a row, so each entry is a
+    polynomial in x of degree at most ``_DEGREE`` = 6, and seven samples of x
+    determine every momentum's maps: with weights, the twelve entry planes
+    of the three maps are interpolated in one stacked product.  Returns (step,
+    err5, err3), each entries first, of shape (2, 2, m, n): the order-8 step
+    map and the two embedded error maps that DOP853's step control combines
+    (before its factor h).  With an ``arena`` the maps are views into it and
+    its ``used`` is left just past them; without one they are fresh arrays.
     """
+    arena = arena or _Arena()
     t = np.asarray(t, dtype=float)
     h = np.asarray(h, dtype=float)
     h_col = h[:, None] if h.ndim else h
     xs, mix = samples
-    # -w(t)^2 at every stage time, shape (12, m, samples)
-    chi = chi_unit((t + _C[:, None] * h) / mu)
-    neg_w_sq = -(xs + shift * chi[..., None])
-    # stage s is the 2x2 map d/dt (T, Tdot) at its stage time, entries first
-    stages = np.empty((_C.size, 2, 2, t.size, xs.size))
+    m, p = t.size, xs.size
+    maps = arena.take((3, 2, 2, m, p if mix is None else mix.shape[0]))
+    mark = arena.used
+    # -w(t)^2 at every stage time, (stage, start, sample)
+    neg_w_sq = arena.take((_C.size, m, p))
+    np.multiply(chi_unit((t + _C[:, None] * h) / mu)[..., None], -shift, out=neg_w_sq)
+    neg_w_sq -= xs
+    # K_s, the bottom row of stage s's map, (stage, column, start, sample)
+    stages = arena.take((_C.size, 2, m, p))
     flat = stages.reshape(_C.size, -1)
-    for s, row in enumerate(_A):
+    h_sq = h_col * h_col
+    for s, k in enumerate(stages):
         # einsum rather than a BLAS product: a threaded BLAS gemv runs ~10x
         # slower on a busy two-core machine
-        y = h_col * np.einsum("s,sm->m", row[:s], flat[:s]).reshape(stages.shape[1:])
-        y[0, 0] += 1.0
-        y[1, 1] += 1.0
-        if s == _C.size:  # the last row gives the order-8 solution
-            break
-        stages[s, 0] = y[1]
-        np.multiply(neg_w_sq[s], y[0], out=stages[s, 1])
-    err5, err3 = np.einsum("es,sm->em", _E, flat).reshape((2,) + stages.shape[1:])
-    if mix is None:
-        return y, err5, err3
-    # the twelve entry planes of the three maps, (start, sample) each, times
-    # the Lagrange weights: twelve products of 7 * _BLOCK multiply-adds for a
-    # full block, small enough that OpenBLAS runs each on one thread (with
-    # BLAS unpinned, its helper thread took no CPU time on 8 to 8192 momenta)
-    planes = np.stack((y, err5, err3)).reshape(12, t.size, xs.size)
-    return tuple(np.matmul(planes, mix.T).reshape(3, 2, 2, t.size, -1))
+        below = max(s - 1, 0)
+        np.einsum("l,lm->m", _A2[s, :below], flat[:below], out=flat[s])
+        k *= h_sq
+        k[0] += 1.0
+        k[1] += _C[s] * h_col
+        k *= neg_w_sq[s]
+    # the six rows of the three maps, (map row, column, start, sample)
+    rows = maps.reshape(6, 2, m, -1) if mix is None else arena.take((6, 2, m, p))
+    np.einsum("rl,lm->rm", _MAP_ROWS, flat, out=rows.reshape(6, -1))
+    rows *= h_col**_MAP_H_POWERS
+    rows[0, 0] += 1.0
+    rows[0, 1] += h_col
+    rows[1, 1] += 1.0
+    if mix is not None:
+        # the twelve planes, (start, sample) each, times the Lagrange weights:
+        # twelve products of 7 * _BLOCK multiply-adds for a full block, small
+        # enough that OpenBLAS runs each on one thread (with BLAS unpinned,
+        # its helper thread took no CPU time on 8 to 8192 momenta)
+        np.matmul(rows.reshape(12, m, p), mix.T, out=maps.reshape(12, m, -1))
+    arena.used = mark
+    return maps[0], maps[1], maps[2]
 
 
-def _error_norm(err5, err3, y, h: float, rtol: float, atol: float):
+def _error_norm(err5, err3, y, h: float, rtol: float, atol: float, arena: _Arena | None = None):
     """scipy's DOP853 error norm of every step and momentum, shape (N, n).
 
     ``err5`` and ``err3`` are the error maps of N steps, (2, 2, N, n), and
@@ -333,27 +415,53 @@ def _error_norm(err5, err3, y, h: float, rtol: float, atol: float):
     two components of one momentum as scipy combines a two-component state,
     all as elementwise arithmetic on (N, n) planes.  A NaN error or node
     gives a NaN norm for its step and momentum; only an exact zero error
-    reads 0.
+    reads 0.  With an ``arena`` the norm is a view into it, and its ``used``
+    is left past it.
     """
-    sq = y[:, 0] ** 2 + y[:, 1] ** 2
-    scale_sq = np.square(atol + rtol * np.sqrt(np.maximum(sq[:, :-1], sq[:, 1:])))
-    start = y[:, :, :-1]
+    arena = arena or _Arena()
+    n_steps, n = err5.shape[2:]
+    norms = arena.take((2, n_steps, n))
+    mark = arena.used
+    # (atol + rtol * max |y| over the step's two ends)**2 per component
+    scale_sq = arena.take((2, n_steps, n))
+    scaled = arena.used
+    sq, part = arena.take((2, 2, n_steps + 1, n))
+    np.add(np.square(y[:, 0], out=sq), np.square(y[:, 1], out=part), out=sq)
+    np.sqrt(np.maximum(sq[:, :-1], sq[:, 1:], out=scale_sq), out=scale_sq)
+    scale_sq *= rtol
+    scale_sq += atol
+    np.square(scale_sq, out=scale_sq)
+    arena.used = scaled
     # err @ start is (component, real or imaginary part, step, momentum)
-    e5, e3 = (
-        sum((part[c, 0] ** 2 + part[c, 1] ** 2) / scale_sq[c] for c in range(2))
-        for part in (_product(err5, start), _product(err3, start))
-    )
-    denom = e5 + 0.01 * e3
-    return np.divide(h * e5, np.sqrt(2.0 * denom), out=np.zeros_like(e5), where=denom != 0)
+    work = arena.take((2, 2, 2, n_steps, n))
+    for err, norm in zip((err5, err3), norms):
+        prod = _product(err, y[:, :, :-1], out=work[0], work=work)
+        np.square(prod, out=prod)
+        total = np.add(prod[:, 0], prod[:, 1], out=work[1, 0])
+        total /= scale_sq
+        np.add(total[0], total[1], out=norm)
+    e5, denom = norms
+    denom *= 0.01
+    denom += e5
+    e5 *= h
+    root = np.sqrt(np.multiply(denom, 2.0, out=denom), out=denom)
+    # where the root is 0, so is e5, and the norm reads 0
+    np.divide(e5, root, out=e5, where=root != 0)
+    arena.used = mark
+    return e5
 
 
-def _product(a, b):
+def _product(a, b, out=None, work=None):
     """The 2x2 products a @ b of two entries-first stacks, (2, 2, ...) each,
-    as elementwise arithmetic on their planes."""
-    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
+    as elementwise arithmetic on their planes.  ``work`` holds two arrays of
+    the product's shape for the two halves of the sum; ``out`` may be one of
+    them, ``a`` or ``b``.  Where None, each is a fresh array."""
+    first, second = (None, None) if work is None else work
+    return np.add(np.multiply(a[:, 0, None], b[None, 0], out=first),
+                  np.multiply(a[:, 1, None], b[None, 1], out=second), out=out)
 
 
-def _carry(step, y):
+def _carry(step, y, arena: _Arena | None = None):
     """Fill the nodes ``y[:, :, 1:]`` from ``y[:, :, 0]`` through the step
     maps ``step`` of m steps, (2, 2, m, n), with ``y`` entries first,
     (component, real or imaginary part, m + 1 nodes, momentum).
@@ -366,21 +474,30 @@ def _carry(step, y):
     then every group's nodes are its products times its start node, in one
     more product.  Only the first m products are written, so nothing past
     node m changes, and a NaN or an infinity in a map reaches the nodes
-    after its step (or raises under ``np.errstate``).
+    after its step (or raises under ``np.errstate``).  The work arrays come
+    from ``arena`` (fresh without one), whose ``used`` is set back on return.
     """
+    arena = arena or _Arena()
+    mark = arena.used
     m, n = step.shape[2:]
     groups = -(-m // _GROUP)
-    prefix = np.zeros((2, 2, groups * _GROUP, n))
+    prefix = arena.take((2, 2, groups * _GROUP, n))
     prefix[:, :, :m] = step
+    prefix[:, :, m:] = 0.0
     prefix[0, 0, m:] = prefix[1, 1, m:] = 1.0
     prefix = prefix.reshape(2, 2, groups, _GROUP, n)
+    work = arena.take((2, 2, 2, groups, n))
     for j in range(1, _GROUP):
-        prefix[:, :, :, j] = _product(prefix[:, :, :, j], prefix[:, :, :, j - 1])
-    starts = np.empty((2, 2, groups, n))
+        _product(prefix[:, :, :, j], prefix[:, :, :, j - 1], out=prefix[:, :, :, j], work=work)
+    starts = arena.take((2, 2, groups, n))
     starts[:, :, 0] = y[:, :, 0]
+    work = arena.take((2, 2, 2, n))
     for g in range(1, groups):
-        starts[:, :, g] = _product(prefix[:, :, g - 1, -1], starts[:, :, g - 1])
-    y[:, :, 1:] = _product(prefix, starts[:, :, :, None]).reshape(2, 2, -1, n)[:, :, :m]
+        _product(prefix[:, :, g - 1, -1], starts[:, :, g - 1], out=starts[:, :, g], work=work)
+    work = arena.take((2,) + prefix.shape)
+    nodes = _product(prefix, starts[:, :, :, None], out=work[0], work=work)
+    y[:, :, 1:] = nodes.reshape(2, 2, -1, n)[:, :, :m]
+    arena.used = mark
 
 
 def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: float, atol: float):
@@ -410,6 +527,7 @@ def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: flo
     where = f"ramp solve for k in [{ks.min()}, {ks.max()}], mu={mu}"
     block = max(1, _BLOCK // n // _GROUP) * _GROUP
     samples = _samples(eps)
+    arena = _block_arena()
     size = rtol**-0.125 * max(_SEED_WAVE * mu * max(eps.max(), eps_lam.max()), _SEED_SWITCH)
     for passes in range(1, _MAX_PASSES + 1):
         if not size * n <= _MAX_GRID:  # also catches an infinite or NaN size
@@ -426,9 +544,11 @@ def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: flo
         worst = []
         for lo in range(0, n_steps, block):
             hi = min(lo + block, n_steps)
-            step, err5, err3 = _step_maps(t[lo:hi], h, samples, shift, mu)
-            _carry(step, y[:, :, lo : hi + 1])
-            worst.append(np.max(_error_norm(err5, err3, y[:, :, lo : hi + 1], h, rtol, atol)))
+            arena.used = 0
+            step, err5, err3 = _step_maps(t[lo:hi], h, samples, shift, mu, arena)
+            _carry(step, y[:, :, lo : hi + 1], arena)
+            norm = _error_norm(err5, err3, y[:, :, lo : hi + 1], h, rtol, atol, arena)
+            worst.append(np.max(norm))
         err = float(np.max(worst))
         if err < 1.0:
             break
@@ -556,7 +676,7 @@ class ModeTrajectory:
                 self.t[node], ts[part] - self.t[node], samples, self.params.mass_shift, self.mu
             )
             # take, unlike y[:, :, node], returns contiguous planes for _product
-            y[:, :, part] = _product(step, self.y.take(node, axis=2))
+            _product(step, self.y.take(node, axis=2), out=y[:, :, part])
         _gate(y, self.k_mag, self.mu, ts, f"grid of {self.n_steps} steps after {self.passes} passes")
         return _complex(y[0]), _complex(y[1])
 

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -379,6 +381,217 @@ class TestMomentumFreeStepMaps:
         assert np.array_equal(copies.Tdot, np.repeat(scalars[1].Tdot, 64, axis=0))
 
 
+def _reference_step_maps(t, h, samples, shift, mu):
+    """The step maps by the four-entry stage recursion: stage s is the full
+    2x2 map d/dt Y_s, its top row the bottom row of Y_s = I + h * sum_j a_sj
+    * (stage j), and every map is the identity plus a weighted sum of all
+    four entries of the stages.  The reference for the Nystrom form of
+    ``modes._step_maps``, which forms only the bottom rows."""
+    t, h = np.asarray(t, dtype=float), np.asarray(h, dtype=float)
+    h_col = h[:, None] if h.ndim else h
+    xs, mix = samples
+    neg_w_sq = -(xs + shift * chi_unit((t + modes._C[:, None] * h) / mu)[..., None])
+    stages = np.empty((modes._C.size, 2, 2, t.size, xs.size))
+    flat = stages.reshape(modes._C.size, -1)
+    for s, row in enumerate(modes._A):
+        y = h_col * np.einsum("s,sm->m", row[:s], flat[:s]).reshape(stages.shape[1:])
+        y[0, 0] += 1.0
+        y[1, 1] += 1.0
+        if s == modes._C.size:  # the last row gives the order-8 solution
+            break
+        stages[s, 0] = y[1]
+        stages[s, 1] = neg_w_sq[s] * y[0]
+    err5, err3 = np.einsum("es,sm->em", modes._E, flat).reshape((2,) + stages.shape[1:])
+    if mix is None:
+        return y, err5, err3
+    planes = np.stack((y, err5, err3)).reshape(12, t.size, xs.size)
+    return tuple(np.matmul(planes, mix.T).reshape(3, 2, 2, t.size, -1))
+
+
+class TestNystromStepMaps:
+    """The step maps in Nystrom form, built from each stage's bottom row,
+    against the four-entry stage recursion."""
+
+    # measured worst: 1.3e-15 on the criterion-6 block, 3.3e-16 on the
+    # limits block and 6.7e-16 on the partial steps
+    STEP_ABS = 1e-14
+    # relative to the block's worst norm; measured worst 1.1e-7.  The two
+    # differ beyond rounding because the reference's error maps carry the
+    # tableau's row-sum rounding: their top rows hold (sum_s E_s) * e1, about
+    # 4e-15, which the Nystrom form drops as the zero it is
+    NORM_REL = 1e-4
+    # the error maps of partial steps, absolute, whose norm has no grid of
+    # consecutive nodes to read; measured worst 3.7e-14
+    ERROR_ABS = 1e-12
+
+    @pytest.fixture(scope="class")
+    def criterion_6_mu40(self):
+        """Criterion 6's mu = 40 solve: the 42 momenta its screen keeps."""
+        trajs = []
+        with pytest.MonkeyPatch.context() as mp:
+            original = modes._ramp_solve
+            mp.setattr(modes, "_ramp_solve", lambda *args: trajs.append(original(*args)) or trajs[-1])
+            assert verify.criterion_6(default_config()).status == "pass"
+        traj = trajs[-1]
+        assert (traj.mu, traj.eps.size, traj.n_steps) == (40.0, 42, 563)
+        return traj
+
+    @pytest.mark.parametrize("block", ["criterion-6", "limits"])
+    def test_grid_blocks(self, block, criterion_6_mu40, ramp_solves):
+        config = default_config()
+        if block == "criterion-6":  # the first block, interpolated maps
+            traj = criterion_6_mu40
+            part = slice(0, modes._BLOCK // traj.eps.size // modes._GROUP * modes._GROUP)
+            assert modes._samples(traj.eps)[1] is not None
+        else:  # the first limits solve, two momenta on their own x
+            switch_integrals(np.array(config.k_values), SwitchingProfile(config.mu_ladder[0]),
+                             config.params)
+            traj = ramp_solves[-1]
+            part = slice(0, traj.n_steps)
+            assert modes._samples(traj.eps)[1] is None
+        h = traj.mu / traj.n_steps
+        args = (traj.t[part], h, modes._samples(traj.eps), traj.params.mass_shift, traj.mu)
+        fast, slow = modes._step_maps(*args), _reference_step_maps(*args)
+        for a, b in zip(fast, slow):
+            assert a.shape == b.shape == (2, 2, part.stop, traj.eps.size)
+        assert np.abs(fast[0] - slow[0]).max() <= self.STEP_ABS
+        y = traj.y[:, :, : part.stop + 1]
+        norm, ref = (modes._error_norm(m[1], m[2], y, h, 1e-10, 1e-12) for m in (fast, slow))
+        assert 0 < ref.max() < 1
+        assert np.abs(norm - ref).max() <= self.NORM_REL * ref.max()
+
+    def test_partial_steps(self, criterion_6_mu40):
+        # evaluate's use: one step per time from the node before it, h per time
+        traj = criterion_6_mu40
+        ts = np.sort(np.random.default_rng(7).uniform(-traj.mu, 0.0, 300))
+        node = np.searchsorted(traj.t, ts, side="right") - 1
+        h = ts - traj.t[node]
+        assert h.min() >= 0 and h.max() <= traj.mu / traj.n_steps
+        args = (traj.t[node], h, modes._samples(traj.eps), traj.params.mass_shift, traj.mu)
+        fast, slow = modes._step_maps(*args), _reference_step_maps(*args)
+        assert np.abs(fast[0] - slow[0]).max() <= self.STEP_ABS
+        for a, b in zip(fast[1:], slow[1:]):
+            assert np.abs(a - b).max() <= self.ERROR_ABS
+
+
+class TestBlockArena:
+    """A ramp solve's block work arrays live in one reused buffer per
+    thread; nothing a solve returns or reads depends on what the buffer held."""
+
+    @staticmethod
+    def solve():
+        """Criterion 6's mu = 40 batch size on three blocks: 42 momenta."""
+        ks = np.linspace(0.0, 4.0, 42)
+        return solve_modes(ks, SwitchingProfile(40.0), verify.MODE_PARAMS)
+
+    @classmethod
+    def probes(cls):
+        """Node planes of a limits-sized solve whose only block ends in a
+        group padded with identity maps, then of the three-block solve."""
+        return solve_modes(np.array([1.0, 1.5]), SwitchingProfile(3.0), PARAMS).y, cls.solve().y
+
+    def test_nodes_do_not_depend_on_what_ran_before(self, monkeypatch):
+        first = self.probes()
+        assert first[0].shape[2] == 28 and 27 % modes._GROUP
+        assert first[1].shape[2] > 2 * modes._BLOCK // 42 + 1
+        solve_modes(np.linspace(0.0, 5.0, 64), SwitchingProfile(40.0), verify.MODE_PARAMS)
+        after_larger = self.probes()
+        solve_modes(np.array([0.5]), SwitchingProfile(1.0), PARAMS)
+        after_smaller = self.probes()
+        # a solve stopped partway through its first block, with NaN maps
+        # carried into the buffer
+        step_maps, carry = modes._step_maps, modes._carry
+
+        def nan_maps(*args):
+            maps = step_maps(*args)
+            for a in maps:
+                a[...] = np.nan
+            return maps
+
+        def stopping(step, y, arena):
+            carry(step, y, arena)
+            assert arena.used > 0 and np.isnan(arena.buf).any()
+            raise IntegratorError("stopped partway through a block")
+
+        monkeypatch.setattr(modes, "_step_maps", nan_maps)
+        monkeypatch.setattr(modes, "_carry", stopping)
+        with pytest.raises(IntegratorError, match="partway"):
+            self.solve()
+        monkeypatch.undo()
+        # as the CLI runs, where a value left in the buffer and read again
+        # could raise
+        with np.errstate(all="raise"):
+            after_failure = self.probes()
+
+        def garbage_after(*args):
+            # the free part of the buffer holds values whose products overflow
+            maps = step_maps(*args)
+            arena = args[-1]
+            arena.buf[arena.used :] = 1e300
+            return maps
+
+        monkeypatch.setattr(modes, "_step_maps", garbage_after)
+        with np.errstate(all="raise"):
+            over_garbage = self.probes()
+        for probes in (after_larger, after_smaller, after_failure, over_garbage):
+            assert all(np.array_equal(y, ref) for y, ref in zip(probes, first))
+
+    def test_threads_match_serial_solves(self):
+        batches = [(np.linspace(0.0, 4.0, 42), 40.0), (np.linspace(0.5, 5.0, 64), 20.0),
+                   (np.linspace(0.0, 3.0, 20), 10.0), (np.array([1.0, 1.5]), 5.0)]
+
+        def run(batch):
+            ks, mu = batch
+            return solve_modes(ks, SwitchingProfile(mu), verify.MODE_PARAMS).y
+
+        serial = [run(batch) for batch in batches]
+        results = [[] for _ in batches]
+        arenas = [None] * len(batches)
+
+        def worker(i):
+            for _ in range(4):
+                results[i].append(run(batches[i]))
+            arenas[i] = modes._block_arena()
+
+        # more threads than the two cores of a small machine, switching often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len({id(arena) for arena in arenas + [modes._block_arena()]}) == len(batches) + 1
+        for ys, ref in zip(results, serial):
+            assert len(ys) == 4 and all(np.array_equal(y, ref) for y in ys)
+
+    def test_writing_into_the_arena_leaves_the_trajectory(self):
+        traj = self.solve()
+        arena = modes._block_arena()
+        assert not np.shares_memory(traj.y, arena.buf)
+        y, ts = traj.y.copy(), np.linspace(-traj.mu, 1.0, 97)
+        before = traj.evaluate(ts)
+        arena.buf[:] = np.nan
+        assert np.array_equal(traj.y, y)
+        for a, b in zip(traj.evaluate(ts), before):
+            assert np.array_equal(a, b)
+
+    def test_direct_step_maps_share_no_memory(self, mu40_solve):
+        traj = mu40_solve
+        h = traj.mu / traj.n_steps
+        args = (traj.t[:128], h, modes._samples(traj.eps), traj.params.mass_shift, traj.mu)
+        first, second = modes._step_maps(*args), modes._step_maps(*args)
+        buf = modes._block_arena().buf
+        for a in first:
+            assert not np.shares_memory(a, buf)
+            assert not any(np.shares_memory(a, b) for b in second)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
 def _batched_error_norm(err5, err3, y, h, rtol, atol):
     """The error norm on maps laid out (N, n, 2, 2) and nodes (N + 1, n, 2, 2),
     by hypot, batched 2x2 products and sums over the length-2 axes."""
@@ -584,7 +797,7 @@ class TestGroupedCarry:
             return [(traj.n_steps, traj.passes) for traj in ramp_solves]
 
         grids = run("grouped")
-        monkeypatch.setattr(modes, "_carry", _per_step_carry)
+        monkeypatch.setattr(modes, "_carry", lambda step, y, arena: _per_step_carry(step, y))
         assert run("per-step") == grids + grids
         for name in ("limits/limits.csv", "ness/ness.csv"):
             head, rows = _csv_fields(tmp_path / "grouped" / name)

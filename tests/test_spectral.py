@@ -441,3 +441,21 @@ class TestNonFiniteBound:
         out, err = capsys.readouterr()
         assert err.startswith("numerical failure")
         assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 5 + ["FAIL"] + ["PASS"] * 4
+
+    def test_verify_all_on_stdout_exits_3(self, tmp_path, monkeypatch, capsys):
+        # without --out the payload is never written, yet it is checked as
+        # strict JSON all the same: the NaN is a numerical failure, not a
+        # failed criterion
+        def poisoned(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral, "free_kms", _free_with_nan_at_top)
+                return pair_finite_mu(*args)
+
+        monkeypatch.setattr(verify, "pair_finite_mu", poisoned)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify-all"]) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("numerical failure: verify_all.json")
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 5 + ["FAIL"] + ["PASS"] * 4
+        assert "final_rel_gap=nan" in out.splitlines()[5]
+        assert list(tmp_path.iterdir()) == []
