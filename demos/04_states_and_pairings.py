@@ -30,6 +30,15 @@ PARAMS = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=0.5)
 F = TestPacket(k_center=1.0, k_width=0.5, t_center=2.0, t_width=0.3)
 G = TestPacket(k_center=1.0, k_width=0.5, t_center=2.5, t_width=0.3)
 QUAD = QuadratureSpec()
+# The commutator residuals and the refinement deltas sit at the rounding
+# floor, where any reordering of the arithmetic moves their last digits, so
+# each is printed against this bound rather than as a value.
+FLOOR = 1e-12
+
+
+def against_floor(value):
+    """``< FLOOR`` for a value below the bound, else the value itself."""
+    return f"< {FLOOR:.0e}" if value < FLOOR else f"= {value:.2e}, above {FLOOR:.0e}"
 
 
 def main():
@@ -44,7 +53,7 @@ def main():
     print("== commutator normalization c_plus - c_minus = 1 ==")
     for state in states:
         residual = np.abs(state.ccr_residual(ks)).max()
-        print(f"  {state.label:22s} branch={state.branch:7s} max residual = {residual:.2e}")
+        print(f"  {state.label:22s} branch={state.branch:7s} max residual {against_floor(residual)}")
 
     print("\n== occupation data at k = 1 ==")
     for state in states:
@@ -57,7 +66,7 @@ def main():
         rep = pair_report(state, F, G, QUAD, pair(state, F, G, QUAD))
         print(
             f"  {state.label:22s} value = {rep['value_re']:+.8f} {rep['value_im']:+.8f}i"
-            f"  (refinement delta {rep['refinement_delta']:.1e})"
+            f"  (refinement delta {against_floor(rep['refinement_delta'])})"
         )
 
     print("\n== finite-ramp pairing -> frozen-coefficient state ==")

@@ -191,7 +191,9 @@ def cmd_ness(args, config: RunConfig) -> int:
     b = bog_map(k)
     state = ness_classical(params, bog_map)
     oracle = sudden_quench_pair(k, params)
-    norm, ccr = b.normalization_residual, state.ccr_residual(k)
+    # the coefficients once, and ccr_residual's expression on them
+    c_plus, c_minus = state.c_plus(k), state.c_minus(k)
+    norm, ccr = b.normalization_residual, c_plus - c_minus - 1.0
     norm_tol, ccr_tol = TOLERANCES["bogoliubov_norm_abs"], TOLERANCES["ness_ccr_abs"]
     broken = ~((norm <= norm_tol) & (np.abs(ccr) <= ccr_tol))  # a NaN residual breaks too
     if np.any(broken):
@@ -204,7 +206,7 @@ def cmd_ness(args, config: RunConfig) -> int:
     table = {
         "k": k, "re_A_plus": b.a_plus.real, "im_A_plus": b.a_plus.imag,
         "re_A_minus": b.a_minus.real, "im_A_minus": b.a_minus.imag, "norm_residual": norm,
-        "c_plus": state.c_plus(k), "c_minus": state.c_minus(k), "ccr_residual": ccr,
+        "c_plus": c_plus, "c_minus": c_minus, "ccr_residual": ccr,
         "sudden_gap": np.maximum(gap_plus, gap_minus),
     }
     _emit_ok_csv(table, args.out, "ness.csv")

@@ -33,23 +33,23 @@ stages run in the Nystrom form of DOP853: the top row of each stage's
 are formed, and one contraction of them gives the step map and both
 error maps (the derivation is in ``_step_maps``).  Every map is a
 polynomial of degree at most 6 in x = eps**2, so a large batch
-interpolates its maps from seven frequencies, set up once per solve (see
-``_samples``).  A solve's block work arrays (the stages, the
-interpolated maps, the carry's products and the error norm's
-temporaries) are views into one arena per thread of ``_ARENA_PLANES``
-planes of ``_BLOCK`` doubles, 1.8 MB, made on the thread's first solve
-and reused by every block of every later one, so a warm solve allocates
-no fresh block-sized memory; a block that needs more allocates its own
-arrays.  Only the node planes, which the trajectory keeps, are a fresh
-array per solve.  Maps and grid nodes are laid out entries first, (row,
-column, step, momentum) and (component, real or imaginary part, node,
-momentum), so that the step-error norm is elementwise arithmetic on
-contiguous (step, momentum) planes.  The first grid is seeded from the
-tolerance by the h**8 error law, rtol**(-1/8) * max(0.19 * mu * (largest
-frequency), 1.5) steps, with both constants fitted once on measured
-solves.  DOP853's embedded error estimate, taken per step and per
-momentum as scipy's step control takes it for a single mode, checks the
-grid, and a grid that fails the check is regrown.  The node planes are a
+interpolates its maps from seven frequencies, set up once per solve and
+kept by its trajectory for its reads between nodes (see ``_samples``).
+Every block of ramp work, of a solve or of a read, takes its work arrays
+(the stages, the interpolated maps, the carry's products and the error
+norm's temporaries) as views into one arena per thread, which grows to
+the largest block it has served and is reused by every later block, so
+warm solves and reads allocate no fresh block-sized memory.  Only the
+node planes a trajectory keeps and the values a read returns are fresh
+arrays.  Maps and grid nodes are laid out entries first, (row, column,
+step, momentum) and (component, real or imaginary part, node, momentum),
+so that the step-error norm is elementwise arithmetic on contiguous
+(step, momentum) planes.  The first grid is seeded from the tolerance by
+the h**8 error law, rtol**(-1/8) * max(0.19 * mu * (largest frequency),
+1.5) steps, with both constants fitted once on measured solves.
+DOP853's embedded error estimate, taken per step and per momentum as
+scipy's step control takes it for a single mode, checks the grid, and a
+grid that fails the check is regrown.  The node planes are a
 solve's one store, made complex only where a reader asks, and each
 momentum's Wronskian is gated on them in real arithmetic,
 |2*(Tdot_re*T_im - Tdot_im*T_re) - 1|, at every node and every ramp time
@@ -72,7 +72,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,15 +94,6 @@ _BLOCK = 2**13
 # 16, 24, 32 and 64 at 64 and at 2 momenta, and about twice as fast as one
 # 2x2 product per step; a 27-step block of one momentum takes ~10 us longer
 _GROUP = 8
-# A solve's block work arrays are views into one buffer per thread of
-# _ARENA_PLANES planes of _BLOCK doubles (see _block_arena), reused by every
-# block of every solve.  A full block peaks at 25.5 planes in _carry, and an
-# interpolated batch of n momenta at 12 + 336 / n in _step_maps, which fits
-# from n = 21 on; verify-all, limits and ness peak at 25.1 and never
-# overflow.  Fresh arrays freed after every block cost ~1200 minor page
-# faults per warm verify-all, as glibc trimmed the heap and the next block
-# faulted it back.
-_ARENA_PLANES = 28
 # _step_maps interpolates the maps of a batch with more than _DIRECT_MAX
 # distinct x.  The cut-over is measured: on ramp solves of 8, 12, 16, 24 and
 # 32 radial nodes at tight tolerances, interpolating cost 13% and 5% more at
@@ -300,21 +291,23 @@ def _samples(eps):
 
 
 class _Arena:
-    """Work arrays handed out as consecutive views of one buffer of ``size``
-    doubles.  ``used`` counts the doubles handed out: a caller notes it
-    before taking and sets it back when the arrays it took are dead, and a
-    ramp solve sets it to 0 at the start of each block.  A request that does
-    not fit gets a fresh array; an arena of size 0 hands out only fresh
-    arrays."""
+    """Work arrays handed out as consecutive views of one buffer.  ``used``
+    counts the doubles handed out: a caller notes it before taking and sets
+    it back when the arrays it took are dead, and every block of ramp work
+    sets it to 0 at its start.  A request that does not fit replaces the
+    buffer with one of ``used + size`` doubles, so the buffer grows to the
+    largest block it has served; views handed out before keep the old
+    buffer alive, and nothing is handed out twice until ``used`` is set
+    back."""
 
-    def __init__(self, size: int = 0):
-        self.buf = np.empty(size)
+    def __init__(self):
+        self.buf = np.empty(0)
         self.used = 0
 
     def take(self, shape):
         size = math.prod(shape)
         if self.used + size > self.buf.size:
-            return np.empty(shape)
+            self.buf = np.empty(self.used + size)
         self.used += size
         return self.buf[self.used - size : self.used].reshape(shape)
 
@@ -323,15 +316,17 @@ _THREAD = threading.local()
 
 
 def _block_arena() -> _Arena:
-    """This thread's arena of ``_ARENA_PLANES`` block planes, made on the
-    thread's first ramp solve and kept for the life of the thread."""
+    """This thread's arena, made on the thread's first block of ramp work
+    and kept for the life of the thread.  Fresh arrays freed after every
+    block cost ~1200 minor page faults per warm verify-all, as glibc trimmed
+    the heap and the next block faulted it back."""
     arena = getattr(_THREAD, "arena", None)
     if arena is None:
-        arena = _THREAD.arena = _Arena(_ARENA_PLANES * _BLOCK)
+        arena = _THREAD.arena = _Arena()
     return arena
 
 
-def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena | None = None):
+def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
     """DOP853 steps of the mode equation from the start times ``t`` (m,) by
     the step sizes ``h`` (a scalar or one per start), for every frequency of
     a batch, given as its :func:`_samples`.
@@ -359,10 +354,9 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena | None = No
     of the three maps are interpolated in one stacked product.  Returns (step,
     err5, err3), each entries first, of shape (2, 2, m, n): the order-8 step
     map and the two embedded error maps that DOP853's step control combines
-    (before its factor h).  With an ``arena`` the maps are views into it and
-    its ``used`` is left just past them; without one they are fresh arrays.
+    (before its factor h).  The maps are views into ``arena``, whose
+    ``used`` is left just past them.
     """
-    arena = arena or _Arena()
     t = np.asarray(t, dtype=float)
     h = np.asarray(h, dtype=float)
     h_col = h[:, None] if h.ndim else h
@@ -404,7 +398,7 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena | None = No
     return maps[0], maps[1], maps[2]
 
 
-def _error_norm(err5, err3, y, h: float, rtol: float, atol: float, arena: _Arena | None = None):
+def _error_norm(err5, err3, y, h: float, rtol: float, atol: float, arena: _Arena):
     """scipy's DOP853 error norm of every step and momentum, shape (N, n).
 
     ``err5`` and ``err3`` are the error maps of N steps, (2, 2, N, n), and
@@ -415,10 +409,9 @@ def _error_norm(err5, err3, y, h: float, rtol: float, atol: float, arena: _Arena
     two components of one momentum as scipy combines a two-component state,
     all as elementwise arithmetic on (N, n) planes.  A NaN error or node
     gives a NaN norm for its step and momentum; only an exact zero error
-    reads 0.  With an ``arena`` the norm is a view into it, and its ``used``
-    is left past it.
+    reads 0.  The norm is a view into ``arena``, whose ``used`` is left
+    past it.
     """
-    arena = arena or _Arena()
     n_steps, n = err5.shape[2:]
     norms = arena.take((2, n_steps, n))
     mark = arena.used
@@ -451,17 +444,17 @@ def _error_norm(err5, err3, y, h: float, rtol: float, atol: float, arena: _Arena
     return e5
 
 
-def _product(a, b, out=None, work=None):
+def _product(a, b, out, work):
     """The 2x2 products a @ b of two entries-first stacks, (2, 2, ...) each,
     as elementwise arithmetic on their planes.  ``work`` holds two arrays of
     the product's shape for the two halves of the sum; ``out`` may be one of
-    them, ``a`` or ``b``.  Where None, each is a fresh array."""
-    first, second = (None, None) if work is None else work
+    them, ``a`` or ``b``."""
+    first, second = work
     return np.add(np.multiply(a[:, 0, None], b[None, 0], out=first),
                   np.multiply(a[:, 1, None], b[None, 1], out=second), out=out)
 
 
-def _carry(step, y, arena: _Arena | None = None):
+def _carry(step, y, arena: _Arena):
     """Fill the nodes ``y[:, :, 1:]`` from ``y[:, :, 0]`` through the step
     maps ``step`` of m steps, (2, 2, m, n), with ``y`` entries first,
     (component, real or imaginary part, m + 1 nodes, momentum).
@@ -475,9 +468,8 @@ def _carry(step, y, arena: _Arena | None = None):
     more product.  Only the first m products are written, so nothing past
     node m changes, and a NaN or an infinity in a map reaches the nodes
     after its step (or raises under ``np.errstate``).  The work arrays come
-    from ``arena`` (fresh without one), whose ``used`` is set back on return.
+    from ``arena``, whose ``used`` is set back on return.
     """
-    arena = arena or _Arena()
     mark = arena.used
     m, n = step.shape[2:]
     groups = -(-m // _GROUP)
@@ -563,7 +555,7 @@ def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: flo
     )
     return ModeTrajectory(
         k_mag=ks, mu=mu, params=params, eps=eps, eps_lambda=eps_lam, t=t, y=y,
-        passes=passes, worst_drift=worst_drift, worst_drift_t=worst_drift_t,
+        passes=passes, worst_drift=worst_drift, worst_drift_t=worst_drift_t, samples=samples,
     )
 
 
@@ -613,7 +605,9 @@ class ModeTrajectory:
 
     ``passes`` is the number of grids the step-count search laid, and
     ``worst_drift`` the largest Wronskian drift over every node and
-    momentum, reached at ``worst_drift_t``.
+    momentum, reached at ``worst_drift_t``.  ``samples`` is the
+    :func:`_samples` set-up the solve ran on, which reads between nodes
+    reuse.
     """
 
     k_mag: np.ndarray
@@ -626,6 +620,7 @@ class ModeTrajectory:
     passes: int
     worst_drift: float
     worst_drift_t: float
+    samples: tuple = field(repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -665,18 +660,20 @@ class ModeTrajectory:
 
     def _between_nodes(self, ts):
         """(T, Tdot) at ramp times ``ts`` by one partial step from the node
-        before each, a block of times at a time, with the Wronskian gated."""
+        before each, a block of times at a time, with the Wronskian gated.
+        Each block's work arrays come from the thread's arena."""
         y = np.empty((2, 2, ts.size, self.eps.size))
-        samples = _samples(self.eps)
+        arena, shift = _block_arena(), self.params.mass_shift
         block = max(1, _BLOCK // self.eps.size)
         for lo in range(0, ts.size, block):
             part = slice(lo, lo + block)
             node = np.searchsorted(self.t, ts[part], side="right") - 1
-            step, _, _ = _step_maps(
-                self.t[node], ts[part] - self.t[node], samples, self.params.mass_shift, self.mu
-            )
+            arena.used = 0
+            h = ts[part] - self.t[node]
+            step, _, _ = _step_maps(self.t[node], h, self.samples, shift, self.mu, arena)
+            out = y[:, :, part]
             # take, unlike y[:, :, node], returns contiguous planes for _product
-            _product(step, self.y.take(node, axis=2), out=y[:, :, part])
+            _product(step, self.y.take(node, axis=2), out=out, work=arena.take((2,) + out.shape))
         _gate(y, self.k_mag, self.mu, ts, f"grid of {self.n_steps} steps after {self.passes} passes")
         return _complex(y[0]), _complex(y[1])
 

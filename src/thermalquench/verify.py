@@ -277,6 +277,10 @@ def criterion_6(config: RunConfig):
     f, g = config.packet_pair
     quad = config.quadrature
     target = pair(adiabatic_classical(MODE_PARAMS), f, g, quad)
+    if target == 0.0:
+        raise ZeroDivisionError(
+            "criterion 6: slow-switch target pairing vanished; relative gaps undefined"
+        )
     gaps = []
     for mu in config.mu_ladder:
         val = pair_finite_mu(SwitchingProfile(mu), MODE_PARAMS, f, g, quad)

@@ -339,6 +339,15 @@ class TestFloatingPointBreakdown:
                                                 "lam": 0.1}},
                            "underflow: beta*eps", id=f"{command}-beta-eps-underflow")
               for command in ("ness", "series", "verify-all")),
+            # packets at k = 1e6, where every thermal occupation underflows to
+            # 0, so the closed-form pairings that gaps are taken against vanish
+            *(pytest.param(command, {"packets": [
+                {"k_center": 1e6, "k_width": 0.5, "t_center": 2.0, "t_width": 0.3},
+                {"k_center": 1e6, "k_width": 0.5, "t_center": 2.5, "t_width": 0.3}]},
+                message, id=f"{command}-vanished-pairing")
+              for command, message in (
+                  ("series", "closed-form pairing vanished"),
+                  ("verify-all", "criterion 6: slow-switch target pairing vanished"))),
         ],
     )
     def test_exits_numerical(self, tmp_path, capsys, command, doc, message):

@@ -328,10 +328,10 @@ class TestMomentumFreeStepMaps:
             h = rng.uniform(0.0, mu / 762, t.size)
         else:
             h = mu / 762 if step == "grid" else 0.2
-        fast = modes._step_maps(t, h, modes._samples(eps), shift, mu)
+        fast = modes._step_maps(t, h, modes._samples(eps), shift, mu, modes._Arena())
         slow = [np.concatenate(maps, axis=-1) for maps in
-                zip(*(modes._step_maps(t, h, modes._samples(eps[i : i + 1]), shift, mu)
-                     for i in range(n)))]
+                zip(*(modes._step_maps(t, h, modes._samples(eps[i : i + 1]), shift, mu,
+                                       modes._Arena()) for i in range(n)))]
         for a, b in zip(fast, slow):
             assert a.shape == b.shape == (2, 2, t.size, n)
         assert np.abs(fast[0] - slow[0]).max() <= self.STEP_ABS
@@ -451,12 +451,13 @@ class TestNystromStepMaps:
             assert modes._samples(traj.eps)[1] is None
         h = traj.mu / traj.n_steps
         args = (traj.t[part], h, modes._samples(traj.eps), traj.params.mass_shift, traj.mu)
-        fast, slow = modes._step_maps(*args), _reference_step_maps(*args)
+        fast, slow = modes._step_maps(*args, modes._Arena()), _reference_step_maps(*args)
         for a, b in zip(fast, slow):
             assert a.shape == b.shape == (2, 2, part.stop, traj.eps.size)
         assert np.abs(fast[0] - slow[0]).max() <= self.STEP_ABS
         y = traj.y[:, :, : part.stop + 1]
-        norm, ref = (modes._error_norm(m[1], m[2], y, h, 1e-10, 1e-12) for m in (fast, slow))
+        norm, ref = (modes._error_norm(m[1], m[2], y, h, 1e-10, 1e-12, modes._Arena())
+                     for m in (fast, slow))
         assert 0 < ref.max() < 1
         assert np.abs(norm - ref).max() <= self.NORM_REL * ref.max()
 
@@ -468,15 +469,36 @@ class TestNystromStepMaps:
         h = ts - traj.t[node]
         assert h.min() >= 0 and h.max() <= traj.mu / traj.n_steps
         args = (traj.t[node], h, modes._samples(traj.eps), traj.params.mass_shift, traj.mu)
-        fast, slow = modes._step_maps(*args), _reference_step_maps(*args)
+        fast, slow = modes._step_maps(*args, modes._Arena()), _reference_step_maps(*args)
         assert np.abs(fast[0] - slow[0]).max() <= self.STEP_ABS
         for a, b in zip(fast[1:], slow[1:]):
             assert np.abs(a - b).max() <= self.ERROR_ABS
 
 
+class _CountingArena(modes._Arena):
+    """An arena that counts its takes, the buffers it made and the blocks of
+    ramp work it served (a block starts with a take at ``used`` 0), and notes
+    the block in which each buffer was made."""
+
+    def __init__(self):
+        super().__init__()
+        self.takes = self.blocks = 0
+        self.grown_in = []
+
+    def take(self, shape):
+        self.blocks += self.used == 0
+        buf = self.buf
+        view = super().take(shape)
+        self.takes += 1
+        if self.buf is not buf:
+            self.grown_in.append(self.blocks)
+        return view
+
+
 class TestBlockArena:
-    """A ramp solve's block work arrays live in one reused buffer per
-    thread; nothing a solve returns or reads depends on what the buffer held."""
+    """Every block of ramp work, a solve's or a read's, takes its work arrays
+    from one buffer per thread, which grows to the largest block it has
+    served; nothing a solve returns or reads depends on what the buffer held."""
 
     @staticmethod
     def solve():
@@ -584,12 +606,74 @@ class TestBlockArena:
         traj = mu40_solve
         h = traj.mu / traj.n_steps
         args = (traj.t[:128], h, modes._samples(traj.eps), traj.params.mass_shift, traj.mu)
-        first, second = modes._step_maps(*args), modes._step_maps(*args)
+        first, second = (modes._step_maps(*args, modes._Arena()) for _ in range(2))
         buf = modes._block_arena().buf
         for a in first:
             assert not np.shares_memory(a, buf)
             assert not any(np.shares_memory(a, b) for b in second)
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+    def test_a_larger_block_grows_the_arena_in_that_block_alone(self, monkeypatch):
+        arena = _CountingArena()
+        monkeypatch.setattr(modes._THREAD, "arena", arena, raising=False)
+
+        def small():  # one block of 2 momenta
+            return solve_modes(np.array([1.0, 1.5]), SwitchingProfile(3.0), PARAMS).y
+
+        y_small = small()
+        size, grown = arena.buf.size, len(arena.grown_in)
+        assert arena.blocks == 1 and set(arena.grown_in) == {1}
+        assert 0 < size < modes._BLOCK
+        # three blocks of 42 momenta: the first outgrows the arena, the two
+        # after it need no more
+        y_large = self.solve().y
+        assert arena.blocks == 4 and set(arena.grown_in[grown:]) == {2}
+        assert arena.buf.size > size
+        buf, size = arena.buf, arena.buf.size
+        assert np.array_equal(self.solve().y, y_large)
+        assert np.array_equal(small(), y_small)
+        assert arena.blocks == 8 and arena.buf is buf and arena.buf.size == size
+
+    def test_a_view_outlives_the_buffer_it_came_from(self):
+        arena = modes._Arena()
+        first = arena.take((3, 5))
+        first[...] = np.arange(15.0).reshape(3, 5)
+        old = arena.buf
+        with np.errstate(all="raise"):
+            second = arena.take((4, 100))  # does not fit: a new buffer
+            assert arena.buf is not old and arena.buf.size == 15 + 400
+            assert np.shares_memory(first, old) and not np.shares_memory(first, arena.buf)
+            second[...] = 1e300
+            arena.used = 0
+            # the whole new buffer, then past it into a third one
+            third = arena.take((415,))
+            third[...] = 1e300
+            assert not np.shares_memory(first, third) and arena.buf.size == 415
+            fourth = arena.take((2,))
+            fourth[...] = np.nan
+            assert arena.buf.size == 417
+            # garbage read through the view would overflow or be invalid
+            assert np.square(first).sum() == np.square(np.arange(15.0)).sum()
+        assert np.array_equal(first, np.arange(15.0).reshape(3, 5))
+
+    def test_reads_run_in_the_thread_arena(self, monkeypatch):
+        arena = _CountingArena()
+        monkeypatch.setattr(modes._THREAD, "arena", arena, raising=False)
+        traj = self.solve()
+        grown, takes, buf = len(arena.grown_in), arena.takes, arena.buf
+        calls = []
+        samples = modes._samples
+        monkeypatch.setattr(modes, "_samples", lambda eps: calls.append(eps.size) or samples(eps))
+        # three blocks of ramp times
+        ts = np.linspace(-traj.mu, 0.0, 3 * modes._BLOCK // 42 + 1)[1:-1]
+        got = traj.evaluate(ts)
+        assert arena.takes > takes and arena.blocks >= 3 + 3
+        assert len(arena.grown_in) == grown and arena.buf is buf
+        assert calls == []
+        monkeypatch.setattr(modes._THREAD, "arena", modes._Arena())
+        for a, b in zip(traj.evaluate(ts), got):
+            assert np.array_equal(a, b)
 
 
 def _batched_error_norm(err5, err3, y, h, rtol, atol):
@@ -625,9 +709,10 @@ class TestErrorNorm:
             assert traj.eps.size == 2
         h = traj.mu / traj.n_steps
         t = traj.t[part]
-        maps = modes._step_maps(t, h, modes._samples(traj.eps), traj.params.mass_shift, traj.mu)
+        maps = modes._step_maps(t, h, modes._samples(traj.eps), traj.params.mass_shift, traj.mu,
+                                modes._Arena())
         y = traj.y[:, :, part.start : part.stop + 1]
-        fast = modes._error_norm(maps[1], maps[2], y, h, 1e-10, 1e-12)
+        fast = modes._error_norm(maps[1], maps[2], y, h, 1e-10, 1e-12, modes._Arena())
         slow = _batched_error_norm(
             *(np.moveaxis(a, (0, 1), (2, 3)) for a in (maps[1], maps[2], y)), h, 1e-10, 1e-12
         )
@@ -649,9 +734,9 @@ class TestErrorNorm:
             return step, err5, err3
 
         _, err5, err3 = poisoned(traj.t[:-1], h, modes._samples(traj.eps), config.params.mass_shift,
-                                 prof.mu)
+                                 prof.mu, modes._Arena())
         with np.errstate(all="raise"):
-            norm = modes._error_norm(err5, err3, traj.y, h, 1e-10, 1e-12)
+            norm = modes._error_norm(err5, err3, traj.y, h, 1e-10, 1e-12, modes._Arena())
         assert np.isnan(norm[3, 0]) and np.isnan(norm).sum() == 1
         monkeypatch.setattr(modes, "_step_maps", poisoned)
         with np.errstate(all="raise"), pytest.raises(
@@ -673,8 +758,8 @@ class TestErrorNorm:
             traj = solve_modes(ks, prof, config.params)
             h = prof.mu / traj.n_steps
             _, err5, err3 = exact(traj.t[:-1], h, modes._samples(traj.eps), config.params.mass_shift,
-                                  prof.mu)
-            zero = modes._error_norm(err5, err3, traj.y, h, 1e-10, 1e-12)
+                                  prof.mu, modes._Arena())
+            zero = modes._error_norm(err5, err3, traj.y, h, 1e-10, 1e-12, modes._Arena())
         assert (traj.n_steps, traj.passes) == (27, 1)
         assert np.array_equal(zero, np.zeros((27, 2)))
 
@@ -737,7 +822,7 @@ class TestGroupedCarry:
         slow = np.empty((2, 2, m + 1, n))
         fast[:, :, 0] = slow[:, :, 0] = start
         with np.errstate(all="raise"):
-            modes._carry(step, fast[:, :, : m + 1])
+            modes._carry(step, fast[:, :, : m + 1], modes._Arena())
         _per_step_carry(step, slow)
         # the padded tail of the last group writes nothing past node m
         assert np.isnan(fast[:, :, m + 1 :]).all() and np.isfinite(fast[:, :, : m + 1]).all()
@@ -752,7 +837,8 @@ class TestGroupedCarry:
         assert modes._BLOCK // traj.eps.size == 128
         h = traj.mu / traj.n_steps
         samples = modes._samples(traj.eps)
-        step, _, _ = modes._step_maps(traj.t[:m], h, samples, traj.params.mass_shift, traj.mu)
+        step, _, _ = modes._step_maps(traj.t[:m], h, samples, traj.params.mass_shift, traj.mu,
+                                      modes._Arena())
         self.assert_matches_per_step(step, traj.y[:, :, 0])
 
     def test_ragged_limits_block(self, ramp_solves):
@@ -764,7 +850,8 @@ class TestGroupedCarry:
         assert traj.n_steps == 27 and traj.n_steps % modes._GROUP
         h = traj.mu / traj.n_steps
         samples = modes._samples(traj.eps[:1])
-        step, _, _ = modes._step_maps(traj.t[:-1], h, samples, traj.params.mass_shift, traj.mu)
+        step, _, _ = modes._step_maps(traj.t[:-1], h, samples, traj.params.mass_shift, traj.mu,
+                                      modes._Arena())
         self.assert_matches_per_step(step, traj.y[:, :, 0, :1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -895,8 +982,8 @@ class TestNodePlanes:
         block = modes._BLOCK // traj.eps.size
         for lo in range(0, traj.n_steps, block):
             t = traj.t[lo : min(lo + block, traj.n_steps)]
-            once = modes._step_maps(t, h, shared, shift, traj.mu)
-            fresh = modes._step_maps(t, h, modes._samples(traj.eps), shift, traj.mu)
+            once = modes._step_maps(t, h, shared, shift, traj.mu, modes._Arena())
+            fresh = modes._step_maps(t, h, modes._samples(traj.eps), shift, traj.mu, modes._Arena())
             assert all(np.array_equal(a, b) for a, b in zip(once, fresh))
         assert all(np.array_equal(a, b) for a, b in zip(shared, given))
 
@@ -916,15 +1003,16 @@ class TestNodePlanes:
         monkeypatch.setattr(modes.ModeTrajectory, "_between_nodes", reading)
         assert verify.criterion_6(default_config()).status == "pass"
         # criterion 6's four solves of the 42 kept momenta span 7 blocks, and
-        # each solve is read between its nodes once
+        # each solve is read between its nodes once; a read runs on the set-up
+        # its trajectory kept from the solve, so only the four solves set up
         assert [(traj.eps.size, traj.n_steps) for traj in ramp_solves] == [
             (42, 71), (42, 141), (42, 282), (42, 563)
         ]
-        assert calls == [42] * 8 and len(reads) == 4
+        assert calls == [42] * 4 and len(reads) == 4
         del calls[:]
         traj = ramp_solves[-1]
         traj.evaluate(np.linspace(-traj.mu, 0.0, 3 * modes._BLOCK // 42 + 1)[1:-1])
-        assert calls == [42] and reads[-1] > 2 * modes._BLOCK // 42
+        assert calls == [] and reads[-1] > 2 * modes._BLOCK // 42
 
 
 class TestTanhOracle:
