@@ -214,13 +214,15 @@ def cmd_ness(args, config: RunConfig) -> int:
 
 
 def cmd_verify_all(args, config: RunConfig) -> int:
-    """Run every criterion and print one summary line each.  The payload is
-    checked as strict JSON with or without ``--out``, after the summary
-    lines (which name the criterion that measured a NaN) and before any
-    file is written, so a non-finite measured value exits 3 either way."""
-    results = verify.run_all(config)
-    for r in results:
+    """Run every criterion and print one summary line each as it finishes,
+    so a criterion that raises leaves the lines of those before it.  The
+    payload is checked as strict JSON with or without ``--out``, after the
+    summary lines (which name the criterion that measured a NaN) and before
+    any file is written, so a non-finite measured value exits 3 either way."""
+    results = []
+    for r in verify.run_all(config):
         print(r.summary_line())
+        results.append(r)
     payload = {
         "criteria": [r.to_dict() for r in results],
         "all_passed": all(r.status != "fail" for r in results),

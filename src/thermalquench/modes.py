@@ -24,17 +24,15 @@ One routine does every ramp solve.  The mode equation is linear, so one
 DOP853 step of (T, Tdot) is a real 2x2 matrix that does not depend on
 the state: the routine builds the maps of every step of a uniform grid
 on [-mu, 0], for every momentum at once, and carries the plane-wave data
-at -mu through them in two levels: the products of the maps within each
-group of ``_GROUP`` steps are formed for all groups at once, only the
-group start nodes are carried one group after another, and each group's
-nodes are then its products times its start node (see ``_carry``).  The
-stages run in the Nystrom form of DOP853: the top row of each stage's
-2x2 map is the bottom row of the one before it, so only the bottom rows
-are formed, and one contraction of them gives the step map and both
-error maps (the derivation is in ``_step_maps``).  Every map is a
-polynomial of degree at most 6 in x = eps**2, so a large batch
-interpolates its maps from seven frequencies, set up once per solve and
-kept by its trajectory for its reads between nodes (see ``_samples``).
+at -mu through them by one in-place log-depth prefix scan of each block's
+node planes (see ``_carry``).  The stages run in the Nystrom form of
+DOP853: the top row of each stage's 2x2 map is the bottom row of the one
+before it, so only the bottom rows are formed, and one contraction of them
+gives the step map and both error maps (the derivation is in
+``_step_maps``).  Every map is a polynomial of degree at most 6 in
+x = eps**2, so a large batch interpolates its maps from seven
+frequencies, set up once per solve and kept by its trajectory for its
+reads between nodes (see ``_samples``).
 Every block of ramp work, of a solve or of a read, takes its work arrays
 (the stages, the interpolated maps, the carry's products and the error
 norm's temporaries) as views into one arena per thread, which grows to
@@ -89,11 +87,6 @@ _WRONSKIAN_TOL = 1e-8
 _MAX_PASSES = 6
 _MAX_GRID = 2**20
 _BLOCK = 2**13
-# _carry multiplies out the step maps _GROUP steps at a time.  Measured on a
-# 128-step block of criterion 6's mu = 40 grid, 8 was the fastest of 4, 8, 12,
-# 16, 24, 32 and 64 at 64 and at 2 momenta, and about twice as fast as one
-# 2x2 product per step; a 27-step block of one momentum takes ~10 us longer
-_GROUP = 8
 # _step_maps interpolates the maps of a batch with more than _DIRECT_MAX
 # distinct x.  The cut-over is measured: on ramp solves of 8, 12, 16, 24 and
 # 32 radial nodes at tight tolerances, interpolating cost 13% and 5% more at
@@ -448,7 +441,8 @@ def _product(a, b, out, work):
     """The 2x2 products a @ b of two entries-first stacks, (2, 2, ...) each,
     as elementwise arithmetic on their planes.  ``work`` holds two arrays of
     the product's shape for the two halves of the sum; ``out`` may be one of
-    them, ``a`` or ``b``."""
+    them.  Both halves are written into ``work`` before the sum writes
+    ``out``, so ``out`` may also overlap ``a`` and ``b``."""
     first, second = work
     return np.add(np.multiply(a[:, 0, None], b[None, 0], out=first),
                   np.multiply(a[:, 1, None], b[None, 1], out=second), out=out)
@@ -459,36 +453,24 @@ def _carry(step, y, arena: _Arena):
     maps ``step`` of m steps, (2, 2, m, n), with ``y`` entries first,
     (component, real or imaginary part, m + 1 nodes, momentum).
 
-    The steps are cut into groups of ``_GROUP``, the last one padded with
-    identity maps.  The products of the maps from each group's start up to
-    each of its steps are formed for every group and momentum at once, one
-    elementwise product per position in the group; then the group start
-    nodes are carried one group after another, one product per group; and
-    then every group's nodes are its products times its start node, in one
-    more product.  Only the first m products are written, so nothing past
-    node m changes, and a NaN or an infinity in a map reaches the nodes
-    after its step (or raises under ``np.errstate``).  The work arrays come
-    from ``arena``, whose ``used`` is set back on return.
+    A node's planes, (component, part), are a 2x2 stack like a map's, so the
+    nodes are the prefix products of node 0 and the maps.  Step j's map is
+    copied into node j + 1, and a log-depth (Hillis-Steele) scan then sets
+    y[d:] = y[d:] @ y[:-d] in place for d = 1, 2, 4, ... up to m, after which
+    node j holds maps j - 1 down to 0 applied to node 0.  Each node reads
+    only itself and earlier nodes, so nothing past node m changes, and a NaN
+    or an infinity in a map reaches only the nodes after its step (or raises
+    under ``np.errstate``).  The work arrays come from ``arena``, whose
+    ``used`` is set back on return.
     """
     mark = arena.used
     m, n = step.shape[2:]
-    groups = -(-m // _GROUP)
-    prefix = arena.take((2, 2, groups * _GROUP, n))
-    prefix[:, :, :m] = step
-    prefix[:, :, m:] = 0.0
-    prefix[0, 0, m:] = prefix[1, 1, m:] = 1.0
-    prefix = prefix.reshape(2, 2, groups, _GROUP, n)
-    work = arena.take((2, 2, 2, groups, n))
-    for j in range(1, _GROUP):
-        _product(prefix[:, :, :, j], prefix[:, :, :, j - 1], out=prefix[:, :, :, j], work=work)
-    starts = arena.take((2, 2, groups, n))
-    starts[:, :, 0] = y[:, :, 0]
-    work = arena.take((2, 2, 2, n))
-    for g in range(1, groups):
-        _product(prefix[:, :, g - 1, -1], starts[:, :, g - 1], out=starts[:, :, g], work=work)
-    work = arena.take((2,) + prefix.shape)
-    nodes = _product(prefix, starts[:, :, :, None], out=work[0], work=work)
-    y[:, :, 1:] = nodes.reshape(2, 2, -1, n)[:, :, :m]
+    y[:, :, 1:] = step
+    work = arena.take((2, 2, 2, m, n))
+    d = 1
+    while d <= m:
+        _product(y[:, :, d:], y[:, :, :-d], out=y[:, :, d:], work=work[:, :, :, : m + 1 - d])
+        d *= 2
     arena.used = mark
 
 
@@ -496,10 +478,9 @@ def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: flo
     """One ramp solve of the mode equation for every momentum in ``k_mags``.
 
     A uniform grid on [-mu, 0] carries the plane-wave data at -mu through
-    the DOP853 step maps of every momentum, by products of ``_GROUP`` steps
-    at a time (see ``_carry``); the maps are built for a block of steps at
-    a time, a multiple of ``_GROUP``, so memory stays bounded and only a
-    solve's last block is padded.
+    the DOP853 step maps of every momentum, by a prefix scan of each block's
+    nodes (see ``_carry``); the maps are built for a block of ``_BLOCK // n``
+    steps at a time (at least one) for n momenta, so memory stays bounded.
     The first grid is seeded at its final size from the h**8 error law,
     rtol**(-1/8) * max(_SEED_WAVE * mu * (largest frequency), _SEED_SWITCH)
     steps: the oscillation term was fitted on solves with
@@ -517,7 +498,7 @@ def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: flo
     eps, eps_lam = disp.eps, disp.eps_lambda
     mu, shift, n = prof.mu, params.mass_shift, ks.size
     where = f"ramp solve for k in [{ks.min()}, {ks.max()}], mu={mu}"
-    block = max(1, _BLOCK // n // _GROUP) * _GROUP
+    block = max(1, _BLOCK // n)
     samples = _samples(eps)
     arena = _block_arena()
     size = rtol**-0.125 * max(_SEED_WAVE * mu * max(eps.max(), eps_lam.max()), _SEED_SWITCH)

@@ -37,6 +37,7 @@ import itertools
 import math
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -424,12 +425,14 @@ def criterion_10(config: RunConfig):
     return ok, {"worst_high_order": worst, "tol": tol}
 
 
-def run_all(config: RunConfig) -> list[CriterionResult]:
-    """Run the acceptance criteria in order and return their results; the
-    suite's solves are made once for the run and dropped when it ends."""
+def run_all(config: RunConfig) -> Iterator[CriterionResult]:
+    """Run the acceptance criteria in order, yielding each result as its
+    criterion finishes; the suite's solves are made once for the run and
+    dropped when the generator ends, raises or is closed."""
     global _suite_memo
     _suite_memo = {}
     try:
-        return [CRITERIA[i](config) for i in sorted(CRITERIA)]
+        for i in sorted(CRITERIA):
+            yield CRITERIA[i](config)
     finally:
         _suite_memo = None

@@ -314,10 +314,21 @@ class TestBatchedRampSolves:
         assert not out.exists()
 
 
+# a positive beta and eps whose product rounds to 0
+UNDERFLOWING_PARAMS = {"beta": 1e-323, "m_sq": 1e-3, "m0_sq": 1.0, "lam": 0.1}
+# packets at k = 1e6, where every thermal occupation underflows to 0, so the
+# closed-form pairings that gaps are taken against vanish
+VANISHING_PACKETS = [
+    {"k_center": 1e6, "k_width": 0.5, "t_center": 2.0, "t_width": 0.3},
+    {"k_center": 1e6, "k_width": 0.5, "t_center": 2.5, "t_width": 0.3},
+]
+
+
 class TestFloatingPointBreakdown:
     """An overflow, a division by zero or an invalid operation in numpy, or a
     non-finite temperature shift, is a numerical failure: exit 3, one line on
-    stderr and nothing on stdout."""
+    stderr and nothing on stdout but the summary lines of the criteria that
+    ``verify-all`` finished first."""
 
     @pytest.mark.parametrize(
         "command, doc, message",
@@ -334,20 +345,12 @@ class TestFloatingPointBreakdown:
                                   "t_width": 0.5}]},
                 "convergence guard: temperature shift inf", id="series-guard-overflow",
             ),
-            # a positive beta and eps whose product rounds to 0
-            *(pytest.param(command, {"params": {"beta": 1e-323, "m_sq": 1e-3, "m0_sq": 1.0,
-                                                "lam": 0.1}},
-                           "underflow: beta*eps", id=f"{command}-beta-eps-underflow")
-              for command in ("ness", "series", "verify-all")),
-            # packets at k = 1e6, where every thermal occupation underflows to
-            # 0, so the closed-form pairings that gaps are taken against vanish
-            *(pytest.param(command, {"packets": [
-                {"k_center": 1e6, "k_width": 0.5, "t_center": 2.0, "t_width": 0.3},
-                {"k_center": 1e6, "k_width": 0.5, "t_center": 2.5, "t_width": 0.3}]},
-                message, id=f"{command}-vanished-pairing")
-              for command, message in (
-                  ("series", "closed-form pairing vanished"),
-                  ("verify-all", "criterion 6: slow-switch target pairing vanished"))),
+            *(pytest.param(command, {"params": UNDERFLOWING_PARAMS}, "underflow: beta*eps",
+                           id=f"{command}-beta-eps-underflow")
+              for command in ("ness", "series")),
+            # the closed-form pairing that series' gaps are taken against vanishes
+            pytest.param("series", {"packets": VANISHING_PACKETS}, "closed-form pairing vanished",
+                         id="series-vanished-pairing"),
         ],
     )
     def test_exits_numerical(self, tmp_path, capsys, command, doc, message):
@@ -359,6 +362,30 @@ class TestFloatingPointBreakdown:
         assert message in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "doc, finished, message",
+        [
+            # criterion 7, the series, takes the config's beta
+            pytest.param({"params": UNDERFLOWING_PARAMS}, 6, "underflow: beta*eps",
+                         id="beta-eps-underflow"),
+            pytest.param({"packets": VANISHING_PACKETS}, 5,
+                         "criterion 6: slow-switch target pairing vanished", id="vanished-pairing"),
+        ],
+    )
+    def test_verify_all_keeps_earlier_lines(self, tmp_path, capsys, doc, finished, message):
+        # the criteria that finish before one raises print their summary lines
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["verify-all", "--config", str(cfg), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line.split()[:2] for line in lines] == [["PASS", f"{i}."]
+                                                        for i in range(1, finished + 1)]
+        assert captured.err.startswith(f"numerical failure: {message}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out.exists()
 
 
 class TestImportGraph:

@@ -441,7 +441,7 @@ class TestNystromStepMaps:
         config = default_config()
         if block == "criterion-6":  # the first block, interpolated maps
             traj = criterion_6_mu40
-            part = slice(0, modes._BLOCK // traj.eps.size // modes._GROUP * modes._GROUP)
+            part = slice(0, modes._BLOCK // traj.eps.size)
             assert modes._samples(traj.eps)[1] is not None
         else:  # the first limits solve, two momenta on their own x
             switch_integrals(np.array(config.k_values), SwitchingProfile(config.mu_ladder[0]),
@@ -508,13 +508,13 @@ class TestBlockArena:
 
     @classmethod
     def probes(cls):
-        """Node planes of a limits-sized solve whose only block ends in a
-        group padded with identity maps, then of the three-block solve."""
+        """Node planes of a limits-sized solve of one 27-step block, then of
+        the three-block solve."""
         return solve_modes(np.array([1.0, 1.5]), SwitchingProfile(3.0), PARAMS).y, cls.solve().y
 
     def test_nodes_do_not_depend_on_what_ran_before(self, monkeypatch):
         first = self.probes()
-        assert first[0].shape[2] == 28 and 27 % modes._GROUP
+        assert first[0].shape[2] == 28
         assert first[1].shape[2] > 2 * modes._BLOCK // 42 + 1
         solve_modes(np.linspace(0.0, 5.0, 64), SwitchingProfile(40.0), verify.MODE_PARAMS)
         after_larger = self.probes()
@@ -634,6 +634,16 @@ class TestBlockArena:
         assert np.array_equal(self.solve().y, y_large)
         assert np.array_equal(small(), y_small)
         assert arena.blocks == 8 and arena.buf is buf and arena.buf.size == size
+
+    def test_a_warm_verify_all_replaces_no_buffer(self, monkeypatch, capsys):
+        arena = _CountingArena()
+        monkeypatch.setattr(modes._THREAD, "arena", arena, raising=False)
+        assert cli.main(["verify-all"]) == 0
+        buf, grown = arena.buf, len(arena.grown_in)
+        assert cli.main(["verify-all"]) == 0
+        assert arena.buf is buf and len(arena.grown_in) == grown
+        # the size measured after a default verify-all
+        assert buf.size <= 196_560
 
     def test_a_view_outlives_the_buffer_it_came_from(self):
         arena = modes._Arena()
@@ -766,8 +776,8 @@ class TestErrorNorm:
 
 def _per_step_carry(step, y):
     """The carry as one batched 2x2 product per step, on (step, momentum,
-    2, 2) views of the maps and the nodes: the reference for the grouped
-    products of ``modes._carry``."""
+    2, 2) views of the maps and the nodes: the reference for the prefix scan
+    of ``modes._carry``."""
     nodes = y.transpose(2, 3, 0, 1)
     maps = step.transpose(2, 3, 0, 1)
     for i in range(step.shape[2]):
@@ -803,9 +813,8 @@ def mu40_solve():
 
 
 class TestGroupedCarry:
-    """The two-level carry, prefix products of ``_GROUP`` steps for every
-    group at once and one product per group between them, against one 2x2
-    product per step."""
+    """The carry, an in-place log-depth prefix scan of a block's node planes,
+    against one 2x2 product per step."""
 
     # measured worst: 2.5e-15 of the largest node entry on the first block of
     # the unscreened mu = 40 solve, and at most that on the others
@@ -814,25 +823,25 @@ class TestGroupedCarry:
     ABS = 1e-13
 
     def assert_matches_per_step(self, step, start):
-        """Carries ``start`` through ``step`` both ways, the grouped carry into
-        the front of a longer buffer of NaN, and compares the nodes."""
+        """Carries ``start`` through ``step`` both ways, the scan into the
+        front of a buffer of NaN twice as long, and compares the nodes."""
         m, n = step.shape[2:]
         given = step.copy()
-        fast = np.full((2, 2, m + 1 + modes._GROUP, n), np.nan)
+        fast = np.full((2, 2, 2 * m + 1, n), np.nan)
         slow = np.empty((2, 2, m + 1, n))
         fast[:, :, 0] = slow[:, :, 0] = start
         with np.errstate(all="raise"):
             modes._carry(step, fast[:, :, : m + 1], modes._Arena())
         _per_step_carry(step, slow)
-        # the padded tail of the last group writes nothing past node m
+        # no offset of the scan writes past node m
         assert np.isnan(fast[:, :, m + 1 :]).all() and np.isfinite(fast[:, :, : m + 1]).all()
         assert np.array_equal(step, given)
         assert np.abs(fast[:, :, : m + 1] - slow).max() <= self.REL * np.abs(slow).max()
 
-    @pytest.mark.parametrize("m", [1, 7, 8, 9, 128])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 127, 128, 129])
     def test_criterion_6_block(self, m, mu40_solve):
-        # the first m steps of the unscreened mu = 40 grid's first block,
-        # interpolated maps
+        # the first m steps of the unscreened mu = 40 grid, whose first block
+        # is 128 steps, interpolated maps
         traj = mu40_solve
         assert modes._BLOCK // traj.eps.size == 128
         h = traj.mu / traj.n_steps
@@ -841,13 +850,30 @@ class TestGroupedCarry:
                                       modes._Arena())
         self.assert_matches_per_step(step, traj.y[:, :, 0])
 
+    @pytest.mark.parametrize("k", [0, 1, 63, 64, 127])
+    def test_nan_map_reaches_only_later_nodes(self, k, mu40_solve):
+        # the unscreened mu = 40 grid's first full block, with step k's maps
+        # NaN for every momentum
+        traj = mu40_solve
+        m = modes._BLOCK // traj.eps.size
+        h = traj.mu / traj.n_steps
+        step, _, _ = modes._step_maps(traj.t[:m], h, modes._samples(traj.eps),
+                                      traj.params.mass_shift, traj.mu, modes._Arena())
+        clean, poisoned = (np.empty((2, 2, m + 1, traj.eps.size)) for _ in range(2))
+        clean[:, :, 0] = poisoned[:, :, 0] = traj.y[:, :, 0]
+        modes._carry(step, clean, modes._Arena())
+        step[:, :, k] = np.nan
+        modes._carry(step, poisoned, modes._Arena())
+        assert np.array_equal(poisoned[:, :, : k + 1], clean[:, :, : k + 1])
+        assert np.isnan(poisoned[:, :, k + 1 :]).all()
+
     def test_ragged_limits_block(self, ramp_solves):
         # the first limits solve, 27 steps, for its first momentum alone
         config = default_config()
         switch_integrals(np.array(config.k_values), SwitchingProfile(config.mu_ladder[0]),
                          config.params)
         traj = ramp_solves[-1]
-        assert traj.n_steps == 27 and traj.n_steps % modes._GROUP
+        assert traj.n_steps == 27
         h = traj.mu / traj.n_steps
         samples = modes._samples(traj.eps[:1])
         step, _, _ = modes._step_maps(traj.t[:-1], h, samples, traj.params.mass_shift, traj.mu,
@@ -855,9 +881,9 @@ class TestGroupedCarry:
         self.assert_matches_per_step(step, traj.y[:, :, 0, :1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_map_in_the_padded_group_fails(self, bad, monkeypatch, capsys):
-        # the last step of every block, which for the 27-step limits solve
-        # sits in a group padded with five identity maps
+    def test_non_finite_map_in_the_last_step_fails(self, bad, monkeypatch, capsys):
+        # the last step of every block, the one step whose map reaches only
+        # the block's last node
         config = default_config()
         ks, prof = np.array(config.k_values), SwitchingProfile(config.mu_ladder[0])
         original = modes._step_maps
@@ -883,18 +909,18 @@ class TestGroupedCarry:
             capsys.readouterr()
             return [(traj.n_steps, traj.passes) for traj in ramp_solves]
 
-        grids = run("grouped")
+        grids = run("scan")
         monkeypatch.setattr(modes, "_carry", lambda step, y, arena: _per_step_carry(step, y))
         assert run("per-step") == grids + grids
         for name in ("limits/limits.csv", "ness/ness.csv"):
-            head, rows = _csv_fields(tmp_path / "grouped" / name)
+            head, rows = _csv_fields(tmp_path / "scan" / name)
             ref_head, ref_rows = _csv_fields(tmp_path / "per-step" / name)
             assert head == ref_head and len(rows) == len(ref_rows) > 0
             for row, ref in zip(rows, ref_rows):
                 for a, b in zip(row, ref):
                     assert a == b if isinstance(b, str) else abs(a - b) <= self.ABS, (name, head)
         docs = [json.loads((tmp_path / side / "verify-all" / "verify_all.json").read_text())
-                for side in ("grouped", "per-step")]
+                for side in ("scan", "per-step")]
         for got, ref in zip(*(doc["criteria"] for doc in docs)):
             assert (got["index"], got["status"]) == (ref["index"], ref["status"])
             assert got["measured"].keys() == ref["measured"].keys()

@@ -202,22 +202,22 @@ class TestSolvePlan:
     # 5 and 8 together, and forgets the solves when it returns
 
     def test_run_all_solves_each_ramp_once(self, solve_keys, ramp_solves):
-        results = verify.run_all(default_config())
+        results = list(verify.run_all(default_config()))
         assert all(r.status == "pass" for r in results)
         # the suite's six, criterion 6's four and criterion 9's one
         assert len(ramp_solves) == len(solve_keys) == 11
         assert len(set(solve_keys)) == 11
 
     def test_each_run_solves_afresh(self, ramp_solves):
-        verify.run_all(default_config())
+        list(verify.run_all(default_config()))
         first = list(ramp_solves)
-        verify.run_all(default_config())
+        list(verify.run_all(default_config()))
         assert len(ramp_solves) == 22
         assert not any(traj is old for traj in ramp_solves[11:] for old in first)
 
     def test_criteria_alone_after_a_run(self, ramp_solves):
         config = default_config()
-        verify.run_all(config)
+        list(verify.run_all(config))
         for index, want in ((4, 6), (5, 4), (8, 6)):
             del ramp_solves[:]
             verify.CRITERIA[index](config)
@@ -233,7 +233,7 @@ class TestSolvePlan:
             return traj
 
         monkeypatch.setattr(modes, "_ramp_solve", weakly)
-        verify.run_all(default_config())
+        list(verify.run_all(default_config()))
         assert len(refs) == 11
         assert all(ref() is None for ref in refs)
         assert verify._suite_memo is None
@@ -253,7 +253,7 @@ class TestSolvePlan:
             with monkeypatch.context() as m:
                 patch(m)
                 with pytest.raises(modes.IntegratorError) as raised:
-                    verify.run_all(default_config())
+                    list(verify.run_all(default_config()))
             assert raised.value is error
             assert verify._suite_memo is None
 
@@ -261,7 +261,7 @@ class TestSolvePlan:
         # the shared path computes the same floats as each criterion alone,
         # under the pinned (index, name) pairs that verify_all.json carries
         config = default_config()
-        shared_results = verify.run_all(config)
+        shared_results = list(verify.run_all(config))
         assert [(r.index, r.name) for r in shared_results] == CRITERION_NAMES
         for shared in shared_results:
             solo = verify.CRITERIA[shared.index](config)
@@ -280,7 +280,7 @@ class TestSolvePlan:
             return read[-1][1]
 
         monkeypatch.setattr(verify, "_switch_integrals", recording)
-        verify.run_all(config)
+        list(verify.run_all(config))
         suite = ramp_solves[: len(config.mu_ladder) + 2]
         assert [traj.mu for traj, _ in read] == list(config.mu_ladder)
         assert all(traj is suite[i] for i, (traj, _) in enumerate(read))
