@@ -35,14 +35,15 @@ frequencies, set up once per solve and kept by its trajectory for its
 reads between nodes (see ``_samples``).
 Every block of ramp work, of a solve or of a read, takes its work arrays
 (the stages, the interpolated maps, the carry's products and the error
-norm's temporaries) as views into one arena per thread, which grows to
-the largest block it has served and is reused by every later block, so
-warm solves and reads allocate no fresh block-sized memory.  Only the
-node planes a trajectory keeps and the values a read returns are fresh
-arrays.  Maps and grid nodes are laid out entries first, (row, column,
-step, momentum) and (component, real or imaginary part, node, momentum),
-so that the step-error norm is elementwise arithmetic on contiguous
-(step, momentum) planes.  The first grid is seeded from the tolerance by
+norm's temporaries) as views into one arena per thread, which starts with
+room for a full block's carry and error norm, grows only for a block that
+needs more, and is reused by every later block, so warm solves and reads
+allocate no fresh block-sized memory.  Only the node planes a trajectory
+keeps and the values a read returns are fresh arrays.  Maps and grid
+nodes are laid out entries first, (row, column, step, momentum) and
+(component, real or imaginary part, node, momentum), so that the
+step-error norm is elementwise arithmetic on contiguous (step, momentum)
+planes.  The first grid is seeded from the tolerance by
 the h**8 error law, rtol**(-1/8) * max(0.19 * mu * (largest frequency),
 1.5) steps, with both constants fitted once on measured solves.
 DOP853's embedded error estimate, taken per step and per momentum as
@@ -287,14 +288,14 @@ class _Arena:
     """Work arrays handed out as consecutive views of one buffer.  ``used``
     counts the doubles handed out: a caller notes it before taking and sets
     it back when the arrays it took are dead, and every block of ramp work
-    sets it to 0 at its start.  A request that does not fit replaces the
-    buffer with one of ``used + size`` doubles, so the buffer grows to the
-    largest block it has served; views handed out before keep the old
-    buffer alive, and nothing is handed out twice until ``used`` is set
-    back."""
+    sets it to 0 at its start.  The buffer starts with ``size`` doubles; a
+    request that does not fit replaces it with one of ``used + size``
+    doubles, so the buffer grows to the largest block it has served; views
+    handed out before keep the old buffer alive, and nothing is handed out
+    twice until ``used`` is set back."""
 
-    def __init__(self):
-        self.buf = np.empty(0)
+    def __init__(self, size: int = 0):
+        self.buf = np.empty(size)
         self.used = 0
 
     def take(self, shape):
@@ -312,10 +313,15 @@ def _block_arena() -> _Arena:
     """This thread's arena, made on the thread's first block of ramp work
     and kept for the life of the thread.  Fresh arrays freed after every
     block cost ~1200 minor page faults per warm verify-all, as glibc trimmed
-    the heap and the next block faulted it back."""
+    the heap and the next block faulted it back.  It starts with 24 planes
+    of ``_BLOCK`` doubles (1.5 MiB, faulted in only as blocks write it),
+    what the carry and the error norm of a full block take, so every block
+    of a default verify-all fits in it, where growing from empty, take by
+    take, replaced it 17 times in the first run.  Only a block whose step
+    maps take more (up to 48 planes, on a batch of few momenta) grows it."""
     arena = getattr(_THREAD, "arena", None)
     if arena is None:
-        arena = _THREAD.arena = _Arena()
+        arena = _THREAD.arena = _Arena(24 * _BLOCK)
     return arena
 
 

@@ -6,10 +6,12 @@ the suite cannot meaningfully run (the series comparison outside its
 convergence region) are skipped with a reason instead of failing.
 
 A criterion is declared once: one function, registered by
-``@_criterion(index, name)``, returns ``(ok, measured)``, or ``(None,
-measured, reason)`` for a skip.  The runner times it, builds its result and
-enters it in :data:`CRITERIA` as ``criterion_<index>``.  Its bounds go in
-:data:`TOLERANCES` and its budget in :data:`RUNTIME_BUDGETS_S`.
+``@_criterion(index, name)``, takes the config and the run's solve memo and
+returns ``(ok, measured)``, or ``(None, measured, reason)`` for a skip.  The
+runner times it, builds its result and enters it in :data:`CRITERIA` as
+``criterion_<index>``; a numerical breakdown inside it reaches the caller
+with ``criterion <index> (<name>): `` in front of its message.  Its bounds
+go in :data:`TOLERANCES` and its budget in :data:`RUNTIME_BUDGETS_S`.
 
 The tolerances (:data:`TOLERANCES`), the runtime budgets and the parameter
 points that the criteria pin are hard-coded here, except the two series
@@ -18,16 +20,20 @@ lists them by name.  The ladders, packets and quadrature density come from
 the :class:`~thermalquench.config.RunConfig`, whose defaults reproduce the
 reference desk-scale setup.
 
-Criteria 4, 5 and 8 read one trajectory suite (see ``_suite_trajectories``).
-Under :func:`run_all`, which ``verify-all`` calls, each of its solves is
-made once: the run makes 11 ramp solves on the default config, the six of
-the suite, criterion 6's four and criterion 9's one.  Each of criterion 6's
-solves batches only the radial nodes that the screen of
-:func:`~thermalquench.spectral.pair_finite_mu` keeps: 42 of the 64 on the
-default config, on grids of 71 to 563 steps.  Criterion 4 pays for
-the suite, so the ``runtime_s`` of criteria 5 and 8 covers only their
-reads.  A criterion run alone, as ``pytest tests/test_acceptance.py`` runs
-each, pays for its own solves: 6, 4 and 6 for criteria 4, 5 and 8.
+Criteria 4, 5 and 8 read one trajectory suite (see ``_suite_trajectories``)
+from the solve memo.  The memo is a value of one run, never module state:
+:func:`run_all`, which ``verify-all`` calls, makes one and hands it to every
+criterion, and a criterion called alone makes its own, so two runs in one
+process, in turn or at once on two threads, never read each other's solves.
+Under :func:`run_all` each solve of the suite is made once: the run makes 11
+ramp solves on the default config, the six of the suite, criterion 6's four
+and criterion 9's one.  Each of criterion 6's solves batches only the radial
+nodes that the screen of :func:`~thermalquench.spectral.pair_finite_mu`
+keeps: 42 of the 64 on the default config, on grids of 71 to 563 steps.
+Criterion 4 pays for the suite, so the ``runtime_s`` of criteria 5 and 8
+covers only their reads.  A criterion run alone, as ``pytest
+tests/test_acceptance.py`` runs each, pays for its own solves: 6, 4 and 6
+for criteria 4, 5 and 8.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .combinatorics import (
 from .config import RunConfig
 from .modes import (
     BogoliubovPair,
+    IntegratorError,
     SwitchingProfile,
     _switch_integrals,
     bogoliubov,
@@ -123,17 +130,27 @@ CRITERIA: dict = {}
 def _criterion(index: int, name: str):
     """Register a check as criterion ``index``, named ``name``.
 
-    The check takes the config and returns ``(ok, measured)``, or
-    ``(None, measured, reason)`` for a skip.  The registered function, which
-    the decorator also returns as the module's ``criterion_<index>``, times
-    the check and builds its :class:`CriterionResult`; an exception raised
-    by the check reaches the caller unchanged."""
+    The check takes the config and a solve memo (see :func:`_suite_solve`)
+    and returns ``(ok, measured)``, or ``(None, measured, reason)`` for a
+    skip.  The registered function, which the decorator also returns as the
+    module's ``criterion_<index>``, takes the config and the memo of the run
+    it belongs to, or, called alone, makes a fresh memo; it times the check
+    and builds its :class:`CriterionResult`.  A numerical breakdown in the
+    check (``IntegratorError`` or ``ArithmeticError``) reaches the caller as
+    the same exception object, its message led by ``criterion <index>
+    (<name>): ``; any other exception reaches it unchanged."""
 
     def register(check):
         @functools.wraps(check)
-        def timed(config: RunConfig) -> CriterionResult:
+        def timed(config: RunConfig, memo: dict | None = None) -> CriterionResult:
             t0 = time.perf_counter()
-            ok, measured, *reason = check(config)
+            try:
+                ok, measured, *reason = check(config, {} if memo is None else memo)
+            except (IntegratorError, ArithmeticError) as exc:
+                # args, not add_note: the CLI prints str(exc), which shows
+                # no notes, and Python 3.10 has no add_note
+                exc.args = (f"criterion {index} ({name}): {exc}",)
+                raise
             status = "skip" if ok is None else "pass" if ok else "fail"
             return CriterionResult(index, name, status, measured, *reason, runtime_s=time.perf_counter() - t0)
 
@@ -150,7 +167,7 @@ def eulerian_rows():
 
 
 @_criterion(1, "eulerian-cross-oracle")
-def criterion_1(config: RunConfig):
+def criterion_1(config: RunConfig, memo: dict):
     """Eulerian rows: recursion equals enumeration exactly for n <= 8."""
     ok = True
     for rec, enum in eulerian_rows():
@@ -185,7 +202,7 @@ def _richardson_derivative(f, x: float, n: int, h0: float) -> float:
 
 
 @_criterion(2, "derivative-tower")
-def criterion_2(config: RunConfig):
+def criterion_2(config: RunConfig, memo: dict):
     """Derivative tower vs finite differences of the thermal coefficient."""
     tol = TOLERANCES["derivative_tower_rel"]
     worst = 0.0
@@ -201,7 +218,7 @@ def criterion_2(config: RunConfig):
 
 
 @_criterion(3, "temperature-shift-identity")
-def criterion_3(config: RunConfig):
+def criterion_3(config: RunConfig, memo: dict):
     """Temperature-shift identity on a 100-point (k, lam) grid."""
     tol = TOLERANCES["temperature_shift_abs"]
     ks = np.linspace(0.0, 3.0, 10)
@@ -217,17 +234,13 @@ def criterion_3(config: RunConfig):
     return worst <= tol, {"worst_abs": worst, "tol": tol}
 
 
-# The suite solves of the running run_all call, by (mu, tight tolerances);
-# None outside run_all, where each criterion solves what it reads.  run_all
-# opens it and always clears it, so no solve outlives the run.
-_suite_memo: dict | None = None
-
-
-def _suite_solve(config: RunConfig, mu: float, tight: bool = False):
+def _suite_solve(config: RunConfig, memo: dict, mu: float, tight: bool = False):
     """One batched solve over ``config.k_values`` at switching scale ``mu``,
-    at the default tolerances or, ``tight``, at ``_TIGHT_SOLVE``;
-    inside :func:`run_all` the first reader solves and the others read."""
-    memo = {} if _suite_memo is None else _suite_memo
+    at the default tolerances or, ``tight``, at ``_TIGHT_SOLVE``, kept in
+    ``memo`` by ``(mu, tight)``: the first reader of a memo solves and the
+    others read.  The memo belongs to one call of :func:`run_all`, which
+    hands it to every criterion, or to one criterion called alone, and dies
+    with it."""
     if (mu, tight) not in memo:
         ks = np.array(config.k_values)
         tols = _TIGHT_SOLVE if tight else {}
@@ -235,35 +248,35 @@ def _suite_solve(config: RunConfig, mu: float, tight: bool = False):
     return memo[mu, tight]
 
 
-def _suite_trajectories(config: RunConfig):
+def _suite_trajectories(config: RunConfig, memo: dict):
     """The trajectory suite: one batched solve over ``config.k_values`` per
     profile of the mu ladder, the unit-scale switch and, last, the sharp
     switch at tight tolerances.  Its readers, in run order: criterion 4
     (every solve's Wronskian drift), criterion 5 (the switching integrals of
     the mu ladder's solves) and criterion 8 (every solve's Bogoliubov
     pairs).  Under :func:`run_all` criterion 4 pays for all six solves and
-    criteria 5 and 8 only read them; a criterion run alone solves what it
-    reads."""
+    criteria 5 and 8 only read them from the run's ``memo``; a criterion run
+    alone solves what it reads into its own."""
     return [
-        *(_suite_solve(config, mu) for mu in (*config.mu_ladder, 1.0)),
-        _suite_solve(config, SUDDEN_MU, tight=True),
+        *(_suite_solve(config, memo, mu) for mu in (*config.mu_ladder, 1.0)),
+        _suite_solve(config, memo, SUDDEN_MU, tight=True),
     ]
 
 
 @_criterion(4, "wronskian-health")
-def criterion_4(config: RunConfig):
+def criterion_4(config: RunConfig, memo: dict):
     """Wronskian drift across every trajectory in the suite."""
     tol = TOLERANCES["wronskian_abs"]
-    worst = max(traj.worst_drift for traj in _suite_trajectories(config))
+    worst = max(traj.worst_drift for traj in _suite_trajectories(config, memo))
     return worst <= tol, {"worst_abs": worst, "tol": tol}
 
 
 @_criterion(5, "switch-integral-ladder")
-def criterion_5(config: RunConfig):
+def criterion_5(config: RunConfig, memo: dict):
     """Switching-integral ladder: gaps strictly decreasing, final below target."""
     tol = TOLERANCES["switch_final_abs"]
     ks = np.array(config.k_values)
-    ladder = [_switch_integrals(_suite_solve(config, mu)) for mu in config.mu_ladder]
+    ladder = [_switch_integrals(_suite_solve(config, memo, mu)) for mu in config.mu_ladder]
     i_sq, i_abs = (np.array(x) for x in zip(*ladder))  # rows: mu ladder, columns: k
     gaps_abs = np.abs(i_abs - switch_integral_limit(ks, MODE_PARAMS))
     gaps_sq = np.abs(i_sq)
@@ -272,16 +285,14 @@ def criterion_5(config: RunConfig):
 
 
 @_criterion(6, "finite-switch-pairing-ladder")
-def criterion_6(config: RunConfig):
+def criterion_6(config: RunConfig, memo: dict):
     """Time-domain pairing ladder toward the slow-switch classical state."""
     tol = TOLERANCES["pairing_final_rel"]
     f, g = config.packet_pair
     quad = config.quadrature
     target = pair(adiabatic_classical(MODE_PARAMS), f, g, quad)
     if target == 0.0:
-        raise ZeroDivisionError(
-            "criterion 6: slow-switch target pairing vanished; relative gaps undefined"
-        )
+        raise ZeroDivisionError("slow-switch target pairing vanished; relative gaps undefined")
     gaps = []
     for mu in config.mu_ladder:
         val = pair_finite_mu(SwitchingProfile(mu), MODE_PARAMS, f, g, quad)
@@ -298,7 +309,7 @@ def series_report(config: RunConfig) -> ResummationReport:
 
 
 @_criterion(7, "series-resummation")
-def criterion_7(config: RunConfig):
+def criterion_7(config: RunConfig, memo: dict):
     """Series resummation against the shifted thermal state."""
     report = series_report(config)
     measured = {
@@ -315,11 +326,11 @@ def criterion_7(config: RunConfig):
 
 
 @_criterion(8, "bogoliubov-normalization")
-def criterion_8(config: RunConfig):
+def criterion_8(config: RunConfig, memo: dict):
     """Bogoliubov normalization everywhere; sharp ramp matches the jump oracle."""
     norm_tol = TOLERANCES["bogoliubov_norm_abs"]
     sudden_tol = TOLERANCES["sudden_quench_abs"]
-    pairs = [bogoliubov(traj) for traj in _suite_trajectories(config)]
+    pairs = [bogoliubov(traj) for traj in _suite_trajectories(config, memo)]
     worst_norm = float(max(np.max(p.normalization_residual) for p in pairs))
     sharp = pairs[-1]
     oracle = sudden_quench_pair(np.array(config.k_values), MODE_PARAMS)
@@ -349,7 +360,7 @@ def ness_bogoliubov_map(params: ThermalParams, mu: float = 1.0):
 
 
 @_criterion(9, "ness-spectral-data")
-def criterion_9(config: RunConfig):
+def criterion_9(config: RunConfig, memo: dict):
     """Steady-state spectral data: commutator normalization and the
     no-production limit."""
     ccr_tol = TOLERANCES["ness_ccr_abs"]
@@ -387,7 +398,7 @@ def _wick_moment(subset: tuple, table: dict) -> complex:
 
 
 @_criterion(10, "connected-function-oracle")
-def criterion_10(config: RunConfig):
+def criterion_10(config: RunConfig, memo: dict):
     """Cumulant inversion: exact round trip; quasi-free tables have no
     connected parts beyond order two."""
     tol = TOLERANCES["cumulant_vanish_abs"]
@@ -427,12 +438,11 @@ def criterion_10(config: RunConfig):
 
 def run_all(config: RunConfig) -> Iterator[CriterionResult]:
     """Run the acceptance criteria in order, yielding each result as its
-    criterion finishes; the suite's solves are made once for the run and
-    dropped when the generator ends, raises or is closed."""
-    global _suite_memo
-    _suite_memo = {}
-    try:
-        for i in sorted(CRITERIA):
-            yield CRITERIA[i](config)
-    finally:
-        _suite_memo = None
+    criterion finishes.  The run makes one solve memo and hands it to every
+    criterion, so each solve of the trajectory suite is made once for the
+    run; the memo is the run's alone, so two runs never read each other's
+    solves, and it is dropped with the generator when it ends, raises or is
+    closed."""
+    memo: dict = {}
+    for i in sorted(CRITERIA):
+        yield CRITERIA[i](config, memo)

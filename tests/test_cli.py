@@ -367,14 +367,20 @@ class TestFloatingPointBreakdown:
         "doc, finished, message",
         [
             # criterion 7, the series, takes the config's beta
-            pytest.param({"params": UNDERFLOWING_PARAMS}, 6, "underflow: beta*eps",
+            pytest.param({"params": UNDERFLOWING_PARAMS}, 6,
+                         "criterion 7 (series-resummation): underflow: beta*eps",
                          id="beta-eps-underflow"),
+            pytest.param({"params": {"beta": 1e-323}}, 6,
+                         "criterion 7 (series-resummation): overflow encountered in divide",
+                         id="beta-1e-323"),
             pytest.param({"packets": VANISHING_PACKETS}, 5,
-                         "criterion 6: slow-switch target pairing vanished", id="vanished-pairing"),
+                         "criterion 6 (finite-switch-pairing-ladder): slow-switch target "
+                         "pairing vanished", id="vanished-pairing"),
         ],
     )
     def test_verify_all_keeps_earlier_lines(self, tmp_path, capsys, doc, finished, message):
-        # the criteria that finish before one raises print their summary lines
+        # the criteria that finish before one raises print their summary
+        # lines, and the error line names the criterion that raised, once
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -384,6 +390,7 @@ class TestFloatingPointBreakdown:
         assert [line.split()[:2] for line in lines] == [["PASS", f"{i}."]
                                                         for i in range(1, finished + 1)]
         assert captured.err.startswith(f"numerical failure: {message}")
+        assert captured.err.count("criterion") == 1
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not out.exists()
 

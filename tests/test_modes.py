@@ -480,8 +480,8 @@ class _CountingArena(modes._Arena):
     ramp work it served (a block starts with a take at ``used`` 0), and notes
     the block in which each buffer was made."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, size=0):
+        super().__init__(size)
         self.takes = self.blocks = 0
         self.grown_in = []
 
@@ -644,6 +644,29 @@ class TestBlockArena:
         assert arena.buf is buf and len(arena.grown_in) == grown
         # the size measured after a default verify-all
         assert buf.size <= 196_560
+
+    def test_a_fresh_thread_arena_holds_a_verify_all(self, monkeypatch, capsys):
+        # the arena a fresh thread makes is the only buffer of its first
+        # default verify-all (grown from empty it was replaced 17 times, to
+        # 196_560 doubles), and its second run makes none either
+        monkeypatch.setattr(modes, "_Arena", _CountingArena)
+        seen, codes = [], []
+
+        def run():
+            for _ in range(2):
+                codes.append(cli.main(["verify-all"]))
+                arena = modes._block_arena()
+                seen.append((arena, arena.buf, len(arena.grown_in)))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and codes == [0, 0]
+        (arena, first, grown), (again, second, regrown) = seen
+        assert isinstance(arena, _CountingArena) and again is arena
+        assert grown == regrown == 0 and second is first
+        assert first.size == 24 * modes._BLOCK <= 2 * 196_560
+        assert arena is not modes._block_arena()
 
     def test_a_view_outlives_the_buffer_it_came_from(self):
         arena = modes._Arena()

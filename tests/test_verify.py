@@ -1,9 +1,12 @@
 """The array paths of :mod:`thermalquench.verify` against the per-point and
 per-node loops they replace, the ramp-solve counts of the ramp consumers,
-and the solves that ``run_all`` shares between criteria 4, 5 and 8, and the
-registry of criteria that ``run_all`` runs."""
+the solves that ``run_all`` shares between criteria 4, 5 and 8 and keeps to
+its own run, and the registry of criteria that ``run_all`` runs."""
 
+import dataclasses
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -149,7 +152,7 @@ class TestNormalizationIsTheWronskianDrift:
     BOUND = 4e-15
 
     def test_suite_solves(self):
-        for traj in verify._suite_trajectories(default_config()):
+        for traj in verify._suite_trajectories(default_config(), {}):
             drift = modes._drift(traj.y[:, :, -1])
             assert np.max(np.abs(bogoliubov(traj).normalization_residual - drift)) <= self.BOUND
 
@@ -189,6 +192,15 @@ def solve_keys(monkeypatch, ramp_solves):
 
     monkeypatch.setattr(modes, "_ramp_solve", keyed)
     return keys
+
+
+@pytest.fixture
+def two_ladders():
+    """The default config on the k ladders (0, 1) and (0.5, 2), and the
+    measured values of each criterion in a run of each config alone."""
+    configs = [dataclasses.replace(default_config(), k_values=ks)
+               for ks in ((0.0, 1.0), (0.5, 2.0))]
+    return configs, [[r.measured for r in verify.run_all(config)] for config in configs]
 
 
 def test_registry_is_the_module_criteria():
@@ -236,26 +248,32 @@ class TestSolvePlan:
         list(verify.run_all(default_config()))
         assert len(refs) == 11
         assert all(ref() is None for ref in refs)
-        assert verify._suite_memo is None
 
-    def test_memo_cleared_when_a_criterion_raises(self, monkeypatch):
+    def test_memo_cleared_when_a_criterion_raises(self, monkeypatch, ramp_solves):
         # whether the registered entry or the check inside it raises, the
-        # caller gets that very exception and the memo is cleared
-        error = modes.IntegratorError("criterion 9 broke")
+        # caller gets that very exception, and once it lets go of it (whose
+        # traceback holds the run's frames) no solve of the run is left
+        error = modes.IntegratorError("ness broke")
 
         def broken(*args):
             raise error
 
-        for patch in (
-            lambda m: m.setitem(verify.CRITERIA, 9, broken),
-            lambda m: m.setattr(verify, "ness_classical", broken),
+        for patch, message in (
+            (lambda m: m.setitem(verify.CRITERIA, 9, broken), "ness broke"),
+            (lambda m: m.setattr(verify, "ness_classical", broken),
+             "criterion 9 (ness-spectral-data): ness broke"),
         ):
+            error.args = ("ness broke",)
             with monkeypatch.context() as m:
                 patch(m)
                 with pytest.raises(modes.IntegratorError) as raised:
                     list(verify.run_all(default_config()))
-            assert raised.value is error
-            assert verify._suite_memo is None
+            assert raised.value is error and str(error) == message
+            refs = [weakref.ref(traj) for traj in ramp_solves]
+            assert len(refs) == 10
+            del ramp_solves[:], raised
+            error.__traceback__ = None
+            assert all(ref() is None for ref in refs)
 
     def test_shared_measured_equals_solo(self):
         # the shared path computes the same floats as each criterion alone,
@@ -267,6 +285,38 @@ class TestSolvePlan:
             solo = verify.CRITERIA[shared.index](config)
             assert (solo.index, solo.name, solo.status) == (shared.index, shared.name, shared.status)
             assert repr(solo.measured) == repr(shared.measured)
+
+    def test_interleaved_runs_read_their_own_solves(self, two_ladders):
+        # two runs advanced in turn in one process: each criterion measures
+        # what it measures in a run of its own
+        configs, solo = two_ladders
+        runs = [verify.run_all(config) for config in configs]
+        interleaved = [[r.measured for r in results] for results in zip(*zip(*runs))]
+        assert repr(interleaved) == repr(solo)
+
+    def test_concurrent_runs_read_their_own_solves(self, two_ladders):
+        # the same two runs at once on two threads, each with its own arena
+        configs, solo = two_ladders
+        start = threading.Barrier(2)
+        measured = [None, None]
+
+        def run(i):
+            start.wait(timeout=60)
+            measured[i] = [r.measured for r in verify.run_all(configs[i])]
+
+        # switching often, so that the two runs interleave finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert repr(measured) == repr(solo)
 
     def test_switch_integrals_read_from_the_suite(self, monkeypatch, ramp_solves):
         # criterion 5 reads criterion 4's solves, and its ladder is bit-equal
