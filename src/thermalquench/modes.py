@@ -53,9 +53,18 @@ solve's one store, made complex only where a reader asks, and each
 momentum's Wronskian is gated on them in real arithmetic,
 |2*(Tdot_re*T_im - Tdot_im*T_re) - 1|, at every node and every ramp time
 a caller reads.  Between nodes a value is one partial step from the node
-before.  Before -mu the mode is the plane wave, and for t >= 0 it is
-closed form from its data at t = 0, the last node, where the Bogoliubov
-pair is read.
+before.
+
+Outside the ramp a mode is a sum of plane waves, sum c*exp(i*f*t) over a
+list of terms (c, f) per momentum, and ``_plane_waves`` is the one
+evaluator of such a list.  Two lists exist: the incoming wave
+exp(-i*eps*t)/sqrt(2*eps) (``_incoming_waves``), which gives the solve's
+data at -mu and every value before it, and the outgoing pair
+(a_plus*exp(-i*eps_lambda*t) + a_minus*exp(+i*eps_lambda*t))/sqrt(2*eps_lambda)
+(``_outgoing_waves``), with the Bogoliubov pair read at t = 0, the last
+node, which gives every value from t = 0 on.  The mode products of the
+ergodic averages are the term products of the outgoing list, and the
+pairings of :mod:`thermalquench.spectral` project the same list.
 
 Every reader of a solve returns the momentum batch: ``evaluate`` one row
 per momentum, :func:`bogoliubov`, :func:`switch_integrals`,
@@ -69,6 +78,7 @@ defaults.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -247,22 +257,29 @@ class SwitchingProfile:
         return chi_unit_rate(np.asarray(t, dtype=float) / self.mu) / self.mu
 
 
-def _incoming(eps, t):
-    """The plane wave exp(-i*eps*t)/sqrt(2*eps) and its time derivative."""
-    T = np.exp(-1j * eps * t) / np.sqrt(2.0 * eps)
-    return T, -1j * eps * T
+def _plane_waves(terms, t, rate: bool = True):
+    """(T, Tdot) of T(t) = sum of c*exp(i*f*t) over the terms (c, f), each c
+    and f one entry per momentum, at the times ``t``: one row per momentum.
+    Without ``rate`` Tdot is not formed and reads None."""
+    waves = [(c[:, None] * np.exp(1j * f[:, None] * t), f[:, None]) for c, f in terms]
+    T = sum(w for w, _ in waves)
+    return T, (sum(1j * f * w for w, f in waves) if rate else None)
 
 
-def _after_switch(T0, Td0, eps_lambda, t):
-    """(T, Tdot) at t >= 0 from the data (T0, Td0) at t = 0.
+def _incoming_waves(eps):
+    """The terms of the mode before the switch, the plane wave
+    exp(-i*eps*t)/sqrt(2*eps), for :func:`_plane_waves`."""
+    return [(1.0 / np.sqrt(2.0 * eps), -eps)]
 
-    The frequency is eps_lambda there, so the mode is
-    (a_plus*exp(-i*eps_lambda*t) + a_minus*exp(+i*eps_lambda*t))/sqrt(2*eps_lambda)
-    with the Bogoliubov pair read at t = 0, which is the same function as
-    T0*cos(eps_lambda*t) + Td0*sin(eps_lambda*t)/eps_lambda.
-    """
-    c, s = np.cos(eps_lambda * t), np.sin(eps_lambda * t)
-    return T0 * c + Td0 * s / eps_lambda, Td0 * c - eps_lambda * T0 * s
+
+def _outgoing_waves(bog: BogoliubovPair, eps_lambda):
+    """The terms of the mode for t >= 0, for :func:`_plane_waves`.  The
+    frequency is eps_lambda there, so the mode is
+    (a_plus*exp(-i*eps_lambda*t) + a_minus*exp(+i*eps_lambda*t))/sqrt(2*eps_lambda),
+    with the pair ``bog`` that :func:`bogoliubov` reads at t = 0: the one
+    place that says which amplitude goes with which sign of frequency."""
+    root = np.sqrt(2.0 * eps_lambda)
+    return [(bog.a_plus / root, -eps_lambda), (bog.a_minus / root, eps_lambda)]
 
 
 def _samples(eps):
@@ -518,8 +535,8 @@ def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: flo
         t = np.linspace(-mu, 0.0, n_steps + 1)
         # (component, real or imaginary part, node, momentum)
         y = np.empty((2, 2, n_steps + 1, n))
-        for c, v in enumerate(_incoming(eps, -mu)):
-            y[c, :, 0] = v.real, v.imag
+        for c, v in enumerate(_plane_waves(_incoming_waves(eps), -mu)):
+            y[c, :, 0] = v.real[:, 0], v.imag[:, 0]
         worst = []
         for lo in range(0, n_steps, block):
             hi = min(lo + block, n_steps)
@@ -625,10 +642,14 @@ class ModeTrajectory:
         return _complex(self.y[1])
 
     def evaluate(self, t):
-        """(T, Tdot) at any finite times ``t``, a scalar or an array, each of
-        shape (momenta, times).  Every momentum's Wronskian is gated at the
+        """(T, Tdot) at any finite times ``t``, a scalar or a 1-D array, each
+        of shape (momenta, times).  Before the ramp and from t = 0 on the
+        values are the plane waves of :func:`_incoming_waves` and
+        :func:`_outgoing_waves`; every momentum's Wronskian is gated at the
         times inside the ramp."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        if t.ndim > 1:
+            raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
         if not np.isfinite(t).all():
             raise ValueError(f"times must be finite, got {t[~np.isfinite(t)]}")
         T = np.empty((self.eps.size, t.size), dtype=complex)
@@ -637,12 +658,12 @@ class ModeTrajectory:
         after = t >= 0.0
         ramp = ~(before | after)
         if np.any(before):
-            T[:, before], Td[:, before] = _incoming(self.eps[:, None], t[before])
+            T[:, before], Td[:, before] = _plane_waves(_incoming_waves(self.eps), t[before])
         if np.any(ramp):
             T[:, ramp], Td[:, ramp] = self._between_nodes(t[ramp])
         if np.any(after):
-            T0, Td0 = (_complex(part) for part in self.y[:, :, -1:])
-            T[:, after], Td[:, after] = _after_switch(T0, Td0, self.eps_lambda[:, None], t[after])
+            waves = _outgoing_waves(bogoliubov(self), self.eps_lambda)
+            T[:, after], Td[:, after] = _plane_waves(waves, t[after])
         return T, Td
 
     def _between_nodes(self, ts):
@@ -688,14 +709,15 @@ def solve_modes(
     in closed form.  Each momentum's step error meets ``rtol`` and ``atol``
     as DOP853's step control measures it, and the Wronskian drift, a second
     error estimate, is enforced for every momentum at every grid node.  The
-    momenta must be finite, ``rtol`` positive and ``atol`` non-negative,
-    both finite.  ``t_max`` must be >= 0 and changes nothing computed;
-    ``method`` names the scheme and must be "DOP853".
+    momenta must be a scalar or a non-empty 1-D array, all finite, ``rtol``
+    positive and ``atol`` non-negative, both finite.  ``t_max`` must be >= 0
+    and changes nothing computed; ``method`` names the scheme and must be
+    "DOP853".
     """
     if not t_max >= 0:  # a NaN t_max fails too
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    if not np.isfinite(k_mag).all():
-        raise ValueError(f"momenta must be finite, got {k_mag}")
+    if not (np.ndim(k_mag) <= 1 and np.size(k_mag) > 0 and np.isfinite(k_mag).all()):
+        raise ValueError(f"momenta must be finite, a scalar or a non-empty 1-D array, got {k_mag}")
     if not 0 < rtol < math.inf:
         raise ValueError(f"rtol must be positive and finite, got {rtol}")
     if not 0 <= atol < math.inf:
@@ -807,24 +829,15 @@ def sudden_quench_pair(k_mag, params: ThermalParams) -> BogoliubovPair:
 
 def _product_terms(bog: BogoliubovPair, eps_lambda, t1: float, t2: float):
     """The post-switch products T(t1+tau)*T(t2+tau) and
-    T(t1+tau)*conj(T(t2+tau)) as four terms each.
-
-    Past t = 0, T(t) = sum over s = +-1 of c_s*exp(-i*s*eps_lambda*t)/sqrt(2*eps_lambda),
-    with c_{+1} = a_plus and c_{-1} = a_minus, so the term (s, r) of each
-    product is coefficient * exp(i*frequency*tau).  Returns (tt, ttbar), two
-    lists of (coefficient, frequency in tau), per momentum.
+    T(t1+tau)*conj(T(t2+tau)) as the term products of
+    :func:`_outgoing_waves`: its terms (c, f) and (d, g) give
+    c*d*exp(i*(f*t1 + g*t2)) at frequency f + g in tau, and
+    c*conj(d)*exp(i*(f*t1 - g*t2)) at f - g.  Returns (tt, ttbar), two lists
+    of (coefficient, frequency in tau), per momentum.
     """
-    c = {1: bog.a_plus, -1: bog.a_minus}
-    el = eps_lambda
-    tt, ttbar = [], []
-    for s in (1, -1):
-        for r in (1, -1):
-            tt.append((c[s] * c[r] * np.exp(-1j * el * (s * t1 + r * t2)) / (2.0 * el),
-                       -(s + r) * el))
-            ttbar.append((
-                c[s] * np.conj(c[r]) * np.exp(-1j * el * (s * t1 - r * t2)) / (2.0 * el),
-                (r - s) * el,
-            ))
+    pairs = list(itertools.product(_outgoing_waves(bog, eps_lambda), repeat=2))
+    tt = [(c * d * np.exp(1j * (f * t1 + g * t2)), f + g) for (c, f), (d, g) in pairs]
+    ttbar = [(c * np.conj(d) * np.exp(1j * (f * t1 - g * t2)), f - g) for (c, f), (d, g) in pairs]
     return tt, ttbar
 
 

@@ -26,9 +26,9 @@ bounds every mode by |T(t)|^2 <= max(1/(2 eps), eps/(2 eps_lambda^2)), and
 the nodes whose summed a-priori bound stays within unit roundoff of the
 total are screened out before the one batched solve.  Each solved mode is
 projected in two parts split at the switch-off t = 0: the post-switch form,
-integrated against the packet in closed form from the Bogoliubov pair and
-``TestPacket.temporal_hat``, and the difference from it at the time rule's
-nodes before t = 0.
+the outgoing plane waves of :mod:`thermalquench.modes`, integrated against
+the packet in closed form with ``TestPacket.temporal_hat``, and the
+difference from it at the time rule's nodes before t = 0.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .modes import BogoliubovPair, SwitchingProfile, _gauss_legendre, bogoliubov, solve_modes
+from .modes import (BogoliubovPair, SwitchingProfile, _gauss_legendre, _outgoing_waves,
+                    _plane_waves, bogoliubov, solve_modes)
 from .thermal import ThermalParams, bose_coefficient, dispersion
 
 
@@ -278,17 +279,15 @@ def _early_nodes(p: TestPacket, quad: QuadratureSpec):
     return t[before], w[before] * p.temporal(t[before])
 
 
-def _projection(p: TestPacket, t, w, T, bog: BogoliubovPair, eps_lambda):
+def _projection(p: TestPacket, t, w, T, waves):
     """Each solved mode projected onto ``p``'s temporal profile, split at
-    t = 0: the integral of the post-switch form T_after over all t, in
-    closed form, plus sum_j w_j (T - T_after)(t_j) over the early nodes
-    ``t`` and weights ``w`` of :func:`_early_nodes`, with ``T`` the modes
-    there, one row per momentum."""
-    a_plus, a_minus, root = bog.a_plus, bog.a_minus, np.sqrt(2.0 * eps_lambda)
-    phase = eps_lambda[:, None] * t
-    after = (a_plus[:, None] * np.exp(-1j * phase)
-             + a_minus[:, None] * np.exp(1j * phase)) / root[:, None]
-    closed = (a_plus * p.temporal_hat(eps_lambda) + a_minus * p.temporal_hat(-eps_lambda)) / root
+    t = 0: the integral over all t of the post-switch form T_after, the
+    terms (c, f) of ``waves`` (see :func:`~thermalquench.modes._outgoing_waves`),
+    in closed form as sum c * fhat(-f), plus sum_j w_j (T - T_after)(t_j)
+    over the early nodes ``t`` and weights ``w`` of :func:`_early_nodes`,
+    with ``T`` the modes there, one row per momentum."""
+    after, _ = _plane_waves(waves, t, rate=False)
+    closed = sum(c * p.temporal_hat(-f) for c, f in waves)
     return closed + (T - after) @ w
 
 
@@ -346,13 +345,16 @@ def pair_finite_mu(
     **The projection**, split at the switch-off t = 0.  Past it the mode is
     T_after = (a_plus e^(-i eps_lambda t) + a_minus e^(i eps_lambda t))
     / sqrt(2 eps_lambda), with the pair of
-    :func:`~thermalquench.modes.bogoliubov`, whose integral against f is
-    (a_plus fhat(eps_lambda) + a_minus fhat(-eps_lambda)) / sqrt(2
-    eps_lambda) in closed form (:meth:`TestPacket.temporal_hat`).  The rest,
-    the integral of f (T - T_after) over t < 0, is the time rule's sum over
-    its own nodes before t = 0, read from the solve by one ``evaluate`` call
-    on the early nodes of both packets (partial steps inside the ramp, where
-    every node's Wronskian is gated, and the plane wave before it).
+    :func:`~thermalquench.modes.bogoliubov`: the same terms (c, f), one
+    c e^(i f t) each, that the trajectory evaluates from t = 0 on.  Its
+    integral against f is sum c fhat(-f), here (a_plus fhat(eps_lambda) +
+    a_minus fhat(-eps_lambda)) / sqrt(2 eps_lambda), in closed form
+    (:meth:`TestPacket.temporal_hat`).  The rest, the integral of f (T -
+    T_after) over t < 0, is the time rule's sum over its own nodes before
+    t = 0: T is read from the solve by one ``evaluate`` call on the early
+    nodes of both packets (partial steps inside the ramp, where every
+    node's Wronskian is gated, and the plane wave before it), and T_after
+    from the terms, with no derivative formed.
     """
     k, wk = quad.radial_rule(f, g)
     free = free_kms(params)
@@ -368,9 +370,9 @@ def pair_finite_mu(
     if not keep.any():
         return 0j
     traj = solve_modes(k[keep], prof, params)
-    bog = bogoliubov(traj)
+    waves = _outgoing_waves(bogoliubov(traj), traj.eps_lambda)
     T, _ = traj.evaluate(np.concatenate((tf, tg)))
-    u_f = _projection(f, tf, wf, T[:, : tf.size], bog, traj.eps_lambda)
-    u_g = _projection(g, tg, wg, T[:, tf.size :], bog, traj.eps_lambda)
+    u_f = _projection(f, tf, wf, T[:, : tf.size], waves)
+    u_g = _projection(g, tg, wg, T[:, tf.size :], waves)
     kernel = c_plus[keep] * u_f * np.conj(u_g) + c_minus[keep] * np.conj(u_f) * u_g
     return complex(np.sum(radial[keep] * kernel))

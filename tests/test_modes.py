@@ -200,6 +200,25 @@ class TestSolveModes:
             with pytest.raises(ValueError, match="finite"):
                 traj.evaluate([-0.5, t])
 
+    @pytest.mark.parametrize("ts", [[[-3.0, -1.0], [0.5, 2.0]], np.zeros((1, 1, 2))],
+                             ids=["2-d", "3-d"])
+    def test_times_of_more_than_one_axis_rejected(self, ts):
+        # not an IndexError from the masks: the values are (momenta, times)
+        traj = solve_modes(np.array([0.0, 1.0]), SwitchingProfile(1.0), PARAMS)
+        with pytest.raises(ValueError, match="times must be a scalar or a 1-D array, got shape"):
+            traj.evaluate(ts)
+
+    @pytest.mark.parametrize("k", [[], np.empty(0), np.ones((2, 2))],
+                             ids=["empty-list", "empty-array", "2-d"])
+    def test_momenta_not_a_non_empty_batch_rejected(self, k):
+        # not numpy's "zero-size array to reduction operation minimum"
+        prof = SwitchingProfile(1.0)
+        calls = [lambda: solve_modes(k, prof, PARAMS), lambda: switch_integrals(k, prof, PARAMS),
+                 lambda: ergodic_averages(k, prof, PARAMS, 0.5, -0.25, horizon=10.0)]
+        for call in calls:
+            with np.errstate(all="raise"), pytest.raises(ValueError, match="non-empty 1-D array"):
+                call()
+
     @pytest.mark.parametrize(
         "k", [math.nan, math.inf, np.array([1.0, math.nan]), np.array([-math.inf, 1.0])]
     )

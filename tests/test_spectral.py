@@ -11,6 +11,7 @@ from thermalquench.modes import (
     IntegratorError,
     SwitchingProfile,
     bogoliubov,
+    ergodic_limits,
     solve_modes,
     sudden_quench_pair,
 )
@@ -181,6 +182,23 @@ class TestNessClassical:
         state = ness_classical(PARAMS, lambda k: BogoliubovPair(2.0 + 0j, 0j))
         with pytest.raises(ValueError):
             state.c_plus(np.array([1.0]))
+
+    @pytest.mark.parametrize("t1, t2", [(0.5, -0.25), (3.0, 1.0), (0.0, 0.0)])
+    def test_ergodic_limit_is_the_steady_state_mode_by_mode(self, t1, t2):
+        # the late-time average of T(t1+tau) conj(T(t2+tau)), L, mixed by the
+        # free thermal coefficients b+-, is the steady state's two-point
+        # function of each mode, (c+ e^(-i el dt) + c- e^(i el dt)) / (2 el):
+        # the average drops the cross terms, and what stays is ness_classical
+        ks = np.array([0.0, 0.5, 1.3, 3.0])
+        traj = solve_modes(ks, SwitchingProfile(5.0), PARAMS)
+        bog, el = bogoliubov(traj), traj.eps_lambda
+        _, limit = ergodic_limits(bog, el, t1, t2)
+        free, ness = free_kms(PARAMS), ness_classical(PARAMS, lambda k: bog)
+        mixed = free.c_plus(ks) * limit + free.c_minus(ks) * np.conj(limit)
+        dt = t1 - t2
+        steady = (ness.c_plus(ks) * np.exp(-1j * el * dt)
+                  + ness.c_minus(ks) * np.exp(1j * el * dt)) / (2.0 * el)
+        assert np.all(np.abs(mixed - steady) <= 1e-14 * np.abs(steady))
 
 
 class TestPair:
