@@ -23,6 +23,7 @@ from thermalquench import (
     pair,
     pair_finite_mu,
     pair_report,
+    pairing_plan,
 )
 from thermalquench.verify import ness_bogoliubov_map
 
@@ -71,8 +72,9 @@ def main():
 
     print("\n== finite-ramp pairing -> frozen-coefficient state ==")
     target = pair(adiabatic_classical(PARAMS), F, G, QUAD)
+    plan = pairing_plan(PARAMS, F, G, QUAD)  # one radial rule and screen for the ladder
     for mu in (5.0, 10.0, 20.0):
-        val = pair_finite_mu(SwitchingProfile(mu), PARAMS, F, G, QUAD)
+        val = pair_finite_mu(SwitchingProfile(mu), plan)
         print(f"  mu={mu:5.1f}: relative gap = {abs(val - target) / abs(target):.3e}")
     print("  (the remaining gap is the particle production of the finite ramp)")
 

@@ -44,6 +44,7 @@ from .series import (
     verify_resummation,
 )
 from .spectral import (
+    PairingPlan,
     QuadratureSpec,
     SpectralState,
     TestPacket,
@@ -54,6 +55,7 @@ from .spectral import (
     pair,
     pair_finite_mu,
     pair_report,
+    pairing_plan,
 )
 from .thermal import (
     DispersionPair,
@@ -72,6 +74,7 @@ __all__ = [
     "EulerianRow",
     "IntegratorError",
     "ModeTrajectory",
+    "PairingPlan",
     "QuadratureSpec",
     "ResummationReport",
     "SeriesTerm",
@@ -98,6 +101,7 @@ __all__ = [
     "pair",
     "pair_finite_mu",
     "pair_report",
+    "pairing_plan",
     "set_partitions",
     "shifted_beta",
     "solve_modes",

@@ -738,9 +738,14 @@ def _gauss_legendre(n: int):
 
 
 def _panel_nodes(a: float, b: float, max_freq: float, min_panels: int = 4):
-    """Composite Gauss-Legendre nodes resolving oscillations up to max_freq."""
+    """Composite Gauss-Legendre nodes and weights on [a, b]: one panel of
+    ``_GL_ORDER`` nodes per period of the fastest oscillation, at angular
+    frequency ``max_freq``, and at least ``min_panels`` panels.  On a panel
+    of one period, the n-point rule's remainder bounds its error for
+    exp(i*max_freq*t) by 2**(2n) (n!)**4 pi**(2n) / ((2n+1) ((2n)!)**3),
+    5.3e-15, times the panel's width at n = 10."""
     periods = (b - a) * max_freq / (2.0 * np.pi)
-    n_panels = max(min_panels, int(np.ceil(4.0 * periods)))
+    n_panels = max(min_panels, int(np.ceil(periods)))
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -767,9 +772,12 @@ def switch_integrals(k_mag, prof: SwitchingProfile, params: ThermalParams):
 
     computed by composite Gauss-Legendre on the solution of one
     :func:`solve_modes` call at its default tolerances, read between its
-    grid nodes by partial steps: one value per momentum, on panels sized by
-    the largest eps_lambda in the batch.  As mu grows, I_abs tends to
-    1/(eps_lambda + eps) and I_sq tends to 0.
+    grid nodes by partial steps: one value per momentum.  The ramp runs at
+    frequencies between eps and eps_lambda, so T^2 oscillates at up to
+    twice the larger of the two over the batch, and the panels give one
+    per period of that (see ``_panel_nodes``), and at least 16 for the
+    bump-shaped rate.  As mu grows, I_abs tends to 1/(eps_lambda + eps)
+    and I_sq tends to 0.
     """
     return _switch_integrals(solve_modes(k_mag, prof, params))
 
@@ -779,7 +787,8 @@ def _switch_integrals(traj: ModeTrajectory):
     trajectory: the one quadrature of the switching integrals."""
     prof = SwitchingProfile(traj.mu)
     # panels sized for both the mode oscillation and the bump-shaped rate
-    nodes, weights = _panel_nodes(-prof.mu, 0.0, 2.0 * np.max(traj.eps_lambda), min_panels=16)
+    fastest = 2.0 * max(traj.eps.max(), traj.eps_lambda.max())
+    nodes, weights = _panel_nodes(-prof.mu, 0.0, fastest, min_panels=16)
     T, _ = traj.evaluate(nodes)
     w = weights * prof.rate(nodes)
     return (T * T) @ w, (T.real**2 + T.imag**2) @ w
@@ -875,8 +884,8 @@ def ergodic_averages(
     ``k_mag``, from one solve at the default tolerances.  Once both shifted
     arguments are >= 0 each term of :func:`_product_terms` is integrated in
     closed form; the initial stretch, while either argument still probes the
-    ramp, is done by quadrature on the solved trajectory, on panels sized
-    by the largest frequency in the batch.  Each average has one value per
+    ramp, is done by quadrature on the solved trajectory, on four panels per
+    period of the fastest product in the batch.  Each average has one value per
     momentum and approaches its infinite-horizon limit at rate O(1/horizon).
     A horizon that is not positive and finite, or a non-finite time, raises.
     """
@@ -887,7 +896,10 @@ def ergodic_averages(
     traj = solve_modes(k_mag, prof, params)
     int_tt = int_ttbar = 0.0
     if cut > 0.0:
-        nodes, weights = _panel_nodes(0.0, cut, 2.0 * max(traj.eps.max(), traj.eps_lambda.max()))
+        # four panels per period of the fastest product, 2 * max(eps,
+        # eps_lambda): the stretch may hold the whole ramp, and at mu ~ 1 one
+        # panel per period leaves the switch itself unresolved (1e-9 off)
+        nodes, weights = _panel_nodes(0.0, cut, 8.0 * max(traj.eps.max(), traj.eps_lambda.max()))
         Ta, _ = traj.evaluate(t1 + nodes)
         Tb, _ = traj.evaluate(t2 + nodes)
         int_tt, int_ttbar = (Ta * Tb) @ weights, (Ta * np.conj(Tb)) @ weights

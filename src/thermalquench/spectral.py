@@ -22,13 +22,17 @@ dragging the free thermal state through the switched mass ramp at finite
 switching scale; as the scale grows it approaches the shifted-branch state
 that keeps the free thermal coefficients.  It solves only the radial nodes
 that can move the pairing: for the monotone switch, Gronwall's inequality
-bounds every mode by |T(t)|^2 <= max(1/(2 eps), eps/(2 eps_lambda^2)), and
-the nodes whose summed a-priori bound stays within unit roundoff of the
-total are screened out before the one batched solve.  Each solved mode is
-projected in two parts split at the switch-off t = 0: the post-switch form,
-the outgoing plane waves of :mod:`thermalquench.modes`, integrated against
-the packet in closed form with ``TestPacket.temporal_hat``, and the
-difference from it at the time rule's nodes before t = 0.
+bounds every mode by |T(t)|^2 <= max(1/(2 eps), eps/(2 eps_lambda^2)) at
+any switching scale, and the nodes whose summed a-priori bound stays within
+unit roundoff of the total are screened out before the one batched solve.
+The screen, the radial rule and everything else that no switch changes is
+a ``PairingPlan``, laid once by ``pairing_plan`` for a whole ladder of
+switching scales; each call of ``pair_finite_mu`` takes one.  Each solved
+mode is projected in two parts split at the switch-off t = 0: the
+post-switch form, the outgoing plane waves of :mod:`thermalquench.modes`,
+integrated against the packet in closed form with
+``TestPacket.temporal_hat``, and the difference from it at the time rule's
+nodes before t = 0.
 """
 
 from __future__ import annotations
@@ -303,19 +307,33 @@ def _screen(bound):
     return keep
 
 
-def pair_finite_mu(
-    prof: SwitchingProfile,
-    params: ThermalParams,
-    f: TestPacket,
-    g: TestPacket,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> complex:
-    """Time-domain pairing against the ramped free thermal state.
+@dataclass(frozen=True)
+class PairingPlan:
+    """What a finite-switch pairing of ``f`` with ``g`` reads that no switch
+    changes, laid once for a ladder of switching scales by
+    :func:`pairing_plan`: the radial nodes its screen keeps (``k``), their
+    radial weights r(k) = w_k 4 pi k^2 f(k) g(k) and the coefficients of
+    :func:`free_kms`, and each packet's early nodes and weights, ``(t,
+    w)`` of ``_early_nodes``."""
 
-    A radial node k contributes r(k) * [c_plus u_f conj(u_g) + c_minus
-    conj(u_f) u_g], with r the radial weight w_k 4 pi k^2 f(k) g(k), the
-    coefficients of :func:`free_kms` (at the free frequency) and u_f the
-    projection of the mode T onto f's temporal profile.
+    params: ThermalParams
+    f: TestPacket
+    g: TestPacket
+    k: np.ndarray
+    radial: np.ndarray
+    c_plus: np.ndarray
+    c_minus: np.ndarray
+    early_f: tuple
+    early_g: tuple
+
+
+def pairing_plan(
+    params: ThermalParams, f: TestPacket, g: TestPacket, quad: QuadratureSpec = QuadratureSpec()
+) -> PairingPlan:
+    """The plan of every :func:`pair_finite_mu` of ``f`` with ``g`` on
+    ``quad``'s rules: one radial rule, one evaluation of the coefficients
+    and the radial weights, the early nodes and the screen, whatever the
+    switching scale.
 
     **The screen.**  Write the mode on its adiabatic amplitudes, T =
     (alpha e^(-i theta) + beta e^(i theta)) / sqrt(2 w) with theta' = w and
@@ -325,17 +343,43 @@ def pair_finite_mu(
     inequality from alpha = 1, beta = 0 at t = -mu gives, for the monotone
     switch, |alpha| + |beta| <= sqrt(max(w/eps, eps/w)).  As w lies between
     eps and eps_lambda, |T(t)|^2 <= M = max(1/(2 eps), eps/(2 eps_lambda^2))
-    at every t.  Past t = 0 the amplitudes are the Bogoliubov pair, so the
-    post-switch form continued to t < 0 obeys the same bound:
+    at every t, for every mu.  Past t = 0 the amplitudes are the Bogoliubov
+    pair, so the post-switch form continued to t < 0 obeys the same bound:
     |T_after(t)|^2 <= (|a_plus| + |a_minus|)^2 / (2 eps_lambda) <= M.  With
-    |fhat| <= sqrt(2 pi) sigma_f, the projection below has |u_f| <= sqrt(M)
-    (sqrt(2 pi) sigma_f + 2 sum_{t_j<0} w_j f(t_j)), so a node contributes
-    at most |r| (c_plus + c_minus) M times that factor for f and for g.  The
-    nodes of smallest bound are dropped while their summed bound stays
-    within unit roundoff, 2**-53, of the total (see :func:`_screen`); a node
-    whose bound is not finite is kept, and when no node is kept the pairing
-    is 0, with no solve.  No tolerance is tunable: the threshold is the
-    unit roundoff.
+    |fhat| <= sqrt(2 pi) sigma_f, the projection of :func:`pair_finite_mu`
+    has |u_f| <= sqrt(M) (sqrt(2 pi) sigma_f + 2 sum_{t_j<0} w_j f(t_j)), so
+    a node contributes at most |r| (c_plus + c_minus) M times that factor
+    for f and for g.  The nodes of smallest bound are dropped while their
+    summed bound stays within unit roundoff, 2**-53, of the total (see
+    :func:`_screen`); a node whose bound is not finite is kept.  No
+    tolerance is tunable: the threshold is the unit roundoff.
+    """
+    k, wk = quad.radial_rule(f, g)
+    free = free_kms(params)
+    c_plus, c_minus = free.c_plus(k), free.c_minus(k)
+    radial = wk * 4.0 * np.pi * k * k * f.spatial(k) * g.spatial(k)
+    (tf, wf), (tg, wg) = early = [_early_nodes(p, quad) for p in (f, g)]
+    disp = dispersion(k, params)
+    amp_sq = np.maximum(0.5 / disp.eps, 0.5 * disp.eps / disp.eps_lambda**2)
+    reach_f, reach_g = (
+        math.sqrt(2.0 * math.pi) * p.t_width + 2.0 * np.sum(w) for p, w in ((f, wf), (g, wg))
+    )
+    keep = _screen(np.abs(radial) * (c_plus + c_minus) * amp_sq * reach_f * reach_g)
+    return PairingPlan(params, f, g, k[keep], radial[keep], c_plus[keep], c_minus[keep], *early)
+
+
+def pair_finite_mu(prof: SwitchingProfile, plan: PairingPlan) -> complex:
+    """Time-domain pairing of the plan's packets against the free thermal
+    state of its params, dragged through the ramp of ``prof``.
+
+    A radial node k contributes r(k) * [c_plus u_f conj(u_g) + c_minus
+    conj(u_f) u_g], with r the radial weight w_k 4 pi k^2 f(k) g(k), the
+    coefficients of :func:`free_kms` (at the free frequency) and u_f the
+    projection of the mode T onto f's temporal profile.  Everything but the
+    mode comes from ``plan`` (see :func:`pairing_plan`), so a ladder of
+    switching scales lays its rules and screens once, and each call only
+    solves, reads and projects.  Only the nodes the plan's screen keeps are
+    solved; when it keeps none the pairing is 0, with no solve.
 
     **The solve.**  One batched ramp solve,
     :func:`~thermalquench.modes.solve_modes` at its default tolerances,
@@ -356,23 +400,13 @@ def pair_finite_mu(
     node's Wronskian is gated, and the plane wave before it), and T_after
     from the terms, with no derivative formed.
     """
-    k, wk = quad.radial_rule(f, g)
-    free = free_kms(params)
-    c_plus, c_minus = free.c_plus(k), free.c_minus(k)
-    radial = wk * 4.0 * np.pi * k * k * f.spatial(k) * g.spatial(k)
-    (tf, wf), (tg, wg) = (_early_nodes(p, quad) for p in (f, g))
-    disp = dispersion(k, params)
-    amp_sq = np.maximum(0.5 / disp.eps, 0.5 * disp.eps / disp.eps_lambda**2)
-    reach_f, reach_g = (
-        math.sqrt(2.0 * math.pi) * p.t_width + 2.0 * np.sum(w) for p, w in ((f, wf), (g, wg))
-    )
-    keep = _screen(np.abs(radial) * (c_plus + c_minus) * amp_sq * reach_f * reach_g)
-    if not keep.any():
+    if plan.k.size == 0:
         return 0j
-    traj = solve_modes(k[keep], prof, params)
+    (tf, wf), (tg, wg) = plan.early_f, plan.early_g
+    traj = solve_modes(plan.k, prof, plan.params)
     waves = _outgoing_waves(bogoliubov(traj), traj.eps_lambda)
     T, _ = traj.evaluate(np.concatenate((tf, tg)))
-    u_f = _projection(f, tf, wf, T[:, : tf.size], waves)
-    u_g = _projection(g, tg, wg, T[:, tf.size :], waves)
-    kernel = c_plus[keep] * u_f * np.conj(u_g) + c_minus[keep] * np.conj(u_f) * u_g
-    return complex(np.sum(radial[keep] * kernel))
+    u_f = _projection(plan.f, tf, wf, T[:, : tf.size], waves)
+    u_g = _projection(plan.g, tg, wg, T[:, tf.size :], waves)
+    kernel = plan.c_plus * u_f * np.conj(u_g) + plan.c_minus * np.conj(u_f) * u_g
+    return complex(np.sum(plan.radial * kernel))

@@ -28,7 +28,7 @@ process, in turn or at once on two threads, never read each other's solves.
 Under :func:`run_all` each solve of the suite is made once: the run makes 11
 ramp solves on the default config, the six of the suite, criterion 6's four
 and criterion 9's one.  Each of criterion 6's solves batches only the radial
-nodes that the screen of :func:`~thermalquench.spectral.pair_finite_mu`
+nodes that the screen of its one :func:`~thermalquench.spectral.pairing_plan`
 keeps: 42 of the 64 on the default config, on grids of 71 to 563 steps.
 Criterion 4 pays for the suite, so the ``runtime_s`` of criteria 5 and 8
 covers only their reads.  A criterion run alone, as ``pytest
@@ -66,7 +66,7 @@ from .modes import (
     switch_integral_limit,
 )
 from .series import DUAL_PATH_TOL, FINAL_REL_TOL, ResummationReport, verify_resummation
-from .spectral import adiabatic_classical, ness_classical, pair, pair_finite_mu
+from .spectral import adiabatic_classical, ness_classical, pair, pair_finite_mu, pairing_plan
 from .thermal import ThermalParams, bose_coefficient, bose_derivative, dispersion, shifted_beta
 
 # Mode-physics bench shared by the ramp criteria: unit masses, strong shift.
@@ -286,16 +286,22 @@ def criterion_5(config: RunConfig, memo: dict):
 
 @_criterion(6, "finite-switch-pairing-ladder")
 def criterion_6(config: RunConfig, memo: dict):
-    """Time-domain pairing ladder toward the slow-switch classical state."""
+    """Time-domain pairing ladder toward the slow-switch classical state.
+
+    The ladder lays one radial rule for its target and one for its
+    :func:`~thermalquench.spectral.pairing_plan`, whose screen holds at
+    every switching scale, so each rung only solves, reads and projects
+    the plan's kept nodes."""
     tol = TOLERANCES["pairing_final_rel"]
     f, g = config.packet_pair
     quad = config.quadrature
     target = pair(adiabatic_classical(MODE_PARAMS), f, g, quad)
     if target == 0.0:
         raise ZeroDivisionError("slow-switch target pairing vanished; relative gaps undefined")
+    plan = pairing_plan(MODE_PARAMS, f, g, quad)
     gaps = []
     for mu in config.mu_ladder:
-        val = pair_finite_mu(SwitchingProfile(mu), MODE_PARAMS, f, g, quad)
+        val = pair_finite_mu(SwitchingProfile(mu), plan)
         gaps.append(abs(val - target) / abs(target))
     ok = all(b < a for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= tol
     return ok, {"final_rel_gap": gaps[-1], "first_rel_gap": gaps[0], "tol": tol}

@@ -1226,7 +1226,8 @@ class TestGridAgainstAdaptiveReference:
         prof = SwitchingProfile(mu)
         ks = np.array([0.0, 1.0, 3.0])
         traj = solve_modes(ks, prof, params)
-        nodes, _ = modes._panel_nodes(-mu, 0.0, 2.0 * np.max(traj.eps_lambda), min_panels=16)
+        fastest = 2.0 * max(traj.eps.max(), traj.eps_lambda.max())
+        nodes, _ = modes._panel_nodes(-mu, 0.0, fastest, min_panels=16)
         ts = np.append(nodes, 0.0)
         T, Td = traj.evaluate(ts)
         for i, k in enumerate(ks):
@@ -1262,13 +1263,58 @@ class TestSwitchIntegrals:
     @staticmethod
     def tight_scalar_reference(k, prof):
         """The integrals of one momentum on a solve at rtol 1e-12, on the
-        panels a scalar call lays for its own eps_lambda."""
+        panels a scalar call lays for its own frequencies."""
         traj = solve_modes(k, prof, PARAMS, rtol=1e-12, atol=1e-14)
-        el = dispersion(k, PARAMS).eps_lambda
-        nodes, weights = modes._panel_nodes(-prof.mu, 0.0, 2.0 * el, min_panels=16)
+        d = dispersion(k, PARAMS)
+        nodes, weights = modes._panel_nodes(-prof.mu, 0.0, 2.0 * max(d.eps, d.eps_lambda), min_panels=16)
         (T,), _ = traj.evaluate(nodes)
         w = weights * prof.rate(nodes)
         return complex((T * T) @ w), float(np.abs(T) ** 2 @ w)
+
+    # measured worst: 4.5e-13, in I_sq at mu = 40, k = 0, lam = 0.5, on 16
+    # panels of about one period each, and at most 9.9e-14 at any k > 0; the
+    # rule of four panels per period read at most 6.0e-14 on this grid
+    PANEL_ABS = 1e-12
+
+    @pytest.mark.parametrize("lam", [-0.3, 0.1, 0.5, 0.6])
+    @pytest.mark.parametrize("mu", [3.0, 5.0, 12.0, 40.0])
+    def test_one_panel_per_period_against_eight(self, mu, lam):
+        # the integrals of one solve on the panels switch_integrals lays, one
+        # per period of T^2 at twice the larger of eps and eps_lambda (which
+        # is eps for lam < 0), against eight times as many panels on the same
+        # solve: what is left is the panel rule's own error
+        params = dataclasses.replace(PARAMS, lam=lam)
+        prof = SwitchingProfile(mu)
+        for k in (0.0, 1.0, 1.6, 3.0):
+            traj = solve_modes(k, prof, params)
+            (i_sq,), (i_abs,) = modes._switch_integrals(traj)
+            d = dispersion(k, params)
+            fastest = 2.0 * max(d.eps, d.eps_lambda)
+            nodes, weights = modes._panel_nodes(-mu, 0.0, 8.0 * fastest, min_panels=8 * 16)
+            (T,), _ = traj.evaluate(nodes)
+            w = weights * prof.rate(nodes)
+            assert abs(i_sq - (T * T) @ w) <= self.PANEL_ABS, (k, abs(i_sq - (T * T) @ w))
+            assert abs(i_abs - np.abs(T) ** 2 @ w) <= self.PANEL_ABS, (k, abs(i_abs - np.abs(T) ** 2 @ w))
+
+    def test_panels_cover_the_faster_branch(self, monkeypatch):
+        # for lam < 0 the ramp starts at eps > eps_lambda: the panels are
+        # sized by eps, one per period of T^2, and at least 16
+        params = dataclasses.replace(PARAMS, lam=-0.3)
+        prof = SwitchingProfile(40.0)
+        laid = []
+        original = modes._panel_nodes
+
+        def recording(a, b, max_freq, min_panels=4):
+            laid.append((max_freq, min_panels))
+            return original(a, b, max_freq, min_panels)
+
+        monkeypatch.setattr(modes, "_panel_nodes", recording)
+        switch_integrals(np.array([0.0, 1.0]), prof, params)
+        d = dispersion(1.0, params)
+        assert d.eps > d.eps_lambda
+        assert laid == [(2.0 * d.eps, 16)]
+        nodes, _ = original(-prof.mu, 0.0, 2.0 * d.eps, 16)
+        assert nodes.size == modes._GL_ORDER * math.ceil(prof.mu * 2.0 * d.eps / (2.0 * np.pi))
 
     def test_rate_at_the_ramp_ends_signals_no_underflow(self):
         # the rate at panel nodes next to the ramp's ends
@@ -1337,6 +1383,26 @@ class TestBogoliubov:
 
 
 class TestErgodicAverages:
+    # measured worst: 2.8e-14; one panel per period, which the switching
+    # integrals lay over their floor of 16, reads 6.1e-10 and 1.1e-9 here
+    STRETCH_ABS = 1e-11
+
+    @pytest.mark.parametrize("lam", [-0.3, 0.5])
+    def test_ramp_stretch_resolves_a_short_switch(self, lam):
+        # horizon = tau_min: the whole average is the quadrature of the
+        # stretch, which holds the ramp [-1, 0] for both arguments; against
+        # eight times its panels on the same solve
+        params = dataclasses.replace(PARAMS, lam=lam)
+        prof, ks, (t1, t2, horizon) = SwitchingProfile(1.0), np.array([0.0, 0.5, 1.3, 3.0]), (-8.0, -2.0, 8.0)
+        got = ergodic_averages(ks, prof, params, t1, t2, horizon=horizon)
+        traj = solve_modes(ks, prof, params)
+        fastest = 2.0 * max(traj.eps.max(), traj.eps_lambda.max())
+        nodes, weights = modes._panel_nodes(0.0, horizon, 8.0 * 4.0 * fastest)
+        Ta, _ = traj.evaluate(t1 + nodes)
+        Tb, _ = traj.evaluate(t2 + nodes)
+        for avg, ref in zip(got, ((Ta * Tb) @ weights, (Ta * np.conj(Tb)) @ weights)):
+            assert np.abs(avg * horizon - ref).max() <= self.STRETCH_ABS
+
     def test_free_case_coincident_times(self):
         avg_tt, avg_ttbar = ergodic_averages(0.0, SwitchingProfile(1.0), FREE, 0.0, 0.0, horizon=400.0)
         assert abs(avg_ttbar - 0.5) < 1e-9  # |T|^2 = 1/(2 eps) with eps = 1
@@ -1443,7 +1509,7 @@ class TestErgodicAverages:
         lim_ttbar = (abs(ap) ** 2 * phase_m + abs(am) ** 2 * phase_p) / (2.0 * el)
         int_tt = int_ttbar = 0.0 + 0.0j
         if cut > 0.0:
-            nodes, weights = modes._panel_nodes(0.0, cut, 2.0 * max(eps, el))
+            nodes, weights = modes._panel_nodes(0.0, cut, 8.0 * max(eps, el))
             (Ta,), _ = traj.evaluate(t1 + nodes)
             (Tb,), _ = traj.evaluate(t2 + nodes)
             int_tt += np.sum(weights * Ta * Tb)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from thermalquench import cli, modes, spectral, verify
-from thermalquench.config import default_config
+from thermalquench.config import default_config, load_config
 from thermalquench.modes import (
     BogoliubovPair,
     IntegratorError,
@@ -27,6 +27,7 @@ from thermalquench.spectral import (
     pair,
     pair_finite_mu,
     pair_report,
+    pairing_plan,
 )
 from thermalquench.thermal import ThermalParams, bose_coefficient, dispersion, shifted_beta
 
@@ -266,20 +267,18 @@ class TestPair:
 
 class TestPairFiniteMu:
     def test_free_case_matches_spectral_route(self):
-        direct = pair_finite_mu(SwitchingProfile(5.0), FREE, F, G, QUAD)
+        direct = pair_finite_mu(SwitchingProfile(5.0), pairing_plan(FREE, F, G, QUAD))
         spectral = pair(free_kms(FREE), F, G, QUAD)
         assert abs(direct - spectral) / abs(spectral) < 1e-8
 
     def test_hermitian_diagonal(self):
-        value = pair_finite_mu(SwitchingProfile(5.0), PARAMS, F, F, QUAD)
+        value = pair_finite_mu(SwitchingProfile(5.0), pairing_plan(PARAMS, F, F, QUAD))
         assert abs(value.imag) <= 1e-10 * abs(value.real)
 
     def test_slow_switch_ladder_shrinks(self):
         target = pair(adiabatic_classical(PARAMS), F, G, QUAD)
-        gaps = [
-            abs(pair_finite_mu(SwitchingProfile(mu), PARAMS, F, G, QUAD) - target) / abs(target)
-            for mu in (5.0, 10.0)
-        ]
+        plan = pairing_plan(PARAMS, F, G, QUAD)
+        gaps = [abs(pair_finite_mu(SwitchingProfile(mu), plan) - target) / abs(target) for mu in (5.0, 10.0)]
         assert gaps[1] < gaps[0]
         assert gaps[1] < 1e-2
 
@@ -303,7 +302,7 @@ class TestPairFiniteMu:
                 + bose_coefficient(-1, PARAMS.beta, eps) * np.conj(u_f) * u_g
             )
             reference += wk * 4.0 * np.pi * k * k * F.spatial(k) * G.spatial(k) * kernel
-        batched = pair_finite_mu(prof, PARAMS, F, G, quad)
+        batched = pair_finite_mu(prof, pairing_plan(PARAMS, F, G, quad))
         assert abs(batched - reference) <= 1e-9 * abs(reference)
 
     def test_sloppy_tolerances_fail_the_wronskian_gate(self, monkeypatch):
@@ -312,7 +311,7 @@ class TestPairFiniteMu:
         monkeypatch.setattr(modes, "_WRONSKIAN_TOL", 1e-30)
         quad = QuadratureSpec(n_radial=8, n_time=40)
         with pytest.raises(IntegratorError, match="Wronskian drift"):
-            pair_finite_mu(SwitchingProfile(40.0), PARAMS, F, G, quad)
+            pair_finite_mu(SwitchingProfile(40.0), pairing_plan(PARAMS, F, G, quad))
 
 
 def _pair_all_nodes(prof, params, f, g, quad):
@@ -370,7 +369,7 @@ class TestScreenedPairing:
 
     def assert_matches_reference(self, prof, params, f, g, quad, ramp_solves):
         del ramp_solves[:]
-        value = pair_finite_mu(prof, params, f, g, quad)
+        value = pair_finite_mu(prof, pairing_plan(params, f, g, quad))
         (traj,) = ramp_solves
         reference = _pair_all_nodes(prof, params, f, g, quad)
         assert abs(value - reference) <= self.REL * abs(reference)
@@ -415,9 +414,79 @@ class TestScreenedPairing:
         # the momentum profiles do not overlap: every radial weight is 0
         f = Packet(k_center=0.0, k_width=0.01)
         g = Packet(k_center=50.0, k_width=0.01)
-        assert pair_finite_mu(SwitchingProfile(1.0), PARAMS, f, g, QUAD) == 0j
+        assert pair_finite_mu(SwitchingProfile(1.0), pairing_plan(PARAMS, f, g, QUAD)) == 0j
         assert ramp_solves == []
         assert _pair_all_nodes(SwitchingProfile(1.0), PARAMS, f, g, QUAD) == 0j
+
+
+def _pair_per_call(prof, params, f, g, quad):
+    """The finite-switch pairing as one call that lays its own radial rule,
+    coefficients, early nodes and screen for its one switch: the reference
+    that a plan shared along a ladder changes no bit of."""
+    k, wk = quad.radial_rule(f, g)
+    free = free_kms(params)
+    c_plus, c_minus = free.c_plus(k), free.c_minus(k)
+    radial = wk * 4.0 * np.pi * k * k * f.spatial(k) * g.spatial(k)
+    (tf, wf), (tg, wg) = (spectral._early_nodes(p, quad) for p in (f, g))
+    reach_f, reach_g = (math.sqrt(2.0 * math.pi) * p.t_width + 2.0 * np.sum(w) for p, w in ((f, wf), (g, wg)))
+    bound = np.abs(radial) * (c_plus + c_minus) * _amplitude_bound(k, params) * reach_f * reach_g
+    keep = spectral._screen(bound)
+    if not keep.any():
+        return 0j
+    traj = solve_modes(k[keep], prof, params)
+    waves = modes._outgoing_waves(bogoliubov(traj), traj.eps_lambda)
+    T, _ = traj.evaluate(np.concatenate((tf, tg)))
+    u_f = spectral._projection(f, tf, wf, T[:, : tf.size], waves)
+    u_g = spectral._projection(g, tg, wg, T[:, tf.size :], waves)
+    kernel = c_plus[keep] * u_f * np.conj(u_g) + c_minus[keep] * np.conj(u_f) * u_g
+    return complex(np.sum(radial[keep] * kernel))
+
+
+class TestPairingPlan:
+    """One plan per ladder against a pairing that lays everything afresh for
+    each switch: bit for bit, since the plan holds the very arrays the
+    per-call pairing computes and the rungs never write to them."""
+
+    @staticmethod
+    def assert_ladder_bit_for_bit(params, f, g, quad, ladder):
+        plan = pairing_plan(params, f, g, quad)
+        for mu in ladder:
+            prof = SwitchingProfile(mu)
+            assert pair_finite_mu(prof, plan) == _pair_per_call(prof, params, f, g, quad), mu
+
+    def test_default_ladder(self):
+        config = default_config()
+        self.assert_ladder_bit_for_bit(verify.MODE_PARAMS, *config.packet_pair, config.quadrature,
+                                       config.mu_ladder)
+
+    def test_fast_config(self, tmp_path):
+        from test_cli import fast_config
+
+        config = load_config(fast_config(tmp_path))
+        self.assert_ladder_bit_for_bit(verify.MODE_PARAMS, *config.packet_pair, config.quadrature,
+                                       config.mu_ladder)
+
+    @pytest.mark.parametrize("t_center", [0.0, -13.0], ids=["across", "before"])
+    def test_packets_that_reach_into_the_ramp(self, t_center):
+        # across the switch-off, and 13 before it: before the ramp at mu = 5,
+        # inside it at mu = 20 and 40
+        f = Packet(k_center=1.0, k_width=0.5, t_center=t_center, t_width=0.3)
+        g = Packet(k_center=1.2, k_width=0.4, t_center=t_center + 0.5, t_width=0.3)
+        self.assert_ladder_bit_for_bit(PARAMS, f, g, QUAD, (5.0, 10.0, 20.0, 40.0))
+
+    def test_criterion_6_lays_two_radial_rules(self, monkeypatch):
+        # the target's and the plan's, for the whole ladder of four
+        calls = []
+        original = QuadratureSpec.radial_rule
+
+        def counting(quad, *packets):
+            calls.append(quad.n_radial)
+            return original(quad, *packets)
+
+        monkeypatch.setattr(QuadratureSpec, "radial_rule", counting)
+        config = default_config()
+        assert verify.criterion_6(config).status == "pass"
+        assert calls == [config.quadrature.n_radial] * 2
 
 
 def _free_with_nan_at_top(params):
@@ -439,11 +508,12 @@ class TestNonFiniteBound:
         f, g = config.packet_pair
         k, _ = config.quadrature.radial_rule(f, g)
         prof = SwitchingProfile(40.0)
-        assert math.isfinite(abs(pair_finite_mu(prof, verify.MODE_PARAMS, f, g, config.quadrature)))
+        plan = pairing_plan(verify.MODE_PARAMS, f, g, config.quadrature)
+        assert math.isfinite(abs(pair_finite_mu(prof, plan)))
         assert ramp_solves[-1].k_mag.max() < k.max()  # the top node is screened
         monkeypatch.setattr(spectral, "free_kms", _free_with_nan_at_top)
         with np.errstate(all="raise"):
-            value = pair_finite_mu(prof, verify.MODE_PARAMS, f, g, config.quadrature)
+            value = pair_finite_mu(prof, pairing_plan(verify.MODE_PARAMS, f, g, config.quadrature))
         assert math.isnan(value.real) and math.isnan(value.imag)
         assert ramp_solves[-1].k_mag.max() == k.max()
 
@@ -452,9 +522,9 @@ class TestNonFiniteBound:
         def poisoned(*args):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(spectral, "free_kms", _free_with_nan_at_top)
-                return pair_finite_mu(*args)
+                return pairing_plan(*args)
 
-        monkeypatch.setattr(verify, "pair_finite_mu", poisoned)
+        monkeypatch.setattr(verify, "pairing_plan", poisoned)
         assert cli.main(["verify-all", "--out", str(tmp_path)]) == 3
         out, err = capsys.readouterr()
         assert err.startswith("numerical failure")
@@ -467,9 +537,9 @@ class TestNonFiniteBound:
         def poisoned(*args):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(spectral, "free_kms", _free_with_nan_at_top)
-                return pair_finite_mu(*args)
+                return pairing_plan(*args)
 
-        monkeypatch.setattr(verify, "pair_finite_mu", poisoned)
+        monkeypatch.setattr(verify, "pairing_plan", poisoned)
         monkeypatch.chdir(tmp_path)
         assert cli.main(["verify-all"]) == 3
         out, err = capsys.readouterr()
