@@ -27,12 +27,17 @@ on [-mu, 0], for every momentum at once, and carries the plane-wave data
 at -mu through them by one in-place log-depth prefix scan of each block's
 node planes (see ``_carry``).  The stages run in the Nystrom form of
 DOP853: the top row of each stage's 2x2 map is the bottom row of the one
-before it, so only the bottom rows are formed, and one contraction of them
+before it, so only the bottom rows are formed, and one product of them
 gives the step map and both error maps (the derivation is in
-``_step_maps``).  Every map is a polynomial of degree at most 6 in
-x = eps**2, so a large batch interpolates its maps from seven
-frequencies, set up once per solve and kept by its trajectory for its
-reads between nodes (see ``_samples``).
+``_step_maps``).  They run in pairs, since stages s and s + 1 read only
+the stages before s, so the twelve stages are six small products.  Every
+product is a BLAS call of a size that OpenBLAS (0.3.31, on two cores) was
+measured to run on the calling thread; the map rows' product is split by
+columns where a block would need more, which only large-mu solves reach.
+Every map is a polynomial of degree at most 6 in x = eps**2, so a large
+batch interpolates its maps from seven frequencies, set up once per solve
+and kept by its trajectory for its reads between nodes (see
+``_samples``).
 Every block of ramp work, of a solve or of a read, takes its work arrays
 (the stages, the interpolated maps, the carry's products and the error
 norm's temporaries) as views into one arena per thread, which starts with
@@ -104,6 +109,9 @@ _BLOCK = 2**13
 # 8 and 12 momenta and saved 3%, 9% and 16% at 16, 24 and 32.
 _DEGREE = 6
 _DIRECT_MAX = 14
+# _step_maps splits its map-rows product into products of at most
+# _BLAS_SERIAL multiply-adds, a size OpenBLAS runs on the calling thread
+_BLAS_SERIAL = 2**19
 # The first grid has rtol**(-1/8) * max(_SEED_WAVE * mu * w_max, _SEED_SWITCH)
 # steps for the largest frequency w_max, since DOP853's error norm scales as
 # h**8.  Fitted on measured solves: where mu * w_max > 8, the smallest grid
@@ -202,12 +210,12 @@ def _bump(u):
     """exp(-1/u) for u > 0, identically 0 otherwise (smooth at 0).  Below
     u = 1/708 the value, under 3.4e-308, is at the edge of the normal
     doubles; it is set to 0 rather than computed, so that no underflow is
-    signalled."""
+    signalled.  The divide and the exponential run in place, masked to
+    u > 1/708 by ``where``, so no u <= 0 is ever divided by."""
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    m = u > 1.0 / 708.0
-    out[m] = np.exp(-1.0 / u[m])
-    return out
+    on = u > 1.0 / 708.0
+    out = np.divide(-1.0, u, out=np.zeros_like(u), where=on)
+    return np.exp(out, out=out, where=on)
 
 
 def chi_unit(s):
@@ -360,7 +368,12 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
     h**2 * sum_l (bA)_l K_l and e1 + h * sum_l b_l K_l, and each error map,
     sum_s E_s * (stage s), has rows h * sum_l (EA)_l K_l and sum_l E_l K_l:
     its e1 term, (sum_s E_s) * e1, is zero.  All six rows are one
-    contraction of the stages with ``_MAP_ROWS``.
+    product of ``_MAP_ROWS`` with the stages.
+
+    (A**2)_sl is zero unless l <= s - 2, so stages s and s + 1, for even s,
+    read only the stages 0 to s - 1: the stages run as six pairs, the sums
+    of each pair one product of ``_A2[s:s + 2, :s]`` with the stages before
+    it.
 
     The momentum enters only through x = eps**2, in -w**2 = -(x + shift *
     chi).  Every map is a sum of products of at most twelve derivative maps
@@ -380,26 +393,43 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
     m, p = t.size, xs.size
     maps = arena.take((3, 2, 2, m, p if mix is None else mix.shape[0]))
     mark = arena.used
-    # -w(t)^2 at every stage time, (stage, start, sample)
-    neg_w_sq = arena.take((_C.size, m, p))
-    np.multiply(chi_unit((t + _C[:, None] * h) / mu)[..., None], -shift, out=neg_w_sq)
-    neg_w_sq -= xs
+    # -w(t)^2 = -shift * chi - x at every stage time, (stage, start, sample)
+    neg_w_sq = np.subtract.outer(chi_unit((t + _C[:, None] * h) / mu) * -shift, xs,
+                                 out=arena.take((_C.size, m, p)))
     # K_s, the bottom row of stage s's map, (stage, column, start, sample)
     stages = arena.take((_C.size, 2, m, p))
     flat = stages.reshape(_C.size, -1)
     h_sq = h_col * h_col
-    for s, k in enumerate(stages):
-        # einsum rather than a BLAS product: a threaded BLAS gemv runs ~10x
-        # slower on a busy two-core machine
-        below = max(s - 1, 0)
-        np.einsum("l,lm->m", _A2[s, :below], flat[:below], out=flat[s])
-        k *= h_sq
-        k[0] += 1.0
-        k[1] += _C[s] * h_col
-        k *= neg_w_sq[s]
-    # the six rows of the three maps, (map row, column, start, sample)
+    # e0 + h * c_s * e1, each stage's top row but its h**2 term, (stage,
+    # column, start or 1, 1)
+    lead = _C[:, None, None] * h_col
+    top = np.empty((_C.size, 2) + lead.shape[1:])
+    top[:, 0] = 1.0
+    top[:, 1] = lead
+    # Every product here is a BLAS call kept to a size OpenBLAS runs on the
+    # calling thread, as the interpolation's below.  Measured on OpenBLAS
+    # 0.3.31 with BLAS unpinned on two cores, by the CPU ticks of the
+    # process's other threads: its helper thread took none on products of up
+    # to 983,040 multiply-adds and took some from 1,008,000 on.  A pair's
+    # product, at most (2 x 10) @ (10 x 2 * _BLOCK), stays under that.
+    for s in range(0, _C.size, 2):
+        pair = stages[s : s + 2]
+        # stages 0 and 1 read no stage: their product is zero
+        np.matmul(_A2[s : s + 2, :s], flat[:s], out=flat[s : s + 2])
+        pair *= h_sq
+        pair += top[s : s + 2]
+        pair *= neg_w_sq[s : s + 2, None]
+    # the six rows of the three maps, (map row, column, start, sample).  The
+    # product is split by columns at _BLAS_SERIAL = 2**19 multiply-adds, half
+    # the edge, where it needs more: (6 x 12) @ (12 x 16384), the map rows of
+    # a full direct block, took helper CPU whole and ran 1.5x slower than
+    # split (3.2 against 2.1 ms).  Only blocks of more than 3640 (start,
+    # sample) pairs split: no solve or read of the default config or of the
+    # benchmark's workloads builds one, a limits run at mu = 640 does.
     rows = maps.reshape(6, 2, m, -1) if mix is None else arena.take((6, 2, m, p))
-    np.einsum("rl,lm->rm", _MAP_ROWS, flat, out=rows.reshape(6, -1))
+    rows_flat, cols = rows.reshape(6, -1), _BLAS_SERIAL // _MAP_ROWS.size
+    for lo in range(0, flat.shape[1], cols):
+        np.matmul(_MAP_ROWS, flat[:, lo : lo + cols], out=rows_flat[:, lo : lo + cols])
     rows *= h_col**_MAP_H_POWERS
     rows[0, 0] += 1.0
     rows[0, 1] += h_col

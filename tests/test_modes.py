@@ -102,6 +102,37 @@ class TestSwitchingProfile:
             ref = (da * b + db * a) / (a + b) ** 2
         np.testing.assert_allclose(chi_unit_rate(s), ref, rtol=2e-13, atol=0.0)
 
+    def test_bump_equals_the_gather_scatter_form(self):
+        # the masked divide and exponential against exp(-1/u) gathered from,
+        # and scattered back to, the entries past the cut: u <= 0 (down to the
+        # smallest subnormals, whose reciprocal overflows), the 1/708 cut and
+        # (0, 50], bit for bit and with no floating-point signal
+        cut = 1.0 / np.linspace(700.0, 716.0, 1601)
+        edge = np.nextafter(1.0 / 708.0, [0.0, 1.0])
+        u = np.concatenate([-np.geomspace(5e-324, 1e3, 400), [-0.0, 0.0], cut, edge,
+                            np.linspace(0.0, 50.0, 100001)[1:], np.geomspace(1e-6, 50.0, 1001)])
+
+        def gathered(u):
+            out = np.zeros_like(u)
+            on = u > 1.0 / 708.0
+            out[on] = np.exp(-1.0 / u[on])
+            return out
+
+        def same_bits(a, b):
+            return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+        with np.errstate(all="raise"):
+            assert same_bits(modes._bump(u), gathered(u))
+            s = np.concatenate([u - 1.0, -u, np.linspace(-2.0, 1.0, 30001)])
+            a, b = gathered(s + 1.0), gathered(-s)
+            assert same_bits(chi_unit(s), a / (a + b))
+            rate = chi_unit_rate(s)
+        inside = (s > -1.0) & (s < 0.0)
+        si, a, b = s[inside], a[inside], b[inside]
+        with np.errstate(under="ignore"):
+            ref = a * b * (1.0 / (si + 1.0) ** 2 + 1.0 / si**2) / (a + b) ** 2
+        assert same_bits(rate[inside], ref) and not rate[~inside].any()
+
     def test_invalid_mu(self):
         with pytest.raises(ValueError):
             SwitchingProfile(mu=0.0)
@@ -428,8 +459,8 @@ def _reference_step_maps(t, h, samples, shift, mu):
 
 
 class TestNystromStepMaps:
-    """The step maps in Nystrom form, built from each stage's bottom row,
-    against the four-entry stage recursion."""
+    """The step maps in Nystrom form, built from each stage's bottom row in
+    paired stages, against the four-entry stage recursion."""
 
     # measured worst: 1.3e-15 on the criterion-6 block, 3.3e-16 on the
     # limits block and 6.7e-16 on the partial steps
@@ -442,6 +473,11 @@ class TestNystromStepMaps:
     # the error maps of partial steps, absolute, whose norm has no grid of
     # consecutive nodes to read; measured worst 3.7e-14
     ERROR_ABS = 1e-12
+    # full direct blocks, whose stage products are the largest the kernel
+    # makes and are split into several BLAS calls: two momenta on 4096 of
+    # 5072 steps, and fourteen, the most the direct path takes, on 585 of 762
+    DIRECT = {"direct-2": (np.array([0.5, 2.0]), 640.0),
+              "direct-14": (np.linspace(0.0, 5.5, 14), 40.0)}
 
     @pytest.fixture(scope="class")
     def criterion_6_mu40(self):
@@ -455,35 +491,58 @@ class TestNystromStepMaps:
         assert (traj.mu, traj.eps.size, traj.n_steps) == (40.0, 42, 563)
         return traj
 
-    @pytest.mark.parametrize("block", ["criterion-6", "limits"])
-    def test_grid_blocks(self, block, criterion_6_mu40, ramp_solves):
-        config = default_config()
+    def block_solve(self, block, criterion_6_mu40):
+        """The trajectory of a named block and the number of its steps."""
         if block == "criterion-6":  # the first block, interpolated maps
             traj = criterion_6_mu40
-            part = slice(0, modes._BLOCK // traj.eps.size)
-            assert modes._samples(traj.eps)[1] is not None
-        else:  # the first limits solve, two momenta on their own x
+        else:
+            ks, mu = self.DIRECT[block]
+            traj = solve_modes(ks, SwitchingProfile(mu), verify.MODE_PARAMS)
+        n = traj.eps.size
+        m = modes._BLOCK // n
+        assert (modes._samples(traj.eps)[1] is None) == (block in self.DIRECT)
+        if block in self.DIRECT:
+            assert traj.n_steps > m
+            # whole, the map rows' product, (6 x 12) @ (12 x 2 m n), would be
+            # past the measured size at which OpenBLAS threads a product, twice
+            # _BLAS_SERIAL (see modes._step_maps)
+            assert modes._MAP_ROWS.size * 2 * m * n > 2 * modes._BLAS_SERIAL
+        return traj, m
+
+    @pytest.mark.parametrize("block", ["criterion-6", "limits", "direct-2", "direct-14"])
+    def test_grid_blocks(self, block, criterion_6_mu40, ramp_solves):
+        config = default_config()
+        if block == "limits":  # the first limits solve, two momenta on their own x
             switch_integrals(np.array(config.k_values), SwitchingProfile(config.mu_ladder[0]),
                              config.params)
             traj = ramp_solves[-1]
-            part = slice(0, traj.n_steps)
+            m = traj.n_steps
             assert modes._samples(traj.eps)[1] is None
+        else:
+            traj, m = self.block_solve(block, criterion_6_mu40)
         h = traj.mu / traj.n_steps
-        args = (traj.t[part], h, modes._samples(traj.eps), traj.params.mass_shift, traj.mu)
+        args = (traj.t[:m], h, modes._samples(traj.eps), traj.params.mass_shift, traj.mu)
         fast, slow = modes._step_maps(*args, modes._Arena()), _reference_step_maps(*args)
         for a, b in zip(fast, slow):
-            assert a.shape == b.shape == (2, 2, part.stop, traj.eps.size)
+            assert a.shape == b.shape == (2, 2, m, traj.eps.size)
         assert np.abs(fast[0] - slow[0]).max() <= self.STEP_ABS
-        y = traj.y[:, :, : part.stop + 1]
-        norm, ref = (modes._error_norm(m[1], m[2], y, h, 1e-10, 1e-12, modes._Arena())
-                     for m in (fast, slow))
+        y = traj.y[:, :, : m + 1]
+        norm, ref = (modes._error_norm(maps[1], maps[2], y, h, 1e-10, 1e-12, modes._Arena())
+                     for maps in (fast, slow))
         assert 0 < ref.max() < 1
         assert np.abs(norm - ref).max() <= self.NORM_REL * ref.max()
 
     def test_partial_steps(self, criterion_6_mu40):
-        # evaluate's use: one step per time from the node before it, h per time
-        traj = criterion_6_mu40
-        ts = np.sort(np.random.default_rng(7).uniform(-traj.mu, 0.0, 300))
+        self.check_partial_steps(*self.block_solve("criterion-6", criterion_6_mu40))
+
+    @pytest.mark.parametrize("block", ["direct-2", "direct-14"])
+    def test_partial_steps_on_direct_blocks(self, block, criterion_6_mu40):
+        self.check_partial_steps(*self.block_solve(block, criterion_6_mu40))
+
+    def check_partial_steps(self, traj, m):
+        # evaluate's use: one step per time from the node before it, h per
+        # time, on at least as many times as a block of reads holds
+        ts = np.sort(np.random.default_rng(7).uniform(-traj.mu, 0.0, max(m, 300)))
         node = np.searchsorted(traj.t, ts, side="right") - 1
         h = ts - traj.t[node]
         assert h.min() >= 0 and h.max() <= traj.mu / traj.n_steps
