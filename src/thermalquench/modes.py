@@ -30,10 +30,10 @@ DOP853: the top row of each stage's 2x2 map is the bottom row of the one
 before it, so only the bottom rows are formed, and one product of them
 gives the step map and both error maps (the derivation is in
 ``_step_maps``).  They run in pairs, since stages s and s + 1 read only
-the stages before s, so the twelve stages are six small products.  Every
-product is a BLAS call of a size that OpenBLAS (0.3.31, on two cores) was
-measured to run on the calling thread; the map rows' product is split by
-columns where a block would need more, which only large-mu solves reach.
+the stages before s, so the twelve stages are six small products.  Each
+product, these six and the map rows', is one BLAS call on the whole block;
+the outputs are the same bits under one or two BLAS threads, which CI
+diffs.
 Every map is a polynomial of degree at most 6 in x = eps**2, so a large
 batch interpolates its maps from seven frequencies, set up once per solve
 and kept by its trajectory for its reads between nodes (see
@@ -104,14 +104,15 @@ _MAX_PASSES = 6
 _MAX_GRID = 2**20
 _BLOCK = 2**13
 # _step_maps interpolates the maps of a batch with more than _DIRECT_MAX
-# distinct x.  The cut-over is measured: on ramp solves of 8, 12, 16, 24 and
-# 32 radial nodes at tight tolerances, interpolating cost 13% and 5% more at
-# 8 and 12 momenta and saved 3%, 9% and 16% at 16, 24 and 32.
+# distinct x.  The cut-over is measured on whole ramp solves of the Nystrom
+# kernel, momenta spread over [0.1, 3] (two runs, min of 15 and of 25
+# interleaved solves, BLAS pinned): at 8 and 12 momenta interpolating cost
+# 4% to 22% more at mu = 1 with tight tolerances, at mu = 5 and at mu = 40,
+# and at 14 it cost 7% to 25% more at mu <= 5 and -3% to +2% at mu = 40.
+# Past 14 the break-even moves with the grid: at 16 to 24 momenta it cost
+# 1% to 15% more at mu <= 5 and saved 6% to 14% at mu = 40.
 _DEGREE = 6
 _DIRECT_MAX = 14
-# _step_maps splits its map-rows product into products of at most
-# _BLAS_SERIAL multiply-adds, a size OpenBLAS runs on the calling thread
-_BLAS_SERIAL = 2**19
 # The first grid has rtol**(-1/8) * max(_SEED_WAVE * mu * w_max, _SEED_SWITCH)
 # steps for the largest frequency w_max, since DOP853's error norm scales as
 # h**8.  Fitted on measured solves: where mu * w_max > 8, the smallest grid
@@ -265,13 +266,12 @@ class SwitchingProfile:
         return chi_unit_rate(np.asarray(t, dtype=float) / self.mu) / self.mu
 
 
-def _plane_waves(terms, t, rate: bool = True):
+def _plane_waves(terms, t):
     """(T, Tdot) of T(t) = sum of c*exp(i*f*t) over the terms (c, f), each c
-    and f one entry per momentum, at the times ``t``: one row per momentum.
-    Without ``rate`` Tdot is not formed and reads None."""
+    and f one entry per momentum, at the times ``t``: one row per momentum."""
     waves = [(c[:, None] * np.exp(1j * f[:, None] * t), f[:, None]) for c, f in terms]
     T = sum(w for w, _ in waves)
-    return T, (sum(1j * f * w for w, f in waves) if rate else None)
+    return T, sum(1j * f * w for w, f in waves)
 
 
 def _incoming_waves(eps):
@@ -406,12 +406,6 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
     top = np.empty((_C.size, 2) + lead.shape[1:])
     top[:, 0] = 1.0
     top[:, 1] = lead
-    # Every product here is a BLAS call kept to a size OpenBLAS runs on the
-    # calling thread, as the interpolation's below.  Measured on OpenBLAS
-    # 0.3.31 with BLAS unpinned on two cores, by the CPU ticks of the
-    # process's other threads: its helper thread took none on products of up
-    # to 983,040 multiply-adds and took some from 1,008,000 on.  A pair's
-    # product, at most (2 x 10) @ (10 x 2 * _BLOCK), stays under that.
     for s in range(0, _C.size, 2):
         pair = stages[s : s + 2]
         # stages 0 and 1 read no stage: their product is zero
@@ -419,26 +413,15 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
         pair *= h_sq
         pair += top[s : s + 2]
         pair *= neg_w_sq[s : s + 2, None]
-    # the six rows of the three maps, (map row, column, start, sample).  The
-    # product is split by columns at _BLAS_SERIAL = 2**19 multiply-adds, half
-    # the edge, where it needs more: (6 x 12) @ (12 x 16384), the map rows of
-    # a full direct block, took helper CPU whole and ran 1.5x slower than
-    # split (3.2 against 2.1 ms).  Only blocks of more than 3640 (start,
-    # sample) pairs split: no solve or read of the default config or of the
-    # benchmark's workloads builds one, a limits run at mu = 640 does.
+    # the six rows of the three maps, (map row, column, start, sample)
     rows = maps.reshape(6, 2, m, -1) if mix is None else arena.take((6, 2, m, p))
-    rows_flat, cols = rows.reshape(6, -1), _BLAS_SERIAL // _MAP_ROWS.size
-    for lo in range(0, flat.shape[1], cols):
-        np.matmul(_MAP_ROWS, flat[:, lo : lo + cols], out=rows_flat[:, lo : lo + cols])
+    np.matmul(_MAP_ROWS, flat, out=rows.reshape(6, -1))
     rows *= h_col**_MAP_H_POWERS
     rows[0, 0] += 1.0
     rows[0, 1] += h_col
     rows[1, 1] += 1.0
     if mix is not None:
-        # the twelve planes, (start, sample) each, times the Lagrange weights:
-        # twelve products of 7 * _BLOCK multiply-adds for a full block, small
-        # enough that OpenBLAS runs each on one thread (with BLAS unpinned,
-        # its helper thread took no CPU time on 8 to 8192 momenta)
+        # the twelve planes, (start, sample) each, times the Lagrange weights
         np.matmul(rows.reshape(12, m, p), mix.T, out=maps.reshape(12, m, -1))
     arena.used = mark
     return maps[0], maps[1], maps[2]

@@ -290,7 +290,7 @@ def _projection(p: TestPacket, t, w, T, waves):
     in closed form as sum c * fhat(-f), plus sum_j w_j (T - T_after)(t_j)
     over the early nodes ``t`` and weights ``w`` of :func:`_early_nodes`,
     with ``T`` the modes there, one row per momentum."""
-    after, _ = _plane_waves(waves, t, rate=False)
+    after, _ = _plane_waves(waves, t)
     closed = sum(c * p.temporal_hat(-f) for c, f in waves)
     return closed + (T - after) @ w
 

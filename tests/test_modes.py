@@ -473,9 +473,9 @@ class TestNystromStepMaps:
     # the error maps of partial steps, absolute, whose norm has no grid of
     # consecutive nodes to read; measured worst 3.7e-14
     ERROR_ABS = 1e-12
-    # full direct blocks, whose stage products are the largest the kernel
-    # makes and are split into several BLAS calls: two momenta on 4096 of
-    # 5072 steps, and fourteen, the most the direct path takes, on 585 of 762
+    # full direct blocks, whose map-rows products, one BLAS call each, are
+    # the largest the kernel makes: two momenta on 4096 of 5072 steps, and
+    # fourteen, the most the direct path takes, on 585 of 762
     DIRECT = {"direct-2": (np.array([0.5, 2.0]), 640.0),
               "direct-14": (np.linspace(0.0, 5.5, 14), 40.0)}
 
@@ -503,10 +503,6 @@ class TestNystromStepMaps:
         assert (modes._samples(traj.eps)[1] is None) == (block in self.DIRECT)
         if block in self.DIRECT:
             assert traj.n_steps > m
-            # whole, the map rows' product, (6 x 12) @ (12 x 2 m n), would be
-            # past the measured size at which OpenBLAS threads a product, twice
-            # _BLAS_SERIAL (see modes._step_maps)
-            assert modes._MAP_ROWS.size * 2 * m * n > 2 * modes._BLAS_SERIAL
         return traj, m
 
     @pytest.mark.parametrize("block", ["criterion-6", "limits", "direct-2", "direct-14"])

@@ -1,17 +1,19 @@
 """The mutation table: each row plants one plausible bug in the library and
 names the check that must refuse it.
 
-A row replaces one library function under the name its reader looks it up
-by, runs the one acceptance criterion the row names on the default config,
-and requires a refusal: a FAIL status, or the ``IntegratorError`` of a
-numerical gate, raised inside that criterion, whose message matches the
-row.  A row that nothing refuses fails here; the fix is a sharper check,
+A row replaces one library function or table under the name its reader
+looks it up by, runs the one acceptance criterion the row names on the
+default config, and requires a refusal: a FAIL status, or the
+``IntegratorError`` of a numerical gate, raised inside that criterion,
+whose message matches the row.  A row that nothing refuses fails here; the fix is a sharper check,
 never a dropped row.  Every criterion a row names passes the unmutated
 program (``tests/test_acceptance.py``), so a refusal here is the planted
 bug's.  The rows start with the plane waves outside the ramp, which
-:mod:`thermalquench.modes` writes in one place.
+:mod:`thermalquench.modes` writes in one place, and the DOP853 weights of
+the ramp kernel's step maps.
 """
 
+import numpy as np
 import pytest
 
 from thermalquench import modes, spectral, verify
@@ -34,6 +36,18 @@ def flipped_incoming(eps):
     return [(c, -f) for c, f in INCOMING(eps)]
 
 
+def nudged_map_rows():
+    """``modes._MAP_ROWS`` with the order-8 weight b5 times (1 + 1e-5): the
+    step map's two rows, b A and b, rebuilt from the nudged weights, and the
+    error maps' rows as they are."""
+    weights = modes._A[-1].copy()
+    weights[5] *= 1.0 + 1e-5
+    rows = modes._MAP_ROWS.copy()
+    rows[0], rows[1] = weights @ modes._A[:-1], weights
+    assert np.count_nonzero((rows != modes._MAP_ROWS).any(axis=1)) == 2
+    return rows
+
+
 # (module the reader looks the name up in, name, mutant, criterion, refusal):
 # a refusal of None is a FAIL status, a string is the pattern of the
 # IntegratorError raised inside the criterion
@@ -45,6 +59,11 @@ ROWS = [
     # reads a drift of 2 on the first solve of criterion 4's suite
     pytest.param(modes, "_incoming_waves", flipped_incoming, 4, r"Wronskian drift 2\.000e\+00",
                  id="incoming-sign-flipped"),
+    # every step map reads the weights: the gate reads a drift of 3.1e-5 at
+    # t = 0 on the first solve of criterion 4's suite, where c4's own bound
+    # equals the gate's and so cannot fire first
+    pytest.param(modes, "_MAP_ROWS", nudged_map_rows(), 4, r"Wronskian drift 3\.139e-05",
+                 id="dop853-weight-nudged"),
 ]
 
 
