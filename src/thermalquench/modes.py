@@ -24,33 +24,37 @@ One routine does every ramp solve.  The mode equation is linear, so one
 DOP853 step of (T, Tdot) is a real 2x2 matrix that does not depend on
 the state: the routine builds the maps of every step of a uniform grid
 on [-mu, 0], for every momentum at once, and carries the plane-wave data
-at -mu through them by one in-place log-depth prefix scan of each block's
-node planes (see ``_carry``).  The stages run in the Nystrom form of
-DOP853: the top row of each stage's 2x2 map is the bottom row of the one
-before it, so only the bottom rows are formed, and one product of them
-gives the step map and both error maps (the derivation is in
-``_step_maps``).  They run in pairs, since stages s and s + 1 read only
-the stages before s, so the twelve stages are six small products.  Each
-product, these six and the map rows', is one BLAS call on the whole block;
-the outputs are the same bits under one or two BLAS threads, which CI
-diffs.
+at -mu through them by one log-depth prefix scan of each block's node
+planes (see ``_carry``).  The stages run in the Nystrom form of DOP853:
+the top row of each stage's 2x2 map is the bottom row of the one before
+it, so only the bottom rows are formed, and one product of them gives the
+step map and both error maps (the derivation is in ``_step_maps``).  They
+run in pairs, since stages s and s + 1 read only the stages before s, so
+the twelve stages are six small products.  Each of these products, the
+six and the map rows', is one BLAS call on the whole block; the outputs
+are the same bits under one or two BLAS threads, which CI diffs.  Every
+2x2 product of maps and nodes, in the carry's scan, the error norm and
+the reads between nodes, is one einsum pass over the planes (see
+``_product``), which uses no BLAS.  einsum ignores ``np.errstate``, so a
+non-finite or overflowing product raises nothing where it is made; the
+error norm and the Wronskian gate refuse it.
 Every map is a polynomial of degree at most 6 in x = eps**2, so a large
 batch interpolates its maps from seven frequencies, set up once per solve
 and kept by its trajectory for its reads between nodes (see
 ``_samples``).
 Every block of ramp work, of a solve or of a read, takes its work arrays
-(the stages, the interpolated maps, the carry's products and the error
-norm's temporaries) as views into one arena per thread, which starts with
-room for a full block's carry and error norm, grows only for a block that
-needs more, and is reused by every later block, so warm solves and reads
-allocate no fresh block-sized memory.  Only the node planes a trajectory
-keeps and the values a read returns are fresh arrays.  Maps and grid
-nodes are laid out entries first, (row, column, step, momentum) and
-(component, real or imaginary part, node, momentum), so that the
-step-error norm is elementwise arithmetic on contiguous (step, momentum)
-planes.  The first grid is seeded from the tolerance by
-the h**8 error law, rtol**(-1/8) * max(0.19 * mu * (largest frequency),
-1.5) steps, with both constants fitted once on measured solves.
+(the stages, the interpolated maps, the carry's second buffer and the
+error norm's temporaries) as views into one arena per thread, which
+starts with room for a full block's carry and error norm, grows only
+for a block that needs more, and is reused by every later block, so warm
+solves and reads allocate no fresh block-sized memory.  Only the node
+planes a trajectory keeps and the values a read returns are fresh arrays.
+Maps and grid nodes are laid out entries first, (row, column, step,
+momentum) and (component, real or imaginary part, node, momentum), so
+that the step-error norm works on contiguous (step, momentum) planes.
+The first grid is seeded from the tolerance by the h**8 error law,
+rtol**(-1/8) * max(0.19 * mu * (largest frequency), 1.5) steps, with both
+constants fitted once on measured solves.
 DOP853's embedded error estimate, taken per step and per momentum as
 scipy's step control takes it for a single mode, checks the grid, and a
 grid that fails the check is regrown.  The node planes are a
@@ -251,7 +255,7 @@ def chi_unit_rate(s):
 class SwitchingProfile:
     """Switching scale mu: the ramp runs over [-mu, 0]."""
 
-    mu: float = 1.0
+    mu: float
 
     def __post_init__(self):
         if not 0 < self.mu < math.inf:
@@ -340,10 +344,11 @@ def _block_arena() -> _Arena:
     block cost ~1200 minor page faults per warm verify-all, as glibc trimmed
     the heap and the next block faulted it back.  It starts with 24 planes
     of ``_BLOCK`` doubles (1.5 MiB, faulted in only as blocks write it),
-    what the carry and the error norm of a full block take, so every block
-    of a default verify-all fits in it, where growing from empty, take by
-    take, replaced it 17 times in the first run.  Only a block whose step
-    maps take more (up to 48 planes, on a batch of few momenta) grows it."""
+    more than a full block's carry (16 planes with its maps) and error norm
+    (22) take, so every block of a default verify-all fits in it, where
+    growing from empty, take by take, replaced it 17 times in the first
+    run.  Only a block whose step maps take more (up to 48 planes, on a
+    batch of few momenta) grows it."""
     arena = getattr(_THREAD, "arena", None)
     if arena is None:
         arena = _THREAD.arena = _Arena(24 * _BLOCK)
@@ -436,10 +441,15 @@ def _error_norm(err5, err3, y, h: float, rtol: float, atol: float, arena: _Arena
     applied to its step's start data, scaled componentwise by
     atol + rtol * max(|y|) over the step's two ends, and combined over the
     two components of one momentum as scipy combines a two-component state,
-    all as elementwise arithmetic on (N, n) planes.  A NaN error or node
-    gives a NaN norm for its step and momentum; only an exact zero error
-    reads 0.  The norm is a view into ``arena``, whose ``used`` is left
-    past it.
+    all on (N, n) planes: each map is applied by one einsum pass (see
+    ``_product``), and |y|**2 and sum over the parts of (err @ y)**2 are
+    einsum sums over the part axis, the rest elementwise arithmetic.  A
+    non-finite error or node, or one whose square overflows, gives a NaN
+    or infinite norm for its step and momentum, which the solve refuses,
+    never a floating-point error: einsum ignores ``np.errstate``, and the
+    arithmetic after it runs under ``np.errstate(all="ignore")``.  Only an
+    exact zero error reads 0.  The norm is a view into ``arena``, whose
+    ``used`` is left past it.
     """
     n_steps, n = err5.shape[2:]
     norms = arena.take((2, n_steps, n))
@@ -447,41 +457,42 @@ def _error_norm(err5, err3, y, h: float, rtol: float, atol: float, arena: _Arena
     # (atol + rtol * max |y| over the step's two ends)**2 per component
     scale_sq = arena.take((2, n_steps, n))
     scaled = arena.used
-    sq, part = arena.take((2, 2, n_steps + 1, n))
-    np.add(np.square(y[:, 0], out=sq), np.square(y[:, 1], out=part), out=sq)
-    np.sqrt(np.maximum(sq[:, :-1], sq[:, 1:], out=scale_sq), out=scale_sq)
-    scale_sq *= rtol
-    scale_sq += atol
-    np.square(scale_sq, out=scale_sq)
-    arena.used = scaled
-    # err @ start is (component, real or imaginary part, step, momentum)
-    work = arena.take((2, 2, 2, n_steps, n))
-    for err, norm in zip((err5, err3), norms):
-        prod = _product(err, y[:, :, :-1], out=work[0], work=work)
-        np.square(prod, out=prod)
-        total = np.add(prod[:, 0], prod[:, 1], out=work[1, 0])
-        total /= scale_sq
-        np.add(total[0], total[1], out=norm)
-    e5, denom = norms
-    denom *= 0.01
-    denom += e5
-    e5 *= h
-    root = np.sqrt(np.multiply(denom, 2.0, out=denom), out=denom)
-    # where the root is 0, so is e5, and the norm reads 0
-    np.divide(e5, root, out=e5, where=root != 0)
+    with np.errstate(all="ignore"):
+        # |y|**2 per component and node
+        sq = np.einsum("cp...,cp...->c...", y, y, out=arena.take((2, n_steps + 1, n)))
+        np.sqrt(np.maximum(sq[:, :-1], sq[:, 1:], out=scale_sq), out=scale_sq)
+        scale_sq *= rtol
+        scale_sq += atol
+        np.square(scale_sq, out=scale_sq)
+        arena.used = scaled
+        # err @ start is (component, real or imaginary part, step, momentum)
+        prod = arena.take((2, 2, n_steps, n))
+        total = arena.take((2, n_steps, n))
+        for err, norm in zip((err5, err3), norms):
+            _product(err, y[:, :, :-1], out=prod)
+            np.einsum("cp...,cp...->c...", prod, prod, out=total)
+            total /= scale_sq
+            np.add(total[0], total[1], out=norm)
+        e5, denom = norms
+        denom *= 0.01
+        denom += e5
+        e5 *= h
+        root = np.sqrt(np.multiply(denom, 2.0, out=denom), out=denom)
+        # where the root is 0, so is e5, and the norm reads 0
+        np.divide(e5, root, out=e5, where=root != 0)
     arena.used = mark
     return e5
 
 
-def _product(a, b, out, work):
+def _product(a, b, out):
     """The 2x2 products a @ b of two entries-first stacks, (2, 2, ...) each,
-    as elementwise arithmetic on their planes.  ``work`` holds two arrays of
-    the product's shape for the two halves of the sum; ``out`` may be one of
-    them.  Both halves are written into ``work`` before the sum writes
-    ``out``, so ``out`` may also overlap ``a`` and ``b``."""
-    first, second = work
-    return np.add(np.multiply(a[:, 0, None], b[None, 0], out=first),
-                  np.multiply(a[:, 1, None], b[None, 1], out=second), out=out)
+    written into ``out`` by one einsum pass over the planes.  Entry (i, k)
+    is a_i0 * b_0k + a_i1 * b_1k, summed in that order, the same bits as
+    the two products and their sum written out as ufuncs.  ``out`` must
+    not overlap ``a`` or ``b``.  einsum raises no floating-point error
+    under ``np.errstate``: a non-finite or overflowing product is left for
+    the error norm and the Wronskian gate to refuse."""
+    return np.einsum("ij...,jk...->ik...", a, b, out=out)
 
 
 def _carry(step, y, arena: _Arena):
@@ -490,22 +501,30 @@ def _carry(step, y, arena: _Arena):
     (component, real or imaginary part, m + 1 nodes, momentum).
 
     A node's planes, (component, part), are a 2x2 stack like a map's, so the
-    nodes are the prefix products of node 0 and the maps.  Step j's map is
-    copied into node j + 1, and a log-depth (Hillis-Steele) scan then sets
-    y[d:] = y[d:] @ y[:-d] in place for d = 1, 2, 4, ... up to m, after which
-    node j holds maps j - 1 down to 0 applied to node 0.  Each node reads
-    only itself and earlier nodes, so nothing past node m changes, and a NaN
-    or an infinity in a map reaches only the nodes after its step (or raises
-    under ``np.errstate``).  The work arrays come from ``arena``, whose
-    ``used`` is set back on return.
+    nodes are the prefix products of node 0 and the maps.  Node 0 and the
+    maps, step j's in node j + 1, are laid in one of two buffers, ``y`` and
+    an arena buffer of its shape, and a log-depth (Hillis-Steele) scan then
+    writes z[d:] = x[d:] @ x[:-d] and z[:d] = x[:d] from one buffer x to the
+    other z, for d = 1, 2, 4, ... up to m, after which node j holds maps
+    j - 1 down to 0 applied to node 0.  The scan runs out of place because
+    an einsum may not write over its own inputs; it starts in whichever
+    buffer makes it end in ``y``.  Each node reads only itself and earlier
+    nodes, so nothing past node m changes, and a NaN or an infinity in a map
+    reaches only the nodes after its step, where the error norm and the
+    Wronskian gate refuse it.  The arena's ``used`` is set back on return.
     """
     mark = arena.used
-    m, n = step.shape[2:]
-    y[:, :, 1:] = step
-    work = arena.take((2, 2, 2, m, n))
+    m = step.shape[2]
+    other = arena.take(y.shape)
+    # m.bit_length() levels: an odd count starts in the arena buffer
+    x, z = (other, y) if m.bit_length() % 2 else (y, other)
+    x[:, :, 0] = y[:, :, 0]
+    x[:, :, 1:] = step
     d = 1
     while d <= m:
-        _product(y[:, :, d:], y[:, :, :-d], out=y[:, :, d:], work=work[:, :, :, : m + 1 - d])
+        z[:, :, :d] = x[:, :, :d]
+        _product(x[:, :, d:], x[:, :, :-d], out=z[:, :, d:])
+        x, z = z, x
         d *= 2
     arena.used = mark
 
@@ -592,8 +611,12 @@ def _gate(y, ks, mu: float, t, detail: str) -> tuple[float, float]:
     """The Wronskian gate over the planes ``y`` of the momenta ``ks`` at the
     times ``t`` (see :func:`_drift`): returns the worst drift and its time,
     or raises ``IntegratorError`` naming both when the drift exceeds
-    ``_WRONSKIAN_TOL``, with ``detail`` in parentheses at the end."""
-    drift = _drift(y)
+    ``_WRONSKIAN_TOL``, with ``detail`` in parentheses at the end.  The
+    drift is formed under ``np.errstate(all="ignore")``: planes that are
+    not finite, or whose products overflow, read a NaN or infinite drift
+    and fail the gate, never a floating-point error."""
+    with np.errstate(all="ignore"):
+        drift = _drift(y)
     i, col = np.unravel_index(np.argmax(drift), drift.shape)
     worst = float(drift[i, col])
     if not worst <= _WRONSKIAN_TOL:  # a NaN drift fails too
@@ -692,9 +715,7 @@ class ModeTrajectory:
             arena.used = 0
             h = ts[part] - self.t[node]
             step, _, _ = _step_maps(self.t[node], h, self.samples, shift, self.mu, arena)
-            out = y[:, :, part]
-            # take, unlike y[:, :, node], returns contiguous planes for _product
-            _product(step, self.y.take(node, axis=2), out=out, work=arena.take((2,) + out.shape))
+            _product(step, self.y.take(node, axis=2), out=y[:, :, part])
         _gate(y, self.k_mag, self.mu, ts, f"grid of {self.n_steps} steps after {self.passes} passes")
         return _complex(y[0]), _complex(y[1])
 

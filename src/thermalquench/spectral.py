@@ -32,7 +32,9 @@ mode is projected in two parts split at the switch-off t = 0: the
 post-switch form, the outgoing plane waves of :mod:`thermalquench.modes`,
 integrated against the packet in closed form with
 ``TestPacket.temporal_hat``, and the difference from it at the time rule's
-nodes before t = 0.
+nodes before t = 0, which is read from the solve only where a bound,
+proved from the same Gronwall bound, lets it reach unit roundoff of the
+closed form.
 """
 
 from __future__ import annotations
@@ -283,16 +285,30 @@ def _early_nodes(p: TestPacket, quad: QuadratureSpec):
     return t[before], w[before] * p.temporal(t[before])
 
 
-def _projection(p: TestPacket, t, w, T, waves):
-    """Each solved mode projected onto ``p``'s temporal profile, split at
-    t = 0: the integral over all t of the post-switch form T_after, the
-    terms (c, f) of ``waves`` (see :func:`~thermalquench.modes._outgoing_waves`),
-    in closed form as sum c * fhat(-f), plus sum_j w_j (T - T_after)(t_j)
-    over the early nodes ``t`` and weights ``w`` of :func:`_early_nodes`,
-    with ``T`` the modes there, one row per momentum."""
+def _closed_projection(p: TestPacket, waves):
+    """Each solved mode's post-switch form T_after, the terms (c, f) of
+    ``waves`` (see :func:`~thermalquench.modes._outgoing_waves`), projected
+    onto ``p``'s temporal profile over all t, in closed form: sum c *
+    fhat(-f), one value per momentum."""
+    return sum(c * p.temporal_hat(-f) for c, f in waves)
+
+
+def _early_correction(t, w, T, waves):
+    """sum_j w_j (T - T_after)(t_j) over the early nodes ``t`` and weights
+    ``w`` of :func:`_early_nodes`, with ``T`` the solved modes there, one
+    row per momentum, and T_after the terms of ``waves``: what the
+    projection of a mode adds to :func:`_closed_projection` before t = 0."""
     after, _ = _plane_waves(waves, t)
-    closed = sum(c * p.temporal_hat(-f) for c, f in waves)
-    return closed + (T - after) @ w
+    return (T - after) @ w
+
+
+def _early_reach(prof: SwitchingProfile, t, w):
+    """sum_j |w_j| |t_j| (1 - chi(t_j/mu)) over the early nodes ``t`` and
+    weights ``w``: times a node's early factor (see :func:`pairing_plan`),
+    a bound on its :func:`_early_correction`.  1 - chi(s) is chi(-1 - s),
+    the mirrored switch, computed as such so that it does not round to 0
+    where chi(s) rounds to 1."""
+    return float(np.sum(np.abs(w) * np.abs(t) * prof.value(-prof.mu - t)))
 
 
 def _screen(bound):
@@ -312,9 +328,10 @@ class PairingPlan:
     """What a finite-switch pairing of ``f`` with ``g`` reads that no switch
     changes, laid once for a ladder of switching scales by
     :func:`pairing_plan`: the radial nodes its screen keeps (``k``), their
-    radial weights r(k) = w_k 4 pi k^2 f(k) g(k) and the coefficients of
-    :func:`free_kms`, and each packet's early nodes and weights, ``(t,
-    w)`` of ``_early_nodes``."""
+    radial weights r(k) = w_k 4 pi k^2 f(k) g(k), the coefficients of
+    :func:`free_kms` and the early factors (|Delta|/eps_lambda) sqrt(M)
+    that bound the early corrections, and each packet's early nodes and
+    weights, ``(t, w)`` of ``_early_nodes``."""
 
     params: ThermalParams
     f: TestPacket
@@ -323,6 +340,7 @@ class PairingPlan:
     radial: np.ndarray
     c_plus: np.ndarray
     c_minus: np.ndarray
+    early_factor: np.ndarray
     early_f: tuple
     early_g: tuple
 
@@ -332,8 +350,8 @@ def pairing_plan(
 ) -> PairingPlan:
     """The plan of every :func:`pair_finite_mu` of ``f`` with ``g`` on
     ``quad``'s rules: one radial rule, one evaluation of the coefficients
-    and the radial weights, the early nodes and the screen, whatever the
-    switching scale.
+    and the radial weights, the early nodes, the early factors and the
+    screen, whatever the switching scale.
 
     **The screen.**  Write the mode on its adiabatic amplitudes, T =
     (alpha e^(-i theta) + beta e^(i theta)) / sqrt(2 w) with theta' = w and
@@ -353,6 +371,20 @@ def pairing_plan(
     summed bound stays within unit roundoff, 2**-53, of the total (see
     :func:`_screen`); a node whose bound is not finite is kept.  No
     tolerance is tunable: the threshold is the unit roundoff.
+
+    **The early factor.**  D = T - T_after solves D'' + eps_lambda^2 D =
+    (eps_lambda^2 - w^2) T = Delta (1 - chi(t/mu)) T, with Delta =
+    eps_lambda^2 - eps^2, the mass shift, and D(0) = D'(0) = 0, since
+    T_after takes T's data at t = 0.  Variation of constants from t = 0
+    gives D(t) = (Delta/eps_lambda) * integral from 0 to t of
+    sin(eps_lambda (t - s)) (1 - chi(s/mu)) T(s) ds, and for t < 0, with
+    |T| <= sqrt(M) and 1 - chi(s/mu) falling towards s = 0,
+
+        |D(t)| <= (|Delta|/eps_lambda) sqrt(M) |t| (1 - chi(t/mu)).
+
+    The plan keeps (|Delta|/eps_lambda) sqrt(M) per kept node; summed with
+    |w_j| over a packet's early nodes (:func:`_early_reach`), it bounds
+    that node's early correction at any switching scale.
     """
     k, wk = quad.radial_rule(f, g)
     free = free_kms(params)
@@ -365,7 +397,9 @@ def pairing_plan(
         math.sqrt(2.0 * math.pi) * p.t_width + 2.0 * np.sum(w) for p, w in ((f, wf), (g, wg))
     )
     keep = _screen(np.abs(radial) * (c_plus + c_minus) * amp_sq * reach_f * reach_g)
-    return PairingPlan(params, f, g, k[keep], radial[keep], c_plus[keep], c_minus[keep], *early)
+    factor = abs(params.mass_shift) / disp.eps_lambda * np.sqrt(amp_sq)
+    return PairingPlan(params, f, g, k[keep], radial[keep], c_plus[keep], c_minus[keep],
+                       factor[keep], *early)
 
 
 def pair_finite_mu(prof: SwitchingProfile, plan: PairingPlan) -> complex:
@@ -393,20 +427,32 @@ def pair_finite_mu(prof: SwitchingProfile, plan: PairingPlan) -> complex:
     c e^(i f t) each, that the trajectory evaluates from t = 0 on.  Its
     integral against f is sum c fhat(-f), here (a_plus fhat(eps_lambda) +
     a_minus fhat(-eps_lambda)) / sqrt(2 eps_lambda), in closed form
-    (:meth:`TestPacket.temporal_hat`).  The rest, the integral of f (T -
-    T_after) over t < 0, is the time rule's sum over its own nodes before
-    t = 0: T is read from the solve by one ``evaluate`` call on the early
-    nodes of both packets (partial steps inside the ramp, where every
-    node's Wronskian is gated, and the plane wave before it), and T_after
-    from the terms, with no derivative formed.
+    (:meth:`TestPacket.temporal_hat`).  The rest, the early correction, is
+    the integral of f (T - T_after) over t < 0: the time rule's sum over
+    its own nodes before t = 0.
+
+    **The early screen.**  The plan's early factor times
+    :func:`_early_reach` bounds each node's early correction (see
+    :func:`pairing_plan`).  When that bound is within unit roundoff,
+    2**-53, of the closed form's modulus at every kept node and for both
+    packets, the correction cannot move the projection by more than its
+    rounding, and the call reads no mode before t = 0: the projections are
+    the closed forms.  Otherwise T is read from the solve by one
+    ``evaluate`` call on the early nodes of both packets (partial steps
+    inside the ramp, where every node's Wronskian is gated, and the plane
+    wave before it), and T_after from the terms, with no derivative
+    formed.  A NaN bound or closed form fails the screen, so it reads.
     """
     if plan.k.size == 0:
         return 0j
     (tf, wf), (tg, wg) = plan.early_f, plan.early_g
     traj = solve_modes(plan.k, prof, plan.params)
     waves = _outgoing_waves(bogoliubov(traj), traj.eps_lambda)
-    T, _ = traj.evaluate(np.concatenate((tf, tg)))
-    u_f = _projection(plan.f, tf, wf, T[:, : tf.size], waves)
-    u_g = _projection(plan.g, tg, wg, T[:, tf.size :], waves)
+    u_f, u_g = (_closed_projection(p, waves) for p in (plan.f, plan.g))
+    if not all(np.all(plan.early_factor * _early_reach(prof, t, w) <= 2.0**-53 * np.abs(u))
+               for (t, w), u in ((plan.early_f, u_f), (plan.early_g, u_g))):
+        T, _ = traj.evaluate(np.concatenate((tf, tg)))
+        u_f = u_f + _early_correction(tf, wf, T[:, : tf.size], waves)
+        u_g = u_g + _early_correction(tg, wg, T[:, tf.size :], waves)
     kernel = plan.c_plus * u_f * np.conj(u_g) + plan.c_minus * np.conj(u_f) * u_g
     return complex(np.sum(plan.radial * kernel))

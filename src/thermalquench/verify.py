@@ -289,9 +289,11 @@ def criterion_6(config: RunConfig, memo: dict):
     """Time-domain pairing ladder toward the slow-switch classical state.
 
     The ladder lays one radial rule for its target and one for its
-    :func:`~thermalquench.spectral.pairing_plan`, whose screen holds at
-    every switching scale, so each rung only solves, reads and projects
-    the plan's kept nodes."""
+    :func:`~thermalquench.spectral.pairing_plan`, whose screen and early
+    factors hold at every switching scale, so each rung only solves and
+    projects the plan's kept nodes, and reads them before t = 0 only where
+    the proved bound on the early correction reaches unit roundoff of the
+    closed form: on the default config no rung reads between grid nodes."""
     tol = TOLERANCES["pairing_final_rel"]
     f, g = config.packet_pair
     quad = config.quadrature

@@ -44,6 +44,10 @@ class TestSwitchingProfile:
         with pytest.raises(ValueError, match="positive and finite"):
             SwitchingProfile(mu)
 
+    def test_mu_is_required(self):
+        with pytest.raises(TypeError, match="mu"):
+            SwitchingProfile()
+
     def test_interior_range_and_monotonicity(self):
         prof = SwitchingProfile(mu=2.0)
         ts = np.linspace(-2.0, 0.0, 200)
@@ -910,8 +914,8 @@ def mu40_solve():
 
 
 class TestGroupedCarry:
-    """The carry, an in-place log-depth prefix scan of a block's node planes,
-    against one 2x2 product per step."""
+    """The carry, a log-depth prefix scan of a block's node planes between
+    two buffers, against one 2x2 product per step."""
 
     # measured worst: 2.5e-15 of the largest node entry on the first block of
     # the unscreened mu = 40 solve, and at most that on the others
@@ -1025,6 +1029,110 @@ class TestGroupedCarry:
                 assert abs(got["measured"][key] - value) <= self.ABS, (got["index"], key)
 
 
+def _ufunc_product(a, b):
+    """The 2x2 products a @ b of two entries-first stacks as two ufunc
+    products and their sum: the reference for the einsum pass of
+    ``modes._product``."""
+    return np.add(a[:, 0, None] * b[None, 0], a[:, 1, None] * b[None, 1])
+
+
+def _ufunc_sum_of_squares(a):
+    """a[:, 0]**2 + a[:, 1]**2 as ufuncs: the reference for the error norm's
+    einsum sums over the part axis."""
+    return np.add(np.square(a[:, 0]), np.square(a[:, 1]))
+
+
+class TestEinsumKernel:
+    """Each 2x2 product of the ramp kernel is one einsum pass and each sum
+    of squares over the two parts one einsum sum.  On the operands the
+    kernel hands them they give the very bits of the ufuncs they replaced
+    (numpy 2.4.6), and every non-finite value they make, which einsum
+    signals under no ``np.errstate``, still ends in ``IntegratorError``."""
+
+    @staticmethod
+    def block(traj):
+        """The first full block of ``traj``: its step and error maps, views
+        into an arena, and its nodes, a strided view of the trajectory's."""
+        m = modes._BLOCK // traj.eps.size
+        h = traj.mu / traj.n_steps
+        maps = modes._step_maps(traj.t[:m], h, traj.samples, traj.params.mass_shift, traj.mu,
+                                modes._Arena())
+        return maps, traj.y[:, :, : m + 1]
+
+    def test_carry_products(self, mu40_solve):
+        # the scan's operands x[:, :, d:] and x[:, :, :-d], written into a
+        # strided view as the scan writes into the trajectory's planes
+        _, y = self.block(mu40_solve)
+        m = y.shape[2] - 1
+        assert m == 128 and not y.flags.c_contiguous
+        for d in (1, 2, 4, 64, 128):
+            out = np.full((2, 2, 2 * m, y.shape[3]), np.nan)[:, :, d : m + 1]
+            assert modes._product(y[:, :, d:], y[:, :, :-d], out=out) is out
+            assert np.array_equal(out, _ufunc_product(y[:, :, d:], y[:, :, :-d])), d
+
+    def test_error_norm_products_and_sums(self, mu40_solve):
+        (_, err5, err3), y = self.block(mu40_solve)
+        sq = np.einsum("cp...,cp...->c...", y, y)
+        assert np.array_equal(sq, _ufunc_sum_of_squares(y))
+        for err in (err5, err3):
+            prod = modes._product(err, y[:, :, :-1], out=np.empty(err.shape))
+            assert np.array_equal(prod, _ufunc_product(err, y[:, :, :-1]))
+            total = np.einsum("cp...,cp...->c...", prod, prod)
+            assert np.array_equal(total, _ufunc_sum_of_squares(prod))
+
+    def test_read_products(self, mu40_solve):
+        # three blocks of ramp times, each block's product written into a
+        # strided part of the values, as ``_between_nodes`` writes them
+        traj = mu40_solve
+        ts = np.linspace(-traj.mu, 0.0, 3 * modes._BLOCK // traj.eps.size + 1)[1:-1]
+        block = modes._BLOCK // traj.eps.size
+        got = np.empty((2, 2, ts.size, traj.eps.size))
+        ref = np.empty_like(got)
+        for lo in range(0, ts.size, block):
+            part = slice(lo, lo + block)
+            node = np.searchsorted(traj.t, ts[part], side="right") - 1
+            step, _, _ = modes._step_maps(traj.t[node], ts[part] - traj.t[node], traj.samples,
+                                          traj.params.mass_shift, traj.mu, modes._Arena())
+            start = traj.y.take(node, axis=2)
+            modes._product(step, start, out=got[:, :, part])
+            ref[:, :, part] = _ufunc_product(step, start)
+        assert np.array_equal(got, ref)
+        T, Tdot = traj.evaluate(ts)
+        assert np.array_equal(T, got[0, 0].T + 1j * got[0, 1].T)
+        assert np.array_equal(Tdot, got[1, 0].T + 1j * got[1, 1].T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    @pytest.mark.parametrize("where", ["carry", "error-norm", "read"])
+    def test_non_finite_ends_in_integrator_error(self, where, bad, tmp_path, monkeypatch, capsys):
+        # one entry of the middle step's step map (carry, read) or order-5
+        # error map (error norm), for the first momentum
+        config = default_config()
+        ks, prof = np.array(config.k_values), SwitchingProfile(config.mu_ladder[0])
+        traj = solve_modes(ks, prof, config.params)
+        original = modes._step_maps
+
+        def poisoned(t, h, *args):
+            maps = original(t, h, *args)
+            # a read between nodes steps by one size per start, a solve by one for all
+            if (np.ndim(h) == 1) == (where == "read"):
+                maps[where == "error-norm"][0, 1, t.size // 2, 0] = bad
+            return maps
+
+        monkeypatch.setattr(modes, "_step_maps", poisoned)
+        # the error norm's finiteness check or the Wronskian gate, never a
+        # FloatingPointError from inside either
+        refused = r"ramp solve for .* did not meet|Wronskian drift (nan|inf|\S+e\+\d+) exceeds"
+        with np.errstate(all="raise"), pytest.raises(IntegratorError, match=refused):
+            if where == "read":
+                traj.evaluate(np.linspace(-prof.mu, 0.0, 9)[1:-1])
+            else:
+                solve_modes(ks, prof, config.params)
+        out = tmp_path / "limits"
+        assert cli.main(["limits", "--out", str(out)]) == 3
+        assert re.match(f"numerical failure: ({refused})", capsys.readouterr().err)
+        assert not out.exists()
+
+
 def _wronskian_residual(T, Td):
     """|W - i| with W = conj(Tdot)*T - conj(T)*Tdot, exactly i for a mode: the
     complex form of the gate, the reference for ``modes._drift``."""
@@ -1126,12 +1234,13 @@ class TestNodePlanes:
         monkeypatch.setattr(modes.ModeTrajectory, "_between_nodes", reading)
         assert verify.criterion_6(default_config()).status == "pass"
         # criterion 6's four solves of the 42 kept momenta span 7 blocks, and
-        # each solve is read between its nodes once; a read runs on the set-up
-        # its trajectory kept from the solve, so only the four solves set up
+        # the early screen clears every rung on the default packets, so no
+        # solve is read between its nodes; a read runs on the set-up its
+        # trajectory kept from the solve, so only the four solves set up
         assert [(traj.eps.size, traj.n_steps) for traj in ramp_solves] == [
             (42, 71), (42, 141), (42, 282), (42, 563)
         ]
-        assert calls == [42] * 4 and len(reads) == 4
+        assert calls == [42] * 4 and reads == []
         del calls[:]
         traj = ramp_solves[-1]
         traj.evaluate(np.linspace(-traj.mu, 0.0, 3 * modes._BLOCK // 42 + 1)[1:-1])

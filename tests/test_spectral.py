@@ -336,6 +336,13 @@ def _amplitude_bound(k, params):
     return np.maximum(0.5 / disp.eps, 0.5 * disp.eps / disp.eps_lambda**2)
 
 
+def _early_factor(k, params):
+    """(|Delta|/eps_lambda) sqrt(M), with Delta = eps_lambda^2 - eps^2 the
+    mass shift: times |t| (1 - chi(t/mu)), the bound on |T - T_after|(t)
+    before t = 0."""
+    return abs(params.mass_shift) / dispersion(k, params).eps_lambda * np.sqrt(_amplitude_bound(k, params))
+
+
 class TestAmplitudeBound:
     """The screen of ``pair_finite_mu`` rests on |T(t)|^2 <= M at every t
     and on (|a_plus| + |a_minus|)^2 / (2 eps_lambda) <= M past the switch."""
@@ -421,7 +428,8 @@ class TestScreenedPairing:
 
 def _pair_per_call(prof, params, f, g, quad):
     """The finite-switch pairing as one call that lays its own radial rule,
-    coefficients, early nodes and screen for its one switch: the reference
+    coefficients, early nodes, early factors and screen for its one switch,
+    and screens its early reads as ``pair_finite_mu`` does: the reference
     that a plan shared along a ladder changes no bit of."""
     k, wk = quad.radial_rule(f, g)
     free = free_kms(params)
@@ -435,9 +443,13 @@ def _pair_per_call(prof, params, f, g, quad):
         return 0j
     traj = solve_modes(k[keep], prof, params)
     waves = modes._outgoing_waves(bogoliubov(traj), traj.eps_lambda)
-    T, _ = traj.evaluate(np.concatenate((tf, tg)))
-    u_f = spectral._projection(f, tf, wf, T[:, : tf.size], waves)
-    u_g = spectral._projection(g, tg, wg, T[:, tf.size :], waves)
+    u_f, u_g = (spectral._closed_projection(p, waves) for p in (f, g))
+    factor = _early_factor(k[keep], params)
+    early = (spectral._early_reach(prof, tf, wf), spectral._early_reach(prof, tg, wg))
+    if not all(np.all(factor * r <= 2.0**-53 * np.abs(u)) for r, u in zip(early, (u_f, u_g))):
+        T, _ = traj.evaluate(np.concatenate((tf, tg)))
+        u_f = u_f + spectral._early_correction(tf, wf, T[:, : tf.size], waves)
+        u_g = u_g + spectral._early_correction(tg, wg, T[:, tf.size :], waves)
     kernel = c_plus[keep] * u_f * np.conj(u_g) + c_minus[keep] * np.conj(u_f) * u_g
     return complex(np.sum(radial[keep] * kernel))
 
@@ -487,6 +499,126 @@ class TestPairingPlan:
         config = default_config()
         assert verify.criterion_6(config).status == "pass"
         assert calls == [config.quadrature.n_radial] * 2
+
+
+def _count_reads(monkeypatch):
+    """Records the times of every ``evaluate`` call on a trajectory."""
+    reads = []
+    evaluate = modes.ModeTrajectory.evaluate
+
+    def counting(traj, t):
+        reads.append(np.size(t))
+        return evaluate(traj, t)
+
+    monkeypatch.setattr(modes.ModeTrajectory, "evaluate", counting)
+    return reads
+
+
+def _ramp_packets(t_center):
+    """The packets of ``TestScreenedPairing.test_packet_times`` around
+    ``t_center``."""
+    return (Packet(k_center=1.0, k_width=0.5, t_center=t_center, t_width=0.3),
+            Packet(k_center=1.2, k_width=0.4, t_center=t_center + 0.5, t_width=0.3))
+
+
+class TestEarlyScreen:
+    """A rung skips its early reads when the plan's early factor times each
+    packet's early reach, a proved bound on every node's correction
+    sum w (T - T_after) before t = 0, is within unit roundoff of the
+    closed-form projection."""
+
+    # the screened value against a forced read: measured worst 6.7e-15, on
+    # the packets across t = 0 at mu = 40, where the read adds the solve's
+    # own error at the early nodes (3e-12 of the closed form) and the bound,
+    # 1.2e-17 of it, clears the rung; every other rung below reads the same
+    # bits both ways
+    REL = 1e-12
+
+    @staticmethod
+    def forced_read(monkeypatch, prof, plan):
+        """The pairing with the screen failed everywhere: an infinite reach."""
+        with monkeypatch.context() as mp:
+            mp.setattr(spectral, "_early_reach", lambda prof, t, w: math.inf)
+            return pair_finite_mu(prof, plan)
+
+    @pytest.mark.parametrize("case", ["default", "across"])
+    def test_screened_value_matches_a_forced_read(self, case, monkeypatch):
+        if case == "default":
+            config = default_config()
+            params, (f, g), quad, ladder = (verify.MODE_PARAMS, config.packet_pair,
+                                            config.quadrature, config.mu_ladder)
+        else:
+            params, (f, g), quad, ladder = PARAMS, _ramp_packets(0.0), QUAD, (5.0, 10.0, 20.0, 40.0)
+        plan = pairing_plan(params, f, g, quad)
+        reads = _count_reads(monkeypatch)
+        skipped = []
+        for mu in ladder:
+            prof = SwitchingProfile(mu)
+            del reads[:]
+            screened = pair_finite_mu(prof, plan)
+            skipped.append(reads == [])
+            forced = self.forced_read(monkeypatch, prof, plan)
+            assert reads[-1] == plan.early_f[0].size + plan.early_g[0].size
+            assert abs(screened - forced) <= self.REL * abs(forced), mu
+        # the default packets reach 0.4 into the ramp, with weights under
+        # 2e-14: every rung skips; across t = 0 only mu = 40 does
+        assert skipped == ([True] * 4 if case == "default" else [False, False, False, True])
+
+    @pytest.mark.parametrize("mu", [5.0, 10.0])
+    def test_bound_dominates_the_measured_correction(self, mu):
+        # across t = 0, where the ramp moves the early correction far above
+        # the solve's error: measured worst 3.4e-2 of the bound, with the
+        # correction up to 7.5e-7 of the closed form at mu = 5 and 1.6e-9 at
+        # mu = 10
+        prof = SwitchingProfile(mu)
+        plan = pairing_plan(PARAMS, *_ramp_packets(0.0), QUAD)
+        traj = solve_modes(plan.k, prof, PARAMS)
+        waves = modes._outgoing_waves(bogoliubov(traj), traj.eps_lambda)
+        moved = 0.0
+        for p, (t, w) in ((plan.f, plan.early_f), (plan.g, plan.early_g)):
+            T, _ = traj.evaluate(t)
+            measured = np.abs(spectral._early_correction(t, w, T, waves))
+            bound = plan.early_factor * spectral._early_reach(prof, t, w)
+            assert t.size > 0 and np.all(measured <= bound)
+            moved = max(moved, np.max(measured / np.abs(spectral._closed_projection(p, waves))))
+        # far above the solve's own error at the early nodes, 3e-12 of the
+        # closed form at mu = 20 and 40
+        assert moved > 1e-9
+
+    @pytest.mark.parametrize("case", ["before", "across", "g-across"])
+    def test_packets_the_bound_does_not_clear_still_read(self, case, monkeypatch):
+        # at mu = 5: wholly before the ramp, where the bound is 6 times the
+        # closed form; across t = 0, where it is 4e-5 of it; and f wholly
+        # after t = 0, with no early node, while g reaches across it
+        if case == "g-across":
+            packets = (_ramp_packets(3.0)[0], _ramp_packets(0.0)[1])
+        else:
+            packets = _ramp_packets(-13.0 if case == "before" else 0.0)
+        plan = pairing_plan(PARAMS, *packets, QUAD)
+        prof = SwitchingProfile(5.0)
+        reads = _count_reads(monkeypatch)
+        value = pair_finite_mu(prof, plan)
+        assert reads == [plan.early_f[0].size + plan.early_g[0].size] and plan.early_g[0].size > 0
+        assert value == self.forced_read(monkeypatch, prof, plan)
+        reference = _pair_all_nodes(prof, PARAMS, plan.f, plan.g, QUAD)
+        assert abs(value - reference) <= TestScreenedPairing.REL * abs(reference)
+
+    def test_plan_factor_is_the_bound_of_its_docstring(self):
+        config = default_config()
+        plan = pairing_plan(verify.MODE_PARAMS, *config.packet_pair, config.quadrature)
+        assert plan.early_factor.shape == plan.k.shape
+        assert np.array_equal(plan.early_factor, _early_factor(plan.k, verify.MODE_PARAMS))
+
+    def test_reach_does_not_round_the_complement_to_zero(self):
+        # at mu = 40, chi(t/mu) rounds to 1 at t = -0.4, yet 1 - chi there is
+        # exp(-100) / (exp(-100) + exp(-1/0.99)), not 0
+        prof = SwitchingProfile(40.0)
+        t, w = np.array([-0.4]), np.array([1.0])
+        assert prof.value(t)[0] == 1.0
+        reach = spectral._early_reach(prof, t, w)
+        assert reach == pytest.approx(0.4 * math.exp(-100.0) / math.exp(-1.0 / 0.99), rel=1e-10, abs=0.0)
+        # before the ramp the complement is 1
+        assert spectral._early_reach(prof, np.array([-50.0]), w) == 50.0
 
 
 def _free_with_nan_at_top(params):
