@@ -1,4 +1,4 @@
-"""Descent counting, Eulerian rows, and moment/cumulant inversion.
+"""Eulerian rows and moment/cumulant inversion.
 
 Two unrelated-looking combinatorial gadgets that both feed the series
 machinery: the Eulerian numbers (permutations counted by descents) weight
@@ -12,32 +12,19 @@ import random
 
 from thermalquench import (
     connected_from_moments,
-    descent_count,
     eulerian_row_by_enumeration,
     eulerian_row_recursive,
     moments_from_connected,
-    set_partitions,
 )
 
 
 def main():
-    print("== descents ==")
-    for perm in [(1, 2, 3, 4), (4, 3, 2, 1), (2, 1, 3), (3, 1, 4, 2)]:
-        print(f"  {perm}: {descent_count(perm)} descents")
-
-    print("\n== Eulerian triangle, two independent constructions ==")
+    print("== Eulerian triangle, two independent constructions ==")
     for n in range(1, 9):
         rec = eulerian_row_recursive(n)
         enum = eulerian_row_by_enumeration(n)
         status = "ok" if rec.coefficients == enum.coefficients else "MISMATCH"
         print(f"  n={n}: {rec.coefficients}  sum={rec.row_sum}  [{status}]")
-
-    print("\n== set partitions ==")
-    for n in (3, 5):
-        print(f"  n={n}: {len(set_partitions(n))} partitions")
-    print("  partitions of {1,2,3}:")
-    for p in set_partitions(3):
-        print("   ", p)
 
     print("\n== cumulant inversion round trip ==")
     rnd = random.Random(7)

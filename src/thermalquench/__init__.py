@@ -4,8 +4,8 @@ The package is organized by what each layer computes:
 
 * :mod:`thermalquench.thermal` - thermal coefficients, their beta-derivative
   tower, dispersions, and the shifted inverse temperature;
-* :mod:`thermalquench.combinatorics` - descents, Eulerian rows, set
-  partitions, and cumulant inversion;
+* :mod:`thermalquench.combinatorics` - Eulerian rows, set partitions and
+  cumulant inversion;
 * :mod:`thermalquench.modes` - the switched-frequency mode equation,
   switching integrals, Bogoliubov data, ergodic averages;
 * :mod:`thermalquench.spectral` - quasi-free states as spectral data and
@@ -18,11 +18,9 @@ The package is organized by what each layer computes:
 from .combinatorics import (
     EulerianRow,
     connected_from_moments,
-    descent_count,
     eulerian_row_by_enumeration,
     eulerian_row_recursive,
     moments_from_connected,
-    set_partitions,
 )
 from .modes import (
     BogoliubovPair,
@@ -88,7 +86,6 @@ __all__ = [
     "bose_coefficient",
     "bose_derivative",
     "connected_from_moments",
-    "descent_count",
     "dispersion",
     "ergodic_averages",
     "ergodic_limits",
@@ -102,7 +99,6 @@ __all__ = [
     "pair_finite_mu",
     "pair_report",
     "pairing_plan",
-    "set_partitions",
     "shifted_beta",
     "solve_modes",
     "sudden_quench_pair",

@@ -1,4 +1,4 @@
-"""Permutation descents, Eulerian rows, set partitions, cumulant inversion.
+"""Eulerian rows, set partitions and cumulant inversion.
 
 Everything here is exact integer / exact partition combinatorics.  The
 Eulerian row of order n collects the counts of n-permutations by number of
@@ -17,24 +17,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 DEFAULT_ORDER_CAP = 16
 ENUMERATION_CAP = 9
-PARTITION_CAP = 10
-
-
-def descent_count(perm: Sequence[int]) -> int:
-    """Number of positions i with perm[i] > perm[i+1].
-
-    ``perm`` must be a permutation of 1..n; anything else is rejected.
-    """
-    n = len(perm)
-    if n == 0 or sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..n: {perm!r}")
-    return sum(perm[i] > perm[i + 1] for i in range(n - 1))
 
 
 @dataclass(frozen=True)
@@ -145,17 +133,6 @@ def _partitions_of(items: tuple) -> tuple[tuple[frozenset, ...], ...]:
     if len(items) <= _KEPT_ITEMS:
         _PARTITIONS[items] = out
     return out
-
-
-def set_partitions(n: int) -> list[list[list[int]]]:
-    """All partitions of {1..n} into non-empty blocks, Bell(n) of them."""
-    if not 1 <= n <= PARTITION_CAP:
-        raise ValueError(f"order must satisfy 1 <= n <= {PARTITION_CAP}, got {n}")
-    parts = _partitions_of(tuple(range(1, n + 1)))
-    # canonical presentation: elements ascending within blocks, blocks by min
-    canon = [sorted((sorted(b) for b in p), key=lambda b: b[0]) for p in parts]
-    canon.sort()
-    return canon
 
 
 def _subsets(table: Mapping[frozenset, complex]) -> tuple[list[tuple], dict]:

@@ -40,8 +40,7 @@ non-finite or overflowing product raises nothing where it is made; the
 error norm and the Wronskian gate refuse it.
 Every map is a polynomial of degree at most 6 in x = eps**2, so a large
 batch interpolates its maps from seven frequencies, set up once per solve
-and kept by its trajectory for its reads between nodes (see
-``_samples``).
+and once per read between nodes (see ``_samples``).
 Every block of ramp work, of a solve or of a read, takes its work arrays
 (the stages, the interpolated maps, the carry's second buffer and the
 error norm's temporaries) as views into one arena per thread, which
@@ -90,7 +89,7 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -296,9 +295,10 @@ def _outgoing_waves(bog: BogoliubovPair, eps_lambda):
 
 def _samples(eps):
     """The x that :func:`_step_maps` runs the batch ``eps`` (n,) on, once
-    per solve, and the Lagrange weights (n, 7) that interpolate its maps, or
-    None: more than ``_DIRECT_MAX`` distinct x = eps**2 are sampled at the
-    seven Chebyshev points of [min x, max x], any other batch at its own."""
+    per solve and once per read between nodes, and the Lagrange weights
+    (n, 7) that interpolate its maps, or None: more than ``_DIRECT_MAX``
+    distinct x = eps**2 are sampled at the seven Chebyshev points of
+    [min x, max x], any other batch at its own."""
     x = eps * eps
     # distinct x counted on the sorted batch: np.unique would import numpy.ma
     if x.size <= _DIRECT_MAX or np.count_nonzero(np.diff(np.sort(x))) + 1 <= _DIRECT_MAX:
@@ -591,7 +591,7 @@ def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: flo
     )
     return ModeTrajectory(
         k_mag=ks, mu=mu, params=params, eps=eps, eps_lambda=eps_lam, t=t, y=y,
-        passes=passes, worst_drift=worst_drift, worst_drift_t=worst_drift_t, samples=samples,
+        passes=passes, worst_drift=worst_drift, worst_drift_t=worst_drift_t,
     )
 
 
@@ -645,9 +645,7 @@ class ModeTrajectory:
 
     ``passes`` is the number of grids the step-count search laid, and
     ``worst_drift`` the largest Wronskian drift over every node and
-    momentum, reached at ``worst_drift_t``.  ``samples`` is the
-    :func:`_samples` set-up the solve ran on, which reads between nodes
-    reuse.
+    momentum, reached at ``worst_drift_t``.
     """
 
     k_mag: np.ndarray
@@ -660,7 +658,6 @@ class ModeTrajectory:
     passes: int
     worst_drift: float
     worst_drift_t: float
-    samples: tuple = field(repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -705,16 +702,18 @@ class ModeTrajectory:
     def _between_nodes(self, ts):
         """(T, Tdot) at ramp times ``ts`` by one partial step from the node
         before each, a block of times at a time, with the Wronskian gated.
-        Each block's work arrays come from the thread's arena."""
+        The read sets up its :func:`_samples` once, and each block's work
+        arrays come from the thread's arena."""
         y = np.empty((2, 2, ts.size, self.eps.size))
         arena, shift = _block_arena(), self.params.mass_shift
+        samples = _samples(self.eps)
         block = max(1, _BLOCK // self.eps.size)
         for lo in range(0, ts.size, block):
             part = slice(lo, lo + block)
             node = np.searchsorted(self.t, ts[part], side="right") - 1
             arena.used = 0
             h = ts[part] - self.t[node]
-            step, _, _ = _step_maps(self.t[node], h, self.samples, shift, self.mu, arena)
+            step, _, _ = _step_maps(self.t[node], h, samples, shift, self.mu, arena)
             _product(step, self.y.take(node, axis=2), out=y[:, :, part])
         _gate(y, self.k_mag, self.mu, ts, f"grid of {self.n_steps} steps after {self.passes} passes")
         return _complex(y[0]), _complex(y[1])

@@ -79,6 +79,7 @@ TOLERANCES = {
     "derivative_tower_rel": 1e-6,
     "temperature_shift_abs": 1e-12,
     "wronskian_abs": 1e-8,
+    "continuity_rel": 1e-14,
     "switch_final_abs": 1e-2,
     "pairing_final_rel": 1e-2,
     "series_final_rel": FINAL_REL_TOL,
@@ -252,11 +253,12 @@ def _suite_trajectories(config: RunConfig, memo: dict):
     """The trajectory suite: one batched solve over ``config.k_values`` per
     profile of the mu ladder, the unit-scale switch and, last, the sharp
     switch at tight tolerances.  Its readers, in run order: criterion 4
-    (every solve's Wronskian drift), criterion 5 (the switching integrals of
-    the mu ladder's solves) and criterion 8 (every solve's Bogoliubov
-    pairs).  Under :func:`run_all` criterion 4 pays for all six solves and
-    criteria 5 and 8 only read them from the run's ``memo``; a criterion run
-    alone solves what it reads into its own."""
+    (every solve's Wronskian drift and its closed form past t = 0),
+    criterion 5 (the switching integrals of the mu ladder's solves) and
+    criterion 8 (every solve's Bogoliubov pairs).  Under :func:`run_all`
+    criterion 4 pays for all six solves and criteria 5 and 8 only read them
+    from the run's ``memo``; a criterion run alone solves what it reads into
+    its own."""
     return [
         *(_suite_solve(config, memo, mu) for mu in (*config.mu_ladder, 1.0)),
         _suite_solve(config, memo, SUDDEN_MU, tight=True),
@@ -265,10 +267,25 @@ def _suite_trajectories(config: RunConfig, memo: dict):
 
 @_criterion(4, "wronskian-health")
 def criterion_4(config: RunConfig, memo: dict):
-    """Wronskian drift across every trajectory in the suite."""
-    tol = TOLERANCES["wronskian_abs"]
-    worst = max(traj.worst_drift for traj in _suite_trajectories(config, memo))
-    return worst <= tol, {"worst_abs": worst, "tol": tol}
+    """Wronskian drift across every trajectory in the suite, at its grid
+    nodes and in the closed form that ``evaluate`` gives past the switch, at
+    t = 0, 1 and 7.3, and the continuity of that closed form with the
+    solve's node at t = 0: (|dT| + |dTdot|/eps_lambda) / (|T| +
+    |Tdot|/eps_lambda), relative to the node.  Both read the post-switch
+    form through :mod:`thermalquench.modes`, where a pair put on the wrong
+    signs of frequency breaks them."""
+    tol, cont_tol = TOLERANCES["wronskian_abs"], TOLERANCES["continuity_rel"]
+    drifts, gaps = [], []
+    for traj in _suite_trajectories(config, memo):
+        T, Td = traj.evaluate(np.array([0.0, 1.0, 7.3]))
+        node, node_d, el = traj.T[:, -1], traj.Tdot[:, -1], traj.eps_lambda
+        gap = np.abs(T[:, 0] - node) + np.abs(Td[:, 0] - node_d) / el
+        drifts += [traj.worst_drift, np.max(np.abs(T * np.conj(Td) - Td * np.conj(T) - 1j))]
+        gaps.append(np.max(gap / (np.abs(node) + np.abs(node_d) / el)))
+    # np.max, unlike max, keeps a NaN, which then fails its bound
+    worst, continuity = float(np.max(drifts)), float(np.max(gaps))
+    ok = worst <= tol and continuity <= cont_tol
+    return ok, {"worst_abs": worst, "worst_continuity": continuity, "tol": tol}
 
 
 @_criterion(5, "switch-integral-ladder")

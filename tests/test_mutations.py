@@ -10,18 +10,24 @@ never a dropped row.  Every criterion a row names passes the unmutated
 program (``tests/test_acceptance.py``), so a refusal here is the planted
 bug's.  The rows start with the plane waves outside the ramp, which
 :mod:`thermalquench.modes` writes in one place, and the DOP853 weights of
-the ramp kernel's step maps.
+the ramp kernel's step maps; then come the thermal coefficients of the
+pairing plan, the frequency of the Bogoliubov extraction and the Eulerian
+recursion.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from thermalquench import modes, spectral, verify
+from thermalquench import combinatorics, modes, spectral, verify
 from thermalquench.config import default_config
 from thermalquench.modes import IntegratorError
 
 OUTGOING = modes._outgoing_waves
 INCOMING = modes._incoming_waves
+PAIRING_PLAN = verify.pairing_plan
+EULERIAN = combinatorics._eulerian_coefficients
 
 
 def swapped_outgoing(bog, eps_lambda):
@@ -48,6 +54,31 @@ def nudged_map_rows():
     return rows
 
 
+def swapped_plan(*args):
+    """The pairing plan with the thermal coefficients b_plus and b_minus
+    exchanged."""
+    plan = PAIRING_PLAN(*args)
+    return dataclasses.replace(plan, c_plus=plan.c_minus, c_minus=plan.c_plus)
+
+
+def free_frequency_extraction(traj):
+    """The Bogoliubov pair extracted with eps in place of eps_lambda.  The
+    normalization |a_plus|^2 - |a_minus|^2 = 1 holds at any extraction
+    frequency, so only the sudden-jump oracle can see it."""
+    return modes.bogoliubov(dataclasses.replace(traj, eps_lambda=traj.eps))
+
+
+def bumped_eulerian(n):
+    """The Eulerian recursion with the second coefficient of every row
+    n >= 3 one too large, each row built on the bumped row before it.  It
+    recurses through the uncached function, so no bad row enters the
+    ``lru_cache`` of the real one and outlives the row."""
+    row = list(EULERIAN.__wrapped__(n))
+    if n >= 3:
+        row[1] += 1
+    return tuple(row)
+
+
 # (module the reader looks the name up in, name, mutant, criterion, refusal):
 # a refusal of None is a FAIL status, a string is the pattern of the
 # IntegratorError raised inside the criterion
@@ -64,6 +95,20 @@ ROWS = [
     # equals the gate's and so cannot fire first
     pytest.param(modes, "_MAP_ROWS", nudged_map_rows(), 4, r"Wronskian drift 3\.139e-05",
                  id="dop853-weight-nudged"),
+    # evaluate, past t = 0, reads the post-switch waves: criterion 4 reads a
+    # continuity gap of 1.002 with the t = 0 node and a Wronskian drift of 2
+    pytest.param(modes, "_outgoing_waves", swapped_outgoing, 4, None,
+                 id="outgoing-waves-swapped-in-modes"),
+    # criterion 6's pairing weights each mode product by b_plus and b_minus:
+    # final_rel_gap 1.166
+    pytest.param(verify, "pairing_plan", swapped_plan, 6, None, id="thermal-coefficients-swapped"),
+    # criterion 8's sudden-jump oracle reads worst_sudden_gap 0.102 against
+    # its 1e-3
+    pytest.param(verify, "bogoliubov", free_frequency_extraction, 8, None,
+                 id="extraction-at-free-frequency"),
+    # criterion 1's recursion differs from the enumeration from n = 3 on
+    pytest.param(combinatorics, "_eulerian_coefficients", bumped_eulerian, 1, None,
+                 id="eulerian-coefficient-bumped"),
 ]
 
 

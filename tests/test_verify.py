@@ -165,6 +165,17 @@ class TestNormalizationIsTheWronskianDrift:
         assert np.max(np.abs(bogoliubov(traj).normalization_residual - drift)) <= self.BOUND
 
 
+def test_a_nan_past_the_switch_fails_criterion_4(monkeypatch):
+    # the closed form past t = 0 passes no solver gate: a NaN there must
+    # reach criterion 4's maxima, not drop out of them
+    waves = modes._outgoing_waves
+    monkeypatch.setattr(modes, "_outgoing_waves",
+                        lambda bog, el: [(c * np.nan, f) for c, f in waves(bog, el)])
+    result = verify.criterion_4(default_config())
+    assert result.status == "fail"
+    assert math.isnan(result.measured["worst_abs"]) and math.isnan(result.measured["worst_continuity"])
+
+
 class TestRampSolveCounts:
     @pytest.mark.parametrize(
         "index, expected",
