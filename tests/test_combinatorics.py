@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from thermalquench import combinatorics
 from thermalquench.combinatorics import (
-    _partitions_of,
     _permutations,
     connected_from_moments,
     eulerian_row_by_enumeration,
@@ -81,28 +81,11 @@ class TestPermutationTable:
         assert np.array_equal(np.sort(table, axis=1), np.broadcast_to(np.arange(9), table.shape))
 
 
-class TestSetPartitions:
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
-    def test_counts(self, n, count):
-        # the Bell numbers
-        assert len(_partitions_of(tuple(range(1, n + 1)))) == count
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_blocks_partition_ground_set(self, n):
-        seen = set()
-        for partition in _partitions_of(tuple(range(1, n + 1))):
-            key = frozenset(partition)  # block order aside
-            assert key not in seen
-            seen.add(key)
-            flat = [x for block in partition for x in block]
-            assert all(block for block in partition)
-            assert sorted(flat) == list(range(1, n + 1))
-
-
 def list_partitions(items):
-    """The uncached enumeration of lists of list blocks, in the cached one's
-    order: the first item opens the first block, and each later item joins
-    an existing block (in order) or opens a new one."""
+    """All partitions of ``items`` into non-empty blocks, as lists of list
+    blocks: the first item opens the first block, and each later item joins
+    an existing block (in order) or opens a new one.  The definition that
+    the recursion of both directions is checked against."""
     if not items:
         return [[]]
     out = []
@@ -113,37 +96,22 @@ def list_partitions(items):
     return out
 
 
-class TestCachedPartitions:
-    def test_no_large_enumeration_outlives_its_caller(self):
-        # ten items make 115975 partitions, ~42 MB; only the enumerations
-        # of at most six items, criterion 10's, are kept
-        assert len(_partitions_of(tuple(range(1, 11)))) == 115975
-        caches = [value for name, value in vars(combinatorics).items()
-                  if isinstance(value, dict) and not name.startswith("__")]
-        assert caches == [combinatorics._PARTITIONS]
-        assert max(map(len, combinatorics._PARTITIONS)) <= 6
-        assert not hasattr(_partitions_of, "cache_info")  # no lru_cache beside it
+class TestSetPartitions:
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)])
+    def test_counts(self, n, count):
+        # the Bell numbers
+        assert len(list_partitions(tuple(range(1, n + 1)))) == count
 
-    @pytest.mark.parametrize("n", range(0, 7))
-    def test_same_order_as_list_enumeration(self, n):
-        for items in (tuple(range(1, n + 1)), tuple(range(n, 0, -1)), tuple("abcdef"[:n])):
-            ref = [tuple(frozenset(b) for b in p) for p in list_partitions(items)]
-            assert list(_partitions_of(items)) == ref
-            assert _partitions_of(items) is _partitions_of(items)
-
-    def test_cached_values_cannot_be_mutated(self):
-        parts = _partitions_of((1, 2, 3))
-        assert type(parts) is tuple
-        assert all(type(p) is tuple and all(type(b) is frozenset for b in p) for p in parts)
-        with pytest.raises(TypeError):
-            parts[0] = ()
-        with pytest.raises(TypeError):
-            parts[0][0] = frozenset()
-        with pytest.raises(AttributeError):
-            parts[0][0].add(4)
-        assert _partitions_of((1, 2, 3)) == tuple(
-            tuple(frozenset(b) for b in p) for p in list_partitions((1, 2, 3))
-        )
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_blocks_partition_ground_set(self, n):
+        seen = set()
+        for partition in list_partitions(tuple(range(1, n + 1))):
+            key = frozenset(map(frozenset, partition))  # block order aside
+            assert key not in seen
+            seen.add(key)
+            flat = [x for block in partition for x in block]
+            assert all(block for block in partition)
+            assert sorted(flat) == list(range(1, n + 1))
 
 
 def full_moment_table(n, value):
@@ -201,8 +169,12 @@ class TestConnectedFunctions:
             ({}, "non-empty subsets"),
             ({frozenset(): 1}, "non-empty subsets"),
             ({frozenset({2}): 1.0, frozenset({1, 2}): 3.0}, r"missing subsets \[\(1,\)\]"),
+            (
+                {frozenset(c): 1.0 for c in [(1,), (3,), (1, 2), (2, 3), (1, 2, 3)]},
+                r"missing subsets \[\(2,\), \(1, 3\)\]$",
+            ),
         ],
-        ids=["empty", "empty-subset", "incomplete"],
+        ids=["empty", "empty-subset", "incomplete", "incomplete-by-size"],
     )
     def test_both_directions_refuse_the_same_tables(self, direction, table, message):
         with pytest.raises(ValueError, match=message):
@@ -218,10 +190,18 @@ class TestConnectedFunctions:
         back = moments_from_connected(connected_from_moments(moments))
         assert back == moments
 
+    def test_ten_slot_table_keeps_no_module_state(self):
+        # 1023 subsets, ~3^10 / 2 products a direction and no partition
+        # list: the round trip is exact and leaves no table behind
+        rnd = random.Random(10)
+        table = full_moment_table(10, lambda c: complex(rnd.randint(-3, 3), rnd.randint(-3, 3)))
+        assert moments_from_connected(connected_from_moments(table)) == table
+        state = [name for name, value in vars(combinatorics).items()
+                 if isinstance(value, (dict, list, set)) and not name.startswith("__")]
+        assert state == []
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_quasi_free_tables_have_no_high_cumulants(self, n):
-        import random
-
         rnd = random.Random(1234 + n)
         ground = tuple(range(1, n + 1))
         pair_table = {
@@ -239,3 +219,83 @@ class TestConnectedFunctions:
                 assert abs(value) <= 1e-12
             elif len(subset) == 2:
                 assert value == pair_table[subset]
+
+
+def partition_sums(table, items, weight):
+    """For every non-empty subset S of ``items``: the sum over the partitions
+    P of S of weight(len(P)) times the product of ``table`` over the blocks
+    of P, and the same sum of absolute values, the scale of its rounding."""
+    sums, scales = {}, {}
+    for r in range(1, len(items) + 1):
+        for combo in itertools.combinations(items, r):
+            total, scale = 0, 0.0
+            for partition in list_partitions(combo):
+                term = weight(len(partition))
+                for block in partition:
+                    term *= table[frozenset(block)]
+                total += term
+                scale += abs(term)
+            sums[frozenset(combo)], scales[frozenset(combo)] = total, scale
+    return sums, scales
+
+
+# the definition, moments[S] = sum over P of prod connected[B], and its
+# Moebius inversion, connected[S] = sum over P of
+# (-1)^(|P|-1) (|P|-1)! prod moments[B]
+DIRECTIONS = [
+    pytest.param(connected_from_moments, lambda p: (-1) ** (p - 1) * math.factorial(p - 1),
+                 id="connected"),
+    pytest.param(moments_from_connected, lambda p: 1, id="moments"),
+]
+
+
+class TestAgainstPartitionSums:
+    @pytest.mark.parametrize("direction, weight", DIRECTIONS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exact_on_gaussian_integers(self, direction, weight, n):
+        rnd = random.Random(100 + n)
+        table = full_moment_table(n, lambda c: complex(rnd.randint(-5, 5), rnd.randint(-5, 5)))
+        assert direction(table) == partition_sums(table, tuple(range(1, n + 1)), weight)[0]
+
+    @pytest.mark.parametrize("direction, weight", DIRECTIONS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_float_tables_to_rounding(self, direction, weight, n):
+        rnd = random.Random(200 + n)
+        table = full_moment_table(n, lambda c: complex(rnd.gauss(0, 1), rnd.gauss(0, 1)))
+        got = direction(table)
+        ref, scale = partition_sums(table, tuple(range(1, n + 1)), weight)
+        assert got.keys() == ref.keys()
+        for subset in ref:
+            assert abs(got[subset] - ref[subset]) <= 1e-14 * scale[subset], sorted(subset)
+
+    @pytest.mark.parametrize("direction", [connected_from_moments, moments_from_connected])
+    def test_ground_set_is_sorted_not_hashed(self, direction):
+        # the same table on letters inserted in reverse order, and on 1..5
+        rnd = random.Random(5)
+        table = full_moment_table(5, lambda c: complex(rnd.gauss(0, 1), rnd.gauss(0, 1)))
+        letter = dict(zip(range(1, 6), "abcde"))
+        lettered = {frozenset(map(letter.get, s)): v for s, v in reversed(table.items())}
+        got = direction(lettered)
+        assert {s: got[frozenset(map(letter.get, s))] for s in table} == direction(table)
+
+    @pytest.mark.parametrize("direction", [connected_from_moments, moments_from_connected])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("kind", ["real", "gaussian-integer"])
+    def test_array_tables_match_scalar_calls(self, direction, n, kind):
+        # elementwise equal: real float products and sums round as Python's
+        # do, and Gaussian-integer ones are exact (numpy's complex product
+        # may round otherwise than Python's)
+        rng = np.random.default_rng(n)
+        if kind == "real":
+            draw, scalar = lambda: rng.standard_normal(4), float
+        else:
+            draw, scalar = lambda: rng.integers(-5, 6, 4) + 1j * rng.integers(-5, 6, 4), complex
+        table = full_moment_table(n, lambda c: draw())
+        before = {s: v.copy() for s, v in table.items()}
+        got = direction(table)
+        for j in range(4):
+            ref = direction({s: scalar(v[j]) for s, v in table.items()})
+            assert {s: scalar(v[j]) for s, v in got.items()} == ref
+        # the caller's arrays are neither updated nor handed back
+        assert all(np.array_equal(table[s], before[s]) for s in table)
+        assert not any(np.shares_memory(got[s], table[s]) for s in table)

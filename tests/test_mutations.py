@@ -11,11 +11,12 @@ program (``tests/test_acceptance.py``), so a refusal here is the planted
 bug's.  The rows start with the plane waves outside the ramp, which
 :mod:`thermalquench.modes` writes in one place, and the DOP853 weights of
 the ramp kernel's step maps; then come the thermal coefficients of the
-pairing plan, the frequency of the Bogoliubov extraction and the Eulerian
-recursion.
+pairing plan, the frequency of the Bogoliubov extraction, the Eulerian
+recursion and the two directions of the moment-cumulant recursion.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -79,6 +80,38 @@ def bumped_eulerian(n):
     return tuple(row)
 
 
+def _block_terms(subset, connected, moments, first):
+    """The sum over the blocks B of ``subset`` that hold its least item s0,
+    are not all of it and have at least ``first`` items besides s0, of
+    connected[B] * moments[subset - B]."""
+    s0 = min(subset)
+    rest = sorted(subset - {s0})
+    total = 0
+    for r in range(first, len(rest)):
+        for others in itertools.combinations(rest, r):
+            block = frozenset((s0, *others))
+            total += connected[block] * moments[subset - block]
+    return total
+
+
+def cumulants_without_singleton(moments):
+    """``connected_from_moments`` with the block B = {s0} left out of every
+    subset's sum: a subset walk that stops before its empty subset."""
+    connected = {}
+    for subset in sorted(moments, key=len):
+        connected[subset] = moments[subset] - _block_terms(subset, connected, moments, 1)
+    return connected
+
+
+def moments_without_whole_set(connected):
+    """``moments_from_connected`` with connected[S] left out of every
+    moments[S]."""
+    moments = {}
+    for subset in sorted(connected, key=len):
+        moments[subset] = _block_terms(subset, connected, moments, 0)
+    return moments
+
+
 # (module the reader looks the name up in, name, mutant, criterion, refusal):
 # a refusal of None is a FAIL status, a string is the pattern of the
 # IntegratorError raised inside the criterion
@@ -109,6 +142,14 @@ ROWS = [
     # criterion 1's recursion differs from the enumeration from n = 3 on
     pytest.param(combinatorics, "_eulerian_coefficients", bumped_eulerian, 1, None,
                  id="eulerian-coefficient-bumped"),
+    # criterion 10's round trip: moments[{1, 2}] comes back as
+    # m12 + m1 * m2.  Its Wick tables have zero means, so the Wick check
+    # reads no change; the round trip refuses it
+    pytest.param(verify, "connected_from_moments", cumulants_without_singleton, 10, None,
+                 id="cumulant-recursion-drops-singleton"),
+    # criterion 10's round trip: every moment comes back 0
+    pytest.param(verify, "moments_from_connected", moments_without_whole_set, 10, None,
+                 id="moments-recursion-drops-whole-set"),
 ]
 
 
