@@ -20,15 +20,19 @@ cache of rules (the pairings of :mod:`thermalquench.spectral` read it too),
 and it computes a rule on first use, never at import.  The module needs
 numpy alone.
 
-One routine does every ramp solve.  The mode equation is linear, so one
-DOP853 step of (T, Tdot) is a real 2x2 matrix that does not depend on
-the state: the routine builds the maps of every step of a uniform grid
-on [-mu, 0], for every momentum at once, and carries the plane-wave data
-at -mu through them by one log-depth prefix scan of each block's node
-planes (see ``_carry``).  The stages run in the Nystrom form of DOP853:
-the top row of each stage's 2x2 map is the bottom row of the one before
-it, so only the bottom rows are formed, and one product of them gives the
-step map and both error maps (the derivation is in ``_step_maps``).  They
+One routine does every ramp solve, for a ladder of switching scales mu
+that share one momentum batch and tolerances (a single profile is the
+ladder of one).  The mode equation is linear, so one DOP853 step of
+(T, Tdot) is a real 2x2 matrix that does not depend on the state: the
+routine builds the maps of every step of each rung's uniform grid on
+[-mu, 0], for every momentum at once, with the rungs laid end to end in
+one array of nodes, and carries each rung's plane-wave data at -mu
+through them by one log-depth prefix scan of each block's node planes,
+segmented at the rungs' first nodes (see ``_carry``).  The stages run in
+the Nystrom form of DOP853: the top row of each stage's 2x2 map is the
+bottom row of the one before it, so only the bottom rows are formed, and
+one product of them gives the step map and both error maps (the
+derivation is in ``_step_maps``).  They
 run in pairs, since stages s and s + 1 read only the stages before s, so
 the twelve stages are six small products.  Each of these products, the
 six and the map rows', is one BLAS call on the whole block; the outputs
@@ -41,13 +45,17 @@ error norm and the Wronskian gate refuse it.
 Every map is a polynomial of degree at most 6 in x = eps**2, so a large
 batch interpolates its maps from seven frequencies, set up once per solve
 and once per read between nodes (see ``_samples``).
+The reads between nodes of several solves run in one pass in the same
+way, each start with its own mu and h (see ``_between_nodes``).
 Every block of ramp work, of a solve or of a read, takes its work arrays
 (the stages, the interpolated maps, the carry's second buffer and the
 error norm's temporaries) as views into one arena per thread, which
 starts with room for a full block's carry and error norm, grows only
 for a block that needs more, and is reused by every later block, so warm
-solves and reads allocate no fresh block-sized memory.  Only the node
-planes a trajectory keeps and the values a read returns are fresh arrays.
+solves and reads allocate no fresh block of stages or maps.  Besides the
+node planes a trajectory keeps and the values a read returns, only a
+block that steps by one size per start makes fresh arrays: its sizes and
+the nodes it starts from, a plane or two each.
 Maps and grid nodes are laid out entries first, (row, column, step,
 momentum) and (component, real or imaginary part, node, momentum), so
 that the step-error norm works on contiguous (step, momentum) planes.
@@ -55,10 +63,10 @@ The first grid is seeded from the tolerance by the h**8 error law,
 rtol**(-1/8) * max(0.19 * mu * (largest frequency), 1.5) steps, with both
 constants fitted once on measured solves.
 DOP853's embedded error estimate, taken per step and per momentum as
-scipy's step control takes it for a single mode, checks the grid, and a
-grid that fails the check is regrown.  The node planes are a
-solve's one store, made complex only where a reader asks, and each
-momentum's Wronskian is gated on them in real arithmetic,
+scipy's step control takes it for a single mode, checks each rung's
+grid, and a rung whose grid fails the check is regrown.  The node
+planes are a solve's one store, made complex only where a reader asks,
+and each momentum's Wronskian is gated on them in real arithmetic,
 |2*(Tdot_re*T_im - Tdot_im*T_re) - 1|, at every node and every ramp time
 a caller reads.  Between nodes a value is one partial step from the node
 before.
@@ -85,6 +93,7 @@ defaults.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -99,8 +108,10 @@ _GL_ORDER = 10
 
 # a mode fails when its Wronskian drifts from i by more than the gate
 _WRONSKIAN_TOL = 1e-8
-# a ramp solve lays at most _MAX_PASSES grids of at most _MAX_GRID / n steps
-# for n momenta, and builds the step maps _BLOCK (step, momentum) pairs at a
+# the default tolerances (rtol, atol) of a ramp solve
+_RTOL, _ATOL = 1e-10, 1e-12
+# a ramp solve lays each rung at most _MAX_PASSES grids of at most _MAX_GRID / n
+# steps for n momenta, and builds the step maps _BLOCK (step, momentum) pairs at a
 # time: at 2**13, verify-all's peak memory is no higher than at 2**14, and
 # no slower
 _MAX_PASSES = 6
@@ -396,6 +407,9 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
     h_col = h[:, None] if h.ndim else h
     xs, mix = samples
     m, p = t.size, xs.size
+    # a step size per start, laid over whole (start, sample) planes for the
+    # stages, so that each of their products with it is one contiguous pass
+    h_plane = np.repeat(h_col, p, axis=1) if h.ndim else h
     maps = arena.take((3, 2, 2, m, p if mix is None else mix.shape[0]))
     mark = arena.used
     # -w(t)^2 = -shift * chi - x at every stage time, (stage, start, sample)
@@ -404,10 +418,10 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
     # K_s, the bottom row of stage s's map, (stage, column, start, sample)
     stages = arena.take((_C.size, 2, m, p))
     flat = stages.reshape(_C.size, -1)
-    h_sq = h_col * h_col
+    h_sq = h_plane * h_plane
     # e0 + h * c_s * e1, each stage's top row but its h**2 term, (stage,
-    # column, start or 1, 1)
-    lead = _C[:, None, None] * h_col
+    # column, start and sample, or 1 and 1)
+    lead = _C[:, None, None] * h_plane
     top = np.empty((_C.size, 2) + lead.shape[1:])
     top[:, 0] = 1.0
     top[:, 1] = lead
@@ -432,11 +446,12 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
     return maps[0], maps[1], maps[2]
 
 
-def _error_norm(err5, err3, y, h: float, rtol: float, atol: float, arena: _Arena):
+def _error_norm(err5, err3, y, h, rtol: float, atol: float, arena: _Arena):
     """scipy's DOP853 error norm of every step and momentum, shape (N, n).
 
-    ``err5`` and ``err3`` are the error maps of N steps, (2, 2, N, n), and
-    ``y`` the (T, Tdot) of each momentum at the N + 1 nodes, entries first:
+    ``err5`` and ``err3`` are the error maps of N steps, (2, 2, N, n), of
+    the step sizes ``h``, a scalar or one per step, and ``y`` the (T, Tdot)
+    of each momentum at the N + 1 nodes, entries first:
     (component, real or imaginary part, node, momentum).  Each error map is
     applied to its step's start data, scaled componentwise by
     atol + rtol * max(|y|) over the step's two ends, and combined over the
@@ -476,7 +491,7 @@ def _error_norm(err5, err3, y, h: float, rtol: float, atol: float, arena: _Arena
         e5, denom = norms
         denom *= 0.01
         denom += e5
-        e5 *= h
+        e5 *= h[:, None] if isinstance(h, np.ndarray) else h
         root = np.sqrt(np.multiply(denom, 2.0, out=denom), out=denom)
         # where the root is 0, so is e5, and the norm reads 0
         np.divide(e5, root, out=e5, where=root != 0)
@@ -495,104 +510,152 @@ def _product(a, b, out):
     return np.einsum("ij...,jk...->ik...", a, b, out=out)
 
 
-def _carry(step, y, arena: _Arena):
-    """Fill the nodes ``y[:, :, 1:]`` from ``y[:, :, 0]`` through the step
-    maps ``step`` of m steps, (2, 2, m, n), with ``y`` entries first,
-    (component, real or imaginary part, m + 1 nodes, momentum).
+def _carry(step, y, heads, arena: _Arena):
+    """Fill the nodes of ``y`` through the step maps ``step`` of m steps,
+    (2, 2, m, n), with ``y`` entries first, (component, real or imaginary
+    part, m + 1 nodes, momentum), from node 0 and the rung heads: the
+    positions ``heads`` in (0, m], whose nodes ``y`` holds already.
 
     A node's planes, (component, part), are a 2x2 stack like a map's, so the
-    nodes are the prefix products of node 0 and the maps.  Node 0 and the
-    maps, step j's in node j + 1, are laid in one of two buffers, ``y`` and
-    an arena buffer of its shape, and a log-depth (Hillis-Steele) scan then
-    writes z[d:] = x[d:] @ x[:-d] and z[:d] = x[:d] from one buffer x to the
-    other z, for d = 1, 2, 4, ... up to m, after which node j holds maps
-    j - 1 down to 0 applied to node 0.  The scan runs out of place because
-    an einsum may not write over its own inputs; it starts in whichever
-    buffer makes it end in ``y``.  Each node reads only itself and earlier
-    nodes, so nothing past node m changes, and a NaN or an infinity in a map
-    reaches only the nodes after its step, where the error norm and the
-    Wronskian gate refuse it.  The arena's ``used`` is set back on return.
+    nodes are the prefix products of each segment's first node and its
+    maps.  Node 0 and the maps, step j's in node j + 1, are laid in one of
+    two buffers, ``y`` and an arena buffer of its shape, with each head's
+    node over the map into it, and a log-depth (Hillis-Steele) scan then
+    writes z[d:] = x[d:] @ x[:-d] from one buffer x to the other z and
+    copies through the d positions from node 0 and from each head, for
+    d = 1, 2, 4, ... up to m, after which node j holds the maps of its
+    segment up to step j - 1 applied to the segment's first node: each
+    segment is carried as a fresh scan of its own would carry it.  The scan
+    runs out of place because an einsum may not write over its own inputs;
+    it starts in whichever buffer makes it end in ``y``, so the heads are
+    saved before the maps are laid.  Each node reads only itself and
+    earlier nodes, so nothing past node m changes, and a NaN or an infinity
+    in a map reaches only the nodes after its step, where the error norm
+    and the Wronskian gate refuse it.  The arena's ``used`` is set back on
+    return.
     """
     mark = arena.used
     m = step.shape[2]
     other = arena.take(y.shape)
     # m.bit_length() levels: an odd count starts in the arena buffer
     x, z = (other, y) if m.bit_length() % 2 else (y, other)
+    if heads:
+        saved = y[:, :, heads]
     x[:, :, 0] = y[:, :, 0]
     x[:, :, 1:] = step
+    if heads:
+        x[:, :, heads] = saved
     d = 1
     while d <= m:
-        z[:, :, :d] = x[:, :, :d]
         _product(x[:, :, d:], x[:, :, :-d], out=z[:, :, d:])
+        for q in (0, *heads):
+            z[:, :, q : q + d] = x[:, :, q : q + d]
         x, z = z, x
         d *= 2
     arena.used = mark
 
 
-def _ramp_solve(k_mags, prof: SwitchingProfile, params: ThermalParams, rtol: float, atol: float):
-    """One ramp solve of the mode equation for every momentum in ``k_mags``.
+def _ramp_solve(k_mags, profs, params: ThermalParams, rtol: float = _RTOL, atol: float = _ATOL):
+    """One ramp solve of the mode equation for every momentum in ``k_mags``
+    and every switching profile in ``profs``, a ladder of rungs: returns one
+    :class:`ModeTrajectory` per rung, in the order of ``profs``.
 
-    A uniform grid on [-mu, 0] carries the plane-wave data at -mu through
-    the DOP853 step maps of every momentum, by a prefix scan of each block's
-    nodes (see ``_carry``); the maps are built for a block of ``_BLOCK // n``
-    steps at a time (at least one) for n momenta, so memory stays bounded.
-    The first grid is seeded at its final size from the h**8 error law,
-    rtol**(-1/8) * max(_SEED_WAVE * mu * (largest frequency), _SEED_SWITCH)
-    steps: the oscillation term was fitted on solves with
-    mu * (largest frequency) > 8 and the switch term on the smaller ones,
-    and on the measured solves this grid meets the tolerance in one pass.
-    As a fallback, while the worst step error (scipy's norm, per momentum)
-    is not below 1, the step count N grows as scipy grows a step after a
-    rejection, to ceil(N * err**(1/8) / 0.9), for at most ``_MAX_PASSES``
-    grids of at most ``_MAX_GRID`` step maps.  Every momentum's Wronskian is
-    then gated at every node.  Returns the :class:`ModeTrajectory` of the
-    momentum batch.
+    Each rung lays its own uniform grid on [-mu, 0], seeded at its final
+    size from the h**8 error law, rtol**(-1/8) * max(_SEED_WAVE * mu *
+    (largest frequency), _SEED_SWITCH) steps: the oscillation term was
+    fitted on solves with mu * (largest frequency) > 8 and the switch term
+    on the smaller ones, and on the measured solves this grid meets the
+    tolerance in one pass.  The rungs' grids are laid end to end as
+    segments of one array of node positions, each led by its head, the
+    plane-wave data at its -mu, and every position is carried through the
+    DOP853 step maps of every momentum by a prefix scan of each block's
+    nodes (see ``_carry``).  The maps are built for a block of ``_BLOCK //
+    n`` positions at a time (at least one) for n momenta, so memory stays
+    bounded; a block may span rungs, each start carrying its own mu and h,
+    and the step into a head has h = 0, so its error norm reads 0.  A rung
+    that one block holds gets the nodes of a solve of it alone, to the bit.
+    As a fallback, while a rung's worst step error (scipy's norm, per
+    momentum) is not below 1, its step count N grows as scipy grows a step
+    after a rejection, to ceil(N * err**(1/8) / 0.9), and the rungs still
+    short are laid again by themselves, for at most ``_MAX_PASSES`` passes
+    of at most ``_MAX_GRID`` step maps per rung.  Every momentum's
+    Wronskian is then gated at every node of the rungs a pass accepts, and
+    each rung's trajectory is a view into its pass's node planes.
     """
     ks = np.atleast_1d(np.asarray(k_mags, dtype=float))
     disp = dispersion(ks, params)
     eps, eps_lam = disp.eps, disp.eps_lambda
-    mu, shift, n = prof.mu, params.mass_shift, ks.size
-    where = f"ramp solve for k in [{ks.min()}, {ks.max()}], mu={mu}"
+    shift, n = params.mass_shift, ks.size
+    where = f"ramp solve for k in [{ks.min()}, {ks.max()}]"
     block = max(1, _BLOCK // n)
     samples = _samples(eps)
     arena = _block_arena()
-    size = rtol**-0.125 * max(_SEED_WAVE * mu * max(eps.max(), eps_lam.max()), _SEED_SWITCH)
+    w_max = max(eps.max(), eps_lam.max())
+    # the step count each rung still short of the tolerance lays next
+    sizes = {r: rtol**-0.125 * max(_SEED_WAVE * prof.mu * w_max, _SEED_SWITCH)
+             for r, prof in enumerate(profs)}
+    trajs = [None] * len(sizes)
     for passes in range(1, _MAX_PASSES + 1):
-        if not size * n <= _MAX_GRID:  # also catches an infinite or NaN size
-            raise IntegratorError(
-                f"{where} needs {size:.3g} steps for {n} momenta, beyond {_MAX_GRID} step maps"
-            )
-        n_steps = math.ceil(size)
-        h = mu / n_steps
-        t = np.linspace(-mu, 0.0, n_steps + 1)
+        for r, size in sizes.items():
+            if not size * n <= _MAX_GRID:  # also catches an infinite or NaN size
+                raise IntegratorError(
+                    f"{where}, mu={profs[r].mu} needs {size:.3g} steps for {n} momenta, "
+                    f"beyond {_MAX_GRID} step maps"
+                )
+        rungs = [(r, profs[r].mu, math.ceil(size)) for r, size in sizes.items()]
+        mus = [mu for _, mu, _ in rungs]
+        steps = [mu / n_steps for _, mu, n_steps in rungs]
+        heads = list(itertools.accumulate((n_steps + 1 for _, _, n_steps in rungs), initial=0))
+        t = np.concatenate([np.linspace(-mu, 0.0, n_steps + 1) for _, mu, n_steps in rungs])
         # (component, real or imaginary part, node, momentum)
-        y = np.empty((2, 2, n_steps + 1, n))
-        for c, v in enumerate(_plane_waves(_incoming_waves(eps), -mu)):
-            y[c, :, 0] = v.real[:, 0], v.imag[:, 0]
-        worst = []
-        for lo in range(0, n_steps, block):
-            hi = min(lo + block, n_steps)
+        y = np.empty((2, 2, t.size, n))
+        T, Td = _plane_waves(_incoming_waves(eps), -np.array(mus))
+        y[:, :, heads[:-1]] = np.array([[T.real.T, T.imag.T], [Td.real.T, Td.imag.T]])
+        # each rung's worst error norm in each block that holds its steps
+        errs = [[] for _ in rungs]
+        for lo in range(0, t.size - 1, block):
+            hi = min(lo + block, t.size - 1)
             arena.used = 0
+            # the rung of node lo, the heads after it in the block, and the
+            # steps of each rung the block holds, the step into a head with
+            # its rung
+            first = bisect.bisect_right(heads, lo) - 1
+            inner = [q - lo for q in heads[first + 1 : -1] if q <= hi]
+            cuts = [0, *(q - 1 for q in inner), hi - lo]
+            held = slice(first, first + len(cuts) - 1)
+            # a block inside one rung steps by its h and mu alone, one that
+            # spans rungs by one per step, h = 0 into a head
+            h, mu = steps[first], mus[first]
+            if inner:
+                h, mu = (np.repeat(v[held], np.diff(cuts)) for v in (steps, mus))
+                h[cuts[1:-1]] = 0.0
             step, err5, err3 = _step_maps(t[lo:hi], h, samples, shift, mu, arena)
-            _carry(step, y[:, :, lo : hi + 1], arena)
+            _carry(step, y[:, :, lo : hi + 1], inner, arena)
             norm = _error_norm(err5, err3, y[:, :, lo : hi + 1], h, rtol, atol, arena)
-            worst.append(np.max(norm))
-        err = float(np.max(worst))
-        if err < 1.0:
-            break
-        if not math.isfinite(err) or passes == _MAX_PASSES:
-            raise IntegratorError(
-                f"{where} did not meet rtol={rtol}, atol={atol}: worst step error "
-                f"{err:.3e} on a grid of {n_steps} steps after {passes} passes"
+            for r, a, b in zip(range(held.start, held.stop), cuts, cuts[1:]):
+                if a < b:
+                    errs[r].append(np.max(norm[a:b]))
+        done = []
+        for (r, mu_r, n_steps), lo, hi, rung_errs in zip(rungs, heads, heads[1:], errs):
+            err = float(np.max(rung_errs))
+            if err < 1.0:
+                done.append((r, lo, hi, mu_r, f"grid of {n_steps} steps after {passes} passes, "
+                             f"rtol={rtol}, atol={atol}"))
+                del sizes[r]
+            elif not math.isfinite(err) or passes == _MAX_PASSES:
+                raise IntegratorError(
+                    f"{where}, mu={mu_r} did not meet rtol={rtol}, atol={atol}: worst step "
+                    f"error {err:.3e} on a grid of {n_steps} steps after {passes} passes"
+                )
+            else:
+                sizes[r] = n_steps * err**0.125 / 0.9
+        for (r, lo, hi, mu_r, _), (worst, worst_t) in zip(done, _gate(y, ks, t, [d[1:] for d in done])):
+            trajs[r] = ModeTrajectory(
+                k_mag=ks, mu=mu_r, params=params, eps=eps, eps_lambda=eps_lam, t=t[lo:hi],
+                y=y[:, :, lo:hi], passes=passes, worst_drift=worst, worst_drift_t=worst_t,
             )
-        size = n_steps * err**0.125 / 0.9
-    worst_drift, worst_drift_t = _gate(
-        y, ks, mu, t, f"grid of {n_steps} steps after {passes} passes, rtol={rtol}, atol={atol}"
-    )
-    return ModeTrajectory(
-        k_mag=ks, mu=mu, params=params, eps=eps, eps_lambda=eps_lam, t=t, y=y,
-        passes=passes, worst_drift=worst_drift, worst_drift_t=worst_drift_t,
-    )
+        if not sizes:
+            return trajs
 
 
 def _complex(part):
@@ -607,24 +670,31 @@ def _drift(y):
     return np.abs(2.0 * (y[1, 0] * y[0, 1] - y[1, 1] * y[0, 0]) - 1.0)
 
 
-def _gate(y, ks, mu: float, t, detail: str) -> tuple[float, float]:
+def _gate(y, ks, t, segments) -> list[tuple[float, float]]:
     """The Wronskian gate over the planes ``y`` of the momenta ``ks`` at the
-    times ``t`` (see :func:`_drift`): returns the worst drift and its time,
-    or raises ``IntegratorError`` naming both when the drift exceeds
-    ``_WRONSKIAN_TOL``, with ``detail`` in parentheses at the end.  The
-    drift is formed under ``np.errstate(all="ignore")``: planes that are
-    not finite, or whose products overflow, read a NaN or infinite drift
-    and fail the gate, never a floating-point error."""
+    times ``t`` (see :func:`_drift`), taken on each segment (lo, hi, mu,
+    detail) of positions, the nodes or the reads of one rung: returns the
+    worst drift of each segment and its time, or raises ``IntegratorError``
+    naming both, the segment's mu and, in parentheses at the end, its
+    ``detail``, for the first segment whose drift exceeds
+    ``_WRONSKIAN_TOL``.  The drift is formed under
+    ``np.errstate(all="ignore")``: planes that are not finite, or whose
+    products overflow, read a NaN or infinite drift and fail the gate,
+    never a floating-point error."""
     with np.errstate(all="ignore"):
         drift = _drift(y)
-    i, col = np.unravel_index(np.argmax(drift), drift.shape)
-    worst = float(drift[i, col])
-    if not worst <= _WRONSKIAN_TOL:  # a NaN drift fails too
-        raise IntegratorError(
-            f"Wronskian drift {worst:.3e} exceeds {_WRONSKIAN_TOL:.1e} "
-            f"for k={ks[col]}, mu={mu} at t={t[i]:.6g} ({detail})"
-        )
-    return worst, float(t[i])
+    worst = []
+    for lo, hi, mu, detail in segments:
+        # the first largest drift in row-major order, a NaN first of all
+        i, col = divmod(int(np.argmax(drift[lo:hi])), drift.shape[1])
+        i += lo
+        if not drift[i, col] <= _WRONSKIAN_TOL:  # a NaN drift fails too
+            raise IntegratorError(
+                f"Wronskian drift {drift[i, col]:.3e} exceeds {_WRONSKIAN_TOL:.1e} "
+                f"for k={ks[col]}, mu={mu} at t={t[i]:.6g} ({detail})"
+            )
+        worst.append((float(drift[i, col]), float(t[i])))
+    return worst
 
 
 @dataclass
@@ -640,8 +710,9 @@ class ModeTrajectory:
     imaginary part, node, momentum); ``T`` and ``Tdot`` build complex arrays
     from it when read, one row per momentum.  :meth:`evaluate` extends
     exactly to all t < -mu with the incoming plane wave, answers between
-    nodes by one partial step from the node before and at every t > 0 in
-    closed form from the data at t = 0.
+    nodes by one partial step from the node before (see
+    :func:`_between_nodes`) and at every t > 0 in closed form from the data
+    at t = 0.
 
     ``passes`` is the number of grids the step-count search laid, and
     ``worst_drift`` the largest Wronskian drift over every node and
@@ -693,30 +764,12 @@ class ModeTrajectory:
         if np.any(before):
             T[:, before], Td[:, before] = _plane_waves(_incoming_waves(self.eps), t[before])
         if np.any(ramp):
-            T[:, ramp], Td[:, ramp] = self._between_nodes(t[ramp])
+            y = _between_nodes([self], [t[ramp]])
+            T[:, ramp], Td[:, ramp] = _complex(y[0]), _complex(y[1])
         if np.any(after):
             waves = _outgoing_waves(bogoliubov(self), self.eps_lambda)
             T[:, after], Td[:, after] = _plane_waves(waves, t[after])
         return T, Td
-
-    def _between_nodes(self, ts):
-        """(T, Tdot) at ramp times ``ts`` by one partial step from the node
-        before each, a block of times at a time, with the Wronskian gated.
-        The read sets up its :func:`_samples` once, and each block's work
-        arrays come from the thread's arena."""
-        y = np.empty((2, 2, ts.size, self.eps.size))
-        arena, shift = _block_arena(), self.params.mass_shift
-        samples = _samples(self.eps)
-        block = max(1, _BLOCK // self.eps.size)
-        for lo in range(0, ts.size, block):
-            part = slice(lo, lo + block)
-            node = np.searchsorted(self.t, ts[part], side="right") - 1
-            arena.used = 0
-            h = ts[part] - self.t[node]
-            step, _, _ = _step_maps(self.t[node], h, samples, shift, self.mu, arena)
-            _product(step, self.y.take(node, axis=2), out=y[:, :, part])
-        _gate(y, self.k_mag, self.mu, ts, f"grid of {self.n_steps} steps after {self.passes} passes")
-        return _complex(y[0]), _complex(y[1])
 
     # an alias of worst_drift; benchmarks/worker.py is its last reader
     @property
@@ -724,13 +777,44 @@ class ModeTrajectory:
         return self.worst_drift
 
 
+def _between_nodes(trajs, times):
+    """The node planes, entries first, of the solves ``trajs`` of one
+    momentum batch at their ramp times ``times``, one array of times per
+    trajectory, laid end to end: each value is one partial step from the
+    node before it, and the Wronskian is gated on each trajectory's values.
+    The read sets up its :func:`_samples` once and takes each block's work
+    arrays from the thread's arena; a block of ``_BLOCK // n`` values may
+    span trajectories, each start carrying its own mu and h."""
+    first = trajs[0]
+    ts = np.concatenate(times)
+    nodes = [np.searchsorted(traj.t, tt, side="right") - 1 for traj, tt in zip(trajs, times)]
+    t0 = np.concatenate([traj.t[node] for traj, node in zip(trajs, nodes)])
+    h = ts - t0
+    mu = np.repeat([traj.mu for traj in trajs], [tt.size for tt in times])
+    start = np.concatenate([traj.y.take(node, axis=2) for traj, node in zip(trajs, nodes)], axis=2)
+    y = np.empty_like(start)
+    arena, shift, samples = _block_arena(), first.params.mass_shift, _samples(first.eps)
+    block = max(1, _BLOCK // first.eps.size)
+    for lo in range(0, ts.size, block):
+        part = slice(lo, lo + block)
+        arena.used = 0
+        step, _, _ = _step_maps(t0[part], h[part], samples, shift, mu[part], arena)
+        _product(step, start[:, :, part], out=y[:, :, part])
+    bounds = np.cumsum([0, *(tt.size for tt in times)])
+    _gate(y, first.k_mag, ts, [
+        (lo, hi, traj.mu, f"grid of {traj.n_steps} steps after {traj.passes} passes")
+        for traj, lo, hi in zip(trajs, bounds, bounds[1:])
+    ])
+    return y
+
+
 def solve_modes(
     k_mag,
     prof: SwitchingProfile,
     params: ThermalParams,
     t_max: float = 1.0,  # benchmarks/worker.py is its last reader
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = _RTOL,
+    atol: float = _ATOL,
     method: str = "DOP853",  # benchmarks/worker.py is its last reader
 ) -> ModeTrajectory:
     """Integrate the mode equation from plane-wave data before the switch.
@@ -757,7 +841,7 @@ def solve_modes(
         raise ValueError(f"atol must be non-negative and finite, got {atol}")
     if method != "DOP853":
         raise ValueError(f"ramp solves use method='DOP853', got {method!r}")
-    return _ramp_solve(k_mag, prof, params, rtol, atol)
+    return _ramp_solve(k_mag, [prof], params, rtol, atol)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -812,19 +896,27 @@ def switch_integrals(k_mag, prof: SwitchingProfile, params: ThermalParams):
     bump-shaped rate.  As mu grows, I_abs tends to 1/(eps_lambda + eps)
     and I_sq tends to 0.
     """
-    return _switch_integrals(solve_modes(k_mag, prof, params))
+    return _switch_integrals(solve_modes(k_mag, prof, params))[0]
 
 
-def _switch_integrals(traj: ModeTrajectory):
-    """(I_sq, I_abs) of :func:`switch_integrals`, read from a solved
-    trajectory: the one quadrature of the switching integrals."""
-    prof = SwitchingProfile(traj.mu)
+def _switch_integrals(*trajs: ModeTrajectory):
+    """(I_sq, I_abs) of :func:`switch_integrals` for each of the solves
+    ``trajs`` of one momentum batch, read from them: the one quadrature of
+    the switching integrals.  Every solve's panel nodes, all inside its
+    ramp, are read in one pass (see :func:`_between_nodes`), and each
+    solve's sums are formed on a contiguous copy of its values, so a solve
+    read beside others gets the bits it gets read alone."""
     # panels sized for both the mode oscillation and the bump-shaped rate
-    fastest = 2.0 * max(traj.eps.max(), traj.eps_lambda.max())
-    nodes, weights = _panel_nodes(-prof.mu, 0.0, fastest, min_panels=16)
-    T, _ = traj.evaluate(nodes)
-    w = weights * prof.rate(nodes)
-    return (T * T) @ w, (T.real**2 + T.imag**2) @ w
+    rules = [_panel_nodes(-traj.mu, 0.0, 2.0 * max(traj.eps.max(), traj.eps_lambda.max()),
+                          min_panels=16) for traj in trajs]
+    T = _complex(_between_nodes(trajs, [nodes for nodes, _ in rules])[0])
+    out, lo = [], 0
+    for traj, (nodes, weights) in zip(trajs, rules):
+        part = T[:, lo : lo + nodes.size].copy()
+        lo += nodes.size
+        w = weights * SwitchingProfile(traj.mu).rate(nodes)
+        out.append(((part * part) @ w, (part.real**2 + part.imag**2) @ w))
+    return out
 
 
 @dataclass(frozen=True)

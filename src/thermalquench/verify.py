@@ -25,15 +25,18 @@ from the solve memo.  The memo is a value of one run, never module state:
 :func:`run_all`, which ``verify-all`` calls, makes one and hands it to every
 criterion, and a criterion called alone makes its own, so two runs in one
 process, in turn or at once on two threads, never read each other's solves.
-Under :func:`run_all` each solve of the suite is made once: the run makes 11
-ramp solves on the default config, the six of the suite, criterion 6's four
-and criterion 9's one.  Each of criterion 6's solves batches only the radial
+Under :func:`run_all` each solve of the suite is made once: the run solves
+11 rungs in 7 ramp-solve calls on the default config, the suite's six in
+two (the mu ladder and the unit-scale switch in one ladder solve, the sharp
+switch at its tight tolerances alone), criterion 6's four one at a time and
+criterion 9's one.  Each of criterion 6's solves batches only the radial
 nodes that the screen of its one :func:`~thermalquench.spectral.pairing_plan`
 keeps: 42 of the 64 on the default config, on grids of 71 to 563 steps.
 Criterion 4 pays for the suite, so the ``runtime_s`` of criteria 5 and 8
-covers only their reads.  A criterion run alone, as ``pytest
-tests/test_acceptance.py`` runs each, pays for its own solves: 6, 4 and 6
-for criteria 4, 5 and 8.
+covers only their reads; criterion 5 reads the mu ladder's switching
+integrals in one pass.  A criterion run alone, as ``pytest
+tests/test_acceptance.py`` runs each, pays for its own solves: 2, 1 and 2
+calls (6, 5 and 6 rungs) for criteria 4, 5 and 8.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ import math
 import random
 import time
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import modes
 from .combinatorics import (
     connected_from_moments,
     eulerian_row_by_enumeration,
@@ -121,7 +125,7 @@ class CriterionResult:
         return f"{head}  {self.index:2d}. {self.name}: {nums}{tail}  ({self.runtime_s:.2f}s)"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "measured": dict(self.measured)}
 
 
 # index -> registered criterion; run_all runs them in index order
@@ -235,34 +239,32 @@ def criterion_3(config: RunConfig, memo: dict):
     return worst <= tol, {"worst_abs": worst, "tol": tol}
 
 
-def _suite_solve(config: RunConfig, memo: dict, mu: float, tight: bool = False):
-    """One batched solve over ``config.k_values`` at switching scale ``mu``,
-    at the default tolerances or, ``tight``, at ``_TIGHT_SOLVE``, kept in
-    ``memo`` by ``(mu, tight)``: the first reader of a memo solves and the
-    others read.  The memo belongs to one call of :func:`run_all`, which
-    hands it to every criterion, or to one criterion called alone, and dies
-    with it."""
-    if (mu, tight) not in memo:
-        ks = np.array(config.k_values)
-        tols = _TIGHT_SOLVE if tight else {}
-        memo[mu, tight] = solve_modes(ks, SwitchingProfile(mu), MODE_PARAMS, **tols)
-    return memo[mu, tight]
+def _suite_solve(config: RunConfig, memo: dict, tight: bool = False):
+    """The trajectories of one ladder solve over ``config.k_values``: the mu
+    ladder and the unit-scale switch at the default tolerances or, ``tight``,
+    the sharp switch at ``_TIGHT_SOLVE``, kept in ``memo`` by ``tight``: the
+    first reader of a memo solves and the others read.  The memo belongs to
+    one call of :func:`run_all`, which hands it to every criterion, or to
+    one criterion called alone, and dies with it."""
+    if tight not in memo:
+        mus, tols = ((SUDDEN_MU,), _TIGHT_SOLVE) if tight else ((*config.mu_ladder, 1.0), {})
+        ks, profs = np.array(config.k_values), [SwitchingProfile(mu) for mu in mus]
+        memo[tight] = modes._ramp_solve(ks, profs, MODE_PARAMS, **tols)
+    return memo[tight]
 
 
 def _suite_trajectories(config: RunConfig, memo: dict):
     """The trajectory suite: one batched solve over ``config.k_values`` per
-    profile of the mu ladder, the unit-scale switch and, last, the sharp
-    switch at tight tolerances.  Its readers, in run order: criterion 4
+    profile of the mu ladder and the unit-scale switch, made as one ladder
+    solve, and, last, the sharp switch at tight tolerances, solved alone
+    since tolerances are per solve.  Its readers, in run order: criterion 4
     (every solve's Wronskian drift and its closed form past t = 0),
     criterion 5 (the switching integrals of the mu ladder's solves) and
     criterion 8 (every solve's Bogoliubov pairs).  Under :func:`run_all`
-    criterion 4 pays for all six solves and criteria 5 and 8 only read them
-    from the run's ``memo``; a criterion run alone solves what it reads into
-    its own."""
-    return [
-        *(_suite_solve(config, memo, mu) for mu in (*config.mu_ladder, 1.0)),
-        _suite_solve(config, memo, SUDDEN_MU, tight=True),
-    ]
+    criterion 4 pays for both ramp solves and criteria 5 and 8 only read
+    them from the run's ``memo``; a criterion run alone solves what it reads
+    into its own."""
+    return [*_suite_solve(config, memo), *_suite_solve(config, memo, tight=True)]
 
 
 @_criterion(4, "wronskian-health")
@@ -293,7 +295,7 @@ def criterion_5(config: RunConfig, memo: dict):
     """Switching-integral ladder: gaps strictly decreasing, final below target."""
     tol = TOLERANCES["switch_final_abs"]
     ks = np.array(config.k_values)
-    ladder = [_switch_integrals(_suite_solve(config, memo, mu)) for mu in config.mu_ladder]
+    ladder = _switch_integrals(*_suite_solve(config, memo)[: len(config.mu_ladder)])
     i_sq, i_abs = (np.array(x) for x in zip(*ladder))  # rows: mu ladder, columns: k
     gaps_abs = np.abs(i_abs - switch_integral_limit(ks, MODE_PARAMS))
     gaps_sq = np.abs(i_sq)
@@ -408,18 +410,22 @@ def criterion_9(config: RunConfig, memo: dict):
     return ok, {"worst_ccr": worst_ccr, "worst_identity": worst_id, "tol_ccr": ccr_tol}
 
 
-def _wick_moment(subset: tuple, table: dict) -> complex:
-    """Sum over perfect matchings of the pair table (the quasi-free oracle)."""
-    if len(subset) % 2 == 1:
-        return 0.0
-    if not subset:
-        return 1.0
-    a, rest = subset[0], subset[1:]
-    total = 0.0
-    for i, b in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1 :]
-        total += table[frozenset((a, b))] * _wick_moment(remaining, table)
-    return total
+def _wick_moments(ground: tuple, table: dict) -> dict:
+    """Every moment of a shifted Gaussian over the items of ``ground`` (the
+    quasi-free oracle): the table holds each item's mean under its singleton
+    and each pair's covariance under the pair, and m(S) sums, over the
+    partitions of S into singletons and pairs, the product of their entries.
+    Each S is built from its least item a: m(S) = mean(a) m(S - a) plus,
+    over the b in S, cov(a, b) m(S - a - b)."""
+    moments = {(): 1.0}
+    for r in range(1, len(ground) + 1):
+        for subset in itertools.combinations(ground, r):
+            a, rest = subset[0], subset[1:]
+            total = table[frozenset((a,))] * moments[rest]
+            for i, b in enumerate(rest):
+                total += table[frozenset((a, b))] * moments[rest[:i] + rest[i + 1 :]]
+            moments[subset] = total
+    return {frozenset(s): m for s, m in moments.items() if s}
 
 
 @_criterion(10, "connected-function-oracle")
@@ -441,19 +447,18 @@ def criterion_10(config: RunConfig, memo: dict):
         back = moments_from_connected(connected_from_moments(moments))
         ok = ok and all(back[s] == moments[s] for s in subsets)
 
-    # Wick table: mean-zero, pairings only -> cumulants vanish for order > 2
+    # Wick tables with means: singletons and pairings only -> cumulants
+    # vanish for order > 2, and a recursion that mishandles the singleton
+    # blocks leaves them non-zero
     worst = 0.0
     for n in range(3, 7):
         ground = tuple(range(1, n + 1))
-        pair_table = {
-            frozenset((i, j)): complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-            for i, j in itertools.combinations(ground, 2)
+        table = {
+            frozenset(c): complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+            for r in (1, 2)
+            for c in itertools.combinations(ground, r)
         }
-        moments = {}
-        for r in range(1, n + 1):
-            for combo in itertools.combinations(ground, r):
-                moments[frozenset(combo)] = _wick_moment(combo, pair_table)
-        connected = connected_from_moments(moments)
+        connected = connected_from_moments(_wick_moments(ground, table))
         for s, v in connected.items():
             if len(s) > 2:
                 worst = max(worst, abs(v))

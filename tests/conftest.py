@@ -4,15 +4,26 @@ import pytest
 from thermalquench import modes
 
 
+class RampSolves(list):
+    """The trajectory of every rung of every ramp solve, in order, and in
+    ``calls`` the number of rungs of each solve."""
+
+    calls: list
+
+
 @pytest.fixture
 def ramp_solves(monkeypatch):
-    """Records the trajectory of every call of the one ramp-solve routine."""
-    trajs = []
+    """Records the trajectories of every call of the one ramp-solve routine,
+    one per rung of its ladder."""
+    trajs = RampSolves()
+    trajs.calls = []
     original = modes._ramp_solve
 
     def recording(*args, **kwargs):
-        trajs.append(original(*args, **kwargs))
-        return trajs[-1]
+        rungs = original(*args, **kwargs)
+        trajs.extend(rungs)
+        trajs.calls.append(len(rungs))
+        return rungs
 
     monkeypatch.setattr(modes, "_ramp_solve", recording)
     return trajs

@@ -489,7 +489,12 @@ class TestNystromStepMaps:
         trajs = []
         with pytest.MonkeyPatch.context() as mp:
             original = modes._ramp_solve
-            mp.setattr(modes, "_ramp_solve", lambda *args: trajs.append(original(*args)) or trajs[-1])
+
+            def recording(*args):
+                trajs.extend(original(*args))
+                return trajs[-len(args[1]):]
+
+            mp.setattr(modes, "_ramp_solve", recording)
             assert verify.criterion_6(default_config()).status == "pass"
         traj = trajs[-1]
         assert (traj.mu, traj.eps.size, traj.n_steps) == (40.0, 42, 563)
@@ -608,8 +613,8 @@ class TestBlockArena:
                 a[...] = np.nan
             return maps
 
-        def stopping(step, y, arena):
-            carry(step, y, arena)
+        def stopping(step, y, heads, arena):
+            carry(step, y, heads, arena)
             assert arena.used > 0 and np.isnan(arena.buf).any()
             raise IntegratorError("stopped partway through a block")
 
@@ -876,14 +881,15 @@ class TestErrorNorm:
         assert np.array_equal(zero, np.zeros((27, 2)))
 
 
-def _per_step_carry(step, y):
+def _per_step_carry(step, y, heads=()):
     """The carry as one batched 2x2 product per step, on (step, momentum,
-    2, 2) views of the maps and the nodes: the reference for the prefix scan
-    of ``modes._carry``."""
+    2, 2) views of the maps and the nodes, with the nodes at ``heads`` kept:
+    the reference for the prefix scan of ``modes._carry``."""
     nodes = y.transpose(2, 3, 0, 1)
     maps = step.transpose(2, 3, 0, 1)
     for i in range(step.shape[2]):
-        np.matmul(maps[i], nodes[i], out=nodes[i + 1])
+        if i + 1 not in heads:
+            np.matmul(maps[i], nodes[i], out=nodes[i + 1])
 
 
 def _csv_fields(path):
@@ -924,17 +930,20 @@ class TestGroupedCarry:
     # every CSV field and measured value of the CLI commands, absolute
     ABS = 1e-13
 
-    def assert_matches_per_step(self, step, start):
+    def assert_matches_per_step(self, step, start, heads=(), nodes=None):
         """Carries ``start`` through ``step`` both ways, the scan into the
-        front of a buffer of NaN twice as long, and compares the nodes."""
+        front of a buffer of NaN twice as long, and compares the nodes; the
+        nodes at ``heads``, taken from ``nodes``, start fresh segments."""
         m, n = step.shape[2:]
         given = step.copy()
         fast = np.full((2, 2, 2 * m + 1, n), np.nan)
         slow = np.empty((2, 2, m + 1, n))
         fast[:, :, 0] = slow[:, :, 0] = start
+        for q in heads:
+            fast[:, :, q] = slow[:, :, q] = nodes[:, :, q]
         with np.errstate(all="raise"):
-            modes._carry(step, fast[:, :, : m + 1], modes._Arena())
-        _per_step_carry(step, slow)
+            modes._carry(step, fast[:, :, : m + 1], list(heads), modes._Arena())
+        _per_step_carry(step, slow, heads)
         # no offset of the scan writes past node m
         assert np.isnan(fast[:, :, m + 1 :]).all() and np.isfinite(fast[:, :, : m + 1]).all()
         assert np.array_equal(step, given)
@@ -952,6 +961,29 @@ class TestGroupedCarry:
                                       modes._Arena())
         self.assert_matches_per_step(step, traj.y[:, :, 0])
 
+    @pytest.mark.parametrize("m", [127, 128])
+    @pytest.mark.parametrize("heads", [(1,), (64,), (127,), (1, 2, 3, 64, 127)])
+    def test_heads_start_fresh_segments(self, m, heads, mu40_solve):
+        # the first m steps of the unscreened mu = 40 grid with the nodes at
+        # ``heads`` given: every segment is carried as a fresh scan from its
+        # first node carries it, to the bit, and no map reaches across a
+        # head.  m = 128 has an even count of scan levels, so its scan
+        # starts in the node planes and must keep the heads' nodes
+        traj = mu40_solve
+        h = traj.mu / traj.n_steps
+        step, _, _ = modes._step_maps(traj.t[:m], h, modes._samples(traj.eps),
+                                      traj.params.mass_shift, traj.mu, modes._Arena())
+        self.assert_matches_per_step(step, traj.y[:, :, 0], heads, traj.y)
+        y = np.empty((2, 2, m + 1, traj.eps.size))
+        y[:, :, 0] = traj.y[:, :, 0]
+        y[:, :, list(heads)] = traj.y[:, :, list(heads)]
+        modes._carry(step, y, list(heads), modes._Arena())
+        for a, b in zip((0, *heads), (*heads, m + 1)):
+            fresh = np.empty((2, 2, b - a, traj.eps.size))
+            fresh[:, :, 0] = traj.y[:, :, a]
+            modes._carry(step[:, :, a : b - 1], fresh, [], modes._Arena())
+            assert np.array_equal(y[:, :, a:b], fresh), (a, b)
+
     @pytest.mark.parametrize("k", [0, 1, 63, 64, 127])
     def test_nan_map_reaches_only_later_nodes(self, k, mu40_solve):
         # the unscreened mu = 40 grid's first full block, with step k's maps
@@ -963,9 +995,9 @@ class TestGroupedCarry:
                                       traj.params.mass_shift, traj.mu, modes._Arena())
         clean, poisoned = (np.empty((2, 2, m + 1, traj.eps.size)) for _ in range(2))
         clean[:, :, 0] = poisoned[:, :, 0] = traj.y[:, :, 0]
-        modes._carry(step, clean, modes._Arena())
+        modes._carry(step, clean, [], modes._Arena())
         step[:, :, k] = np.nan
-        modes._carry(step, poisoned, modes._Arena())
+        modes._carry(step, poisoned, [], modes._Arena())
         assert np.array_equal(poisoned[:, :, : k + 1], clean[:, :, : k + 1])
         assert np.isnan(poisoned[:, :, k + 1 :]).all()
 
@@ -1012,7 +1044,7 @@ class TestGroupedCarry:
             return [(traj.n_steps, traj.passes) for traj in ramp_solves]
 
         grids = run("scan")
-        monkeypatch.setattr(modes, "_carry", lambda step, y, arena: _per_step_carry(step, y))
+        monkeypatch.setattr(modes, "_carry", lambda step, y, heads, arena: _per_step_carry(step, y, heads))
         assert run("per-step") == grids + grids
         for name in ("limits/limits.csv", "ness/ness.csv"):
             head, rows = _csv_fields(tmp_path / "scan" / name)
@@ -1028,6 +1060,100 @@ class TestGroupedCarry:
             assert got["measured"].keys() == ref["measured"].keys()
             for key, value in ref["measured"].items():
                 assert abs(got["measured"][key] - value) <= self.ABS, (got["index"], key)
+
+
+class TestLadderSolve:
+    """One ramp solve for a ladder of switching scales lays the rungs end to
+    end as segments of one node array, each led by its head, the plane-wave
+    data at its -mu; every rung keeps the grid of a solve of it alone, and
+    a rung that one block holds gets that solve's nodes to the bit."""
+
+    # measured: 3.3e-15 of the largest node entry and 4.2e-15 in the worst
+    # drift, on the rung whose blocks end at other nodes than its solve's
+    # alone
+    REL = 1e-13
+    DRIFT_ABS = 1e-13
+
+    @staticmethod
+    def mu_for(n_steps, ks, params, rtol=1e-10):
+        """The switching scale whose seeded grid has ``n_steps`` steps for
+        the batch ``ks``: half a step below it on the h**8 law."""
+        d = dispersion(ks, params)
+        w_max = max(d.eps.max(), d.eps_lambda.max())
+        mu = (n_steps - 0.5) / (rtol**-0.125 * modes._SEED_WAVE * w_max)
+        assert rtol**-0.125 * modes._SEED_WAVE * mu * w_max > rtol**-0.125 * modes._SEED_SWITCH
+        return mu
+
+    @staticmethod
+    def assert_same_solve(traj, alone):
+        assert traj.mu == alone.mu and np.array_equal(traj.t, alone.t)
+        assert np.array_equal(traj.y, alone.y)
+        assert (traj.passes, traj.worst_drift, traj.worst_drift_t) == (
+            alone.passes, alone.worst_drift, alone.worst_drift_t)
+
+    def test_suite_ladder_is_bit_equal_to_one_solve_per_rung(self):
+        config = default_config()
+        ks = np.array(config.k_values)
+        mus = (*config.mu_ladder, 1.0)
+        ladder = modes._ramp_solve(ks, [SwitchingProfile(mu) for mu in mus], verify.MODE_PARAMS)
+        # 434 positions of two momenta: one block holds the whole ladder
+        assert sum(traj.t.size for traj in ladder) == 434 <= modes._BLOCK // ks.size
+        assert all(traj.y.base is ladder[0].y.base is not None for traj in ladder)
+        for traj, mu in zip(ladder, mus):
+            self.assert_same_solve(traj, solve_modes(ks, SwitchingProfile(mu), verify.MODE_PARAMS))
+
+    def test_heads_on_block_edges(self):
+        # 64 momenta, so blocks of 128 steps over the positions [128 j,
+        # 128 (j + 1)]: rungs of 127, 128 and 300 steps put a head at 128,
+        # block 0's last position and block 1's first, and one at 257, where
+        # block 2's first step is the step into a head.  Block 0 holds 128
+        # steps, an even count of scan levels, so its scan starts in the
+        # node planes themselves, over the head it must keep
+        ks = np.linspace(0.1, 3.0, 64)
+        block = modes._BLOCK // ks.size
+        mus = [self.mu_for(n, ks, PARAMS) for n in (127, 128, 300)]
+        ladder = modes._ramp_solve(ks, [SwitchingProfile(mu) for mu in mus], PARAMS)
+        assert [traj.n_steps for traj in ladder] == [127, 128, 300]
+        heads = np.cumsum([0] + [traj.t.size for traj in ladder])[1:-1]
+        assert block == 128 and list(heads) == [block, 2 * block + 1]
+        assert block.bit_length() % 2 == 0
+        for i, (traj, mu) in enumerate(zip(ladder, mus)):
+            alone = solve_modes(ks, SwitchingProfile(mu), PARAMS)
+            if i < 2:  # one block each, alone and in the ladder
+                self.assert_same_solve(traj, alone)
+            else:  # alone, its blocks end at other nodes
+                assert np.array_equal(traj.t, alone.t) and traj.passes == alone.passes == 1
+                assert np.abs(traj.y - alone.y).max() <= self.REL * np.abs(alone.y).max()
+                assert abs(traj.worst_drift - alone.worst_drift) <= self.DRIFT_ABS
+
+    @pytest.mark.parametrize("mus", [(5.0, 1.0), (1.0, 5.0)])
+    def test_a_regrown_rung_leaves_the_others(self, mus):
+        # at lam = 8 the mu = 1 rung fails its seeded grid of the default
+        # tolerances and is laid again, alone, on 39 steps; the mu = 5 rung
+        # keeps the grid and nodes of its first pass
+        params = dataclasses.replace(PARAMS, lam=8.0)
+        ks = np.array([0.0, 1.0])
+        ladder = modes._ramp_solve(ks, [SwitchingProfile(mu) for mu in mus], params)
+        grids = {traj.mu: (traj.n_steps, traj.passes) for traj in ladder}
+        assert grids == {1.0: (39, 2), 5.0: (54, 1)}
+        for traj, mu in zip(ladder, mus):
+            self.assert_same_solve(traj, solve_modes(ks, SwitchingProfile(mu), params))
+
+    def test_batched_switch_integrals_match_one_read_each(self):
+        # the suite's mu ladder in one read, and 64 momenta on three solves,
+        # whose reads span blocks of 128 values
+        config = default_config()
+        ks = np.array(config.k_values)
+        suite = modes._ramp_solve(ks, [SwitchingProfile(mu) for mu in config.mu_ladder],
+                                  verify.MODE_PARAMS)
+        wide = [solve_modes(np.linspace(0.1, 3.0, 64), SwitchingProfile(mu), PARAMS)
+                for mu in (3.0, 5.0, 12.0)]
+        for trajs in (suite, wide):
+            batched = modes._switch_integrals(*trajs)
+            assert len(batched) == len(trajs)
+            for traj, (i_sq, i_abs) in zip(trajs, batched):
+                [(ref_sq, ref_abs)] = modes._switch_integrals(traj)
+                assert np.array_equal(i_sq, ref_sq) and np.array_equal(i_abs, ref_abs)
 
 
 def _ufunc_product(a, b):
@@ -1115,8 +1241,9 @@ class TestEinsumKernel:
 
         def poisoned(t, h, *args):
             maps = original(t, h, *args)
-            # a read between nodes steps by one size per start, a solve by one for all
-            if (np.ndim(h) == 1) == (where == "read"):
+            # a read between nodes steps by sizes that differ, a solve of one
+            # rung by one size
+            if (np.ptp(h) > 0) == (where == "read"):
                 maps[where == "error-norm"][0, 1, t.size // 2, 0] = bad
             return maps
 
@@ -1196,7 +1323,7 @@ class TestNodePlanes:
         with np.errstate(all="raise"), pytest.raises(
             IntegratorError, match=re.escape(f"Wronskian drift nan exceeds 1.0e-08 for k={traj.k_mag[5]}")
         ):
-            modes._gate(y, traj.k_mag, traj.mu, traj.t, "planted")
+            modes._gate(y, traj.k_mag, traj.t, [(0, traj.t.size, traj.mu, "planted")])
         # a ramp time just after the poisoned node reads it through a partial step
         poisoned = dataclasses.replace(traj, y=y)
         with np.errstate(all="raise"), pytest.raises(IntegratorError, match="Wronskian drift nan"):
@@ -1222,18 +1349,18 @@ class TestNodePlanes:
 
     def test_one_set_up_per_solve_and_per_read(self, ramp_solves, monkeypatch):
         calls, reads = [], []
-        samples, between = modes._samples, modes.ModeTrajectory._between_nodes
+        samples, between = modes._samples, modes._between_nodes
 
         def counting(eps):
             calls.append(eps.size)
             return samples(eps)
 
-        def reading(traj, ts):
-            reads.append(ts.size)
-            return between(traj, ts)
+        def reading(trajs, times):
+            reads.append(sum(ts.size for ts in times))
+            return between(trajs, times)
 
         monkeypatch.setattr(modes, "_samples", counting)
-        monkeypatch.setattr(modes.ModeTrajectory, "_between_nodes", reading)
+        monkeypatch.setattr(modes, "_between_nodes", reading)
         assert verify.criterion_6(default_config()).status == "pass"
         # criterion 6's four solves of the 42 kept momenta span 7 blocks, and
         # the early screen clears every rung on the default packets, so no
@@ -1453,7 +1580,7 @@ class TestSwitchIntegrals:
         prof = SwitchingProfile(mu)
         for k in (0.0, 1.0, 1.6, 3.0):
             traj = solve_modes(k, prof, params)
-            (i_sq,), (i_abs,) = modes._switch_integrals(traj)
+            [((i_sq,), (i_abs,))] = modes._switch_integrals(traj)
             d = dispersion(k, params)
             fastest = 2.0 * max(d.eps, d.eps_lambda)
             nodes, weights = modes._panel_nodes(-mu, 0.0, 8.0 * fastest, min_panels=8 * 16)

@@ -179,16 +179,18 @@ def test_a_nan_past_the_switch_fails_criterion_4(monkeypatch):
 class TestRampSolveCounts:
     @pytest.mark.parametrize(
         "index, expected",
-        [(4, "ladder+2"), (5, "ladder"), (6, "ladder"), (8, "ladder+2"), (9, "one")],
+        [(4, "suite"), (5, "ladder"), (6, "rungs"), (8, "suite"), (9, "one")],
     )
     def test_criterion(self, index, expected, ramp_solves):
-        # one batched solve per switching scale: the mu ladder, plus the
-        # unit-scale and sharp switches for the trajectory suite
+        # one batched solve per switching scale: the trajectory suite solves
+        # the mu ladder and the unit-scale switch as one ladder and the sharp
+        # switch alone, criterion 5 reads the ladder alone, and criterion 6
+        # solves its rungs one at a time
         config = default_config()
         n_mu = len(config.mu_ladder)
-        want = {"ladder": n_mu, "ladder+2": n_mu + 2, "one": 1}[expected]
+        want = {"suite": [n_mu + 1, 1], "ladder": [n_mu + 1], "rungs": [1] * n_mu, "one": [1]}
         assert verify.CRITERIA[index](config).status == "pass"
-        assert len(ramp_solves) == want
+        assert ramp_solves.calls == want[expected]
 
 
 @pytest.fixture
@@ -197,9 +199,10 @@ def solve_keys(monkeypatch, ramp_solves):
     keys = []
     recording = modes._ramp_solve
 
-    def keyed(k_mags, prof, params, rtol, atol):
-        keys.append((np.asarray(k_mags, dtype=float).tobytes(), prof.mu, rtol, atol))
-        return recording(k_mags, prof, params, rtol, atol)
+    def keyed(k_mags, profs, params, rtol=modes._RTOL, atol=modes._ATOL):
+        ks = np.asarray(k_mags, dtype=float).tobytes()
+        keys.extend((ks, prof.mu, rtol, atol) for prof in profs)
+        return recording(k_mags, profs, params, rtol, atol)
 
     monkeypatch.setattr(modes, "_ramp_solve", keyed)
     return keys
@@ -227,9 +230,11 @@ class TestSolvePlan:
     def test_run_all_solves_each_ramp_once(self, solve_keys, ramp_solves):
         results = list(verify.run_all(default_config()))
         assert all(r.status == "pass" for r in results)
-        # the suite's six, criterion 6's four and criterion 9's one
+        # the suite's six, criterion 6's four and criterion 9's one, in
+        # seven calls: the suite's ladder of five and its sharp switch
         assert len(ramp_solves) == len(solve_keys) == 11
         assert len(set(solve_keys)) == 11
+        assert ramp_solves.calls == [5] + [1] * 6
 
     def test_each_run_solves_afresh(self, ramp_solves):
         list(verify.run_all(default_config()))
@@ -241,19 +246,19 @@ class TestSolvePlan:
     def test_criteria_alone_after_a_run(self, ramp_solves):
         config = default_config()
         list(verify.run_all(config))
-        for index, want in ((4, 6), (5, 4), (8, 6)):
-            del ramp_solves[:]
+        for index, want in ((4, [5, 1]), (5, [5]), (8, [5, 1])):
+            del ramp_solves[:], ramp_solves.calls[:]
             verify.CRITERIA[index](config)
-            assert len(ramp_solves) == want
+            assert ramp_solves.calls == want
 
     def test_suite_dies_with_the_run(self, monkeypatch):
         refs = []
         original = modes._ramp_solve
 
-        def weakly(*args):
-            traj = original(*args)
-            refs.append(weakref.ref(traj))
-            return traj
+        def weakly(*args, **kwargs):
+            trajs = original(*args, **kwargs)
+            refs.extend(weakref.ref(traj) for traj in trajs)
+            return trajs
 
         monkeypatch.setattr(modes, "_ramp_solve", weakly)
         list(verify.run_all(default_config()))
@@ -330,22 +335,23 @@ class TestSolvePlan:
         assert repr(measured) == repr(solo)
 
     def test_switch_integrals_read_from_the_suite(self, monkeypatch, ramp_solves):
-        # criterion 5 reads criterion 4's solves, and its ladder is bit-equal
-        # to switch_integrals solving each mu afresh
+        # criterion 5 reads criterion 4's solves in one batched read, and its
+        # ladder is bit-equal to switch_integrals solving each mu afresh
         config = default_config()
         read = []
         original = verify._switch_integrals
 
-        def recording(traj):
-            read.append((traj, original(traj)))
+        def recording(*trajs):
+            read.append((trajs, original(*trajs)))
             return read[-1][1]
 
         monkeypatch.setattr(verify, "_switch_integrals", recording)
         list(verify.run_all(config))
         suite = ramp_solves[: len(config.mu_ladder) + 2]
-        assert [traj.mu for traj, _ in read] == list(config.mu_ladder)
-        assert all(traj is suite[i] for i, (traj, _) in enumerate(read))
+        ((trajs, values),) = read
+        assert [traj.mu for traj in trajs] == list(config.mu_ladder)
+        assert all(traj is suite[i] for i, traj in enumerate(trajs))
         ks = np.array(config.k_values)
-        for traj, (i_sq, i_abs) in read:
+        for traj, (i_sq, i_abs) in zip(trajs, values):
             ref_sq, ref_abs = switch_integrals(ks, SwitchingProfile(traj.mu), verify.MODE_PARAMS)
             assert np.array_equal(i_sq, ref_sq) and np.array_equal(i_abs, ref_abs)
