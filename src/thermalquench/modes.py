@@ -32,7 +32,8 @@ segmented at the rungs' first nodes (see ``_carry``).  The stages run in
 the Nystrom form of DOP853: the top row of each stage's 2x2 map is the
 bottom row of the one before it, so only the bottom rows are formed, and
 one product of them gives the step map and both error maps (the
-derivation is in ``_step_maps``).  They
+derivation is in ``_step_maps``), whose rows are scaled by h as
+products, so their bits do not hang on how h is laid out.  They
 run in pairs, since stages s and s + 1 read only the stages before s, so
 the twelve stages are six small products.  Each of these products, the
 six and the map rows', is one BLAS call on the whole block; the outputs
@@ -64,12 +65,13 @@ rtol**(-1/8) * max(0.19 * mu * (largest frequency), 1.5) steps, with both
 constants fitted once on measured solves.
 DOP853's embedded error estimate, taken per step and per momentum as
 scipy's step control takes it for a single mode, checks each rung's
-grid, and a rung whose grid fails the check is regrown.  The node
-planes are a solve's one store, made complex only where a reader asks,
-and each momentum's Wronskian is gated on them in real arithmetic,
-|2*(Tdot_re*T_im - Tdot_im*T_re) - 1|, at every node and every ramp time
-a caller reads.  Between nodes a value is one partial step from the node
-before.
+grid; a rung whose grid fails the check is regrown and the whole ladder
+laid again, the other rungs on their own step counts, and the gate
+reads the last pass alone.  The node planes are a solve's one store,
+made complex only where a reader asks, and each momentum's Wronskian is
+gated on them in real arithmetic, |2*(Tdot_re*T_im - Tdot_im*T_re) - 1|,
+at every node and every ramp time a caller reads.  Between nodes a value
+is one partial step from the node before.
 
 Outside the ramp a mode is a sum of plane waves, sum c*exp(i*f*t) over a
 list of terms (c, f) per momentum, and ``_plane_waves`` is the one
@@ -211,10 +213,9 @@ _A, _E = (np.array([[row.get(j, 0.0) for j in range(_C.size)] for row in rows])
           for rows in (_A_ROWS, (_E5_ROW, _E3_ROW)))  # (13, 12) and (2, 12)
 # The Nystrom form of the tableau (see _step_maps): (A^2)_sl, zero unless
 # l <= s - 2, and the six rows that give the step and error maps from the
-# stages' bottom rows, each to be scaled by h**_MAP_H_POWERS
+# stages' bottom rows, to be scaled by h**2, h, h, 1, h and 1
 _A2 = _A[:-1] @ _A[:-1]
 _MAP_ROWS = np.stack([_A[-1] @ _A[:-1], _A[-1], _E[0] @ _A[:-1], _E[0], _E[1] @ _A[:-1], _E[1]])
-_MAP_H_POWERS = np.array([2, 1, 1, 0, 1, 0]).reshape(6, 1, 1, 1)
 
 
 class IntegratorError(RuntimeError):
@@ -384,7 +385,10 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
     h**2 * sum_l (bA)_l K_l and e1 + h * sum_l b_l K_l, and each error map,
     sum_s E_s * (stage s), has rows h * sum_l (EA)_l K_l and sum_l E_l K_l:
     its e1 term, (sum_s E_s) * e1, is zero.  All six rows are one
-    product of ``_MAP_ROWS`` with the stages.
+    product of ``_MAP_ROWS`` with the stages, each row then scaled by its
+    power of h as products (h * h for the square) on the (start, sample)
+    planes of h, so a map has the same bits whether h is a scalar, a
+    contiguous array or a strided view.
 
     (A**2)_sl is zero unless l <= s - 2, so stages s and s + 1, for even s,
     read only the stages 0 to s - 1: the stages run as six pairs, the sums
@@ -404,12 +408,11 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
     """
     t = np.asarray(t, dtype=float)
     h = np.asarray(h, dtype=float)
-    h_col = h[:, None] if h.ndim else h
     xs, mix = samples
     m, p = t.size, xs.size
-    # a step size per start, laid over whole (start, sample) planes for the
-    # stages, so that each of their products with it is one contiguous pass
-    h_plane = np.repeat(h_col, p, axis=1) if h.ndim else h
+    # a step size per start, laid over whole (start, sample) planes, so that
+    # each product with it is one contiguous pass
+    h_plane = np.repeat(h[:, None], p, axis=1) if h.ndim else h
     maps = arena.take((3, 2, 2, m, p if mix is None else mix.shape[0]))
     mark = arena.used
     # -w(t)^2 = -shift * chi - x at every stage time, (stage, start, sample)
@@ -435,9 +438,12 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
     # the six rows of the three maps, (map row, column, start, sample)
     rows = maps.reshape(6, 2, m, -1) if mix is None else arena.take((6, 2, m, p))
     np.matmul(_MAP_ROWS, flat, out=rows.reshape(6, -1))
-    rows *= h_col**_MAP_H_POWERS
+    # each row's factor of h as products, the same bits for any layout of h
+    rows[0] *= h_sq
+    rows[1:3] *= h_plane
+    rows[4] *= h_plane
     rows[0, 0] += 1.0
-    rows[0, 1] += h_col
+    rows[0, 1] += h_plane
     rows[1, 1] += 1.0
     if mix is not None:
         # the twelve planes, (start, sample) each, times the Lagrange weights
@@ -491,7 +497,8 @@ def _error_norm(err5, err3, y, h, rtol: float, atol: float, arena: _Arena):
         e5, denom = norms
         denom *= 0.01
         denom += e5
-        e5 *= h[:, None] if isinstance(h, np.ndarray) else h
+        # h is a scalar or one per step, a row of e5
+        np.multiply(e5.T, h, out=e5.T)
         root = np.sqrt(np.multiply(denom, 2.0, out=denom), out=denom)
         # where the root is 0, so is e5, and the norm reads 0
         np.divide(e5, root, out=e5, where=root != 0)
@@ -514,37 +521,35 @@ def _carry(step, y, heads, arena: _Arena):
     """Fill the nodes of ``y`` through the step maps ``step`` of m steps,
     (2, 2, m, n), with ``y`` entries first, (component, real or imaginary
     part, m + 1 nodes, momentum), from node 0 and the rung heads: the
-    positions ``heads`` in (0, m], whose nodes ``y`` holds already.
+    positions ``heads`` in (0, m], whose nodes ``y`` holds already (none
+    in a block inside one rung).
 
     A node's planes, (component, part), are a 2x2 stack like a map's, so the
     nodes are the prefix products of each segment's first node and its
     maps.  Node 0 and the maps, step j's in node j + 1, are laid in one of
     two buffers, ``y`` and an arena buffer of its shape, with each head's
-    node over the map into it, and a log-depth (Hillis-Steele) scan then
-    writes z[d:] = x[d:] @ x[:-d] from one buffer x to the other z and
+    node in place of the map into it, and a log-depth (Hillis-Steele) scan
+    then writes z[d:] = x[d:] @ x[:-d] from one buffer x to the other z and
     copies through the d positions from node 0 and from each head, for
     d = 1, 2, 4, ... up to m, after which node j holds the maps of its
     segment up to step j - 1 applied to the segment's first node: each
     segment is carried as a fresh scan of its own would carry it.  The scan
     runs out of place because an einsum may not write over its own inputs;
-    it starts in whichever buffer makes it end in ``y``, so the heads are
-    saved before the maps are laid.  Each node reads only itself and
-    earlier nodes, so nothing past node m changes, and a NaN or an infinity
-    in a map reaches only the nodes after its step, where the error norm
-    and the Wronskian gate refuse it.  The arena's ``used`` is set back on
-    return.
+    it starts in whichever buffer makes it end in ``y``, so the maps are
+    laid segment by segment, around the heads.  Each node reads only itself
+    and earlier nodes, so nothing past node m changes, and a NaN or an
+    infinity in a map reaches only the nodes after its step, where the
+    error norm and the Wronskian gate refuse it.  The arena's ``used`` is
+    set back on return.
     """
     mark = arena.used
     m = step.shape[2]
     other = arena.take(y.shape)
     # m.bit_length() levels: an odd count starts in the arena buffer
     x, z = (other, y) if m.bit_length() % 2 else (y, other)
-    if heads:
-        saved = y[:, :, heads]
-    x[:, :, 0] = y[:, :, 0]
-    x[:, :, 1:] = step
-    if heads:
-        x[:, :, heads] = saved
+    for a, b in zip((0, *heads), (*heads, m + 1)):
+        x[:, :, a] = y[:, :, a]
+        x[:, :, a + 1 : b] = step[:, :, a : b - 1]
     d = 1
     while d <= m:
         _product(x[:, :, d:], x[:, :, :-d], out=z[:, :, d:])
@@ -576,11 +581,12 @@ def _ramp_solve(k_mags, profs, params: ThermalParams, rtol: float = _RTOL, atol:
     that one block holds gets the nodes of a solve of it alone, to the bit.
     As a fallback, while a rung's worst step error (scipy's norm, per
     momentum) is not below 1, its step count N grows as scipy grows a step
-    after a rejection, to ceil(N * err**(1/8) / 0.9), and the rungs still
-    short are laid again by themselves, for at most ``_MAX_PASSES`` passes
-    of at most ``_MAX_GRID`` step maps per rung.  Every momentum's
-    Wronskian is then gated at every node of the rungs a pass accepts, and
-    each rung's trajectory is a view into its pass's node planes.
+    after a rejection, to ceil(N * err**(1/8) / 0.9), and the whole ladder
+    is laid again, every rung that met the tolerance on its step count
+    as before, for at most ``_MAX_PASSES`` passes of at most ``_MAX_GRID``
+    step maps per rung.  Every momentum's Wronskian is then gated at every
+    node of the last pass, and each rung's trajectory is a view into that
+    pass's node planes; its ``passes`` is the ladder's.
     """
     ks = np.atleast_1d(np.asarray(k_mags, dtype=float))
     disp = dispersion(ks, params)
@@ -591,28 +597,29 @@ def _ramp_solve(k_mags, profs, params: ThermalParams, rtol: float = _RTOL, atol:
     samples = _samples(eps)
     arena = _block_arena()
     w_max = max(eps.max(), eps_lam.max())
-    # the step count each rung still short of the tolerance lays next
-    sizes = {r: rtol**-0.125 * max(_SEED_WAVE * prof.mu * w_max, _SEED_SWITCH)
-             for r, prof in enumerate(profs)}
-    trajs = [None] * len(sizes)
+    mus = [prof.mu for prof in profs]
+    # the step count of each rung's next grid
+    sizes = [rtol**-0.125 * max(_SEED_WAVE * mu * w_max, _SEED_SWITCH) for mu in mus]
+    # each rung's head, the plane-wave data at its -mu, (component, part, rung, momentum)
+    T, Td = _plane_waves(_incoming_waves(eps), -np.array(mus))
+    data = np.array([[T.real.T, T.imag.T], [Td.real.T, Td.imag.T]])
     for passes in range(1, _MAX_PASSES + 1):
-        for r, size in sizes.items():
+        for mu, size in zip(mus, sizes):
             if not size * n <= _MAX_GRID:  # also catches an infinite or NaN size
                 raise IntegratorError(
-                    f"{where}, mu={profs[r].mu} needs {size:.3g} steps for {n} momenta, "
+                    f"{where}, mu={mu} needs {size:.3g} steps for {n} momenta, "
                     f"beyond {_MAX_GRID} step maps"
                 )
-        rungs = [(r, profs[r].mu, math.ceil(size)) for r, size in sizes.items()]
-        mus = [mu for _, mu, _ in rungs]
-        steps = [mu / n_steps for _, mu, n_steps in rungs]
-        heads = list(itertools.accumulate((n_steps + 1 for _, _, n_steps in rungs), initial=0))
-        t = np.concatenate([np.linspace(-mu, 0.0, n_steps + 1) for _, mu, n_steps in rungs])
+        counts = [math.ceil(size) for size in sizes]
+        steps = [mu / n_steps for mu, n_steps in zip(mus, counts)]
+        heads = list(itertools.accumulate((n_steps + 1 for n_steps in counts), initial=0))
+        t = np.concatenate([np.linspace(-mu, 0.0, n_steps + 1) for mu, n_steps in zip(mus, counts)])
         # (component, real or imaginary part, node, momentum)
         y = np.empty((2, 2, t.size, n))
-        T, Td = _plane_waves(_incoming_waves(eps), -np.array(mus))
-        y[:, :, heads[:-1]] = np.array([[T.real.T, T.imag.T], [Td.real.T, Td.imag.T]])
-        # each rung's worst error norm in each block that holds its steps
-        errs = [[] for _ in rungs]
+        y[:, :, heads[:-1]] = data
+        # each rung's worst error norm over the blocks that hold its steps,
+        # a NaN kept
+        worst = [0.0] * len(mus)
         for lo in range(0, t.size - 1, block):
             hi = min(lo + block, t.size - 1)
             arena.used = 0
@@ -622,40 +629,40 @@ def _ramp_solve(k_mags, profs, params: ThermalParams, rtol: float = _RTOL, atol:
             first = bisect.bisect_right(heads, lo) - 1
             inner = [q - lo for q in heads[first + 1 : -1] if q <= hi]
             cuts = [0, *(q - 1 for q in inner), hi - lo]
-            held = slice(first, first + len(cuts) - 1)
             # a block inside one rung steps by its h and mu alone, one that
             # spans rungs by one per step, h = 0 into a head
             h, mu = steps[first], mus[first]
             if inner:
+                held = slice(first, first + len(cuts) - 1)
                 h, mu = (np.repeat(v[held], np.diff(cuts)) for v in (steps, mus))
                 h[cuts[1:-1]] = 0.0
             step, err5, err3 = _step_maps(t[lo:hi], h, samples, shift, mu, arena)
             _carry(step, y[:, :, lo : hi + 1], inner, arena)
             norm = _error_norm(err5, err3, y[:, :, lo : hi + 1], h, rtol, atol, arena)
-            for r, a, b in zip(range(held.start, held.stop), cuts, cuts[1:]):
-                if a < b:
-                    errs[r].append(np.max(norm[a:b]))
-        done = []
-        for (r, mu_r, n_steps), lo, hi, rung_errs in zip(rungs, heads, heads[1:], errs):
-            err = float(np.max(rung_errs))
-            if err < 1.0:
-                done.append((r, lo, hi, mu_r, f"grid of {n_steps} steps after {passes} passes, "
-                             f"rtol={rtol}, atol={atol}"))
-                del sizes[r]
-            elif not math.isfinite(err) or passes == _MAX_PASSES:
-                raise IntegratorError(
-                    f"{where}, mu={mu_r} did not meet rtol={rtol}, atol={atol}: worst step "
-                    f"error {err:.3e} on a grid of {n_steps} steps after {passes} passes"
-                )
-            else:
+            for r, a, b in zip(itertools.count(first), cuts, cuts[1:]):
+                worst[r] = np.max(norm[a:b], initial=worst[r])
+        if np.max(worst) < 1.0:  # a NaN is not below 1
+            break
+        # a rung short of the tolerance grows; the others keep their sizes
+        for r, (mu, n_steps, err) in enumerate(zip(mus, counts, worst)):
+            if not err < 1.0:
+                if not math.isfinite(err) or passes == _MAX_PASSES:
+                    raise IntegratorError(
+                        f"{where}, mu={mu} did not meet rtol={rtol}, atol={atol}: worst step "
+                        f"error {err:.3e} on a grid of {n_steps} steps after {passes} passes"
+                    )
                 sizes[r] = n_steps * err**0.125 / 0.9
-        for (r, lo, hi, mu_r, _), (worst, worst_t) in zip(done, _gate(y, ks, t, [d[1:] for d in done])):
-            trajs[r] = ModeTrajectory(
-                k_mag=ks, mu=mu_r, params=params, eps=eps, eps_lambda=eps_lam, t=t[lo:hi],
-                y=y[:, :, lo:hi], passes=passes, worst_drift=worst, worst_drift_t=worst_t,
-            )
-        if not sizes:
-            return trajs
+    segments = [
+        (lo, hi, mu, f"grid of {n_steps} steps after {passes} passes, rtol={rtol}, atol={atol}")
+        for mu, n_steps, lo, hi in zip(mus, counts, heads, heads[1:])
+    ]
+    return [
+        ModeTrajectory(
+            k_mag=ks, mu=mu, params=params, eps=eps, eps_lambda=eps_lam, t=t[lo:hi],
+            y=y[:, :, lo:hi], passes=passes, worst_drift=drift, worst_drift_t=drift_t,
+        )
+        for (lo, hi, mu, _), (drift, drift_t) in zip(segments, _gate(y, ks, t, segments))
+    ]
 
 
 def _complex(part):
@@ -707,14 +714,15 @@ class ModeTrajectory:
     the only stretch that is integrated; its last node is t = 0, where
     :func:`bogoliubov` reads the pairs.  ``y`` is the one store
     of (T, Tdot) at the nodes, real planes laid out (component, real or
-    imaginary part, node, momentum); ``T`` and ``Tdot`` build complex arrays
-    from it when read, one row per momentum.  :meth:`evaluate` extends
+    imaginary part, node, momentum); ``_complex`` of a component's planes
+    is its complex array, one row per momentum.  :meth:`evaluate` extends
     exactly to all t < -mu with the incoming plane wave, answers between
     nodes by one partial step from the node before (see
     :func:`_between_nodes`) and at every t > 0 in closed form from the data
     at t = 0.
 
-    ``passes`` is the number of grids the step-count search laid, and
+    ``passes`` is the number of grids the step-count search laid for the
+    ladder the trajectory was solved in, and
     ``worst_drift`` the largest Wronskian drift over every node and
     momentum, reached at ``worst_drift_t``.
     """
@@ -734,16 +742,6 @@ class ModeTrajectory:
     def n_steps(self) -> int:
         """Steps of the grid."""
         return self.t.size - 1
-
-    @property
-    def T(self) -> np.ndarray:
-        """T at every node, one row per momentum."""
-        return _complex(self.y[0])
-
-    @property
-    def Tdot(self) -> np.ndarray:
-        """Tdot at every node, one row per momentum."""
-        return _complex(self.y[1])
 
     def evaluate(self, t):
         """(T, Tdot) at any finite times ``t``, a scalar or a 1-D array, each

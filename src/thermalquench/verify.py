@@ -280,7 +280,7 @@ def criterion_4(config: RunConfig, memo: dict):
     drifts, gaps = [], []
     for traj in _suite_trajectories(config, memo):
         T, Td = traj.evaluate(np.array([0.0, 1.0, 7.3]))
-        node, node_d, el = traj.T[:, -1], traj.Tdot[:, -1], traj.eps_lambda
+        (node, node_d), el = (modes._complex(part) for part in traj.y[:, :, -1]), traj.eps_lambda
         gap = np.abs(T[:, 0] - node) + np.abs(Td[:, 0] - node_d) / el
         drifts += [traj.worst_drift, np.max(np.abs(T * np.conj(Td) - Td * np.conj(T) - 1j))]
         gaps.append(np.max(gap / (np.abs(node) + np.abs(node_d) / el)))

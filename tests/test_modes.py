@@ -212,7 +212,7 @@ class TestSolveModes:
         ks, prof = np.array([0.0, 1.0, 2.0]), SwitchingProfile(5.0)
         short = solve_modes(ks, prof, PARAMS, t_max=0.0)
         long = solve_modes(ks, prof, PARAMS, t_max=100.0)
-        assert np.array_equal(short.T, long.T) and np.array_equal(short.Tdot, long.Tdot)
+        assert np.array_equal(short.y, long.y)
         assert (short.worst_drift, short.worst_drift_t) == (long.worst_drift, long.worst_drift_t)
         ts = np.linspace(-2.0 * prof.mu, 50.0, 241)
         for a, b in zip(short.evaluate(ts), long.evaluate(ts)):
@@ -425,14 +425,14 @@ class TestMomentumFreeStepMaps:
             copies = solve_modes(np.full(64, 1.0), prof, PARAMS)
         pick = np.searchsorted(distinct, ks)
         assert batch.n_steps == rows.n_steps
-        assert np.array_equal(batch.T, rows.T[pick]) and np.array_equal(batch.Tdot, rows.Tdot[pick])
+        assert np.array_equal(batch.y, rows.y[..., pick])
         for i, scalar in enumerate(scalars):
             # the largest momentum sets the batch's grid; the others lay their own
             tol = 0.0 if i == distinct.size - 1 else 1e-9
-            for a, b in ((batch.T, scalar.T), (batch.Tdot, scalar.Tdot)):
+            for a, b in zip(batch.y, scalar.y):
+                a, b = modes._complex(a), modes._complex(b)
                 assert np.abs(a[pick == i, -1] - b[0, -1]).max() <= tol
-        assert np.array_equal(copies.T, np.repeat(scalars[1].T, 64, axis=0))
-        assert np.array_equal(copies.Tdot, np.repeat(scalars[1].Tdot, 64, axis=0))
+        assert np.array_equal(copies.y, np.repeat(scalars[1].y, 64, axis=3))
 
 
 def _reference_step_maps(t, h, samples, shift, mu):
@@ -536,6 +536,34 @@ class TestNystromStepMaps:
                      for maps in (fast, slow))
         assert 0 < ref.max() < 1
         assert np.abs(norm - ref).max() <= self.NORM_REL * ref.max()
+
+    @pytest.mark.parametrize("n", [2, 42])
+    def test_maps_do_not_depend_on_the_layout_of_h(self, n):
+        # each row's power of h is a product, so a block's maps are the same
+        # bits whether h is a float, a contiguous array or a strided view.
+        # numpy's integer pow is not: on 1000 x 7 planes it rounds h**2 as
+        # h * h, on a 0-d h otherwise for about 5% of h.  A float's maps
+        # are made on two starts, the fewest whose products take the BLAS
+        # path of the whole block's
+        ks = np.linspace(0.1, 3.0, n)
+        samples = modes._samples(dispersion(ks, PARAMS).eps)
+        assert (samples[1] is None) == (n == 2)
+        rng = np.random.default_rng(4201)
+        h = rng.uniform(1e-3, 0.5, 1000)
+        t = rng.uniform(-5.0, 0.0, h.size)
+        strided_h = np.repeat(h, 2)[::2]
+        assert not strided_h.flags.contiguous
+        contiguous, strided = (
+            np.stack(modes._step_maps(t, h_layout, samples, PARAMS.mass_shift, 5.0, modes._Arena()))
+            for h_layout in (h, strided_h)
+        )
+        assert np.array_equal(contiguous, strided)
+        arena = modes._Arena()
+        for j in range(h.size):
+            arena.used = 0
+            maps = modes._step_maps(np.full(2, t[j]), float(h[j]), samples, PARAMS.mass_shift,
+                                    5.0, arena)
+            assert np.array_equal(np.stack(maps)[..., 0, :], contiguous[..., j, :])
 
     def test_partial_steps(self, criterion_6_mu40):
         self.check_partial_steps(*self.block_solve("criterion-6", criterion_6_mu40))
@@ -1127,17 +1155,27 @@ class TestLadderSolve:
                 assert abs(traj.worst_drift - alone.worst_drift) <= self.DRIFT_ABS
 
     @pytest.mark.parametrize("mus", [(5.0, 1.0), (1.0, 5.0)])
-    def test_a_regrown_rung_leaves_the_others(self, mus):
+    def test_a_regrown_rung_leaves_the_others(self, mus, monkeypatch):
         # at lam = 8 the mu = 1 rung fails its seeded grid of the default
-        # tolerances and is laid again, alone, on 39 steps; the mu = 5 rung
-        # keeps the grid and nodes of its first pass
+        # tolerances and regrows to 39 steps, and the second pass lays the
+        # whole ladder again, the mu = 5 rung on its 54 steps.  One block
+        # holds both, so each rung keeps the step count and the node planes
+        # of its solve alone, and one gate reads the last pass
         params = dataclasses.replace(PARAMS, lam=8.0)
         ks = np.array([0.0, 1.0])
+        gate, segments = modes._gate, []
+        monkeypatch.setattr(modes, "_gate", lambda *args: segments.append(args[3]) or gate(*args))
         ladder = modes._ramp_solve(ks, [SwitchingProfile(mu) for mu in mus], params)
+        assert [len(rungs) for rungs in segments] == [2]
+        assert sum(traj.t.size for traj in ladder) - 1 <= modes._BLOCK // ks.size
         grids = {traj.mu: (traj.n_steps, traj.passes) for traj in ladder}
-        assert grids == {1.0: (39, 2), 5.0: (54, 1)}
+        assert grids == {1.0: (39, 2), 5.0: (54, 2)}
         for traj, mu in zip(ladder, mus):
-            self.assert_same_solve(traj, solve_modes(ks, SwitchingProfile(mu), params))
+            alone = solve_modes(ks, SwitchingProfile(mu), params)
+            assert alone.passes == (2 if mu == 1.0 else 1)
+            assert np.array_equal(traj.t, alone.t) and np.array_equal(traj.y, alone.y)
+            assert (traj.worst_drift, traj.worst_drift_t) == (
+                alone.worst_drift, alone.worst_drift_t)
 
     def test_batched_switch_integrals_match_one_read_each(self):
         # the suite's mu ladder in one read, and 64 momenta on three solves,
@@ -1296,7 +1334,7 @@ class TestNodePlanes:
                            verify.MODE_PARAMS, rtol=1e-12, atol=1e-14)
 
     def test_drift_matches_complex_residual(self, traj):
-        ref = _wronskian_residual(traj.T, traj.Tdot)
+        ref = _wronskian_residual(*(modes._complex(part) for part in traj.y))
         drift = modes._drift(traj.y)
         assert drift.shape == ref.T.shape == (traj.t.size, traj.eps.size)
         assert np.abs(drift - ref.T).max() <= self.DRIFT_ABS
@@ -1307,13 +1345,12 @@ class TestNodePlanes:
         assert ref[:, i].max() >= ref.max() - self.DRIFT_ABS
 
     def test_complex_values_are_built_from_the_planes(self, traj):
-        assert set(vars(traj)) >= {"y"} and not {"T", "Tdot"} & set(vars(traj))
+        assert set(vars(traj)) >= {"y"} and not any(hasattr(traj, name) for name in ("T", "Tdot"))
         assert traj.y.shape == (2, 2, traj.t.size, traj.eps.size) and traj.y.dtype == float
-        for value, planes in ((traj.T, traj.y[0]), (traj.Tdot, traj.y[1])):
+        for planes in traj.y:
+            value = modes._complex(planes)
             assert value.dtype == complex
             assert np.array_equal(value, _complex_from_planes(planes))
-        with pytest.raises(AttributeError):
-            traj.T = traj.T
 
     @pytest.mark.parametrize("plane", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_nan_in_one_plane_fails_the_gate(self, plane, mu40_solve):
@@ -1878,7 +1915,7 @@ class TestBatchOfOne:
         k, prof, (t1, t2) = 0.7, SwitchingProfile(2.0), (0.5, -0.25)
         traj = solve_modes(k, prof, PARAMS)
         assert traj.k_mag.shape == traj.eps.shape == traj.eps_lambda.shape == (1,)
-        assert traj.T.shape == traj.Tdot.shape == (1, traj.t.size)
+        assert traj.y.shape == (2, 2, traj.t.size, 1)
         for t, shape in ((0.5, (1, 1)), ([-3.0, -1.0, 2.0], (1, 3))):
             T, Td = traj.evaluate(t)
             assert T.shape == Td.shape == shape

@@ -9,8 +9,9 @@ whose message matches the row.  A row that nothing refuses fails here; the fix i
 never a dropped row.  Every criterion a row names passes the unmutated
 program (``tests/test_acceptance.py``), so a refusal here is the planted
 bug's.  The rows start with the plane waves outside the ramp, which
-:mod:`thermalquench.modes` writes in one place, the DOP853 weights of the
-ramp kernel's step maps and the carry of a ladder's rungs; then come the
+:mod:`thermalquench.modes` writes in one place, the DOP853 weights and
+the powers of h of the ramp kernel's step maps and the carry of a
+ladder's rungs; then come the
 thermal coefficients of the pairing plan, the frequency of the Bogoliubov
 extraction, the Eulerian recursion and the two directions of the
 moment-cumulant recursion.
@@ -31,6 +32,7 @@ INCOMING = modes._incoming_waves
 PAIRING_PLAN = verify.pairing_plan
 EULERIAN = combinatorics._eulerian_coefficients
 CARRY = modes._carry
+STEP_MAPS = modes._step_maps
 
 
 def swapped_outgoing(bog, eps_lambda):
@@ -55,6 +57,21 @@ def nudged_map_rows():
     rows[0], rows[1] = weights @ modes._A[:-1], weights
     assert np.count_nonzero((rows != modes._MAP_ROWS).any(axis=1)) == 2
     return rows
+
+
+def first_row_by_h(t, h, samples, shift, mu, arena):
+    """The step maps with the step map's first row, e0 + h * e1 + h**2 *
+    (b A) K, scaled by h in place of h * h in its last term.  The error maps
+    are left as they are, so every grid passes its error norm."""
+    step, err5, err3 = STEP_MAPS(t, h, samples, shift, mu, arena)
+    h = np.broadcast_to(np.reshape(h, (-1, 1)), step.shape[2:])
+    top = step[0]
+    top[0] -= 1.0
+    top[1] -= h
+    np.divide(top, h, out=top, where=h != 0.0)
+    top[0] += 1.0
+    top[1] += h
+    return step, err5, err3
 
 
 def carry_across_rungs(step, y, heads, arena):
@@ -139,6 +156,12 @@ ROWS = [
     # equals the gate's and so cannot fire first
     pytest.param(modes, "_MAP_ROWS", nudged_map_rows(), 4, r"Wronskian drift 3\.139e-05",
                  id="dop853-weight-nudged"),
+    # every step map scales its first row's stage term by h**2: by h, the
+    # grid still passes its error norm, and the gate reads a drift of 0.99
+    # at t = 0 on the first solve of criterion 4's suite
+    pytest.param(modes, "_step_maps", first_row_by_h, 4,
+                 r"Wronskian drift 9\.926e-01 .* for k=1\.0, mu=5\.0 at t=0 ",
+                 id="step-map-first-row-scaled-by-h"),
     # evaluate, past t = 0, reads the post-switch waves: criterion 4 reads a
     # continuity gap of 1.002 with the t = 0 node and a Wronskian drift of 2
     pytest.param(modes, "_outgoing_waves", swapped_outgoing, 4, None,

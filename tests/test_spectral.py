@@ -358,7 +358,8 @@ class TestAmplitudeBound:
         ks = np.linspace(0.0, 6.0, 13)
         traj = solve_modes(ks, SwitchingProfile(mu), params)
         bound = _amplitude_bound(ks, params)
-        assert np.all(np.max(np.abs(traj.T) ** 2, axis=1) <= bound * (1.0 + self.REL))
+        T = modes._complex(traj.y[0])
+        assert np.all(np.max(np.abs(T) ** 2, axis=1) <= bound * (1.0 + self.REL))
         bog = bogoliubov(traj)
         after = (np.abs(bog.a_plus) + np.abs(bog.a_minus)) ** 2 / (2.0 * traj.eps_lambda)
         assert np.all(after <= bound * (1.0 + self.REL))
