@@ -133,9 +133,10 @@ def default_config() -> RunConfig:
     0.3.  Their time rules span ``spectral.TIME_SIGMAS`` widths each side of
     the centre, so the first reaches back to t = -0.4, inside the ramp: 15
     of the 160 time nodes of a pairing lie there, where the packet's weight
-    is under 2e-14, and the early screen of
-    :func:`~thermalquench.spectral.pair_finite_mu` proves that they cannot
-    move the pairing at any rung of the ladder, so none is read."""
+    is under 2e-14, and the early screen that
+    :func:`~thermalquench.spectral.pair_finite_mu` runs on each rung's
+    trajectory proves that they cannot move the pairing at any rung of the
+    ladder, so none is read."""
     return RunConfig(
         params=ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=0.1),
         profile=SwitchingProfile(mu=1.0),

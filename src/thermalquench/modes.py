@@ -21,14 +21,15 @@ and it computes a rule on first use, never at import.  The module needs
 numpy alone.
 
 One routine does every ramp solve, for a ladder of switching scales mu
-that share one momentum batch and tolerances (a single profile is the
-ladder of one).  The mode equation is linear, so one DOP853 step of
-(T, Tdot) is a real 2x2 matrix that does not depend on the state: the
-routine builds the maps of every step of each rung's uniform grid on
-[-mu, 0], for every momentum at once, with the rungs laid end to end in
-one array of nodes, and carries each rung's plane-wave data at -mu
-through them by one log-depth prefix scan of each block's node planes,
-segmented at the rungs' first nodes (see ``_carry``).  The stages run in
+that share one momentum batch, each rung at its own tolerances or all at
+one (a single profile is the ladder of one).  The mode equation is
+linear, so one DOP853 step of (T, Tdot) is a real 2x2 matrix that does
+not depend on the state: the routine builds the maps of every step of
+each rung's uniform grid on [-mu, 0], for every momentum at once, with
+the rungs laid end to end in one array of nodes, and carries each rung's
+plane-wave data at -mu through them by one log-depth prefix scan of each
+block's node planes, segmented at the rungs' first nodes (see
+``_carry``).  The stages run in
 the Nystrom form of DOP853: the top row of each stage's 2x2 map is the
 bottom row of the one before it, so only the bottom rows are formed, and
 one product of them gives the step map and both error maps (the
@@ -60,7 +61,7 @@ the nodes it starts from, a plane or two each.
 Maps and grid nodes are laid out entries first, (row, column, step,
 momentum) and (component, real or imaginary part, node, momentum), so
 that the step-error norm works on contiguous (step, momentum) planes.
-The first grid is seeded from the tolerance by the h**8 error law,
+Each rung's first grid is seeded from its rtol by the h**8 error law,
 rtol**(-1/8) * max(0.19 * mu * (largest frequency), 1.5) steps, with both
 constants fitted once on measured solves.
 DOP853's embedded error estimate, taken per step and per momentum as
@@ -89,8 +90,8 @@ per momentum, :func:`bogoliubov`, :func:`switch_integrals`,
 :func:`ergodic_averages` and :func:`ergodic_limits` one entry per momentum.
 A scalar momentum is the batch of one.  A solve stops at t = 0 and answers
 every later time in closed form, so no caller names a horizon.  Only
-:func:`solve_modes` takes tolerances; the consumers here solve at its
-defaults.
+:func:`solve_modes` and the ladder routine take tolerances; the consumers
+here solve at their defaults.
 """
 
 from __future__ import annotations
@@ -452,17 +453,19 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
     return maps[0], maps[1], maps[2]
 
 
-def _error_norm(err5, err3, y, h, rtol: float, atol: float, arena: _Arena):
+def _error_norm(err5, err3, y, h, rtol, atol, arena: _Arena):
     """scipy's DOP853 error norm of every step and momentum, shape (N, n).
 
     ``err5`` and ``err3`` are the error maps of N steps, (2, 2, N, n), of
     the step sizes ``h``, a scalar or one per step, and ``y`` the (T, Tdot)
     of each momentum at the N + 1 nodes, entries first:
-    (component, real or imaginary part, node, momentum).  Each error map is
-    applied to its step's start data, scaled componentwise by
-    atol + rtol * max(|y|) over the step's two ends, and combined over the
-    two components of one momentum as scipy combines a two-component state,
-    all on (N, n) planes: each map is applied by one einsum pass (see
+    (component, real or imaginary part, node, momentum).  The tolerances
+    ``rtol`` and ``atol`` are scalars or columns, one row per step, (N, 1).
+    Each error map is applied to its step's start data, scaled
+    componentwise by atol + rtol * max(|y|) over the step's two ends, and
+    combined over the two components of one momentum as scipy combines a
+    two-component state, all on (N, n) planes: each map is applied by one
+    einsum pass (see
     ``_product``), and |y|**2 and sum over the parts of (err @ y)**2 are
     einsum sums over the part axis, the rest elementwise arithmetic.  A
     non-finite error or node, or one whose square overflows, gives a NaN
@@ -560,33 +563,36 @@ def _carry(step, y, heads, arena: _Arena):
     arena.used = mark
 
 
-def _ramp_solve(k_mags, profs, params: ThermalParams, rtol: float = _RTOL, atol: float = _ATOL):
+def _ramp_solve(k_mags, profs, params: ThermalParams, rtol=_RTOL, atol=_ATOL):
     """One ramp solve of the mode equation for every momentum in ``k_mags``
     and every switching profile in ``profs``, a ladder of rungs: returns one
-    :class:`ModeTrajectory` per rung, in the order of ``profs``.
+    :class:`ModeTrajectory` per rung, in the order of ``profs``.  ``rtol``
+    and ``atol`` are each a number, shared by every rung, or a list of one
+    value per rung.
 
     Each rung lays its own uniform grid on [-mu, 0], seeded at its final
     size from the h**8 error law, rtol**(-1/8) * max(_SEED_WAVE * mu *
-    (largest frequency), _SEED_SWITCH) steps: the oscillation term was
-    fitted on solves with mu * (largest frequency) > 8 and the switch term
-    on the smaller ones, and on the measured solves this grid meets the
-    tolerance in one pass.  The rungs' grids are laid end to end as
-    segments of one array of node positions, each led by its head, the
-    plane-wave data at its -mu, and every position is carried through the
-    DOP853 step maps of every momentum by a prefix scan of each block's
+    (largest frequency), _SEED_SWITCH) steps at its own rtol: the
+    oscillation term was fitted on solves with mu * (largest frequency) > 8
+    and the switch term on the smaller ones, and on the measured solves this
+    grid meets the tolerance in one pass.  The rungs' grids are laid end to
+    end as segments of one array of node positions, each led by its head,
+    the plane-wave data at its -mu, and every position is carried through
+    the DOP853 step maps of every momentum by a prefix scan of each block's
     nodes (see ``_carry``).  The maps are built for a block of ``_BLOCK //
     n`` positions at a time (at least one) for n momenta, so memory stays
-    bounded; a block may span rungs, each start carrying its own mu and h,
-    and the step into a head has h = 0, so its error norm reads 0.  A rung
-    that one block holds gets the nodes of a solve of it alone, to the bit.
-    As a fallback, while a rung's worst step error (scipy's norm, per
-    momentum) is not below 1, its step count N grows as scipy grows a step
-    after a rejection, to ceil(N * err**(1/8) / 0.9), and the whole ladder
-    is laid again, every rung that met the tolerance on its step count
-    as before, for at most ``_MAX_PASSES`` passes of at most ``_MAX_GRID``
-    step maps per rung.  Every momentum's Wronskian is then gated at every
-    node of the last pass, and each rung's trajectory is a view into that
-    pass's node planes; its ``passes`` is the ladder's.
+    bounded; a block may span rungs, each start carrying its own mu, h and
+    tolerances, and the step into a head has h = 0, so its error norm reads
+    0.  A rung that one block holds gets the nodes of a solve of it alone
+    at its tolerances, to the bit.  As a fallback, while a rung's worst step
+    error (scipy's norm at its tolerances, per momentum) is not below 1, its
+    step count N grows as scipy grows a step after a rejection, to ceil(N *
+    err**(1/8) / 0.9), and the whole ladder is laid again, every rung that
+    met its tolerance on its step count as before, for at most
+    ``_MAX_PASSES`` passes of at most ``_MAX_GRID`` step maps per rung.
+    Every momentum's Wronskian is then gated at every node of the last
+    pass, and each rung's trajectory is a view into that pass's node
+    planes; its ``passes`` is the ladder's.
     """
     ks = np.atleast_1d(np.asarray(k_mags, dtype=float))
     disp = dispersion(ks, params)
@@ -598,8 +604,10 @@ def _ramp_solve(k_mags, profs, params: ThermalParams, rtol: float = _RTOL, atol:
     arena = _block_arena()
     w_max = max(eps.max(), eps_lam.max())
     mus = [prof.mu for prof in profs]
+    rtols = rtol if isinstance(rtol, list) else [rtol] * len(mus)
+    atols = atol if isinstance(atol, list) else [atol] * len(mus)
     # the step count of each rung's next grid
-    sizes = [rtol**-0.125 * max(_SEED_WAVE * mu * w_max, _SEED_SWITCH) for mu in mus]
+    sizes = [rt**-0.125 * max(_SEED_WAVE * mu * w_max, _SEED_SWITCH) for mu, rt in zip(mus, rtols)]
     # each rung's head, the plane-wave data at its -mu, (component, part, rung, momentum)
     T, Td = _plane_waves(_incoming_waves(eps), -np.array(mus))
     data = np.array([[T.real.T, T.imag.T], [Td.real.T, Td.imag.T]])
@@ -629,32 +637,33 @@ def _ramp_solve(k_mags, profs, params: ThermalParams, rtol: float = _RTOL, atol:
             first = bisect.bisect_right(heads, lo) - 1
             inner = [q - lo for q in heads[first + 1 : -1] if q <= hi]
             cuts = [0, *(q - 1 for q in inner), hi - lo]
-            # a block inside one rung steps by its h and mu alone, one that
-            # spans rungs by one per step, h = 0 into a head
-            h, mu = steps[first], mus[first]
+            # a block inside one rung steps by its h, mu and tolerances
+            # alone, one that spans rungs by one per step, h = 0 into a head
+            h, mu, rt, at = steps[first], mus[first], rtols[first], atols[first]
             if inner:
                 held = slice(first, first + len(cuts) - 1)
-                h, mu = (np.repeat(v[held], np.diff(cuts)) for v in (steps, mus))
+                h, mu, rt, at = (np.repeat(v[held], np.diff(cuts)) for v in (steps, mus, rtols, atols))
                 h[cuts[1:-1]] = 0.0
+                rt, at = rt[:, None], at[:, None]
             step, err5, err3 = _step_maps(t[lo:hi], h, samples, shift, mu, arena)
             _carry(step, y[:, :, lo : hi + 1], inner, arena)
-            norm = _error_norm(err5, err3, y[:, :, lo : hi + 1], h, rtol, atol, arena)
+            norm = _error_norm(err5, err3, y[:, :, lo : hi + 1], h, rt, at, arena)
             for r, a, b in zip(itertools.count(first), cuts, cuts[1:]):
-                worst[r] = np.max(norm[a:b], initial=worst[r])
-        if np.max(worst) < 1.0:  # a NaN is not below 1
+                worst[r] = norm[a:b].max(initial=worst[r])
+        if all(err < 1.0 for err in worst):  # a NaN is not below 1
             break
-        # a rung short of the tolerance grows; the others keep their sizes
+        # a rung short of its tolerance grows; the others keep their sizes
         for r, (mu, n_steps, err) in enumerate(zip(mus, counts, worst)):
             if not err < 1.0:
                 if not math.isfinite(err) or passes == _MAX_PASSES:
                     raise IntegratorError(
-                        f"{where}, mu={mu} did not meet rtol={rtol}, atol={atol}: worst step "
+                        f"{where}, mu={mu} did not meet rtol={rtols[r]}, atol={atols[r]}: worst step "
                         f"error {err:.3e} on a grid of {n_steps} steps after {passes} passes"
                     )
                 sizes[r] = n_steps * err**0.125 / 0.9
     segments = [
-        (lo, hi, mu, f"grid of {n_steps} steps after {passes} passes, rtol={rtol}, atol={atol}")
-        for mu, n_steps, lo, hi in zip(mus, counts, heads, heads[1:])
+        (lo, hi, mu, f"grid of {n_steps} steps after {passes} passes, rtol={rt}, atol={at}")
+        for mu, n_steps, lo, hi, rt, at in zip(mus, counts, heads, heads[1:], rtols, atols)
     ]
     return [
         ModeTrajectory(

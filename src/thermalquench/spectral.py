@@ -20,21 +20,22 @@ without any branch swap.
 The time-domain pairing ``pair_finite_mu`` evaluates the state obtained by
 dragging the free thermal state through the switched mass ramp at finite
 switching scale; as the scale grows it approaches the shifted-branch state
-that keeps the free thermal coefficients.  It solves only the radial nodes
-that can move the pairing: for the monotone switch, Gronwall's inequality
+that keeps the free thermal coefficients.  Only the radial nodes that can
+move the pairing are solved: for the monotone switch, Gronwall's inequality
 bounds every mode by |T(t)|^2 <= max(1/(2 eps), eps/(2 eps_lambda^2)) at
 any switching scale, and the nodes whose summed a-priori bound stays within
-unit roundoff of the total are screened out before the one batched solve.
+unit roundoff of the total are screened out before the batched solve.
 The screen, the radial rule and everything else that no switch changes is
 a ``PairingPlan``, laid once by ``pairing_plan`` for a whole ladder of
-switching scales; each call of ``pair_finite_mu`` takes one.  Each solved
-mode is projected in two parts split at the switch-off t = 0: the
-post-switch form, the outgoing plane waves of :mod:`thermalquench.modes`,
-integrated against the packet in closed form with
-``TestPacket.temporal_hat``, and the difference from it at the time rule's
-nodes before t = 0, which is read from the solve only where a bound,
-proved from the same Gronwall bound, lets it reach unit roundoff of the
-closed form.
+switching scales, so the caller solves the kept nodes of the whole ladder
+in one ladder solve and hands ``pair_finite_mu`` the plan and one rung's
+trajectory.  Each solved mode is projected in two parts split at the
+switch-off t = 0: the post-switch form, the outgoing plane waves of
+:mod:`thermalquench.modes`, integrated against the packet in closed form
+from the plan's transforms (``TestPacket.temporal_hat`` at the shifted
+frequencies), and the difference from it at the time rule's nodes before
+t = 0, which is read from the solve only where a bound, proved from the
+same Gronwall bound, lets it reach unit roundoff of the closed form.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ from typing import Callable
 
 import numpy as np
 
-from .modes import (BogoliubovPair, SwitchingProfile, _gauss_legendre, _outgoing_waves,
-                    _plane_waves, bogoliubov, solve_modes)
+from .modes import (BogoliubovPair, ModeTrajectory, SwitchingProfile, _gauss_legendre,
+                    _outgoing_waves, _plane_waves, bogoliubov)
+from .modes import solve_modes  # benchmarks/tracing.py is its last reader
 from .thermal import ThermalParams, bose_coefficient, dispersion
 
 
@@ -285,12 +287,15 @@ def _early_nodes(p: TestPacket, quad: QuadratureSpec):
     return t[before], w[before] * p.temporal(t[before])
 
 
-def _closed_projection(p: TestPacket, waves):
+def _closed_projection(hat, waves):
     """Each solved mode's post-switch form T_after, the terms (c, f) of
     ``waves`` (see :func:`~thermalquench.modes._outgoing_waves`), projected
-    onto ``p``'s temporal profile over all t, in closed form: sum c *
-    fhat(-f), one value per momentum."""
-    return sum(c * p.temporal_hat(-f) for c, f in waves)
+    onto a packet's temporal profile over all t, in closed form: sum c *
+    fhat(-f), one value per momentum.  ``hat`` holds the packet's
+    transforms fhat(+eps_lambda) and fhat(-eps_lambda), one row each (see
+    :class:`PairingPlan`); each term's f is -eps_lambda or +eps_lambda, and
+    its sign picks the row."""
+    return sum(c * np.where(f < 0.0, hat[0], hat[1]) for c, f in waves)
 
 
 def _early_correction(t, w, T, waves):
@@ -330,8 +335,10 @@ class PairingPlan:
     :func:`pairing_plan`: the radial nodes its screen keeps (``k``), their
     radial weights r(k) = w_k 4 pi k^2 f(k) g(k), the coefficients of
     :func:`free_kms` and the early factors (|Delta|/eps_lambda) sqrt(M)
-    that bound the early corrections, and each packet's early nodes and
-    weights, ``(t, w)`` of ``_early_nodes``."""
+    that bound the early corrections, each packet's early nodes and
+    weights, ``(t, w)`` of ``_early_nodes``, and each packet's temporal
+    transforms at the kept nodes' shifted frequencies, ``hat_f`` and
+    ``hat_g``: fhat(+eps_lambda) and fhat(-eps_lambda), one row each."""
 
     params: ThermalParams
     f: TestPacket
@@ -343,6 +350,8 @@ class PairingPlan:
     early_factor: np.ndarray
     early_f: tuple
     early_g: tuple
+    hat_f: np.ndarray
+    hat_g: np.ndarray
 
 
 def pairing_plan(
@@ -385,6 +394,11 @@ def pairing_plan(
     The plan keeps (|Delta|/eps_lambda) sqrt(M) per kept node; summed with
     |w_j| over a packet's early nodes (:func:`_early_reach`), it bounds
     that node's early correction at any switching scale.
+
+    **The transforms.**  The post-switch form oscillates at +-eps_lambda
+    whatever the switch, so the plan evaluates each packet's
+    :meth:`TestPacket.temporal_hat` there once, at the kept nodes, for the
+    closed-form projection of every rung.
     """
     k, wk = quad.radial_rule(f, g)
     free = free_kms(params)
@@ -398,13 +412,15 @@ def pairing_plan(
     )
     keep = _screen(np.abs(radial) * (c_plus + c_minus) * amp_sq * reach_f * reach_g)
     factor = abs(params.mass_shift) / disp.eps_lambda * np.sqrt(amp_sq)
+    el = disp.eps_lambda[keep]
+    hats = [np.array([p.temporal_hat(el), p.temporal_hat(-el)]) for p in (f, g)]
     return PairingPlan(params, f, g, k[keep], radial[keep], c_plus[keep], c_minus[keep],
-                       factor[keep], *early)
+                       factor[keep], *early, *hats)
 
 
-def pair_finite_mu(prof: SwitchingProfile, plan: PairingPlan) -> complex:
+def pair_finite_mu(traj: ModeTrajectory, plan: PairingPlan) -> complex:
     """Time-domain pairing of the plan's packets against the free thermal
-    state of its params, dragged through the ramp of ``prof``.
+    state of its params, dragged through the ramp that ``traj`` solved.
 
     A radial node k contributes r(k) * [c_plus u_f conj(u_g) + c_minus
     conj(u_f) u_g], with r the radial weight w_k 4 pi k^2 f(k) g(k), the
@@ -412,13 +428,15 @@ def pair_finite_mu(prof: SwitchingProfile, plan: PairingPlan) -> complex:
     projection of the mode T onto f's temporal profile.  Everything but the
     mode comes from ``plan`` (see :func:`pairing_plan`), so a ladder of
     switching scales lays its rules and screens once, and each call only
-    solves, reads and projects.  Only the nodes the plan's screen keeps are
-    solved; when it keeps none the pairing is 0, with no solve.
+    reads and projects.
 
-    **The solve.**  One batched ramp solve,
-    :func:`~thermalquench.modes.solve_modes` at its default tolerances,
-    carries the kept nodes over [-mu, 0]; its grid is sized by their
-    largest frequency.
+    **The solve.**  ``traj`` is one batched ramp solve of the plan's kept
+    nodes, its array ``plan.k`` itself, on its ``params``: a call of
+    :func:`~thermalquench.modes.solve_modes` at its default tolerances, or
+    one rung of a ladder solve of them, which is how criterion 6 solves its
+    whole ladder in one call.  Any other trajectory raises ``ValueError``.
+    When the screen keeps no node there is nothing to solve, and the
+    pairing is 0.
 
     **The projection**, split at the switch-off t = 0.  Past it the mode is
     T_after = (a_plus e^(-i eps_lambda t) + a_minus e^(i eps_lambda t))
@@ -426,10 +444,10 @@ def pair_finite_mu(prof: SwitchingProfile, plan: PairingPlan) -> complex:
     :func:`~thermalquench.modes.bogoliubov`: the same terms (c, f), one
     c e^(i f t) each, that the trajectory evaluates from t = 0 on.  Its
     integral against f is sum c fhat(-f), here (a_plus fhat(eps_lambda) +
-    a_minus fhat(-eps_lambda)) / sqrt(2 eps_lambda), in closed form
-    (:meth:`TestPacket.temporal_hat`).  The rest, the early correction, is
-    the integral of f (T - T_after) over t < 0: the time rule's sum over
-    its own nodes before t = 0.
+    a_minus fhat(-eps_lambda)) / sqrt(2 eps_lambda), in closed form from
+    the plan's transforms (:func:`_closed_projection`).  The rest, the
+    early correction, is the integral of f (T - T_after) over t < 0: the
+    time rule's sum over its own nodes before t = 0.
 
     **The early screen.**  The plan's early factor times
     :func:`_early_reach` bounds each node's early correction (see
@@ -443,12 +461,13 @@ def pair_finite_mu(prof: SwitchingProfile, plan: PairingPlan) -> complex:
     wave before it), and T_after from the terms, with no derivative
     formed.  A NaN bound or closed form fails the screen, so it reads.
     """
-    if plan.k.size == 0:
-        return 0j
+    if traj.k_mag is not plan.k or traj.params is not plan.params:
+        raise ValueError("the trajectory must be a solve of the plan's kept nodes, plan.k, "
+                         "on the plan's params")
+    prof = SwitchingProfile(traj.mu)
     (tf, wf), (tg, wg) = plan.early_f, plan.early_g
-    traj = solve_modes(plan.k, prof, plan.params)
     waves = _outgoing_waves(bogoliubov(traj), traj.eps_lambda)
-    u_f, u_g = (_closed_projection(p, waves) for p in (plan.f, plan.g))
+    u_f, u_g = (_closed_projection(hat, waves) for hat in (plan.hat_f, plan.hat_g))
     if not all(np.all(plan.early_factor * _early_reach(prof, t, w) <= 2.0**-53 * np.abs(u))
                for (t, w), u in ((plan.early_f, u_f), (plan.early_g, u_g))):
         T, _ = traj.evaluate(np.concatenate((tf, tg)))

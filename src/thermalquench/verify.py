@@ -25,18 +25,18 @@ from the solve memo.  The memo is a value of one run, never module state:
 :func:`run_all`, which ``verify-all`` calls, makes one and hands it to every
 criterion, and a criterion called alone makes its own, so two runs in one
 process, in turn or at once on two threads, never read each other's solves.
-Under :func:`run_all` each solve of the suite is made once: the run solves
-11 rungs in 7 ramp-solve calls on the default config, the suite's six in
-two (the mu ladder and the unit-scale switch in one ladder solve, the sharp
-switch at its tight tolerances alone), criterion 6's four one at a time and
-criterion 9's one.  Each of criterion 6's solves batches only the radial
+Under :func:`run_all` the suite is solved once: the run solves 11 rungs in
+3 ramp-solve calls on the default config, the suite's six in one ladder
+solve (the mu ladder and the unit-scale switch at the default tolerances,
+the sharp switch at its tight ones), criterion 6's four in another and
+criterion 9's one.  Criterion 6's ladder solve batches only the radial
 nodes that the screen of its one :func:`~thermalquench.spectral.pairing_plan`
 keeps: 42 of the 64 on the default config, on grids of 71 to 563 steps.
 Criterion 4 pays for the suite, so the ``runtime_s`` of criteria 5 and 8
 covers only their reads; criterion 5 reads the mu ladder's switching
 integrals in one pass.  A criterion run alone, as ``pytest
-tests/test_acceptance.py`` runs each, pays for its own solves: 2, 1 and 2
-calls (6, 5 and 6 rungs) for criteria 4, 5 and 8.
+tests/test_acceptance.py`` runs each, pays for its own suite: one call of
+six rungs for each of criteria 4, 5 and 8.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from .thermal import ThermalParams, bose_coefficient, bose_derivative, dispersio
 # Mode-physics bench shared by the ramp criteria: unit masses, strong shift.
 MODE_PARAMS = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=0.5)
 SUDDEN_MU = 1e-3
-# solver tolerances of the sharp-switch suite solve and the steady-state map
+# solver tolerances of the suite's sharp-switch rung and the steady-state map
 _TIGHT_SOLVE = {"rtol": 1e-12, "atol": 1e-14}
 
 TOLERANCES = {
@@ -135,7 +135,7 @@ CRITERIA: dict = {}
 def _criterion(index: int, name: str):
     """Register a check as criterion ``index``, named ``name``.
 
-    The check takes the config and a solve memo (see :func:`_suite_solve`)
+    The check takes the config and a solve memo (see :func:`_suite_trajectories`)
     and returns ``(ok, measured)``, or ``(None, measured, reason)`` for a
     skip.  The registered function, which the decorator also returns as the
     module's ``criterion_<index>``, takes the config and the memo of the run
@@ -239,32 +239,26 @@ def criterion_3(config: RunConfig, memo: dict):
     return worst <= tol, {"worst_abs": worst, "tol": tol}
 
 
-def _suite_solve(config: RunConfig, memo: dict, tight: bool = False):
-    """The trajectories of one ladder solve over ``config.k_values``: the mu
-    ladder and the unit-scale switch at the default tolerances or, ``tight``,
-    the sharp switch at ``_TIGHT_SOLVE``, kept in ``memo`` by ``tight``: the
-    first reader of a memo solves and the others read.  The memo belongs to
-    one call of :func:`run_all`, which hands it to every criterion, or to
-    one criterion called alone, and dies with it."""
-    if tight not in memo:
-        mus, tols = ((SUDDEN_MU,), _TIGHT_SOLVE) if tight else ((*config.mu_ladder, 1.0), {})
-        ks, profs = np.array(config.k_values), [SwitchingProfile(mu) for mu in mus]
-        memo[tight] = modes._ramp_solve(ks, profs, MODE_PARAMS, **tols)
-    return memo[tight]
-
-
 def _suite_trajectories(config: RunConfig, memo: dict):
-    """The trajectory suite: one batched solve over ``config.k_values`` per
-    profile of the mu ladder and the unit-scale switch, made as one ladder
-    solve, and, last, the sharp switch at tight tolerances, solved alone
-    since tolerances are per solve.  Its readers, in run order: criterion 4
-    (every solve's Wronskian drift and its closed form past t = 0),
-    criterion 5 (the switching integrals of the mu ladder's solves) and
-    criterion 8 (every solve's Bogoliubov pairs).  Under :func:`run_all`
-    criterion 4 pays for both ramp solves and criteria 5 and 8 only read
-    them from the run's ``memo``; a criterion run alone solves what it reads
-    into its own."""
-    return [*_suite_solve(config, memo), *_suite_solve(config, memo, tight=True)]
+    """The trajectory suite over ``config.k_values``, one ladder solve: the
+    mu ladder and the unit-scale switch at the default tolerances and, last,
+    the sharp switch at ``_TIGHT_SOLVE``.  Its readers, in run order:
+    criterion 4 (every solve's Wronskian drift and its closed form past
+    t = 0), criterion 5 (the switching integrals of the mu ladder's solves)
+    and criterion 8 (every solve's Bogoliubov pairs).  The suite is kept in
+    ``memo``: the first reader solves and the others read, so under
+    :func:`run_all` criterion 4 pays for it and criteria 5 and 8 only read.
+    The memo belongs to one call of :func:`run_all`, which hands it to every
+    criterion, or to one criterion called alone, and dies with it."""
+    if "suite" not in memo:
+        n = len(config.mu_ladder) + 1
+        profs = [SwitchingProfile(mu) for mu in (*config.mu_ladder, 1.0, SUDDEN_MU)]
+        memo["suite"] = modes._ramp_solve(
+            np.array(config.k_values), profs, MODE_PARAMS,
+            rtol=[modes._RTOL] * n + [_TIGHT_SOLVE["rtol"]],
+            atol=[modes._ATOL] * n + [_TIGHT_SOLVE["atol"]],
+        )
+    return memo["suite"]
 
 
 @_criterion(4, "wronskian-health")
@@ -295,7 +289,7 @@ def criterion_5(config: RunConfig, memo: dict):
     """Switching-integral ladder: gaps strictly decreasing, final below target."""
     tol = TOLERANCES["switch_final_abs"]
     ks = np.array(config.k_values)
-    ladder = _switch_integrals(*_suite_solve(config, memo)[: len(config.mu_ladder)])
+    ladder = _switch_integrals(*_suite_trajectories(config, memo)[: len(config.mu_ladder)])
     i_sq, i_abs = (np.array(x) for x in zip(*ladder))  # rows: mu ladder, columns: k
     gaps_abs = np.abs(i_abs - switch_integral_limit(ks, MODE_PARAMS))
     gaps_sq = np.abs(i_sq)
@@ -308,11 +302,13 @@ def criterion_6(config: RunConfig, memo: dict):
     """Time-domain pairing ladder toward the slow-switch classical state.
 
     The ladder lays one radial rule for its target and one for its
-    :func:`~thermalquench.spectral.pairing_plan`, whose screen and early
-    factors hold at every switching scale, so each rung only solves and
-    projects the plan's kept nodes, and reads them before t = 0 only where
-    the proved bound on the early correction reaches unit roundoff of the
-    closed form: on the default config no rung reads between grid nodes."""
+    :func:`~thermalquench.spectral.pairing_plan`, whose screen, early
+    factors and transforms hold at every switching scale; one ladder solve
+    carries the plan's kept nodes through every rung, and each rung only
+    projects them, reading them before t = 0 only where the proved bound
+    on the early correction reaches unit roundoff of the closed form: on
+    the default config no rung reads between grid nodes.  A plan that keeps
+    no node pairs to 0 at every rung, with no solve."""
     tol = TOLERANCES["pairing_final_rel"]
     f, g = config.packet_pair
     quad = config.quadrature
@@ -320,10 +316,11 @@ def criterion_6(config: RunConfig, memo: dict):
     if target == 0.0:
         raise ZeroDivisionError("slow-switch target pairing vanished; relative gaps undefined")
     plan = pairing_plan(MODE_PARAMS, f, g, quad)
-    gaps = []
-    for mu in config.mu_ladder:
-        val = pair_finite_mu(SwitchingProfile(mu), plan)
-        gaps.append(abs(val - target) / abs(target))
+    profs = [SwitchingProfile(mu) for mu in config.mu_ladder]
+    vals = [0j] * len(profs)
+    if plan.k.size:
+        vals = [pair_finite_mu(traj, plan) for traj in modes._ramp_solve(plan.k, profs, plan.params)]
+    gaps = [abs(val - target) / abs(target) for val in vals]
     ok = all(b < a for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= tol
     return ok, {"final_rel_gap": gaps[-1], "first_rel_gap": gaps[0], "tol": tol}
 

@@ -1177,6 +1177,52 @@ class TestLadderSolve:
             assert (traj.worst_drift, traj.worst_drift_t) == (
                 alone.worst_drift, alone.worst_drift_t)
 
+    def test_mixed_tolerances_keep_each_rungs_solve(self):
+        # the trajectory suite: the mu ladder and the unit-scale switch at
+        # the default tolerances and the sharp switch at tight ones, 483
+        # positions of two momenta, so one block spans all six rungs, each
+        # start with its own rtol and atol.  Each rung keeps the grid,
+        # passes and node planes of its solve alone at its own tolerances
+        config = default_config()
+        ks = np.array(config.k_values)
+        suite = verify._suite_trajectories(config, {})
+        assert [traj.mu for traj in suite] == [*config.mu_ladder, 1.0, verify.SUDDEN_MU]
+        assert sum(traj.t.size for traj in suite) == 483 <= modes._BLOCK // ks.size
+        for traj in suite:
+            tols = verify._TIGHT_SOLVE if traj.mu == verify.SUDDEN_MU else {}
+            self.assert_same_solve(traj, solve_modes(ks, SwitchingProfile(traj.mu), verify.MODE_PARAMS,
+                                                     **tols))
+        # at the default tolerances the sharp switch would lay 27 steps
+        assert suite[-1].n_steps == 48 and suite[-2].n_steps == 27
+
+    def test_per_rung_tolerances_reach_the_error_norm(self):
+        # a block whose steps carry two tolerances, as columns, reads each
+        # step's norm at its own: the bits of the block read at each alone
+        traj = solve_modes(np.linspace(0.1, 3.0, 8), SwitchingProfile(5.0), PARAMS)
+        m = traj.n_steps
+        h = traj.mu / m
+        _, err5, err3 = modes._step_maps(traj.t[:-1], h, modes._samples(traj.eps),
+                                         traj.params.mass_shift, traj.mu, modes._Arena())
+        cut = m // 3
+        rtol, atol = (np.repeat(pair, [cut, m - cut])[:, None] for pair in ((1e-10, 1e-6), (1e-12, 1e-9)))
+        mixed = modes._error_norm(err5, err3, traj.y, h, rtol, atol, modes._Arena()).copy()
+        alone = [modes._error_norm(err5, err3, traj.y, h, *tols, modes._Arena()).copy()
+                 for tols in ((1e-10, 1e-12), (1e-6, 1e-9))]
+        assert np.array_equal(mixed[:cut], alone[0][:cut]) and np.array_equal(mixed[cut:], alone[1][cut:])
+        # the looser tolerances read norms some four decades smaller
+        assert np.all(mixed[cut:] < 1e-3 * alone[0][cut:])
+
+    def test_each_rung_names_its_tolerances(self, monkeypatch):
+        # the gate's message names the tolerances of the rung that fails it
+        ks = np.array([0.0, 1.0])
+        profs = [SwitchingProfile(verify.SUDDEN_MU), SwitchingProfile(5.0)]
+        tols = {"rtol": [1e-12, 1e-10], "atol": [1e-14, 1e-12]}
+        monkeypatch.setattr(modes, "_WRONSKIAN_TOL", 1e-30)
+        with pytest.raises(IntegratorError, match=r"mu=0\.001 .*rtol=1e-12, atol=1e-14\)$"):
+            modes._ramp_solve(ks, profs, PARAMS, **tols)
+        with pytest.raises(IntegratorError, match=r"mu=5\.0 .*rtol=1e-10, atol=1e-12\)$"):
+            modes._ramp_solve(ks, profs[::-1], PARAMS, **{key: tol[::-1] for key, tol in tols.items()})
+
     def test_batched_switch_integrals_match_one_read_each(self):
         # the suite's mu ladder in one read, and 64 momenta on three solves,
         # whose reads span blocks of 128 values
@@ -1399,13 +1445,13 @@ class TestNodePlanes:
         monkeypatch.setattr(modes, "_samples", counting)
         monkeypatch.setattr(modes, "_between_nodes", reading)
         assert verify.criterion_6(default_config()).status == "pass"
-        # criterion 6's four solves of the 42 kept momenta span 7 blocks, and
-        # the early screen clears every rung on the default packets, so no
-        # solve is read between its nodes and only the four solves set up
+        # criterion 6's ladder solve of the 42 kept momenta spans 6 blocks,
+        # and the early screen clears every rung on the default packets, so
+        # no rung is read between its nodes and only the one solve sets up
         assert [(traj.eps.size, traj.n_steps) for traj in ramp_solves] == [
             (42, 71), (42, 141), (42, 282), (42, 563)
         ]
-        assert calls == [42] * 4 and reads == []
+        assert ramp_solves.calls == [4] and calls == [42] and reads == []
         del calls[:]
         # a read of three blocks sets up once
         traj = ramp_solves[-1]

@@ -171,6 +171,12 @@ ROWS = [
     # its Wronskian, so criteria 4 and 8 pass; criterion 5's integrals
     # read final_abs_gap 0.0138 and final_sq 0.112 against its 1e-2
     pytest.param(modes, "_carry", carry_across_rungs, 5, None, id="ladder-carry-crosses-rungs"),
+    # criterion 6's ladder solve, mu = 5, 10, 20 and 40 on its 42 kept
+    # nodes, in blocks of 195 steps: a rung that starts inside a block
+    # starts from the rung before it, and final_rel_gap reads 0.0320
+    # against its 1e-2
+    pytest.param(modes, "_carry", carry_across_rungs, 6, None,
+                 id="ladder-carry-crosses-rungs-in-criterion-6"),
     # criterion 6's pairing weights each mode product by b_plus and b_minus:
     # final_rel_gap 1.166
     pytest.param(verify, "pairing_plan", swapped_plan, 6, None, id="thermal-coefficients-swapped"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -265,20 +266,26 @@ class TestPair:
         assert rep["node_count"] == 2 * QUAD.n_radial
 
 
+def _pair_at(prof, plan):
+    """The finite-switch pairing of ``plan`` at the switch ``prof``, read
+    from one ``solve_modes`` call on the plan's kept nodes."""
+    return pair_finite_mu(solve_modes(plan.k, prof, plan.params), plan)
+
+
 class TestPairFiniteMu:
     def test_free_case_matches_spectral_route(self):
-        direct = pair_finite_mu(SwitchingProfile(5.0), pairing_plan(FREE, F, G, QUAD))
+        direct = _pair_at(SwitchingProfile(5.0), pairing_plan(FREE, F, G, QUAD))
         spectral = pair(free_kms(FREE), F, G, QUAD)
         assert abs(direct - spectral) / abs(spectral) < 1e-8
 
     def test_hermitian_diagonal(self):
-        value = pair_finite_mu(SwitchingProfile(5.0), pairing_plan(PARAMS, F, F, QUAD))
+        value = _pair_at(SwitchingProfile(5.0), pairing_plan(PARAMS, F, F, QUAD))
         assert abs(value.imag) <= 1e-10 * abs(value.real)
 
     def test_slow_switch_ladder_shrinks(self):
         target = pair(adiabatic_classical(PARAMS), F, G, QUAD)
         plan = pairing_plan(PARAMS, F, G, QUAD)
-        gaps = [abs(pair_finite_mu(SwitchingProfile(mu), plan) - target) / abs(target) for mu in (5.0, 10.0)]
+        gaps = [abs(_pair_at(SwitchingProfile(mu), plan) - target) / abs(target) for mu in (5.0, 10.0)]
         assert gaps[1] < gaps[0]
         assert gaps[1] < 1e-2
 
@@ -302,7 +309,7 @@ class TestPairFiniteMu:
                 + bose_coefficient(-1, PARAMS.beta, eps) * np.conj(u_f) * u_g
             )
             reference += wk * 4.0 * np.pi * k * k * F.spatial(k) * G.spatial(k) * kernel
-        batched = pair_finite_mu(prof, pairing_plan(PARAMS, F, G, quad))
+        batched = _pair_at(prof, pairing_plan(PARAMS, F, G, quad))
         assert abs(batched - reference) <= 1e-9 * abs(reference)
 
     def test_sloppy_tolerances_fail_the_wronskian_gate(self, monkeypatch):
@@ -311,7 +318,22 @@ class TestPairFiniteMu:
         monkeypatch.setattr(modes, "_WRONSKIAN_TOL", 1e-30)
         quad = QuadratureSpec(n_radial=8, n_time=40)
         with pytest.raises(IntegratorError, match="Wronskian drift"):
-            pair_finite_mu(SwitchingProfile(40.0), pairing_plan(PARAMS, F, G, quad))
+            _pair_at(SwitchingProfile(40.0), pairing_plan(PARAMS, F, G, quad))
+
+    @pytest.mark.parametrize("other", ["momenta", "equal-momenta", "params", "equal-params"])
+    def test_refuses_a_solve_of_other_nodes_or_params(self, other):
+        # the trajectory must be a solve of the plan's very kept nodes on its
+        # very params: an equal copy of either is refused too
+        plan = pairing_plan(PARAMS, F, G, QUAD)
+        ks, params = {
+            "momenta": (plan.k[:-1], PARAMS),
+            "equal-momenta": (plan.k.copy(), PARAMS),
+            "params": (plan.k, FREE),
+            "equal-params": (plan.k, dataclasses.replace(PARAMS)),
+        }[other]
+        traj = solve_modes(ks, SwitchingProfile(5.0), params)
+        with pytest.raises(ValueError, match="plan's kept nodes"):
+            pair_finite_mu(traj, plan)
 
 
 def _pair_all_nodes(prof, params, f, g, quad):
@@ -377,7 +399,7 @@ class TestScreenedPairing:
 
     def assert_matches_reference(self, prof, params, f, g, quad, ramp_solves):
         del ramp_solves[:]
-        value = pair_finite_mu(prof, pairing_plan(params, f, g, quad))
+        value = _pair_at(prof, pairing_plan(params, f, g, quad))
         (traj,) = ramp_solves
         reference = _pair_all_nodes(prof, params, f, g, quad)
         assert abs(value - reference) <= self.REL * abs(reference)
@@ -418,13 +440,26 @@ class TestScreenedPairing:
         kept = self.assert_matches_reference(SwitchingProfile(5.0), PARAMS, f, g, quad, ramp_solves)
         assert kept == 2
 
-    def test_nothing_kept_is_zero_without_a_solve(self, ramp_solves):
-        # the momentum profiles do not overlap: every radial weight is 0
+    def test_nothing_kept_is_zero_without_a_solve(self, ramp_solves, monkeypatch):
+        # the momentum profiles do not overlap: every radial weight is 0, so
+        # the plan keeps no node and criterion 6 pairs 0 at every rung, with
+        # no solve, a relative gap of 1 each, and fails
         f = Packet(k_center=0.0, k_width=0.01)
         g = Packet(k_center=50.0, k_width=0.01)
-        assert pair_finite_mu(SwitchingProfile(1.0), pairing_plan(PARAMS, f, g, QUAD)) == 0j
-        assert ramp_solves == []
+        plan = pairing_plan(verify.MODE_PARAMS, f, g, QUAD)
+        assert plan.k.size == 0
+        monkeypatch.setattr(verify, "pairing_plan", lambda *args: plan)
+        result = verify.criterion_6(default_config())
+        assert result.status == "fail" and ramp_solves == []
+        assert result.measured["first_rel_gap"] == result.measured["final_rel_gap"] == 1.0
         assert _pair_all_nodes(SwitchingProfile(1.0), PARAMS, f, g, QUAD) == 0j
+
+
+def _closed_form(p, waves):
+    """The post-switch terms (c, f) of ``waves`` projected onto ``p``'s
+    temporal profile, sum c * fhat(-f), with ``temporal_hat`` evaluated
+    afresh: the reference for the plan's transforms."""
+    return sum(c * p.temporal_hat(-f) for c, f in waves)
 
 
 def _pair_per_call(prof, params, f, g, quad):
@@ -444,7 +479,7 @@ def _pair_per_call(prof, params, f, g, quad):
         return 0j
     traj = solve_modes(k[keep], prof, params)
     waves = modes._outgoing_waves(bogoliubov(traj), traj.eps_lambda)
-    u_f, u_g = (spectral._closed_projection(p, waves) for p in (f, g))
+    u_f, u_g = (_closed_form(p, waves) for p in (f, g))
     factor = _early_factor(k[keep], params)
     early = (spectral._early_reach(prof, tf, wf), spectral._early_reach(prof, tg, wg))
     if not all(np.all(factor * r <= 2.0**-53 * np.abs(u)) for r, u in zip(early, (u_f, u_g))):
@@ -465,7 +500,7 @@ class TestPairingPlan:
         plan = pairing_plan(params, f, g, quad)
         for mu in ladder:
             prof = SwitchingProfile(mu)
-            assert pair_finite_mu(prof, plan) == _pair_per_call(prof, params, f, g, quad), mu
+            assert _pair_at(prof, plan) == _pair_per_call(prof, params, f, g, quad), mu
 
     def test_default_ladder(self):
         config = default_config()
@@ -500,6 +535,93 @@ class TestPairingPlan:
         config = default_config()
         assert verify.criterion_6(config).status == "pass"
         assert calls == [config.quadrature.n_radial] * 2
+
+
+class TestPlanTransforms:
+    """The plan holds each packet's temporal transforms at the kept nodes'
+    +-eps_lambda, so a rung's closed-form projection evaluates none."""
+
+    @pytest.mark.parametrize("case", ["default", "across"])
+    def test_projection_is_the_closed_form_bit_for_bit(self, case):
+        if case == "default":
+            config = default_config()
+            params, (f, g), quad = verify.MODE_PARAMS, config.packet_pair, config.quadrature
+        else:
+            params, (f, g), quad = PARAMS, _ramp_packets(0.0), QUAD
+        plan = pairing_plan(params, f, g, quad)
+        el = dispersion(plan.k, params).eps_lambda
+        for p, hat in ((f, plan.hat_f), (g, plan.hat_g)):
+            assert np.array_equal(hat, [p.temporal_hat(el), p.temporal_hat(-el)])
+        for mu in (5.0, 40.0):
+            traj = solve_modes(plan.k, SwitchingProfile(mu), params)
+            waves = modes._outgoing_waves(bogoliubov(traj), traj.eps_lambda)
+            for p, hat in ((f, plan.hat_f), (g, plan.hat_g)):
+                assert np.array_equal(spectral._closed_projection(hat, waves), _closed_form(p, waves))
+
+    def test_rungs_evaluate_no_transform(self, monkeypatch):
+        config = default_config()
+        plan = pairing_plan(verify.MODE_PARAMS, *config.packet_pair, config.quadrature)
+        trajs = modes._ramp_solve(plan.k, [SwitchingProfile(mu) for mu in config.mu_ladder], plan.params)
+        calls = []
+        temporal_hat = Packet.temporal_hat
+        monkeypatch.setattr(Packet, "temporal_hat", lambda p, omega: calls.append(p) or temporal_hat(p, omega))
+        assert all(math.isfinite(abs(pair_finite_mu(traj, plan))) for traj in trajs)
+        assert calls == []
+
+
+class TestCriterion6Ladder:
+    """Criterion 6 solves its whole mu ladder on the plan's kept nodes in one
+    ladder solve.  A rung that one block holds gets its solve alone to the
+    bit; the others, whose blocks end at other nodes than their solves
+    alone, agree to a few ulps."""
+
+    # measured: 4.2e-15 abs (2.9e-15 of the largest node entry) on the
+    # mu = 40 rung's node planes, 2.3e-15 and 3.6e-15 on mu = 10 and 20;
+    # the rung pairings within 3.3e-16 of the per-call reference
+    NODES_REL = 1e-13
+    PAIR_REL = 1e-13
+
+    @pytest.fixture(scope="class")
+    def ladder(self):
+        config = default_config()
+        plan = pairing_plan(verify.MODE_PARAMS, *config.packet_pair, config.quadrature)
+        profs = [SwitchingProfile(mu) for mu in config.mu_ladder]
+        return config, plan, modes._ramp_solve(plan.k, profs, plan.params)
+
+    def test_rungs_against_their_solves_alone(self, ladder):
+        _, plan, trajs = ladder
+        block = modes._BLOCK // plan.k.size
+        heads = np.cumsum([0] + [traj.t.size for traj in trajs])
+        held = [lo // block == (hi - 2) // block for lo, hi in zip(heads, heads[1:])]
+        # 1061 positions in blocks of 195 steps: only the mu = 5 rung, on
+        # positions 0 to 71, lies in one block
+        assert (block, heads[-1], held) == (195, 1061, [True, False, False, False])
+        for traj, one_block in zip(trajs, held):
+            alone = solve_modes(plan.k, SwitchingProfile(traj.mu), plan.params)
+            assert np.array_equal(traj.t, alone.t) and traj.passes == alone.passes == 1
+            if one_block:
+                assert np.array_equal(traj.y, alone.y)
+                assert (traj.worst_drift, traj.worst_drift_t) == (alone.worst_drift, alone.worst_drift_t)
+            else:
+                assert np.abs(traj.y - alone.y).max() <= self.NODES_REL * np.abs(alone.y).max()
+
+    def test_rung_pairings_against_the_per_call_reference(self, ladder):
+        config, plan, trajs = ladder
+        for traj in trajs:
+            reference = _pair_per_call(SwitchingProfile(traj.mu), plan.params, plan.f, plan.g,
+                                       config.quadrature)
+            assert abs(pair_finite_mu(traj, plan) - reference) <= self.PAIR_REL * abs(reference)
+
+    def test_criterion_6_reads_its_ladder(self, ladder, ramp_solves, monkeypatch):
+        # one ladder solve of the plan's kept nodes, one pairing per rung
+        config, plan, trajs = ladder
+        rungs = []
+        monkeypatch.setattr(verify, "pair_finite_mu",
+                            lambda traj, plan: rungs.append(traj) or pair_finite_mu(traj, plan))
+        assert verify.criterion_6(config).status == "pass"
+        assert ramp_solves.calls == [len(config.mu_ladder)] and rungs == list(ramp_solves)
+        assert [traj.mu for traj in rungs] == list(config.mu_ladder)
+        assert all(np.array_equal(traj.y, ref.y) for traj, ref in zip(rungs, trajs))
 
 
 def _count_reads(monkeypatch):
@@ -540,7 +662,7 @@ class TestEarlyScreen:
         """The pairing with the screen failed everywhere: an infinite reach."""
         with monkeypatch.context() as mp:
             mp.setattr(spectral, "_early_reach", lambda prof, t, w: math.inf)
-            return pair_finite_mu(prof, plan)
+            return _pair_at(prof, plan)
 
     @pytest.mark.parametrize("case", ["default", "across"])
     def test_screened_value_matches_a_forced_read(self, case, monkeypatch):
@@ -556,7 +678,7 @@ class TestEarlyScreen:
         for mu in ladder:
             prof = SwitchingProfile(mu)
             del reads[:]
-            screened = pair_finite_mu(prof, plan)
+            screened = _pair_at(prof, plan)
             skipped.append(reads == [])
             forced = self.forced_read(monkeypatch, prof, plan)
             assert reads[-1] == plan.early_f[0].size + plan.early_g[0].size
@@ -581,7 +703,7 @@ class TestEarlyScreen:
             measured = np.abs(spectral._early_correction(t, w, T, waves))
             bound = plan.early_factor * spectral._early_reach(prof, t, w)
             assert t.size > 0 and np.all(measured <= bound)
-            moved = max(moved, np.max(measured / np.abs(spectral._closed_projection(p, waves))))
+            moved = max(moved, np.max(measured / np.abs(_closed_form(p, waves))))
         # far above the solve's own error at the early nodes, 3e-12 of the
         # closed form at mu = 20 and 40
         assert moved > 1e-9
@@ -598,7 +720,7 @@ class TestEarlyScreen:
         plan = pairing_plan(PARAMS, *packets, QUAD)
         prof = SwitchingProfile(5.0)
         reads = _count_reads(monkeypatch)
-        value = pair_finite_mu(prof, plan)
+        value = _pair_at(prof, plan)
         assert reads == [plan.early_f[0].size + plan.early_g[0].size] and plan.early_g[0].size > 0
         assert value == self.forced_read(monkeypatch, prof, plan)
         reference = _pair_all_nodes(prof, PARAMS, plan.f, plan.g, QUAD)
@@ -642,11 +764,11 @@ class TestNonFiniteBound:
         k, _ = config.quadrature.radial_rule(f, g)
         prof = SwitchingProfile(40.0)
         plan = pairing_plan(verify.MODE_PARAMS, f, g, config.quadrature)
-        assert math.isfinite(abs(pair_finite_mu(prof, plan)))
+        assert math.isfinite(abs(_pair_at(prof, plan)))
         assert ramp_solves[-1].k_mag.max() < k.max()  # the top node is screened
         monkeypatch.setattr(spectral, "free_kms", _free_with_nan_at_top)
         with np.errstate(all="raise"):
-            value = pair_finite_mu(prof, pairing_plan(verify.MODE_PARAMS, f, g, config.quadrature))
+            value = _pair_at(prof, pairing_plan(verify.MODE_PARAMS, f, g, config.quadrature))
         assert math.isnan(value.real) and math.isnan(value.imag)
         assert ramp_solves[-1].k_mag.max() == k.max()
 

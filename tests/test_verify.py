@@ -5,9 +5,11 @@ its own run, and the registry of criteria that ``run_all`` runs."""
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,13 +184,13 @@ class TestRampSolveCounts:
         [(4, "suite"), (5, "ladder"), (6, "rungs"), (8, "suite"), (9, "one")],
     )
     def test_criterion(self, index, expected, ramp_solves):
-        # one batched solve per switching scale: the trajectory suite solves
-        # the mu ladder and the unit-scale switch as one ladder and the sharp
-        # switch alone, criterion 5 reads the ladder alone, and criterion 6
-        # solves its rungs one at a time
+        # one ladder solve per momentum batch: the trajectory suite solves
+        # the mu ladder, the unit-scale switch and the sharp switch as one
+        # ladder, whichever of criteria 4, 5 and 8 reads it, and criterion 6
+        # solves its rungs as another
         config = default_config()
         n_mu = len(config.mu_ladder)
-        want = {"suite": [n_mu + 1, 1], "ladder": [n_mu + 1], "rungs": [1] * n_mu, "one": [1]}
+        want = {"suite": [n_mu + 2], "ladder": [n_mu + 2], "rungs": [n_mu], "one": [1]}
         assert verify.CRITERIA[index](config).status == "pass"
         assert ramp_solves.calls == want[expected]
 
@@ -201,7 +203,8 @@ def solve_keys(monkeypatch, ramp_solves):
 
     def keyed(k_mags, profs, params, rtol=modes._RTOL, atol=modes._ATOL):
         ks = np.asarray(k_mags, dtype=float).tobytes()
-        keys.extend((ks, prof.mu, rtol, atol) for prof in profs)
+        rtols, atols = (np.broadcast_to(tol, len(profs)).tolist() for tol in (rtol, atol))
+        keys.extend((ks, prof.mu, r, a) for prof, r, a in zip(profs, rtols, atols))
         return recording(k_mags, profs, params, rtol, atol)
 
     monkeypatch.setattr(modes, "_ramp_solve", keyed)
@@ -231,10 +234,14 @@ class TestSolvePlan:
         results = list(verify.run_all(default_config()))
         assert all(r.status == "pass" for r in results)
         # the suite's six, criterion 6's four and criterion 9's one, in
-        # seven calls: the suite's ladder of five and its sharp switch
+        # three calls: the suite's ladder, criterion 6's and criterion 9's
         assert len(ramp_solves) == len(solve_keys) == 11
         assert len(set(solve_keys)) == 11
-        assert ramp_solves.calls == [5] + [1] * 6
+        assert ramp_solves.calls == [6, 4, 1]
+        # in the suite's ladder only the sharp switch solves at the tight
+        # tolerances, as criterion 9's map does
+        tight = tuple(verify._TIGHT_SOLVE.values())
+        assert [key[1] for key in solve_keys if key[2:] == tight] == [verify.SUDDEN_MU, 1.0]
 
     def test_each_run_solves_afresh(self, ramp_solves):
         list(verify.run_all(default_config()))
@@ -246,7 +253,7 @@ class TestSolvePlan:
     def test_criteria_alone_after_a_run(self, ramp_solves):
         config = default_config()
         list(verify.run_all(config))
-        for index, want in ((4, [5, 1]), (5, [5]), (8, [5, 1])):
+        for index, want in ((4, [6]), (5, [6]), (8, [6])):
             del ramp_solves[:], ramp_solves.calls[:]
             verify.CRITERIA[index](config)
             assert ramp_solves.calls == want
@@ -355,3 +362,28 @@ class TestSolvePlan:
         for traj, (i_sq, i_abs) in zip(trajs, values):
             ref_sq, ref_abs = switch_integrals(ks, SwitchingProfile(traj.mu), verify.MODE_PARAMS)
             assert np.array_equal(i_sq, ref_sq) and np.array_equal(i_abs, ref_abs)
+
+
+def test_benchmark_tracer_sees_one_span_per_rung(monkeypatch):
+    # the benchmark's tracer (benchmarks/tracing.py), installed in process
+    # around one run: criterion 6 pairs each rung of its ladder solve in one
+    # span labelled by the rung's mu, criterion 9's map makes the run's one
+    # solve_modes call, and no boundary the tracer cannot wrap lies beyond
+    # the names the CI benchmark smoke step knows
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "benchmarks"))
+    import tracing
+
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    known = set(re.findall(r'"(thermalquench\.[\w.]+)"', re.search(r"known = \{[^}]*\}", workflow)[0]))
+    assert len(known) == 4
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert all(r.status == "pass" for r in verify.run_all(default_config()))
+    finally:
+        tracer.restore()
+    pairings = [span.detail for span in tracer.spans if span.name == "spectral.pair_finite_mu"]
+    assert pairings == ["mu5", "mu10", "mu20", "mu40"]
+    assert sum(span.name == "modes.solve_modes" for span in tracer.spans) == 1
+    assert set(tracer.missing) <= known
