@@ -43,14 +43,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify
+from . import modes, verify
 from .config import ConfigError, RunConfig, default_config, load_config
 from .modes import (
     IntegratorError,
     SwitchingProfile,
     sudden_quench_pair,
     switch_integral_limit,
-    switch_integrals,
+    switch_integrals,  # benchmarks/tracing.py is its last reader
 )
 from .spectral import adiabatic, ness_classical, pair_report
 from .verify import TOLERANCES, ness_bogoliubov_map
@@ -144,13 +144,14 @@ def cmd_eulerian(args, config: RunConfig) -> int:
 
 
 def cmd_limits(args, config: RunConfig) -> int:
-    """Switching-integral ladder, one row per (k, mu), k-major: one batched
-    :func:`switch_integrals` call over every k per mu.  A failed Wronskian
+    """Switching-integral ladder, one row per (k, mu), k-major: one ramp
+    solve of the whole mu ladder over every k, and one read of every rung's
+    switching integrals, as criterion 5 reads its ladder.  A failed Wronskian
     gate raises ``IntegratorError``: exit 3, no CSV."""
     ks, mus = np.array(config.k_values), np.array(config.mu_ladder)
-    ladder = [switch_integrals(ks, SwitchingProfile(mu), config.params) for mu in mus]
+    trajs = modes._ramp_solve(ks, [SwitchingProfile(mu) for mu in mus], config.params)
     # (mu, k) arrays, read k-major
-    i_sq, i_abs = (np.array(x).T.ravel() for x in zip(*ladder))
+    i_sq, i_abs = (np.array(x).T.ravel() for x in zip(*modes._switch_integrals(*trajs)))
     target = np.repeat(switch_integral_limit(ks, config.params), mus.size)
     table = {"k": np.repeat(ks, mus.size), "mu": np.tile(mus, ks.size), "re_I_sq": i_sq.real,
              "im_I_sq": i_sq.imag, "I_abs": i_abs, "target": target,

@@ -255,14 +255,58 @@ class TestUnwritableOut:
 
 
 class TestBatchedRampSolves:
-    """limits and ness reach the ODE solver through one batched ramp solve
-    per switching scale, and a failed Wronskian gate exits 3 cleanly."""
+    """limits reaches the ODE solver through one ramp solve of its whole mu
+    ladder and reads it once, ness through one batched ramp solve, and a
+    failed Wronskian gate exits 3 cleanly."""
 
-    def test_limits_one_solve_per_mu(self, tmp_path, capsys, ramp_solves):
+    def test_limits_one_ladder_solve(self, tmp_path, capsys, ramp_solves):
         cfg = fast_config(tmp_path)
         assert run(["limits", "--config", str(cfg)]) == 0
-        assert len(ramp_solves) == 3  # the mu ladder of fast_config
+        assert ramp_solves.calls == [3]  # the mu ladder of fast_config, one call
+        assert [traj.mu for traj in ramp_solves] == [5.0, 10.0, 20.0]
         assert all(traj.eps.size == 2 for traj in ramp_solves)  # both k values in each
+
+    def test_limits_one_read(self, tmp_path, capsys, monkeypatch):
+        reads = []
+        between = modes._between_nodes
+
+        def reading(trajs, times):
+            reads.append([traj.mu for traj in trajs])
+            return between(trajs, times)
+
+        monkeypatch.setattr(modes, "_between_nodes", reading)
+        assert run(["limits"]) == 0
+        assert reads == [list(default_config().mu_ladder)]
+        del reads[:]
+        assert run(["limits", "--config", str(fast_config(tmp_path))]) == 0
+        assert reads == [[5.0, 10.0, 20.0]]
+
+    # measured: 2.5e-15 on the fourteen momenta, where blocks of 585
+    # positions span the mu = 5 and 640 rungs; one block holds the other
+    # ladders, whose rows keep the bits of the solves per mu
+    @pytest.mark.parametrize("ladders, bound", [
+        (None, 0.0),
+        ({"mu": [5.0, 10.0, 20.0], "k": [0.0, 1.0]}, 0.0),
+        ({"k": [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8],
+          "mu": [5.0, 640.0]}, 1e-13),
+    ], ids=["default", "fast", "mu640-k14"])
+    def test_limits_rows_match_solves_per_mu(self, tmp_path, capsys, ladders, bound):
+        # each row against a switch_integrals call of its mu alone
+        argv, config = ["limits"], default_config()
+        if ladders:
+            cfg = fast_config(tmp_path, ladders=ladders)
+            argv, config = ["limits", "--config", str(cfg)], cli.load_config(cfg)
+        assert run(argv) == 0
+        header, rows = _parse_stdout_csv(capsys)
+        ks = np.array(config.k_values)
+        ref = [modes.switch_integrals(ks, modes.SwitchingProfile(mu), config.params)
+               for mu in config.mu_ladder]
+        i_sq, i_abs = (np.array(x).T.ravel() for x in zip(*ref))  # k-major, as the rows
+        want = {"re_I_sq": i_sq.real, "im_I_sq": i_sq.imag, "I_abs": i_abs}
+        assert len(rows) == ks.size * len(config.mu_ladder)
+        for name, col in want.items():
+            got = np.array([float(row[header.index(name)]) for row in rows])
+            assert np.abs(got - col).max() <= bound, name
 
     def test_ness_one_solve(self, tmp_path, capsys, ramp_solves):
         cfg = fast_config(tmp_path)

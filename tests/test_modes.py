@@ -1119,6 +1119,18 @@ class TestLadderSolve:
         assert (traj.passes, traj.worst_drift, traj.worst_drift_t) == (
             alone.passes, alone.worst_drift, alone.worst_drift_t)
 
+    def test_each_rung_lays_the_linspace_grid(self):
+        # the grid is np.linspace's arithmetic written out: the same bits,
+        # the sign of every zero included, on rungs of 27 to 3134 steps
+        config = default_config()
+        mus = [*config.mu_ladder, 640.0, 1.0, verify.SUDDEN_MU, 0.37, 7.0710678118654755, 123.456]
+        ladder = modes._ramp_solve(np.array(config.k_values), [SwitchingProfile(mu) for mu in mus],
+                                   config.params)
+        assert [traj.n_steps for traj in ladder] == [27, 49, 98, 196, 3134, 27, 27, 27, 35, 605]
+        for traj, mu in zip(ladder, mus):
+            ref = np.linspace(-mu, 0.0, traj.n_steps + 1)
+            assert np.array_equal(traj.t, ref) and np.array_equal(np.signbit(traj.t), np.signbit(ref))
+
     def test_suite_ladder_is_bit_equal_to_one_solve_per_rung(self):
         config = default_config()
         ks = np.array(config.k_values)
@@ -1325,9 +1337,11 @@ class TestEinsumKernel:
 
         def poisoned(t, h, *args):
             maps = original(t, h, *args)
-            # a read between nodes steps by sizes that differ, a solve of one
-            # rung by one size
-            if (np.ptp(h) > 0) == (where == "read"):
+            # a solve steps by one size in a block inside one rung, and by one
+            # per start with h = 0 into each head in a block that spans
+            # rungs; a read between nodes steps by one per start, never 0
+            solve = np.ndim(h) == 0 or not np.all(h)
+            if solve != (where == "read"):
                 maps[where == "error-norm"][0, 1, t.size // 2, 0] = bad
             return maps
 

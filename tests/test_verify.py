@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermalquench import modes, verify
+from thermalquench import cli, modes, verify
 from thermalquench.config import default_config
 from thermalquench.modes import SwitchingProfile, bogoliubov, solve_modes, switch_integrals
 from thermalquench.spectral import QuadratureSpec
@@ -364,12 +364,10 @@ class TestSolvePlan:
             assert np.array_equal(i_sq, ref_sq) and np.array_equal(i_abs, ref_abs)
 
 
-def test_benchmark_tracer_sees_one_span_per_rung(monkeypatch):
-    # the benchmark's tracer (benchmarks/tracing.py), installed in process
-    # around one run: criterion 6 pairs each rung of its ladder solve in one
-    # span labelled by the rung's mu, criterion 9's map makes the run's one
-    # solve_modes call, and no boundary the tracer cannot wrap lies beyond
-    # the names the CI benchmark smoke step knows
+def _traced(monkeypatch, run):
+    """The benchmark's tracer (benchmarks/tracing.py), installed in process
+    around ``run()``, and the names the CI benchmark smoke step knows the
+    tracer cannot wrap."""
     root = Path(__file__).resolve().parent.parent
     monkeypatch.syspath_prepend(str(root / "benchmarks"))
     import tracing
@@ -380,10 +378,35 @@ def test_benchmark_tracer_sees_one_span_per_rung(monkeypatch):
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
-        assert all(r.status == "pass" for r in verify.run_all(default_config()))
+        run()
     finally:
         tracer.restore()
+    return tracer, known
+
+
+def test_benchmark_tracer_sees_one_span_per_rung(monkeypatch):
+    # one traced run: criterion 6 pairs each rung of its ladder solve in one
+    # span labelled by the rung's mu, criterion 9's map makes the run's one
+    # solve_modes call, and no boundary the tracer cannot wrap lies beyond
+    # the names the CI benchmark smoke step knows
+    def run():
+        assert all(r.status == "pass" for r in verify.run_all(default_config()))
+
+    tracer, known = _traced(monkeypatch, run)
     pairings = [span.detail for span in tracer.spans if span.name == "spectral.pair_finite_mu"]
     assert pairings == ["mu5", "mu10", "mu20", "mu40"]
     assert sum(span.name == "modes.solve_modes" for span in tracer.spans) == 1
+    assert set(tracer.missing) <= known
+
+
+def test_benchmark_tracer_sees_one_limits_span(monkeypatch, capsys):
+    # one traced limits run: one cli.cmd_limits span, its ladder solve and
+    # read beneath no wrapped boundary, and the cli's switch_integrals still
+    # bound for the tracer to wrap
+    def run():
+        assert cli.main(["limits"]) == 0
+
+    tracer, known = _traced(monkeypatch, run)
+    assert [span.name for span in tracer.spans] == ["cli.cmd_limits"]
+    assert "thermalquench.cli.switch_integrals" not in tracer.missing
     assert set(tracer.missing) <= known
