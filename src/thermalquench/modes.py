@@ -21,15 +21,14 @@ and it computes a rule on first use, never at import.  The module needs
 numpy alone.
 
 One routine does every ramp solve, for a ladder of switching scales mu
-that share one momentum batch, each rung at its own tolerances or all at
-one (a single profile is the ladder of one).  The mode equation is
-linear, so one DOP853 step of (T, Tdot) is a real 2x2 matrix that does
-not depend on the state: the routine builds the maps of every step of
-each rung's uniform grid on [-mu, 0], for every momentum at once, with
-the rungs laid end to end in one array of nodes, and carries each rung's
-plane-wave data at -mu through them by one log-depth prefix scan of each
-block's node planes, segmented at the rungs' first nodes (see
-``_carry``).  The stages run in
+that share one momentum batch and one rtol and atol (a single profile is
+the ladder of one).  The mode equation is linear, so one DOP853 step of
+(T, Tdot) is a real 2x2 matrix that does not depend on the state: the
+routine builds the maps of every step of each rung's uniform grid on
+[-mu, 0], for every momentum at once, with the rungs laid end to end in
+one array of nodes, and carries each rung's plane-wave data at -mu
+through them by one log-depth prefix scan of each block's node planes,
+segmented at the rungs' first nodes (see ``_carry``).  The stages run in
 the Nystrom form of DOP853: the top row of each stage's 2x2 map is the
 bottom row of the one before it, so only the bottom rows are formed, and
 one product of them gives the step map and both error maps (the
@@ -61,7 +60,7 @@ the nodes it starts from, a plane or two each.
 Maps and grid nodes are laid out entries first, (row, column, step,
 momentum) and (component, real or imaginary part, node, momentum), so
 that the step-error norm works on contiguous (step, momentum) planes.
-Each rung's first grid is seeded from its rtol by the h**8 error law,
+Each rung's first grid is seeded from the rtol by the h**8 error law,
 rtol**(-1/8) * max(0.19 * mu * (largest frequency), 1.5) steps, with both
 constants fitted once on measured solves.
 DOP853's embedded error estimate, taken per step and per momentum as
@@ -459,21 +458,19 @@ def _error_norm(err5, err3, y, h, rtol, atol, arena: _Arena):
     ``err5`` and ``err3`` are the error maps of N steps, (2, 2, N, n), of
     the step sizes ``h``, a scalar or one per step, and ``y`` the (T, Tdot)
     of each momentum at the N + 1 nodes, entries first:
-    (component, real or imaginary part, node, momentum).  The tolerances
-    ``rtol`` and ``atol`` are scalars or columns, one row per step, (N, 1).
-    Each error map is applied to its step's start data, scaled
-    componentwise by atol + rtol * max(|y|) over the step's two ends, and
-    combined over the two components of one momentum as scipy combines a
-    two-component state, all on (N, n) planes: each map is applied by one
-    einsum pass (see
-    ``_product``), and |y|**2 and sum over the parts of (err @ y)**2 are
-    einsum sums over the part axis, the rest elementwise arithmetic.  A
-    non-finite error or node, or one whose square overflows, gives a NaN
-    or infinite norm for its step and momentum, which the solve refuses,
-    never a floating-point error: einsum ignores ``np.errstate``, and the
-    arithmetic after it runs under ``np.errstate(all="ignore")``.  Only an
-    exact zero error reads 0.  The norm is a view into ``arena``, whose
-    ``used`` is left past it.
+    (component, real or imaginary part, node, momentum).  Each error map
+    is applied to its step's start data, scaled componentwise by atol +
+    rtol * max(|y|) over the step's two ends, with ``rtol`` and ``atol``
+    numbers, and combined over the two components of one momentum as scipy
+    combines a two-component state, all on (N, n) planes: each map is
+    applied by one einsum pass (see ``_product``), and |y|**2 and sum over
+    the parts of (err @ y)**2 are einsum sums over the part axis, the rest
+    elementwise arithmetic.  A non-finite error or node, or one whose
+    square overflows, gives a NaN or infinite norm for its step and
+    momentum, which the solve refuses, never a floating-point error: einsum
+    ignores ``np.errstate``, and the arithmetic after it runs under
+    ``np.errstate(all="ignore")``.  Only an exact zero error reads 0.  The
+    norm is a view into ``arena``, whose ``used`` is left past it.
     """
     n_steps, n = err5.shape[2:]
     norms = arena.take((2, n_steps, n))
@@ -566,33 +563,31 @@ def _carry(step, y, heads, arena: _Arena):
 def _ramp_solve(k_mags, profs, params: ThermalParams, rtol=_RTOL, atol=_ATOL):
     """One ramp solve of the mode equation for every momentum in ``k_mags``
     and every switching profile in ``profs``, a ladder of rungs: returns one
-    :class:`ModeTrajectory` per rung, in the order of ``profs``.  ``rtol``
-    and ``atol`` are each a number, shared by every rung, or a list of one
-    value per rung.
+    :class:`ModeTrajectory` per rung, in the order of ``profs``.  Every
+    rung meets the one ``rtol`` and ``atol``.
 
     Each rung lays its own uniform grid on [-mu, 0], seeded at its final
     size from the h**8 error law, rtol**(-1/8) * max(_SEED_WAVE * mu *
-    (largest frequency), _SEED_SWITCH) steps at its own rtol: the
-    oscillation term was fitted on solves with mu * (largest frequency) > 8
-    and the switch term on the smaller ones, and on the measured solves this
-    grid meets the tolerance in one pass.  The rungs' grids are laid end to
+    (largest frequency), _SEED_SWITCH) steps: the oscillation term was
+    fitted on solves with mu * (largest frequency) > 8 and the switch term
+    on the smaller ones, and on the measured solves this grid meets the
+    tolerance in one pass.  The rungs' grids are laid end to
     end as segments of one array of node positions, each led by its head,
     the plane-wave data at its -mu, and every position is carried through
     the DOP853 step maps of every momentum by a prefix scan of each block's
     nodes (see ``_carry``).  The maps are built for a block of ``_BLOCK //
     n`` positions at a time (at least one) for n momenta, so memory stays
-    bounded; a block may span rungs, each start carrying its own mu, h and
-    tolerances, and the step into a head has h = 0, so its error norm reads
-    0.  A rung that one block holds gets the nodes of a solve of it alone
-    at its tolerances, to the bit.  As a fallback, while a rung's worst step
-    error (scipy's norm at its tolerances, per momentum) is not below 1, its
-    step count N grows as scipy grows a step after a rejection, to ceil(N *
-    err**(1/8) / 0.9), and the whole ladder is laid again, every rung that
-    met its tolerance on its step count as before, for at most
-    ``_MAX_PASSES`` passes of at most ``_MAX_GRID`` step maps per rung.
-    Every momentum's Wronskian is then gated at every node of the last
-    pass, and each rung's trajectory is a view into that pass's node
-    planes; its ``passes`` is the ladder's.
+    bounded; a block may span rungs, each start carrying its own mu and h,
+    and the step into a head has h = 0, so its error norm reads 0.  A rung
+    that one block holds gets the nodes of a solve of it alone, to the
+    bit.  As a fallback, while a rung's worst step error (scipy's norm at
+    the tolerances, per momentum) is not below 1, its step count N grows as
+    scipy grows a step after a rejection, to ceil(N * err**(1/8) / 0.9),
+    and the whole ladder is laid again, every rung that met the tolerance
+    on its step count as before, for at most ``_MAX_PASSES`` passes of at
+    most ``_MAX_GRID`` step maps per rung.  Every momentum's Wronskian is
+    then gated at every node of the last pass, and each rung's trajectory
+    is a view into that pass's node planes; its ``passes`` is the ladder's.
     """
     ks = np.atleast_1d(np.asarray(k_mags, dtype=float))
     disp = dispersion(ks, params)
@@ -603,10 +598,8 @@ def _ramp_solve(k_mags, profs, params: ThermalParams, rtol=_RTOL, atol=_ATOL):
     arena = _block_arena()
     w_max = max(eps.max(), eps_lam.max())
     mus = [prof.mu for prof in profs]
-    rtols = rtol if isinstance(rtol, list) else [rtol] * len(mus)
-    atols = atol if isinstance(atol, list) else [atol] * len(mus)
     # the step count of each rung's next grid
-    sizes = [rt**-0.125 * max(_SEED_WAVE * mu * w_max, _SEED_SWITCH) for mu, rt in zip(mus, rtols)]
+    sizes = [rtol**-0.125 * max(_SEED_WAVE * mu * w_max, _SEED_SWITCH) for mu in mus]
     # each rung's head, the plane-wave data at its -mu, (component, part, rung, momentum)
     data = np.array([[w.real.T, w.imag.T] for w in _plane_waves(_incoming_waves(eps), -np.array(mus))])
     for passes in range(1, _MAX_PASSES + 1):
@@ -638,34 +631,33 @@ def _ramp_solve(k_mags, profs, params: ThermalParams, rtol=_RTOL, atol=_ATOL):
             first = bisect.bisect_right(heads, lo) - 1
             inner = [q - lo for q in heads[first + 1 : -1] if q <= hi]
             cuts = [0, *(q - 1 for q in inner), hi - lo]
-            # a block inside one rung steps by its h, mu and tolerances
-            # alone, one that spans rungs by one per step, h = 0 into a head
-            h, mu, rt, at = steps[first], mus[first], rtols[first], atols[first]
+            # a block inside one rung steps by its h and mu alone, one that
+            # spans rungs by one per step, h = 0 into a head
+            h, mu = steps[first], mus[first]
             if inner:
                 held = slice(first, first + len(cuts) - 1)
-                h, mu, rt, at = (np.repeat(v[held], np.diff(cuts)) for v in (steps, mus, rtols, atols))
+                h, mu = (np.repeat(v[held], np.diff(cuts)) for v in (steps, mus))
                 h[cuts[1:-1]] = 0.0
-                rt, at = rt[:, None], at[:, None]
             step, err5, err3 = _step_maps(t[lo:hi], h, samples, shift, mu, arena)
             _carry(step, y[:, :, lo : hi + 1], inner, arena)
-            norm = _error_norm(err5, err3, y[:, :, lo : hi + 1], h, rt, at, arena)
+            norm = _error_norm(err5, err3, y[:, :, lo : hi + 1], h, rtol, atol, arena)
             for r, a, b in zip(itertools.count(first), cuts, cuts[1:]):
                 worst[r] = norm[a:b].max(initial=worst[r])
         if all(err < 1.0 for err in worst):  # a NaN is not below 1
             break
-        # a rung short of its tolerance grows; the others keep their sizes
+        # a rung short of the tolerance grows; the others keep their sizes
         for r, (mu, n_steps, err) in enumerate(zip(mus, counts, worst)):
             if not err < 1.0:
                 if not math.isfinite(err) or passes == _MAX_PASSES:
                     raise IntegratorError(
                         f"ramp solve for k in [{ks.min()}, {ks.max()}], mu={mu} did not meet "
-                        f"rtol={rtols[r]}, atol={atols[r]}: worst step error {err:.3e} on a grid "
+                        f"rtol={rtol}, atol={atol}: worst step error {err:.3e} on a grid "
                         f"of {n_steps} steps after {passes} passes"
                     )
                 sizes[r] = n_steps * err**0.125 / 0.9
     segments = [
-        (lo, hi, mu, f"grid of {n_steps} steps after {passes} passes, rtol={rt}, atol={at}")
-        for mu, n_steps, lo, hi, rt, at in zip(mus, counts, heads, heads[1:], rtols, atols)
+        (lo, hi, mu, f"grid of {n_steps} steps after {passes} passes, rtol={rtol}, atol={atol}")
+        for mu, n_steps, lo, hi in zip(mus, counts, heads, heads[1:])
     ]
     return [
         ModeTrajectory(

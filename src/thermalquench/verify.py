@@ -27,11 +27,12 @@ criterion, and a criterion called alone makes its own, so two runs in one
 process, in turn or at once on two threads, never read each other's solves.
 Under :func:`run_all` the suite is solved once: the run solves 11 rungs in
 3 ramp-solve calls on the default config, the suite's six in one ladder
-solve (the mu ladder and the unit-scale switch at the default tolerances,
-the sharp switch at its tight ones), criterion 6's four in another and
-criterion 9's one.  Criterion 6's ladder solve batches only the radial
-nodes that the screen of its one :func:`~thermalquench.spectral.pairing_plan`
-keeps: 42 of the 64 on the default config, on grids of 71 to 563 steps.
+solve at the default tolerances (the mu ladder, the unit-scale switch and
+the sharp switch), criterion 6's four in another and criterion 9's one,
+the run's one solve at tight tolerances.  Criterion 6's ladder solve
+batches only the radial nodes that the screen of its one
+:func:`~thermalquench.spectral.pairing_plan` keeps: 42 of the 64 on the
+default config, on grids of 71 to 563 steps.
 Criterion 4 pays for the suite, so the ``runtime_s`` of criteria 5 and 8
 covers only their reads; criterion 5 reads the mu ladder's switching
 integrals in one pass.  A criterion run alone, as ``pytest
@@ -76,7 +77,7 @@ from .thermal import ThermalParams, bose_coefficient, bose_derivative, dispersio
 # Mode-physics bench shared by the ramp criteria: unit masses, strong shift.
 MODE_PARAMS = ThermalParams(beta=1.0, m_sq=1.0, m0_sq=1.0, lam=0.5)
 SUDDEN_MU = 1e-3
-# solver tolerances of the suite's sharp-switch rung and the steady-state map
+# solver tolerances of the steady-state map (see ``ness_bogoliubov_map``)
 _TIGHT_SOLVE = {"rtol": 1e-12, "atol": 1e-14}
 
 TOLERANCES = {
@@ -240,9 +241,9 @@ def criterion_3(config: RunConfig, memo: dict):
 
 
 def _suite_trajectories(config: RunConfig, memo: dict):
-    """The trajectory suite over ``config.k_values``, one ladder solve: the
-    mu ladder and the unit-scale switch at the default tolerances and, last,
-    the sharp switch at ``_TIGHT_SOLVE``.  Its readers, in run order:
+    """The trajectory suite over ``config.k_values``, one ladder solve at
+    the default tolerances: the mu ladder, the unit-scale switch and, last,
+    the sharp switch at ``SUDDEN_MU``.  Its readers, in run order:
     criterion 4 (every solve's Wronskian drift and its closed form past
     t = 0), criterion 5 (the switching integrals of the mu ladder's solves)
     and criterion 8 (every solve's Bogoliubov pairs).  The suite is kept in
@@ -251,13 +252,8 @@ def _suite_trajectories(config: RunConfig, memo: dict):
     The memo belongs to one call of :func:`run_all`, which hands it to every
     criterion, or to one criterion called alone, and dies with it."""
     if "suite" not in memo:
-        n = len(config.mu_ladder) + 1
         profs = [SwitchingProfile(mu) for mu in (*config.mu_ladder, 1.0, SUDDEN_MU)]
-        memo["suite"] = modes._ramp_solve(
-            np.array(config.k_values), profs, MODE_PARAMS,
-            rtol=[modes._RTOL] * n + [_TIGHT_SOLVE["rtol"]],
-            atol=[modes._ATOL] * n + [_TIGHT_SOLVE["atol"]],
-        )
+        memo["suite"] = modes._ramp_solve(np.array(config.k_values), profs, MODE_PARAMS)
     return memo["suite"]
 
 

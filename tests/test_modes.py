@@ -1189,51 +1189,36 @@ class TestLadderSolve:
             assert (traj.worst_drift, traj.worst_drift_t) == (
                 alone.worst_drift, alone.worst_drift_t)
 
-    def test_mixed_tolerances_keep_each_rungs_solve(self):
-        # the trajectory suite: the mu ladder and the unit-scale switch at
-        # the default tolerances and the sharp switch at tight ones, 483
-        # positions of two momenta, so one block spans all six rungs, each
-        # start with its own rtol and atol.  Each rung keeps the grid,
-        # passes and node planes of its solve alone at its own tolerances
+    def test_suite_keeps_each_rungs_solve(self):
+        # the trajectory suite: the mu ladder, the unit-scale switch and the
+        # sharp switch at the default tolerances, 462 positions of two
+        # momenta, so one block spans all six rungs.  Each rung keeps the
+        # grid, passes and node planes of its solve alone
         config = default_config()
         ks = np.array(config.k_values)
         suite = verify._suite_trajectories(config, {})
         assert [traj.mu for traj in suite] == [*config.mu_ladder, 1.0, verify.SUDDEN_MU]
-        assert sum(traj.t.size for traj in suite) == 483 <= modes._BLOCK // ks.size
+        assert sum(traj.t.size for traj in suite) == 462 <= modes._BLOCK // ks.size
         for traj in suite:
-            tols = verify._TIGHT_SOLVE if traj.mu == verify.SUDDEN_MU else {}
-            self.assert_same_solve(traj, solve_modes(ks, SwitchingProfile(traj.mu), verify.MODE_PARAMS,
-                                                     **tols))
-        # at the default tolerances the sharp switch would lay 27 steps
-        assert suite[-1].n_steps == 48 and suite[-2].n_steps == 27
+            self.assert_same_solve(traj, solve_modes(ks, SwitchingProfile(traj.mu), verify.MODE_PARAMS))
+        # the switch itself sets both short grids
+        assert suite[-1].n_steps == suite[-2].n_steps == 27
 
-    def test_per_rung_tolerances_reach_the_error_norm(self):
-        # a block whose steps carry two tolerances, as columns, reads each
-        # step's norm at its own: the bits of the block read at each alone
-        traj = solve_modes(np.linspace(0.1, 3.0, 8), SwitchingProfile(5.0), PARAMS)
-        m = traj.n_steps
-        h = traj.mu / m
-        _, err5, err3 = modes._step_maps(traj.t[:-1], h, modes._samples(traj.eps),
-                                         traj.params.mass_shift, traj.mu, modes._Arena())
-        cut = m // 3
-        rtol, atol = (np.repeat(pair, [cut, m - cut])[:, None] for pair in ((1e-10, 1e-6), (1e-12, 1e-9)))
-        mixed = modes._error_norm(err5, err3, traj.y, h, rtol, atol, modes._Arena()).copy()
-        alone = [modes._error_norm(err5, err3, traj.y, h, *tols, modes._Arena()).copy()
-                 for tols in ((1e-10, 1e-12), (1e-6, 1e-9))]
-        assert np.array_equal(mixed[:cut], alone[0][:cut]) and np.array_equal(mixed[cut:], alone[1][cut:])
-        # the looser tolerances read norms some four decades smaller
-        assert np.all(mixed[cut:] < 1e-3 * alone[0][cut:])
-
-    def test_each_rung_names_its_tolerances(self, monkeypatch):
-        # the gate's message names the tolerances of the rung that fails it
+    def test_messages_name_the_calls_tolerances(self, monkeypatch):
+        # the gate's message and the regrow's name the one rtol and atol of
+        # the call, after the mu of the rung that fails
         ks = np.array([0.0, 1.0])
         profs = [SwitchingProfile(verify.SUDDEN_MU), SwitchingProfile(5.0)]
-        tols = {"rtol": [1e-12, 1e-10], "atol": [1e-14, 1e-12]}
-        monkeypatch.setattr(modes, "_WRONSKIAN_TOL", 1e-30)
-        with pytest.raises(IntegratorError, match=r"mu=0\.001 .*rtol=1e-12, atol=1e-14\)$"):
-            modes._ramp_solve(ks, profs, PARAMS, **tols)
-        with pytest.raises(IntegratorError, match=r"mu=5\.0 .*rtol=1e-10, atol=1e-12\)$"):
-            modes._ramp_solve(ks, profs[::-1], PARAMS, **{key: tol[::-1] for key, tol in tols.items()})
+        with monkeypatch.context() as patched:
+            patched.setattr(modes, "_WRONSKIAN_TOL", 1e-30)
+            with pytest.raises(IntegratorError, match=r"mu=0\.001 .*rtol=1e-12, atol=1e-14\)$"):
+                modes._ramp_solve(ks, profs, PARAMS, 1e-12, 1e-14)
+        # at lam = 8 the mu = 1 rung fails its seeded grid, and one pass
+        # leaves it no regrow
+        monkeypatch.setattr(modes, "_MAX_PASSES", 1)
+        profs = [SwitchingProfile(5.0), SwitchingProfile(1.0)]
+        with pytest.raises(IntegratorError, match=r"mu=1\.0 did not meet rtol=1e-09, atol=1e-11: "):
+            modes._ramp_solve(ks, profs, dataclasses.replace(PARAMS, lam=8.0), 1e-9, 1e-11)
 
     def test_batched_switch_integrals_match_one_read_each(self):
         # the suite's mu ladder in one read, and 64 momenta on three solves,

@@ -15,8 +15,14 @@ import numpy as np
 import pytest
 
 from thermalquench import cli, modes, verify
-from thermalquench.config import default_config
-from thermalquench.modes import SwitchingProfile, bogoliubov, solve_modes, switch_integrals
+from thermalquench.config import config_from_dict, default_config
+from thermalquench.modes import (
+    SwitchingProfile,
+    bogoliubov,
+    solve_modes,
+    sudden_quench_pair,
+    switch_integrals,
+)
 from thermalquench.spectral import QuadratureSpec
 from thermalquench.spectral import TestPacket as Packet
 from thermalquench.thermal import (
@@ -167,6 +173,39 @@ class TestNormalizationIsTheWronskianDrift:
         assert np.max(np.abs(bogoliubov(traj).normalization_residual - drift)) <= self.BOUND
 
 
+class TestSharpRung:
+    """The suite solves its sharp switch at the default tolerances, in the
+    ladder of its other rungs: 27 steps in one pass, where a tight solve,
+    rtol = 1e-12 and atol = 1e-14, lays 48.  The tight solve stays the
+    reference: the pairs agree to 1e-15 (measured 4.6e-16 on two momenta
+    and 6.7e-16 on fourteen), the drift is no larger, and criterion 8's
+    sudden gap moves by at most 1e-15 (measured 1.2e-16)."""
+
+    K14 = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8]
+    CONFIGS = {"default": {}, "mu640k14": {"ladders": {"k": K14, "mu": [5.0, 640.0]}}}
+
+    @staticmethod
+    def sudden_gap(pair, oracle):
+        return max(np.max(np.abs(pair.a_plus - oracle.a_plus)), np.max(np.abs(pair.a_minus - oracle.a_minus)))
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_matches_the_tight_solve(self, name):
+        config = config_from_dict(self.CONFIGS[name])
+        ks = np.array(config.k_values)
+        sharp = verify._suite_trajectories(config, {})[-1]
+        sharp_switch = SwitchingProfile(verify.SUDDEN_MU)
+        tight = solve_modes(ks, sharp_switch, verify.MODE_PARAMS, rtol=1e-12, atol=1e-14)
+        assert sharp.mu == verify.SUDDEN_MU and (sharp.n_steps, sharp.passes) == (27, 1)
+        pair, ref = bogoliubov(sharp), bogoliubov(tight)
+        assert np.max(np.abs(pair.a_plus - ref.a_plus)) <= 1e-15
+        assert np.max(np.abs(pair.a_minus - ref.a_minus)) <= 1e-15
+        assert sharp.worst_drift <= tight.worst_drift
+        oracle = sudden_quench_pair(ks, verify.MODE_PARAMS)
+        gap = verify.criterion_8(config).measured["worst_sudden_gap"]
+        assert gap == self.sudden_gap(pair, oracle)
+        assert abs(gap - self.sudden_gap(ref, oracle)) <= 1e-15
+
+
 def test_a_nan_past_the_switch_fails_criterion_4(monkeypatch):
     # the closed form past t = 0 passes no solver gate: a NaN there must
     # reach criterion 4's maxima, not drop out of them
@@ -203,8 +242,7 @@ def solve_keys(monkeypatch, ramp_solves):
 
     def keyed(k_mags, profs, params, rtol=modes._RTOL, atol=modes._ATOL):
         ks = np.asarray(k_mags, dtype=float).tobytes()
-        rtols, atols = (np.broadcast_to(tol, len(profs)).tolist() for tol in (rtol, atol))
-        keys.extend((ks, prof.mu, r, a) for prof, r, a in zip(profs, rtols, atols))
+        keys.extend((ks, prof.mu, rtol, atol) for prof in profs)
         return recording(k_mags, profs, params, rtol, atol)
 
     monkeypatch.setattr(modes, "_ramp_solve", keyed)
@@ -238,10 +276,10 @@ class TestSolvePlan:
         assert len(ramp_solves) == len(solve_keys) == 11
         assert len(set(solve_keys)) == 11
         assert ramp_solves.calls == [6, 4, 1]
-        # in the suite's ladder only the sharp switch solves at the tight
-        # tolerances, as criterion 9's map does
+        # only criterion 9's map solves at the tight tolerances
         tight = tuple(verify._TIGHT_SOLVE.values())
-        assert [key[1] for key in solve_keys if key[2:] == tight] == [verify.SUDDEN_MU, 1.0]
+        assert [key[1] for key in solve_keys if key[2:] == tight] == [1.0]
+        assert all(key[2:] in (tight, (modes._RTOL, modes._ATOL)) for key in solve_keys)
 
     def test_each_run_solves_afresh(self, ramp_solves):
         list(verify.run_all(default_config()))
