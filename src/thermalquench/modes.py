@@ -446,8 +446,10 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
     rows[0, 1] += h_plane
     rows[1, 1] += 1.0
     if mix is not None:
-        # the twelve planes, (start, sample) each, times the Lagrange weights
-        np.matmul(rows.reshape(12, m, p), mix.T, out=maps.reshape(12, m, -1))
+        # the twelve planes, (start, sample) each, times the Lagrange weights,
+        # as one 2-D product: a batched one takes another BLAS path at m = 1,
+        # so a one-start block would not match the same start in a larger one
+        np.matmul(rows.reshape(12 * m, p), mix.T, out=maps.reshape(12 * m, -1))
     arena.used = mark
     return maps[0], maps[1], maps[2]
 

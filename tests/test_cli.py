@@ -657,7 +657,7 @@ class TestVerifyAll:
     def test_reported_bounds_are_the_pinned_table(self):
         tol = verify.TOLERANCES
         expected = {
-            2: {"tol": tol["derivative_tower_rel"]},
+            2: {"tol": tol["derivative_tower_rel"], "tol_to_8": tol["derivative_tower_to_8_rel"]},
             3: {"tol": tol["temperature_shift_abs"]},
             4: {"tol": tol["wronskian_abs"]},
             5: {"tol": tol["switch_final_abs"]},

@@ -543,8 +543,9 @@ class TestNystromStepMaps:
         # bits whether h is a float, a contiguous array or a strided view.
         # numpy's integer pow is not: on 1000 x 7 planes it rounds h**2 as
         # h * h, on a 0-d h otherwise for about 5% of h.  A float's maps
-        # are made on two starts, the fewest whose products take the BLAS
-        # path of the whole block's
+        # are made on one start: the Lagrange-weight product is one 2-D
+        # product at any block size, where a batched one took another BLAS
+        # path for a one-start block on the 42-momentum batch
         ks = np.linspace(0.1, 3.0, n)
         samples = modes._samples(dispersion(ks, PARAMS).eps)
         assert (samples[1] is None) == (n == 2)
@@ -561,8 +562,7 @@ class TestNystromStepMaps:
         arena = modes._Arena()
         for j in range(h.size):
             arena.used = 0
-            maps = modes._step_maps(np.full(2, t[j]), float(h[j]), samples, PARAMS.mass_shift,
-                                    5.0, arena)
+            maps = modes._step_maps(t[j : j + 1], float(h[j]), samples, PARAMS.mass_shift, 5.0, arena)
             assert np.array_equal(np.stack(maps)[..., 0, :], contiguous[..., j, :])
 
     def test_partial_steps(self, criterion_6_mu40):

@@ -12,7 +12,8 @@ bug's.  The rows start with the plane waves outside the ramp, which
 :mod:`thermalquench.modes` writes in one place, the DOP853 weights and
 the powers of h of the ramp kernel's step maps and the carry of a
 ladder's rungs; then come the
-thermal coefficients of the pairing plan, the frequency of the Bogoliubov
+derivative tower of the thermal coefficient, the shifted inverse
+temperature, the thermal coefficients of the pairing plan, the frequency of the Bogoliubov
 extraction, the Eulerian recursion and the two directions of the
 moment-cumulant recursion.
 """
@@ -33,6 +34,7 @@ PAIRING_PLAN = verify.pairing_plan
 EULERIAN = combinatorics._eulerian_coefficients
 CARRY = modes._carry
 STEP_MAPS = modes._step_maps
+BOSE_DERIVATIVE = verify.bose_derivative
 
 
 def swapped_outgoing(bog, eps_lambda):
@@ -80,6 +82,19 @@ def carry_across_rungs(step, y, heads, arena):
     identity map of the step into its head, not from its own plane wave.
     Each mode keeps its Wronskian."""
     return CARRY(step, y, [], arena)
+
+
+def nudged_tower(n, sign, beta, eps):
+    """The derivative tower with every order n >= 3 times (1 + 1e-11): an
+    error well below what a finite-difference check can see."""
+    value = BOSE_DERIVATIVE(n, sign, beta, eps)
+    return value * (1.0 + 1e-11) if n >= 3 else value
+
+
+def first_order_shifted_beta(params, disp):
+    """beta' to first order in the mass shift, beta * (1 + lam*m0_sq / (2
+    eps**2)), in place of the exact beta * eps_lambda / eps."""
+    return params.beta * (1.0 + params.mass_shift / (2.0 * disp.eps**2))
 
 
 def swapped_plan(*args):
@@ -177,6 +192,15 @@ ROWS = [
     # against its 1e-2
     pytest.param(modes, "_carry", carry_across_rungs, 6, None,
                  id="ladder-carry-crosses-rungs-in-criterion-6"),
+    # criterion 2's orders 1-8 read worst_rel_to_8 1.0e-11 against its
+    # 1e-13; its orders 1-4 and the Richardson check it replaced, 2.1e-9,
+    # both pass it.  Criterion 7 passes it too: planted where the series
+    # reads the tower, it moves max_dual_path_dev to 1.0e-11 against 1e-10
+    pytest.param(verify, "bose_derivative", nudged_tower, 2, None, id="derivative-tower-nudged"),
+    # criterion 3 reads worst_abs 3.04e-2 against its 1e-12.  Criterion 7
+    # passes it: the series never reads shifted_beta
+    pytest.param(verify, "shifted_beta", first_order_shifted_beta, 3, None,
+                 id="shifted-beta-first-order"),
     # criterion 6's pairing weights each mode product by b_plus and b_minus:
     # final_rel_gap 1.166
     pytest.param(verify, "pairing_plan", swapped_plan, 6, None, id="thermal-coefficients-swapped"),

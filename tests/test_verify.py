@@ -1,8 +1,10 @@
 """The array paths of :mod:`thermalquench.verify` against the per-point and
-per-node loops they replace, the ramp-solve counts of the ramp consumers,
-the solves that ``run_all`` shares between criteria 4, 5 and 8 and keeps to
-its own run, and the registry of criteria that ``run_all`` runs."""
+per-node loops they replace, the contour rule of criterion 2, the
+ramp-solve counts of the ramp consumers, the solves that ``run_all`` shares
+between criteria 4, 5 and 8 and keeps to its own run, and the registry of
+criteria that ``run_all`` runs."""
 
+import cmath
 import dataclasses
 import math
 import re
@@ -66,41 +68,36 @@ CRITERION_NAMES = [
 ]
 
 
-def scalar_richardson_derivative(f, x, n, h0):
-    """The per-point stencil sum: one scalar call of f per stencil point."""
-
-    def central(h):
-        total = 0.0
-        for i in range(n + 1):
-            total += (-1) ** i * math.comb(n, i) * f(x + (n / 2.0 - i) * h)
-        return total / h**n
-
-    table = [[central(h0 / 2**j)] for j in range(5)]
-    for m in range(1, 5):
-        for j in range(m, 5):
-            num = 4.0**m * table[j][m - 1] - table[j - 1][m - 1]
-            table[j].append(num / (4.0**m - 1.0))
-    return table[-1][-1]
+def scalar_taylor_coefficient(f, z0, r, M, n):
+    """The trapezoid rule's c_n on the circle |z - z0| = r, point by point:
+    one scalar call of f and two cmath exponentials per point."""
+    total = 0j
+    for j in range(M):
+        point = z0 + r * cmath.exp(2j * math.pi * j / M)
+        total += f(point) * cmath.exp(-2j * math.pi * (j * n % M) / M)
+    return total / M / r**n
 
 
 class TestArrayCriteriaMatchScalarLoops:
-    # the array evaluations do the same float operations on every point and
-    # sum the stencil in the same order, so the measured values are equal,
-    # not merely close
+    # criterion 3's array evaluation does the same float operations on every
+    # point as its loop, so its measured value is equal, not merely close
 
     def test_criterion_2(self):
-        worst = 0.0
+        # the FFT sums pairwise and the loop in order, so the two agree to
+        # rounding, not to the bit: 2.5e-15 and 2.0e-14 apart
+        rel = {}
         for beta, eps in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.7)):
-            h0 = min(beta / 4.0, 0.4 / eps)
-            for n in range(1, 5):
+            r = min(beta, 2 * math.pi / eps) / 2
+            for n in range(1, 9):
+                c = scalar_taylor_coefficient(lambda z: 1 / (1 - cmath.exp(-z * eps)), beta, r, 64, n)
                 exact = bose_derivative(n, +1, beta, eps)
-                approx = scalar_richardson_derivative(
-                    lambda b: bose_coefficient(+1, b, eps), beta, n, h0
-                )
-                worst = max(worst, abs(approx - exact) / abs(exact))
-        measured = verify.criterion_2(default_config()).measured["worst_rel"]
-        assert type(measured) is float
-        assert measured == worst
+                rel[beta, n] = abs(math.factorial(n) * c.real - exact) / abs(exact)
+        worst = max(value for (_, n), value in rel.items() if n <= 4)
+        worst_8 = max(rel.values())
+        measured = verify.criterion_2(default_config()).measured
+        assert type(measured["worst_rel"]) is type(measured["worst_rel_to_8"]) is float
+        assert abs(measured["worst_rel"] - worst) <= 1e-14
+        assert abs(measured["worst_rel_to_8"] - worst_8) <= 1e-13
 
     def test_criterion_3(self):
         worst = 0.0
@@ -116,6 +113,41 @@ class TestArrayCriteriaMatchScalarLoops:
         measured = verify.criterion_3(default_config()).measured["worst_abs"]
         assert type(measured) is float
         assert measured == worst
+
+
+class TestTaylorOnCircle:
+    @pytest.mark.parametrize("r, M", [(0.5, 64), (0.9, 16)])
+    def test_geometric_series(self, r, M):
+        # every Taylor coefficient of 1/(1 - z) about 0 is 1, and the rule
+        # adds the aliases c_{n+M} r**M + c_{n+2M} r**(2M) + ... = r**M / (1 -
+        # r**M): 5e-20 at r = 0.5 and M = 64, 0.23 at r = 0.9 and M = 16
+        coeffs = verify._taylor_on_circle(lambda z: 1 / (1 - z), 0.0, r, M)
+        assert coeffs.shape == (M,)
+        assert np.abs(coeffs[:8] - 1 / (1 - r**M)).max() <= 1e-14
+
+    def test_exponential_about_each_centre(self):
+        # e^z about z0 has c_n = e^z0 / n!; one row per centre
+        z0 = np.array([0.0, 1.0])
+        coeffs = verify._taylor_on_circle(np.exp, z0, np.ones(2), 32)
+        exact = np.exp(z0)[:, None] / np.array([math.factorial(n) for n in range(32)])
+        assert coeffs.shape == (2, 32)
+        assert np.abs(coeffs - exact).max() <= 1e-14
+
+    def test_criterion_2_circles_keep_inside_the_nearest_pole(self, monkeypatch):
+        # b_plus(beta' eps) has its nearest pole at beta' = 0, so about a
+        # real beta > 0 the rule's aliasing is (r / beta)**M, which c2's
+        # circles keep below 2**-64
+        rule, calls = verify._taylor_on_circle, []
+
+        def spy(f, z0, r, M):
+            calls.append((z0, r, M))
+            return rule(f, z0, r, M)
+
+        monkeypatch.setattr(verify, "_taylor_on_circle", spy)
+        assert verify.criterion_2(default_config()).status == "pass"
+        [(z0, r, M)] = calls
+        assert np.isrealobj(z0) and np.all(z0 > 0) and np.all(r > 0)
+        assert np.max(r / z0) ** M <= 2.0**-64
 
 
 class TestNessBogoliubovMap:
