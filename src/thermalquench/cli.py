@@ -9,15 +9,17 @@ series      resummation report for the perturbative series (JSON, CSV table)
 ness        Bogoliubov and steady-state spectral data per momentum (CSV)
 verify-all  run the full acceptance suite and summarize
 
-All numbers in the emitted CSV/JSON come from library operations.  This
-layer formats them and derives a few: ``limits`` computes each row's target
-and gaps, and ``ness`` computes the sudden-quench gaps and refuses (exit 3)
-a row whose normalization or commutator residual is off its bound.  Output
-is strict: a NaN or infinite value in a JSON payload or a CSV table is a
-numerical failure (exit 3) and nothing of that payload is written.
-Identical configs produce byte-identical data files: no wall-clock enters
-any payload (a separate meta.json carries the timestamp when writing to a
-directory).
+All numbers in the emitted CSV/JSON come from library operations, and each
+table is the one its criterion judges: ``eulerian`` writes
+``verify.eulerian_rows``, ``limits`` ``verify.switch_table``, ``series``
+``verify.series_report`` and ``ness`` ``verify.ness_table``.  This layer
+computes no number of its own: it formats them, and ``ness`` refuses
+(exit 3) a row whose normalization or commutator residual is off its
+bound.  Output is strict: a NaN or infinite value in a JSON payload or a
+CSV table is a numerical failure (exit 3) and nothing of that payload is
+written.  Identical configs produce byte-identical data files: no
+wall-clock enters any payload (a separate meta.json carries the timestamp
+when writing to a directory).
 
 Exit codes: 0 success, 1 criterion failure, 2 config/schema error (a bad
 flag, a config that cannot be read or is refused, or an ``--out`` that
@@ -45,15 +47,11 @@ import numpy as np
 
 from . import modes, verify
 from .config import ConfigError, RunConfig, default_config, load_config
-from .modes import (
-    IntegratorError,
-    SwitchingProfile,
-    sudden_quench_pair,
-    switch_integral_limit,
-    switch_integrals,  # benchmarks/tracing.py is its last reader
-)
-from .spectral import adiabatic, ness_classical, pair_report
-from .verify import TOLERANCES, ness_bogoliubov_map
+from .modes import IntegratorError, SwitchingProfile
+from .modes import switch_integrals  # benchmarks/tracing.py is its last reader
+from .spectral import adiabatic, pair_report
+from .spectral import ness_classical  # benchmarks/tracing.py is its last reader
+from .verify import TOLERANCES
 
 COMMANDS = ("eulerian", "limits", "series", "ness", "verify-all")
 
@@ -145,18 +143,12 @@ def cmd_eulerian(args, config: RunConfig) -> int:
 
 def cmd_limits(args, config: RunConfig) -> int:
     """Switching-integral ladder, one row per (k, mu), k-major: one ramp
-    solve of the whole mu ladder over every k, and one read of every rung's
-    switching integrals, as criterion 5 reads its ladder.  A failed Wronskian
+    solve of the whole mu ladder over every k, tabulated by
+    ``verify.switch_table``, which criterion 5 judges.  A failed Wronskian
     gate raises ``IntegratorError``: exit 3, no CSV."""
-    ks, mus = np.array(config.k_values), np.array(config.mu_ladder)
-    trajs = modes._ramp_solve(ks, [SwitchingProfile(mu) for mu in mus], config.params)
-    # (mu, k) arrays, read k-major
-    i_sq, i_abs = (np.array(x).T.ravel() for x in zip(*modes._switch_integrals(*trajs)))
-    target = np.repeat(switch_integral_limit(ks, config.params), mus.size)
-    table = {"k": np.repeat(ks, mus.size), "mu": np.tile(mus, ks.size), "re_I_sq": i_sq.real,
-             "im_I_sq": i_sq.imag, "I_abs": i_abs, "target": target,
-             "gap_abs": np.abs(i_abs - target), "gap_sq": np.abs(i_sq)}
-    _emit_ok_csv(table, args.out, "limits.csv")
+    profs = [SwitchingProfile(mu) for mu in config.mu_ladder]
+    trajs = modes._ramp_solve(np.array(config.k_values), profs, config.params)
+    _emit_ok_csv(verify.switch_table(trajs), args.out, "limits.csv")
     return EXIT_OK
 
 
@@ -179,22 +171,16 @@ def cmd_series(args, config: RunConfig) -> int:
 
 
 def cmd_ness(args, config: RunConfig) -> int:
-    """Bogoliubov pairs and steady-state coefficients at the radial nodes:
-    one map call, so one batched ramp solve, for the whole node set.  A
-    failed Wronskian gate raises ``IntegratorError``, and a row whose
-    normalization or commutator residual exceeds the pinned
-    ``bogoliubov_norm_abs`` or ``ness_ccr_abs`` of ``verify.TOLERANCES`` is
-    a numerical failure too: exit 3, no CSV."""
+    """Bogoliubov pairs and steady-state coefficients at the radial nodes,
+    tabulated by ``verify.ness_table``, which criterion 9 judges: one
+    batched ramp solve for the whole node set.  A failed Wronskian gate
+    raises ``IntegratorError``, and a row whose normalization or commutator
+    residual exceeds the pinned ``bogoliubov_norm_abs`` or ``ness_ccr_abs``
+    of ``verify.TOLERANCES`` is a numerical failure too: exit 3, no CSV."""
     f, g = config.packet_pair
     k, _ = config.quadrature.radial_rule(f, g)
-    params = config.params
-    bog_map = ness_bogoliubov_map(params, mu=config.profile.mu)
-    b = bog_map(k)
-    state = ness_classical(params, bog_map)
-    oracle = sudden_quench_pair(k, params)
-    # the coefficients once, and ccr_residual's expression on them
-    c_plus, c_minus = state.c_plus(k), state.c_minus(k)
-    norm, ccr = b.normalization_residual, c_plus - c_minus - 1.0
+    table = verify.ness_table(config.params, config.profile.mu, k)
+    norm, ccr = table["norm_residual"], table["ccr_residual"]
     norm_tol, ccr_tol = TOLERANCES["bogoliubov_norm_abs"], TOLERANCES["ness_ccr_abs"]
     broken = ~((norm <= norm_tol) & (np.abs(ccr) <= ccr_tol))  # a NaN residual breaks too
     if np.any(broken):
@@ -203,13 +189,6 @@ def cmd_ness(args, config: RunConfig) -> int:
             f"ness row k={k[i]} breaks its identities: norm_residual "
             f"{norm[i]:.3e} (bound {norm_tol:.1e}), ccr_residual {ccr[i]:.3e} (bound {ccr_tol:.1e})"
         )
-    gap_plus, gap_minus = np.abs(b.a_plus - oracle.a_plus), np.abs(b.a_minus - oracle.a_minus)
-    table = {
-        "k": k, "re_A_plus": b.a_plus.real, "im_A_plus": b.a_plus.imag,
-        "re_A_minus": b.a_minus.real, "im_A_minus": b.a_minus.imag, "norm_residual": norm,
-        "c_plus": c_plus, "c_minus": c_minus, "ccr_residual": ccr,
-        "sudden_gap": np.maximum(gap_plus, gap_minus),
-    }
     _emit_ok_csv(table, args.out, "ness.csv")
     return EXIT_OK
 

@@ -23,9 +23,11 @@ packets, the f and g of every pairing.  An unknown key at any level
 is an error.  Every value is a JSON number, never a string or a boolean,
 and the four counts (``n_radial``, ``n_time``, ``orders`` and
 ``schema_version``) are integers.  Every number must be finite, every
-ladder strictly increasing, every order within the series order cap and
-every quadrature node count within ``NODE_CAP``; violations raise
-:class:`ConfigError`, which the CLI maps to its config-error exit code.
+ladder strictly increasing, the ``orders`` ladder every order from 1 to
+its last, N, with N within the series order cap (``series`` and criterion
+7 run exactly those orders), and every quadrature node count within
+``NODE_CAP``; violations raise :class:`ConfigError`, which the CLI maps to
+its config-error exit code.
 """
 
 from __future__ import annotations
@@ -91,8 +93,10 @@ class RunConfig:
             raise ConfigError("mu and k ladders must be finite")
         if any(m <= 0 for m in self.mu_ladder):
             raise ConfigError("the mu ladder must be positive")
-        if any(n < 1 or n > DEFAULT_ORDER_CAP for n in self.order_ladder):
-            raise ConfigError(f"orders must lie in [1, {DEFAULT_ORDER_CAP}]")
+        # series and criterion 7 run every order from 1 to the last
+        n = len(self.order_ladder)
+        if list(self.order_ladder) != list(range(1, n + 1)) or n > DEFAULT_ORDER_CAP:
+            raise ConfigError(f"ladder 'orders' must be [1, 2, ..., N] with N <= {DEFAULT_ORDER_CAP}")
         if any(k < 0 for k in self.k_values):
             raise ConfigError("k values must be >= 0")
         if max(self.quadrature.n_radial, self.quadrature.n_time) > NODE_CAP:

@@ -20,6 +20,12 @@ lists them by name.  The ladders, packets and quadrature density come from
 the :class:`~thermalquench.config.RunConfig`, whose defaults reproduce the
 reference desk-scale setup.
 
+Four tables are built here and printed by a command, so what a command
+prints is what a criterion judges: :func:`eulerian_rows` (``eulerian``,
+criterion 1), :func:`switch_table` (``limits``, criterion 5),
+:func:`series_report` (``series``, criterion 7) and :func:`ness_table`
+(``ness``, criterion 9).
+
 Criterion 2 reads the derivative tower's orders 1-8 at three (beta, eps)
 points against the Taylor coefficients of the closed form b_plus on
 complex beta', by the trapezoid rule on a circle (``_taylor_on_circle``)
@@ -294,17 +300,32 @@ def criterion_4(config: RunConfig, memo: dict):
     return ok, {"worst_abs": worst, "worst_continuity": continuity, "tol": tol}
 
 
+def switch_table(trajs) -> dict:
+    """The switching-integral table of the rungs ``trajs`` of one ladder
+    solve, one row per (k, mu), k-major: what ``limits`` writes and
+    criterion 5 judges.  ``target`` is each momentum's slow-switch limit of
+    I_abs, ``gap_abs`` is |I_abs - target| and ``gap_sq`` is |I_sq|."""
+    ks, params = trajs[0].k_mag, trajs[0].params
+    mus = np.array([traj.mu for traj in trajs])
+    # (mu, k) arrays, read k-major
+    i_sq, i_abs = (np.array(x).T.ravel() for x in zip(*_switch_integrals(*trajs)))
+    target = np.repeat(switch_integral_limit(ks, params), mus.size)
+    return {"k": np.repeat(ks, mus.size), "mu": np.tile(mus, ks.size), "re_I_sq": i_sq.real,
+            "im_I_sq": i_sq.imag, "I_abs": i_abs, "target": target,
+            "gap_abs": np.abs(i_abs - target), "gap_sq": np.abs(i_sq)}
+
+
 @_criterion(5, "switch-integral-ladder")
 def criterion_5(config: RunConfig, memo: dict):
     """Switching-integral ladder: gaps strictly decreasing, final below target."""
     tol = TOLERANCES["switch_final_abs"]
-    ks = np.array(config.k_values)
-    ladder = _switch_integrals(*_suite_trajectories(config, memo)[: len(config.mu_ladder)])
-    i_sq, i_abs = (np.array(x) for x in zip(*ladder))  # rows: mu ladder, columns: k
-    gaps_abs = np.abs(i_abs - switch_integral_limit(ks, MODE_PARAMS))
-    gaps_sq = np.abs(i_sq)
-    ok = all(np.all(np.diff(g, axis=0) < 0) and np.all(g[-1] <= tol) for g in (gaps_abs, gaps_sq))
-    return ok, {"final_abs_gap": float(gaps_abs[-1].max()), "final_sq": float(gaps_sq[-1].max()), "tol": tol}
+    n_mu = len(config.mu_ladder)
+    table = switch_table(_suite_trajectories(config, memo)[:n_mu])
+    # rows: k, columns: the mu ladder
+    gaps_abs, gaps_sq = (table[name].reshape(-1, n_mu) for name in ("gap_abs", "gap_sq"))
+    ok = all(np.all(np.diff(g) < 0) and np.all(g[:, -1] <= tol) for g in (gaps_abs, gaps_sq))
+    final_abs, final_sq = float(gaps_abs[:, -1].max()), float(gaps_sq[:, -1].max())
+    return ok, {"final_abs_gap": final_abs, "final_sq": final_sq, "tol": tol}
 
 
 @_criterion(6, "finite-switch-pairing-ladder")
@@ -393,6 +414,29 @@ def ness_bogoliubov_map(params: ThermalParams, mu: float = 1.0):
     return bog
 
 
+def ness_table(params: ThermalParams, mu: float, k) -> dict:
+    """The steady-state table at the momenta ``k``, one row each: what
+    ``ness`` writes and criterion 9 judges.  The Bogoliubov pairs come from
+    one :func:`ness_bogoliubov_map` solve and the coefficients from
+    :func:`~thermalquench.spectral.ness_classical` on that map; beside them
+    stand the normalization residual, the commutator residual c_plus -
+    c_minus - 1 and ``sudden_gap``, the larger distance of the two
+    amplitudes from :func:`~thermalquench.modes.sudden_quench_pair`."""
+    bog_map = ness_bogoliubov_map(params, mu=mu)
+    b = bog_map(k)
+    state = ness_classical(params, bog_map)
+    oracle = sudden_quench_pair(k, params)
+    # the coefficients once, and ccr_residual's expression on them
+    c_plus, c_minus = state.c_plus(k), state.c_minus(k)
+    gap_plus, gap_minus = np.abs(b.a_plus - oracle.a_plus), np.abs(b.a_minus - oracle.a_minus)
+    return {
+        "k": k, "re_A_plus": b.a_plus.real, "im_A_plus": b.a_plus.imag,
+        "re_A_minus": b.a_minus.real, "im_A_minus": b.a_minus.imag,
+        "norm_residual": b.normalization_residual, "c_plus": c_plus, "c_minus": c_minus,
+        "ccr_residual": c_plus - c_minus - 1.0, "sudden_gap": np.maximum(gap_plus, gap_minus),
+    }
+
+
 @_criterion(9, "ness-spectral-data")
 def criterion_9(config: RunConfig, memo: dict):
     """Steady-state spectral data: commutator normalization and the
@@ -402,8 +446,7 @@ def criterion_9(config: RunConfig, memo: dict):
     f, g = config.packet_pair
     k_nodes, _ = config.quadrature.radial_rule(f, g)
 
-    state = ness_classical(MODE_PARAMS, ness_bogoliubov_map(MODE_PARAMS))
-    worst_ccr = float(np.max(np.abs(state.ccr_residual(k_nodes))))
+    worst_ccr = float(np.max(np.abs(ness_table(MODE_PARAMS, 1.0, k_nodes)["ccr_residual"])))
 
     trivial = ness_classical(MODE_PARAMS, lambda k: BogoliubovPair(1.0 + 0.0j, 0.0j))
     ref = adiabatic_classical(MODE_PARAMS)

@@ -111,6 +111,8 @@ class TestLimits:
             '{"ladders": {"mu": [5.0, Infinity]}}',
             '{"ladders": {"orders": [1, Infinity]}}',
             '{"ladders": {"orders": [1, 17]}}',
+            '{"ladders": {"orders": [3, 8]}}',
+            '{"ladders": {"orders": [2, 3]}}',
             '{"params": {"lam": 1e300, "m0_sq": 1e300}}',
             '{"quadrature": {"n_radial": 20000}}',
             '{"packets": [{"k_center": 1.0, "k_width": 1e-300, "t_center": 2.0, "t_width": 0.3},'
@@ -139,7 +141,8 @@ class TestLimits:
         ],
         ids=["mu-descending", "k-unsorted-duplicate", "k-empty", "n-radial-zero", "n-time-negative",
              "k-center-nan", "beta-infinity", "mu-infinity", "mu-ladder-infinity",
-             "orders-infinity", "orders-beyond-cap", "mass-shift-overflow", "n-radial-20000",
+             "orders-infinity", "orders-beyond-cap", "orders-gapped", "orders-not-from-one",
+             "mass-shift-overflow", "n-radial-20000",
              "k-width-underflow", "t-width-underflow", "params-unknown-key",
              "profile-unknown-key", "ladders-unknown-key", "quadrature-unknown-key",
              "packet-fifth-key", "tolerances-section", "beta-string",
@@ -348,8 +351,9 @@ class TestBatchedRampSolves:
     )
     def test_non_finite_column_exits_numerical(self, tmp_path, capsys, monkeypatch, command, name,
                                                poisoned):
-        # one column (limits: target, ness: sudden_gap) turns NaN
-        monkeypatch.setattr(cli, name, poisoned)
+        # one column (limits: target, ness: sudden_gap) of the verify table
+        # turns NaN
+        monkeypatch.setattr(verify, name, poisoned)
         out = tmp_path / "out"
         assert run([command, "--config", str(fast_config(tmp_path)), "--out", str(out)]) == 3
         captured = capsys.readouterr()
@@ -490,7 +494,8 @@ class TestImportGraph:
 
 @pytest.mark.parametrize(
     "helper, command, criterion",
-    [("series_report", "series", 7), ("eulerian_rows", "eulerian", 1)],
+    [("series_report", "series", 7), ("eulerian_rows", "eulerian", 1),
+     ("switch_table", "limits", 5), ("ness_table", "ness", 9)],
 )
 def test_command_and_criterion_share_one_call(monkeypatch, capsys, helper, command, criterion):
     calls = []
@@ -499,6 +504,47 @@ def test_command_and_criterion_share_one_call(monkeypatch, capsys, helper, comma
     assert run([command]) == 0
     assert verify.CRITERIA[criterion](default_config()).status == "pass"
     assert len(calls) == 2
+
+
+def test_limits_and_ness_write_the_tables_criteria_5_and_9_judge(tmp_path, capsys, monkeypatch):
+    # on the default config, limits.csv and ness.csv are switch_table and
+    # ness_table of the same inputs to the bit (17 significant digits
+    # round-trip a double), and criteria 5 and 9 measure the maxima of the
+    # columns they judge in the tables they build
+    config = default_config()
+    profs = [modes.SwitchingProfile(mu) for mu in config.mu_ladder]
+    k, _ = config.quadrature.radial_rule(*config.packet_pair)
+    tables = {
+        "limits": verify.switch_table(modes._ramp_solve(np.array(config.k_values), profs, config.params)),
+        "ness": verify.ness_table(config.params, config.profile.mu, k),
+    }
+    for command, table in tables.items():
+        assert run([command, "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / f"{command}.csv")
+        assert header == [*table, "status"]
+        written = np.array([row[:-1] for row in rows], dtype=float)
+        assert written.tobytes() == np.column_stack(list(table.values())).tobytes()
+
+    judged = {}
+
+    def recording(name):
+        original = getattr(verify, name)
+
+        def record(*args):
+            judged[name] = original(*args)
+            return judged[name]
+
+        return record
+
+    for name in ("switch_table", "ness_table"):
+        monkeypatch.setattr(verify, name, recording(name))
+    c5, c9 = (verify.CRITERIA[i](config).measured for i in (5, 9))
+    limits, ness = judged["switch_table"], judged["ness_table"]
+    final = limits["mu"] == config.mu_ladder[-1]
+    assert np.count_nonzero(final) == len(config.k_values)
+    assert c5["final_abs_gap"] == limits["gap_abs"][final].max()
+    assert c5["final_sq"] == limits["gap_sq"][final].max()
+    assert c9["worst_ccr"] == np.abs(ness["ccr_residual"]).max()
 
 
 class TestSeries:
