@@ -47,7 +47,7 @@ import numpy as np
 
 from . import modes, verify
 from .config import ConfigError, RunConfig, default_config, load_config
-from .modes import IntegratorError, SwitchingProfile
+from .modes import IntegratorError
 from .modes import switch_integrals  # benchmarks/tracing.py is its last reader
 from .spectral import adiabatic, pair_report
 from .spectral import ness_classical  # benchmarks/tracing.py is its last reader
@@ -146,8 +146,7 @@ def cmd_limits(args, config: RunConfig) -> int:
     solve of the whole mu ladder over every k, tabulated by
     ``verify.switch_table``, which criterion 5 judges.  A failed Wronskian
     gate raises ``IntegratorError``: exit 3, no CSV."""
-    profs = [SwitchingProfile(mu) for mu in config.mu_ladder]
-    trajs = modes._ramp_solve(np.array(config.k_values), profs, config.params)
+    trajs = modes._ramp_solve(np.array(config.k_values), config.mu_ladder, config.params)
     _emit_ok_csv(verify.switch_table(trajs), args.out, "limits.csv")
     return EXIT_OK
 

@@ -21,7 +21,7 @@ and it computes a rule on first use, never at import.  The module needs
 numpy alone.
 
 One routine does every ramp solve, for a ladder of switching scales mu
-that share one momentum batch and one rtol and atol (a single profile is
+that share one momentum batch and one rtol and atol (a single scale is
 the ladder of one).  The mode equation is linear, so one DOP853 step of
 (T, Tdot) is a real 2x2 matrix that does not depend on the state: the
 routine builds the maps of every step of each rung's uniform grid on
@@ -264,7 +264,9 @@ def chi_unit_rate(s):
 
 @dataclass(frozen=True)
 class SwitchingProfile:
-    """Switching scale mu: the ramp runs over [-mu, 0]."""
+    """Switching scale mu: the ramp runs over [-mu, 0].  The type of outside
+    input, the config's ``profile`` section and the public solvers'
+    argument; inside, a ramp solve and its readers take mu as a number."""
 
     mu: float
 
@@ -353,7 +355,7 @@ _THREAD = threading.local()
 def _block_arena() -> _Arena:
     """This thread's arena, made on the thread's first block of ramp work
     and kept for the life of the thread.  Fresh arrays freed after every
-    block cost ~1200 minor page faults per warm verify-all, as glibc trimmed
+    block cost ~760 minor page faults per warm verify-all, as glibc trimmed
     the heap and the next block faulted it back.  It starts with 24 planes
     of ``_BLOCK`` doubles (1.5 MiB, faulted in only as blocks write it),
     more than a full block's carry (16 planes with its maps) and error norm
@@ -422,18 +424,14 @@ def _step_maps(t, h, samples, shift: float, mu: float, arena: _Arena):
     stages = arena.take((_C.size, 2, m, p))
     flat = stages.reshape(_C.size, -1)
     h_sq = h_plane * h_plane
-    # e0 + h * c_s * e1, each stage's top row but its h**2 term, (stage,
-    # column, start and sample, or 1 and 1)
-    lead = _C[:, None, None] * h_plane
-    top = np.empty((_C.size, 2) + lead.shape[1:])
-    top[:, 0] = 1.0
-    top[:, 1] = lead
     for s in range(0, _C.size, 2):
         pair = stages[s : s + 2]
         # stages 0 and 1 read no stage: their product is zero
         np.matmul(_A2[s : s + 2, :s], flat[:s], out=flat[s : s + 2])
+        # each stage's top row, h**2 * (the sums) + e0 + h * c_s * e1, times -w**2
         pair *= h_sq
-        pair += top[s : s + 2]
+        pair[:, 0] += 1.0
+        pair[:, 1] += _C[s : s + 2, None, None] * h_plane
         pair *= neg_w_sq[s : s + 2, None]
     # the six rows of the three maps, (map row, column, start, sample)
     rows = maps.reshape(6, 2, m, -1) if mix is None else arena.take((6, 2, m, p))
@@ -562,11 +560,11 @@ def _carry(step, y, heads, arena: _Arena):
     arena.used = mark
 
 
-def _ramp_solve(k_mags, profs, params: ThermalParams, rtol=_RTOL, atol=_ATOL):
+def _ramp_solve(k_mags, mus, params: ThermalParams, rtol=_RTOL, atol=_ATOL):
     """One ramp solve of the mode equation for every momentum in ``k_mags``
-    and every switching profile in ``profs``, a ladder of rungs: returns one
-    :class:`ModeTrajectory` per rung, in the order of ``profs``.  Every
-    rung meets the one ``rtol`` and ``atol``.
+    and every switching scale in ``mus``, positive and finite numbers, a
+    ladder of rungs: returns one :class:`ModeTrajectory` per rung, in the
+    order of ``mus``.  Every rung meets the one ``rtol`` and ``atol``.
 
     Each rung lays its own uniform grid on [-mu, 0], seeded at its final
     size from the h**8 error law, rtol**(-1/8) * max(_SEED_WAVE * mu *
@@ -599,7 +597,6 @@ def _ramp_solve(k_mags, profs, params: ThermalParams, rtol=_RTOL, atol=_ATOL):
     samples = _samples(eps)
     arena = _block_arena()
     w_max = max(eps.max(), eps_lam.max())
-    mus = [prof.mu for prof in profs]
     # the step count of each rung's next grid
     sizes = [rtol**-0.125 * max(_SEED_WAVE * mu * w_max, _SEED_SWITCH) for mu in mus]
     # each rung's head, the plane-wave data at its -mu, (component, part, rung, momentum)
@@ -844,7 +841,7 @@ def solve_modes(
         raise ValueError(f"atol must be non-negative and finite, got {atol}")
     if method != "DOP853":
         raise ValueError(f"ramp solves use method='DOP853', got {method!r}")
-    return _ramp_solve(k_mag, [prof], params, rtol, atol)[0]
+    return _ramp_solve(k_mag, [prof.mu], params, rtol, atol)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -917,7 +914,7 @@ def _switch_integrals(*trajs: ModeTrajectory):
     for traj, (nodes, weights) in zip(trajs, rules):
         part = T[:, lo : lo + nodes.size].copy()
         lo += nodes.size
-        w = weights * SwitchingProfile(traj.mu).rate(nodes)
+        w = weights * (chi_unit_rate(nodes / traj.mu) / traj.mu)
         out.append(((part * part) @ w, (part.real**2 + part.imag**2) @ w))
     return out
 

@@ -46,8 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from .modes import (BogoliubovPair, ModeTrajectory, SwitchingProfile, _gauss_legendre,
-                    _outgoing_waves, _plane_waves, bogoliubov)
+from .modes import (BogoliubovPair, ModeTrajectory, _gauss_legendre, _outgoing_waves,
+                    _plane_waves, bogoliubov, chi_unit)
 from .modes import solve_modes  # benchmarks/tracing.py is its last reader
 from .thermal import ThermalParams, bose_coefficient, dispersion
 
@@ -307,13 +307,14 @@ def _early_correction(t, w, T, waves):
     return (T - after) @ w
 
 
-def _early_reach(prof: SwitchingProfile, t, w):
+def _early_reach(mu: float, t, w):
     """sum_j |w_j| |t_j| (1 - chi(t_j/mu)) over the early nodes ``t`` and
-    weights ``w``: times a node's early factor (see :func:`pairing_plan`),
-    a bound on its :func:`_early_correction`.  1 - chi(s) is chi(-1 - s),
-    the mirrored switch, computed as such so that it does not round to 0
-    where chi(s) rounds to 1."""
-    return float(np.sum(np.abs(w) * np.abs(t) * prof.value(-prof.mu - t)))
+    weights ``w``, for the switching scale ``mu``: times a node's early
+    factor (see :func:`pairing_plan`), a bound on its
+    :func:`_early_correction`.  1 - chi(s) is chi(-1 - s), the mirrored
+    switch, computed as such so that it does not round to 0 where chi(s)
+    rounds to 1."""
+    return float(np.sum(np.abs(w) * np.abs(t) * chi_unit((-mu - t) / mu)))
 
 
 def _screen(bound):
@@ -464,11 +465,10 @@ def pair_finite_mu(traj: ModeTrajectory, plan: PairingPlan) -> complex:
     if traj.k_mag is not plan.k or traj.params is not plan.params:
         raise ValueError("the trajectory must be a solve of the plan's kept nodes, plan.k, "
                          "on the plan's params")
-    prof = SwitchingProfile(traj.mu)
     (tf, wf), (tg, wg) = plan.early_f, plan.early_g
     waves = _outgoing_waves(bogoliubov(traj), traj.eps_lambda)
     u_f, u_g = (_closed_projection(hat, waves) for hat in (plan.hat_f, plan.hat_g))
-    if not all(np.all(plan.early_factor * _early_reach(prof, t, w) <= 2.0**-53 * np.abs(u))
+    if not all(np.all(plan.early_factor * _early_reach(traj.mu, t, w) <= 2.0**-53 * np.abs(u))
                for (t, w), u in ((plan.early_f, u_f), (plan.early_g, u_g))):
         T, _ = traj.evaluate(np.concatenate((tf, tg)))
         u_f = u_f + _early_correction(tf, wf, T[:, : tf.size], waves)

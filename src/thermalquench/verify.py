@@ -272,8 +272,8 @@ def _suite_trajectories(config: RunConfig, memo: dict):
     The memo belongs to one call of :func:`run_all`, which hands it to every
     criterion, or to one criterion called alone, and dies with it."""
     if "suite" not in memo:
-        profs = [SwitchingProfile(mu) for mu in (*config.mu_ladder, 1.0, SUDDEN_MU)]
-        memo["suite"] = modes._ramp_solve(np.array(config.k_values), profs, MODE_PARAMS)
+        mus = (*config.mu_ladder, 1.0, SUDDEN_MU)
+        memo["suite"] = modes._ramp_solve(np.array(config.k_values), mus, MODE_PARAMS)
     return memo["suite"]
 
 
@@ -347,10 +347,9 @@ def criterion_6(config: RunConfig, memo: dict):
     if target == 0.0:
         raise ZeroDivisionError("slow-switch target pairing vanished; relative gaps undefined")
     plan = pairing_plan(MODE_PARAMS, f, g, quad)
-    profs = [SwitchingProfile(mu) for mu in config.mu_ladder]
-    vals = [0j] * len(profs)
+    vals = [0j] * len(config.mu_ladder)
     if plan.k.size:
-        vals = [pair_finite_mu(traj, plan) for traj in modes._ramp_solve(plan.k, profs, plan.params)]
+        vals = [pair_finite_mu(traj, plan) for traj in modes._ramp_solve(plan.k, config.mu_ladder, plan.params)]
     gaps = [abs(val - target) / abs(target) for val in vals]
     ok = all(b < a for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= tol
     return ok, {"final_rel_gap": gaps[-1], "first_rel_gap": gaps[0], "tol": tol}

@@ -512,10 +512,10 @@ def test_limits_and_ness_write_the_tables_criteria_5_and_9_judge(tmp_path, capsy
     # round-trip a double), and criteria 5 and 9 measure the maxima of the
     # columns they judge in the tables they build
     config = default_config()
-    profs = [modes.SwitchingProfile(mu) for mu in config.mu_ladder]
     k, _ = config.quadrature.radial_rule(*config.packet_pair)
     tables = {
-        "limits": verify.switch_table(modes._ramp_solve(np.array(config.k_values), profs, config.params)),
+        "limits": verify.switch_table(modes._ramp_solve(np.array(config.k_values), config.mu_ladder,
+                                                        config.params)),
         "ness": verify.ness_table(config.params, config.profile.mu, k),
     }
     for command, table in tables.items():

@@ -1124,8 +1124,7 @@ class TestLadderSolve:
         # the sign of every zero included, on rungs of 27 to 3134 steps
         config = default_config()
         mus = [*config.mu_ladder, 640.0, 1.0, verify.SUDDEN_MU, 0.37, 7.0710678118654755, 123.456]
-        ladder = modes._ramp_solve(np.array(config.k_values), [SwitchingProfile(mu) for mu in mus],
-                                   config.params)
+        ladder = modes._ramp_solve(np.array(config.k_values), mus, config.params)
         assert [traj.n_steps for traj in ladder] == [27, 49, 98, 196, 3134, 27, 27, 27, 35, 605]
         for traj, mu in zip(ladder, mus):
             ref = np.linspace(-mu, 0.0, traj.n_steps + 1)
@@ -1135,7 +1134,7 @@ class TestLadderSolve:
         config = default_config()
         ks = np.array(config.k_values)
         mus = (*config.mu_ladder, 1.0)
-        ladder = modes._ramp_solve(ks, [SwitchingProfile(mu) for mu in mus], verify.MODE_PARAMS)
+        ladder = modes._ramp_solve(ks, mus, verify.MODE_PARAMS)
         # 434 positions of two momenta: one block holds the whole ladder
         assert sum(traj.t.size for traj in ladder) == 434 <= modes._BLOCK // ks.size
         assert all(traj.y.base is ladder[0].y.base is not None for traj in ladder)
@@ -1152,7 +1151,7 @@ class TestLadderSolve:
         ks = np.linspace(0.1, 3.0, 64)
         block = modes._BLOCK // ks.size
         mus = [self.mu_for(n, ks, PARAMS) for n in (127, 128, 300)]
-        ladder = modes._ramp_solve(ks, [SwitchingProfile(mu) for mu in mus], PARAMS)
+        ladder = modes._ramp_solve(ks, mus, PARAMS)
         assert [traj.n_steps for traj in ladder] == [127, 128, 300]
         heads = np.cumsum([0] + [traj.t.size for traj in ladder])[1:-1]
         assert block == 128 and list(heads) == [block, 2 * block + 1]
@@ -1177,7 +1176,7 @@ class TestLadderSolve:
         ks = np.array([0.0, 1.0])
         gate, segments = modes._gate, []
         monkeypatch.setattr(modes, "_gate", lambda *args: segments.append(args[3]) or gate(*args))
-        ladder = modes._ramp_solve(ks, [SwitchingProfile(mu) for mu in mus], params)
+        ladder = modes._ramp_solve(ks, mus, params)
         assert [len(rungs) for rungs in segments] == [2]
         assert sum(traj.t.size for traj in ladder) - 1 <= modes._BLOCK // ks.size
         grids = {traj.mu: (traj.n_steps, traj.passes) for traj in ladder}
@@ -1208,25 +1207,22 @@ class TestLadderSolve:
         # the gate's message and the regrow's name the one rtol and atol of
         # the call, after the mu of the rung that fails
         ks = np.array([0.0, 1.0])
-        profs = [SwitchingProfile(verify.SUDDEN_MU), SwitchingProfile(5.0)]
         with monkeypatch.context() as patched:
             patched.setattr(modes, "_WRONSKIAN_TOL", 1e-30)
             with pytest.raises(IntegratorError, match=r"mu=0\.001 .*rtol=1e-12, atol=1e-14\)$"):
-                modes._ramp_solve(ks, profs, PARAMS, 1e-12, 1e-14)
+                modes._ramp_solve(ks, [verify.SUDDEN_MU, 5.0], PARAMS, 1e-12, 1e-14)
         # at lam = 8 the mu = 1 rung fails its seeded grid, and one pass
         # leaves it no regrow
         monkeypatch.setattr(modes, "_MAX_PASSES", 1)
-        profs = [SwitchingProfile(5.0), SwitchingProfile(1.0)]
         with pytest.raises(IntegratorError, match=r"mu=1\.0 did not meet rtol=1e-09, atol=1e-11: "):
-            modes._ramp_solve(ks, profs, dataclasses.replace(PARAMS, lam=8.0), 1e-9, 1e-11)
+            modes._ramp_solve(ks, [5.0, 1.0], dataclasses.replace(PARAMS, lam=8.0), 1e-9, 1e-11)
 
     def test_batched_switch_integrals_match_one_read_each(self):
         # the suite's mu ladder in one read, and 64 momenta on three solves,
         # whose reads span blocks of 128 values
         config = default_config()
         ks = np.array(config.k_values)
-        suite = modes._ramp_solve(ks, [SwitchingProfile(mu) for mu in config.mu_ladder],
-                                  verify.MODE_PARAMS)
+        suite = modes._ramp_solve(ks, config.mu_ladder, verify.MODE_PARAMS)
         wide = [solve_modes(np.linspace(0.1, 3.0, 64), SwitchingProfile(mu), PARAMS)
                 for mu in (3.0, 5.0, 12.0)]
         for trajs in (suite, wide):

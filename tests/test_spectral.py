@@ -481,7 +481,7 @@ def _pair_per_call(prof, params, f, g, quad):
     waves = modes._outgoing_waves(bogoliubov(traj), traj.eps_lambda)
     u_f, u_g = (_closed_form(p, waves) for p in (f, g))
     factor = _early_factor(k[keep], params)
-    early = (spectral._early_reach(prof, tf, wf), spectral._early_reach(prof, tg, wg))
+    early = (spectral._early_reach(prof.mu, tf, wf), spectral._early_reach(prof.mu, tg, wg))
     if not all(np.all(factor * r <= 2.0**-53 * np.abs(u)) for r, u in zip(early, (u_f, u_g))):
         T, _ = traj.evaluate(np.concatenate((tf, tg)))
         u_f = u_f + spectral._early_correction(tf, wf, T[:, : tf.size], waves)
@@ -561,7 +561,7 @@ class TestPlanTransforms:
     def test_rungs_evaluate_no_transform(self, monkeypatch):
         config = default_config()
         plan = pairing_plan(verify.MODE_PARAMS, *config.packet_pair, config.quadrature)
-        trajs = modes._ramp_solve(plan.k, [SwitchingProfile(mu) for mu in config.mu_ladder], plan.params)
+        trajs = modes._ramp_solve(plan.k, config.mu_ladder, plan.params)
         calls = []
         temporal_hat = Packet.temporal_hat
         monkeypatch.setattr(Packet, "temporal_hat", lambda p, omega: calls.append(p) or temporal_hat(p, omega))
@@ -585,8 +585,7 @@ class TestCriterion6Ladder:
     def ladder(self):
         config = default_config()
         plan = pairing_plan(verify.MODE_PARAMS, *config.packet_pair, config.quadrature)
-        profs = [SwitchingProfile(mu) for mu in config.mu_ladder]
-        return config, plan, modes._ramp_solve(plan.k, profs, plan.params)
+        return config, plan, modes._ramp_solve(plan.k, config.mu_ladder, plan.params)
 
     def test_rungs_against_their_solves_alone(self, ladder):
         _, plan, trajs = ladder
@@ -661,7 +660,7 @@ class TestEarlyScreen:
     def forced_read(monkeypatch, prof, plan):
         """The pairing with the screen failed everywhere: an infinite reach."""
         with monkeypatch.context() as mp:
-            mp.setattr(spectral, "_early_reach", lambda prof, t, w: math.inf)
+            mp.setattr(spectral, "_early_reach", lambda mu, t, w: math.inf)
             return _pair_at(prof, plan)
 
     @pytest.mark.parametrize("case", ["default", "across"])
@@ -701,7 +700,7 @@ class TestEarlyScreen:
         for p, (t, w) in ((plan.f, plan.early_f), (plan.g, plan.early_g)):
             T, _ = traj.evaluate(t)
             measured = np.abs(spectral._early_correction(t, w, T, waves))
-            bound = plan.early_factor * spectral._early_reach(prof, t, w)
+            bound = plan.early_factor * spectral._early_reach(mu, t, w)
             assert t.size > 0 and np.all(measured <= bound)
             moved = max(moved, np.max(measured / np.abs(_closed_form(p, waves))))
         # far above the solve's own error at the early nodes, 3e-12 of the
@@ -738,10 +737,10 @@ class TestEarlyScreen:
         prof = SwitchingProfile(40.0)
         t, w = np.array([-0.4]), np.array([1.0])
         assert prof.value(t)[0] == 1.0
-        reach = spectral._early_reach(prof, t, w)
+        reach = spectral._early_reach(prof.mu, t, w)
         assert reach == pytest.approx(0.4 * math.exp(-100.0) / math.exp(-1.0 / 0.99), rel=1e-10, abs=0.0)
         # before the ramp the complement is 1
-        assert spectral._early_reach(prof, np.array([-50.0]), w) == 50.0
+        assert spectral._early_reach(prof.mu, np.array([-50.0]), w) == 50.0
 
 
 def _free_with_nan_at_top(params):

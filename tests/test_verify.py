@@ -272,10 +272,10 @@ def solve_keys(monkeypatch, ramp_solves):
     keys = []
     recording = modes._ramp_solve
 
-    def keyed(k_mags, profs, params, rtol=modes._RTOL, atol=modes._ATOL):
+    def keyed(k_mags, mus, params, rtol=modes._RTOL, atol=modes._ATOL):
         ks = np.asarray(k_mags, dtype=float).tobytes()
-        keys.extend((ks, prof.mu, rtol, atol) for prof in profs)
-        return recording(k_mags, profs, params, rtol, atol)
+        keys.extend((ks, mu, rtol, atol) for mu in mus)
+        return recording(k_mags, mus, params, rtol, atol)
 
     monkeypatch.setattr(modes, "_ramp_solve", keyed)
     return keys
