@@ -54,9 +54,12 @@ error norm's temporaries) as views into one arena per thread, which
 starts with room for a full block's carry and error norm, grows only
 for a block that needs more, and is reused by every later block, so warm
 solves and reads allocate no fresh block of stages or maps.  Besides the
-node planes a trajectory keeps and the values a read returns, only a
-block that steps by one size per start makes fresh arrays: its sizes and
-the nodes it starts from, a plane or two each.
+node planes a trajectory keeps, the values a read returns and the sizes,
+scales and errors per position that a solve's pass or a read lays once,
+of which each block takes slices, only a block that steps by one size
+per start makes fresh arrays: its sizes laid over its (start, sample)
+planes, their square and their products with each stage pair's c, a
+plane or two each.
 Maps and grid nodes are laid out entries first, (row, column, step,
 momentum) and (component, real or imaginary part, node, momentum), so
 that the step-error norm works on contiguous (step, momentum) planes.
@@ -95,7 +98,6 @@ here solve at their defaults.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -575,10 +577,15 @@ def _ramp_solve(k_mags, mus, params: ThermalParams, rtol=_RTOL, atol=_ATOL):
     end as segments of one array of node positions, each led by its head,
     the plane-wave data at its -mu, and every position is carried through
     the DOP853 step maps of every momentum by a prefix scan of each block's
-    nodes (see ``_carry``).  The maps are built for a block of ``_BLOCK //
-    n`` positions at a time (at least one) for n momenta, so memory stays
-    bounded; a block may span rungs, each start carrying its own mu and h,
-    and the step into a head has h = 0, so its error norm reads 0.  A rung
+    nodes (see ``_carry``).  Each pass lays every position's step size and
+    mu once, the step into a head with h = 0, so its error norm reads 0,
+    and keeps every step's worst error norm over the momenta: 24 bytes a
+    position beside the 32 * n of its node planes, so at most 24 MiB for a
+    rung of ``_MAX_GRID`` steps on one momentum.  The maps are built for a
+    block of ``_BLOCK // n`` positions at a time (at least one) for n
+    momenta, so the rest of the memory stays bounded; a block inside one
+    rung steps by its h and mu alone, and a block that spans rungs by the
+    slices of the pass's sizes and scales, one per start.  A rung
     that one block holds gets the nodes of a solve of it alone, to the
     bit.  As a fallback, while a rung's worst step error (scipy's norm at
     the tolerances, per momentum) is not below 1, its step count N grows as
@@ -614,34 +621,29 @@ def _ramp_solve(k_mags, mus, params: ThermalParams, rtol=_RTOL, atol=_ATOL):
         # each rung's grid in np.linspace's arithmetic, j * (mu / N) - mu and 0
         # at the end, the same bits at a third of its cost
         t = np.concatenate([np.arange(n_steps + 1) * h - mu for mu, n_steps, h in zip(mus, counts, steps)])
-        t[np.subtract(heads[1:], 1)] = 0.0
+        # each rung's last node, at t = 0, and the step from it into the next head
+        ends = np.subtract(heads[1:], 1)
+        t[ends] = 0.0
+        # each position's step size and mu, h = 0 into a head
+        h_at, mu_at = (np.repeat(v, np.diff(heads)) for v in (steps, mus))
+        h_at[ends] = 0.0
         # (component, real or imaginary part, node, momentum)
         y = np.empty((2, 2, t.size, n))
         y[:, :, heads[:-1]] = data
-        # each rung's worst error norm over the blocks that hold its steps,
-        # a NaN kept
-        worst = [0.0] * len(mus)
+        # each step's worst error norm over the momenta
+        errs = np.empty(t.size - 1)
         for lo in range(0, t.size - 1, block):
             hi = min(lo + block, t.size - 1)
             arena.used = 0
-            # the rung of node lo, the heads after it in the block, and the
-            # steps of each rung the block holds, the step into a head with
-            # its rung
-            first = bisect.bisect_right(heads, lo) - 1
-            inner = [q - lo for q in heads[first + 1 : -1] if q <= hi]
-            cuts = [0, *(q - 1 for q in inner), hi - lo]
             # a block inside one rung steps by its h and mu alone, one that
-            # spans rungs by one per step, h = 0 into a head
-            h, mu = steps[first], mus[first]
-            if inner:
-                held = slice(first, first + len(cuts) - 1)
-                h, mu = (np.repeat(v[held], np.diff(cuts)) for v in (steps, mus))
-                h[cuts[1:-1]] = 0.0
+            # spans rungs by one per step
+            inner = [q - lo for q in heads[1:-1] if lo < q <= hi]
+            h, mu = (h_at[lo:hi], mu_at[lo:hi]) if inner else (h_at[lo], mu_at[lo])
             step, err5, err3 = _step_maps(t[lo:hi], h, samples, shift, mu, arena)
             _carry(step, y[:, :, lo : hi + 1], inner, arena)
-            norm = _error_norm(err5, err3, y[:, :, lo : hi + 1], h, rtol, atol, arena)
-            for r, a, b in zip(itertools.count(first), cuts, cuts[1:]):
-                worst[r] = norm[a:b].max(initial=worst[r])
+            errs[lo:hi] = _error_norm(err5, err3, y[:, :, lo : hi + 1], h, rtol, atol, arena).max(axis=1)
+        # each rung's worst, a NaN kept
+        worst = [errs[a:b].max() for a, b in zip(heads, heads[1:])]
         if all(err < 1.0 for err in worst):  # a NaN is not below 1
             break
         # a rung short of the tolerance grows; the others keep their sizes

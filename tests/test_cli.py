@@ -638,6 +638,24 @@ class TestNess:
         assert all(abs(float(r[header.index("ccr_residual")])) <= 1e-11 for r in rows)
         assert all(float(r[header.index("norm_residual")]) <= 1e-11 for r in rows)
 
+    @pytest.mark.parametrize("mu", [10.0, 20.0, 40.0])
+    def test_tight_solve_holds_fast_packets(self, mu, tmp_path, capsys):
+        # packets at k = 20 take the radial rule to k = 24.5, where the
+        # steady-state map's tight solve reads both residuals at most 7.1e-12
+        # (1.8e-12 at mu = 10, 3.5e-12 at 20, 7.1e-12 at 40).  At the
+        # default tolerances the same tables read ccr_residual -1.04e-10 to
+        # -1.10e-10 against its 1e-10 bound and exit 3
+        packet = {"k_center": 20.0, "k_width": 0.5, "t_width": 0.3}
+        doc = {"profile": {"mu": mu},
+               "packets": [{**packet, "t_center": 2.0}, {**packet, "t_center": 2.5}]}
+        cfg = tmp_path / "fast.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["ness", "--config", str(cfg)]) == 0
+        header, rows = _parse_stdout_csv(capsys)
+        assert max(float(r[header.index("k")]) for r in rows) > 24.4
+        assert all(abs(float(r[header.index("ccr_residual")])) <= 1e-11 for r in rows)
+        assert all(float(r[header.index("norm_residual")]) <= 1e-11 for r in rows)
+
     def test_free_case_rows(self, tmp_path, capsys):
         cfg = fast_config(tmp_path, params={"beta": 1.0, "m_sq": 1.0, "m0_sq": 1.0, "lam": 0.0})
         assert run(["ness", "--config", str(cfg)]) == 0

@@ -1188,6 +1188,31 @@ class TestLadderSolve:
             assert (traj.worst_drift, traj.worst_drift_t) == (
                 alone.worst_drift, alone.worst_drift_t)
 
+    def test_a_regrown_rung_in_blocks_that_span_heads(self):
+        # 64 momenta at lam = 8, so blocks of 128 steps: the mu = 1 rung
+        # fails its seeded 27 steps and regrows to 39, which puts the heads
+        # at 73 and 113, both inside block 0, and the mu = 20 rung runs on
+        # over three more blocks.  Each rung's step errors are read over the
+        # blocks that hold them, so the mu = 5 and mu = 20 rungs keep the
+        # grids they lay alone in one pass
+        params = dataclasses.replace(PARAMS, lam=8.0)
+        ks = np.linspace(0.1, 3.0, 64)
+        mus = [5.0, 1.0, 20.0]
+        ladder = modes._ramp_solve(ks, mus, params)
+        assert [(traj.n_steps, traj.passes) for traj in ladder] == [(72, 2), (39, 2), (287, 2)]
+        heads = np.cumsum([0] + [traj.t.size for traj in ladder])[1:-1]
+        assert modes._BLOCK // ks.size == 128 and list(heads) == [73, 113]
+        for i, (traj, mu) in enumerate(zip(ladder, mus)):
+            alone = solve_modes(ks, SwitchingProfile(mu), params)
+            assert np.array_equal(traj.t, alone.t) and alone.passes == (2 if mu == 1.0 else 1)
+            if i < 2:  # block 0 holds it, alone and in the ladder
+                assert np.array_equal(traj.y, alone.y)
+                assert (traj.worst_drift, traj.worst_drift_t) == (
+                    alone.worst_drift, alone.worst_drift_t)
+            else:  # alone, its blocks end at other nodes
+                assert np.abs(traj.y - alone.y).max() <= self.REL * np.abs(alone.y).max()
+                assert abs(traj.worst_drift - alone.worst_drift) <= self.DRIFT_ABS
+
     def test_suite_keeps_each_rungs_solve(self):
         # the trajectory suite: the mu ladder, the unit-scale switch and the
         # sharp switch at the default tolerances, 462 positions of two
